@@ -21,7 +21,7 @@ struct County {
   friend bool operator==(const County&, const County&) = default;
 };
 
-/// Flat county table with FIPS lookup.
+/// Flat county table with constant-time FIPS lookup.
 class CountyTable {
  public:
   CountyTable() = default;
@@ -32,6 +32,8 @@ class CountyTable {
   std::uint32_t add(County county);
 
   [[nodiscard]] const County& at(std::uint32_t index) const;
+  /// Mutable access for income and location updates. The FIPS code is the
+  /// lookup key and must not be changed through this reference.
   [[nodiscard]] County& at(std::uint32_t index);
 
   /// Index of a county by FIPS, or -1 if absent.
@@ -46,7 +48,14 @@ class CountyTable {
   [[nodiscard]] std::uint64_t total_underserved() const noexcept;
 
  private:
+  /// Slot of `fips` in fips_slots_: the one holding its county, or the
+  /// empty slot where it would be inserted. Requires a non-empty index.
+  [[nodiscard]] std::size_t slot_of(const std::string& fips) const;
+
   std::vector<County> counties_;
+  /// Open-addressing FIPS index, linear probing, kept at most half full:
+  /// each slot holds a county index + 1, or 0 when empty.
+  std::vector<std::uint32_t> fips_slots_;
 };
 
 }  // namespace leodivide::demand

@@ -1,11 +1,11 @@
 #include "leodivide/demand/dataset.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "leodivide/io/csv.hpp"
 
@@ -13,26 +13,54 @@ namespace leodivide::demand {
 
 namespace {
 
-double to_double(const std::string& s, const char* what) {
+using io::field_to_double;
+using io::field_to_u64;
+
+// A cell id as CellId::to_string writes it: the whole field in hex. A
+// resolution nibble from_bits refuses, or the reserved invalid pattern, is
+// as bad as a malformed field.
+hex::CellId to_cell(std::string_view s) {
+  hex::CellId id;
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("CSV: bad double for ") + what +
-                             ": '" + s + "'");
+    id = hex::CellId::from_bits(field_to_u64(s, "cell_id", 16));
+  } catch (const std::invalid_argument&) {
+  }
+  if (!id.valid()) {
+    throw std::runtime_error("CSV: bad cell id for cell_id: '" +
+                             std::string(s) + "'");
+  }
+  return id;
+}
+
+void write_counties(const CountyTable& counties, std::ostream& out) {
+  io::CsvWriter kw(out);
+  kw.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
+  io::NumberBuffer lat, lon, income, count;
+  for (const auto& k : counties.all()) {
+    kw.write_row({k.fips, io::fixed6_text(lat, k.centroid.lat_deg),
+                  io::fixed6_text(lon, k.centroid.lon_deg),
+                  io::fixed6_text(income, k.median_income_usd),
+                  io::integer_text(count, k.underserved_locations)});
   }
 }
 
-std::uint64_t to_u64(const std::string& s, const char* what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error(std::string("CSV: bad integer for ") + what +
-                             ": '" + s + "'");
+CountyTable read_counties(std::istream& in, io::CsvRow& row) {
+  CountyTable counties;
+  io::CsvReader reader(in);
+  bool header = true;
+  while (reader.next(row)) {
+    if (header) {
+      header = false;
+      continue;
+    }
+    if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
+    counties.add(County{
+        row[0],
+        {field_to_double(row[1], "lat"), field_to_double(row[2], "lon")},
+        field_to_double(row[3], "income"),
+        field_to_u64(row[4], "underserved")});
   }
-  return v;
+  return counties;
 }
 
 }  // namespace
@@ -101,41 +129,21 @@ void DemandProfile::save_csv(std::ostream& cells_out,
                              std::ostream& counties_out) const {
   io::CsvWriter cw(cells_out);
   cw.write_row({"cell_id", "lat", "lon", "underserved", "county_index"});
+  io::NumberBuffer id, lat, lon, count, county;
   for (const auto& c : cells_) {
-    cw.write_row({c.cell.to_string(), std::to_string(c.center.lat_deg),
-                  std::to_string(c.center.lon_deg),
-                  std::to_string(c.underserved),
-                  std::to_string(c.county_index)});
+    cw.write_row({io::integer_text(id, c.cell.bits(), 16),
+                  io::fixed6_text(lat, c.center.lat_deg),
+                  io::fixed6_text(lon, c.center.lon_deg),
+                  io::integer_text(count, c.underserved),
+                  io::integer_text(county, c.county_index)});
   }
-  io::CsvWriter kw(counties_out);
-  kw.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
-  for (const auto& k : counties_.all()) {
-    kw.write_row({k.fips, std::to_string(k.centroid.lat_deg),
-                  std::to_string(k.centroid.lon_deg),
-                  std::to_string(k.median_income_usd),
-                  std::to_string(k.underserved_locations)});
-  }
+  write_counties(counties_, counties_out);
 }
 
 DemandProfile DemandProfile::load_csv(std::istream& cells_in,
                                       std::istream& counties_in) {
   io::CsvRow row;
-  CountyTable counties;
-  {
-    io::CsvReader reader(counties_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
-      counties.add(County{row[0],
-                          {to_double(row[1], "lat"), to_double(row[2], "lon")},
-                          to_double(row[3], "income"),
-                          to_u64(row[4], "underserved")});
-    }
-  }
+  CountyTable counties = read_counties(counties_in, row);
   std::vector<CellDemand> cells;
   {
     io::CsvReader reader(cells_in);
@@ -147,11 +155,13 @@ DemandProfile DemandProfile::load_csv(std::istream& cells_in,
       }
       if (row.size() != 5) throw std::runtime_error("cell CSV: bad width");
       CellDemand cd;
-      cd.cell = hex::CellId::from_bits(
-          std::stoull(row[0], nullptr, 16));
-      cd.center = {to_double(row[1], "lat"), to_double(row[2], "lon")};
-      cd.underserved = static_cast<std::uint32_t>(to_u64(row[3], "count"));
-      cd.county_index = static_cast<std::uint32_t>(to_u64(row[4], "county"));
+      cd.cell = to_cell(row[0]);
+      cd.center = {field_to_double(row[1], "lat"),
+                   field_to_double(row[2], "lon")};
+      cd.underserved =
+          static_cast<std::uint32_t>(field_to_u64(row[3], "count"));
+      cd.county_index =
+          static_cast<std::uint32_t>(field_to_u64(row[4], "county"));
       cells.push_back(cd);
     }
   }
@@ -181,43 +191,23 @@ void DemandDataset::save_csv(std::ostream& locations_out,
   io::CsvWriter lw(locations_out);
   lw.write_row({"id", "lat", "lon", "county_index", "down_mbps", "up_mbps",
                 "technology"});
+  io::NumberBuffer id, lat, lon, county, down, up;
   for (const auto& l : locations_) {
-    lw.write_row({std::to_string(l.id), std::to_string(l.position.lat_deg),
-                  std::to_string(l.position.lon_deg),
-                  std::to_string(l.county_index),
-                  std::to_string(l.best_offer.down_mbps),
-                  std::to_string(l.best_offer.up_mbps),
+    lw.write_row({io::integer_text(id, l.id),
+                  io::fixed6_text(lat, l.position.lat_deg),
+                  io::fixed6_text(lon, l.position.lon_deg),
+                  io::integer_text(county, l.county_index),
+                  io::fixed6_text(down, l.best_offer.down_mbps),
+                  io::fixed6_text(up, l.best_offer.up_mbps),
                   to_string(l.technology)});
   }
-  io::CsvWriter kw(counties_out);
-  kw.write_row({"fips", "lat", "lon", "median_income_usd", "underserved"});
-  for (const auto& k : counties_.all()) {
-    kw.write_row({k.fips, std::to_string(k.centroid.lat_deg),
-                  std::to_string(k.centroid.lon_deg),
-                  std::to_string(k.median_income_usd),
-                  std::to_string(k.underserved_locations)});
-  }
+  write_counties(counties_, counties_out);
 }
 
 DemandDataset DemandDataset::load_csv(std::istream& locations_in,
                                       std::istream& counties_in) {
   io::CsvRow row;
-  CountyTable counties;
-  {
-    io::CsvReader reader(counties_in);
-    bool header = true;
-    while (reader.next(row)) {
-      if (header) {
-        header = false;
-        continue;
-      }
-      if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
-      counties.add(County{row[0],
-                          {to_double(row[1], "lat"), to_double(row[2], "lon")},
-                          to_double(row[3], "income"),
-                          to_u64(row[4], "underserved")});
-    }
-  }
+  CountyTable counties = read_counties(counties_in, row);
   std::vector<Location> locations;
   {
     io::CsvReader reader(locations_in);
@@ -229,10 +219,13 @@ DemandDataset DemandDataset::load_csv(std::istream& locations_in,
       }
       if (row.size() != 7) throw std::runtime_error("location CSV: bad width");
       Location l;
-      l.id = to_u64(row[0], "id");
-      l.position = {to_double(row[1], "lat"), to_double(row[2], "lon")};
-      l.county_index = static_cast<std::uint32_t>(to_u64(row[3], "county"));
-      l.best_offer = {to_double(row[4], "down"), to_double(row[5], "up")};
+      l.id = field_to_u64(row[0], "id");
+      l.position = {field_to_double(row[1], "lat"),
+                    field_to_double(row[2], "lon")};
+      l.county_index =
+          static_cast<std::uint32_t>(field_to_u64(row[3], "county"));
+      l.best_offer = {field_to_double(row[4], "down"),
+                      field_to_double(row[5], "up")};
       l.technology = technology_from_string(row[6]);
       locations.push_back(l);
     }

@@ -13,6 +13,7 @@
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
+#include "leodivide/runtime/parallel_for.hpp"
 #include "leodivide/runtime/rng_split.hpp"
 #include "leodivide/stats/distributions.hpp"
 #include "leodivide/stats/rng.hpp"
@@ -39,11 +40,11 @@ std::vector<std::size_t> shuffled_indices(std::size_t n, std::uint64_t seed) {
   return idx;
 }
 
-// Index of the nearest not-yet-taken region cell to `target`. A sharded
-// first-strict-min reduction: every shard keeps its first minimum and the
-// in-order merge keeps the earliest, matching the serial scan exactly.
-std::size_t nearest_free_cell(const hex::HexGrid& grid,
-                              const std::vector<hex::CellId>& region,
+// Index of the nearest not-yet-taken region cell to `target`, given every
+// region cell's centre. A sharded first-strict-min reduction: every shard
+// keeps its first minimum and the in-order merge keeps the earliest,
+// matching the serial scan exactly.
+std::size_t nearest_free_cell(const std::vector<geo::GeoPoint>& centers,
                               const std::vector<bool>& taken,
                               const geo::GeoPoint& target,
                               runtime::Executor& executor) {
@@ -53,12 +54,12 @@ std::size_t nearest_free_cell(const hex::HexGrid& grid,
     bool found = false;
   };
   const Best best = runtime::map_reduce<Best>(
-      executor, 0, region.size(),
-      [&grid, &region, &taken, &target](
+      executor, 0, centers.size(),
+      [&centers, &taken, &target](
           Best& shard, std::size_t lo, std::size_t hi, std::size_t) {
         for (std::size_t i = lo; i < hi; ++i) {
           if (taken[i]) continue;
-          const double d = geo::distance_km(grid.center_of(region[i]), target);
+          const double d = geo::distance_km(centers[i], target);
           if (!shard.found || d < shard.d) {
             shard.d = d;
             shard.i = i;
@@ -70,7 +71,7 @@ std::size_t nearest_free_cell(const hex::HexGrid& grid,
         if (from.found && (!into.found || from.d < into.d)) into = from;
       },
       /*grain=*/512);
-  return best.found ? best.i : region.size();
+  return best.found ? best.i : centers.size();
 }
 
 }  // namespace
@@ -159,48 +160,69 @@ DemandProfile SyntheticGenerator::generate_profile(
     cursor = (cursor + 1) % n_other;
   }
 
+  // One geometry pass over the region: each cell's centre and its county
+  // parent (the coarse cell containing that centre, as HexGrid::parent_of
+  // defines it). Everything below reads these instead of re-projecting.
+  std::vector<geo::GeoPoint> centers(region.size());
+  std::vector<hex::CellId> parents(region.size());
+  runtime::parallel_for_each(
+      executor, 0, region.size(),
+      // leolint:allow(parallel-capture): each index writes only its own centers/parents slot
+      [this, &grid, &region, &centers, &parents](std::size_t i) {
+        centers[i] = grid.center_of(region[i]);
+        parents[i] = grid.cell_of(centers[i], config_.county_resolution);
+      },
+      /*grain=*/512);
+
   // Geographic assignment. Planted peaks snap to their calibrated targets;
   // the rest fill a seeded shuffle of the region, with heavy cells
   // constrained to the latitude floor.
   std::vector<bool> taken(region.size(), false);
   std::vector<CellDemand> cells;
+  std::vector<hex::CellId> cell_parents;  // county parent of cells[i]
   cells.reserve(n_other + n_planted);
+  cell_parents.reserve(n_other + n_planted);
+  const auto assign = [&](std::size_t pick, std::uint32_t count) {
+    taken[pick] = true;
+    cells.push_back(CellDemand{region[pick], centers[pick], count, 0});
+    cell_parents.push_back(parents[pick]);
+  };
 
   if (plant) {
     const auto targets = planted_targets(config_.resolution);
     for (std::size_t k = 0; k < targets.size(); ++k) {
       // Nearest unassigned region cell to the target point.
       const std::size_t best =
-          nearest_free_cell(grid, region, taken, targets[k], executor);
+          nearest_free_cell(centers, taken, targets[k], executor);
       if (best == region.size()) {
         throw std::runtime_error("SyntheticGenerator: ran out of cells");
       }
-      taken[best] = true;
-      cells.push_back(CellDemand{region[best], grid.center_of(region[best]),
-                                 paper::kPlantedPeakCells[k], 0});
+      assign(best, paper::kPlantedPeakCells[k]);
     }
   }
 
   const auto order = shuffled_indices(region.size(), config_.seed);
   // Assign heavy generated counts first so latitude-constrained slots are
-  // available; then the remainder in shuffle order.
+  // available; then the remainder in shuffle order. Both scans are
+  // monotone cursors: `taken` only ever flips false -> true and a cell's
+  // latitude never changes, so every shuffle position a cursor has passed
+  // stays unusable for that kind of cell.
   std::vector<std::size_t> count_order(n_other);
   std::iota(count_order.begin(), count_order.end(), std::size_t{0});
   std::sort(count_order.begin(), count_order.end(),
             [&](std::size_t a, std::size_t b) { return counts[a] > counts[b]; });
   std::size_t scan = 0;
+  std::size_t heavy_scan = 0;
   for (std::size_t ci : count_order) {
-    const bool heavy = counts[ci] > kHeavyCellThreshold;
     std::size_t pick = region.size();
-    if (heavy) {
-      for (std::size_t j = 0; j < order.size(); ++j) {
-        const std::size_t i = order[j];
-        if (taken[i]) continue;
-        if (grid.center_of(region[i]).lat_deg >= config_.heavy_cell_min_lat_deg) {
-          pick = i;
-          break;
-        }
+    if (counts[ci] > kHeavyCellThreshold) {
+      while (heavy_scan < order.size() &&
+             (taken[order[heavy_scan]] ||
+              centers[order[heavy_scan]].lat_deg <
+                  config_.heavy_cell_min_lat_deg)) {
+        ++heavy_scan;
       }
+      if (heavy_scan < order.size()) pick = order[heavy_scan];
     } else {
       while (scan < order.size() && taken[order[scan]]) ++scan;
       if (scan < order.size()) pick = order[scan];
@@ -208,17 +230,14 @@ DemandProfile SyntheticGenerator::generate_profile(
     if (pick == region.size()) {
       throw std::runtime_error("SyntheticGenerator: ran out of cells");
     }
-    taken[pick] = true;
-    cells.push_back(
-        CellDemand{region[pick], grid.center_of(region[pick]), counts[ci], 0});
+    assign(pick, counts[ci]);
   }
 
   // County-equivalents: group cells by their coarse parent, in sorted parent
   // order for determinism.
   std::map<hex::CellId, std::vector<std::size_t>> by_parent;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    by_parent[grid.parent_of(cells[i].cell, config_.county_resolution)]
-        .push_back(i);
+    by_parent[cell_parents[i]].push_back(i);
   }
 
   struct CountyDraft {
@@ -272,9 +291,8 @@ DemandProfile SyntheticGenerator::generate_profile(
     county.underserved_locations = drafts[i].weight;
     county_of_parent[drafts[i].parent] = counties.add(std::move(county));
   }
-  for (auto& cell : cells) {
-    cell.county_index = county_of_parent.at(
-        grid.parent_of(cell.cell, config_.county_resolution));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].county_index = county_of_parent.at(cell_parents[i]);
   }
 
   if (obs::metrics_enabled()) {

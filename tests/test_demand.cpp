@@ -11,6 +11,9 @@
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/us_outline.hpp"
+#include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/snapshot/artifacts.hpp"
+#include "leodivide/snapshot/format.hpp"
 #include "leodivide/stats/percentile.hpp"
 #include "leodivide/stats/rng.hpp"
 
@@ -77,6 +80,24 @@ TEST(CountyTableTest, RejectsDuplicatesAndBadIndex) {
   EXPECT_THROW(table.at(5), std::out_of_range);
 }
 
+TEST(CountyTableTest, FipsIndexSurvivesGrowth) {
+  // Thousands of adds grow the FIPS index many times; every county must
+  // stay findable at its insertion index and duplicates stay rejected.
+  CountyTable table;
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(table.add({std::to_string(10000 + i), {}, 1.0, 0}),
+              static_cast<std::uint32_t>(i));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(table.find(std::to_string(10000 + i)), i);
+  }
+  EXPECT_EQ(table.find("9999"), -1);
+  EXPECT_EQ(table.find(""), -1);
+  EXPECT_THROW(table.add({"14999", {}, 2.0, 0}), std::invalid_argument);
+  EXPECT_EQ(table.size(), 5000U);
+  EXPECT_EQ(CountyTable().find("10000"), -1);
+}
+
 // ---------------------------------------------------------------- dataset ----
 
 TEST(CellDemandTest, DemandScalesWithLocations) {
@@ -140,6 +161,55 @@ TEST(DemandDatasetTest, CsvRoundTrip) {
   ASSERT_EQ(back.size(), data.size());
   EXPECT_EQ(back.underserved_count(), data.underserved_count());
   EXPECT_EQ(back.locations()[0].technology, data.locations()[0].technology);
+}
+
+// Loads a one-county, one-cell profile whose cell_id field is `id`.
+DemandProfile load_one_cell(const std::string& id) {
+  std::istringstream cells("cell_id,lat,lon,underserved,county_index\n" + id +
+                           ",36.000000,-90.000000,1,0\n");
+  std::istringstream counties(
+      "fips,lat,lon,median_income_usd,underserved\n"
+      "90001,36.000000,-90.000000,50000.000000,1\n");
+  return DemandProfile::load_csv(cells, counties);
+}
+
+// A bad id must surface as the typed CSV error every other field throws,
+// never as a std::logic_error from the number parser or a silently
+// different cell.
+void expect_bad_cell_id(const std::string& id) {
+  try {
+    (void)load_one_cell(id);
+    ADD_FAILURE() << "accepted cell id '" << id << "'";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("CSV: bad ", 0), 0U) << what;
+    EXPECT_NE(what.find(" for cell_id: '" + id + "'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(DemandProfileTest, CsvCellIdParsesWholeHexField) {
+  const hex::CellId id(5, {123, -45});
+  EXPECT_EQ(load_one_cell(id.to_string()).cells()[0].cell, id);
+}
+
+TEST(DemandProfileTest, CsvCellIdTrailingGarbageIsTypedError) {
+  expect_bad_cell_id(hex::CellId(5, {123, -45}).to_string() + "zz");
+  expect_bad_cell_id("8a2bzz");
+}
+
+TEST(DemandProfileTest, CsvEmptyCellIdIsTypedError) {
+  expect_bad_cell_id("");
+}
+
+TEST(DemandProfileTest, CsvOverflowingCellIdIsTypedError) {
+  expect_bad_cell_id("10000000000000000");  // 2^64: seventeen hex digits
+}
+
+TEST(DemandProfileTest, CsvBadResolutionNibbleIsTypedError) {
+  // Every 4-bit nibble is a resolution in [0, 15], so the one id from_bits
+  // cannot turn into a usable cell is the reserved all-ones pattern.
+  expect_bad_cell_id("ffffffffffffffff");
 }
 
 // ------------------------------------------------------------- calibration ----
@@ -325,6 +395,57 @@ TEST(Generator, RejectsBadConfig) {
   EXPECT_THROW(SyntheticGenerator({.scale = 1.5}), std::invalid_argument);
   EXPECT_THROW(SyntheticGenerator({.resolution = 3, .county_resolution = 3}),
                std::invalid_argument);
+}
+
+TEST(Generator, HeavyCellFloorUnreachableThrows) {
+  // No CONUS cell lies at or above 80°N, so the first heavy count finds no
+  // slot: generation must fail with the typed error after one pass over
+  // the shuffle, not spin.
+  const SyntheticGenerator gen({.scale = 0.05, .heavy_cell_min_lat_deg = 80.0});
+  try {
+    (void)gen.generate_profile();
+    ADD_FAILURE() << "generated a profile above an unreachable floor";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ran out of cells"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// FNV-1a digests of the generated profile's LDSNAP blob and of its two CSV
+// files. Every paper number downstream derives from these bytes, so they
+// are pinned at one and at four threads.
+TEST(Generator, GoldenProfileAndCsvBytes) {
+  struct Golden {
+    std::uint64_t seed;
+    double scale;
+    std::uint64_t blob, cells_csv, counties_csv;
+  };
+  constexpr Golden kGolden[] = {
+      {42, 1.0, 0xce5f412e27b6971dULL, 0x1c4f89dcd523bd76ULL,
+       0x0a00cadb6c43e81bULL},
+      {42, 0.05, 0x5ffa52ae8684fc62ULL, 0x7f3e054ab6d86236ULL,
+       0xeb70693c240b3b1aULL},
+      {7, 1.0, 0x855a0b7c4363f6d1ULL, 0x00df212b48eff6b1ULL,
+       0x33d73e71dfa0dc1dULL},
+      {7, 0.05, 0xcc9310dc31866165ULL, 0x98b0797e792c633fULL,
+       0x3904a9d72893a54fULL},
+  };
+  for (const std::size_t threads : {1U, 4U}) {
+    runtime::ThreadPool pool(threads);
+    for (const Golden& g : kGolden) {
+      SCOPED_TRACE(::testing::Message() << "seed " << g.seed << " scale "
+                                        << g.scale << " threads " << threads);
+      const DemandProfile profile =
+          SyntheticGenerator({.seed = g.seed, .scale = g.scale})
+              .generate_profile(pool);
+      std::ostringstream cells, counties;
+      profile.save_csv(cells, counties);
+      EXPECT_EQ(snapshot::fnv1a64(snapshot::serialize(profile)), g.blob);
+      EXPECT_EQ(snapshot::fnv1a64(cells.str()), g.cells_csv);
+      EXPECT_EQ(snapshot::fnv1a64(counties.str()), g.counties_csv);
+    }
+  }
 }
 
 TEST(Generator, ExpandLocationsMatchesProfileCounts) {

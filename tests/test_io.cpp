@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "leodivide/io/csv.hpp"
 #include "leodivide/io/json.hpp"
@@ -183,6 +186,95 @@ TEST(CsvRoundTrip, WriterThenReaderPreservesData) {
   ASSERT_TRUE(reader.next(row));
   EXPECT_EQ(row[1], "");
   EXPECT_EQ(row[2], "multi\nline");
+}
+
+TEST(CsvWriter, DirectWriteStillQuotesSpecialFields) {
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.write_row({"plain", "a,b", "say \"hi\"", "cr\rx", "lf\nx", ""});
+  EXPECT_EQ(out.str(),
+            "plain,\"a,b\",\"say \"\"hi\"\"\",\"cr\rx\",\"lf\nx\",\n");
+}
+
+TEST(CsvReader, ReusedRowShrinksToShorterRecord) {
+  std::istringstream in("1,2,3,4,5\na,\"b,c\",d\n");
+  CsvReader reader(in);
+  CsvRow row;
+  ASSERT_TRUE(reader.next(row));
+  ASSERT_EQ(row.size(), 5U);
+  ASSERT_TRUE(reader.next(row));
+  EXPECT_EQ(row, (CsvRow{"a", "b,c", "d"}));
+  parse_csv_line("x,y,z,w", row);
+  parse_csv_line(",", row);
+  EXPECT_EQ(row, (CsvRow{"", ""}));
+}
+
+TEST(CsvNumbers, FixedSixMatchesToString) {
+  const double adversarial[] = {
+      0.0,
+      -0.0,
+      0.0000005,  // rounds at the sixth decimal
+      0.0000015,
+      -0.0000005,
+      0.0078125,  // exact binary tie at the seventh decimal
+      2.5,
+      -92.3,
+      36.123456789,
+      123456789.0000005,
+      1e22,
+      1e300,
+      -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  NumberBuffer buf;
+  for (const double v : adversarial) {
+    EXPECT_EQ(fixed6_text(buf, v), std::to_string(v));
+  }
+}
+
+TEST(CsvNumbers, IntegerTextMatchesStreamFormatting) {
+  NumberBuffer buf;
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{5998}, std::uint64_t{0x5a2b3c4d5e6f7},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_EQ(integer_text(buf, v), std::to_string(v));
+    std::ostringstream hex;
+    hex << std::hex << v;
+    EXPECT_EQ(integer_text(buf, v, 16), hex.str());
+  }
+}
+
+TEST(CsvNumbers, FieldToDoubleKeepsStodAcceptedSet) {
+  EXPECT_EQ(field_to_double("1.5", "x"), 1.5);
+  EXPECT_EQ(field_to_double(" 1.5", "x"), 1.5);
+  EXPECT_EQ(field_to_double("+1.5", "x"), 1.5);
+  EXPECT_EQ(field_to_double("0x1p3", "x"), 8.0);
+  EXPECT_TRUE(std::signbit(field_to_double("-0.000000", "x")));
+  EXPECT_TRUE(std::isinf(field_to_double("inf", "x")));
+  for (const char* bad : {"1.5x", "", "1.5 ", "abc", "1e400", "4.9e-324"}) {
+    try {
+      (void)field_to_double(bad, "lat");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("CSV: bad double for lat: '") + bad + "'");
+    }
+  }
+}
+
+TEST(CsvNumbers, FieldToU64RejectsPartialFields) {
+  EXPECT_EQ(field_to_u64("4670000", "n"), 4670000U);
+  EXPECT_EQ(field_to_u64("5a2b", "n", 16), 0x5a2bU);
+  for (const char* bad : {"", "12x", "-1", "+1", " 1", "18446744073709551616"}) {
+    EXPECT_THROW((void)field_to_u64(bad, "n"), std::runtime_error) << bad;
+  }
 }
 
 // ------------------------------------------------------------------ table ----
