@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace leodivide::core {
 
@@ -10,23 +11,30 @@ double spread_cell_capacity_gbps(const SatelliteCapacityModel& model,
   return model.plan().spread_cell_capacity_gbps(beamspread);
 }
 
+namespace {
+
+// beamspread is checked by BeamPlan::spread_cell_capacity_gbps.
+void check_oversub(const char* fn, double oversub) {
+  if (!std::isfinite(oversub) || oversub <= 0.0) {
+    throw std::invalid_argument(std::string(fn) +
+                                ": oversub must be finite and > 0");
+  }
+}
+
+}  // namespace
+
 bool cell_served(const SatelliteCapacityModel& model, std::uint32_t locations,
                  double beamspread, double oversub) {
-  if (oversub <= 0.0) {
-    throw std::invalid_argument("cell_served: oversub must be > 0");
-  }
+  check_oversub("cell_served", oversub);
   return model.cell_demand_gbps(locations) <=
          spread_cell_capacity_gbps(model, beamspread) * oversub;
 }
 
 std::uint32_t max_locations_spread(const SatelliteCapacityModel& model,
                                    double beamspread, double oversub) {
-  if (oversub <= 0.0) {
-    throw std::invalid_argument("max_locations_spread: oversub must be > 0");
-  }
-  return static_cast<std::uint32_t>(
-      std::floor(spread_cell_capacity_gbps(model, beamspread) * oversub /
-                 demand::location_demand_gbps()));
+  check_oversub("max_locations_spread", oversub);
+  return location_floor(spread_cell_capacity_gbps(model, beamspread) *
+                        oversub / demand::location_demand_gbps());
 }
 
 }  // namespace leodivide::core

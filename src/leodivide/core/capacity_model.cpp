@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace leodivide::core {
+
+std::uint32_t location_floor(double real_count) noexcept {
+  constexpr double kMax = std::numeric_limits<std::uint32_t>::max();
+  return static_cast<std::uint32_t>(std::floor(std::min(real_count, kMax)));
+}
 
 SatelliteCapacityModel::SatelliteCapacityModel()
     : SatelliteCapacityModel(spectrum::starlink_beam_plan()) {}
@@ -23,17 +29,18 @@ double SatelliteCapacityModel::required_oversubscription(
 }
 
 std::uint32_t SatelliteCapacityModel::max_locations_at(double oversub) const {
-  if (oversub <= 0.0) {
-    throw std::invalid_argument("max_locations_at: oversub must be > 0");
+  if (!std::isfinite(oversub) || oversub <= 0.0) {
+    throw std::invalid_argument(
+        "max_locations_at: oversub must be finite and > 0");
   }
-  return static_cast<std::uint32_t>(std::floor(
-      cell_capacity_gbps() * oversub / demand::location_demand_gbps()));
+  return location_floor(cell_capacity_gbps() * oversub /
+                        demand::location_demand_gbps());
 }
 
 std::uint32_t SatelliteCapacityModel::beams_needed(std::uint32_t locations,
                                                    double oversub) const {
-  if (oversub <= 0.0) {
-    throw std::invalid_argument("beams_needed: oversub must be > 0");
+  if (!std::isfinite(oversub) || oversub <= 0.0) {
+    throw std::invalid_argument("beams_needed: oversub must be finite and > 0");
   }
   if (locations == 0) return 0;
   const double beams = std::ceil(cell_demand_gbps(locations) /

@@ -25,6 +25,11 @@ struct Table1Summary {
   friend bool operator==(const Table1Summary&, const Table1Summary&) = default;
 };
 
+/// floor(real_count) as a per-cell location count, saturated at
+/// UINT32_MAX. Saturation is exact: cell counts are uint32, so no cell
+/// exceeds the saturated limit. `real_count` must be finite and >= 0.
+[[nodiscard]] std::uint32_t location_floor(double real_count) noexcept;
+
 /// The paper's primary capacity model: a beam plan applied to a demand
 /// profile.
 class SatelliteCapacityModel {
@@ -56,12 +61,15 @@ class SatelliteCapacityModel {
   [[nodiscard]] double required_oversubscription(
       std::uint32_t locations) const;
 
-  /// Locations servable from full cell capacity at `oversub`:1.
+  /// Locations servable from full cell capacity at `oversub`:1 (saturated,
+  /// see location_floor). Throws std::invalid_argument unless `oversub` is
+  /// finite and > 0.
   [[nodiscard]] std::uint32_t max_locations_at(double oversub) const;
 
   /// Beams needed to serve `locations` at `oversub`:1, at most
   /// beams_per_full_cell (returns beams_per_full_cell when demand exceeds
-  /// even the full capacity — capacity is then the binding limit).
+  /// even the full capacity — capacity is then the binding limit). Throws
+  /// std::invalid_argument unless `oversub` is finite and > 0.
   [[nodiscard]] std::uint32_t beams_needed(std::uint32_t locations,
                                            double oversub) const;
 

@@ -1,7 +1,6 @@
 #include "leodivide/core/longtail.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <stdexcept>
 
@@ -12,9 +11,9 @@ namespace {
 // Largest location count servable with `beams` beams at `oversub`:1.
 std::uint32_t locations_for_beams(const SatelliteCapacityModel& model,
                                   std::uint32_t beams, double oversub) {
-  return static_cast<std::uint32_t>(
-      std::floor(static_cast<double>(beams) * model.beam_capacity_gbps() *
-                 oversub / demand::location_demand_gbps()));
+  return location_floor(static_cast<double>(beams) *
+                        model.beam_capacity_gbps() * oversub /
+                        demand::location_demand_gbps());
 }
 
 struct HeapEntry {
@@ -95,8 +94,7 @@ std::vector<LongTailPoint> longtail_curve(const demand::DemandProfile& profile,
   // over). If the profile never had a multi-beam cell, emit the peak cell's
   // single-beam requirement so callers always get one point.
   if (curve.empty()) {
-    const auto order = profile.cells_by_count_desc();
-    const std::size_t peak = order.front();
+    const std::size_t peak = profile.peak_cell().index;
     LongTailPoint point;
     point.locations_unserved = unserved;
     point.beams_on_binding = 1;

@@ -4,16 +4,19 @@
 
 namespace leodivide::core {
 
+ServedCounts served_counts(const demand::DemandProfile& profile,
+                           std::uint32_t limit) {
+  ServedCounts counts;
+  for (const auto& cell : profile.cells()) counts.consider(cell, limit);
+  return counts;
+}
+
 double served_cell_fraction(const demand::DemandProfile& profile,
                             const SatelliteCapacityModel& model,
                             double beamspread, double oversub) {
   if (profile.cell_count() == 0) return 1.0;
   const std::uint32_t limit = max_locations_spread(model, beamspread, oversub);
-  std::size_t served = 0;
-  for (const auto& cell : profile.cells()) {
-    if (cell.underserved <= limit) ++served;
-  }
-  return static_cast<double>(served) /
+  return static_cast<double>(served_counts(profile, limit).cells) /
          static_cast<double>(profile.cell_count());
 }
 
@@ -23,11 +26,8 @@ double served_location_fraction(const demand::DemandProfile& profile,
   const std::uint64_t total = profile.total_locations();
   if (total == 0) return 1.0;
   const std::uint32_t limit = max_locations_spread(model, beamspread, oversub);
-  std::uint64_t served = 0;
-  for (const auto& cell : profile.cells()) {
-    if (cell.underserved <= limit) served += cell.underserved;
-  }
-  return static_cast<double>(served) / static_cast<double>(total);
+  return static_cast<double>(served_counts(profile, limit).locations) /
+         static_cast<double>(total);
 }
 
 std::vector<std::vector<double>> served_fraction_grid(

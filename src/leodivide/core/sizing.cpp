@@ -1,9 +1,11 @@
 #include "leodivide/core/sizing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
+#include "leodivide/core/beamspread.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/orbit/density.hpp"
@@ -33,26 +35,56 @@ double satellites_from_k(const SizingModel& model, double k, double beamspread,
   return k / cells;
 }
 
+SizingResult binding_at(const SizingModel& model, std::size_t i,
+                        const demand::CellDemand& cell, double beamspread,
+                        std::uint32_t beams) {
+  return {satellites_for_binding_cell(model, cell.center.lat_deg, beamspread,
+                                      beams),
+          cell.center.lat_deg, beams, i};
+}
+
+CellCapacity cell_capacity(const SizingModel& model, double beamspread,
+                           double oversub_cap) {
+  return {model, beamspread, oversub_cap,
+          model.capacity.max_locations_at(oversub_cap),
+          max_locations_spread(model.capacity, beamspread, oversub_cap)};
+}
+
+void BindingCandidate::consider(std::size_t i, const demand::CellDemand& cell,
+                                const CellCapacity& capacity) {
+  const std::uint32_t served = std::min(cell.underserved, capacity.cap_locs);
+  const std::uint32_t beams =
+      capacity.model.capacity.beams_needed(served, capacity.oversub_cap);
+  if (beams < 2) return;  // demand-driven binding needs >= 2 beams
+  merge({true, binding_at(capacity.model, i, cell, capacity.beamspread,
+                          beams)});
+}
+
+void BindingCandidate::merge(const BindingCandidate& other) noexcept {
+  if (!other.found) return;
+  const double mine = best.satellites;
+  const double theirs = other.best.satellites;
+  if (!found || theirs > mine ||
+      (std::bit_cast<std::uint64_t>(theirs) ==
+           std::bit_cast<std::uint64_t>(mine) &&
+       other.best.binding_cell_index < best.binding_cell_index)) {
+    *this = other;
+  }
+}
+
 SizingResult size_full_service(const demand::DemandProfile& profile,
                                const SizingModel& model, double beamspread) {
   if (profile.cell_count() == 0) {
     throw std::invalid_argument("size_full_service: empty profile");
   }
-  const auto order = profile.cells_by_count_desc();
-  const std::size_t peak = order.front();
-  const auto beams = model.capacity.plan().beams_per_full_cell();
-  SizingResult r;
-  r.binding_cell_index = peak;
-  r.binding_lat_deg = profile.cells()[peak].center.lat_deg;
-  r.beams_on_binding = beams;
-  r.satellites =
-      satellites_for_binding_cell(model, r.binding_lat_deg, beamspread, beams);
-  return r;
+  const std::size_t peak = profile.peak_cell().index;
+  return binding_at(model, peak, profile.cells()[peak], beamspread,
+                    model.capacity.plan().beams_per_full_cell());
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,
-                           const SizingModel& model, double beamspread,
-                           double oversub_cap, runtime::Executor& executor) {
+                           const CapacityLookup& capacity_of,
+                           runtime::Executor& executor) {
   if (profile.cell_count() == 0) {
     throw std::invalid_argument("size_with_cap: empty profile");
   }
@@ -62,56 +94,42 @@ SizingResult size_with_cap(const demand::DemandProfile& profile,
         obs::registry().counter("core.size_with_cap.cells");
     cells.add(profile.cell_count());
   }
-  const std::uint32_t cap_locs = model.capacity.max_locations_at(oversub_cap);
-  // Sharded first-strict-max over the cells: each shard keeps its earliest
-  // maximum and the in-order merge keeps the globally earliest, so the
-  // binding cell matches the serial scan for every thread count.
-  struct Shard {
-    SizingResult best;
-    bool found = false;
-  };
-  const Shard reduced = runtime::map_reduce<Shard>(
-      executor, 0, profile.cell_count(),
-      [&profile, cap_locs, &model, beamspread, oversub_cap](
-          Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
+  const auto& cells = profile.cells();
+  const BindingCandidate binding = runtime::map_reduce<BindingCandidate>(
+      executor, 0, cells.size(),
+      [&cells, &capacity_of](BindingCandidate& shard, std::size_t lo,
+                             std::size_t hi, std::size_t) {
         for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cell = profile.cells()[i];
-          const std::uint32_t served = std::min(cell.underserved, cap_locs);
-          const std::uint32_t beams =
-              model.capacity.beams_needed(served, oversub_cap);
-          if (beams < 2) continue;  // demand-driven binding needs >= 2 beams
-          const double sats = satellites_for_binding_cell(
-              model, cell.center.lat_deg, beamspread, beams);
-          if (!shard.found || sats > shard.best.satellites) {
-            shard.found = true;
-            shard.best.satellites = sats;
-            shard.best.binding_lat_deg = cell.center.lat_deg;
-            shard.best.beams_on_binding = beams;
-            shard.best.binding_cell_index = i;
+          if (const CellCapacity* capacity = capacity_of(cells[i])) {
+            shard.consider(i, cells[i], *capacity);
           }
         }
       },
-      [](Shard& into, Shard&& from) {
-        if (from.found &&
-            (!into.found || from.best.satellites > into.best.satellites)) {
-          into = from;
-        }
-      },
+      [](BindingCandidate& into, BindingCandidate&& from) { into.merge(from); },
       /*grain=*/1024);
-  SizingResult best = reduced.best;
-  const bool found = reduced.found;
-  if (!found) {
-    // No cell needs more than one beam at this cap: the peak cell binds
-    // with a single beam.
-    const auto order = profile.cells_by_count_desc();
-    const std::size_t peak = order.front();
-    best.binding_cell_index = peak;
-    best.binding_lat_deg = profile.cells()[peak].center.lat_deg;
-    best.beams_on_binding = 1;
-    best.satellites = satellites_for_binding_cell(model, best.binding_lat_deg,
-                                                  beamspread, 1);
+  if (binding.found) return binding.best;
+  // No cell needs more than one beam: the peak cell among those with usable
+  // spectrum binds with a single beam.
+  demand::PeakCandidate peak;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (capacity_of(cells[i]) != nullptr) peak.consider(i, cells[i]);
   }
-  return best;
+  if (!peak.found) {
+    throw std::invalid_argument(
+        "size_with_cap: no usable spectrum over the profile");
+  }
+  const CellCapacity& capacity = *capacity_of(cells[peak.index]);
+  return binding_at(capacity.model, peak.index, cells[peak.index],
+                    capacity.beamspread, 1);
+}
+
+SizingResult size_with_cap(const demand::DemandProfile& profile,
+                           const SizingModel& model, double beamspread,
+                           double oversub_cap, runtime::Executor& executor) {
+  const CellCapacity uniform = cell_capacity(model, beamspread, oversub_cap);
+  return size_with_cap(
+      profile, [&uniform](const demand::CellDemand&) { return &uniform; },
+      executor);
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,

@@ -17,6 +17,7 @@
 // the demand cell whose requirement maximises N, not baseline coverage.
 
 #include <cstddef>
+#include <functional>
 
 #include "leodivide/core/capacity_model.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -63,6 +64,55 @@ struct SizingResult {
   friend bool operator==(const SizingResult&, const SizingResult&) = default;
 };
 
+/// The sizing result when `cell` (at index `i` of its profile) binds on
+/// `beams` beams.
+[[nodiscard]] SizingResult binding_at(const SizingModel& model, std::size_t i,
+                                      const demand::CellDemand& cell,
+                                      double beamspread, std::uint32_t beams);
+
+/// The capacity one cell is sized and served under: a sizing model at a
+/// (beamspread, oversubscription cap) operating point and the two per-cell
+/// location limits it implies. Uniform for the single-operator pipeline;
+/// one per spectrum zone in market/.
+struct CellCapacity {
+  SizingModel model;
+  double beamspread = 0.0;
+  double oversub_cap = 0.0;
+  std::uint32_t cap_locs = 0;      ///< sizing truncation: max_locations_at
+  std::uint32_t served_limit = 0;  ///< Figure-2 limit: max_locations_spread
+};
+
+/// Builds the record. Throws std::invalid_argument unless `beamspread` is
+/// finite and >= 1 and `oversub_cap` is finite and > 0.
+[[nodiscard]] CellCapacity cell_capacity(const SizingModel& model,
+                                         double beamspread,
+                                         double oversub_cap);
+
+/// The capacity a cell is sized under, or nullptr where the cell has no
+/// usable spectrum (it can then neither bind nor be served).
+using CapacityLookup =
+    std::function<const CellCapacity*(const demand::CellDemand&)>;
+
+/// The binding cell of a capped deployment (§3.0.2): the demand-driven
+/// (>= 2 beams) cell maximising N. core::size_with_cap, market/ and the
+/// per-region partials of serve/ all fold cells through this one candidate.
+struct BindingCandidate {
+  bool found = false;
+  SizingResult best;
+
+  /// Folds cell `i`: its service is truncated at capacity.cap_locs, it
+  /// needs beams_needed(served, oversub_cap) beams, and a cell needing
+  /// fewer than 2 cannot bind.
+  void consider(std::size_t i, const demand::CellDemand& cell,
+                const CellCapacity& capacity);
+
+  /// Strictly more satellites win; a bit-equal tie goes to the smaller
+  /// binding_cell_index. The order is total over distinct cells, so
+  /// candidates over any partition of the cells merge, in any order, to
+  /// the candidate of the serial scan (whose strict '>' keeps the earliest).
+  void merge(const BindingCandidate& other) noexcept;
+};
+
 /// Full-service deployment (F1 option A): every location served, unbounded
 /// oversubscription. Per the paper's generous lower-bound assumption, the
 /// peak-demand cell takes the full beams_per_full_cell and no other cell
@@ -71,14 +121,19 @@ struct SizingResult {
     const demand::DemandProfile& profile, const SizingModel& model,
     double beamspread);
 
-/// Capped deployment (F1 option B): per-cell service is truncated at
-/// `oversub_cap`:1 of the full cell capacity; each cell needs
-/// beams_needed(served, cap) beams, and the binding cell is the
-/// demand-driven (>= 2 beams) cell maximising the satellite requirement.
-/// Falls back to the peak cell when no cell needs more than one beam.
-/// The per-cell sweep runs as a sharded first-strict-max reduction over
-/// `executor`; the selected binding cell is identical for every thread
-/// count (earliest cell wins exact ties, as in the serial scan).
+/// Capped deployment (F1 option B) with a per-cell capacity: the binding
+/// candidate over every cell, run as a sharded map_reduce over `executor`
+/// (identical for every thread count). When no cell needs more than one
+/// beam, the peak cell among those with a capacity binds with one beam.
+/// Throws std::invalid_argument on an empty profile or when no cell has a
+/// capacity ("no usable spectrum").
+[[nodiscard]] SizingResult size_with_cap(const demand::DemandProfile& profile,
+                                         const CapacityLookup& capacity_of,
+                                         runtime::Executor& executor);
+
+/// Capped deployment at one uniform capacity: per-cell service is
+/// truncated at `oversub_cap`:1 of the full cell capacity, each cell needs
+/// beams_needed(served, cap) beams, and the peak cell is the fallback.
 [[nodiscard]] SizingResult size_with_cap(const demand::DemandProfile& profile,
                                          const SizingModel& model,
                                          double beamspread,

@@ -1,7 +1,6 @@
 #include "leodivide/demand/dataset.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -113,16 +112,10 @@ std::uint32_t DemandProfile::peak_cell_count() const noexcept {
   return best;
 }
 
-std::vector<std::size_t> DemandProfile::cells_by_count_desc() const {
-  std::vector<std::size_t> order(cells_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (cells_[a].underserved != cells_[b].underserved) {
-      return cells_[a].underserved > cells_[b].underserved;
-    }
-    return cells_[a].cell < cells_[b].cell;  // stable, deterministic tiebreak
-  });
-  return order;
+PeakCandidate DemandProfile::peak_cell() const noexcept {
+  PeakCandidate peak;
+  for (std::size_t i = 0; i < cells_.size(); ++i) peak.consider(i, cells_[i]);
+  return peak;
 }
 
 void DemandProfile::save_csv(std::ostream& cells_out,

@@ -35,6 +35,28 @@ struct CellDemand {
   friend bool operator==(const CellDemand&, const CellDemand&) = default;
 };
 
+/// The peak cell (P2): the largest count, ties broken toward the smaller
+/// cell id. consider() folds one cell and merge() another candidate; since
+/// cell ids are unique the order is total, so partial candidates over any
+/// partition of the cells merge, in any order, to the same winner.
+struct PeakCandidate {
+  bool found = false;
+  std::uint32_t count = 0;      ///< the peak cell's un(der)served locations
+  std::uint64_t cell_bits = 0;  ///< its cell id (the tie-break key)
+  std::size_t index = 0;        ///< its index into DemandProfile::cells()
+
+  void consider(std::size_t i, const CellDemand& cell) noexcept {
+    merge({true, cell.underserved, cell.cell.bits(), i});
+  }
+  void merge(const PeakCandidate& other) noexcept {
+    if (other.found &&
+        (!found || other.count > count ||
+         (other.count == count && other.cell_bits < cell_bits))) {
+      *this = other;
+    }
+  }
+};
+
 /// Cell-level demand profile: the paper's working dataset.
 class DemandProfile {
  public:
@@ -72,8 +94,8 @@ class DemandProfile {
   /// The largest per-cell count (the "peak cell" of P2).
   [[nodiscard]] std::uint32_t peak_cell_count() const noexcept;
 
-  /// Cells sorted by count descending (indices into cells()).
-  [[nodiscard]] std::vector<std::size_t> cells_by_count_desc() const;
+  /// The peak cell itself (not found on an empty profile).
+  [[nodiscard]] PeakCandidate peak_cell() const noexcept;
 
   /// Writes/reads the profile as two CSV streams (cells, counties).
   void save_csv(std::ostream& cells_out, std::ostream& counties_out) const;

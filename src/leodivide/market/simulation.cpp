@@ -1,13 +1,13 @@
 #include "leodivide/market/simulation.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "leodivide/core/beamspread.hpp"
+#include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
@@ -39,19 +39,9 @@ void validate(const MarketConfig& config) {
 
 namespace {
 
-/// Per-(operator, priority-zone) capacity state. Absent when the split
-/// leaves the operator no spectrum in that zone.
-struct ZoneModel {
-  core::SizingModel model;
-  std::uint32_t cap_locs = 0;      ///< per-cell cap at oversub_cap
-  std::uint32_t served_limit = 0;  ///< Figure-2 served criterion limit
-};
-
-using ZoneModels = std::vector<std::optional<ZoneModel>>;
-
-bool is_one(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v) == std::bit_cast<std::uint64_t>(1.0);
-}
+/// Per-(operator, priority-zone) capacity. Absent when the split leaves the
+/// operator no spectrum in that zone.
+using ZoneModels = std::vector<std::optional<core::CellCapacity>>;
 
 ZoneModels zone_models(const OperatorConfig& op, const SpectrumSplit& split,
                        std::size_t index, double beamspread,
@@ -60,78 +50,10 @@ ZoneModels zone_models(const OperatorConfig& op, const SpectrumSplit& split,
   for (std::size_t p = 0; p < split.operator_count(); ++p) {
     const double share = split.share(index, p);
     if (share <= 0.0) continue;
-    ZoneModel zone;
-    zone.model = op.sizing_model(share);
-    zone.cap_locs = zone.model.capacity.max_locations_at(oversub_cap);
-    zone.served_limit =
-        core::max_locations_spread(zone.model.capacity, beamspread,
-                                   oversub_cap);
-    zones[p] = std::move(zone);
+    zones[p] =
+        core::cell_capacity(op.sizing_model(share), beamspread, oversub_cap);
   }
   return zones;
-}
-
-/// core::size_with_cap generalized to a per-cell (zone) capacity model.
-/// Mirrors its shard algebra, grain and tie-breaks exactly, so a uniform
-/// full share reproduces the core result bit-for-bit.
-core::SizingResult scaled_size_with_cap(const demand::DemandProfile& profile,
-                                        const ZoneModels& zones,
-                                        const SpectrumSplit& split,
-                                        double beamspread, double oversub_cap,
-                                        runtime::Executor& executor) {
-  struct Shard {
-    core::SizingResult best;
-    bool found = false;
-  };
-  const Shard reduced = runtime::map_reduce<Shard>(
-      executor, 0, profile.cell_count(),
-      [&profile, &zones, &split, beamspread, oversub_cap](
-          Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cell = profile.cells()[i];
-          const auto& zone =
-              zones[split.priority_operator(cell.center.lat_deg)];
-          if (!zone) continue;  // no spectrum here: the cell cannot bind
-          const std::uint32_t served =
-              std::min(cell.underserved, zone->cap_locs);
-          const std::uint32_t beams =
-              zone->model.capacity.beams_needed(served, oversub_cap);
-          if (beams < 2) continue;  // demand-driven binding needs >= 2 beams
-          const double sats = core::satellites_for_binding_cell(
-              zone->model, cell.center.lat_deg, beamspread, beams);
-          if (!shard.found || sats > shard.best.satellites) {
-            shard.found = true;
-            shard.best.satellites = sats;
-            shard.best.binding_lat_deg = cell.center.lat_deg;
-            shard.best.beams_on_binding = beams;
-            shard.best.binding_cell_index = i;
-          }
-        }
-      },
-      [](Shard& into, Shard&& from) {
-        if (from.found &&
-            (!into.found || from.best.satellites > into.best.satellites)) {
-          into = from;
-        }
-      },
-      /*grain=*/1024);
-  if (reduced.found) return reduced.best;
-  // No cell needs more than one beam: the largest cell with any usable
-  // spectrum binds with a single beam (core's fallback, zone-aware).
-  for (std::size_t i : profile.cells_by_count_desc()) {
-    const auto& cell = profile.cells()[i];
-    const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
-    if (!zone) continue;
-    core::SizingResult best;
-    best.binding_cell_index = i;
-    best.binding_lat_deg = cell.center.lat_deg;
-    best.beams_on_binding = 1;
-    best.satellites = core::satellites_for_binding_cell(
-        zone->model, best.binding_lat_deg, beamspread, 1);
-    return best;
-  }
-  throw std::invalid_argument(
-      "market: operator has no usable spectrum over the profile");
 }
 
 OperatorOutcome run_operator(const demand::DemandProfile& profile,
@@ -144,38 +66,28 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
   OperatorOutcome out;
   out.name = op.name;
   out.economic_share = split.economic_share(index);
-  const core::SizingModel model = op.sizing_model();
-  out.full = core::size_full_service(profile, model, config.beamspread);
-  if (split.uniform(index) && is_one(split.share(index, 0))) {
-    // Full spectrum everywhere: delegate to the single-operator pipeline —
-    // this is the strict-generalization guarantee the golden tests pin.
-    out.capped = core::size_with_cap(profile, model, config.beamspread,
-                                     config.oversub_cap, inner);
-  } else {
-    out.capped = scaled_size_with_cap(profile, zones, split, config.beamspread,
-                                      config.oversub_cap, inner);
+  out.full = core::size_full_service(profile, op.sizing_model(),
+                                     config.beamspread);
+  // A cell's capacity is its priority zone's; a cell in a zone where the
+  // operator has no spectrum can neither bind nor be served.
+  const core::CapacityLookup capacity_of =
+      [&zones, &split](const demand::CellDemand& cell) {
+        const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
+        return zone ? &*zone : nullptr;
+      };
+  out.capped = core::size_with_cap(profile, capacity_of, inner);
+  core::ServedCounts served;
+  for (const auto& cell : profile.cells()) {
+    const core::CellCapacity* zone = capacity_of(cell);
+    served.consider(cell, zone ? zone->served_limit : 0);
   }
-  // Served fractions, mirroring core::served_cell_fraction /
-  // served_location_fraction with the per-zone limit.
-  {
-    std::size_t served_cells = 0;
-    std::uint64_t served_locations = 0;
-    for (const auto& cell : profile.cells()) {
-      const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
-      const std::uint32_t limit = zone ? zone->served_limit : 0;
-      if (cell.underserved <= limit) {
-        ++served_cells;
-        served_locations += cell.underserved;
-      }
-    }
-    out.served_cell_fraction = static_cast<double>(served_cells) /
-                               static_cast<double>(profile.cell_count());
-    const std::uint64_t total = profile.total_locations();
-    out.served_location_fraction =
-        total == 0 ? 1.0
-                   : static_cast<double>(served_locations) /
-                         static_cast<double>(total);
-  }
+  out.served_cell_fraction = static_cast<double>(served.cells) /
+                             static_cast<double>(profile.cell_count());
+  const std::uint64_t total = profile.total_locations();
+  out.served_location_fraction =
+      total == 0 ? 1.0
+                 : static_cast<double>(served.locations) /
+                       static_cast<double>(total);
   const core::SizingModel econ = op.sizing_model(out.economic_share);
   out.longtail = core::longtail_curve(profile, econ, config.beamspread,
                                       config.oversub_cap);
@@ -186,7 +98,6 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
             [](const core::LongTailPoint& a, const core::LongTailPoint& b) {
               return a.locations_unserved > b.locations_unserved;
             });
-  const std::uint64_t total = profile.total_locations();
   out.cost_curve.reserve(ordered.size());
   for (const core::LongTailPoint& p : ordered) {
     MarketCostPoint c;

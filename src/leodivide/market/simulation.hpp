@@ -5,12 +5,13 @@
 // produce — per-cell winner maps, Jain-style served-fraction fairness, and
 // unserved-cell attribution (capacity wall vs sharing-regime casualty).
 //
-// Determinism contract (PR 1-8 conventions): operators are evaluated as
-// independent tasks over a runtime::Executor and merged in config order;
-// the per-cell scans are sharded first-strict-max / ordered-concat
-// map_reduce reductions. The report is byte-identical for every thread
-// count, and a single-operator Starlink market under the exclusive policy
-// reproduces the existing core/ + afford/ pipeline bit-for-bit.
+// Determinism contract: operators are evaluated as independent tasks over
+// a runtime::Executor and merged in config order. Capped sizing is
+// core::size_with_cap with the operator's per-zone capacity lookup, and the
+// fairness scan is an ordered-concat map_reduce. The report is
+// byte-identical for every thread count, and a single-operator Starlink
+// market under the exclusive policy reproduces the existing core/ +
+// afford/ pipeline bit-for-bit.
 
 #include <cstdint>
 #include <vector>

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "leodivide/core/beamspread.hpp"
-#include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/snapshot/format.hpp"
@@ -18,86 +17,76 @@ namespace {
   return std::bit_cast<std::uint64_t>(v);
 }
 
-// kServePartial blob codecs for the disk spill. The in-memory bookkeeping
-// fields (valid, digest) are deliberately not stored: the blob's identity
-// IS the sub-stage fingerprint, which already binds the region content.
+// kServePartial blob codecs for the disk spill, one section per candidate
+// type. The in-memory bookkeeping fields (valid, digest) are deliberately
+// not stored: the blob's identity IS the sub-stage fingerprint, which
+// already binds the region content.
 
-std::string serialize_sizing_blob(const core::SizingResult& best, bool found) {
-  snapshot::ByteWriter w;
-  w.u8(found ? 1 : 0);
-  w.f64(best.satellites);
-  w.f64(best.binding_lat_deg);
-  w.u32(best.beams_on_binding);
-  w.u64(best.binding_cell_index);
+std::string partial_blob(const char* section, snapshot::ByteWriter&& w) {
   snapshot::SnapshotWriter sw(snapshot::ArtifactKind::kServePartial);
-  sw.add_section("sizing", std::move(w).take());
+  sw.add_section(section, std::move(w).take());
   return std::move(sw).finish();
 }
 
-std::pair<core::SizingResult, bool> deserialize_sizing_blob(
-    std::string_view file) {
+snapshot::ByteReader partial_section(std::string_view file,
+                                     const char* section) {
   const snapshot::SnapshotReader reader = snapshot::SnapshotReader::parse(file);
   if (reader.kind() != snapshot::ArtifactKind::kServePartial) {
     throw snapshot::SnapshotError("LDSNAP: expected a serve_partial snapshot");
   }
-  snapshot::ByteReader r(reader.section("sizing"));
-  const bool found = r.u8() != 0;
-  core::SizingResult best;
-  best.satellites = r.f64();
-  best.binding_lat_deg = r.f64();
-  best.beams_on_binding = r.u32();
-  best.binding_cell_index = static_cast<std::size_t>(r.u64());
+  return snapshot::ByteReader(reader.section(section));
+}
+
+std::string serialize_partial(const core::BindingCandidate& c) {
+  snapshot::ByteWriter w;
+  w.u8(c.found ? 1 : 0);
+  w.f64(c.best.satellites);
+  w.f64(c.best.binding_lat_deg);
+  w.u32(c.best.beams_on_binding);
+  w.u64(c.best.binding_cell_index);
+  return partial_blob("sizing", std::move(w));
+}
+
+void read_partial(std::string_view file, core::BindingCandidate& c) {
+  snapshot::ByteReader r = partial_section(file, "sizing");
+  c.found = r.u8() != 0;
+  c.best.satellites = r.f64();
+  c.best.binding_lat_deg = r.f64();
+  c.best.beams_on_binding = r.u32();
+  c.best.binding_cell_index = static_cast<std::size_t>(r.u64());
   r.expect_exhausted("serve_partial sizing section");
-  return {best, found};
 }
 
-std::string serialize_peak_blob(std::uint32_t max_count,
-                                std::uint64_t best_cell_bits,
-                                std::size_t cell_index) {
+// Regions are never empty, so a stored peak is always a found candidate.
+std::string serialize_partial(const demand::PeakCandidate& c) {
   snapshot::ByteWriter w;
-  w.u32(max_count);
-  w.u64(best_cell_bits);
-  w.u64(cell_index);
-  snapshot::SnapshotWriter sw(snapshot::ArtifactKind::kServePartial);
-  sw.add_section("peak", std::move(w).take());
-  return std::move(sw).finish();
+  w.u32(c.count);
+  w.u64(c.cell_bits);
+  w.u64(c.index);
+  return partial_blob("peak", std::move(w));
 }
 
-std::tuple<std::uint32_t, std::uint64_t, std::size_t> deserialize_peak_blob(
-    std::string_view file) {
-  const snapshot::SnapshotReader reader = snapshot::SnapshotReader::parse(file);
-  if (reader.kind() != snapshot::ArtifactKind::kServePartial) {
-    throw snapshot::SnapshotError("LDSNAP: expected a serve_partial snapshot");
-  }
-  snapshot::ByteReader r(reader.section("peak"));
-  const std::uint32_t max_count = r.u32();
-  const std::uint64_t best_cell_bits = r.u64();
-  const std::size_t cell_index = static_cast<std::size_t>(r.u64());
+void read_partial(std::string_view file, demand::PeakCandidate& c) {
+  snapshot::ByteReader r = partial_section(file, "peak");
+  c.found = true;
+  c.count = r.u32();
+  c.cell_bits = r.u64();
+  c.index = static_cast<std::size_t>(r.u64());
   r.expect_exhausted("serve_partial peak section");
-  return {max_count, best_cell_bits, cell_index};
 }
 
-std::string serialize_served_blob(std::uint64_t served_cells,
-                                  std::uint64_t served_locations) {
+std::string serialize_partial(const core::ServedCounts& c) {
   snapshot::ByteWriter w;
-  w.u64(served_cells);
-  w.u64(served_locations);
-  snapshot::SnapshotWriter sw(snapshot::ArtifactKind::kServePartial);
-  sw.add_section("served", std::move(w).take());
-  return std::move(sw).finish();
+  w.u64(c.cells);
+  w.u64(c.locations);
+  return partial_blob("served", std::move(w));
 }
 
-std::pair<std::uint64_t, std::uint64_t> deserialize_served_blob(
-    std::string_view file) {
-  const snapshot::SnapshotReader reader = snapshot::SnapshotReader::parse(file);
-  if (reader.kind() != snapshot::ArtifactKind::kServePartial) {
-    throw snapshot::SnapshotError("LDSNAP: expected a serve_partial snapshot");
-  }
-  snapshot::ByteReader r(reader.section("served"));
-  const std::uint64_t served_cells = r.u64();
-  const std::uint64_t served_locations = r.u64();
+void read_partial(std::string_view file, core::ServedCounts& c) {
+  snapshot::ByteReader r = partial_section(file, "served");
+  c.cells = r.u64();
+  c.locations = r.u64();
   r.expect_exhausted("serve_partial served section");
-  return {served_cells, served_locations};
 }
 
 void count_metric(const char* name, std::uint64_t n = 1) {
@@ -189,261 +178,106 @@ ApplyOutcome IncrementalEngine::apply(const demand::DeltaOp& op) {
   return out;
 }
 
-// ---------------------------------------------------------------- resize --
+// -------------------------------------------------------------- partials --
 
-IncrementalEngine::SizingPartial IncrementalEngine::compute_sizing_partial(
-    const Region& region, double beamspread, double oversub_cap) const {
-  // Mirrors one shard of core::size_with_cap: members ascend in global
-  // index, and only a strictly larger requirement displaces the incumbent,
-  // so the kept candidate is the region's earliest strict maximum.
-  SizingPartial p;
-  const std::uint32_t cap_locs =
-      config_.model.capacity.max_locations_at(oversub_cap);
-  const auto& cells = profile_.cells();
-  for (std::size_t i : region.members) {
-    const demand::CellDemand& cell = cells[i];
-    const std::uint32_t served = std::min(cell.underserved, cap_locs);
-    const std::uint32_t beams =
-        config_.model.capacity.beams_needed(served, oversub_cap);
-    if (beams < 2) continue;  // demand-driven binding needs >= 2 beams
-    const double sats = core::satellites_for_binding_cell(
-        config_.model, cell.center.lat_deg, beamspread, beams);
-    if (!p.found || sats > p.best.satellites) {
-      p.found = true;
-      p.best.satellites = sats;
-      p.best.binding_lat_deg = cell.center.lat_deg;
-      p.best.beams_on_binding = beams;
-      p.best.binding_cell_index = i;
-    }
-  }
-  return p;
-}
-
-const IncrementalEngine::SizingPartial& IncrementalEngine::sizing_partial(
-    std::size_t region, double beamspread, double oversub_cap,
-    std::vector<SizingPartial>& partials) {
+template <typename Candidate, typename MixKey, typename Fold>
+const Candidate& IncrementalEngine::region_partial(
+    std::size_t region, std::vector<Partial<Candidate>>& partials,
+    const char* stage, const MixKey& mix_key, const Fold& fold) {
   if (partials.size() < regions_.size()) partials.resize(regions_.size());
-  SizingPartial& p = partials[region];
-  if (p.valid && p.digest == regions_[region].digest) {
+  Partial<Candidate>& p = partials[region];
+  const std::uint64_t digest = regions_[region].digest;
+  if (p.valid && p.digest == digest) {
     ++stats_.partial_hits;
     count_metric("serve.partial_hits");
-    return p;
+    return p.value;
   }
   ++stats_.partial_misses;
   count_metric("serve.partial_misses");
-  snapshot::Fingerprint fp =
-      snapshot::substage_fingerprint("serve.sizing", "region");
-  mix(fp, config_.model);
-  fp.mix_f64(beamspread)
-      .mix_f64(oversub_cap)
-      .mix_u64(regions_[region].digest);
+  snapshot::Fingerprint fp = snapshot::substage_fingerprint(stage, "region");
+  mix_key(fp);
+  fp.mix_u64(digest);
   // staged_compute handles both the cached and cache-off (null) cases, and
   // routes the blob store through io_ when one is attached so the query
   // never waits on the filesystem.
-  const auto [best, found] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.sizing", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const SizingPartial fresh = compute_sizing_partial(
-                regions_[region], beamspread, oversub_cap);
-            return std::pair<core::SizingResult, bool>{fresh.best,
-                                                       fresh.found};
-          },
-          [](const std::pair<core::SizingResult, bool>& v) {
-            return serialize_sizing_blob(v.first, v.second);
-          },
-          deserialize_sizing_blob)
-          .value;
-  p.best = best;
-  p.found = found;
+  p.value = snapshot::staged_compute(
+                cache_, io_, stage, fp,
+                [&] {
+                  ++stats_.region_recomputes;
+                  count_metric("serve.region_recomputes");
+                  Candidate fresh;
+                  const auto& cells = profile_.cells();
+                  for (std::size_t i : regions_[region].members) {
+                    fold(fresh, i, cells[i]);
+                  }
+                  return fresh;
+                },
+                [](const Candidate& c) { return serialize_partial(c); },
+                [](std::string_view file) {
+                  Candidate c;
+                  read_partial(file, c);
+                  return c;
+                })
+                .value;
   p.valid = true;
-  p.digest = regions_[region].digest;
-  return p;
+  p.digest = digest;
+  return p.value;
 }
 
-IncrementalEngine::PeakPartial IncrementalEngine::compute_peak_partial(
-    const Region& region) const {
-  // cells_by_count_desc's comparator: count descending, cell id ascending.
-  PeakPartial p;
-  const auto& cells = profile_.cells();
-  bool init = false;
-  for (std::size_t i : region.members) {
-    const demand::CellDemand& c = cells[i];
-    if (!init || c.underserved > p.max_count ||
-        (c.underserved == p.max_count && c.cell.bits() < p.best_cell_bits)) {
-      init = true;
-      p.max_count = c.underserved;
-      p.best_cell_bits = c.cell.bits();
-      p.cell_index = i;
-    }
-  }
-  return p;
-}
-
-const IncrementalEngine::PeakPartial& IncrementalEngine::peak_partial(
-    std::size_t region) {
-  if (peak_memo_.size() < regions_.size()) peak_memo_.resize(regions_.size());
-  PeakPartial& p = peak_memo_[region];
-  if (p.valid && p.digest == regions_[region].digest) {
-    ++stats_.partial_hits;
-    count_metric("serve.partial_hits");
-    return p;
-  }
-  ++stats_.partial_misses;
-  count_metric("serve.partial_misses");
-  snapshot::Fingerprint fp =
-      snapshot::substage_fingerprint("serve.peak", "region");
-  fp.mix_u64(regions_[region].digest);
-  const auto [max_count, best_cell_bits, cell_index] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.peak", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const PeakPartial fresh = compute_peak_partial(regions_[region]);
-            return std::tuple<std::uint32_t, std::uint64_t, std::size_t>{
-                fresh.max_count, fresh.best_cell_bits, fresh.cell_index};
-          },
-          [](const std::tuple<std::uint32_t, std::uint64_t, std::size_t>& v) {
-            return serialize_peak_blob(std::get<0>(v), std::get<1>(v),
-                                       std::get<2>(v));
-          },
-          deserialize_peak_blob)
-          .value;
-  p.max_count = max_count;
-  p.best_cell_bits = best_cell_bits;
-  p.cell_index = cell_index;
-  p.valid = true;
-  p.digest = regions_[region].digest;
-  return p;
-}
-
-std::size_t IncrementalEngine::merged_peak_index() {
-  // Every region is nonempty by construction (created on first member), so
-  // each partial holds a genuine candidate; cell ids are unique, making the
-  // (count desc, cell-id asc) order total — the merge winner is exactly
-  // cells_by_count_desc().front().
-  bool init = false;
-  std::uint32_t max_count = 0;
-  std::uint64_t best_cell_bits = 0;
-  std::size_t best_index = 0;
+demand::PeakCandidate IncrementalEngine::merged_peak() {
+  demand::PeakCandidate peak;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const PeakPartial& p = peak_partial(r);
-    if (!init || p.max_count > max_count ||
-        (p.max_count == max_count && p.best_cell_bits < best_cell_bits)) {
-      init = true;
-      max_count = p.max_count;
-      best_cell_bits = p.best_cell_bits;
-      best_index = p.cell_index;
-    }
+    peak.merge(region_partial(
+        r, peak_memo_, "serve.peak", [](snapshot::Fingerprint&) {},
+        [](demand::PeakCandidate& c, std::size_t i,
+           const demand::CellDemand& cell) { c.consider(i, cell); }));
   }
-  return best_index;
+  return peak;
 }
+
+// ---------------------------------------------------------------- resize --
 
 ResizeAnswer IncrementalEngine::query_resize(double beamspread,
                                              double oversub_cap) {
   if (profile_.cell_count() == 0) {
     throw std::invalid_argument("size_full_service: empty profile");
   }
+  // Validates both parameters before a memo entry is created for them.
+  const core::CellCapacity capacity =
+      core::cell_capacity(config_.model, beamspread, oversub_cap);
+  const demand::PeakCandidate peak = merged_peak();
+  const demand::CellDemand& peak_cell = profile_.cells()[peak.index];
   ResizeAnswer answer;
+  answer.full =
+      core::binding_at(config_.model, peak.index, peak_cell, beamspread,
+                       config_.model.capacity.plan().beams_per_full_cell());
 
-  const std::size_t peak = merged_peak_index();
-  const std::uint32_t full_beams =
-      config_.model.capacity.plan().beams_per_full_cell();
-  answer.full.binding_cell_index = peak;
-  answer.full.binding_lat_deg = profile_.cells()[peak].center.lat_deg;
-  answer.full.beams_on_binding = full_beams;
-  answer.full.satellites = core::satellites_for_binding_cell(
-      config_.model, answer.full.binding_lat_deg, beamspread, full_beams);
-
-  std::vector<SizingPartial>& partials =
+  std::vector<Partial<core::BindingCandidate>>& partials =
       sizing_memo_[SizeKey{bits(beamspread), bits(oversub_cap)}];
-  bool found = false;
-  core::SizingResult best;
+  core::BindingCandidate binding;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const SizingPartial& p = sizing_partial(r, beamspread, oversub_cap,
-                                            partials);
-    if (!p.found) continue;
-    // Strictly-larger wins; an exact (bit-level) tie goes to the smaller
-    // global cell index — together equivalent to the serial first-strict-max
-    // scan, because each partial already kept its region's earliest max.
-    if (!found || p.best.satellites > best.satellites ||
-        (bits(p.best.satellites) == bits(best.satellites) &&
-         p.best.binding_cell_index < best.binding_cell_index)) {
-      found = true;
-      best = p.best;
-    }
+    binding.merge(region_partial(
+        r, partials, "serve.sizing",
+        [&](snapshot::Fingerprint& fp) {
+          mix(fp, config_.model);
+          fp.mix_f64(beamspread).mix_f64(oversub_cap);
+        },
+        [&capacity](core::BindingCandidate& c, std::size_t i,
+                    const demand::CellDemand& cell) {
+          c.consider(i, cell, capacity);
+        }));
   }
-  if (!found) {
-    // No cell needs more than one beam at this cap: the peak cell binds
-    // with a single beam (same fallback as core::size_with_cap).
-    best.binding_cell_index = peak;
-    best.binding_lat_deg = profile_.cells()[peak].center.lat_deg;
-    best.beams_on_binding = 1;
-    best.satellites = core::satellites_for_binding_cell(
-        config_.model, best.binding_lat_deg, beamspread, 1);
-  }
-  answer.capped = best;
+  // No cell needs more than one beam: the peak cell binds with a single
+  // beam, as in core::size_with_cap.
+  answer.capped = binding.found ? binding.best
+                                : core::binding_at(config_.model, peak.index,
+                                                   peak_cell, beamspread, 1);
 
   if (config_.paranoid) paranoid_check_resize(beamspread, oversub_cap, answer);
   return answer;
 }
 
 // ------------------------------------------------------- served fraction --
-
-IncrementalEngine::ServedPartial IncrementalEngine::compute_served_partial(
-    const Region& region, std::uint32_t limit) const {
-  ServedPartial p;
-  const auto& cells = profile_.cells();
-  for (std::size_t i : region.members) {
-    const demand::CellDemand& c = cells[i];
-    if (c.underserved <= limit) {
-      ++p.served_cells;
-      p.served_locations += c.underserved;
-    }
-  }
-  return p;
-}
-
-const IncrementalEngine::ServedPartial& IncrementalEngine::served_partial(
-    std::size_t region, std::uint32_t limit,
-    std::vector<ServedPartial>& partials) {
-  if (partials.size() < regions_.size()) partials.resize(regions_.size());
-  ServedPartial& p = partials[region];
-  if (p.valid && p.digest == regions_[region].digest) {
-    ++stats_.partial_hits;
-    count_metric("serve.partial_hits");
-    return p;
-  }
-  ++stats_.partial_misses;
-  count_metric("serve.partial_misses");
-  snapshot::Fingerprint fp =
-      snapshot::substage_fingerprint("serve.served", "region");
-  fp.mix_u64(limit).mix_u64(regions_[region].digest);
-  const auto [served_cells, served_locations] =
-      snapshot::staged_compute(
-          cache_, io_, "serve.served", fp,
-          [&] {
-            ++stats_.region_recomputes;
-            count_metric("serve.region_recomputes");
-            const ServedPartial fresh =
-                compute_served_partial(regions_[region], limit);
-            return std::pair<std::uint64_t, std::uint64_t>{
-                fresh.served_cells, fresh.served_locations};
-          },
-          [](const std::pair<std::uint64_t, std::uint64_t>& v) {
-            return serialize_served_blob(v.first, v.second);
-          },
-          deserialize_served_blob)
-          .value;
-  p.served_cells = served_cells;
-  p.served_locations = served_locations;
-  p.valid = true;
-  p.digest = regions_[region].digest;
-  return p;
-}
 
 ServedFractionAnswer IncrementalEngine::query_served_fraction(double beamspread,
                                                               double oversub) {
@@ -453,12 +287,17 @@ ServedFractionAnswer IncrementalEngine::query_served_fraction(double beamspread,
   if (answer.total_cells != 0) {
     const std::uint32_t limit =
         core::max_locations_spread(config_.model.capacity, beamspread, oversub);
-    std::vector<ServedPartial>& partials = served_memo_[limit];
+    std::vector<Partial<core::ServedCounts>>& partials = served_memo_[limit];
+    core::ServedCounts counts;
     for (std::size_t r = 0; r < regions_.size(); ++r) {
-      const ServedPartial& p = served_partial(r, limit, partials);
-      answer.served_cells += p.served_cells;
-      answer.served_locations += p.served_locations;
+      counts.merge(region_partial(
+          r, partials, "serve.served",
+          [limit](snapshot::Fingerprint& fp) { fp.mix_u64(limit); },
+          [limit](core::ServedCounts& c, std::size_t,
+                  const demand::CellDemand& cell) { c.consider(cell, limit); }));
     }
+    answer.served_cells = counts.cells;
+    answer.served_locations = counts.locations;
   }
   // Same divisions (and the same empty-input conventions) as
   // core::served_cell_fraction / served_location_fraction.

@@ -4,9 +4,9 @@
 // (region_resolution) covering the service cells — and every query is a
 // deterministic merge of per-region partial results:
 //
-//   resize          per-region first-strict-max sizing candidates
-//   served fraction per-region served-cell / served-location integer sums
-//   peak cell       per-region (count desc, cell-id asc) maxima
+//   resize          per-region core::BindingCandidate
+//   served fraction per-region core::ServedCounts
+//   peak cell       per-region demand::PeakCandidate
 //
 // Each region carries a content digest (a snapshot::Fingerprint over its
 // member cells). A partial is valid only while its recorded digest matches
@@ -20,12 +20,9 @@
 // Determinism contract: every answer is byte-identical to the plain
 // library call (core::size_full_service / size_with_cap /
 // served_*_fraction, afford::AffordabilityAnalyzer) on the mutated
-// profile, at every thread count. The merges reproduce the libraries'
-// serial scan orders exactly: sizing keeps the earliest strict maximum
-// (ties broken toward the smaller global cell index), the peak merge uses
-// cells_by_count_desc's (count desc, cell-id asc) comparator, and the
-// fraction sums are integer partials, which are partition-invariant.
-// --paranoid mode re-runs the full computation on every query and throws
+// profile, at every thread count, because the partials are the library's
+// own candidates and their merges are partition-invariant. --paranoid
+// mode re-runs the full computation on every query and throws
 // ParanoiaError on any bit difference.
 
 #include <cstdint>
@@ -39,6 +36,7 @@
 #include <vector>
 
 #include "leodivide/afford/affordability.hpp"
+#include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -160,26 +158,13 @@ class IncrementalEngine {
     std::uint64_t digest = 0;          ///< content fingerprint of members
   };
 
-  // Per-region partials. `digest` records the region content each was
-  // computed against; a partial is live only while it matches.
-  struct SizingPartial {
+  // A per-region partial: a core candidate plus the region content digest
+  // it was computed against; it is live only while the digest matches.
+  template <typename Candidate>
+  struct Partial {
     bool valid = false;
     std::uint64_t digest = 0;
-    bool found = false;  ///< region has a demand-driven (>= 2 beam) cell
-    core::SizingResult best;
-  };
-  struct PeakPartial {
-    bool valid = false;
-    std::uint64_t digest = 0;
-    std::uint32_t max_count = 0;
-    std::uint64_t best_cell_bits = 0;
-    std::size_t cell_index = 0;
-  };
-  struct ServedPartial {
-    bool valid = false;
-    std::uint64_t digest = 0;
-    std::uint64_t served_cells = 0;
-    std::uint64_t served_locations = 0;
+    Candidate value;
   };
 
   using SizeKey = std::pair<std::uint64_t, std::uint64_t>;  // bit patterns
@@ -192,21 +177,18 @@ class IncrementalEngine {
   [[nodiscard]] std::uint64_t region_content_digest(
       const Region& region) const;
 
-  const SizingPartial& sizing_partial(std::size_t region, double beamspread,
-                                      double oversub_cap,
-                                      std::vector<SizingPartial>& partials);
-  const PeakPartial& peak_partial(std::size_t region);
-  const ServedPartial& served_partial(std::size_t region, std::uint32_t limit,
-                                      std::vector<ServedPartial>& partials);
+  /// The region's candidate: cached while the region digest is unchanged,
+  /// else restored from the stage cache or recomputed by folding every
+  /// member cell through `fold(candidate, index, cell)`. `mix_key` adds
+  /// the query parameters to the `stage` sub-stage fingerprint.
+  template <typename Candidate, typename MixKey, typename Fold>
+  const Candidate& region_partial(std::size_t region,
+                                  std::vector<Partial<Candidate>>& partials,
+                                  const char* stage, const MixKey& mix_key,
+                                  const Fold& fold);
 
-  [[nodiscard]] SizingPartial compute_sizing_partial(
-      const Region& region, double beamspread, double oversub_cap) const;
-  [[nodiscard]] PeakPartial compute_peak_partial(const Region& region) const;
-  [[nodiscard]] ServedPartial compute_served_partial(
-      const Region& region, std::uint32_t limit) const;
-
-  /// Index of the global peak cell (cells_by_count_desc().front()).
-  [[nodiscard]] std::size_t merged_peak_index();
+  /// The global peak cell, merged from the per-region peak partials.
+  [[nodiscard]] demand::PeakCandidate merged_peak();
 
   void rebuild_analyzer_if_stale();
 
@@ -233,9 +215,10 @@ class IncrementalEngine {
 
   std::uint64_t total_locations_ = 0;
 
-  std::map<SizeKey, std::vector<SizingPartial>> sizing_memo_;
-  std::vector<PeakPartial> peak_memo_;
-  std::map<std::uint32_t, std::vector<ServedPartial>> served_memo_;
+  std::map<SizeKey, std::vector<Partial<core::BindingCandidate>>> sizing_memo_;
+  std::vector<Partial<demand::PeakCandidate>> peak_memo_;
+  std::map<std::uint32_t, std::vector<Partial<core::ServedCounts>>>
+      served_memo_;
 
   std::optional<afford::AffordabilityAnalyzer> analyzer_;
   std::uint64_t analyzer_digest_ = 0;

@@ -1,8 +1,19 @@
 #include "leodivide/spectrum/beamplan.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace leodivide::spectrum {
+
+namespace {
+
+void check_beamspread(double beamspread) {
+  if (!std::isfinite(beamspread) || beamspread < 1.0) {
+    throw std::invalid_argument("BeamPlan: beamspread must be finite and >= 1");
+  }
+}
+
+}  // namespace
 
 BeamPlan::BeamPlan(SpectrumPlan plan, std::uint32_t beams_per_full_cell,
                    double bps_per_hz)
@@ -30,17 +41,13 @@ double BeamPlan::per_beam_capacity_gbps() const noexcept {
 }
 
 double BeamPlan::spread_cell_capacity_gbps(double beamspread) const {
-  if (beamspread < 1.0) {
-    throw std::invalid_argument("BeamPlan: beamspread must be >= 1");
-  }
+  check_beamspread(beamspread);
   return full_cell_capacity_gbps() / beamspread;
 }
 
 double BeamPlan::cells_served_per_satellite(
     double beamspread, std::uint32_t beams_on_peak) const {
-  if (beamspread < 1.0) {
-    throw std::invalid_argument("BeamPlan: beamspread must be >= 1");
-  }
+  check_beamspread(beamspread);
   if (beams_on_peak == 0 || beams_on_peak > plan_.user_beams()) {
     throw std::invalid_argument("BeamPlan: beams_on_peak outside [1, beams]");
   }

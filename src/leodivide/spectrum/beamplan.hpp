@@ -38,14 +38,15 @@ class BeamPlan {
   [[nodiscard]] double per_beam_capacity_gbps() const noexcept;
 
   /// Capacity each cell receives when one beam is spread across
-  /// `beamspread` cells [Gbps]. Throws std::invalid_argument for
-  /// beamspread < 1.
+  /// `beamspread` cells [Gbps]. Throws std::invalid_argument unless
+  /// beamspread is finite and >= 1.
   [[nodiscard]] double spread_cell_capacity_gbps(double beamspread) const;
 
   /// Number of cells a satellite can keep beams on when the peak cell takes
   /// `beams_on_peak` beams and every other beam is spread across
   /// `beamspread` cells: 1 + (user_beams - beams_on_peak) * beamspread.
   /// This is the denominator of the paper's constellation-sizing formula.
+  /// Throws std::invalid_argument unless beamspread is finite and >= 1.
   [[nodiscard]] double cells_served_per_satellite(double beamspread,
                                                   std::uint32_t beams_on_peak)
       const;

@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "leodivide/core/beamspread.hpp"
 #include "leodivide/core/capacity_model.hpp"
@@ -15,10 +23,18 @@
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/calibration.hpp"
+#include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/hex/hexgrid.hpp"
+#include "leodivide/market/market.hpp"
+#include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/serve/incremental.hpp"
 
 namespace leodivide::core {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 const demand::DemandProfile& national_profile() {
   static const demand::DemandProfile profile =
@@ -69,6 +85,30 @@ TEST(CapacityModel, RejectsBadOversub) {
   const SatelliteCapacityModel model;
   EXPECT_THROW(model.max_locations_at(0.0), std::invalid_argument);
   EXPECT_THROW(model.beams_needed(10, -1.0), std::invalid_argument);
+}
+
+TEST(CapacityModel, RejectsNonFiniteAndSaturatesHugeOversub) {
+  const SatelliteCapacityModel model;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW((void)model.max_locations_at(bad), std::invalid_argument);
+    EXPECT_THROW((void)model.beams_needed(10, bad), std::invalid_argument);
+    EXPECT_THROW((void)max_locations_spread(model, bad, 20.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)max_locations_spread(model, 10.0, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)cell_served(model, 10, bad, 20.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)cell_served(model, 10, 10.0, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)model.plan().cells_served_per_satellite(bad, 1),
+                 std::invalid_argument);
+  }
+  // 1e12:1 is finite, but its location limit overflows uint32: it
+  // saturates, which is exact because cell counts are uint32.
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(model.max_locations_at(1e12), kMax);
+  EXPECT_EQ(max_locations_spread(model, 1.0, 1e12), kMax);
+  EXPECT_EQ(model.beams_needed(kMax, 1e12), 1U);
 }
 
 TEST(CapacityModel, RequiredOversubscriptionIsLinear) {
@@ -261,6 +301,31 @@ TEST(Sizing, RejectsEmptyProfileAndBadK) {
   EXPECT_THROW(size_full_service(empty, model, 1.0), std::invalid_argument);
   EXPECT_THROW(size_with_cap(empty, model, 1.0, 20.0), std::invalid_argument);
   EXPECT_THROW(satellites_from_k(model, 0.0, 1.0, 4), std::invalid_argument);
+}
+
+TEST(Sizing, HostileParametersThrowInsteadOfReturningWrongNumbers) {
+  const demand::DemandProfile& profile = national_profile();
+  const SizingModel model;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW((void)size_with_cap(profile, model, 10.0, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)size_with_cap(profile, model, bad, 20.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)size_full_service(profile, model, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)served_cell_fraction(profile, model.capacity, 10.0, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)served_cell_fraction(profile, model.capacity, bad, 20.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)longtail_curve(profile, model, 10.0, bad),
+                 std::invalid_argument);
+  }
+  // At 1e12:1 no cell needs a second beam: the peak cell binds on one, and
+  // every cell is served.
+  const SizingResult r = size_with_cap(profile, model, 10.0, 1e12);
+  EXPECT_EQ(r.beams_on_binding, 1U);
+  EXPECT_EQ(r.binding_cell_index, profile.peak_cell().index);
+  EXPECT_EQ(served_cell_fraction(profile, model.capacity, 10.0, 1e12), 1.0);
 }
 
 // ----------------------------------------------------------------- longtail ----
@@ -578,6 +643,181 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ServedFractionMonotone,
     ::testing::Combine(::testing::Values(1.0, 4.0, 8.0, 14.0),
                        ::testing::Values(5.0, 15.0, 30.0)));
+
+// ------------------------------------------------ binding-cell equivalence ----
+//
+// core::size_with_cap, the serve engine's per-region partials and the
+// market all fold cells through the same candidates, so they must agree on
+// the binding and peak cell even when many cells tie bit-exactly. These
+// profiles plant runs of cells that share one latitude and one count: the
+// runs' satellite requirements tie exactly, they cross the 1024-cell
+// map_reduce grain and many serve regions, and the peak count ties so that
+// only the cell id decides.
+
+struct TieHeavy {
+  demand::DemandProfile profile;
+  std::vector<geo::GeoPoint> positions;  ///< a point inside each cell
+};
+
+TieHeavy tie_heavy_profile(std::uint64_t seed) {
+  const demand::DemandProfile base =
+      demand::SyntheticGenerator({.seed = seed, .scale = 0.5})
+          .generate_profile();
+  std::vector<demand::CellDemand> cells = base.cells();
+  std::vector<geo::GeoPoint> positions;
+  double south = 90.0;
+  for (const demand::CellDemand& c : cells) {
+    positions.push_back(c.center);
+    south = std::min(south, c.center.lat_deg);
+  }
+  struct Run {
+    double lat;
+    std::uint32_t count;
+  };
+  // 6000 and 2600 both need all 4 beams, so the first three runs tie on
+  // the largest requirement; the 6000s tie on the peak count.
+  const Run runs[] = {{south - 0.5, 6000},
+                      {south - 0.5, 6000},
+                      {south - 0.5, 2600},
+                      {south + 0.5, 6000}};
+  constexpr std::size_t kRunLength = 1500;
+  std::mt19937_64 rng(seed);
+  for (const Run& run : runs) {
+    const std::size_t start = rng() % (cells.size() - kRunLength);
+    for (std::size_t i = start; i < start + kRunLength; ++i) {
+      cells[i].center.lat_deg = run.lat;
+      cells[i].underserved = run.count;
+    }
+  }
+  demand::CountyTable counties = base.counties();
+  for (std::uint32_t c = 0; c < counties.size(); ++c) {
+    counties.at(c).underserved_locations = 0;
+  }
+  for (const demand::CellDemand& c : cells) {
+    counties.at(c.county_index).underserved_locations += c.underserved;
+  }
+  return {demand::DemandProfile(std::move(cells), std::move(counties)),
+          std::move(positions)};
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The peak is the smallest cell id among the cells with the peak count.
+void expect_peak_tie_broken_by_id(const demand::DemandProfile& profile) {
+  const demand::PeakCandidate peak = profile.peak_cell();
+  std::size_t tied = 0;
+  for (const demand::CellDemand& c : profile.cells()) {
+    if (c.underserved != peak.count) continue;
+    ++tied;
+    EXPECT_GE(c.cell.bits(), peak.cell_bits);
+  }
+  EXPECT_GT(tied, 1U);
+}
+
+// The binding cell is the earliest of several bit-exact ties that span
+// more than one map_reduce grain.
+void expect_binding_tie_broken_by_index(const demand::DemandProfile& profile,
+                                        const CellCapacity& capacity,
+                                        const SizingResult& binding) {
+  std::vector<std::size_t> tied;
+  for (std::size_t i = 0; i < profile.cell_count(); ++i) {
+    BindingCandidate one;
+    one.consider(i, profile.cells()[i], capacity);
+    if (one.found && same_bits(one.best.satellites, binding.satellites)) {
+      tied.push_back(i);
+    }
+  }
+  ASSERT_GT(tied.size(), 1U);
+  EXPECT_EQ(binding.binding_cell_index, tied.front());
+  EXPECT_GT(tied.back() - tied.front(), 1024U);
+}
+
+TEST(BindingEquivalence, TieHeavyProfilesAgreeAcrossEveryConsumer) {
+  runtime::ThreadPool pool2(2), pool4(4), pool7(7);
+  runtime::Executor* executors[] = {&runtime::serial_executor(), &pool2,
+                                    &pool4, &pool7};
+  const SizingModel model;
+  // The last point needs no second beam anywhere: the peak-cell fallback.
+  const double points[][2] = {{10.0, 20.0}, {4.0, 20.0}, {10.0, 5.0},
+                              {10.0, 1e4}};
+  const hex::HexGrid grid;
+
+  for (const std::uint64_t seed : {42U, 7U, 2024U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TieHeavy tie = tie_heavy_profile(seed);
+    ASSERT_GT(tie.profile.cell_count(), 7U * 1024U);
+    expect_peak_tie_broken_by_id(tie.profile);
+    // The tied runs span many serve regions.
+    std::set<std::uint64_t> regions;
+    for (const demand::CellDemand& c : tie.profile.cells()) {
+      if (c.underserved == 6000) {
+        regions.insert(grid.parent_of(c.cell, 2).bits());
+      }
+    }
+    EXPECT_GT(regions.size(), 10U);
+
+    serve::EngineConfig config;
+    config.paranoid = true;
+    serve::IncrementalEngine engine(tie.profile, config);
+    demand::DemandProfile reference = tie.profile;
+    demand::DeltaApplier applier(reference, grid, hex::kServiceCellResolution);
+
+    const auto check_all = [&](bool check_ties) {
+      const std::size_t peak = reference.peak_cell().index;
+      for (const auto& p : points) {
+        const SizingResult serial =
+            size_with_cap(reference, model, p[0], p[1], *executors[0]);
+        for (runtime::Executor* ex : executors) {
+          EXPECT_EQ(size_with_cap(reference, model, p[0], p[1], *ex), serial)
+              << "threads=" << ex->concurrency();
+        }
+        const serve::ResizeAnswer answer = engine.query_resize(p[0], p[1]);
+        EXPECT_EQ(answer.capped, serial);
+        EXPECT_EQ(answer.full.binding_cell_index, peak);
+        if (serial.beams_on_binding == 1) {
+          EXPECT_EQ(serial.binding_cell_index, peak);
+        } else if (check_ties) {
+          expect_binding_tie_broken_by_index(
+              reference, cell_capacity(model, p[0], p[1]), serial);
+        }
+      }
+      for (const double oversub : {20.0, 1e4}) {
+        market::MarketConfig market_config;
+        market_config.operators = {market::starlink_operator()};
+        market_config.oversub_cap = oversub;
+        const market::MarketReport report =
+            market::MarketSimulation(market_config).run(reference, pool4);
+        EXPECT_EQ(report.operators[0].capped,
+                  size_with_cap(reference, model, 10.0, oversub));
+        EXPECT_EQ(report.operators[0].full.binding_cell_index, peak);
+      }
+    };
+    check_all(/*check_ties=*/true);
+
+    // A seeded delta sequence: adds and removes on random cells, which
+    // make and break ties on both the peak count and the binding cell.
+    std::mt19937_64 rng(seed + 1);
+    for (int round = 0; round < 12; ++round) {
+      const std::size_t i = rng() % tie.positions.size();
+      demand::DeltaOp op;
+      op.position = tie.positions[i];
+      const std::uint32_t have = reference.cells()[i].underserved;
+      if (have > 0 && rng() % 2 == 0) {
+        op.kind = demand::DeltaKind::kRemoveLocations;
+        op.count = 1 + static_cast<std::uint32_t>(rng() % have);
+      } else {
+        op.kind = demand::DeltaKind::kAddLocations;
+        op.count = 1 + static_cast<std::uint32_t>(rng() % 3000);
+      }
+      (void)engine.apply(op);
+      (void)applier.apply(op);
+      check_all(/*check_ties=*/false);
+    }
+    EXPECT_GT(engine.stats().paranoid_checks, 0U);
+  }
+}
 
 }  // namespace
 }  // namespace leodivide::core

@@ -128,9 +128,47 @@ TEST(DemandProfileTest, OrderingAndPeak) {
   const DemandProfile profile(std::move(cells), std::move(counties));
   EXPECT_EQ(profile.peak_cell_count(), 30U);
   EXPECT_EQ(profile.total_locations(), 60U);
-  const auto order = profile.cells_by_count_desc();
-  EXPECT_EQ(profile.cells()[order[0]].underserved, 30U);
-  EXPECT_EQ(profile.cells()[order[2]].underserved, 10U);
+  const PeakCandidate peak = profile.peak_cell();
+  ASSERT_TRUE(peak.found);
+  EXPECT_EQ(peak.index, 1U);
+  EXPECT_EQ(peak.count, 30U);
+  EXPECT_EQ(peak.cell_bits, profile.cells()[1].cell.bits());
+  // Partial candidates merge, in either order, to the whole-profile peak.
+  PeakCandidate head, tail;
+  head.consider(0, profile.cells()[0]);
+  for (std::size_t i = 1; i < 3; ++i) tail.consider(i, profile.cells()[i]);
+  PeakCandidate forward = head, backward = tail;
+  forward.merge(tail);
+  backward.merge(head);
+  EXPECT_EQ(forward.index, 1U);
+  EXPECT_EQ(backward.index, 1U);
+  // An empty profile has no peak cell.
+  EXPECT_FALSE(DemandProfile().peak_cell().found);
+  EXPECT_EQ(DemandProfile().peak_cell_count(), 0U);
+}
+
+TEST(DemandProfileTest, PeakCountTieGoesToTheSmallerCellId) {
+  CountyTable counties;
+  counties.add({"90001", {}, 1.0, 0});
+  std::vector<CellDemand> cells(4);
+  cells[0].cell = hex::CellId(5, {7, 0});
+  cells[0].underserved = 40;
+  cells[1].cell = hex::CellId(5, {3, 0});  // smallest id among the 40s
+  cells[1].underserved = 40;
+  cells[2].cell = hex::CellId(5, {1, 0});  // smallest id overall
+  cells[2].underserved = 12;
+  cells[3].cell = hex::CellId(5, {5, 0});
+  cells[3].underserved = 40;
+  ASSERT_LT(cells[1].cell, cells[0].cell);
+  ASSERT_LT(cells[1].cell, cells[3].cell);
+  const DemandProfile profile(std::move(cells), std::move(counties));
+  EXPECT_EQ(profile.peak_cell().index, 1U);
+  // The id decides, not the scan order: fold the cells back to front.
+  PeakCandidate reversed;
+  for (std::size_t i = profile.cell_count(); i-- > 0;) {
+    reversed.consider(i, profile.cells()[i]);
+  }
+  EXPECT_EQ(reversed.index, 1U);
 }
 
 TEST(DemandProfileTest, CsvRoundTrip) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "leodivide/afford/affordability.hpp"
@@ -492,6 +493,81 @@ TEST(MarketReportTest, FullPriorityWeightStillRuns) {
   ASSERT_EQ(report.operators.size(), 2U);
   // Fully contested tables: each operator can serve only its own zones.
   EXPECT_LT(report.operators[0].served_cell_fraction, 1.0);
+}
+
+// ------------------------------------------- single-beam fallback by zone ----
+
+// One cell per (latitude, count), ids along a row, all in one county.
+demand::DemandProfile zoned_profile(
+    const std::vector<std::pair<double, std::uint32_t>>& lat_counts) {
+  std::vector<demand::CellDemand> cells;
+  std::uint64_t total = 0;
+  for (const auto& [lat, count] : lat_counts) {
+    const int q = static_cast<int>(cells.size());
+    cells.push_back({hex::CellId(5, {q, 0}), {lat, -100.0}, count, 0});
+    total += count;
+  }
+  demand::CountyTable counties;
+  counties.add({"90001", {35.0, -100.0}, 50000.0, total});
+  return demand::DemandProfile(std::move(cells), std::move(counties));
+}
+
+MarketConfig full_priority_fairshare() {
+  MarketConfig config;
+  config.operators = contested_pair();
+  config.split.policy = SplitPolicy::kFairShare;
+  config.split.priority_weight = 1.0;
+  return config;
+}
+
+TEST(MarketFallbackTest, LargestCellWithSpectrumBindsOnOneBeam) {
+  // No cell needs 2 beams at 20:1 (a beam carries 866 locations). The peak
+  // cell sits in beta's zone, where alpha has no spectrum, so alpha's
+  // single-beam binding cell is its largest cell with spectrum.
+  const double alpha_lat = 32.5;
+  const double beta_lat = 37.5;
+  const MarketConfig config = full_priority_fairshare();
+  const SpectrumSplit split(config.operators, config.split);
+  const std::size_t alpha_zone = split.priority_operator(alpha_lat);
+  const std::size_t beta_zone = split.priority_operator(beta_lat);
+  ASSERT_EQ(alpha_zone, 0U);
+  ASSERT_EQ(beta_zone, 1U);
+  ASSERT_EQ(split.share(0, beta_zone), 0.0);
+  ASSERT_EQ(split.share(1, alpha_zone), 0.0);
+
+  const demand::DemandProfile profile = zoned_profile(
+      {{alpha_lat, 300}, {beta_lat, 800}, {alpha_lat, 500}, {beta_lat, 200}});
+  ASSERT_EQ(profile.peak_cell().index, 1U);
+  const MarketReport report = MarketSimulation(config).run(profile);
+  ASSERT_EQ(report.operators.size(), 2U);
+
+  const core::SizingResult& alpha = report.operators[0].capped;
+  EXPECT_EQ(alpha.binding_cell_index, 2U);
+  EXPECT_EQ(alpha.beams_on_binding, 1U);
+  EXPECT_TRUE(same_bits(alpha.binding_lat_deg, alpha_lat));
+  EXPECT_TRUE(same_bits(
+      alpha.satellites,
+      core::satellites_for_binding_cell(
+          config.operators[0].sizing_model(split.share(0, alpha_zone)),
+          alpha_lat, config.beamspread, 1)));
+  // Beta has spectrum over the peak cell, so its fallback is the peak.
+  const core::SizingResult& beta = report.operators[1].capped;
+  EXPECT_EQ(beta.binding_cell_index, 1U);
+  EXPECT_EQ(beta.beams_on_binding, 1U);
+}
+
+TEST(MarketFallbackTest, ProfileWithoutUsableSpectrumThrows) {
+  const double beta_lat = 37.5;
+  const demand::DemandProfile profile =
+      zoned_profile({{beta_lat, 300}, {beta_lat, 800}});
+  try {
+    (void)MarketSimulation(full_priority_fairshare()).run(profile);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no usable spectrum"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

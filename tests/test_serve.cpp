@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -358,6 +359,45 @@ TEST(ServeSession, RequestLevelErrorsAnswerWithoutKillingTheSession) {
       {serve::protocol::MsgType::kQueryServedFraction,
        encode(serve::protocol::QueryServedFractionRequest{10.0, 20.0})});
   EXPECT_EQ(reply.type, serve::protocol::MsgType::kServedFractionResult);
+}
+
+TEST(ServeSession, NonFiniteParametersGetErrorFramesAndTheSessionGoesOn) {
+  serve::ServiceState state = make_state(/*paranoid=*/true);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  serve::protocol::Frame reply = state.handle(
+      {serve::protocol::MsgType::kQueryResize,
+       encode(serve::protocol::QueryResizeRequest{nan, 20.0})});
+  EXPECT_EQ(reply.type, serve::protocol::MsgType::kError);
+  reply = state.handle(
+      {serve::protocol::MsgType::kQueryResize,
+       encode(serve::protocol::QueryResizeRequest{10.0, nan})});
+  EXPECT_EQ(reply.type, serve::protocol::MsgType::kError);
+  reply = state.handle(
+      {serve::protocol::MsgType::kQueryServedFraction,
+       encode(serve::protocol::QueryServedFractionRequest{10.0, nan})});
+  EXPECT_EQ(reply.type, serve::protocol::MsgType::kError);
+  // The session still answers, and the answers match the library.
+  const core::SizingModel model{};
+  reply = state.handle(
+      {serve::protocol::MsgType::kQueryResize,
+       encode(serve::protocol::QueryResizeRequest{10.0, 20.0})});
+  ASSERT_EQ(reply.type, serve::protocol::MsgType::kResizeResult);
+  EXPECT_TRUE(same_bits(
+      serve::protocol::decode_resize_reply(reply.payload).capped_satellites,
+      core::size_with_cap(small_profile(), model, 10.0, 20.0).satellites));
+  reply = state.handle(
+      {serve::protocol::MsgType::kQueryServedFraction,
+       encode(serve::protocol::QueryServedFractionRequest{10.0, 20.0})});
+  EXPECT_EQ(reply.type, serve::protocol::MsgType::kServedFractionResult);
+}
+
+TEST(ServeIncremental, NonFiniteResizeIsRejectedBeforeAnyPartial) {
+  serve::IncrementalEngine engine(small_profile(), serve::EngineConfig{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)engine.query_resize(nan, 20.0), std::invalid_argument);
+  EXPECT_THROW((void)engine.query_resize(10.0, nan), std::invalid_argument);
+  // Rejected before any region partial was looked up.
+  EXPECT_EQ(engine.stats().partial_misses, 0U);
 }
 
 TEST(ServeSession, StatsExposesTheEngineCounters) {
