@@ -1,10 +1,8 @@
 #include "leodivide/event/engine.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "leodivide/geo/angle.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/orbit/propagate.hpp"
@@ -15,25 +13,6 @@
 namespace leodivide::event {
 
 namespace {
-
-// Coverage-cone threshold for the solver, derived with the scheduler's own
-// operation order (sim/scheduler.cpp derive_geometry). The kernel re-derives
-// this per epoch from |sat 0|, which jitters at the ulp level over time;
-// the solver's eval_slack dominates that jitter by orders of magnitude, so
-// deriving once from the t = 0 radius preserves the certificate.
-double threshold_cos_psi(double radius_km, double min_elevation_deg) {
-  const double alt_km = radius_km - geo::kEarthRadiusKm;
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + alt_km);
-  const double eps = geo::deg2rad(min_elevation_deg);
-  return std::cos(std::acos(ratio * std::cos(eps)) - eps);
-}
-
-// The scheduler's no-states fallback radius (sim/scheduler.cpp
-// first_radius_km): geometry must stay well-defined with zero satellites.
-double first_radius_km(const std::vector<orbit::SatState>& sats) {
-  return sats.empty() ? geo::kEarthRadiusKm + 550.0
-                      : sats.front().ecef_km.norm();
-}
 
 obs::Histogram& latency_histogram(EventKind kind) {
   static obs::Histogram& initial =
@@ -87,12 +66,16 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   out.boundaries = 0;
 
   // --- Phase 1: certified crossing windows, parallel over cells. -------
-  // The solver threshold comes from the same geometry derivation the
-  // kernel uses, evaluated at t = 0.
+  // The solver threshold comes from the kernel's own geometry derivation,
+  // evaluated at t = 0. The kernel re-derives it per epoch from |sat 0|,
+  // which jitters at the ulp level over time; the solver's eval_slack
+  // dominates that jitter by orders of magnitude, so deriving once
+  // preserves the certificate.
   orbit::propagate_all(orbits_, 0.0, ws_.sched_ws.states);
-  const double cos_psi = threshold_cos_psi(
-      first_radius_km(ws_.sched_ws.states),
-      config_.scheduler.min_elevation_deg);
+  const double cos_psi =
+      sim::coverage_geometry(sim::coverage_radius_km(ws_.sched_ws.states),
+                             config_.scheduler.min_elevation_deg)
+          .cos_psi;
 
   const orbit::CrossingConfig crossing_config{event_config_.window_s,
                                               event_config_.eval_slack};

@@ -10,10 +10,10 @@ namespace leodivide::orbit {
 
 double coverage_central_angle_rad(double altitude_km,
                                   double min_elevation_deg) {
-  if (altitude_km <= 0.0) {
+  if (!(altitude_km > 0.0)) {
     throw std::invalid_argument("coverage: altitude must be > 0");
   }
-  if (min_elevation_deg < 0.0 || min_elevation_deg >= 90.0) {
+  if (!(min_elevation_deg >= 0.0 && min_elevation_deg < 90.0)) {
     throw std::invalid_argument("coverage: elevation mask outside [0, 90)");
   }
   const double eps = geo::deg2rad(min_elevation_deg);

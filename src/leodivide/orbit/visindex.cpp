@@ -48,8 +48,12 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
   n_sats_ = sats.size();
   psi_deg_ = geo::rad2deg(psi_rad);
 
-  n_bands_ = std::clamp(static_cast<std::uint32_t>(180.0 / psi_deg_), 1U,
-                        kMaxBands);
+  sin_window_ = std::sin(geo::deg2rad(psi_deg_ + kWindowSlackDeg));
+
+  // Grid counts are clamped in double before the cast: a tiny psi (a mask
+  // near 90 deg) makes the quotients overflow uint32_t.
+  n_bands_ = static_cast<std::uint32_t>(
+      std::clamp(180.0 / psi_deg_, 1.0, static_cast<double>(kMaxBands)));
   band_height_deg_ = 180.0 / static_cast<double>(n_bands_);
 
   // Sector count per band: widths of at least one coverage angle at the
@@ -66,9 +70,9 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
             ? 0.0
             : std::min(std::abs(lat_lo), std::abs(lat_hi));
     const double parallel_deg = 360.0 * std::cos(geo::deg2rad(min_abs_lat));
-    band_sectors_[b] = std::clamp(
-        static_cast<std::uint32_t>(parallel_deg / psi_deg_), 1U,
-        kMaxSectorsPerBand);
+    band_sectors_[b] = static_cast<std::uint32_t>(
+        std::clamp(parallel_deg / psi_deg_, 1.0,
+                   static_cast<double>(kMaxSectorsPerBand)));
     band_offset_[b] = buckets;
     buckets += band_sectors_[b];
   }
@@ -101,6 +105,18 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
     bucket_start_[b] = bucket_start_[b - 1];
   }
   bucket_start_[0] = 0;
+  bucket_end_.assign(bucket_start_.begin() + 1, bucket_start_.end());
+}
+
+void VisIndex::retire(std::uint32_t sat) noexcept {
+  if (sat >= n_sats_) return;
+  const std::uint32_t bucket = sat_bucket_[sat];
+  const auto first = bucket_sats_.begin() + bucket_start_[bucket];
+  const auto last = bucket_sats_.begin() + bucket_end_[bucket];
+  const auto it = std::lower_bound(first, last, sat);
+  if (it == last || *it != sat) return;  // already retired
+  std::copy(it + 1, last, it);
+  --bucket_end_[bucket];
 }
 
 void VisIndex::query(const geo::GeoPoint& cell,
@@ -126,12 +142,14 @@ void VisIndex::query_unsorted(const geo::GeoPoint& cell,
   const bool polar = std::abs(cell.lat_deg) + window_deg >= 90.0;
   double dlon_deg = 180.0;
   if (!polar) {
-    const double s = std::sin(geo::deg2rad(window_deg)) /
-                     std::cos(geo::deg2rad(cell.lat_deg));
+    const double s = sin_window_ / std::cos(geo::deg2rad(cell.lat_deg));
     dlon_deg =
         geo::rad2deg(std::asin(std::min(1.0, s))) + kWindowSlackDeg;
   }
+  // The window's edge longitudes are the same in every band.
   const double lon = geo::wrap_longitude_deg(cell.lon_deg);
+  const double lon_lo = geo::wrap_longitude_deg(lon - dlon_deg);
+  const double lon_hi = geo::wrap_longitude_deg(lon + dlon_deg);
 
   for (std::uint32_t b = b_lo; b <= b_hi; ++b) {
     const std::uint32_t sectors = band_sectors_[b];
@@ -140,16 +158,15 @@ void VisIndex::query_unsorted(const geo::GeoPoint& cell,
     std::uint32_t s0 = 0;
     std::uint32_t count = sectors;
     if (dlon_deg < 180.0 - sector_width) {
-      s0 = sector_of(b, geo::wrap_longitude_deg(lon - dlon_deg));
-      const std::uint32_t s1 =
-          sector_of(b, geo::wrap_longitude_deg(lon + dlon_deg));
+      s0 = sector_of(b, lon_lo);
+      const std::uint32_t s1 = sector_of(b, lon_hi);
       count = std::min(sectors, (s1 + sectors - s0) % sectors + 1);
     }
     std::uint32_t s = s0;
     for (std::uint32_t n = 0; n < count; ++n) {
       const std::uint32_t bucket = base + s;
       const std::uint32_t lo = bucket_start_[bucket];
-      const std::uint32_t hi = bucket_start_[bucket + 1];
+      const std::uint32_t hi = bucket_end_[bucket];
       out.insert(out.end(), bucket_sats_.begin() + lo,
                  bucket_sats_.begin() + hi);
       s = s + 1 == sectors ? 0 : s + 1;

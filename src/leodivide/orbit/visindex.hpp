@@ -8,7 +8,10 @@
 // and is duplicate-free; query() emits it in ascending satellite index,
 // query_unsorted() in bucket-major order for callers whose selection
 // tie-breaks on index explicitly (the scheduler). Either way, downstream
-// selection is byte-identical to a full ascending scan.
+// selection is byte-identical to a full ascending scan. retire() drops a
+// satellite from every later query until the next build(), so a caller
+// whose satellites fill up (the scheduler's beam budgets) stops gathering
+// and filtering candidates it would reject anyway.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +28,13 @@ class VisIndex {
   /// unchanged constellation size and coverage angle performs no heap
   /// allocation after the first build.
   void build(const std::vector<SatState>& sats, double psi_rad);
+
+  /// Removes satellite `sat` (an index into the last build's states) from
+  /// every later query until the next build(), which restores it. The
+  /// removal shifts the rest of its bucket down in place, so buckets stay
+  /// ascending and query() stays sorted; it never allocates. Retiring an
+  /// already-retired satellite is a no-op.
+  void retire(std::uint32_t sat) noexcept;
 
   /// Fills `out` (cleared first) with the index of every satellite whose
   /// bucket can contain a sub-point within psi of `cell` — a superset of
@@ -56,11 +66,13 @@ class VisIndex {
   std::uint32_t n_bands_ = 0;
   double band_height_deg_ = 180.0;
   double psi_deg_ = 0.0;
+  double sin_window_ = 0.0;  ///< sin(psi + query slack), per build
   std::vector<std::uint32_t> band_sectors_;  ///< lon sectors per band
   std::vector<std::uint32_t> band_offset_;   ///< first bucket id per band
   std::vector<std::uint32_t> bucket_start_;  ///< CSR offsets (buckets + 1)
+  std::vector<std::uint32_t> bucket_end_;    ///< live end per bucket
   std::vector<std::uint32_t> bucket_sats_;   ///< ascending within a bucket
-  std::vector<std::uint32_t> sat_bucket_;    ///< build scratch
+  std::vector<std::uint32_t> sat_bucket_;    ///< bucket of each satellite
 };
 
 }  // namespace leodivide::orbit

@@ -8,42 +8,29 @@
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
+#include "leodivide/orbit/footprint.hpp"
 #include "leodivide/orbit/kernels.hpp"
 #include "leodivide/sim/beam.hpp"
 
 namespace leodivide::sim {
 
-namespace {
-
-// Derives the coverage-cone geometry for an orbit radius and elevation
-// mask. The operation order is kept exactly as the original inline
-// derivation (alt = radius - R; ratio = R / (R + alt)) so cos_psi — and
-// therefore every schedule — stays bit-identical with traces produced by
-// pre-index builds. All satellites share one altitude in a Walker shell;
-// the radius comes from the first state (robust to small numerical
-// spread). Memoized per workspace via CoverageGeometry::matches.
-CoverageGeometry derive_geometry(double radius_km,
-                                 double min_elevation_deg) {
-  CoverageGeometry g;
-  g.radius_km = radius_km;
-  g.min_elevation_deg = min_elevation_deg;
-  const double alt_km = radius_km - geo::kEarthRadiusKm;
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + alt_km);
-  const double eps = geo::deg2rad(min_elevation_deg);
-  g.psi_rad = std::acos(ratio * std::cos(eps)) - eps;
-  g.cos_psi = std::cos(g.psi_rad);
-  return g;
-}
-
-// Radius used when there are no satellite states (the geometry is then
-// irrelevant — nothing can be assigned — but psi must stay well-defined
-// for the index). Matches the historical 550 km default.
-double first_radius_km(const std::vector<orbit::SatState>& sats) {
+double coverage_radius_km(const std::vector<orbit::SatState>& sats) {
   return sats.empty() ? geo::kEarthRadiusKm + 550.0
                       : sats.front().ecef_km.norm();
 }
 
-}  // namespace
+CoverageGeometry coverage_geometry(double radius_km,
+                                   double min_elevation_deg) {
+  CoverageGeometry g;
+  g.radius_km = radius_km;
+  g.min_elevation_deg = min_elevation_deg;
+  // Same operation order as the pre-index inline derivation, so cos_psi
+  // (and every schedule and stored trace) stays bit-identical.
+  g.psi_rad = orbit::coverage_central_angle_rad(
+      radius_km - geo::kEarthRadiusKm, min_elevation_deg);
+  g.cos_psi = std::cos(g.psi_rad);
+  return g;
+}
 
 BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
                              SchedulerConfig config)
@@ -51,6 +38,9 @@ BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
   if (config_.beams_per_satellite == 0 || config_.beamspread == 0) {
     throw std::invalid_argument("BeamScheduler: zero beams or beamspread");
   }
+  // A hostile mask fails here, through the derivation every epoch uses,
+  // rather than mid-run.
+  (void)coverage_geometry(coverage_radius_km({}), config_.min_elevation_deg);
   order_.resize(cells_.size());
   std::iota(order_.begin(), order_.end(), 0U);
   std::sort(order_.begin(), order_.end(),
@@ -100,9 +90,9 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   result.mean_beam_utilization = 0.0;
   if (cells_.empty()) return;
 
-  const double radius_km = first_radius_km(sats);
+  const double radius_km = coverage_radius_km(sats);
   if (!ws.geometry.matches(radius_km, config_.min_elevation_deg)) {
-    ws.geometry = derive_geometry(radius_km, config_.min_elevation_deg);
+    ws.geometry = coverage_geometry(radius_km, config_.min_elevation_deg);
   }
   const double cos_psi = ws.geometry.cos_psi;
 
@@ -127,6 +117,7 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   if (!sats.empty()) ws.index.build(sats, ws.geometry.psi_rad);
 
   std::uint64_t candidates_scanned = 0;
+  std::uint64_t retired = 0;
   for (std::uint32_t ci : order_) {
     const SchedCell& cell = cells_[ci];
     result.locations_total += cell.locations;
@@ -197,6 +188,13 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
       result.unassigned_cells.push_back(ci);
       continue;
     }
+    // Slack never grows within an epoch, so a full satellite can never be
+    // selected again: drop it from the index instead of gathering and
+    // filtering it for every remaining cell.
+    if (budget.slack() == 0) {
+      ws.index.retire(static_cast<std::uint32_t>(best_sat));
+      ++retired;
+    }
     ws.sat_touched[static_cast<std::size_t>(best_sat)] = 1;
     result.assignments.push_back(
         Assignment{ci, static_cast<std::uint32_t>(best_sat),
@@ -220,11 +218,14 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
     static obs::Counter& candidates =
         obs::registry().counter("sim.sched.candidates");
     static obs::Counter& pruned = obs::registry().counter("sim.sched.pruned");
+    static obs::Counter& retirements =
+        obs::registry().counter("sim.sched.retired");
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(cells_.size()) *
         static_cast<std::uint64_t>(sats.size());
     candidates.add(candidates_scanned);
     pruned.add(pairs - candidates_scanned);
+    retirements.add(retired);
   }
 }
 
@@ -236,7 +237,7 @@ ScheduleResult BeamScheduler::schedule_reference(
   // Precompute the geometry threshold: a satellite is usable by a cell when
   // the cell lies within the coverage central angle for the elevation mask.
   const double cos_psi =
-      derive_geometry(first_radius_km(sats), config_.min_elevation_deg)
+      coverage_geometry(coverage_radius_km(sats), config_.min_elevation_deg)
           .cos_psi;
 
   std::vector<BeamBudget> budgets(

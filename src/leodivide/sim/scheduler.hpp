@@ -60,9 +60,23 @@ struct ScheduleResult {
       default;
 };
 
+/// Orbit radius [km] the coverage cone is derived from: |first state| (a
+/// Walker shell has one altitude), or a 550 km shell when there are no
+/// states, so psi stays well-defined.
+[[nodiscard]] double coverage_radius_km(
+    const std::vector<orbit::SatState>& sats);
+
+/// Coverage-cone geometry at `radius_km` for a terminal elevation mask, via
+/// orbit::coverage_central_angle_rad. Throws std::invalid_argument for a
+/// mask outside [0, 90) (NaN included) or a radius at or below the surface.
+[[nodiscard]] CoverageGeometry coverage_geometry(double radius_km,
+                                                 double min_elevation_deg);
+
 /// Greedy scheduler over a fixed cell list.
 class BeamScheduler {
  public:
+  /// Throws std::invalid_argument for zero beams or beamspread and for an
+  /// elevation mask outside [0, 90).
   BeamScheduler(std::vector<SchedCell> cells, SchedulerConfig config);
 
   /// Schedules one epoch given satellite states. Cells are processed in
@@ -70,7 +84,8 @@ class BeamScheduler {
   /// visible satellites per the configured strategy. Internally the cell →
   /// satellite search runs through a per-epoch spatial index
   /// (orbit::VisIndex), pruning the candidate set from O(sats) to O(k)
-  /// per cell; the result is byte-identical to schedule_reference.
+  /// per cell, and a satellite is retired from the index once its slack
+  /// reaches zero; the result is byte-identical to schedule_reference.
   [[nodiscard]] ScheduleResult schedule(
       const std::vector<orbit::SatState>& sats) const;
 

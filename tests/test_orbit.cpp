@@ -254,6 +254,12 @@ TEST(Footprint, NadirAngleBelowHorizonLimit) {
 TEST(Footprint, RejectsBadInputs) {
   EXPECT_THROW(coverage_central_angle_rad(0.0, 25.0), std::invalid_argument);
   EXPECT_THROW(coverage_central_angle_rad(550.0, 90.0), std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(550.0, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(550.0, std::nan("")),
+               std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(std::nan(""), 25.0),
+               std::invalid_argument);
   EXPECT_THROW(cells_in_footprint(550.0, 25.0, 0.0), std::invalid_argument);
 }
 
@@ -727,6 +733,131 @@ TEST(VisIndex, RebuildReusesStorageAcrossEpochs) {
     index.query({45.0, -100.0}, candidates);
     EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
   }
+}
+
+TEST(VisIndex, NearVerticalMaskClampsTheGridBeforeCasting) {
+  // A mask a hair under 90 deg gives a psi so small that 180/psi and
+  // 360/psi exceed uint32_t; the grid counts must be clamped in double
+  // before the cast (float-cast-overflow under UBSan otherwise).
+  const double psi_rad = coverage_central_angle_rad(550.0, 89.99999999999);
+  ASSERT_GT(psi_rad, 0.0);
+  ASSERT_GT(180.0 / geo::rad2deg(psi_rad), 4294967295.0);
+  const auto states = shell_states({53.0, 550.0, 12, 10, 1}, 300.0);
+  VisIndex index;
+  index.build(states, psi_rad);
+  EXPECT_EQ(index.band_count(), 256U);
+  EXPECT_LE(index.bucket_count(), 256U * 1024U);
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t si = 0; si < states.size(); ++si) {
+    index.query(states[si].subpoint, candidates);
+    EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), si))
+        << "sat " << si << " missing at its own sub-point";
+  }
+}
+
+// Gathers the sorted candidates of both query forms and checks they agree.
+std::vector<std::uint32_t> query_both(const VisIndex& index,
+                                      const geo::GeoPoint& cell) {
+  std::vector<std::uint32_t> sorted, unsorted;
+  index.query(cell, sorted);
+  index.query_unsorted(cell, unsorted);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  std::sort(unsorted.begin(), unsorted.end());
+  EXPECT_EQ(sorted, unsorted);
+  return sorted;
+}
+
+TEST(VisIndex, RetiredSatellitesLeaveBothQueryForms) {
+  const auto states = shell_states({53.0, 550.0, 24, 18, 5}, 777.0);
+  VisIndex index;
+  index.build(states, 0.3);
+  stats::Pcg32 rng(5);
+  std::vector<geo::GeoPoint> cells;
+  for (int i = 0; i < 40; ++i) {
+    cells.push_back({-80.0 + rng.next_double() * 160.0,
+                     -180.0 + rng.next_double() * 360.0});
+  }
+  std::vector<std::vector<std::uint32_t>> before;
+  for (const geo::GeoPoint& cell : cells) {
+    before.push_back(query_both(index, cell));
+  }
+  std::vector<std::uint8_t> retired(states.size(), 0);
+  for (std::uint32_t si = 0; si < states.size(); ++si) {
+    if (rng.next_below(3) == 0) {
+      index.retire(si);
+      retired[si] = 1;
+    }
+  }
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::vector<std::uint32_t> expected;
+    for (const std::uint32_t si : before[c]) {
+      if (retired[si] == 0) expected.push_back(si);
+    }
+    EXPECT_EQ(query_both(index, cells[c]), expected) << "cell " << c;
+  }
+}
+
+TEST(VisIndex, DoubleRetireIsANoOp) {
+  const auto states = shell_states({53.0, 550.0, 24, 18, 5}, 777.0);
+  VisIndex index;
+  index.build(states, 0.3);
+  const geo::GeoPoint cell = states[17].subpoint;
+  index.retire(17);
+  const auto once = query_both(index, cell);
+  EXPECT_FALSE(std::binary_search(once.begin(), once.end(), 17U));
+  index.retire(17);
+  EXPECT_EQ(query_both(index, cell), once);
+  index.retire(static_cast<std::uint32_t>(states.size()));  // not indexed
+  EXPECT_EQ(query_both(index, cell), once);
+}
+
+TEST(VisIndex, RetireCanEmptyABucketAndBuildRestoresIt) {
+  // Five satellites over one spot share a bucket; retiring them all (in
+  // an order that exercises front, back and middle removal) empties it.
+  std::vector<SatState> states;
+  for (int i = 0; i < 5; ++i) {
+    SatState s;
+    s.subpoint = {30.0, 40.0 + 0.01 * i};
+    s.ecef_km =
+        geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + 550.0);
+    states.push_back(s);
+  }
+  VisIndex index;
+  index.build(states, geo::deg2rad(10.0));
+  const geo::GeoPoint cell{30.0, 40.0};
+  ASSERT_EQ(query_both(index, cell).size(), states.size());
+  for (const std::uint32_t si : {0U, 4U, 2U, 1U}) index.retire(si);
+  EXPECT_EQ(query_both(index, cell), std::vector<std::uint32_t>{3});
+  index.retire(3);
+  EXPECT_TRUE(query_both(index, cell).empty());
+  index.build(states, geo::deg2rad(10.0));
+  EXPECT_EQ(query_both(index, cell),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(VisIndex, BuildRestoresEveryRetiredSatellite) {
+  const auto orbits = make_constellation(WalkerShell{53.0, 550.0, 24, 18, 5});
+  std::vector<SatState> states;
+  propagate_all(orbits, 777.0, states);
+  VisIndex index;
+  index.build(states, 0.3);
+  for (std::uint32_t si = 0; si < states.size(); ++si) index.retire(si);
+  std::vector<std::uint32_t> candidates;
+  index.query({0.0, 0.0}, candidates);
+  EXPECT_TRUE(candidates.empty());
+  // The next epoch's build sees every satellite again.
+  propagate_all(orbits, 837.0, states);
+  index.build(states, 0.3);
+  std::vector<std::uint32_t> all;
+  for (double lat = -87.5; lat < 90.0; lat += 5.0) {
+    for (double lon = -177.5; lon < 180.0; lon += 5.0) {
+      index.query({lat, lon}, candidates);
+      all.insert(all.end(), candidates.begin(), candidates.end());
+    }
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.size(), states.size());
 }
 
 TEST(PropagateBatch, OutParamOverloadMatchesReturningOverload) {

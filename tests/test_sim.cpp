@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "leodivide/demand/generator.hpp"
@@ -196,6 +198,22 @@ TEST(Scheduler, FarawaySatelliteServesNothing) {
       geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   EXPECT_TRUE(r.assignments.empty());
+}
+
+TEST(Scheduler, RejectsHostileConfigAtConstruction) {
+  EXPECT_THROW(BeamScheduler({}, SchedulerConfig{0, 5, 25.0}),
+               std::invalid_argument);
+  EXPECT_THROW(BeamScheduler({}, SchedulerConfig{24, 0, 25.0}),
+               std::invalid_argument);
+  for (const double mask :
+       {-1.0, 90.0, 95.0, std::nan(""), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(BeamScheduler({}, SchedulerConfig{24, 5, mask}),
+                 std::invalid_argument)
+        << "mask " << mask;
+  }
+  EXPECT_NO_THROW(BeamScheduler({}, SchedulerConfig{24, 5, 0.0}));
+  EXPECT_NO_THROW(BeamScheduler({}, SchedulerConfig{24, 5, 89.9}));
 }
 
 // ----------------------------------------------------------------- coverage ----

@@ -20,11 +20,14 @@
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/ecef.hpp"
+#include "leodivide/obs/gate.hpp"
+#include "leodivide/obs/metrics.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visindex.hpp"
 #include "leodivide/orbit/walker.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/sim/beam.hpp"
 #include "leodivide/sim/clock.hpp"
 #include "leodivide/sim/coverage.hpp"
 #include "leodivide/sim/scheduler.hpp"
@@ -187,6 +190,101 @@ TEST(IndexedEquivalence, DateLineCellsMatchReference) {
     config.strategy = strategy;
     expect_equivalent(BeamScheduler(cells, config), states);
   }
+}
+
+// ------------------------------------------------------------ saturation ----
+
+// Cells packed around one centre, so the few satellites over it fill up.
+void add_cluster(stats::Pcg32& rng, std::vector<SchedCell>& cells,
+                 geo::GeoPoint centre, double radius_deg, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    SchedCell c;
+    c.center = {std::clamp(centre.lat_deg +
+                               (2.0 * rng.next_double() - 1.0) * radius_deg,
+                           -90.0, 90.0),
+                geo::wrap_longitude_deg(
+                    centre.lon_deg +
+                    (2.0 * rng.next_double() - 1.0) * radius_deg)};
+    c.ecef_km = geo::spherical_to_cartesian(c.center, geo::kEarthRadiusKm);
+    c.locations = 1 + static_cast<std::uint32_t>(rng.next_below(3000));
+    // Mostly shared-slot cells, with multi-beam cells up to 6 beams.
+    c.beams_needed = rng.next_below(3) == 0
+                         ? 2 + static_cast<std::uint32_t>(rng.next_below(5))
+                         : 1;
+    cells.push_back(c);
+  }
+}
+
+// Satellites left with zero slack after replaying `result`'s assignments:
+// exactly the ones the indexed kernel must have retired.
+std::uint64_t full_satellites(const ScheduleResult& result,
+                              std::size_t n_sats,
+                              const SchedulerConfig& config) {
+  std::vector<BeamBudget> budgets(
+      n_sats, BeamBudget(config.beams_per_satellite, config.beamspread));
+  for (const Assignment& a : result.assignments) {
+    BeamBudget& budget = budgets[a.sat];
+    const bool ok = a.beams >= 2 ? budget.reserve_whole(a.beams)
+                                 : budget.reserve_shared_slot();
+    EXPECT_TRUE(ok);
+  }
+  return static_cast<std::uint64_t>(
+      std::count_if(budgets.begin(), budgets.end(),
+                    [](const BeamBudget& b) { return b.slack() == 0; }));
+}
+
+TEST(IndexedEquivalence, SaturatedSatellitesRetireWithoutChangingSchedules) {
+  // Demand far beyond the beams overhead: satellites fill and the indexed
+  // kernel retires them mid-epoch. Every schedule must still equal the
+  // naive scan's, and the retirement counter must equal the number of
+  // satellites the reference leaves full (so retirement really ran).
+  obs::set_metrics_enabled(true);
+  obs::Counter& retired = obs::registry().counter("sim.sched.retired");
+  stats::Pcg32 rng(20251017);
+  std::uint64_t total_retired = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    orbit::WalkerShell shell;
+    shell.inclination_deg = 53.0 + rng.next_double() * 45.0;  // up to polar
+    shell.altitude_km = 400.0 + rng.next_double() * 800.0;
+    shell.planes = 8 + static_cast<std::uint32_t>(rng.next_below(10));
+    shell.sats_per_plane = 6 + static_cast<std::uint32_t>(rng.next_below(10));
+    shell.phasing = static_cast<std::uint32_t>(rng.next_below(shell.planes));
+    const auto states = orbit::propagate_all(
+        orbit::make_constellation(shell), rng.next_double() * 6000.0);
+
+    std::vector<SchedCell> cells;
+    add_cluster(rng, cells, {40.0, -100.0}, 6.0, 150);
+    add_cluster(rng, cells, {-20.0, 30.0}, 4.0, 100);
+    add_cluster(rng, cells, {89.0, 0.0}, 3.0, 80);     // north polar cap
+    add_cluster(rng, cells, {-88.0, 120.0}, 3.0, 60);  // south polar cap
+    add_cluster(rng, cells, {10.0, 180.0}, 3.0, 80);   // date line
+    add_cluster(rng, cells, {55.0, -179.9}, 2.0, 60);
+
+    for (const Strategy strategy : kAllStrategies) {
+      for (const std::uint32_t beams : {1U, 2U, 24U}) {
+        for (const std::uint32_t beamspread : {1U, 5U}) {
+          const SchedulerConfig config{beams, beamspread, 25.0, strategy};
+          const BeamScheduler scheduler(cells, config);
+          obs::registry().reset_values();
+          const ScheduleResult indexed = scheduler.schedule(states);
+          const ScheduleResult naive = scheduler.schedule_reference(states);
+          EXPECT_TRUE(indexed == naive)
+              << "trial " << trial << " beams " << beams << " spread "
+              << beamspread;
+          const std::uint64_t full =
+              full_satellites(naive, states.size(), config);
+          EXPECT_EQ(retired.total(), full)
+              << "trial " << trial << " beams " << beams << " spread "
+              << beamspread;
+          EXPECT_GT(full, 0U);
+          total_retired += full;
+        }
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+  obs::registry().reset_values();
+  EXPECT_GT(total_retired, 0U);
 }
 
 TEST(IndexedEquivalence, NoSatellitesAndNoCells) {
