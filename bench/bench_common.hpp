@@ -76,22 +76,9 @@ inline void emit_json_line(const std::string& bench, double wall_ms,
 /// Restored from the snapshot cache when one is configured
 /// (--snapshot-dir / LEODIVIDE_SNAPSHOT_DIR), generated otherwise.
 inline const demand::DemandProfile& national_profile() {
-  static const demand::DemandProfile profile = [] {
-    const demand::GeneratorConfig gen_config{};
-    auto generate = [&gen_config] {
-      return demand::SyntheticGenerator(gen_config).generate_profile();
-    };
-    snapshot::StageCache* cache = snapshot::global_cache();
-    if (cache == nullptr) return generate();
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
-    snapshot::mix(fp, gen_config);
-    return cache->get_or_compute(
-        "demand.profile", fp, generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-  }();
+  static const demand::DemandProfile profile = snapshot::run_stage(
+      snapshot::global_cache(),
+      snapshot::demand_profile_stage(demand::GeneratorConfig{}));
   return profile;
 }
 

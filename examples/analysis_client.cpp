@@ -43,6 +43,7 @@
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/io/cli.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/serve/client.hpp"
 #include "leodivide/serve/session.hpp"
@@ -353,23 +354,16 @@ int main(int argc, char** argv) {
         shutdown_at_end = true;
       } else if (arg == "--connect" && i + 1 < argc) {
         host = argv[++i];
-      } else if (arg == "--port" && i + 1 < argc) {
-        port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
+      } else if (const auto v = io::flag_value(argc, argv, i, "--port")) {
+        port = io::parse_flag<std::uint16_t>("--port", *v);
       } else if (arg == "--script" && i + 1 < argc) {
         script_path = argv[++i];
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
-      } else if (arg == "--scale" && i + 1 < argc) {
-        gen_config.scale = std::stod(argv[++i]);
-      } else if (arg == "--seed" && i + 1 < argc) {
-        gen_config.seed = std::stoull(argv[++i]);
-      } else if (arg == "--threads" && i + 1 < argc) {
-        if (const auto n = runtime::parse_thread_count(argv[++i])) {
-          runtime::set_global_threads(*n);
-        } else {
-          std::cerr << "invalid --threads value: " << argv[i] << '\n';
-          return 2;
-        }
+      } else if (demand::parse_cli_arg(argc, argv, i, gen_config)) {
+        // --scale / --seed; consumed.
+      } else if (runtime::parse_threads_arg(argc, argv, i)) {
+        // Executor size; consumed.
       } else {
         std::cerr << "unknown or malformed flag: " << arg << '\n' << kUsage;
         return 2;

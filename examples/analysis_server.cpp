@@ -20,6 +20,7 @@
 #include <string>
 
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/io/cli.hpp"
 #include "leodivide/obs/obs.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/serve/server.hpp"
@@ -47,24 +48,16 @@ int main(int argc, char** argv) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--port" && i + 1 < argc) {
-        server_config.port =
-            static_cast<std::uint16_t>(std::stoul(argv[++i]));
+      if (const auto port = io::flag_value(argc, argv, i, "--port")) {
+        server_config.port = io::parse_flag<std::uint16_t>("--port", *port);
       } else if (arg == "--port-file" && i + 1 < argc) {
         port_file = argv[++i];
-      } else if (arg == "--scale" && i + 1 < argc) {
-        gen_config.scale = std::stod(argv[++i]);
-      } else if (arg == "--seed" && i + 1 < argc) {
-        gen_config.seed = std::stoull(argv[++i]);
+      } else if (demand::parse_cli_arg(argc, argv, i, gen_config)) {
+        // --scale / --seed; consumed.
       } else if (arg == "--paranoid") {
         service_config.engine.paranoid = true;
-      } else if (arg == "--threads" && i + 1 < argc) {
-        if (const auto n = runtime::parse_thread_count(argv[++i])) {
-          runtime::set_global_threads(*n);
-        } else {
-          std::cerr << "invalid --threads value: " << argv[i] << '\n';
-          return 2;
-        }
+      } else if (runtime::parse_threads_arg(argc, argv, i)) {
+        // Executor size; consumed.
       } else if (runtime::parse_workers_arg(argc, argv, i,
                                             server_config.workers)) {
         // Worker-pool flag; consumed.
@@ -91,22 +84,8 @@ int main(int argc, char** argv) {
   // exact same generator config was cached by a previous run.
   std::cout << "generating baseline profile (scale " << gen_config.scale
             << ", seed " << gen_config.seed << ")...\n";
-  auto generate = [&gen_config] {
-    return demand::SyntheticGenerator{gen_config}.generate_profile();
-  };
-  demand::DemandProfile baseline;
-  if (cache != nullptr) {
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
-    snapshot::mix(fp, gen_config);
-    baseline = cache->get_or_compute(
-        "demand.profile", fp, generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-  } else {
-    baseline = generate();
-  }
+  demand::DemandProfile baseline =
+      snapshot::run_stage(cache, snapshot::demand_profile_stage(gen_config));
   std::cout << "baseline: " << baseline.cell_count() << " cells, "
             << baseline.counties().size() << " counties\n";
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "leodivide/demand/generator.hpp"
-#include "leodivide/event/engine.hpp"
 #include "leodivide/io/table.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/orbit/footprint.hpp"
@@ -94,23 +93,8 @@ int main(int argc, char** argv) {
             << "generating national demand profile...\n";
 
   snapshot::StageCache* cache = snapshot::global_cache();
-  const demand::GeneratorConfig gen_config{};
-  auto generate = [&gen_config] {
-    return demand::SyntheticGenerator{gen_config}.generate_profile();
-  };
-  demand::DemandProfile profile;
-  if (cache != nullptr) {
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
-    snapshot::mix(fp, gen_config);
-    profile = cache->get_or_compute(
-        "demand.profile", fp, generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-  } else {
-    profile = generate();
-  }
+  const demand::DemandProfile profile = snapshot::run_stage(
+      cache, snapshot::demand_profile_stage(demand::GeneratorConfig{}));
   std::cout << "  " << profile.cell_count() << " demand cells, "
             << io::fmt_count(static_cast<long long>(
                    profile.total_locations()))
@@ -121,28 +105,10 @@ int main(int argc, char** argv) {
                                                      : "epoch (fixed step)")
             << "\n\n";
 
-  // Both engines produce byte-identical traces, so the cache fingerprint
-  // deliberately excludes the engine choice: a blob computed by one engine
-  // is a valid hit for the other.
-  auto run_sim = [&config, &profile] {
-    return event::run_simulation(config, profile,
-                                 core::SatelliteCapacityModel(),
-                                 runtime::global_executor());
-  };
-  std::vector<sim::EpochCoverage> trace;
-  if (cache != nullptr) {
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("sim.epochs");
-    snapshot::mix(fp, config);
-    fp.mix(snapshot::serialize(profile));
-    trace = cache->get_or_compute(
-        "sim.epochs", fp, run_sim,
-        [](const std::vector<sim::EpochCoverage>& t) {
-          return snapshot::serialize(t);
-        },
-        [](std::string_view blob) { return snapshot::deserialize_epochs(blob); });
-  } else {
-    trace = run_sim();
-  }
+  // Both engines produce byte-identical traces, so a blob computed by one
+  // engine is a valid hit for the other.
+  const std::vector<sim::EpochCoverage> trace =
+      snapshot::run_stage(cache, snapshot::sim_epochs_stage(config, profile));
 
   // Handover churn between the first two epochs (satellites move ~450 km
   // per minute, forcing cells to switch serving satellites).

@@ -14,8 +14,9 @@
 //   fairness.csv    one row per policy: Jain index, unserved attribution
 //   market.json     the same results as one machine-readable document
 //   market_<policy>.ldsnap   the full MarketReport snapshot per policy
-//                   (when --snapshot-dir names a cache, reports are also
-//                   cached there keyed by their exact inputs)
+//                   (when --snapshot-dir names a cache, the demand profile
+//                   and the reports are also cached there, keyed by their
+//                   exact inputs)
 //
 // Results are byte-identical for every --threads value. `--scale S` shrinks
 // the synthetic demand profile (1.0 = the paper's 4.67M locations) and
@@ -59,28 +60,10 @@ int main(int argc, char** argv) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--threads" && i + 1 < argc) {
-        if (const auto n = runtime::parse_thread_count(argv[++i])) {
-          runtime::set_global_threads(*n);
-        } else {
-          std::cerr << "invalid --threads value: " << argv[i] << '\n';
-          return 2;
-        }
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        if (const auto n = runtime::parse_thread_count(arg.substr(10))) {
-          runtime::set_global_threads(*n);
-        } else {
-          std::cerr << "invalid --threads value: " << arg.substr(10) << '\n';
-          return 2;
-        }
-      } else if (arg == "--scale" && i + 1 < argc) {
-        gen_config.scale = std::stod(argv[++i]);
-      } else if (arg.rfind("--scale=", 0) == 0) {
-        gen_config.scale = std::stod(arg.substr(8));
-      } else if (arg == "--seed" && i + 1 < argc) {
-        gen_config.seed = std::stoull(argv[++i]);
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        gen_config.seed = std::stoull(arg.substr(7));
+      if (runtime::parse_threads_arg(argc, argv, i)) {
+        // Executor size; consumed.
+      } else if (demand::parse_cli_arg(argc, argv, i, gen_config)) {
+        // --scale / --seed; consumed.
       } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
         // Observability flag; consumed.
       } else if (snapshot::parse_cli_arg(argc, argv, i)) {
@@ -93,7 +76,7 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& e) {
-    // e.g. --snapshot-dir with no value, or a non-numeric --scale/--seed.
+    // e.g. --snapshot-dir with no value, or a malformed --scale/--seed.
     std::cerr << "unknown or malformed flag: " << e.what() << '\n' << kUsage;
     return 2;
   }
@@ -110,7 +93,7 @@ int main(int argc, char** argv) {
   std::cout << "[1/3] generating demand profile (scale "
             << gen_config.scale << ", seed " << gen_config.seed << ")...\n";
   const demand::DemandProfile profile =
-      demand::SyntheticGenerator{gen_config}.generate_profile();
+      snapshot::run_stage(cache, snapshot::demand_profile_stage(gen_config));
   std::cout << "      " << profile.cell_count() << " cells, "
             << profile.total_locations() << " locations\n";
 
@@ -127,21 +110,9 @@ int main(int argc, char** argv) {
     config.split.policy = policy;
     const market::MarketSimulation simulation(std::move(config));
 
-    auto compute = [&simulation, &profile] { return simulation.run(profile); };
-    market::MarketReport report;
-    if (cache != nullptr) {
-      snapshot::Fingerprint fp = snapshot::stage_fingerprint("market.report");
-      snapshot::mix(fp, gen_config);
-      snapshot::mix(fp, simulation.config());
-      report = cache->get_or_compute(
-          "market.report", fp, compute,
-          [](const market::MarketReport& r) { return snapshot::serialize(r); },
-          [](std::string_view blob) {
-            return snapshot::deserialize_market_report(blob);
-          });
-    } else {
-      report = compute();
-    }
+    market::MarketReport report = snapshot::run_stage(
+        cache,
+        snapshot::market_report_stage(gen_config, simulation, profile));
     std::cout << market::render_market_report(report) << '\n';
 
     const fs::path snap_path =
@@ -232,10 +203,7 @@ int main(int argc, char** argv) {
   const auto wall_end = std::chrono::steady_clock::now();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  std::cout << obs::bench_line_json("market_compare",
-                                    runtime::global_executor().concurrency(),
-                                    wall_ms)
-            << '\n';
+  std::cout << snapshot::bench_line("market_compare", wall_ms, cache) << '\n';
 
   obs::finalize(obs_options);
   return 0;

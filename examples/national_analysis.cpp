@@ -1,30 +1,23 @@
 // National analysis: the full paper pipeline with dataset persistence.
 //
-//   $ ./national_analysis [--threads N] [--graph] [--trace FILE]
-//                         [--metrics[=FILE]] [--snapshot-dir DIR]
-//                         [output_dir]
+//   $ ./national_analysis [--threads N] [--trace FILE] [--metrics[=FILE]]
+//                         [--snapshot-dir DIR] [output_dir]
 //
 // Generates the calibrated national profile, saves it as CSV (cells +
 // counties) so it can be inspected or replaced with a real FCC Broadband
 // Data Collection extract, reloads it, runs the complete analysis, and
-// writes a machine-readable JSON summary next to the CSVs. `--threads N`
-// sizes the process-global executor (results are identical for every N).
-// `--trace FILE` writes a Chrome trace-event JSON of the pipeline stages
-// and `--metrics[=FILE]` dumps the metrics registry at exit (see
-// README.md, "Observability"); LEODIVIDE_TRACE / LEODIVIDE_METRICS work
-// too. `--snapshot-dir DIR` (or LEODIVIDE_SNAPSHOT_DIR) turns on the
-// content-addressed stage cache: the generated profile and the analysis
-// results are stored as LDSNAP blobs keyed by their exact inputs, so a
-// rerun with unchanged inputs skips generation and sizing entirely while
-// producing byte-identical outputs (see README.md, "Snapshots &
-// incremental re-runs"). `--graph` runs the same pipeline through the
-// cache-aware StageGraph instead of straight-line code: the stage DAG
-// (generate -> CSV round-trip -> analysis) is scheduled by the task-graph
-// runtime, root-stage cache loads are prefetched and stores run behind
-// compute on the async I/O thread. Every output file is byte-identical
-// either way (the CI snapshot-cache job diffs them). The run always ends
-// with one machine-readable bench line carrying wall time, stage
-// breakdown and snapshot hit/miss counts.
+// writes a machine-readable JSON summary next to the CSVs. The pipeline
+// (generate -> CSV round trip -> analysis) is one cache-aware StageGraph on
+// the process-global executor, which `--threads N` sizes (results are
+// identical for every N). `--trace FILE` / `--metrics[=FILE]` (or
+// LEODIVIDE_TRACE / LEODIVIDE_METRICS) write a Chrome trace and a metrics
+// dump (see README.md, "Observability"). `--snapshot-dir DIR` (or
+// LEODIVIDE_SNAPSHOT_DIR) caches the generated profile and the analysis
+// results as LDSNAP blobs keyed by their exact inputs, so a rerun with
+// unchanged inputs skips generation and sizing while producing
+// byte-identical outputs (see README.md, "Snapshots & incremental
+// re-runs"). The run ends with one machine-readable bench line carrying
+// wall time, stage breakdown and snapshot hit/miss counts.
 
 #include <chrono>
 #include <filesystem>
@@ -51,42 +44,26 @@ int main(int argc, char** argv) {
 
   obs::Options obs_options = obs::options_from_env();
   fs::path out_dir = "national_analysis_out";
-  bool graph_mode = false;
   try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      if (const auto n = runtime::parse_thread_count(argv[++i])) {
-        runtime::set_global_threads(*n);
-      } else {
-        std::cerr << "invalid --threads value: " << argv[i] << '\n';
-        return 2;
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (const auto n = runtime::parse_thread_count(arg.substr(10))) {
-        runtime::set_global_threads(*n);
-      } else {
-        std::cerr << "invalid --threads value: " << arg.substr(10) << '\n';
-        return 2;
-      }
-    } else if (arg == "--graph") {
-      graph_mode = true;
+    if (runtime::parse_threads_arg(argc, argv, i)) {
+      // Executor size; consumed.
     } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
       // Observability flag; consumed.
     } else if (snapshot::parse_cli_arg(argc, argv, i)) {
       // Snapshot cache flag; consumed.
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown or malformed flag: " << arg
-                << "\nusage: national_analysis [--threads N] [--graph]"
-                   " [--trace FILE] [--metrics[=FILE]] [--snapshot-dir DIR]"
-                   " [output_dir]\n";
+                << "\nusage: national_analysis [--threads N] [--trace FILE]"
+                   " [--metrics[=FILE]] [--snapshot-dir DIR] [output_dir]\n";
       return 2;
     } else {
       out_dir = arg;
     }
   }
   } catch (const std::runtime_error& e) {
-    // e.g. --snapshot-dir with no value.
+    // e.g. --snapshot-dir with no value, or an invalid --threads count.
     std::cerr << "unknown or malformed flag: " << e.what() << '\n';
     return 2;
   }
@@ -99,123 +76,41 @@ int main(int argc, char** argv) {
     std::cout << "snapshot cache: " << cache->dir() << '\n';
   }
 
-  const demand::GeneratorConfig gen_config{};
-  auto generate = [&gen_config] {
-    return demand::SyntheticGenerator{gen_config}.generate_profile();
-  };
+  std::cout << "[1/2] generate -> CSV round trip -> analysis...\n\n";
   demand::DemandProfile loaded;
-  core::AnalysisResults results;
-
-  if (graph_mode) {
-    // Stage-graph mode: the same pipeline as the straight-line path below,
-    // expressed as a cache-aware DAG. The analysis stage's cache key binds
-    // to the generated-profile blob digest (the CSV round-trip between
-    // them is deterministic), root loads are prefetched through the async
-    // I/O thread and stores run behind compute; run() drains, so the cache
-    // is fully populated before the bench line prints.
-    std::cout << "[graph] generate -> csv round-trip -> analysis...\n\n";
-    std::optional<snapshot::AsyncIo> io;
-    if (cache != nullptr) io.emplace();
-    snapshot::StageGraph graph(cache, io.has_value() ? &*io : nullptr);
-    auto profile_stage = graph.add_stage(
-        "demand.profile", {},
-        [&gen_config](snapshot::Fingerprint& fp) {
-          snapshot::mix(fp, gen_config);
-        },
-        generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-    const runtime::TaskGraph::TaskId csv_task = graph.add_task(
-        "example.csv_roundtrip",
-        [&out_dir, &loaded, profile_stage] {
-          const demand::DemandProfile& p = profile_stage.value();
-          {
-            std::ofstream cells(out_dir / "cells.csv");
-            std::ofstream counties(out_dir / "counties.csv");
-            p.save_csv(cells, counties);
-          }
-          std::ifstream cells_in(out_dir / "cells.csv");
-          std::ifstream counties_in(out_dir / "counties.csv");
-          loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
-        },
-        {profile_stage.id()});
-    auto analysis_stage = graph.add_stage(
-        "core.analysis", {profile_stage},
-        [](snapshot::Fingerprint& fp) {
-          snapshot::mix(fp, core::SizingModel{});
-          snapshot::mix(fp, core::AnalysisConfig{});
-        },
-        [&loaded] { return core::run_full_analysis(loaded); },
-        [](const core::AnalysisResults& r) { return snapshot::serialize(r); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_analysis(blob);
-        },
-        {csv_task});
-    graph.run(runtime::global_executor());
-    std::cout << "      wrote " << (out_dir / "cells.csv") << " ("
-              << profile_stage.value().cell_count() << " cells) and "
-              << (out_dir / "counties.csv") << " ("
-              << profile_stage.value().counties().size() << " counties)\n";
-    results = analysis_stage.value();
-  } else {
-  // 1. Generate (or restore) and persist the dataset.
-  std::cout << "[1/4] generating calibrated national demand profile...\n";
-  demand::DemandProfile profile;
-  if (cache != nullptr) {
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
-    snapshot::mix(fp, gen_config);
-    profile = cache->get_or_compute(
-        "demand.profile", fp, generate,
-        [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_profile(blob);
-        });
-  } else {
-    profile = generate();
-  }
-  {
-    std::ofstream cells(out_dir / "cells.csv");
-    std::ofstream counties(out_dir / "counties.csv");
-    profile.save_csv(cells, counties);
-  }
+  std::optional<snapshot::AsyncIo> io;
+  if (cache != nullptr) io.emplace();
+  snapshot::StageGraph graph(cache, io.has_value() ? &*io : nullptr);
+  auto profile = graph.add_stage(
+      snapshot::demand_profile_stage(demand::GeneratorConfig{}));
+  // The reload is the path a user with real BDC data would take.
+  const runtime::TaskGraph::TaskId csv_task = graph.add_task(
+      "example.csv_roundtrip",
+      [&out_dir, &loaded, profile] {
+        {
+          std::ofstream cells(out_dir / "cells.csv");
+          std::ofstream counties(out_dir / "counties.csv");
+          profile.value().save_csv(cells, counties);
+        }
+        std::ifstream cells_in(out_dir / "cells.csv");
+        std::ifstream counties_in(out_dir / "counties.csv");
+        loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
+      },
+      {profile.id()});
+  // Keyed on the reloaded bytes, not the generated profile's digest: the
+  // CSV round trip rounds coordinates, and the analysis reads them.
+  auto analysis = graph.add_stage(snapshot::analysis_stage(loaded), {},
+                                  {csv_task});
+  graph.run(runtime::global_executor());
   std::cout << "      wrote " << (out_dir / "cells.csv") << " ("
-            << profile.cell_count() << " cells) and "
+            << profile.value().cell_count() << " cells) and "
             << (out_dir / "counties.csv") << " ("
-            << profile.counties().size() << " counties)\n";
-
-  // 2. Reload (the same path a user with real BDC data would take).
-  std::cout << "[2/4] reloading profile from CSV...\n";
-  std::ifstream cells_in(out_dir / "cells.csv");
-  std::ifstream counties_in(out_dir / "counties.csv");
-  loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
-
-  // 3. Run (or restore) the complete analysis.
-  std::cout << "[3/4] running the full analysis...\n\n";
-  auto analyze = [&loaded] { return core::run_full_analysis(loaded); };
-  if (cache != nullptr) {
-    // The analysis output is a pure function of the (reloaded) profile
-    // bytes plus the default model and sweep config, so all three form the
-    // cache key.
-    snapshot::Fingerprint fp = snapshot::stage_fingerprint("core.analysis");
-    snapshot::mix(fp, core::SizingModel{});
-    snapshot::mix(fp, core::AnalysisConfig{});
-    fp.mix(snapshot::serialize(loaded));
-    results = cache->get_or_compute(
-        "core.analysis", fp, analyze,
-        [](const core::AnalysisResults& r) { return snapshot::serialize(r); },
-        [](std::string_view blob) {
-          return snapshot::deserialize_analysis(blob);
-        });
-  } else {
-    results = analyze();
-  }
-  }
+            << profile.value().counties().size() << " counties)\n";
+  const core::AnalysisResults& results = analysis.value();
   std::cout << core::render_report(results) << "\n";
 
-  // 4. Export machine-readable results.
-  std::cout << "[4/4] writing JSON summary...\n";
+  // Export machine-readable results.
+  std::cout << "[2/2] writing JSON summary...\n";
   std::ofstream json_out(out_dir / "results.json");
   io::JsonWriter json(json_out);
   json.begin_object();
@@ -264,17 +159,7 @@ int main(int argc, char** argv) {
   const auto wall_end = std::chrono::steady_clock::now();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  std::string line = obs::bench_line_json(
-      "national_analysis", runtime::global_executor().concurrency(), wall_ms);
-  line.pop_back();  // strip '}' to splice in the snapshot counters
-  line += ",\"graph\":";
-  line += graph_mode ? '1' : '0';
-  line += ",\"snapshot_hits\":";
-  line += std::to_string(cache != nullptr ? cache->hits() : 0);
-  line += ",\"snapshot_misses\":";
-  line += std::to_string(cache != nullptr ? cache->misses() : 0);
-  line += '}';
-  std::cout << line << '\n';
+  std::cout << snapshot::bench_line("national_analysis", wall_ms, cache) << '\n';
 
   obs::finalize(obs_options);
   return 0;

@@ -5,11 +5,13 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/geo/greatcircle.hpp"
 #include "leodivide/geo/us_outline.hpp"
 #include "leodivide/hex/polyfill.hpp"
+#include "leodivide/io/cli.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
@@ -28,6 +30,9 @@ namespace {
 // remain binding — a multi-beam cell further from the inclination latitude
 // would otherwise dominate the sizing (see DESIGN.md).
 constexpr std::uint32_t kHeavyCellThreshold = 650;
+
+// Written so that NaN fails too.
+bool scale_in_range(double scale) { return scale > 0.0 && scale <= 1.0; }
 
 std::vector<std::size_t> shuffled_indices(std::size_t n, std::uint64_t seed) {
   std::vector<std::size_t> idx(n);
@@ -78,7 +83,7 @@ std::size_t nearest_free_cell(const std::vector<geo::GeoPoint>& centers,
 
 SyntheticGenerator::SyntheticGenerator(GeneratorConfig config)
     : config_(config) {
-  if (config_.scale <= 0.0 || config_.scale > 1.0) {
+  if (!scale_in_range(config_.scale)) {
     throw std::invalid_argument("GeneratorConfig: scale must be in (0, 1]");
   }
   if (config_.county_resolution >= config_.resolution) {
@@ -391,6 +396,21 @@ DemandDataset SyntheticGenerator::expand_locations(
     const DemandProfile& profile, double sample_fraction) const {
   return expand_locations(profile, sample_fraction,
                           runtime::global_executor());
+}
+
+bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config) {
+  if (const auto seed = io::flag_value(argc, argv, i, "--seed")) {
+    config.seed = io::parse_flag<std::uint64_t>("--seed", *seed);
+    return true;
+  }
+  const auto scale = io::flag_value(argc, argv, i, "--scale");
+  if (!scale) return false;
+  config.scale = io::parse_flag<double>("--scale", *scale);
+  if (!scale_in_range(config.scale)) {
+    throw std::runtime_error("invalid --scale value '" + std::string(*scale) +
+                             "': must be in (0, 1]");
+  }
+  return true;
 }
 
 }  // namespace leodivide::demand

@@ -85,4 +85,10 @@ class SyntheticGenerator {
   GeneratorConfig config_;
 };
 
+/// Consumes `--scale S` / `--seed N` (or `--flag=V`) at argv[i] into
+/// `config`, like runtime::parse_threads_arg. Throws std::runtime_error
+/// naming the flag when the value is missing, is not a whole number field,
+/// or is a scale outside (0, 1].
+bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config);
+
 }  // namespace leodivide::demand

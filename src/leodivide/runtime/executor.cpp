@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "leodivide/io/cli.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
 
 namespace leodivide::runtime {
@@ -80,28 +81,33 @@ std::size_t worker_count_from_env(std::size_t fallback) {
   return fallback;
 }
 
-bool parse_workers_arg(int argc, char** argv, int& i, std::size_t& workers) {
-  const std::string_view arg = argv[i];
-  constexpr std::string_view kFlag = "--workers";
-  std::string_view value;
-  if (arg == kFlag) {
-    if (i + 1 >= argc) {
-      throw std::runtime_error("--workers requires a count");
-    }
-    value = argv[++i];
-  } else if (arg.substr(0, kFlag.size()) == kFlag &&
-             arg.size() > kFlag.size() && arg[kFlag.size()] == '=') {
-    value = arg.substr(kFlag.size() + 1);
-  } else {
-    return false;
-  }
-  const auto parsed = parse_thread_count(value);
+namespace {
+
+/// `--flag N` / `--flag=N` at argv[i], validated by parse_thread_count.
+std::optional<std::size_t> parse_count_arg(int argc, char** argv, int& i,
+                                           std::string_view flag) {
+  const auto value = io::flag_value(argc, argv, i, flag);
+  if (!value) return std::nullopt;
+  const auto parsed = parse_thread_count(*value);
   if (!parsed) {
-    throw std::runtime_error("invalid --workers value '" + std::string(value) +
-                             "'");
+    throw std::runtime_error("invalid " + std::string(flag) + " value '" +
+                             std::string(*value) + "'");
   }
-  workers = *parsed;
-  return true;
+  return parsed;
+}
+
+}  // namespace
+
+bool parse_workers_arg(int argc, char** argv, int& i, std::size_t& workers) {
+  const auto parsed = parse_count_arg(argc, argv, i, "--workers");
+  if (parsed) workers = *parsed;
+  return parsed.has_value();
+}
+
+bool parse_threads_arg(int argc, char** argv, int& i) {
+  const auto parsed = parse_count_arg(argc, argv, i, "--threads");
+  if (parsed) set_global_threads(*parsed);
+  return parsed.has_value();
 }
 
 Executor& global_executor() {

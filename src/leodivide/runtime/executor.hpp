@@ -70,12 +70,14 @@ void set_global_threads(std::size_t threads);
 /// LEODIVIDE_THREADS — malformed values fall back, never clamp.
 [[nodiscard]] std::size_t worker_count_from_env(std::size_t fallback);
 
-/// Consumes `--workers <n>` / `--workers=<n>` at argv[i] (advancing i past
-/// a separate value argument) and writes the parsed count to `workers`.
-/// Returns false when argv[i] is not a workers flag. Throws
-/// std::runtime_error when the flag is present but the value is missing or
-/// fails parse_thread_count — an invalid explicit request is a
+/// Each consumes its flag (`--workers <n>` / `--threads <n>`, or
+/// `--flag=<n>`) at argv[i], advancing i past a separate value argument:
+/// the workers count is written to `workers`, the threads count sizes the
+/// process-global executor. Returns false when argv[i] is another
+/// argument. Throws std::runtime_error naming the flag when its value is
+/// missing or fails parse_thread_count — an invalid explicit request is a
 /// configuration bug, not a wish.
 bool parse_workers_arg(int argc, char** argv, int& i, std::size_t& workers);
+bool parse_threads_arg(int argc, char** argv, int& i);
 
 }  // namespace leodivide::runtime

@@ -117,13 +117,14 @@ struct Staged {
   return Fingerprint().mix(blob).digest();
 }
 
-/// StageCache::get_or_compute, extended two ways for the task-graph
-/// runtime: the store can be offloaded to an AsyncIo (null `io` = store
-/// synchronously), and the returned Staged carries the blob digest for
-/// downstream fingerprint edges plus whether the value was restored.
-/// `cache` may be null (caching off): compute runs, nothing is stored, the
-/// digest is 0. An optional `prefetched` ticket (from AsyncIo::prefetch of
-/// the same stage+fp) replaces the synchronous load.
+/// The stage cache's one restore-or-compute path: returns the valid blob
+/// stored under (stage, fp), deserialized, or runs `compute` and stores
+/// `serialize(result)`. A blob failing deserialization (SnapshotError)
+/// counts as a miss and is overwritten. A non-null `io` takes the store
+/// off-thread; the result carries the blob digest for downstream
+/// fingerprint edges and whether the value was restored. A null `cache`
+/// only computes (digest 0). A `prefetched` ticket (AsyncIo::prefetch of
+/// the same stage and fp) replaces the synchronous load.
 template <typename Compute, typename Serialize, typename Deserialize>
 auto staged_compute(const StageCache* cache, AsyncIo* io,
                     std::string_view stage, const Fingerprint& fp,

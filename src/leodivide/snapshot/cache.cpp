@@ -9,9 +9,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "leodivide/io/cli.hpp"
 #include "leodivide/io/fileio.hpp"
 #include "leodivide/obs/metrics.hpp"
+#include "leodivide/obs/obs.hpp"
 #include "leodivide/obs/trace.hpp"
+#include "leodivide/runtime/executor.hpp"
 
 namespace leodivide::snapshot {
 
@@ -136,21 +139,22 @@ void set_global_dir(std::string dir) {
 }
 
 bool parse_cli_arg(int argc, char** argv, int& i) {
-  const std::string_view arg = argv[i];
-  constexpr std::string_view kFlag = "--snapshot-dir";
-  if (arg == kFlag) {
-    if (i + 1 >= argc) {
-      throw std::runtime_error("--snapshot-dir requires a directory");
-    }
-    set_global_dir(argv[++i]);
-    return true;
-  }
-  if (arg.substr(0, kFlag.size()) == kFlag && arg.size() > kFlag.size() &&
-      arg[kFlag.size()] == '=') {
-    set_global_dir(std::string(arg.substr(kFlag.size() + 1)));
-    return true;
-  }
-  return false;
+  const auto dir = io::flag_value(argc, argv, i, "--snapshot-dir");
+  if (dir) set_global_dir(std::string(*dir));
+  return dir.has_value();
+}
+
+std::string bench_line(std::string_view bench, double wall_ms,
+                       const StageCache* cache) {
+  std::string line = obs::bench_line_json(
+      bench, runtime::global_executor().concurrency(), wall_ms);
+  line.pop_back();  // the closing '}'
+  line += ",\"snapshot_hits\":";
+  line += std::to_string(cache != nullptr ? cache->hits() : 0);
+  line += ",\"snapshot_misses\":";
+  line += std::to_string(cache != nullptr ? cache->misses() : 0);
+  line += '}';
+  return line;
 }
 
 }  // namespace leodivide::snapshot

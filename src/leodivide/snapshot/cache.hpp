@@ -53,31 +53,6 @@ class StageCache {
   void store(std::string_view stage, const Fingerprint& fp,
              std::string_view blob) const;
 
-  /// The cache's core operation: returns the deserialized cached artifact
-  /// when a valid blob exists, otherwise runs `compute`, stores
-  /// `serialize(result)` and returns the result. A blob that fails to
-  /// deserialize (SnapshotError) is treated as a miss and overwritten.
-  ///
-  /// `compute()` -> T, `serialize(const T&)` -> std::string,
-  /// `deserialize(std::string_view)` -> T.
-  template <typename Compute, typename Serialize, typename Deserialize>
-  auto get_or_compute(std::string_view stage, const Fingerprint& fp,
-                      Compute&& compute, Serialize&& serialize,
-                      Deserialize&& deserialize) -> decltype(compute()) {
-    if (std::optional<std::string> blob = load(stage, fp)) {
-      try {
-        return deserialize(std::string_view(*blob));
-      } catch (const SnapshotError&) {
-        // Invalid blob: fall through to recompute; the store below
-        // replaces it.
-        note_bad_blob();
-      }
-    }
-    auto result = compute();
-    store(stage, fp, serialize(result));
-    return result;
-  }
-
   /// Validated hits / misses since construction. A blob that existed but
   /// failed deserialization counts as a miss, not a hit.
   [[nodiscard]] std::uint64_t hits() const noexcept {
@@ -94,9 +69,9 @@ class StageCache {
   }
 
   /// Reclassifies the last load() hit as a miss (blob failed validation).
-  /// Call after a load()ed blob fails deserialization outside
-  /// get_or_compute — async.hpp's staged_compute uses this to keep the
-  /// hit/miss counters truthful on its manual load path.
+  /// Call after a load()ed blob fails deserialization — staged_compute
+  /// (async.hpp), the cache's one restore-or-compute path, uses this to
+  /// keep the hit/miss counters truthful.
   void note_bad_blob() const noexcept;
 
  private:
@@ -122,5 +97,10 @@ void set_global_dir(std::string dir);
 /// Throws std::runtime_error when the flag is present but the value is
 /// missing.
 bool parse_cli_arg(int argc, char** argv, int& i);
+
+/// obs::bench_line_json for `bench` on the global executor, with
+/// "snapshot_hits" and "snapshot_misses" appended (0 when `cache` is null).
+[[nodiscard]] std::string bench_line(std::string_view bench, double wall_ms,
+                                     const StageCache* cache);
 
 }  // namespace leodivide::snapshot

@@ -1,18 +1,19 @@
 #pragma once
 // Cache-aware stage DAG: the task-graph runtime driven by the same
 // upstream-digest edges the snapshot fingerprints have always encoded. Each
-// stage declares its config mix and its upstream stages; at run time the
-// stage's fingerprint is stage_fingerprint(name) + the config mix + the
-// blob digests of its dependencies in declaration order — exactly the
-// fingerprint recipe the sequential pipeline uses, so a stage restored from
-// cache and a stage recomputed feed identical digests downstream, and
-// graph-scheduled results are byte-identical to the sequential reference at
-// every thread count (golden-tested in tests/test_task_graph.cpp).
+// stage is a StageDef (stages.hpp) plus its upstream stages; at run time
+// the stage's fingerprint is the definition's key + the blob digests of
+// its dependencies in declaration order. A stage with no upstream stages
+// keys exactly as run_stage() does, so a graph and a straight-line caller
+// share cache blobs, a stage restored from cache and a stage recomputed
+// feed identical digests downstream, and graph-scheduled results are
+// byte-identical to the sequential reference at every thread count
+// (golden-tested in tests/test_task_graph.cpp).
 //
-// Independent stages overlap on the executor, root-stage loads are
-// prefetched through AsyncIo at graph-build time, and stores run behind
-// compute on the I/O thread; run() drains, so every artifact is on disk
-// when it returns. Both the cache and the AsyncIo are optional — a null
+// Independent stages overlap on the executor, loads of stages without
+// edges are prefetched through AsyncIo at graph-build time, and stores run
+// behind compute on the I/O thread; run() drains, so every artifact is on
+// disk when it returns. Both the cache and the AsyncIo are optional — a null
 // cache turns the graph into pure compute, a null AsyncIo makes I/O
 // synchronous inside each stage node.
 
@@ -30,6 +31,7 @@
 #include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 #include "leodivide/snapshot/fingerprint.hpp"
+#include "leodivide/snapshot/stages.hpp"
 
 namespace leodivide::snapshot {
 
@@ -91,20 +93,16 @@ class StageGraph {
                       AsyncIo* io = nullptr)
       : cache_(cache), io_(io) {}
 
-  /// Adds a cached stage. `name` must have static storage duration (it is
-  /// the cache stage name and the trace span label). `mix(Fingerprint&)`
-  /// folds the stage's own config; upstream blob digests are mixed
-  /// automatically in `deps` order. `extra_deps` adds plain scheduling
-  /// edges (no digest) on tasks added via add_task. Dependency-free stages
-  /// are prefetched through the AsyncIo immediately.
-  template <typename Mix, typename Compute, typename Serialize,
-            typename Deserialize>
-  auto add_stage(const char* name, const std::vector<StageRef>& deps,
-                 Mix mix, Compute compute, Serialize serialize,
-                 Deserialize deserialize,
-                 const std::vector<runtime::TaskGraph::TaskId>& extra_deps =
-                     {}) -> Stage<decltype(compute())> {
-    using T = decltype(compute());
+  /// Adds a cached stage from its definition (stages.hpp). The stage's key
+  /// is def.key() followed by the blob digests of `deps`, in order.
+  /// `extra_deps` adds plain scheduling edges (no digest) on tasks added
+  /// via add_task. Only a stage with no edges of either kind has a key
+  /// fixed at build time, so only such a stage is prefetched through the
+  /// AsyncIo; every other stage loads when it runs, under its run-time key.
+  template <typename T>
+  Stage<T> add_stage(StageDef<T> def, const std::vector<StageRef>& deps = {},
+                     const std::vector<runtime::TaskGraph::TaskId>&
+                         extra_deps = {}) {
     auto slot = std::make_shared<Slot<T>>();
     std::vector<std::shared_ptr<const DigestSlot>> upstream;
     upstream.reserve(deps.size());
@@ -114,20 +112,23 @@ class StageGraph {
       upstream.push_back(d.digest_);
       dep_ids.push_back(d.id_);
     }
-    for (const runtime::TaskGraph::TaskId id : extra_deps) {
-      dep_ids.push_back(id);
-    }
+    dep_ids.insert(dep_ids.end(), extra_deps.begin(), extra_deps.end());
     AsyncIo::Ticket ticket;
-    if (deps.empty() && cache_ != nullptr && io_ != nullptr) {
-      ticket = io_->prefetch(*cache_, name, fingerprint_of(name, mix, {}));
+    if (dep_ids.empty() && cache_ != nullptr && io_ != nullptr) {
+      ticket = io_->prefetch(*cache_, def.name, def.key());
     }
+    const char* name = def.name;
     const runtime::TaskGraph::TaskId id = graph_.add_task(
         name,
-        [this, name, mix, compute, serialize, deserialize, slot, upstream,
-         ticket]() {
-          const Fingerprint fp = fingerprint_of(name, mix, upstream);
-          Staged<T> staged = staged_compute(cache_, io_, name, fp, compute,
-                                            serialize, deserialize, ticket);
+        [this, def = std::move(def), slot, upstream, ticket] {
+          Fingerprint fp;
+          if (cache_ != nullptr) {
+            fp = def.key();
+            for (const auto& d : upstream) fp.mix_u64(d->digest);
+          }
+          Staged<T> staged =
+              staged_compute(cache_, io_, def.name, fp, def.compute,
+                             def.serialize, def.deserialize, ticket);
           slot->value = std::move(staged.value);
           slot->digest = staged.blob_digest;
           slot->restored = staged.restored;
@@ -144,10 +145,6 @@ class StageGraph {
     return graph_.add_task(name, std::move(fn), deps);
   }
 
-  [[nodiscard]] std::size_t task_count() const noexcept {
-    return graph_.task_count();
-  }
-
   /// Runs the DAG on `ex` (see TaskGraph::run for the determinism and
   /// failure contract), then drains the AsyncIo so every store enqueued by
   /// the run is on disk before this returns.
@@ -162,16 +159,6 @@ class StageGraph {
   }
 
  private:
-  template <typename Mix>
-  [[nodiscard]] Fingerprint fingerprint_of(
-      const char* name, const Mix& mix,
-      const std::vector<std::shared_ptr<const DigestSlot>>& upstream) const {
-    Fingerprint fp = stage_fingerprint(name);
-    mix(fp);
-    for (const auto& d : upstream) fp.mix_u64(d->digest);
-    return fp;
-  }
-
   runtime::TaskGraph graph_;
   const StageCache* cache_;
   AsyncIo* io_;

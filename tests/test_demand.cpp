@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/calibration.hpp"
@@ -431,8 +432,39 @@ TEST(Generator, CountyIncomesAreWithinCalibratedRange) {
 TEST(Generator, RejectsBadConfig) {
   EXPECT_THROW(SyntheticGenerator({.scale = 0.0}), std::invalid_argument);
   EXPECT_THROW(SyntheticGenerator({.scale = 1.5}), std::invalid_argument);
+  EXPECT_THROW(SyntheticGenerator({.scale = std::nan("")}),
+               std::invalid_argument);
   EXPECT_THROW(SyntheticGenerator({.resolution = 3, .county_resolution = 3}),
                std::invalid_argument);
+}
+
+TEST(Generator, CliFlagsParseWholeFields) {
+  GeneratorConfig config;
+  {
+    char a0[] = "prog", a1[] = "--scale", a2[] = "0.25", a3[] = "--seed=7";
+    char* argv[] = {a0, a1, a2, a3};
+    int i = 1;
+    EXPECT_TRUE(parse_cli_arg(4, argv, i, config));
+    EXPECT_EQ(i, 2);
+    i = 3;
+    EXPECT_TRUE(parse_cli_arg(4, argv, i, config));
+    EXPECT_EQ(config.scale, 0.25);
+    EXPECT_EQ(config.seed, 7U);
+  }
+  for (const char* bad : {"--scale=0.01x", "--scale=0", "--scale=-1",
+                          "--scale=nan", "--scale=1.5", "--seed=-1",
+                          "--seed=", "--seed=18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    std::string arg = bad;
+    char a0[] = "prog";
+    char* argv[] = {a0, arg.data()};
+    int i = 1;
+    EXPECT_THROW((void)parse_cli_arg(2, argv, i, config), std::runtime_error);
+  }
+  char a0[] = "prog", a1[] = "--scales=1";
+  char* argv[] = {a0, a1};
+  int i = 1;
+  EXPECT_FALSE(parse_cli_arg(2, argv, i, config));
 }
 
 TEST(Generator, HeavyCellFloorUnreachableThrows) {

@@ -1,21 +1,31 @@
 // Example binaries must reject unknown `--flags` with a nonzero exit and
 // name the offending flag — a typo'd `--snapshot-dri` must never silently
-// run a full (uncached) analysis. Each case spawns the real binary via
-// popen and inspects its exit status and output.
+// run a full (uncached) analysis — and must reject malformed flag values
+// instead of truncating or wrapping them. Each case spawns the real binary
+// via popen and inspects its exit status and output. The cache cases run a
+// CLI cold at 4 threads and warm at 1 thread on one snapshot dir: the warm
+// run must restore every stage and write byte-identical output files.
 //
 // Binary locations come from the LEODIVIDE_EXAMPLES_DIR compile definition
 // (the build's examples/ output directory, set in tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "leodivide/io/fileio.hpp"
+#include "leodivide/io/json.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
+namespace io = leodivide::io;
 
 struct RunResult {
   int exit_code = -1;
@@ -78,8 +88,30 @@ TEST(ExamplesCli, MarketCompareBadScaleRejected) {
   if (!fs::exists(binary)) {
     GTEST_SKIP() << binary << " not built";
   }
-  const RunResult r = run_command(binary + " --scale=not-a-number");
-  EXPECT_EQ(r.exit_code, 2) << "non-numeric --scale accepted:\n" << r.output;
+  // Each value is a whole field that is not a valid scale or seed: trailing
+  // garbage, a negative seed, and scales outside (0, 1] including NaN.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--scale=not-a-number", "--scale"}, {"--scale 0.01x", "--scale"},
+      {"--scale -1", "--scale"},           {"--scale 0", "--scale"},
+      {"--scale nan", "--scale"},          {"--seed -1", "--seed"}};
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
+    const RunResult r = run_command(binary + " " + args);
+    EXPECT_EQ(r.exit_code, 2) << "bad value accepted:\n" << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;
+  }
+}
+
+TEST(ExamplesCli, AnalysisServerBadPortRejected) {
+  const std::string binary = example_path("analysis_server");
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  // A wrapped port would start a server that never exits; the timeout
+  // turns that failure into a prompt one.
+  const RunResult r = run_command("timeout 60 " + binary + " --port 70000");
+  EXPECT_EQ(r.exit_code, 2) << "--port 70000 accepted:\n" << r.output;
+  EXPECT_NE(r.output.find("--port"), std::string::npos) << r.output;
 }
 
 TEST(ExamplesCli, MarketCompareBadThreadsRejected) {
@@ -111,6 +143,74 @@ TEST(ExamplesCli, SnapshotDirWithoutValueRejected) {
   }
   const RunResult r = run_command(binary + " --snapshot-dir");
   EXPECT_NE(r.exit_code, 0) << "bare --snapshot-dir accepted:\n" << r.output;
+}
+
+/// The JSON bench line a CLI run ends with.
+io::JsonValue bench_line(const std::string& output) {
+  const std::size_t at = output.rfind("{\"bench\"");
+  if (at == std::string::npos) return {};
+  return io::json_parse(output.substr(at, output.find('\n', at) - at));
+}
+
+/// Every regular file under `root`, relative to it, in sorted order.
+std::vector<fs::path> files_under(const fs::path& root) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file()) {
+      files.push_back(fs::relative(entry.path(), root));
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// Runs `name args` cold at 4 threads, then warm at 1 thread on the same
+/// snapshot dir, and checks the warm run restored every stage and wrote
+/// the same bytes.
+void expect_warm_run_restores_cold_bytes(const std::string& name,
+                                         const std::string& args) {
+  const std::string binary = example_path(name);
+  if (!fs::exists(binary)) {
+    GTEST_SKIP() << binary << " not built";
+  }
+  const fs::path root = fs::temp_directory_path() / ("ld_cli_cache_" + name);
+  fs::remove_all(root);
+  const std::string common =
+      binary + " " + args + " --snapshot-dir " + (root / "cache").string();
+  const RunResult cold =
+      run_command(common + " --threads 4 " + (root / "cold").string());
+  ASSERT_EQ(cold.exit_code, 0) << cold.output;
+  const RunResult warm =
+      run_command(common + " --threads 1 " + (root / "warm").string());
+  ASSERT_EQ(warm.exit_code, 0) << warm.output;
+
+  const io::JsonValue cold_line = bench_line(cold.output);
+  const io::JsonValue warm_line = bench_line(warm.output);
+  ASSERT_TRUE(cold_line.is_object()) << cold.output;
+  ASSERT_TRUE(warm_line.is_object()) << warm.output;
+  EXPECT_GT(cold_line.at("snapshot_misses").num_v, 0.0) << cold.output;
+  EXPECT_EQ(warm_line.at("snapshot_misses").num_v, 0.0) << warm.output;
+  EXPECT_EQ(warm_line.at("snapshot_hits").num_v,
+            cold_line.at("snapshot_misses").num_v)
+      << warm.output;
+
+  const std::vector<fs::path> files = files_under(root / "cold");
+  ASSERT_FALSE(files.empty());
+  EXPECT_EQ(files_under(root / "warm"), files);
+  for (const fs::path& file : files) {
+    EXPECT_EQ(io::read_text_file((root / "warm" / file).string()),
+              io::read_text_file((root / "cold" / file).string()))
+        << file << " differs between the cold and warm runs";
+  }
+  fs::remove_all(root);
+}
+
+TEST(ExamplesCli, NationalAnalysisWarmRunRestoresColdBytes) {
+  expect_warm_run_restores_cold_bytes("national_analysis", "");
+}
+
+TEST(ExamplesCli, MarketCompareWarmRunRestoresColdBytes) {
+  expect_warm_run_restores_cold_bytes("market_compare", "--scale 0.05");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "leodivide/io/cli.hpp"
 #include "leodivide/io/csv.hpp"
 #include "leodivide/io/json.hpp"
 #include "leodivide/io/table.hpp"
@@ -16,6 +17,41 @@ namespace leodivide::io {
 namespace {
 
 // -------------------------------------------------------------------- csv ----
+
+TEST(CliFlags, ValueMatchesBothSpellingsOnly) {
+  char a0[] = "prog", a1[] = "--port", a2[] = "80", a3[] = "--port=81",
+       a4[] = "--port-file", a5[] = "--port";
+  char* argv[] = {a0, a1, a2, a3, a4, a5};
+  int i = 1;
+  EXPECT_EQ(flag_value(6, argv, i, "--port"), "80");
+  EXPECT_EQ(i, 2);
+  i = 3;
+  EXPECT_EQ(flag_value(6, argv, i, "--port"), "81");
+  i = 4;
+  EXPECT_EQ(flag_value(6, argv, i, "--port"), std::nullopt);
+  i = 5;
+  EXPECT_THROW((void)flag_value(6, argv, i, "--port"), std::runtime_error);
+}
+
+TEST(CliFlags, ParseFlagTakesWholeFieldsInRange) {
+  EXPECT_EQ(parse_flag<std::uint16_t>("--port", "65535"), 65535);
+  EXPECT_EQ(parse_flag<std::uint64_t>("--seed", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(std::isnan(parse_flag<double>("--scale", "nan")));
+  for (const char* bad : {"70000", "-1", "", "8x", " 8"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_flag<std::uint16_t>("--port", bad),
+                 std::runtime_error);
+  }
+  EXPECT_THROW((void)parse_flag<double>("--scale", "0.01x"),
+               std::runtime_error);
+  try {
+    (void)parse_flag<std::uint64_t>("--seed", "-1");
+    FAIL() << "negative seed accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "invalid --seed value '-1'");
+  }
+}
 
 TEST(CsvParse, SimpleFields) {
   const CsvRow row = parse_csv_line("a,b,c");

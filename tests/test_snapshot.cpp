@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "leodivide/core/scenario.hpp"
@@ -650,6 +653,63 @@ TEST(Fingerprints, MarketConfigFieldsChangeTheDigest) {
   }
 }
 
+// The stage definitions' key recipes, pinned at the defaults of the CLIs
+// that cache them. These are the blob file names existing cache
+// directories hold: a change here orphans every cached artifact, so it
+// needs a kFormatVersion bump and a stated reason.
+TEST(StageKeys, GoldenAtDefaultConfig) {
+  const demand::GeneratorConfig gen{};
+  EXPECT_EQ(snapshot::demand_profile_stage(gen).key().hex(),
+            "cdea1a547951efb0");
+
+  const demand::DemandProfile profile =
+      demand::SyntheticGenerator{gen}.generate_profile();
+  std::stringstream cells;
+  std::stringstream counties;
+  profile.save_csv(cells, counties);
+  const demand::DemandProfile loaded =
+      demand::DemandProfile::load_csv(cells, counties);
+  EXPECT_EQ(snapshot::analysis_stage(loaded).key().hex(), "a6e789579e341b60");
+
+  const std::pair<market::SplitPolicy, const char*> markets[] = {
+      {market::SplitPolicy::kExclusive, "896026f3b9f4a917"},
+      {market::SplitPolicy::kProportional, "e8e728eb753f3c72"},
+      {market::SplitPolicy::kFairShare, "72aa606ba5b6c5d1"}};
+  for (const auto& [policy, hex] : markets) {
+    market::MarketConfig config;
+    config.operators = market::default_market();
+    config.split.policy = policy;
+    const market::MarketSimulation simulation(std::move(config));
+    EXPECT_EQ(
+        snapshot::market_report_stage(gen, simulation, profile).key().hex(),
+        hex)
+        << to_string(policy);
+  }
+
+  // coverage_sim's defaults: Starlink shell 1, 10 minutes, beamspread 5.
+  sim::SimulationConfig config;
+  config.shell.planes = 72U;
+  config.shell.sats_per_plane = 22U;
+  config.scheduler.beamspread = 5U;
+  config.duration_s = 600.0;
+  config.step_s = 60.0;
+  EXPECT_EQ(snapshot::sim_epochs_stage(config, profile).key().hex(),
+            "65d956d326d4509e");
+}
+
+// The analysis reads cell latitudes (K(phi) depends on them), so its key
+// must see a one-ulp latitude change in the profile it is handed.
+TEST(StageKeys, AnalysisKeyCoversEveryLatitudeBit) {
+  const demand::DemandProfile profile = small_profile();
+  demand::DemandProfile nudged = small_profile();
+  double& lat = nudged.cell_at(1).center.lat_deg;
+  lat = std::nextafter(lat, 90.0);
+  EXPECT_NE(snapshot::analysis_stage(profile).key().digest(),
+            snapshot::analysis_stage(nudged).key().digest());
+  EXPECT_EQ(snapshot::analysis_stage(profile).key().digest(),
+            snapshot::analysis_stage(small_profile()).key().digest());
+}
+
 TEST(Fingerprints, HexIs16LowercaseDigits) {
   const std::string hex = snapshot::stage_fingerprint("x").hex();
   ASSERT_EQ(hex.size(), 16U);
@@ -692,14 +752,18 @@ TEST_F(StageCacheTest, MissComputesAndStoresThenHits) {
   };
 
   const demand::DemandProfile first =
-      cache.get_or_compute("demand.profile", fp, compute, ser, de);
+      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
+                               compute, ser, de)
+          .value;
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(cache.hits(), 0U);
   EXPECT_EQ(cache.misses(), 1U);
   EXPECT_TRUE(fs::exists(cache.blob_path("demand.profile", fp)));
 
   const demand::DemandProfile second =
-      cache.get_or_compute("demand.profile", fp, compute, ser, de);
+      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
+                               compute, ser, de)
+          .value;
   EXPECT_EQ(computes, 1) << "hit must not recompute";
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(second.cells(), profile.cells());
@@ -728,7 +792,8 @@ TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
   auto de = [](std::string_view blob) {
     return snapshot::deserialize_profile(blob);
   };
-  (void)cache.get_or_compute("demand.profile", fp, compute, ser, de);
+  (void)snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
+                                 compute, ser, de);
   ASSERT_EQ(computes, 1);
 
   // Corrupt the stored blob; the next lookup must detect it, recompute,
@@ -739,7 +804,9 @@ TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
   io::write_text_file(path, blob);
 
   const demand::DemandProfile back =
-      cache.get_or_compute("demand.profile", fp, compute, ser, de);
+      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
+                               compute, ser, de)
+          .value;
   EXPECT_EQ(computes, 2) << "corrupt blob must recompute";
   EXPECT_EQ(cache.misses(), 2U);
   EXPECT_EQ(cache.hits(), 0U);
@@ -958,7 +1025,7 @@ TEST_F(StageCacheTest, UnwritableDirDegradesToRecomputeWithOneWarning) {
   // A stray regular file where the stage directory should be makes every
   // store fail (the test runs as root, so a read-only directory would not).
   // The cache must degrade to recompute-without-store: one stderr warning,
-  // every store counted as a failure, every get_or_compute still answering.
+  // every store counted as a failure, every staged_compute still answering.
   fs::create_directories(dir_);
   io::write_text_file((dir_ / "stage").string(), "not a directory");
 
@@ -978,9 +1045,11 @@ TEST_F(StageCacheTest, UnwritableDirDegradesToRecomputeWithOneWarning) {
 
   ::testing::internal::CaptureStderr();
   const demand::DemandProfile first =
-      cache.get_or_compute("stage", fp, compute, ser, de);
+      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de)
+          .value;
   const demand::DemandProfile second =
-      cache.get_or_compute("stage", fp, compute, ser, de);
+      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de)
+          .value;
   const std::string warnings = ::testing::internal::GetCapturedStderr();
 
   EXPECT_EQ(computes, 2) << "nothing was stored, so nothing can hit";

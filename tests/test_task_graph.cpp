@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "leodivide/io/json.hpp"
@@ -31,6 +32,7 @@
 #include "leodivide/snapshot/fingerprint.hpp"
 #include "leodivide/snapshot/format.hpp"
 #include "leodivide/snapshot/stage_graph.hpp"
+#include "leodivide/snapshot/stages.hpp"
 
 namespace {
 
@@ -363,30 +365,31 @@ struct StageGraphRun {
 };
 
 // Two-stage chain a -> b where a's output feeds b through a plain glue
-// task (the same shape as the national_analysis --graph pipeline).
+// task as well as through b's digest edge on a.
 StageGraphRun run_stage_chain(const snapshot::StageCache* cache,
                               snapshot::AsyncIo* io, int a_config,
                               runtime::Executor& ex) {
   StageGraphRun out;
   snapshot::StageGraph graph(cache, io);
-  auto a = graph.add_stage(
-      "tg.stage_a", {},
+  auto a = graph.add_stage(snapshot::StageDef<int>{
+      "tg.stage_a",
       [a_config](snapshot::Fingerprint& fp) { fp.mix_u64(a_config); },
       [&out, a_config] {
         ++out.a_computes;
         return a_config * 10;
       },
-      blobs::serialize_int, blobs::deserialize_int);
+      blobs::serialize_int, blobs::deserialize_int});
   int carried = 0;
   const auto glue = graph.add_task(
       "tg.glue", [&carried, a] { carried = a.value() + 1; }, {a.id()});
   auto b = graph.add_stage(
-      "tg.stage_b", {a}, [](snapshot::Fingerprint&) {},
-      [&out, &carried] {
-        ++out.b_computes;
-        return carried * 2;
-      },
-      blobs::serialize_int, blobs::deserialize_int, {glue});
+      snapshot::StageDef<int>{"tg.stage_b", [](snapshot::Fingerprint&) {},
+                              [&out, &carried] {
+                                ++out.b_computes;
+                                return carried * 2;
+                              },
+                              blobs::serialize_int, blobs::deserialize_int},
+      {a}, {glue});
   graph.run(ex);
   out.value = b.value();
   out.a_restored = a.restored();
@@ -447,10 +450,38 @@ TEST_F(AsyncIoTest, StageGraphWithoutCacheIsPureCompute) {
 
 TEST(StageGraphTest, ValueBeforeRunThrows) {
   snapshot::StageGraph graph;
-  auto a = graph.add_stage(
-      "tg.stage_a", {}, [](snapshot::Fingerprint&) {}, [] { return 1; },
-      blobs::serialize_int, blobs::deserialize_int);
+  auto a = graph.add_stage(snapshot::StageDef<int>{
+      "tg.stage_a", [](snapshot::Fingerprint&) {}, [] { return 1; },
+      blobs::serialize_int, blobs::deserialize_int});
   EXPECT_THROW((void)a.value(), std::logic_error);
+}
+
+// A stage whose key reads a value set by a plain add_task dependency must
+// load under its run-time key. Prefetching it at build time would fetch
+// the blob of the stale build-time key and restore the wrong value.
+TEST_F(AsyncIoTest, StageGraphKeysTaskFedStageAtRunTime) {
+  snapshot::StageCache cache(dir_.string());
+  snapshot::AsyncIo io;
+  const auto run = [&](int set_to) {
+    int input = 0;
+    snapshot::StageGraph graph(&cache, &io);
+    const auto set = graph.add_task("tg.set_input",
+                                    [&input, set_to] { input = set_to; });
+    auto stage = graph.add_stage(
+        snapshot::StageDef<int>{
+            "tg.stage_in",
+            [&input](snapshot::Fingerprint& fp) { fp.mix_u64(input); },
+            [&input] { return input; }, blobs::serialize_int,
+            blobs::deserialize_int},
+        {}, {set});
+    graph.run(runtime::serial_executor());
+    return std::make_pair(stage.value(), stage.restored());
+  };
+  EXPECT_EQ(run(0), std::make_pair(0, false));
+  EXPECT_EQ(run(5), std::make_pair(5, false))
+      << "restored the blob stored under the build-time key";
+  EXPECT_EQ(run(5), std::make_pair(5, true));
+  EXPECT_EQ(run(0), std::make_pair(0, true));
 }
 
 // ---------------------------------------------------------------------------
