@@ -21,9 +21,12 @@ namespace leodivide::io {
 
 /// A streaming JSON writer with explicit begin/end calls. The writer tracks
 /// nesting and comma placement; misuse (ending a container that was never
-/// begun) throws std::logic_error. A stream that enters a failed state
-/// (disk full, closed pipe) raises std::runtime_error from the write call
-/// that observed it rather than silently truncating the document.
+/// begun) throws std::logic_error. Output is staged in the writer and
+/// handed to the stream in large writes: whenever kFlushBytes are pending,
+/// when the outermost container closes, and on destruction. A stream that
+/// enters a failed state (disk full, closed pipe) raises std::runtime_error
+/// from the write call that observed it rather than silently truncating
+/// the document.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out, bool pretty = true);
@@ -56,14 +59,28 @@ class JsonWriter {
   void element(const char* v) { element(std::string_view(v)); }
 
  private:
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
   enum class Frame { kObject, kArray };
   void comma_and_indent();
+  void newline_indent();
   void key_prefix(std::string_view key);
-  void check_stream() const;
+  void element_prefix();
+  void open(Frame frame);
+  void close(Frame frame);
+  /// Only strings that need escaping go through json_escape.
+  void write_string(std::string_view s);
+  /// "%.12g" text (null for NaN and infinities), via std::to_chars.
+  void write_number(double v);
+  void write_number(long long v);
+  void flush();
+  /// Ends every public call: flushes when due, then reports a failed
+  /// stream.
+  void commit();
   std::ostream& out_;
   bool pretty_;
   std::vector<Frame> stack_;
   std::vector<bool> has_items_;
+  std::string pending_;
 };
 
 /// Thrown by json_parse on malformed input, with a byte offset in what().

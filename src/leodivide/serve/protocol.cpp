@@ -36,10 +36,6 @@ auto decode_payload(std::string_view what, Fn&& fn) {
   }
 }
 
-// Smallest possible wire size of one DeltaOp (kind + position + count +
-// county + empty plan name + value); bounds batch counts before reserve.
-constexpr std::uint64_t kMinOpBytes = 1 + 8 + 8 + 4 + 4 + 4 + 8;
-
 }  // namespace
 
 std::string_view to_string(MsgType type) noexcept {
@@ -218,13 +214,9 @@ ApplyDeltaRequest decode_apply_delta_request(std::string_view payload) {
   return decode_payload("apply_delta", [&] {
     ByteReader r(payload);
     ApplyDeltaRequest m;
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining() / kMinOpBytes) {
-      fail("apply_delta claims " + std::to_string(n) + " op(s) in " +
-           std::to_string(r.remaining()) + " byte(s)");
-    }
-    m.ops.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count(snapshot::kDeltaOpMinBytes);
+    m.ops.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       m.ops.push_back(snapshot::read_delta_op(r));
     }
     r.expect_exhausted("apply_delta payload");
@@ -404,14 +396,10 @@ StatsReply decode_stats_reply(std::string_view payload) {
   return decode_payload("stats_reply", [&] {
     ByteReader r(payload);
     StatsReply m;
-    const std::uint64_t n = r.u64();
     // Each counter costs at least a name length prefix plus the value.
-    if (n > r.remaining() / 12) {
-      fail("stats_reply claims " + std::to_string(n) + " counter(s) in " +
-           std::to_string(r.remaining()) + " byte(s)");
-    }
-    m.counters.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count(4 + 8);
+    m.counters.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       std::string name = r.str();
       const std::uint64_t value = r.u64();
       m.counters.emplace_back(std::move(name), value);

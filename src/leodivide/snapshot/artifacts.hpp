@@ -16,6 +16,7 @@
 // technology codes) and throw SnapshotError — corrupted input that passes
 // the checksums still cannot reach undefined behaviour.
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,10 @@ namespace leodivide::snapshot {
     std::string_view file);
 [[nodiscard]] market::MarketReport deserialize_market_report(
     std::string_view file);
+
+/// Smallest wire size of one DeltaOp (an empty plan name): the bound every
+/// decoder checks a batch count against before reserving.
+inline constexpr std::size_t kDeltaOpMinBytes = 1 + 8 + 8 + 4 + 4 + 4 + 8;
 
 /// Wire codec for one DeltaOp. Shared between the kDeltaJournal artifact
 /// and the serve/ protocol's ApplyDelta request, so the two encodings can

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "leodivide/io/cli.hpp"
@@ -44,22 +43,29 @@ std::optional<std::string> StageCache::load(std::string_view stage,
                                             const Fingerprint& fp) const {
   obs::Span span("snapshot.load");
   const std::string path = blob_path(stage, fp);
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     obs::registry().counter("snapshot.misses").add();
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::registry().counter("snapshot.misses").add();
-    return std::nullopt;
-  }
-  std::string blob = std::move(buf).str();
+  // Size the blob from the open file (not the path, which a concurrent
+  // store may have renamed over) and read it in one call.
+  const std::streamoff size = in.tellg();
   hits_.fetch_add(1, std::memory_order_relaxed);
   obs::registry().counter("snapshot.hits").add();
+  // An oversized or short file is a bad blob, exactly like one that fails
+  // to deserialize.
+  if (size < 0 || static_cast<std::uintmax_t>(size) > kMaxBlobBytes) {
+    note_bad_blob();
+    return std::nullopt;
+  }
+  std::string blob(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(blob.data(), size)) {
+    note_bad_blob();
+    return std::nullopt;
+  }
   obs::registry().counter("snapshot.load_bytes").add(blob.size());
   return blob;
 }

@@ -27,6 +27,12 @@
 
 namespace leodivide::snapshot {
 
+/// Largest blob StageCache::load reads; a larger file is a bad blob. The
+/// biggest blob the CLIs write at scale 1 is ~1.1 MB (a market report), so
+/// this leaves room for far larger profiles while refusing to pull an
+/// arbitrary file into memory.
+inline constexpr std::uintmax_t kMaxBlobBytes = std::uintmax_t{256} << 20;
+
 class StageCache {
  public:
   /// Binds the cache to `dir` (created, with parents, if absent). Throws
@@ -40,7 +46,9 @@ class StageCache {
                                       const Fingerprint& fp) const;
 
   /// Raw blob bytes if present, std::nullopt on a miss. Counts the
-  /// hit/miss and records load bytes + latency in obs.
+  /// hit/miss and records load bytes + latency in obs. A file larger than
+  /// kMaxBlobBytes, or one that reads back short, is a bad blob: a miss,
+  /// counted as note_bad_blob() counts one.
   [[nodiscard]] std::optional<std::string> load(std::string_view stage,
                                                 const Fingerprint& fp) const;
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "leodivide/io/cli.hpp"
 #include "leodivide/io/csv.hpp"
@@ -420,6 +424,89 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
   EXPECT_EQ(out.str(), "[null]");
 }
 
+// The oracle for JsonWriter's numbers: printf("%.12g"), with non-finite
+// values written as null.
+std::string printf_12g(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+TEST(JsonWriterTest, NumbersMatchPrintf12gOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1e300,
+                                -1e300,
+                                1e-300,
+                                -1e-300,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::nan(""),
+                                inf,
+                                -inf};
+  // Integers up to 2^53, where %g switches to exponent form past 12 digits.
+  for (int k = 0; k <= 53; ++k) {
+    const double p = std::ldexp(1.0, k);
+    values.insert(values.end(), {p, p - 1.0, -p});
+  }
+  for (double p = 1.0; p <= 1e16; p *= 10.0) {
+    values.insert(values.end(), {p, p - 1.0, p + 1.0});
+  }
+  // Round-half cases at the 12th significant digit: exact integer ties
+  // (13 digits ending in 5) and decimal near-ties across magnitudes.
+  for (std::int64_t t : {1000000000005LL, 1000000000015LL, 2500000000005LL,
+                         9999999999995LL, 1234567890125LL, 1234567890135LL}) {
+    values.insert(values.end(), {static_cast<double>(t),
+                                 -static_cast<double>(t)});
+  }
+  for (int e = -30; e <= 30; ++e) {
+    for (double mantissa : {1.000000000005, 1.234567890125, 9.999999999995,
+                            0.5, 2.5}) {
+      values.push_back(mantissa * std::pow(10.0, e));
+    }
+  }
+  // Seeded bit patterns: subnormals (zero exponent field) and arbitrary
+  // finite doubles.
+  std::mt19937_64 rng(12);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFULL));
+  }
+  for (int i = 0; i < 20000;) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    values.push_back(v);
+    ++i;
+  }
+
+  std::ostringstream out;
+  {
+    JsonWriter w(out, /*pretty=*/false);
+    w.begin_array();
+    for (double v : values) w.element(v);
+    w.end_array();
+  }
+  const std::string text = out.str();
+  ASSERT_GE(text.size(), 2U);
+  ASSERT_EQ(text.front(), '[');
+  ASSERT_EQ(text.back(), ']');
+  std::istringstream fields(text.substr(1, text.size() - 2));
+  std::string field;
+  std::size_t i = 0;
+  for (; std::getline(fields, field, ','); ++i) {
+    ASSERT_LT(i, values.size());
+    ASSERT_EQ(field, printf_12g(values[i]))
+        << "value " << i << " bits 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(values[i]);
+  }
+  EXPECT_EQ(i, values.size());
+}
+
 TEST(JsonWriterTest, MisuseThrows) {
   std::ostringstream out;
   JsonWriter w(out, false);
@@ -491,6 +578,7 @@ TEST(JsonParse, RoundTripsWriterOutput) {
     json.begin_object();
     json.value("name", "quote \" and backslash \\");
     json.value("n", 42LL);
+    json.value("key\twith \"escapes\"", "line\nbreak");
     json.begin_array("xs");
     json.element(1.5);
     json.element("two");
@@ -500,6 +588,7 @@ TEST(JsonParse, RoundTripsWriterOutput) {
   const JsonValue v = json_parse(out.str());
   EXPECT_EQ(v.at("name").str_v, "quote \" and backslash \\");
   EXPECT_DOUBLE_EQ(v.at("n").num_v, 42.0);
+  EXPECT_EQ(v.at("key\twith \"escapes\"").str_v, "line\nbreak");
   ASSERT_EQ(v.at("xs").items.size(), 2U);
   EXPECT_EQ(v.at("xs").items[1].str_v, "two");
 }
