@@ -4,6 +4,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "leodivide/runtime/executor.hpp"
+
 namespace leodivide::core {
 
 namespace {
@@ -16,12 +18,10 @@ std::uint32_t locations_for_beams(const SatelliteCapacityModel& model,
                         demand::location_demand_gbps());
 }
 
-struct HeapEntry {
-  double satellites;
-  std::size_t cell;
-  std::uint32_t beams;  // beams assumed when this entry was pushed
-  friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
-    return a.satellites < b.satellites;  // max-heap on satellites
+// Heap order: the entry that binds first is on top.
+struct BindsAfter {
+  bool operator()(const SizingResult& a, const SizingResult& b) const noexcept {
+    return binds_before(b, a);
   }
 };
 
@@ -34,81 +34,63 @@ std::vector<LongTailPoint> longtail_curve(const demand::DemandProfile& profile,
   if (profile.cell_count() == 0) {
     throw std::invalid_argument("longtail_curve: empty profile");
   }
-  const auto& cap = model.capacity;
-  const std::uint32_t cap_locs = cap.max_locations_at(oversub_cap);
-  const std::size_t n = profile.cell_count();
-
-  // Per-cell K(phi) is loop-invariant; precompute it once.
-  std::vector<double> units(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    units[i] = coverage_units(model, profile.cells()[i].center.lat_deg);
-  }
-  auto sats_for = [&](std::size_t i, std::uint32_t beams) {
-    return units[i] /
-           cap.plan().cells_served_per_satellite(beamspread, beams);
-  };
+  const CellCapacity capacity = cell_capacity(model, beamspread, oversub_cap);
+  const auto& cells = profile.cells();
 
   // Initial state: every cell truncated at the cap; the residue can never
-  // be served within the cap.
-  std::vector<std::uint32_t> served(n);
+  // be served within the cap. Each cell that can bind enters the heap as
+  // its binding candidate, so the top is size_with_cap's binding cell.
+  std::vector<std::uint32_t> served(cells.size());
   std::uint64_t unserved = 0;
-  std::priority_queue<HeapEntry> heap;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = std::min(profile.cells()[i].underserved, cap_locs);
-    served[i] = s;
-    unserved += profile.cells()[i].underserved - s;
-    const std::uint32_t beams = cap.beams_needed(s, oversub_cap);
-    if (beams >= 2) heap.push({sats_for(i, beams), i, beams});
+  std::priority_queue<SizingResult, std::vector<SizingResult>, BindsAfter>
+      heap;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    served[i] = std::min(cells[i].underserved, capacity.cap_locs);
+    unserved += cells[i].underserved - served[i];
+    BindingCandidate candidate;
+    candidate.consider(i, cells[i], capacity);
+    if (candidate.found) heap.push(candidate.best);
   }
 
+  // Each pop lowers one cell's beam count, and points come out with
+  // strictly rising locations_unserved: every shed drops a location.
   std::vector<LongTailPoint> curve;
   while (!heap.empty()) {
-    const HeapEntry top = heap.top();
+    const SizingResult top = heap.top();
     heap.pop();
-    // Lazy deletion: skip entries that no longer reflect the cell's state.
-    const std::uint32_t beams = cap.beams_needed(served[top.cell], oversub_cap);
-    if (beams != top.beams || beams < 2) continue;
-
-    LongTailPoint point;
-    point.locations_unserved = unserved;
-    point.satellites = top.satellites;
-    point.beams_on_binding = beams;
-    point.binding_lat_deg = profile.cells()[top.cell].center.lat_deg;
     // leolint:allow(float-eq): dedup of exactly-assigned curve points
-    if (curve.empty() || point.satellites != curve.back().satellites) {
-      curve.push_back(point);
+    if (curve.empty() || top.satellites != curve.back().satellites) {
+      curve.push_back({unserved, top.satellites, top.beams_on_binding,
+                       top.binding_lat_deg});
     }
-    // Shed locations from the binding cell until it frees one beam.
-    const std::uint32_t target =
-        locations_for_beams(cap, beams - 1, oversub_cap);
-    unserved += served[top.cell] - target;
-    served[top.cell] = target;
-    if (beams - 1 >= 2) {
-      heap.push({sats_for(top.cell, beams - 1), top.cell, beams - 1});
+    // Shed locations from the binding cell until it frees one beam. Below
+    // one location per beam a shed can free several; such a cell leaves
+    // the sweep.
+    const std::size_t i = top.binding_cell_index;
+    demand::CellDemand shed = cells[i];
+    shed.underserved = locations_for_beams(
+        model.capacity, top.beams_on_binding - 1, oversub_cap);
+    unserved += served[i] - shed.underserved;
+    served[i] = shed.underserved;
+    BindingCandidate next;
+    next.consider(i, shed, capacity);
+    if (next.found && next.best.beams_on_binding == top.beams_on_binding - 1) {
+      heap.push(next.best);
     }
   }
 
   // The curve ends when no cell needs more than one beam: beyond that the
   // paper's demand-density model no longer constrains the constellation
   // (baseline coverage, which the model deliberately excludes, would take
-  // over). If the profile never had a multi-beam cell, emit the peak cell's
-  // single-beam requirement so callers always get one point.
+  // over). If no cell could ever bind, the one point is size_with_cap's
+  // single-beam fallback.
   if (curve.empty()) {
-    const std::size_t peak = profile.peak_cell().index;
-    LongTailPoint point;
-    point.locations_unserved = unserved;
-    point.beams_on_binding = 1;
-    point.binding_lat_deg = profile.cells()[peak].center.lat_deg;
-    point.satellites = sats_for(peak, 1);
-    curve.push_back(point);
+    const SizingResult peak = size_with_cap(profile, model, beamspread,
+                                            oversub_cap,
+                                            runtime::serial_executor());
+    curve.push_back({unserved, peak.satellites, peak.beams_on_binding,
+                     peak.binding_lat_deg});
   }
-
-  // The curve was built by shedding (unserved increases); callers expect
-  // ascending x.
-  std::sort(curve.begin(), curve.end(),
-            [](const LongTailPoint& a, const LongTailPoint& b) {
-              return a.locations_unserved < b.locations_unserved;
-            });
   return curve;
 }
 

@@ -35,6 +35,13 @@ double satellites_from_k(const SizingModel& model, double k, double beamspread,
   return k / cells;
 }
 
+bool binds_before(const SizingResult& a, const SizingResult& b) noexcept {
+  return a.satellites > b.satellites ||
+         (std::bit_cast<std::uint64_t>(a.satellites) ==
+              std::bit_cast<std::uint64_t>(b.satellites) &&
+          a.binding_cell_index < b.binding_cell_index);
+}
+
 SizingResult binding_at(const SizingModel& model, std::size_t i,
                         const demand::CellDemand& cell, double beamspread,
                         std::uint32_t beams) {
@@ -61,13 +68,7 @@ void BindingCandidate::consider(std::size_t i, const demand::CellDemand& cell,
 }
 
 void BindingCandidate::merge(const BindingCandidate& other) noexcept {
-  if (!other.found) return;
-  const double mine = best.satellites;
-  const double theirs = other.best.satellites;
-  if (!found || theirs > mine ||
-      (std::bit_cast<std::uint64_t>(theirs) ==
-           std::bit_cast<std::uint64_t>(mine) &&
-       other.best.binding_cell_index < best.binding_cell_index)) {
+  if (other.found && (!found || binds_before(other.best, best))) {
     *this = other;
   }
 }

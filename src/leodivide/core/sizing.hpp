@@ -64,6 +64,12 @@ struct SizingResult {
   friend bool operator==(const SizingResult&, const SizingResult&) = default;
 };
 
+/// The binding order: strictly more satellites bind first, and a bit-equal
+/// tie goes to the smaller binding_cell_index. It is total over distinct
+/// cells. BindingCandidate::merge and the long-tail sweep both order by it.
+[[nodiscard]] bool binds_before(const SizingResult& a,
+                                const SizingResult& b) noexcept;
+
 /// The sizing result when `cell` (at index `i` of its profile) binds on
 /// `beams` beams.
 [[nodiscard]] SizingResult binding_at(const SizingModel& model, std::size_t i,
@@ -106,10 +112,9 @@ struct BindingCandidate {
   void consider(std::size_t i, const demand::CellDemand& cell,
                 const CellCapacity& capacity);
 
-  /// Strictly more satellites win; a bit-equal tie goes to the smaller
-  /// binding_cell_index. The order is total over distinct cells, so
-  /// candidates over any partition of the cells merge, in any order, to
-  /// the candidate of the serial scan (whose strict '>' keeps the earliest).
+  /// Keeps whichever candidate binds_before the other. That order is
+  /// total, so candidates over any partition of the cells merge, in any
+  /// order, to the candidate of the serial scan.
   void merge(const BindingCandidate& other) noexcept;
 };
 
