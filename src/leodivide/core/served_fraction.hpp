@@ -16,11 +16,12 @@ struct ServedCounts {
   std::uint64_t cells = 0;
   std::uint64_t locations = 0;
 
-  void consider(const demand::CellDemand& cell, std::uint32_t limit) noexcept {
-    if (cell.underserved <= limit) {
-      ++cells;
-      locations += cell.underserved;
-    }
+  /// Counts `cell` if its count is within `limit`; returns whether it was.
+  bool consider(const demand::CellDemand& cell, std::uint32_t limit) noexcept {
+    if (cell.underserved > limit) return false;
+    ++cells;
+    locations += cell.underserved;
+    return true;
   }
   void merge(const ServedCounts& other) noexcept {
     cells += other.cells;

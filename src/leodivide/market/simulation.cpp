@@ -125,7 +125,7 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
   const std::size_t n = split.operator_count();
   struct Shard {
     std::vector<std::int32_t> winner;  // ordered concat across shards
-    std::vector<OperatorFairness> ops;
+    std::vector<core::ServedCounts> served;  // per operator
     std::uint64_t unserved_cells = 0;
     std::uint64_t unserved_locations = 0;
     std::uint64_t capacity_limited = 0;
@@ -135,7 +135,7 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
       executor, 0, profile.cell_count(),
       [&profile, &zones, &full_limits, &split, n](
           Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        if (shard.ops.size() != n) shard.ops.assign(n, OperatorFairness{});
+        if (shard.served.size() != n) shard.served.resize(n);
         for (std::size_t i = lo; i < hi; ++i) {
           const auto& cell = profile.cells()[i];
           const std::size_t p = split.priority_operator(cell.center.lat_deg);
@@ -144,9 +144,7 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
           for (std::size_t o = 0; o < n; ++o) {
             const auto& zone = zones[o][p];
             const std::uint32_t limit = zone ? zone->served_limit : 0;
-            if (cell.underserved > limit) continue;
-            ++shard.ops[o].cells_served;
-            shard.ops[o].locations_served += cell.underserved;
+            if (!shard.served[o].consider(cell, limit)) continue;
             // Winner: most capacity headroom; earliest index on exact ties.
             if (win < 0 || limit > win_limit) {
               win = static_cast<std::int32_t>(o);
@@ -154,9 +152,7 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
             }
           }
           shard.winner.push_back(win);
-          if (win >= 0) {
-            ++shard.ops[static_cast<std::size_t>(win)].cells_won;
-          } else {
+          if (win < 0) {
             ++shard.unserved_cells;
             shard.unserved_locations += cell.underserved;
             bool full_spectrum_could = false;
@@ -175,14 +171,12 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
         }
       },
       [n](Shard& into, Shard&& from) {
-        if (into.ops.size() != n) into.ops.assign(n, OperatorFairness{});
-        if (from.ops.size() != n) from.ops.assign(n, OperatorFairness{});
+        if (into.served.size() != n) into.served.resize(n);
+        if (from.served.size() != n) from.served.resize(n);
         into.winner.insert(into.winner.end(), from.winner.begin(),
                            from.winner.end());
         for (std::size_t o = 0; o < n; ++o) {
-          into.ops[o].cells_won += from.ops[o].cells_won;
-          into.ops[o].cells_served += from.ops[o].cells_served;
-          into.ops[o].locations_served += from.ops[o].locations_served;
+          into.served[o].merge(from.served[o]);
         }
         into.unserved_cells += from.unserved_cells;
         into.unserved_locations += from.unserved_locations;
@@ -190,15 +184,20 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
         into.split_limited += from.split_limited;
       },
       /*grain=*/1024);
-  if (reduced.ops.size() != n) reduced.ops.assign(n, OperatorFairness{});
+  if (reduced.served.size() != n) reduced.served.resize(n);
   FairnessReport report;
-  report.winner = std::move(reduced.winner);
-  report.operators = std::move(reduced.ops);
+  report.operators.resize(n);
   std::vector<double> served;
   served.reserve(n);
-  for (const OperatorFairness& f : report.operators) {
-    served.push_back(static_cast<double>(f.locations_served));
+  for (std::size_t o = 0; o < n; ++o) {
+    report.operators[o].cells_served = reduced.served[o].cells;
+    report.operators[o].locations_served = reduced.served[o].locations;
+    served.push_back(static_cast<double>(reduced.served[o].locations));
   }
+  for (const std::int32_t win : reduced.winner) {
+    if (win >= 0) ++report.operators[static_cast<std::size_t>(win)].cells_won;
+  }
+  report.winner = std::move(reduced.winner);
   report.jain_served_locations = jain_index(served);
   report.unserved_cells = reduced.unserved_cells;
   report.unserved_locations = reduced.unserved_locations;
