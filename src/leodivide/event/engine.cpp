@@ -1,6 +1,5 @@
 #include "leodivide/event/engine.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "leodivide/obs/metrics.hpp"
@@ -34,26 +33,18 @@ obs::Histogram& latency_histogram(EventKind kind) {
 
 EventSimulation::EventSimulation(sim::SimulationConfig config,
                                  const demand::DemandProfile& profile,
-                                 const core::SatelliteCapacityModel& model,
-                                 EventConfig event_config)
+                                 const core::SatelliteCapacityModel& model)
     : config_(config),
-      event_config_(event_config),
       scheduler_(sim::BeamScheduler::cells_from_profile(profile, model,
                                                         config.oversub_target),
                  config.scheduler),
       orbits_(orbit::make_constellation(config.shell)),
-      model_(model) {
-  if (!(event_config_.window_s > 0.0) || !(event_config_.guard_s > 0.0) ||
-      !(event_config_.eval_slack >= 0.0)) {
-    throw std::invalid_argument("EventSimulation: bad EventConfig");
-  }
-}
+      model_(model) {}
 
 void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   const obs::Span obs_span("event.run");
   const sim::SimClock clock(config_.duration_s, config_.step_s);
   const double duration = config_.duration_s;
-  const double guard = event_config_.guard_s;
   const std::vector<sim::SchedCell>& cells = scheduler_.cells();
   const std::size_t n_cells = cells.size();
 
@@ -68,7 +59,7 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   // --- Phase 1: certified crossing windows, parallel over cells. -------
   // The solver threshold comes from the kernel's own geometry derivation,
   // evaluated at t = 0. The kernel re-derives it per epoch from |sat 0|,
-  // which jitters at the ulp level over time; the solver's eval_slack
+  // which jitters at the ulp level over time; the solver's kCrossingEvalSlack
   // dominates that jitter by orders of magnitude, so deriving once
   // preserves the certificate.
   orbit::propagate_all(orbits_, 0.0, ws_.sched_ws.states);
@@ -77,12 +68,10 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
                              config_.scheduler.min_elevation_deg)
           .cos_psi;
 
-  const orbit::CrossingConfig crossing_config{event_config_.window_s,
-                                              event_config_.eval_slack};
   ws_.solvers.clear();
   ws_.solvers.reserve(orbits_.size());
   for (const orbit::CircularOrbit& orbit : orbits_) {
-    ws_.solvers.emplace_back(orbit, cos_psi, crossing_config);
+    ws_.solvers.emplace_back(orbit, cos_psi);
   }
 
   // resize (not clear) keeps every inner vector's capacity across runs.
@@ -164,8 +153,8 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
     if (ev.kind == EventKind::kRise) ++n_rise;
     if (ev.kind == EventKind::kSet) ++n_set;
     if (ev.kind == EventKind::kGraze) ++n_graze;
-    double lo = ev.window_lo_s - guard;
-    double hi = ev.window_hi_s + guard;
+    double lo = ev.window_lo_s - kDirtySpanGuardS;
+    double hi = ev.window_hi_s + kDirtySpanGuardS;
     if (lo < 0.0) lo = 0.0;
     if (hi > duration) hi = duration;
     // Events pop in ascending window_lo order, so a span only ever grows

@@ -41,21 +41,12 @@ class Executor;
 
 namespace leodivide::event {
 
-/// Event-engine tuning. The defaults keep the determinism contract; they
-/// only trade solver work for window width.
-struct EventConfig {
-  /// Crossing windows are refined to at most this width [s].
-  double window_s = 1e-3;
-  /// Root-free certificates require the endpoint-magnitude sum to exceed
-  /// L * width + eval_slack. Must dominate the float noise between the
-  /// solver's analytic evaluation and the scheduler's dot products
-  /// (~1e-14); the default leaves two orders of magnitude of margin.
-  double eval_slack = 1e-11;
-  /// Dirty spans are widened by this much on both sides [s] before the
-  /// reuse decision, so a crossing exactly on a window edge can never be
-  /// attributed to the certified side.
-  double guard_s = 1e-6;
-};
+/// Dirty spans are widened by this much on both sides [s] before the reuse
+/// decision, so a crossing exactly on a window edge can never be attributed
+/// to the certified side. Like the solver's kCrossingWindowS and
+/// kCrossingEvalSlack, it is a fixed constant that keeps the determinism
+/// contract.
+inline constexpr double kDirtySpanGuardS = 1e-6;
 
 /// Reusable state for the event engine. One instance per engine; after the
 /// first run warms every buffer, subsequent runs of the same configuration
@@ -95,13 +86,10 @@ struct EventWorkspace {
 /// parallelism lives *inside* a run).
 class EventSimulation {
  public:
-  /// Mirrors sim::Simulation's constructor; `event_config` adds the
-  /// engine-only knobs. Throws std::invalid_argument on non-positive
-  /// window/guard or negative slack.
+  /// Mirrors sim::Simulation's constructor.
   EventSimulation(sim::SimulationConfig config,
                   const demand::DemandProfile& profile,
-                  const core::SatelliteCapacityModel& model = {},
-                  EventConfig event_config = {});
+                  const core::SatelliteCapacityModel& model = {});
 
   /// Runs the event loop and writes the piecewise-constant trace into
   /// `out` (cleared first; its capacity is reused). Crossing solving is
@@ -124,16 +112,12 @@ class EventSimulation {
   [[nodiscard]] const sim::SimulationConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const EventConfig& event_config() const noexcept {
-    return event_config_;
-  }
   [[nodiscard]] const sim::BeamScheduler& scheduler() const noexcept {
     return scheduler_;
   }
 
  private:
   sim::SimulationConfig config_;
-  EventConfig event_config_;
   sim::BeamScheduler scheduler_;
   std::vector<orbit::CircularOrbit> orbits_;
   core::SatelliteCapacityModel model_;

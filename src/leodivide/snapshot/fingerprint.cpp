@@ -5,7 +5,6 @@
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
-#include "leodivide/event/engine.hpp"
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/sim/simulation.hpp"
 
@@ -123,12 +122,6 @@ void mix(Fingerprint& fp, const sim::SimulationConfig& config) {
       .mix_f64(config.duration_s)
       .mix_f64(config.step_s)
       .mix_f64(config.oversub_target);
-}
-
-void mix(Fingerprint& fp, const event::EventConfig& config) {
-  fp.mix_f64(config.window_s)
-      .mix_f64(config.eval_slack)
-      .mix_f64(config.guard_s);
 }
 
 void mix(Fingerprint& fp, const market::OperatorCosts& costs) {
