@@ -342,23 +342,11 @@ std::vector<sim::SchedCell> synthetic_sched_cells(std::size_t n) {
   return cells;
 }
 
-// Best-of-`reps` wall time of `fn` in milliseconds (warm caller assumed).
-template <typename Fn>
-double best_of_ms(int reps, const Fn& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const bench::WallTimer timer;
-    fn();
-    const double ms = timer.elapsed_ms();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-// Best-of plus median-of-`reps` wall time in milliseconds. The best-of is
-// the gated low-noise estimator; the median shows how far a typical run
-// sits from it (bench_check.py reports `median_speedup` informationally).
-// Use an odd `reps` so the median is an actual observation.
+// Best-of plus median-of-`reps` wall time of `fn` in milliseconds (warm
+// caller assumed). The best-of is the gated low-noise estimator; the median
+// shows how far a typical run sits from it (bench_check.py reports
+// `median_speedup` informationally). Use an odd `reps` where the median is
+// read, so it is an actual observation.
 struct RepTimes {
   double best_ms;
   double median_ms;
@@ -406,10 +394,13 @@ int run_sim_schedule_harness() {
               << indexed.locations_served << "/" << indexed.locations_total
               << " locations)\n";
 
-    const double naive_ms = best_of_ms(
-        3, [&] { benchmark::DoNotOptimize(scheduler.schedule_reference(states)); });
+    const double naive_ms =
+        timed_reps_ms(3, [&] {
+          benchmark::DoNotOptimize(scheduler.schedule_reference(states));
+        }).best_ms;
     const double indexed_ms =
-        best_of_ms(5, [&] { scheduler.schedule(states, ws, indexed); });
+        timed_reps_ms(5, [&] { scheduler.schedule(states, ws, indexed); })
+            .best_ms;
     std::cout << "  naive:    " << naive_ms << " ms\n"
               << "  indexed:  " << indexed_ms << " ms\n"
               << "  speedup:  " << naive_ms / indexed_ms << "x\n";
@@ -485,9 +476,13 @@ int run_sim_event_harness() {
               << " epochs)\n";
 
     const double epoch_ms =
-        best_of_ms(2, [&] { benchmark::DoNotOptimize(epoch_sim.run(executor)); });
+        timed_reps_ms(2, [&] {
+          benchmark::DoNotOptimize(epoch_sim.run(executor));
+        }).best_ms;
     const double event_ms =
-        best_of_ms(3, [&] { benchmark::DoNotOptimize(event_sim.run(executor)); });
+        timed_reps_ms(3, [&] {
+          benchmark::DoNotOptimize(event_sim.run(executor));
+        }).best_ms;
     std::cout << "  epoch:    " << epoch_ms << " ms\n"
               << "  event:    " << event_ms << " ms\n"
               << "  speedup:  " << epoch_ms / event_ms << "x\n";
@@ -711,10 +706,14 @@ int run_market_harness() {
   }
   std::cout << "  outputs:  byte-identical across executors\n";
 
-  const double serial_ms = best_of_ms(
-      3, [&] { benchmark::DoNotOptimize(simulation.run(profile, serial)); });
-  const double pool_ms = best_of_ms(
-      3, [&] { benchmark::DoNotOptimize(simulation.run(profile, pool)); });
+  const double serial_ms =
+      timed_reps_ms(3, [&] {
+        benchmark::DoNotOptimize(simulation.run(profile, serial));
+      }).best_ms;
+  const double pool_ms =
+      timed_reps_ms(3, [&] {
+        benchmark::DoNotOptimize(simulation.run(profile, pool));
+      }).best_ms;
   std::cout << "  serial:   " << serial_ms << " ms\n"
             << "  pooled:   " << pool_ms << " ms\n"
             << "  speedup:  " << serial_ms / pool_ms << "x\n";
