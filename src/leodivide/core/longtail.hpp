@@ -27,11 +27,16 @@ struct LongTailPoint {
 /// Starting from the fullest service the cap allows (every cell truncated
 /// at the cap), locations are shed greedily from whichever cell currently
 /// binds the constellation size, one beam-threshold at a time, until no
-/// cell needs more than one beam. Points are emitted whenever the required
-/// constellation size changes; the first point is the full-service-at-cap
-/// size (locations_unserved = the cap-unservable residue, 5103 in the
-/// paper's data), and the last is the cheapest multi-beam deployment — the
-/// demand-density model (P2) does not constrain sizes beyond it.
+/// cell needs more than one beam. Cells are ranked by BindingCandidate in
+/// binds_before order, the same fold and order size_with_cap uses. Points
+/// are emitted whenever the required constellation size changes, with
+/// strictly rising locations_unserved. The first point is the
+/// full-service-at-cap size: its satellites, binding latitude and beams
+/// equal size_with_cap's bit for bit, and its locations_unserved is the
+/// cap-unservable residue (5103 in the paper's data). The last point is
+/// the cheapest multi-beam deployment; the demand-density model (P2) does
+/// not constrain sizes beyond it. When no cell needs two beams, the one
+/// point is size_with_cap's single-beam fallback (the peak cell).
 [[nodiscard]] std::vector<LongTailPoint> longtail_curve(
     const demand::DemandProfile& profile, const SizingModel& model,
     double beamspread, double oversub_cap);
