@@ -19,6 +19,10 @@
 #include "leodivide/demand/location.hpp"
 #include "leodivide/hex/cellid.hpp"
 
+namespace leodivide::runtime {
+class Executor;
+}  // namespace leodivide::runtime
+
 namespace leodivide::demand {
 
 /// Aggregate demand of one service cell.
@@ -97,10 +101,18 @@ class DemandProfile {
   /// The peak cell itself (not found on an empty profile).
   [[nodiscard]] PeakCandidate peak_cell() const noexcept;
 
-  /// Writes/reads the profile as two CSV streams (cells, counties).
+  /// Writes/reads the profile as two CSV streams (cells, counties). The
+  /// cell rows are formatted and parsed on `executor` (the global one when
+  /// omitted) with the same bytes and values at every thread count; a load
+  /// raises the error of the first bad record in file order.
   void save_csv(std::ostream& cells_out, std::ostream& counties_out) const;
+  void save_csv(std::ostream& cells_out, std::ostream& counties_out,
+                runtime::Executor& executor) const;
   [[nodiscard]] static DemandProfile load_csv(std::istream& cells_in,
                                               std::istream& counties_in);
+  [[nodiscard]] static DemandProfile load_csv(std::istream& cells_in,
+                                              std::istream& counties_in,
+                                              runtime::Executor& executor);
 
  private:
   std::vector<CellDemand> cells_;
@@ -125,10 +137,16 @@ class DemandDataset {
   /// Number of locations failing the reliable-broadband test.
   [[nodiscard]] std::uint64_t underserved_count() const noexcept;
 
-  /// CSV round trip (locations stream carries county FIPS by index).
+  /// CSV round trip (locations stream carries county FIPS by index), with
+  /// DemandProfile's executor and error-order contract.
   void save_csv(std::ostream& locations_out, std::ostream& counties_out) const;
+  void save_csv(std::ostream& locations_out, std::ostream& counties_out,
+                runtime::Executor& executor) const;
   [[nodiscard]] static DemandDataset load_csv(std::istream& locations_in,
                                               std::istream& counties_in);
+  [[nodiscard]] static DemandDataset load_csv(std::istream& locations_in,
+                                              std::istream& counties_in,
+                                              runtime::Executor& executor);
 
  private:
   std::vector<Location> locations_;
