@@ -1,6 +1,7 @@
 #include "leodivide/core/scenario.hpp"
 
 #include "leodivide/obs/trace.hpp"
+#include "leodivide/runtime/executor.hpp"
 
 namespace leodivide::core {
 
@@ -29,13 +30,16 @@ AnalysisResults run_full_analysis(const demand::DemandProfile& profile,
                                        config.fig2_beamspreads,
                                        config.fig2_oversubs);
 
-  for (const auto& [s, o] : config.fig3_curves) {
-    Fig3Curve curve;
-    curve.beamspread = s;
-    curve.oversub = o;
-    curve.points = longtail_curve(profile, model, s, o);
-    out.fig3.push_back(std::move(curve));
-  }
+  // One task per curve, each into its own slot, so fig3 keeps config order
+  // at every thread count.
+  out.fig3.resize(config.fig3_curves.size());
+  runtime::global_executor().run_tasks(
+      out.fig3.size(),
+      // leolint:allow(parallel-capture): each task writes only its own fig3 slot
+      [&profile, &model, &config, &out](std::size_t i) {
+        const auto [s, o] = config.fig3_curves[i];
+        out.fig3[i] = Fig3Curve{s, o, longtail_curve(profile, model, s, o)};
+      });
 
   const afford::AffordabilityAnalyzer analyzer(profile);
   out.fig4 = analyzer.evaluate_paper_plans();
