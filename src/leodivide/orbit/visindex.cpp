@@ -10,12 +10,6 @@ namespace leodivide::orbit {
 
 namespace {
 
-// Query windows are inflated by this margin so a satellite sitting exactly
-// on the coverage boundary (where the caller's cos-threshold test could
-// still accept it under rounding) can never fall outside the scanned
-// buckets. ~0.1 m on the ground — a few extra candidates at most.
-constexpr double kWindowSlackDeg = 1e-6;
-
 // Upper bounds keeping the grid small when psi is tiny (high elevation
 // masks / very low shells). Coarser buckets only add candidates; the exact
 // test downstream removes them.
@@ -24,11 +18,13 @@ constexpr std::uint32_t kMaxSectorsPerBand = 1024;
 
 }  // namespace
 
+// Both lookups clamp in double before the cast, so any point — NaN or far
+// out of range included — maps to a valid band and sector.
 std::uint32_t VisIndex::band_of(double lat_deg) const noexcept {
   const double scaled = (lat_deg + 90.0) / band_height_deg_;
-  if (scaled <= 0.0) return 0;
-  const auto b = static_cast<std::uint32_t>(scaled);
-  return b >= n_bands_ ? n_bands_ - 1 : b;
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(n_bands_)) return n_bands_ - 1;
+  return static_cast<std::uint32_t>(scaled);
 }
 
 std::uint32_t VisIndex::sector_of(std::uint32_t band,
@@ -36,9 +32,9 @@ std::uint32_t VisIndex::sector_of(std::uint32_t band,
   const std::uint32_t sectors = band_sectors_[band];
   const double scaled =
       (lon_deg + 180.0) / (360.0 / static_cast<double>(sectors));
-  if (scaled <= 0.0) return 0;
-  const auto s = static_cast<std::uint32_t>(scaled);
-  return s >= sectors ? sectors - 1 : s;
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(sectors)) return sectors - 1;
+  return static_cast<std::uint32_t>(scaled);
 }
 
 void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
@@ -119,20 +115,11 @@ void VisIndex::retire(std::uint32_t sat) noexcept {
   --bucket_end_[bucket];
 }
 
-void VisIndex::query(const geo::GeoPoint& cell,
-                     std::vector<std::uint32_t>& out) const {
-  query_unsorted(cell, out);
-  // Buckets partition the satellites, so the gather has no duplicates; the
-  // sort only restores global ascending order for callers that want it.
-  std::sort(out.begin(), out.end());
-}
+void VisIndex::window(const geo::GeoPoint& cell, double extra_deg,
+                      std::vector<BucketSpan>& spans) const {
+  if (n_bands_ == 0) return;  // never built
 
-void VisIndex::query_unsorted(const geo::GeoPoint& cell,
-                              std::vector<std::uint32_t>& out) const {
-  out.clear();
-  if (n_sats_ == 0) return;
-
-  const double window_deg = psi_deg_ + kWindowSlackDeg;
+  const double window_deg = psi_deg_ + extra_deg + kWindowSlackDeg;
   const std::uint32_t b_lo = band_of(cell.lat_deg - window_deg);
   const std::uint32_t b_hi = band_of(cell.lat_deg + window_deg);
 
@@ -142,7 +129,9 @@ void VisIndex::query_unsorted(const geo::GeoPoint& cell,
   const bool polar = std::abs(cell.lat_deg) + window_deg >= 90.0;
   double dlon_deg = 180.0;
   if (!polar) {
-    const double s = sin_window_ / std::cos(geo::deg2rad(cell.lat_deg));
+    const double sin_window =
+        extra_deg > 0.0 ? std::sin(geo::deg2rad(window_deg)) : sin_window_;
+    const double s = sin_window / std::cos(geo::deg2rad(cell.lat_deg));
     dlon_deg =
         geo::rad2deg(std::asin(std::min(1.0, s))) + kWindowSlackDeg;
   }
@@ -162,16 +151,42 @@ void VisIndex::query_unsorted(const geo::GeoPoint& cell,
       const std::uint32_t s1 = sector_of(b, lon_hi);
       count = std::min(sectors, (s1 + sectors - s0) % sectors + 1);
     }
-    std::uint32_t s = s0;
-    for (std::uint32_t n = 0; n < count; ++n) {
-      const std::uint32_t bucket = base + s;
-      const std::uint32_t lo = bucket_start_[bucket];
+    // A run past the band's last sector wraps the date line to sector 0.
+    const std::uint32_t head = std::min(count, sectors - s0);
+    spans.push_back({base + s0, head});
+    if (head < count) spans.push_back({base, count - head});
+  }
+}
+
+std::size_t VisIndex::gather(const BucketSpan* spans, std::size_t n,
+                             std::uint32_t* out) const noexcept {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t end = spans[i].first + spans[i].count;
+    for (std::uint32_t bucket = spans[i].first; bucket < end; ++bucket) {
       const std::uint32_t hi = bucket_end_[bucket];
-      out.insert(out.end(), bucket_sats_.begin() + lo,
-                 bucket_sats_.begin() + hi);
-      s = s + 1 == sectors ? 0 : s + 1;
+      for (std::uint32_t j = bucket_start_[bucket]; j < hi; ++j) {
+        out[k++] = bucket_sats_[j];
+      }
     }
   }
+  return k;
+}
+
+void VisIndex::query(const geo::GeoPoint& cell,
+                     std::vector<std::uint32_t>& out) const {
+  query_unsorted(cell, out);
+  // Buckets partition the satellites, so the gather has no duplicates; the
+  // sort only restores global ascending order for callers that want it.
+  std::sort(out.begin(), out.end());
+}
+
+void VisIndex::query_unsorted(const geo::GeoPoint& cell,
+                              std::vector<std::uint32_t>& out) const {
+  std::vector<BucketSpan> spans;
+  window(cell, 0.0, spans);
+  out.resize(n_sats_);
+  out.resize(gather(spans.data(), spans.size(), out.data()));
 }
 
 }  // namespace leodivide::orbit

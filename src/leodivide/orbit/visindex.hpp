@@ -7,11 +7,15 @@
 // visible set (callers keep their exact angular test as the final filter)
 // and is duplicate-free; query() emits it in ascending satellite index,
 // query_unsorted() in bucket-major order for callers whose selection
-// tie-breaks on index explicitly (the scheduler). Either way, downstream
-// selection is byte-identical to a full ascending scan. retire() drops a
-// satellite from every later query until the next build(), so a caller
-// whose satellites fill up (the scheduler's beam budgets) stops gathering
-// and filtering candidates it would reject anyway.
+// tie-breaks on index explicitly. Either way, downstream selection is
+// byte-identical to a full ascending scan. A query is two steps: window()
+// does the trig (band range, longitude half-width, sector ranges) and
+// yields bucket spans that depend only on the cell and the grid layout;
+// gather() walks those spans. A caller querying fixed cells epoch after
+// epoch (the scheduler) keeps the spans and pays only the walk. retire()
+// drops a satellite from every later gather until the next build(), so a
+// caller whose satellites fill up (the scheduler's beam budgets) stops
+// gathering and filtering candidates it would reject anyway.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +24,18 @@
 #include "leodivide/orbit/propagate.hpp"
 
 namespace leodivide::orbit {
+
+/// Query windows are inflated by this margin so a satellite sitting exactly
+/// on the coverage boundary (where the caller's cos-threshold test could
+/// still accept it under rounding) can never fall outside the scanned
+/// buckets. ~0.1 m on the ground — a few extra candidates at most.
+inline constexpr double kWindowSlackDeg = 1e-6;
+
+/// A run of `count` consecutive bucket ids starting at `first`.
+struct BucketSpan {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
 
 class VisIndex {
  public:
@@ -45,11 +61,36 @@ class VisIndex {
 
   /// As query(), but emits candidates in bucket-major order instead of
   /// globally sorted (the set is identical and duplicate-free — buckets
-  /// partition the satellites). The scheduler's hot path uses this form:
-  /// its satellite selection tie-breaks on index explicitly, so it does not
-  /// pay the per-cell sort, which otherwise dominates the query cost.
+  /// partition the satellites): window() into a scratch span list, then
+  /// gather(). A caller querying the same cells every epoch keeps the
+  /// window() spans and calls gather() alone.
   void query_unsorted(const geo::GeoPoint& cell,
                       std::vector<std::uint32_t>& out) const;
+
+  /// Appends to `spans` the bucket runs a query at `cell` scans, for a
+  /// half-angle of psi + `extra_deg` (>= 0; kWindowSlackDeg is added on
+  /// top, as for query()). A band whose sector range wraps the date line
+  /// yields two spans. The spans depend only on `cell`, the half-angle and
+  /// the grid layout (band_sectors()), never on the satellites, and each
+  /// grows monotonically with the half-angle.
+  void window(const geo::GeoPoint& cell, double extra_deg,
+              std::vector<BucketSpan>& spans) const;
+
+  /// Writes the live (unretired) satellites of `spans[0, n)` to `out`,
+  /// which must have room for sat_count() entries, and returns how many
+  /// it wrote. The spans must come from window() on an index with the same
+  /// band_sectors() and must not repeat a bucket. Never allocates.
+  std::size_t gather(const BucketSpan* spans, std::size_t n,
+                     std::uint32_t* out) const noexcept;
+
+  /// Longitude sectors of each latitude band, south to north: the grid
+  /// layout. Two indexes with equal layouts number their buckets alike.
+  [[nodiscard]] const std::vector<std::uint32_t>& band_sectors()
+      const noexcept {
+    return band_sectors_;
+  }
+  /// Coverage central angle of the last build [deg].
+  [[nodiscard]] double psi_deg() const noexcept { return psi_deg_; }
 
   [[nodiscard]] std::size_t sat_count() const noexcept { return n_sats_; }
   [[nodiscard]] std::uint32_t band_count() const noexcept { return n_bands_; }

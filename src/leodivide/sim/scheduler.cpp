@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/obs/metrics.hpp"
@@ -32,11 +34,51 @@ CoverageGeometry coverage_geometry(double radius_km,
   return g;
 }
 
+// Every cell's visibility-index window, kept across epochs. Spans are
+// stored in processing order: cell order_[k] scans
+// spans[offsets[k], offsets[k + 1]).
+//
+// Reuse rule: the table serves an epoch whose index has the same layout
+// (band_sectors) and a psi no larger than the table's psi_deg. The table is
+// built at the first epoch's psi plus kWindowSlackDeg, so the ulp jitter of
+// the per-epoch psi (coverage_radius_km takes a few bit patterns over a
+// run) never forces a rebuild. Why reuse is exact: the band range, the
+// longitude half-width asin and the sector range (up to the switch to a
+// whole band) each grow monotonically with the window half-angle, so the
+// table's buckets contain every bucket the epoch's own query would scan.
+// The extra candidates fail the exact cos(psi) filter or lose the explicit
+// index tie-break exactly as they would in a full scan, so the selected
+// satellite — and the schedule — is unchanged.
+struct BeamScheduler::WindowTable {
+  std::vector<std::uint32_t> band_sectors;  ///< layout the spans index
+  double psi_deg = 0.0;                     ///< largest psi served
+  std::vector<orbit::BucketSpan> spans;
+  std::vector<std::uint32_t> offsets;  ///< order_.size() + 1 entries
+};
+
+// The published table. Tables are immutable once published; a rebuild
+// swaps the pointer, and an epoch still holding the old one keeps it alive.
+struct BeamScheduler::WindowCache {
+  std::mutex mutex;
+  std::shared_ptr<const WindowTable> table;
+};
+
 BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
                              SchedulerConfig config)
-    : cells_(std::move(cells)), config_(config) {
+    : cells_(std::move(cells)),
+      config_(config),
+      windows_(std::make_shared<WindowCache>()) {
   if (config_.beams_per_satellite == 0 || config_.beamspread == 0) {
     throw std::invalid_argument("BeamScheduler: zero beams or beamspread");
+  }
+  for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
+    const geo::GeoPoint& c = cells_[ci].center;
+    if (!std::isfinite(c.lat_deg) || !std::isfinite(c.lon_deg) ||
+        std::abs(c.lat_deg) > 90.0) {
+      throw std::invalid_argument(
+          "BeamScheduler: cell " + std::to_string(ci) +
+          " centre is not a finite point with |lat| <= 90");
+    }
   }
   // A hostile mask fails here, through the derivation every epoch uses,
   // rather than mid-run.
@@ -69,6 +111,31 @@ std::vector<SchedCell> BeamScheduler::cells_from_profile(
     out.push_back(sc);
   }
   return out;
+}
+
+std::shared_ptr<const BeamScheduler::WindowTable> BeamScheduler::window_table(
+    const orbit::VisIndex& index) const {
+  const std::lock_guard<std::mutex> lock(windows_->mutex);
+  const std::shared_ptr<const WindowTable>& current = windows_->table;
+  if (current && current->band_sectors == index.band_sectors() &&
+      index.psi_deg() <= current->psi_deg) {
+    return current;
+  }
+  auto table = std::make_shared<WindowTable>();
+  table->band_sectors = index.band_sectors();
+  table->psi_deg = index.psi_deg() + orbit::kWindowSlackDeg;
+  // Bands are at least psi tall, so a window of 2 psi usually touches
+  // three bands, one span each: reserving that avoids regrowing the
+  // largest buffer the scheduler holds.
+  table->spans.reserve(3 * order_.size());
+  table->offsets.reserve(order_.size() + 1);
+  table->offsets.push_back(0);
+  for (const std::uint32_t ci : order_) {
+    index.window(cells_[ci].center, orbit::kWindowSlackDeg, table->spans);
+    table->offsets.push_back(static_cast<std::uint32_t>(table->spans.size()));
+  }
+  windows_->table = table;
+  return table;
 }
 
 ScheduleResult BeamScheduler::schedule(
@@ -114,11 +181,17 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
     ws.unit_z[si] = u.z;
   }
 
-  if (!sats.empty()) ws.index.build(sats, ws.geometry.psi_rad);
+  std::shared_ptr<const WindowTable> windows;
+  if (!sats.empty()) {
+    ws.index.build(sats, ws.geometry.psi_rad);
+    windows = window_table(ws.index);
+    ws.candidates.resize(sats.size());  // gather() output, never regrown
+  }
 
   std::uint64_t candidates_scanned = 0;
   std::uint64_t retired = 0;
-  for (std::uint32_t ci : order_) {
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const std::uint32_t ci = order_[k];
     const SchedCell& cell = cells_[ci];
     result.locations_total += cell.locations;
     if (sats.empty()) {
@@ -126,8 +199,11 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
       continue;
     }
     const geo::Vec3& cell_unit = cell_units_[ci];
-    ws.index.query_unsorted(cell.center, ws.candidates);
-    candidates_scanned += ws.candidates.size();
+    const std::uint32_t first_span = windows->offsets[k];
+    const std::size_t n_candidates = ws.index.gather(
+        windows->spans.data() + first_span,
+        windows->offsets[k + 1] - first_span, ws.candidates.data());
+    candidates_scanned += n_candidates;
 
     // SIMD exact-visibility compaction: keep the candidates whose unit dot
     // with the cell radial passes cos_psi, in candidate order. The kernel
@@ -136,7 +212,7 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
     const std::size_t n_visible = orbit::filter_visible(
         cell_unit.x, cell_unit.y, cell_unit.z, ws.unit_x.data(),
         ws.unit_y.data(), ws.unit_z.data(), ws.candidates.data(),
-        ws.candidates.size(), cos_psi, ws.visible.data());
+        n_candidates, cos_psi, ws.visible.data());
 
     // Selection is order-independent: the naive ascending scan with strict
     // improvement picks the lowest-indexed feasible satellite attaining

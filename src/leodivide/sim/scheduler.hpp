@@ -5,6 +5,7 @@
 // ablation bench compares the two.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "leodivide/core/capacity_model.hpp"
@@ -75,8 +76,9 @@ struct ScheduleResult {
 /// Greedy scheduler over a fixed cell list.
 class BeamScheduler {
  public:
-  /// Throws std::invalid_argument for zero beams or beamspread and for an
-  /// elevation mask outside [0, 90).
+  /// Throws std::invalid_argument for zero beams or beamspread, for an
+  /// elevation mask outside [0, 90), and for a cell centre with a
+  /// non-finite coordinate or |lat| > 90.
   BeamScheduler(std::vector<SchedCell> cells, SchedulerConfig config);
 
   /// Schedules one epoch given satellite states. Cells are processed in
@@ -86,6 +88,8 @@ class BeamScheduler {
   /// (orbit::VisIndex), pruning the candidate set from O(sats) to O(k)
   /// per cell, and a satellite is retired from the index once its slack
   /// reaches zero; the result is byte-identical to schedule_reference.
+  /// Each cell's index window is computed once per grid layout and shared
+  /// by every later epoch, thread and copy of this scheduler.
   [[nodiscard]] ScheduleResult schedule(
       const std::vector<orbit::SatState>& sats) const;
 
@@ -117,10 +121,19 @@ class BeamScheduler {
       const core::SatelliteCapacityModel& model, double oversub);
 
  private:
+  struct WindowTable;
+  struct WindowCache;
+
+  /// The window table valid for `index`'s layout and psi, building and
+  /// publishing a new one when the current table does not fit.
+  [[nodiscard]] std::shared_ptr<const WindowTable> window_table(
+      const orbit::VisIndex& index) const;
+
   std::vector<SchedCell> cells_;
   SchedulerConfig config_;
   std::vector<std::uint32_t> order_;      ///< processing order, precomputed
   std::vector<geo::Vec3> cell_units_;     ///< unit radials, precomputed
+  std::shared_ptr<WindowCache> windows_;  ///< shared by copies
 };
 
 }  // namespace leodivide::sim

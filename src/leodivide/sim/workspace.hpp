@@ -42,7 +42,7 @@ struct ScheduleWorkspace {
   std::vector<double> unit_x;             ///< SoA satellite unit vectors
   std::vector<double> unit_y;
   std::vector<double> unit_z;
-  std::vector<std::uint32_t> candidates;  ///< per-cell index query output
+  std::vector<std::uint32_t> candidates;  ///< per-cell gather, sized to sats
   std::vector<std::uint32_t> visible;     ///< SIMD-compacted visible subset
   std::vector<orbit::SatState> states;    ///< propagate_all target
   std::vector<std::uint32_t> sat_dedup;   ///< summarize_epoch scratch
