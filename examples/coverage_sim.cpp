@@ -6,7 +6,7 @@
 //
 // Defaults: Starlink shell 1 (72 x 22 at 53 deg / 550 km), 10 minutes,
 // beamspread 5, the fixed-epoch engine. `--engine=event` runs the
-// deterministic rise/set event queue instead — byte-identical output,
+// deterministic rise/set event engine instead — byte-identical output,
 // computed only at contact changes. With `--snapshot-dir DIR` (or
 // LEODIVIDE_SNAPSHOT_DIR) the generated demand profile and the epoch
 // trace are cached as LDSNAP blobs keyed by their exact inputs, so a

@@ -4,10 +4,10 @@
 //
 //   1. solves, per satellite x cell, the certified cos-threshold crossing
 //      windows over the whole horizon (orbit/crossing.hpp),
-//   2. funnels them through a deterministic priority queue ordered by
-//      (time, kind, cell, sat) — pop order is a pure function of the
-//      event set, independent of how many threads computed it,
-//   3. merges the drained windows into "dirty spans" and recomputes the
+//   2. sorts them under the total order (time, kind, cell, sat) — the
+//      sequence is a pure function of the event set, independent of how
+//      many threads computed it,
+//   3. merges the sorted windows into "dirty spans" and recomputes the
 //      schedule with the *exact epoch kernel* only at span boundaries,
 //      reusing the previous result everywhere the visibility graph is
 //      certified constant.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "leodivide/event/event.hpp"
-#include "leodivide/event/queue.hpp"
 #include "leodivide/event/trace.hpp"
 #include "leodivide/orbit/crossing.hpp"
 #include "leodivide/sim/handover.hpp"
@@ -66,10 +65,9 @@ struct EventWorkspace {
   };
 
   std::vector<orbit::ConeCrossingSolver> solvers;  ///< one per satellite
-  std::vector<std::vector<Event>> cell_events;     ///< per-cell, pre-queue
+  std::vector<std::vector<Event>> cell_events;     ///< per-cell, pre-sort
   std::vector<orbit::CrossingScratch> crossing_scratch;  ///< per chunk
   std::vector<std::vector<orbit::Crossing>> crossings;   ///< per chunk
-  EventQueue queue;
   std::vector<DirtySpan> spans;
   std::vector<Boundary> boundaries;
   sim::ScheduleWorkspace sched_ws;
@@ -93,7 +91,7 @@ class EventSimulation {
 
   /// Runs the event loop and writes the piecewise-constant trace into
   /// `out` (cleared first; its capacity is reused). Crossing solving is
-  /// parallel over cells on `executor`; queue drain and schedule
+  /// parallel over cells on `executor`; the event sort and schedule
   /// recomputation are a single deterministic serial pass, so the trace is
   /// byte-identical at every thread count.
   void run_trace(runtime::Executor& executor, EventTrace& out);

@@ -2,7 +2,7 @@
 // The event engine's output: a piecewise-constant coverage trace. Instead
 // of one `EpochCoverage` per fixed step, the trace records one
 // `CoverageSegment` per interval over which the beam schedule is provably
-// constant, the full list of drained events, and *exact* handover totals
+// constant, the full sorted event list, and *exact* handover totals
 // (accumulated at segment boundaries, i.e. at event resolution rather
 // than step resolution). `sample_epochs` projects the trace back onto the
 // fixed-step grid, byte-identical to what the epoch kernel would have
@@ -31,8 +31,8 @@ struct CoverageSegment {
       default;
 };
 
-/// A complete event-driven run. `events` is every drained queue entry in
-/// pop order; `segments` partition [0, duration_s]; `handovers` are the
+/// A complete event-driven run. `events` is every event, sorted under
+/// event_less; `segments` partition [0, duration_s]; `handovers` are the
 /// exact accumulated churn totals across all segment transitions;
 /// `boundaries` counts exact schedule recomputations (the engine's work
 /// metric — compare against the epoch count for the reuse ratio).
