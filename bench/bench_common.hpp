@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/generator.hpp"
@@ -58,6 +59,19 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Keeps `value` observable, so the optimizer cannot drop the work that
+/// produced it: the empty-asm barrier Google Benchmark's DoNotOptimize uses
+/// for a const reference on GCC, a register-or-memory operand for small
+/// trivially copyable values and a memory operand for the rest.
+template <typename T>
+inline void keep(const T& value) {
+  if constexpr (std::is_trivially_copyable_v<T> && sizeof(T) <= sizeof(T*)) {
+    asm volatile("" : : "r,m"(value) : "memory");
+  } else {
+    asm volatile("" : : "m"(value) : "memory");
+  }
+}
 
 /// Emits the machine-readable result line every bench binary ends with:
 ///   {"bench":"<name>","threads":N,"wall_ms":X}

@@ -1,259 +1,62 @@
-// google-benchmark microbenchmarks for the library's hot paths: hex
-// indexing, orbital propagation, visibility, demand aggregation and the
-// sizing sweep. With `--threads N` it instead runs the parallel-scaling
-// harness: aggregate >= 5M synthetic locations serially and on an
-// N-thread pool, check the outputs are byte-identical, and report the
-// speedup as JSON lines. With `--sim-schedule` it runs the scheduling
-// kernel comparison: indexed (VisIndex) vs naive full scan over a
-// cells x sats sweep, verifying byte-identical results and emitting
-// {"bench":"sim.schedule",...} JSON lines that tools/bench_check.py
-// gates against BENCH_sim.json. With `--sim-event` it compares the
-// event-driven engine against fixed-epoch stepping on multi-day
-// horizons, verifies byte-identical epoch traces, and emits
-// {"bench":"sim.event",...} lines gated against BENCH_event.json. With
-// `--market` it runs the three-operator default market serially and on a
-// three-thread pool, verifies the reports byte-identical, and emits
-// {"bench":"market.operators",...} lines gated against BENCH_market.json.
-// With `--graph` it runs the task-graph pipeline comparison — K
-// independent scenario chains sequentially with synchronous snapshot
-// stores vs TaskGraph-scheduled on a pool with stores offloaded to the
-// async I/O thread — plus the SIMD visibility/rotation kernels against
-// their retained scalar twins, all byte-identity-checked before timing,
-// emitting {"bench":"graph",...} lines gated against BENCH_graph.json.
-
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <sstream>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "bench_common.hpp"
-#include "leodivide/geo/angle.hpp"
-#include "leodivide/runtime/task_graph.hpp"
-#include "leodivide/runtime/thread_pool.hpp"
-
-#include "leodivide/core/longtail.hpp"
-#include "leodivide/core/sizing.hpp"
-#include "leodivide/demand/aggregate.hpp"
-#include "leodivide/demand/generator.hpp"
-#include "leodivide/event/engine.hpp"
-#include "leodivide/hex/polyfill.hpp"
-#include "leodivide/hex/traversal.hpp"
-#include "leodivide/orbit/kernels.hpp"
-#include "leodivide/orbit/propagate.hpp"
-#include "leodivide/orbit/visibility.hpp"
-#include "leodivide/orbit/walker.hpp"
-#include "leodivide/hex/compact.hpp"
-#include "leodivide/orbit/isl.hpp"
-#include "leodivide/orbit/tle.hpp"
-#include "leodivide/afford/affordability.hpp"
-#include "leodivide/core/served_fraction.hpp"
-#include "leodivide/market/simulation.hpp"
-#include "leodivide/serve/incremental.hpp"
-#include "leodivide/serve/session.hpp"
-#include "leodivide/sim/maxflow.hpp"
-#include "leodivide/sim/scheduler.hpp"
-#include "leodivide/sim/simulation.hpp"
-#include "leodivide/sim/workspace.hpp"
-#include "leodivide/snapshot/snapshot.hpp"
-#include "leodivide/stats/distributions.hpp"
+// The gated micro harnesses. Each mode checks its fast path byte-identical
+// against a reference before timing anything, and exits nonzero on a
+// mismatch. Pick the harness with its mode flag:
+//   --threads N     aggregate >= 5M synthetic locations serially and on an
+//                   N-thread pool; emits {"bench":"micro_perf.aggregate"}.
+//   --sim-schedule  indexed (VisIndex) vs naive full-scan scheduling over a
+//                   cells x sats sweep; gated against BENCH_sim.json.
+//   --sim-event     event-driven engine vs fixed-epoch stepping on
+//                   multi-day horizons; gated against BENCH_event.json.
+//   --serve-delta   incremental per-region recompute (serve/) vs full
+//                   recompute per delta; gated against BENCH_serve.json.
+//   --market        the three-operator market serially and on a pool;
+//                   gated against BENCH_market.json.
+//   --graph         K scenario chains sequential vs TaskGraph + async I/O,
+//                   plus the SIMD kernels vs their scalar references in
+//                   tests/oracles; gated against BENCH_graph.json.
+// tools/bench_check.py gates each mode's JSON lines against its baseline.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include "bench_common.hpp"
+#include "leodivide/afford/affordability.hpp"
+#include "leodivide/core/served_fraction.hpp"
+#include "leodivide/core/sizing.hpp"
+#include "leodivide/demand/aggregate.hpp"
+#include "leodivide/demand/generator.hpp"
+#include "leodivide/event/engine.hpp"
+#include "leodivide/geo/angle.hpp"
+#include "leodivide/hex/hexgrid.hpp"
+#include "leodivide/io/cli.hpp"
+#include "leodivide/market/simulation.hpp"
+#include "leodivide/orbit/kernels.hpp"
+#include "leodivide/orbit/propagate.hpp"
+#include "leodivide/orbit/walker.hpp"
+#include "leodivide/runtime/executor.hpp"
+#include "leodivide/runtime/task_graph.hpp"
+#include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/serve/incremental.hpp"
+#include "leodivide/serve/session.hpp"
+#include "leodivide/sim/scheduler.hpp"
+#include "leodivide/sim/simulation.hpp"
+#include "leodivide/sim/workspace.hpp"
+#include "leodivide/snapshot/snapshot.hpp"
+#include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 namespace {
 
 using namespace leodivide;
-
-const demand::DemandProfile& profile_2pct() {
-  static const demand::DemandProfile p =
-      demand::SyntheticGenerator({.seed = 1, .scale = 0.02})
-          .generate_profile();
-  return p;
-}
-
-void BM_HexCellOf(benchmark::State& state) {
-  const hex::HexGrid grid;
-  stats::Pcg32 rng(7);
-  for (auto _ : state) {
-    const geo::GeoPoint p{25.0 + 24.0 * rng.next_double(),
-                          -124.0 + 57.0 * rng.next_double()};
-    benchmark::DoNotOptimize(grid.cell_of(p, 5));
-  }
-}
-BENCHMARK(BM_HexCellOf);
-
-void BM_HexDisk(benchmark::State& state) {
-  const hex::CellId center(5, {100, -50});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hex::disk(center, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_HexDisk)->Arg(1)->Arg(5)->Arg(20);
-
-void BM_PolyfillBox(benchmark::State& state) {
-  const hex::HexGrid grid;
-  const geo::BoundingBox box{38.0, 41.0, -100.0, -95.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hex::polyfill(grid, box, 5));
-  }
-}
-BENCHMARK(BM_PolyfillBox);
-
-void BM_PropagateShell1(benchmark::State& state) {
-  const auto orbits = orbit::make_constellation(orbit::starlink_shell1());
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 60.0;
-    benchmark::DoNotOptimize(orbit::propagate_all(orbits, t));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(orbits.size()));
-}
-BENCHMARK(BM_PropagateShell1);
-
-void BM_CountVisible(benchmark::State& state) {
-  const auto orbits = orbit::make_constellation(orbit::starlink_shell1());
-  const auto states = orbit::propagate_all(orbits, 123.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        orbit::count_visible({39.5, -98.35}, states, 25.0));
-  }
-}
-BENCHMARK(BM_CountVisible);
-
-void BM_GenerateProfileSmall(benchmark::State& state) {
-  for (auto _ : state) {
-    const demand::SyntheticGenerator gen({.seed = 3, .scale = 0.005});
-    benchmark::DoNotOptimize(gen.generate_profile());
-  }
-}
-BENCHMARK(BM_GenerateProfileSmall);
-
-void BM_AggregateLocations(benchmark::State& state) {
-  const demand::SyntheticGenerator gen({.seed = 3, .scale = 0.005});
-  const auto dataset = gen.expand_locations(gen.generate_profile());
-  const hex::HexGrid grid;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(demand::aggregate(dataset, grid, 5));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset.size()));
-}
-BENCHMARK(BM_AggregateLocations);
-
-void BM_SizeWithCap(benchmark::State& state) {
-  const core::SizingModel model;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::size_with_cap(profile_2pct(), model, 5.0, 20.0));
-  }
-}
-BENCHMARK(BM_SizeWithCap);
-
-void BM_LongtailCurve(benchmark::State& state) {
-  const core::SizingModel model;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::longtail_curve(profile_2pct(), model, 10.0, 20.0));
-  }
-}
-BENCHMARK(BM_LongtailCurve);
-
-void BM_WeightedAliasDraw(benchmark::State& state) {
-  std::vector<double> weights(3143);
-  stats::Pcg32 seed_rng(5);
-  for (auto& w : weights) w = seed_rng.next_double() + 0.01;
-  const stats::WeightedAlias alias(weights);
-  stats::Pcg32 rng(9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alias(rng));
-  }
-}
-BENCHMARK(BM_WeightedAliasDraw);
-
-void BM_CompactConusRegion(benchmark::State& state) {
-  const hex::HexGrid grid;
-  const auto cells =
-      hex::polyfill(grid, geo::BoundingBox{36.0, 42.0, -104.0, -94.0}, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hex::compact(grid, cells, 3));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_CompactConusRegion);
-
-void BM_IslHopsToNearest(benchmark::State& state) {
-  const orbit::IslGrid grid(orbit::starlink_shell1());
-  std::vector<std::uint32_t> sources;
-  for (std::uint32_t i = 0; i < 64; ++i) sources.push_back(i * 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.hops_to_nearest(sources));
-  }
-}
-BENCHMARK(BM_IslHopsToNearest);
-
-void BM_TleRoundTrip(benchmark::State& state) {
-  const orbit::CircularOrbit orbit{550.0, 0.925, 1.2, 0.4};
-  for (auto _ : state) {
-    const std::string text = orbit::to_tle(orbit, 44444);
-    std::istringstream in(text);
-    benchmark::DoNotOptimize(orbit::read_tle_catalog(in));
-  }
-}
-BENCHMARK(BM_TleRoundTrip);
-
-void BM_OptimalSlotBound(benchmark::State& state) {
-  const auto orbits = orbit::make_constellation(orbit::starlink_shell1());
-  const auto states = orbit::propagate_all(orbits, 100.0);
-  const core::SatelliteCapacityModel capacity;
-  const auto cells = sim::BeamScheduler::cells_from_profile(
-      profile_2pct(), capacity, 20.0);
-  sim::SchedulerConfig config;
-  config.beamspread = 5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::optimal_slot_bound(cells, states, config));
-  }
-}
-BENCHMARK(BM_OptimalSlotBound);
-
-void BM_ScheduleShell1Indexed(benchmark::State& state) {
-  const auto states = orbit::propagate_all(
-      orbit::make_constellation(orbit::starlink_shell1()), 100.0);
-  const auto cells = sim::BeamScheduler::cells_from_profile(
-      profile_2pct(), core::SatelliteCapacityModel(), 20.0);
-  const sim::BeamScheduler scheduler(cells, sim::SchedulerConfig{});
-  sim::ScheduleWorkspace ws;
-  sim::ScheduleResult result;
-  for (auto _ : state) {
-    scheduler.schedule(states, ws, result);
-    benchmark::DoNotOptimize(result.locations_served);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_ScheduleShell1Indexed);
-
-void BM_ScheduleShell1Naive(benchmark::State& state) {
-  const auto states = orbit::propagate_all(
-      orbit::make_constellation(orbit::starlink_shell1()), 100.0);
-  const auto cells = sim::BeamScheduler::cells_from_profile(
-      profile_2pct(), core::SatelliteCapacityModel(), 20.0);
-  const sim::BeamScheduler scheduler(cells, sim::SchedulerConfig{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule_reference(states));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_ScheduleShell1Naive);
 
 std::string profile_bytes(const demand::DemandProfile& profile) {
   std::ostringstream cells, counties;
@@ -383,7 +186,8 @@ int run_sim_schedule_harness() {
     sim::ScheduleWorkspace ws;
     sim::ScheduleResult indexed;
     scheduler.schedule(states, ws, indexed);  // also warms the workspace
-    const sim::ScheduleResult naive = scheduler.schedule_reference(states);
+    const sim::ScheduleResult naive =
+        oracle::schedule_reference(scheduler, states);
     if (!(indexed == naive)) {
       std::cerr << "FAIL: indexed and naive schedules differ at "
                 << c.n_cells << "x" << states.size() << "\n";
@@ -396,7 +200,7 @@ int run_sim_schedule_harness() {
 
     const double naive_ms =
         timed_reps_ms(3, [&] {
-          benchmark::DoNotOptimize(scheduler.schedule_reference(states));
+          bench::keep(oracle::schedule_reference(scheduler, states));
         }).best_ms;
     const double indexed_ms =
         timed_reps_ms(5, [&] { scheduler.schedule(states, ws, indexed); })
@@ -477,11 +281,11 @@ int run_sim_event_harness() {
 
     const double epoch_ms =
         timed_reps_ms(2, [&] {
-          benchmark::DoNotOptimize(epoch_sim.run(executor));
+          bench::keep(epoch_sim.run(executor));
         }).best_ms;
     const double event_ms =
         timed_reps_ms(3, [&] {
-          benchmark::DoNotOptimize(event_sim.run(executor));
+          bench::keep(event_sim.run(executor));
         }).best_ms;
     std::cout << "  epoch:    " << epoch_ms << " ms\n"
               << "  event:    " << event_ms << " ms\n"
@@ -708,11 +512,11 @@ int run_market_harness() {
 
   const double serial_ms =
       timed_reps_ms(3, [&] {
-        benchmark::DoNotOptimize(simulation.run(profile, serial));
+        bench::keep(simulation.run(profile, serial));
       }).best_ms;
   const double pool_ms =
       timed_reps_ms(3, [&] {
-        benchmark::DoNotOptimize(simulation.run(profile, pool));
+        bench::keep(simulation.run(profile, pool));
       }).best_ms;
   std::cout << "  serial:   " << serial_ms << " ms\n"
             << "  pooled:   " << pool_ms << " ms\n"
@@ -739,13 +543,12 @@ void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
             << "}" << std::endl;
 }
 
-// The SIMD half of the `--graph` harness: the visibility mask, the
-// candidate compaction and the epoch rotation kernels against their
-// retained scalar twins over an 8192-satellite SoA, bit-compared before
-// anything is timed. Single-threaded, so the ratios are honest on any
-// host; the >= 2x gate on the mask kernel assumes the vector backend is
-// live (kernel_lanes() > 1), which the CI runners' x86-64 toolchain
-// provides.
+// The SIMD half of the `--graph` harness: the candidate compaction and the
+// epoch rotation kernels against their scalar references (tests/oracles)
+// over a 2048-satellite SoA, bit-compared before anything is timed.
+// Single-threaded, so the ratios are honest on any host; the gates assume
+// the vector backend is live (kernel_lanes() > 1), which the CI runners'
+// x86-64 toolchain provides.
 int run_graph_simd_cases() {
   // 2048 satellites keep the SoA L1-resident (3 x 16 KiB inputs), so the
   // ratios measure the kernels, not the cache hierarchy — 2048 is also the
@@ -779,36 +582,6 @@ int run_graph_simd_cases() {
       geo::spherical_to_cartesian({39.5, -98.35}, 1.0);  // unit radial
 
   int rc = 0;
-  {  // visible_mask vs visible_mask_scalar
-    std::cout << "  case: visible_mask over " << kSats << " sats\n";
-    std::vector<std::uint8_t> mask(kSats), mask_ref(kSats);
-    orbit::visible_mask(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                        uz.data(), kSats, cos_psi, mask.data());
-    orbit::visible_mask_scalar(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                               uz.data(), kSats, cos_psi, mask_ref.data());
-    if (std::memcmp(mask.data(), mask_ref.data(), kSats) != 0) {
-      std::cerr << "FAIL: visible_mask disagrees with scalar twin\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::visible_mask_scalar(cell.x, cell.y, cell.z, ux.data(),
-                                     uy.data(), uz.data(), kSats, cos_psi,
-                                     mask_ref.data());
-          benchmark::DoNotOptimize(mask_ref.data());
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::visible_mask(cell.x, cell.y, cell.z, ux.data(), uy.data(),
-                              uz.data(), kSats, cos_psi, mask.data());
-          benchmark::DoNotOptimize(mask.data());
-        }
-      });
-      print_simd_case("simd.visible_mask", kSats, scalar, simd);
-    }
-  }
   {  // filter_visible vs filter_visible_scalar (all-candidates compaction)
     std::cout << "  case: filter_visible over " << kSats << " candidates\n";
     std::vector<std::uint32_t> candidates(kSats);
@@ -819,27 +592,27 @@ int run_graph_simd_cases() {
     const std::size_t kept = orbit::filter_visible(
         cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
         candidates.data(), kSats, cos_psi, out.data());
-    const std::size_t kept_ref = orbit::filter_visible_scalar(
+    const std::size_t kept_ref = oracle::filter_visible_scalar(
         cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
         candidates.data(), kSats, cos_psi, out_ref.data());
     if (kept != kept_ref ||
         std::memcmp(out.data(), out_ref.data(),
                     kept * sizeof(std::uint32_t)) != 0) {
-      std::cerr << "FAIL: filter_visible disagrees with scalar twin\n";
+      std::cerr << "FAIL: filter_visible disagrees with its scalar reference\n";
       rc = 1;
     } else {
       std::cout << "  outputs:  bit-identical to scalar (kept " << kept << "/"
                 << kSats << ")\n";
       const RepTimes scalar = timed_reps_ms(5, [&] {
         for (int it = 0; it < kIters; ++it) {
-          benchmark::DoNotOptimize(orbit::filter_visible_scalar(
+          bench::keep(oracle::filter_visible_scalar(
               cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
               candidates.data(), kSats, cos_psi, out_ref.data()));
         }
       });
       const RepTimes simd = timed_reps_ms(5, [&] {
         for (int it = 0; it < kIters; ++it) {
-          benchmark::DoNotOptimize(orbit::filter_visible(
+          bench::keep(orbit::filter_visible(
               cell.x, cell.y, cell.z, ux.data(), uy.data(), uz.data(),
               candidates.data(), kSats, cos_psi, out.data()));
         }
@@ -854,26 +627,26 @@ int run_graph_simd_cases() {
     std::vector<double> rx(kSats), ry(kSats), rx_ref(kSats), ry_ref(kSats);
     orbit::rotate_about_z(ux.data(), uy.data(), c, s, kSats, rx.data(),
                           ry.data());
-    orbit::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
-                                 rx_ref.data(), ry_ref.data());
+    oracle::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
+                                  rx_ref.data(), ry_ref.data());
     if (std::memcmp(rx.data(), rx_ref.data(), kSats * sizeof(double)) != 0 ||
         std::memcmp(ry.data(), ry_ref.data(), kSats * sizeof(double)) != 0) {
-      std::cerr << "FAIL: rotate_about_z disagrees with scalar twin\n";
+      std::cerr << "FAIL: rotate_about_z disagrees with its scalar reference\n";
       rc = 1;
     } else {
       std::cout << "  outputs:  bit-identical to scalar\n";
       const RepTimes scalar = timed_reps_ms(5, [&] {
         for (int it = 0; it < kIters; ++it) {
-          orbit::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
-                                       rx_ref.data(), ry_ref.data());
-          benchmark::DoNotOptimize(rx_ref.data());
+          oracle::rotate_about_z_scalar(ux.data(), uy.data(), c, s, kSats,
+                                        rx_ref.data(), ry_ref.data());
+          bench::keep(rx_ref.data());
         }
       });
       const RepTimes simd = timed_reps_ms(5, [&] {
         for (int it = 0; it < kIters; ++it) {
           orbit::rotate_about_z(ux.data(), uy.data(), c, s, kSats, rx.data(),
                                 ry.data());
-          benchmark::DoNotOptimize(rx.data());
+          bench::keep(rx.data());
         }
       });
       print_simd_case("simd.rotate", kSats, scalar, simd);
@@ -987,10 +760,12 @@ int run_graph_harness() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --threads N / --threads=N and the observability flags before
-  // google-benchmark sees the command line (it rejects flags it does not
-  // own).
   namespace obs = leodivide::obs;
+  namespace runtime = leodivide::runtime;
+  constexpr const char* kUsage =
+      "usage: micro_perf --threads N | --sim-schedule | --sim-event | "
+      "--serve-delta [--workers W] | --market | --graph "
+      "[--trace FILE] [--metrics[=FILE]]\n";
   obs::Options obs_options = obs::options_from_env();
   std::size_t threads = 0;
   bool sim_schedule = false;
@@ -998,32 +773,45 @@ int main(int argc, char** argv) {
   bool serve_delta = false;
   bool market = false;
   bool graph = false;
-  std::size_t workers = leodivide::runtime::worker_count_from_env(4);
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<std::size_t>(
-          std::strtoul(arg.c_str() + 10, nullptr, 10));
-    } else if (arg == "--sim-schedule") {
-      sim_schedule = true;
-    } else if (arg == "--sim-event") {
-      sim_event = true;
-    } else if (arg == "--serve-delta") {
-      serve_delta = true;
-    } else if (arg == "--market") {
-      market = true;
-    } else if (arg == "--graph") {
-      graph = true;
-    } else if (leodivide::runtime::parse_workers_arg(argc, argv, i, workers)) {
-      // Worker-pool flag (serve-delta concurrency smoke); consumed.
-    } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
-      // Observability flag; consumed.
-    } else {
-      args.push_back(argv[i]);
+  std::size_t workers = runtime::worker_count_from_env(4);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (const auto value = leodivide::io::flag_value(argc, argv, i,
+                                                       "--threads")) {
+        const auto parsed = runtime::parse_thread_count(*value);
+        if (!parsed) {
+          throw std::runtime_error("invalid --threads value '" +
+                                   std::string(*value) + "'");
+        }
+        threads = *parsed;
+      } else if (arg == "--sim-schedule") {
+        sim_schedule = true;
+      } else if (arg == "--sim-event") {
+        sim_event = true;
+      } else if (arg == "--serve-delta") {
+        serve_delta = true;
+      } else if (arg == "--market") {
+        market = true;
+      } else if (arg == "--graph") {
+        graph = true;
+      } else if (runtime::parse_workers_arg(argc, argv, i, workers)) {
+        // Worker-pool flag (serve-delta concurrency smoke); consumed.
+      } else if (obs::parse_cli_arg(obs_options, argc, argv, i)) {
+        // Observability flag; consumed.
+      } else {
+        std::cerr << "unknown or malformed flag: " << arg << '\n' << kUsage;
+        return 2;
+      }
     }
+  } catch (const std::runtime_error& e) {
+    std::cerr << "unknown or malformed flag: " << e.what() << '\n' << kUsage;
+    return 2;
+  }
+  if (!graph && !market && !serve_delta && !sim_schedule && !sim_event &&
+      threads == 0) {
+    std::cerr << kUsage;
+    return 2;
   }
   obs::apply(obs_options);
 
@@ -1038,17 +826,8 @@ int main(int argc, char** argv) {
     rc = run_sim_schedule_harness();
   } else if (sim_event) {
     rc = run_sim_event_harness();
-  } else if (threads > 0) {
-    rc = run_scaling_harness(threads);
   } else {
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-      rc = 1;
-    } else {
-      benchmark::RunSpecifiedBenchmarks();
-      benchmark::Shutdown();
-    }
+    rc = run_scaling_harness(threads);
   }
   obs::finalize(obs_options);
   return rc;

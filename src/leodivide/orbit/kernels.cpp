@@ -1,7 +1,6 @@
 #include "leodivide/orbit/kernels.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "leodivide/simd/lanes.hpp"
 
@@ -12,9 +11,7 @@
 // This is the only TU that instantiates SIMD code, and everything
 // width-dependent stays in the anonymous namespace: the build may give this
 // file wider target flags (see LEODIVIDE_KERNEL_NATIVE) without risking an
-// ODR merge of flag-dependent inline code from other TUs. The `_scalar`
-// twins live in kernels_scalar.cpp, compiled with auto-vectorization off,
-// so they remain a genuine element-at-a-time reference.
+// ODR merge of flag-dependent inline code from other TUs.
 
 namespace leodivide::orbit {
 
@@ -49,22 +46,6 @@ unsigned mask_bits(typename simd::DoubleLanes<W>::M m) {
   }
   return bits;
 }
-
-/// 0/1-byte expansion of every W-bit mask value, so visible_mask can turn
-/// a lane bitmask into its W output bytes with one table load + one store.
-template <std::size_t W>
-struct MaskBytesTable {
-  unsigned char b[std::size_t(1) << W][W];
-  constexpr MaskBytesTable() : b() {
-    for (std::size_t m = 0; m < (std::size_t(1) << W); ++m) {
-      for (std::size_t j = 0; j < W; ++j) {
-        b[m][j] = (m >> j) & 1 ? 1 : 0;
-      }
-    }
-  }
-};
-template <std::size_t W>
-constexpr MaskBytesTable<W> kMaskBytes{};
 #endif
 
 // Width-generic kernel bodies. They are templates so the scalar
@@ -120,31 +101,6 @@ std::size_t filter_visible_impl(double cx, double cy, double cz,
 }
 
 template <std::size_t W>
-void visible_mask_impl(double cx, double cy, double cz, const double* ux,
-                       const double* uy, const double* uz, std::size_t n,
-                       double cos_psi, std::uint8_t* out_mask) {
-  std::size_t i = 0;
-  if constexpr (W > 1) {
-    using L = simd::DoubleLanes<W>;
-    using V = typename L::V;
-    const V vcx = L::splat(cx);
-    const V vcy = L::splat(cy);
-    const V vcz = L::splat(cz);
-    const V vthresh = L::splat(cos_psi);
-    for (; i + W <= n; i += W) {
-      const V dot = vcx * L::load(ux + i) + vcy * L::load(uy + i) +
-                    vcz * L::load(uz + i);
-      // One table load + one W-byte store of the 0/1 mask per W satellites.
-      const unsigned bits = mask_bits<W>(dot >= vthresh);
-      std::memcpy(out_mask + i, kMaskBytes<W>.b[bits], W);
-    }
-  }
-  for (; i < n; ++i) {
-    out_mask[i] = cx * ux[i] + cy * uy[i] + cz * uz[i] >= cos_psi ? 1 : 0;
-  }
-}
-
-template <std::size_t W>
 void rotate_about_z_impl(const double* x, const double* y, double c, double s,
                          std::size_t n, double* out_x, double* out_y) {
   std::size_t i = 0;
@@ -194,12 +150,6 @@ std::size_t filter_visible(double cx, double cy, double cz, const double* ux,
                            double cos_psi, std::uint32_t* out) {
   return filter_visible_impl<kW>(cx, cy, cz, ux, uy, uz, candidates, n,
                                  cos_psi, out);
-}
-
-void visible_mask(double cx, double cy, double cz, const double* ux,
-                  const double* uy, const double* uz, std::size_t n,
-                  double cos_psi, std::uint8_t* out_mask) {
-  visible_mask_impl<kW>(cx, cy, cz, ux, uy, uz, n, cos_psi, out_mask);
 }
 
 void rotate_about_z(const double* x, const double* y, double c, double s,

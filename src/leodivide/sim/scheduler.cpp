@@ -83,6 +83,8 @@ BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
   // A hostile mask fails here, through the derivation every epoch uses,
   // rather than mid-run.
   (void)coverage_geometry(coverage_radius_km({}), config_.min_elevation_deg);
+  // The naive-scan test oracle (tests/oracles) re-derives this order with
+  // the same comparator; the equivalence suites fail if the two diverge.
   order_.resize(cells_.size());
   std::iota(order_.begin(), order_.end(), 0U);
   std::sort(order_.begin(), order_.end(),
@@ -303,93 +305,6 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
     pruned.add(pairs - candidates_scanned);
     retirements.add(retired);
   }
-}
-
-ScheduleResult BeamScheduler::schedule_reference(
-    const std::vector<orbit::SatState>& sats) const {
-  ScheduleResult result;
-  if (cells_.empty()) return result;
-
-  // Precompute the geometry threshold: a satellite is usable by a cell when
-  // the cell lies within the coverage central angle for the elevation mask.
-  const double cos_psi =
-      coverage_geometry(coverage_radius_km(sats), config_.min_elevation_deg)
-          .cos_psi;
-
-  std::vector<BeamBudget> budgets(
-      sats.size(), BeamBudget(config_.beams_per_satellite, config_.beamspread));
-
-  // Unit vectors of satellite positions for the cheap visibility test.
-  std::vector<geo::Vec3> sat_units;
-  sat_units.reserve(sats.size());
-  for (const auto& s : sats) sat_units.push_back(s.ecef_km.unit());
-
-  std::vector<bool> sat_touched(sats.size(), false);
-
-  for (std::uint32_t ci : order_) {
-    const SchedCell& cell = cells_[ci];
-    result.locations_total += cell.locations;
-    const geo::Vec3 cell_unit = cell.ecef_km.unit();
-
-    std::int64_t best_sat = -1;
-    std::uint32_t best_slack = 0;
-    for (std::size_t si = 0; si < sats.size(); ++si) {
-      if (cell_unit.dot(sat_units[si]) < cos_psi) continue;  // not visible
-      const std::uint32_t slack = budgets[si].slack();
-      if (slack == 0) continue;
-      // Whole-beam cells need enough free whole beams.
-      if (cell.beams_needed >= 2 &&
-          budgets[si].beams_free() < cell.beams_needed) {
-        continue;
-      }
-      bool take = best_sat < 0;
-      switch (config_.strategy) {
-        case Strategy::kMostSlack:
-          take = take || slack > best_slack;
-          break;
-        case Strategy::kBestFit:
-          take = take || slack < best_slack;
-          break;
-        case Strategy::kFirstFit:
-          break;  // keep the first feasible satellite
-      }
-      if (take) {
-        best_sat = static_cast<std::int64_t>(si);
-        best_slack = slack;
-        if (config_.strategy == Strategy::kFirstFit) break;
-      }
-    }
-    if (best_sat < 0) {
-      result.unassigned_cells.push_back(ci);
-      continue;
-    }
-    auto& budget = budgets[static_cast<std::size_t>(best_sat)];
-    const bool ok = cell.beams_needed >= 2
-                        ? budget.reserve_whole(cell.beams_needed)
-                        : budget.reserve_shared_slot();
-    if (!ok) {
-      result.unassigned_cells.push_back(ci);
-      continue;
-    }
-    sat_touched[static_cast<std::size_t>(best_sat)] = true;
-    result.assignments.push_back(
-        Assignment{ci, static_cast<std::uint32_t>(best_sat),
-                   cell.beams_needed >= 2 ? cell.beams_needed : 0U});
-    result.locations_served += cell.locations;
-  }
-
-  double util_sum = 0.0;
-  std::size_t util_n = 0;
-  for (std::size_t si = 0; si < sats.size(); ++si) {
-    if (!sat_touched[si]) continue;
-    util_sum += static_cast<double>(budgets[si].beams_used()) /
-                static_cast<double>(config_.beams_per_satellite);
-    ++util_n;
-  }
-  result.mean_beam_utilization = util_n == 0 ? 0.0 : util_sum /
-                                                         static_cast<double>(
-                                                             util_n);
-  return result;
 }
 
 }  // namespace leodivide::sim

@@ -87,7 +87,8 @@ class BeamScheduler {
   /// satellite search runs through a per-epoch spatial index
   /// (orbit::VisIndex), pruning the candidate set from O(sats) to O(k)
   /// per cell, and a satellite is retired from the index once its slack
-  /// reaches zero; the result is byte-identical to schedule_reference.
+  /// reaches zero; the result is byte-identical to the naive full scan
+  /// kept as a test oracle in tests/oracles.
   /// Each cell's index window is computed once per grid layout and shared
   /// by every later epoch, thread and copy of this scheduler.
   [[nodiscard]] ScheduleResult schedule(
@@ -99,13 +100,6 @@ class BeamScheduler {
   /// shared between threads.
   void schedule(const std::vector<orbit::SatState>& sats,
                 ScheduleWorkspace& workspace, ScheduleResult& out) const;
-
-  /// The retained naive O(cells x sats) reference kernel (the pre-index
-  /// implementation, kept verbatim): scans every satellite per cell. The
-  /// golden equivalence suite and the sim.schedule bench compare the
-  /// indexed kernel against it; never used on the hot path.
-  [[nodiscard]] ScheduleResult schedule_reference(
-      const std::vector<orbit::SatState>& sats) const;
 
   [[nodiscard]] const std::vector<SchedCell>& cells() const noexcept {
     return cells_;

@@ -874,63 +874,6 @@ TEST(Region, TinyOutlineStillGenerates) {
 }  // namespace
 }  // namespace leodivide::demand
 
-// Appended: diurnal activity model (demand/diurnal.hpp).
-#include "leodivide/demand/diurnal.hpp"
-
-namespace leodivide::demand {
-namespace {
-
-TEST(Diurnal, ResidentialCurveMatchesFccBenchmark) {
-  const DiurnalCurve curve = residential_evening_peak();
-  // Busy hour at 21:00 with 5% simultaneous activity -> 20:1.
-  EXPECT_EQ(curve.busy_hour(), 21U);
-  EXPECT_DOUBLE_EQ(curve.busy_hour_activity(), 0.05);
-  EXPECT_DOUBLE_EQ(curve.max_acceptable_oversubscription(), 20.0);
-}
-
-TEST(Diurnal, ActivityInterpolatesAndWraps) {
-  const DiurnalCurve curve = residential_evening_peak();
-  EXPECT_DOUBLE_EQ(curve.activity(21.0), 0.05);
-  // Halfway between hour 21 (0.050) and 22 (0.044).
-  EXPECT_NEAR(curve.activity(21.5), 0.047, 1e-12);
-  // Wraparound: 23:30 interpolates toward hour 0.
-  EXPECT_NEAR(curve.activity(23.5), (0.028 + 0.012) / 2.0, 1e-12);
-  EXPECT_NEAR(curve.activity(-0.5), curve.activity(23.5), 1e-12);
-  EXPECT_NEAR(curve.activity(45.0), curve.activity(21.0), 1e-12);
-}
-
-TEST(Diurnal, MeanBelowPeak) {
-  const DiurnalCurve curve = residential_evening_peak();
-  EXPECT_LT(curve.mean_activity(), curve.busy_hour_activity());
-  EXPECT_GT(curve.mean_activity(), 0.0);
-}
-
-TEST(Diurnal, PeakActivityBoundsEveryHour) {
-  const DiurnalCurve curve = residential_evening_peak();
-  for (double h = 0.0; h < 24.0; h += 0.25) {
-    EXPECT_LE(curve.activity(h), curve.busy_hour_activity() + 1e-12);
-  }
-}
-
-TEST(Diurnal, RejectsDegenerateCurves) {
-  std::array<double, 24> zeros{};
-  EXPECT_THROW(DiurnalCurve{zeros}, std::invalid_argument);
-  std::array<double, 24> bad{};
-  bad[3] = 1.5;
-  EXPECT_THROW(DiurnalCurve{bad}, std::invalid_argument);
-}
-
-TEST(Diurnal, FlatCurveGivesUniformOversub) {
-  std::array<double, 24> flat{};
-  flat.fill(0.1);
-  const DiurnalCurve curve(flat);
-  EXPECT_DOUBLE_EQ(curve.max_acceptable_oversubscription(), 10.0);
-  EXPECT_DOUBLE_EQ(curve.mean_activity(), 0.1);
-}
-
-}  // namespace
-}  // namespace leodivide::demand
-
 // Appended: GeoJSON export (demand/geojson.hpp).
 #include <sstream>
 

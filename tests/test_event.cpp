@@ -38,6 +38,7 @@
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/snapshot/artifacts.hpp"
 #include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 // ------------------------------------------------------------------------
 // Counting allocator hooks (same pin as test_sim_equivalence.cpp): every
@@ -394,8 +395,8 @@ TEST(EventTraceAccounting, SegmentsMatchNaiveKernelAndPartitionHorizon) {
   sim::ScheduleResult prev;
   for (std::size_t i = 0; i < trace.segments.size(); ++i) {
     const CoverageSegment& segment = trace.segments[i];
-    const sim::ScheduleResult ref = scheduler.schedule_reference(
-        orbit::propagate_all(orbits, segment.begin_s));
+    const sim::ScheduleResult ref = oracle::schedule_reference(
+        scheduler, orbit::propagate_all(orbits, segment.begin_s));
     const sim::EpochCoverage coverage =
         sim::summarize_epoch(ref, n_cells, segment.begin_s);
     EXPECT_TRUE(segment.coverage == coverage) << "segment " << i;

@@ -8,6 +8,8 @@
 //
 // Binary locations come from the LEODIVIDE_EXAMPLES_DIR compile definition
 // (the build's examples/ output directory, set in tests/CMakeLists.txt).
+// The bench harness micro_perf follows the same flag rules; its cases use
+// LEODIVIDE_BENCH_DIR, defined only when the benches are built.
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,15 @@ RunResult run_command(const std::string& command) {
 
 std::string example_path(const std::string& name) {
   return (fs::path(LEODIVIDE_EXAMPLES_DIR) / name).string();
+}
+
+/// micro_perf's path, or "" when the benches are not built.
+std::string micro_perf_path() {
+#ifdef LEODIVIDE_BENCH_DIR
+  return (fs::path(LEODIVIDE_BENCH_DIR) / "micro_perf").string();
+#else
+  return "";
+#endif
 }
 
 class ExamplesCli : public ::testing::TestWithParam<const char*> {};
@@ -143,6 +154,28 @@ TEST(ExamplesCli, SnapshotDirWithoutValueRejected) {
   }
   const RunResult r = run_command(binary + " --snapshot-dir");
   EXPECT_NE(r.exit_code, 0) << "bare --snapshot-dir accepted:\n" << r.output;
+}
+
+TEST(ExamplesCli, MicroPerfBadFlagsRejected) {
+  const std::string binary = micro_perf_path();
+  if (binary.empty() || !fs::exists(binary)) {
+    GTEST_SKIP() << "micro_perf not built";
+  }
+  // A wrapped, truncated or zero count, an unknown flag and a missing mode
+  // must each stop the harness before it runs; the timeout turns a harness
+  // that starts anyway into a prompt failure.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--threads -1", "--threads"},
+      {"--threads 2x", "--threads"},
+      {"--workers 0", "--workers"},
+      {"--definitely-not-a-flag", "--definitely-not-a-flag"},
+      {"", "usage: micro_perf"}};
+  for (const auto& [args, expected] : cases) {
+    SCOPED_TRACE(args);
+    const RunResult r = run_command("timeout 60 " + binary + " " + args);
+    EXPECT_EQ(r.exit_code, 2) << "bad flags accepted:\n" << r.output;
+    EXPECT_NE(r.output.find(expected), std::string::npos) << r.output;
+  }
 }
 
 /// The JSON bench line a CLI run ends with.

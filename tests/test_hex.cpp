@@ -357,132 +357,3 @@ INSTANTIATE_TEST_SUITE_P(Cells, NeighborSymmetry, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace leodivide::hex
-
-// Appended: multi-resolution compaction (hex/compact.hpp).
-#include "leodivide/hex/compact.hpp"
-
-namespace leodivide::hex {
-namespace {
-
-TEST(Compact, CompleteSiblingGroupBecomesParent) {
-  const HexGrid grid;
-  const CellId parent = grid.cell_of({39.0, -98.0}, 4);
-  const auto children = grid.children_of(parent, 5);
-  const auto compacted = compact(grid, children, 0);
-  // All children present -> replaced by (at least) the parent.
-  EXPECT_LT(compacted.size(), children.size());
-  EXPECT_NE(std::find(compacted.begin(), compacted.end(), parent),
-            compacted.end());
-}
-
-TEST(Compact, IncompleteGroupPassesThrough) {
-  const HexGrid grid;
-  const CellId parent = grid.cell_of({39.0, -98.0}, 4);
-  auto children = grid.children_of(parent, 5);
-  ASSERT_GE(children.size(), 2U);
-  children.pop_back();  // remove one sibling
-  const auto compacted = compact(grid, children, 0);
-  EXPECT_EQ(compacted.size(), children.size());
-  for (const CellId c : compacted) EXPECT_EQ(c.resolution(), 5);
-}
-
-TEST(Compact, UncompactInvertsCompact) {
-  const HexGrid grid;
-  const auto cells =
-      polyfill(grid, geo::BoundingBox{38.0, 39.5, -100.0, -98.0}, 5);
-  const auto compacted = compact(grid, cells, 0);
-  EXPECT_LT(compacted.size(), cells.size());
-  auto expanded = uncompact(grid, compacted, 5);
-  std::vector<CellId> original = cells;
-  std::sort(original.begin(), original.end());
-  EXPECT_EQ(expanded, original);
-}
-
-TEST(Compact, DeduplicatesInput) {
-  const HexGrid grid;
-  const CellId c = grid.cell_of({40.0, -100.0}, 5);
-  const auto compacted = compact(grid, {c, c, c}, 0);
-  EXPECT_EQ(compacted.size(), 1U);
-}
-
-TEST(Compact, EmptyInputYieldsEmptyOutput) {
-  const HexGrid grid;
-  EXPECT_TRUE(compact(grid, {}, 0).empty());
-}
-
-TEST(Compact, RejectsMixedResolutions) {
-  const HexGrid grid;
-  EXPECT_THROW(
-      (void)compact(grid, {CellId(5, {0, 0}), CellId(6, {0, 0})}, 0),
-      std::invalid_argument);
-  EXPECT_THROW((void)compact(grid, {CellId(5, {0, 0})}, 7),
-               std::invalid_argument);
-}
-
-TEST(Uncompact, ExpandsCoarseCells) {
-  const HexGrid grid;
-  const CellId parent = grid.cell_of({39.0, -98.0}, 3);
-  const auto expanded = uncompact(grid, {parent}, 5);
-  EXPECT_GE(expanded.size(), 13U);  // ~16 descendants two levels down
-  for (const CellId c : expanded) {
-    EXPECT_EQ(c.resolution(), 5);
-    // The hierarchy composes through one-level steps (center-based
-    // parents), so check the composed relation.
-    EXPECT_EQ(grid.parent_of(grid.parent_of(c, 4), 3), parent);
-  }
-}
-
-TEST(Uncompact, RejectsFinerThanTarget) {
-  const HexGrid grid;
-  EXPECT_THROW((void)uncompact(grid, {CellId(6, {0, 0})}, 5),
-               std::invalid_argument);
-}
-
-TEST(Uncompact, MixedResolutionInputFlattens) {
-  const HexGrid grid;
-  const CellId coarse = grid.cell_of({39.0, -98.0}, 4);
-  const CellId fine = grid.cell_of({45.0, -110.0}, 5);
-  const auto expanded = uncompact(grid, {coarse, fine}, 5);
-  for (const CellId c : expanded) EXPECT_EQ(c.resolution(), 5);
-  EXPECT_NE(std::find(expanded.begin(), expanded.end(), fine),
-            expanded.end());
-}
-
-}  // namespace
-}  // namespace leodivide::hex
-
-// Appended: compact/uncompact round-trip property sweep.
-namespace leodivide::hex {
-namespace {
-
-struct BoxCase {
-  double lat_lo, lat_hi, lon_lo, lon_hi;
-  int res;
-};
-
-class CompactRoundTrip : public ::testing::TestWithParam<BoxCase> {};
-
-TEST_P(CompactRoundTrip, UncompactRestoresExactSet) {
-  const auto& b = GetParam();
-  const HexGrid grid;
-  const auto cells = polyfill(
-      grid, geo::BoundingBox{b.lat_lo, b.lat_hi, b.lon_lo, b.lon_hi}, b.res);
-  ASSERT_FALSE(cells.empty());
-  const auto compacted = compact(grid, cells, 0);
-  EXPECT_LE(compacted.size(), cells.size());
-  auto expanded = uncompact(grid, compacted, b.res);
-  std::vector<CellId> original = cells;
-  std::sort(original.begin(), original.end());
-  EXPECT_EQ(expanded, original);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Boxes, CompactRoundTrip,
-    ::testing::Values(BoxCase{38.0, 39.0, -100.0, -99.0, 5},
-                      BoxCase{30.0, 32.0, -90.0, -88.0, 5},
-                      BoxCase{44.0, 46.0, -120.0, -117.0, 5},
-                      BoxCase{38.0, 40.0, -100.0, -97.0, 6},
-                      BoxCase{36.0, 37.0, -98.0, -97.0, 4}));
-
-}  // namespace
-}  // namespace leodivide::hex

@@ -8,10 +8,8 @@
 #include "leodivide/geo/greatcircle.hpp"
 #include "leodivide/orbit/density.hpp"
 #include "leodivide/orbit/footprint.hpp"
-#include "leodivide/orbit/groundtrack.hpp"
 #include "leodivide/orbit/kepler.hpp"
 #include "leodivide/orbit/propagate.hpp"
-#include "leodivide/orbit/visibility.hpp"
 #include "leodivide/orbit/walker.hpp"
 
 namespace leodivide::orbit {
@@ -143,76 +141,6 @@ TEST(Propagate, AllStatesHaveConsistentRadius) {
   ASSERT_EQ(states.size(), orbits.size());
   for (const auto& s : states) {
     EXPECT_NEAR(s.ecef_km.norm(), geo::kEarthRadiusKm + 550.0, 1e-6);
-  }
-}
-
-// ------------------------------------------------------------- groundtrack ----
-
-TEST(GroundTrack, SampleCountMatchesDuration) {
-  const auto track = ground_track(starlink_orbit(), 600.0, 60.0);
-  EXPECT_EQ(track.size(), 11U);
-}
-
-TEST(GroundTrack, RejectsBadParams) {
-  EXPECT_THROW(ground_track(starlink_orbit(), 100.0, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(ground_track(starlink_orbit(), -1.0, 10.0),
-               std::invalid_argument);
-}
-
-TEST(GroundTrack, NodalRegressionIsAbout24Degrees) {
-  // 95.6-minute orbit: Earth rotates ~23.9 deg per orbit.
-  EXPECT_NEAR(nodal_regression_per_orbit_deg(starlink_orbit()), 24.0, 0.5);
-}
-
-// -------------------------------------------------------------- visibility ----
-
-TEST(Visibility, SatelliteDirectlyOverheadAt90Degrees) {
-  const geo::GeoPoint ground{40.0, -100.0};
-  const geo::Vec3 sat =
-      geo::spherical_to_cartesian(ground, geo::kEarthRadiusKm + 550.0);
-  EXPECT_NEAR(elevation_deg(ground, sat), 90.0, 1e-5);
-  EXPECT_NEAR(slant_range_km(ground, sat), 550.0, 1e-6);
-}
-
-TEST(Visibility, AntipodalSatelliteBelowHorizon) {
-  const geo::GeoPoint ground{0.0, 0.0};
-  const geo::Vec3 sat =
-      geo::spherical_to_cartesian({0.0, 180.0}, geo::kEarthRadiusKm + 550.0);
-  EXPECT_LT(elevation_deg(ground, sat), -80.0);
-  EXPECT_FALSE(is_visible(ground, sat, 0.0));
-}
-
-TEST(Visibility, ElevationDecreasesWithGroundDistance) {
-  const geo::GeoPoint subpoint{40.0, -100.0};
-  const geo::Vec3 sat =
-      geo::spherical_to_cartesian(subpoint, geo::kEarthRadiusKm + 550.0);
-  double prev = 90.0;
-  for (double off = 1.0; off <= 20.0; off += 1.0) {
-    const double el = elevation_deg({40.0, -100.0 + off}, sat);
-    EXPECT_LT(el, prev);
-    prev = el;
-  }
-}
-
-TEST(Visibility, CountMatchesIndices) {
-  const auto orbits = make_constellation(starlink_shell1());
-  const auto states = propagate_all(orbits, 0.0);
-  const geo::GeoPoint ground{39.5, -98.35};
-  const auto idx = visible_satellites(ground, states, 25.0);
-  EXPECT_EQ(idx.size(), count_visible(ground, states, 25.0));
-  for (std::size_t i : idx) {
-    EXPECT_GE(elevation_deg(ground, states[i].ecef_km), 25.0);
-  }
-}
-
-TEST(Visibility, Shell1SeesSeveralSatsFromMidLatitudes) {
-  // From the CONUS centroid at a 25-degree mask, shell 1 should always show
-  // at least one satellite and typically a handful.
-  const auto orbits = make_constellation(starlink_shell1());
-  for (double t : {0.0, 300.0, 900.0, 2700.0}) {
-    const auto states = propagate_all(orbits, t);
-    EXPECT_GE(count_visible({39.5, -98.35}, states, 25.0), 1U);
   }
 }
 
@@ -522,102 +450,6 @@ TEST(Isl, GeoComparisonFavorsLeo) {
   const double leo = bent_pipe_delay_ms(600.0, 600.0);
   const double geo_delay = bent_pipe_delay_ms(35786.0, 35786.0);
   EXPECT_GT(geo_delay / leo, 50.0);
-}
-
-}  // namespace
-}  // namespace leodivide::orbit
-
-// Appended: TLE ephemeris I/O (orbit/tle.hpp).
-#include <sstream>
-
-#include "leodivide/orbit/tle.hpp"
-
-namespace leodivide::orbit {
-namespace {
-
-// The canonical ISS element set used in TLE format documentation.
-const char* kIssLine1 =
-    "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927";
-const char* kIssLine2 =
-    "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537";
-
-TEST(TleChecksum, MatchesKnownLines) {
-  EXPECT_EQ(tle_checksum(std::string(kIssLine1).substr(0, 68)), 7);
-  EXPECT_EQ(tle_checksum(std::string(kIssLine2).substr(0, 68)), 7);
-}
-
-TEST(TleParse, IssFields) {
-  const Tle tle = parse_tle(kIssLine1, kIssLine2, "ISS (ZARYA)");
-  EXPECT_EQ(tle.name, "ISS (ZARYA)");
-  EXPECT_EQ(tle.catalog_number, 25544U);
-  EXPECT_NEAR(tle.inclination_deg, 51.6416, 1e-9);
-  EXPECT_NEAR(tle.raan_deg, 247.4627, 1e-9);
-  EXPECT_NEAR(tle.eccentricity, 0.0006703, 1e-12);
-  EXPECT_NEAR(tle.mean_motion_rev_day, 15.72125391, 1e-7);
-  // ISS altitude ~340-360 km at that epoch.
-  EXPECT_NEAR(tle.altitude_km(), 350.0, 15.0);
-}
-
-TEST(TleParse, RejectsCorruptedLines) {
-  std::string bad1 = kIssLine1;
-  bad1[20] = '9';  // corrupt a digit -> checksum fails
-  EXPECT_THROW((void)parse_tle(bad1, kIssLine2), std::invalid_argument);
-  EXPECT_THROW((void)parse_tle(kIssLine2, kIssLine1),
-               std::invalid_argument);  // swapped line numbers
-  EXPECT_THROW((void)parse_tle("1 short", kIssLine2), std::invalid_argument);
-}
-
-TEST(TleParse, RejectsMismatchedCatalogNumbers) {
-  // Change line 2's catalog number and fix its checksum.
-  std::string l2 = kIssLine2;
-  l2[6] = '5';  // 25544 -> 25545
-  l2.resize(68);
-  l2.push_back(static_cast<char>('0' + tle_checksum(l2)));
-  EXPECT_THROW((void)parse_tle(kIssLine1, l2), std::invalid_argument);
-}
-
-TEST(TleRoundTrip, GeneratedOrbitSurvives) {
-  const CircularOrbit orbit{550.0, geo::deg2rad(53.0),
-                            geo::deg2rad(123.4), geo::deg2rad(77.0)};
-  const std::string text = to_tle(orbit, 44444, "STARLINK-TEST");
-  std::istringstream in(text);
-  const auto catalog = read_tle_catalog(in);
-  ASSERT_EQ(catalog.size(), 1U);
-  EXPECT_EQ(catalog[0].name, "STARLINK-TEST");
-  EXPECT_EQ(catalog[0].catalog_number, 44444U);
-  const CircularOrbit back = to_circular_orbit(catalog[0]);
-  EXPECT_NEAR(back.altitude_km, 550.0, 0.5);
-  EXPECT_NEAR(back.inclination_rad, orbit.inclination_rad, 1e-4);
-  EXPECT_NEAR(back.raan_rad, orbit.raan_rad, 1e-4);
-  EXPECT_NEAR(back.phase_rad, orbit.phase_rad, 1e-4);
-}
-
-TEST(TleCatalog, ReadsWholeConstellations) {
-  const WalkerShell shell{53.0, 550.0, 4, 3, 1};
-  std::ostringstream out;
-  std::uint32_t n = 10000;
-  for (const auto& orbit : make_constellation(shell)) {
-    out << to_tle(orbit, n++);
-  }
-  std::istringstream in(out.str());
-  const auto catalog = read_tle_catalog(in);
-  ASSERT_EQ(catalog.size(), 12U);
-  for (const auto& tle : catalog) {
-    EXPECT_NEAR(tle.inclination_deg, 53.0, 1e-3);
-    EXPECT_NEAR(tle.altitude_km(), 550.0, 1.0);
-  }
-}
-
-TEST(TleCatalog, RejectsDanglingRecords) {
-  std::istringstream in(std::string(kIssLine1) + "\n");
-  EXPECT_THROW((void)read_tle_catalog(in), std::invalid_argument);
-}
-
-TEST(TleConvert, RejectsEccentricOrbits) {
-  Tle tle;
-  tle.eccentricity = 0.2;
-  tle.mean_motion_rev_day = 15.0;
-  EXPECT_THROW((void)to_circular_orbit(tle), std::invalid_argument);
 }
 
 }  // namespace

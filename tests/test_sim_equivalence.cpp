@@ -1,6 +1,6 @@
 // Golden equivalence suite for the spatially-indexed scheduling kernel:
 // BeamScheduler::schedule (VisIndex-pruned) must produce byte-identical
-// ScheduleResults to schedule_reference (the retained naive full scan) on
+// ScheduleResults to oracle::schedule_reference (the naive full scan) on
 // every strategy, constellation and cell geometry — including polar caps
 // and the date line — and the simulation trace must be identical at every
 // thread count. Also pins the zero-allocation contract of the steady-state
@@ -38,6 +38,7 @@
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/sim/workspace.hpp"
 #include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 // ------------------------------------------------------------------------
 // Counting allocator hooks. Every operator new in the process bumps the
@@ -92,7 +93,7 @@ orbit::SatState sat_at(double lat, double lon, double alt_km = 550.0) {
 void expect_equivalent(const BeamScheduler& scheduler,
                        const std::vector<orbit::SatState>& states) {
   const ScheduleResult indexed = scheduler.schedule(states);
-  const ScheduleResult naive = scheduler.schedule_reference(states);
+  const ScheduleResult naive = oracle::schedule_reference(scheduler, states);
   ASSERT_EQ(indexed.assignments.size(), naive.assignments.size());
   EXPECT_TRUE(indexed == naive);
 }
@@ -136,7 +137,7 @@ TEST(IndexedEquivalence, WorkspaceReuseAcrossEpochsMatchesReference) {
     const double t = 47.0 * e;
     orbit::propagate_all(orbits, t, ws.states);
     scheduler.schedule(ws.states, ws, indexed);
-    EXPECT_TRUE(indexed == scheduler.schedule_reference(ws.states))
+    EXPECT_TRUE(indexed == oracle::schedule_reference(scheduler, ws.states))
         << "epoch " << e;
   }
 }
@@ -271,7 +272,8 @@ TEST(IndexedEquivalence, SaturatedSatellitesRetireWithoutChangingSchedules) {
           const BeamScheduler scheduler(cells, config);
           obs::registry().reset_values();
           const ScheduleResult indexed = scheduler.schedule(states);
-          const ScheduleResult naive = scheduler.schedule_reference(states);
+          const ScheduleResult naive =
+              oracle::schedule_reference(scheduler, states);
           EXPECT_TRUE(indexed == naive)
               << "trial " << trial << " beams " << beams << " spread "
               << beamspread;
@@ -381,7 +383,7 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
 
   // Hand-built reference trace through the naive kernel: replicate the
   // simulation's construction (same cells, config, orbits), schedule each
-  // epoch with schedule_reference and summarize.
+  // epoch with oracle::schedule_reference and summarize.
   const BeamScheduler scheduler(
       BeamScheduler::cells_from_profile(profile, core::SatelliteCapacityModel(),
                                         config.oversub_target),
@@ -391,8 +393,8 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
   ASSERT_EQ(serial.size(), clock.epochs());
   for (std::size_t e = 0; e < clock.epochs(); ++e) {
     const double t = clock.time_at(e);
-    const auto ref =
-        scheduler.schedule_reference(orbit::propagate_all(orbits, t));
+    const auto ref = oracle::schedule_reference(
+        scheduler, orbit::propagate_all(orbits, t));
     EXPECT_TRUE(serial[e] ==
                 summarize_epoch(ref, scheduler.cells().size(), t))
         << "epoch " << e;
@@ -409,7 +411,8 @@ void expect_reused_matches_fresh(const BeamScheduler& scheduler,
   ScheduleResult reused;
   scheduler.schedule(states, ws, reused);
   EXPECT_TRUE(reused == scheduler.schedule(states)) << step;
-  EXPECT_TRUE(reused == scheduler.schedule_reference(states)) << step;
+  EXPECT_TRUE(reused == oracle::schedule_reference(scheduler, states))
+      << step;
 }
 
 TEST(Workspace, ReusedAcrossSchedulersAndShellsMatchesFresh) {

@@ -1,8 +1,8 @@
 // Golden suite for the SIMD kernels in orbit/kernels.cpp: the dispatching
-// entry points must be bit-identical to their retained `_scalar` twins on
-// adversarial inputs — polar cells, date-line longitudes, grazing
-// elevations that land exactly on the cos threshold, NaN lanes, and every
-// tail-lane remainder around the compiled lane width. Also pins the
+// entry points must be bit-identical to the scalar references in
+// tests/oracles on adversarial inputs — polar cells, date-line longitudes,
+// grazing elevations that land exactly on the cos threshold, NaN lanes, and
+// every tail-lane remainder around the compiled lane width. Also pins the
 // consumers: propagate_all (batched rotation) against per-satellite
 // ecef_position, and the scheduler's SIMD visibility filter against the
 // naive reference on threshold geometries.
@@ -22,6 +22,7 @@
 #include "leodivide/orbit/walker.hpp"
 #include "leodivide/sim/scheduler.hpp"
 #include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 namespace leodivide {
 namespace {
@@ -58,27 +59,13 @@ void expect_filter_matches_scalar(const SoaDirs& d, const geo::Vec3& cell,
   const std::size_t simd_n = orbit::filter_visible(
       cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
       d.candidates.data(), d.size(), cos_psi, simd_out.data());
-  const std::size_t scalar_n = orbit::filter_visible_scalar(
+  const std::size_t scalar_n = oracle::filter_visible_scalar(
       cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
       d.candidates.data(), d.size(), cos_psi, scalar_out.data());
   ASSERT_EQ(simd_n, scalar_n);
   for (std::size_t i = 0; i < simd_n; ++i) {
     EXPECT_EQ(simd_out[i], scalar_out[i]) << "kept index " << i;
   }
-
-  std::vector<std::uint8_t> simd_mask(d.size() + 1, 0xcc);
-  std::vector<std::uint8_t> scalar_mask(d.size() + 1, 0xcc);
-  orbit::visible_mask(cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(),
-                      d.uz.data(), d.size(), cos_psi, simd_mask.data());
-  orbit::visible_mask_scalar(cell.x, cell.y, cell.z, d.ux.data(),
-                             d.uy.data(), d.uz.data(), d.size(), cos_psi,
-                             scalar_mask.data());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_EQ(simd_mask[i], scalar_mask[i]) << "mask lane " << i;
-  }
-  // The byte past the end is untouched.
-  EXPECT_EQ(simd_mask[d.size()], 0xcc);
-  EXPECT_EQ(scalar_mask[d.size()], 0xcc);
 }
 
 TEST(SimdKernels, BackendIsCoherent) {
@@ -164,14 +151,14 @@ TEST(SimdKernels, NanLanesBehaveLikeScalar) {
   d.push({1.0, 0.0, 0.0});
   d.push({nan, nan, nan});
   expect_filter_matches_scalar(d, {1.0, 0.0, 0.0}, 0.5);
-  std::vector<std::uint8_t> mask(d.size(), 9);
-  orbit::visible_mask(1.0, 0.0, 0.0, d.ux.data(), d.uy.data(), d.uz.data(),
-                      d.size(), 0.5, mask.data());
-  EXPECT_EQ(mask[0], 0);  // NaN never passes
-  EXPECT_EQ(mask[1], 1);
-  EXPECT_EQ(mask[2], 0);
-  EXPECT_EQ(mask[3], 1);
-  EXPECT_EQ(mask[4], 0);
+  std::vector<std::uint32_t> out(d.size(), 0xdeadbeef);
+  const std::size_t kept = orbit::filter_visible(
+      1.0, 0.0, 0.0, d.ux.data(), d.uy.data(), d.uz.data(),
+      d.candidates.data(), d.size(), 0.5, out.data());
+  // NaN never passes: exactly the two finite lanes 1 and 3 survive.
+  ASSERT_EQ(kept, 2U);
+  EXPECT_EQ(out[0], 1U);
+  EXPECT_EQ(out[1], 3U);
 }
 
 TEST(SimdKernels, RotateMatchesScalarBitForBit) {
@@ -186,8 +173,8 @@ TEST(SimdKernels, RotateMatchesScalarBitForBit) {
       const double c = std::cos(theta);
       const double s = std::sin(theta);
       std::vector<double> sx(n), sy(n), vx(n), vy(n);
-      orbit::rotate_about_z_scalar(x.data(), y.data(), c, s, n, sx.data(),
-                                   sy.data());
+      oracle::rotate_about_z_scalar(x.data(), y.data(), c, s, n, sx.data(),
+                                    sy.data());
       orbit::rotate_about_z(x.data(), y.data(), c, s, n, vx.data(),
                             vy.data());
       for (std::size_t i = 0; i < n; ++i) {
@@ -279,7 +266,8 @@ TEST(SimdKernels, SchedulerBitIdenticalOnGrazingGeometry) {
     config.strategy = strategy;
     const sim::BeamScheduler scheduler(cells, config);
     const sim::ScheduleResult indexed = scheduler.schedule(sats);
-    const sim::ScheduleResult naive = scheduler.schedule_reference(sats);
+    const sim::ScheduleResult naive =
+        oracle::schedule_reference(scheduler, sats);
     EXPECT_TRUE(indexed == naive);
   }
 }

@@ -24,10 +24,12 @@ a robustness diagnostic next to the gated best-of ratio, never gated
 itself: best-of is the stable low-noise estimator, the median shows how
 far a typical run sits from it.
 
-Exits nonzero if any baseline case is missing from the output, fails its
-speedup gate, or if a baseline is malformed (no ``bench``/``min_speedup``,
+Exits nonzero if any baseline case is missing from the output or fails its
+speedup gate, if a harness line of a baseline's bench matches none of that
+baseline's cases (an ungated case: the gate has drifted out of sync with
+the harness), or if a baseline is malformed (no ``bench``/``min_speedup``,
 or an empty ``cases`` list — a baseline that gates nothing is a bug, not a
-pass).
+pass).  Lines of benches that no given baseline names are ignored.
 """
 
 import json
@@ -45,6 +47,10 @@ def case_key(fields):
             if k not in TIMING_KEYS and not k.endswith("_ms") and k != "bench"
         )
     )
+
+
+def case_label(bench, key):
+    return bench + ": " + " ".join(f"{k}={v}" for k, v in key)
 
 
 def parse_harness_lines(path):
@@ -71,7 +77,9 @@ class BaselineError(Exception):
 
 
 def check_baseline(path, baseline, results):
-    """Gate one baseline file's cases; returns (gate_failures, missing)."""
+    """Gate one baseline file's cases.
+
+    Returns (gate_failures, missing, ungated)."""
     for field in ("bench", "min_speedup", "cases"):
         if field not in baseline:
             raise BaselineError(f"{path}: baseline has no '{field}' field")
@@ -90,7 +98,7 @@ def check_baseline(path, baseline, results):
     for case in baseline["cases"]:
         key = case_key(case)
         rec = results.get((bench, key))
-        label = bench + ": " + " ".join(f"{k}={v}" for k, v in key)
+        label = case_label(bench, key)
         min_speedup = float(case.get("min_speedup", default_min))
         if rec is None:
             print(f"FAIL: {label}: missing from harness output")
@@ -124,7 +132,13 @@ def check_baseline(path, baseline, results):
                 )
         if not ok:
             failures += 1
-    return failures, missing
+    gated = {case_key(case) for case in baseline["cases"]}
+    ungated = 0
+    for line_bench, key in results:
+        if line_bench == bench and key not in gated:
+            print(f"FAIL: {case_label(bench, key)}: not gated by {path}")
+            ungated += 1
+    return failures, missing, ungated
 
 
 def main(argv):
@@ -140,6 +154,7 @@ def main(argv):
 
     failures = 0
     missing = 0
+    ungated = 0
     checked = 0
     for baseline_path in baseline_paths:
         try:
@@ -147,7 +162,7 @@ def main(argv):
                 baseline = json.load(f)
             if not isinstance(baseline, dict):
                 raise BaselineError(f"{baseline_path}: baseline is not an object")
-            case_failures, case_missing = check_baseline(
+            case_failures, case_missing, case_ungated = check_baseline(
                 baseline_path, baseline, results
             )
         except (OSError, json.JSONDecodeError, BaselineError) as err:
@@ -155,12 +170,14 @@ def main(argv):
             return 2
         failures += case_failures
         missing += case_missing
+        ungated += case_ungated
         checked += len(baseline["cases"])
 
-    if failures or missing:
+    if failures or missing or ungated:
         print(
             f"FAIL: {failures} case(s) below their speedup gate, "
-            f"{missing} case(s) missing from harness output"
+            f"{missing} case(s) missing from harness output, "
+            f"{ungated} harness case(s) not gated by a baseline"
         )
         return 1
     print(f"ok: all {checked} case(s) meet their speedup gates")

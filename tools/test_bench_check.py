@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CLI tests for bench_check.py: exit codes and diagnostics for the happy
-path, missing cases, empty/absent case lists, unknown bench names, gate
-failures and malformed baselines. Registered as the ``tools.bench_check``
-ctest."""
+path, missing cases, ungated harness cases, empty/absent case lists,
+unknown bench names, gate failures and malformed baselines. Registered as
+the ``tools.bench_check`` ctest."""
 
 import json
 import os
@@ -91,6 +91,30 @@ class BenchCheckCli(unittest.TestCase):
         self.assertIn("missing from harness output", proc.stdout)
         self.assertIn("1 case(s) missing", proc.stdout)
 
+    def test_ungated_harness_case_fails(self):
+        # The cells=400 line belongs to the baseline's bench but matches
+        # none of its cases: the gate no longer covers what the harness
+        # measures.
+        path = self.write_baseline("b.json", baseline([case(100, 4.8)]))
+        proc = self.run_check(self.output, path)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn(
+            "FAIL: sim.schedule: cells=400 sats=24: not gated by " + path,
+            proc.stdout,
+        )
+        self.assertIn("1 harness case(s) not gated", proc.stdout)
+
+    def test_lines_of_benches_without_a_baseline_are_ignored(self):
+        lines = HARNESS_LINES + "\n" + json.dumps(
+            {"bench": "micro_perf.aggregate", "threads": 2, "speedup": 1.9}
+        )
+        output = self.write("extra_output.txt", lines)
+        path = self.write_baseline(
+            "b.json", baseline([case(100, 4.8), case(400, 9.5)])
+        )
+        proc = self.run_check(output, path)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
     def test_empty_case_list_is_an_error_not_a_pass(self):
         path = self.write_baseline("b.json", baseline([]))
         proc = self.run_check(self.output, path)
@@ -124,7 +148,10 @@ class BenchCheckCli(unittest.TestCase):
     def test_per_case_gate_overrides_default(self):
         path = self.write_baseline(
             "b.json",
-            baseline([case(100, 4.8, min_speedup=4.5)], min_speedup=6.0),
+            baseline(
+                [case(100, 4.8, min_speedup=4.5), case(400, 9.5)],
+                min_speedup=6.0,
+            ),
         )
         proc = self.run_check(self.output, path)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
