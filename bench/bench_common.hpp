@@ -6,8 +6,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "leodivide/core/scenario.hpp"
@@ -20,9 +23,10 @@
 namespace leodivide::bench {
 
 /// RAII observability session for a bench binary: reads the env vars,
-/// consumes any --trace/--metrics/--snapshot-dir argv flags, enables the
+/// consumes the --trace/--metrics/--snapshot-dir argv flags, enables the
 /// requested facilities, and writes the trace/metrics files when the bench
-/// exits.
+/// exits. Any other argument, or one of those flags without its value,
+/// ends the process with exit code 2 and a usage line naming the argument.
 ///
 ///   int main(int argc, char** argv) {
 ///     leodivide::bench::ObsGuard obs_guard(argc, argv);
@@ -32,8 +36,16 @@ class ObsGuard {
  public:
   ObsGuard(int argc, char** argv) : options_(obs::options_from_env()) {
     for (int i = 1; i < argc; ++i) {
-      if (obs::parse_cli_arg(options_, argc, argv, i)) continue;
-      (void)snapshot::parse_cli_arg(argc, argv, i);
+      const std::string arg = argv[i];
+      try {
+        if (obs::parse_cli_arg(options_, argc, argv, i) ||
+            snapshot::parse_cli_arg(argc, argv, i)) {
+          continue;
+        }
+      } catch (const std::runtime_error& e) {
+        usage_exit(argv[0], e.what());  // a flag without its value
+      }
+      usage_exit(argv[0], arg);
     }
     obs::apply(options_);
   }
@@ -42,6 +54,14 @@ class ObsGuard {
   ObsGuard& operator=(const ObsGuard&) = delete;
 
  private:
+  [[noreturn]] static void usage_exit(std::string_view program,
+                                      const std::string& what) {
+    std::cerr << "unknown or malformed flag: " << what << "\nusage: "
+              << program.substr(program.rfind('/') + 1)
+              << " [--trace FILE] [--metrics[=FILE]] [--snapshot-dir DIR]\n";
+    std::exit(2);
+  }
+
   obs::Options options_;
 };
 

@@ -4,6 +4,8 @@
 // are compared with the same pipeline used for the US analysis.
 //
 //   $ ./region_study
+//
+// It takes no arguments: any argument is rejected with exit code 2.
 
 #include <cmath>
 #include <iostream>
@@ -15,8 +17,14 @@
 #include "leodivide/io/table.hpp"
 #include "leodivide/stats/lorenz.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace leodivide;
+
+  if (argc > 1) {
+    std::cerr << "unexpected argument: " << argv[1]
+              << "\nusage: region_study\n";
+    return 2;
+  }
 
   const demand::RegionSpec specs[] = {
       demand::dense_compact_region(),

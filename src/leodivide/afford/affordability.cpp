@@ -11,11 +11,6 @@ double income_required_usd(double monthly_usd, double threshold) {
   return monthly_usd * 12.0 / threshold;
 }
 
-bool is_affordable(double monthly_usd, double annual_income_usd,
-                   double threshold) {
-  return monthly_usd <= threshold * annual_income_usd / 12.0;
-}
-
 AffordabilityAnalyzer::AffordabilityAnalyzer(
     const demand::DemandProfile& profile)
     : income_(profile) {}
@@ -38,22 +33,6 @@ std::vector<PlanAffordability> AffordabilityAnalyzer::evaluate_paper_plans()
     const {
   std::vector<PlanAffordability> out;
   for (const auto& plan : paper_plans()) out.push_back(evaluate(plan));
-  return out;
-}
-
-std::vector<AffordabilityPoint> AffordabilityAnalyzer::curve(
-    const ServicePlan& plan, double x_max, std::size_t points) const {
-  if (points < 2 || x_max <= 0.0) {
-    throw std::invalid_argument("curve: need >= 2 points and x_max > 0");
-  }
-  std::vector<AffordabilityPoint> out;
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x = x_max * static_cast<double>(i + 1) /
-                     static_cast<double>(points);
-    out.push_back(AffordabilityPoint{
-        x, evaluate(plan, x).locations_unable});
-  }
   return out;
 }
 

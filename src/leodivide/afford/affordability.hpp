@@ -19,10 +19,6 @@ inline constexpr double kAffordabilityThreshold = 0.02;
 [[nodiscard]] double income_required_usd(
     double monthly_usd, double threshold = kAffordabilityThreshold);
 
-/// True if a plan at `monthly_usd` is affordable at `annual_income_usd`.
-[[nodiscard]] bool is_affordable(double monthly_usd, double annual_income_usd,
-                                 double threshold = kAffordabilityThreshold);
-
 /// Affordability of one plan over a demand profile.
 struct PlanAffordability {
   ServicePlan plan;
@@ -33,13 +29,6 @@ struct PlanAffordability {
   /// Exact (bit-level) equality; snapshot round-trip tests rely on it.
   friend bool operator==(const PlanAffordability&,
                          const PlanAffordability&) = default;
-};
-
-/// One point of a Figure-4 curve: at proportion-of-income x, how many
-/// locations cannot afford the plan.
-struct AffordabilityPoint {
-  double proportion_of_income = 0.0;
-  double locations_unable = 0.0;
 };
 
 /// Affordability analyzer bound to a demand profile's income view.
@@ -55,17 +44,9 @@ class AffordabilityAnalyzer {
   /// Evaluates the paper's four plans at the 2% threshold.
   [[nodiscard]] std::vector<PlanAffordability> evaluate_paper_plans() const;
 
-  /// The Figure-4 curve for a plan: locations unable to afford it as the
-  /// acceptable proportion of income sweeps (0, x_max]. The curve ends at
-  /// plan price / (min county income / 12) — beyond that even the poorest
-  /// county can afford the plan.
-  [[nodiscard]] std::vector<AffordabilityPoint> curve(const ServicePlan& plan,
-                                                      double x_max = 0.05,
-                                                      std::size_t points =
-                                                          100) const;
-
   /// Largest proportion-of-income any location would need for this plan
-  /// (the x at which the plan's curve reaches zero).
+  /// (the x at which the plan's Figure-4 curve reaches zero): plan price /
+  /// (min county income / 12).
   [[nodiscard]] double curve_end(const ServicePlan& plan) const;
 
   [[nodiscard]] const IncomeView& income() const noexcept { return income_; }

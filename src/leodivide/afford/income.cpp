@@ -29,10 +29,6 @@ double IncomeView::locations_with_income_at_most(double income_usd) const {
   return cdf_.weight_at_most(income_usd);
 }
 
-double IncomeView::fraction_with_income_at_most(double income_usd) const {
-  return cdf_(income_usd);
-}
-
 double IncomeView::income_quantile(double p) const { return cdf_.quantile(p); }
 
 double IncomeView::total_locations() const noexcept {
@@ -40,6 +36,5 @@ double IncomeView::total_locations() const noexcept {
 }
 
 double IncomeView::min_income() const noexcept { return cdf_.min(); }
-double IncomeView::max_income() const noexcept { return cdf_.max(); }
 
 }  // namespace leodivide::afford

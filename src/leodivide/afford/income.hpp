@@ -19,15 +19,11 @@ class IncomeView {
   /// Number of locations in counties with median income <= `income_usd`.
   [[nodiscard]] double locations_with_income_at_most(double income_usd) const;
 
-  /// Location-weighted CDF value at `income_usd`.
-  [[nodiscard]] double fraction_with_income_at_most(double income_usd) const;
-
   /// Location-weighted income quantile.
   [[nodiscard]] double income_quantile(double p) const;
 
   [[nodiscard]] double total_locations() const noexcept;
   [[nodiscard]] double min_income() const noexcept;
-  [[nodiscard]] double max_income() const noexcept;
 
  private:
   stats::WeightedCdf cdf_;

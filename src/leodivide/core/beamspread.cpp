@@ -23,13 +23,6 @@ void check_oversub(const char* fn, double oversub) {
 
 }  // namespace
 
-bool cell_served(const SatelliteCapacityModel& model, std::uint32_t locations,
-                 double beamspread, double oversub) {
-  check_oversub("cell_served", oversub);
-  return model.cell_demand_gbps(locations) <=
-         spread_cell_capacity_gbps(model, beamspread) * oversub;
-}
-
 std::uint32_t max_locations_spread(const SatelliteCapacityModel& model,
                                    double beamspread, double oversub) {
   check_oversub("max_locations_spread", oversub);

@@ -12,16 +12,11 @@ namespace leodivide::core {
 [[nodiscard]] double spread_cell_capacity_gbps(
     const SatelliteCapacityModel& model, double beamspread);
 
-/// Whether a cell with `locations` is served within `oversub`:1 when its
-/// capacity is the spread capacity C / beamspread (the Figure-2 criterion).
-/// This and max_locations_spread throw std::invalid_argument unless
-/// `oversub` is finite and > 0 and `beamspread` is finite and >= 1.
-[[nodiscard]] bool cell_served(const SatelliteCapacityModel& model,
-                               std::uint32_t locations, double beamspread,
-                               double oversub);
-
 /// Max locations servable per cell under (beamspread, oversub), saturated
-/// as location_floor does.
+/// as location_floor does: a cell is served when its demand fits the spread
+/// capacity C / beamspread times `oversub` (the Figure-2 criterion). Throws
+/// std::invalid_argument unless `oversub` is finite and > 0 and
+/// `beamspread` is finite and >= 1.
 [[nodiscard]] std::uint32_t max_locations_spread(
     const SatelliteCapacityModel& model, double beamspread, double oversub);
 

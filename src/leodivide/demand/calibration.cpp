@@ -48,13 +48,4 @@ stats::PiecewiseQuantile income_quantile() {
   }};
 }
 
-std::uint32_t max_locations_at_oversub(double cell_capacity_gbps,
-                                       double oversub) {
-  if (cell_capacity_gbps <= 0.0 || oversub <= 0.0) {
-    throw std::invalid_argument("max_locations_at_oversub: non-positive input");
-  }
-  return static_cast<std::uint32_t>(
-      std::floor(cell_capacity_gbps * oversub / location_demand_gbps()));
-}
-
 }  // namespace leodivide::demand::paper

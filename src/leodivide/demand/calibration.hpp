@@ -86,9 +86,4 @@ inline constexpr double kMaxCountyIncomeUsd = 150'000.0;
 /// un(der)served locations.
 [[nodiscard]] stats::PiecewiseQuantile income_quantile();
 
-/// Locations-per-cell threshold above which a full-capacity (4-beam) cell
-/// exceeds `oversub`:1 oversubscription: floor(C * oversub / 0.1 Gbps).
-[[nodiscard]] std::uint32_t max_locations_at_oversub(double cell_capacity_gbps,
-                                                     double oversub);
-
 }  // namespace leodivide::demand::paper

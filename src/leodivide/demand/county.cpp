@@ -55,10 +55,4 @@ std::int64_t CountyTable::find(const std::string& fips) const {
   return static_cast<std::int64_t>(fips_slots_[slot_of(fips)]) - 1;
 }
 
-std::uint64_t CountyTable::total_underserved() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counties_) total += c.underserved_locations;
-  return total;
-}
-
 }  // namespace leodivide::demand

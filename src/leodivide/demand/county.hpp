@@ -44,9 +44,6 @@ class CountyTable {
     return counties_;
   }
 
-  /// Total un(der)served locations across counties.
-  [[nodiscard]] std::uint64_t total_underserved() const noexcept;
-
  private:
   /// Slot of `fips` in fips_slots_: the one holding its county, or the
   /// empty slot where it would be inserted. Requires a non-empty index.

@@ -121,10 +121,4 @@ DeltaEffect DeltaApplier::apply(const DeltaOp& op) {
   fail("unknown delta kind");
 }
 
-void apply_deltas(DemandProfile& profile, const hex::HexGrid& grid,
-                  int resolution, const std::vector<DeltaOp>& ops) {
-  DeltaApplier applier(profile, grid, resolution);
-  for (const auto& op : ops) applier.apply(op);
-}
-
 }  // namespace leodivide::demand

@@ -95,10 +95,4 @@ class DeltaApplier {
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };
 
-/// One-shot convenience: applies `ops` in order via a fresh DeltaApplier
-/// (O(cells) index build + O(1) per op). Throws on the first invalid op,
-/// with prior ops applied — callers needing atomicity apply to a copy.
-void apply_deltas(DemandProfile& profile, const hex::HexGrid& grid,
-                  int resolution, const std::vector<DeltaOp>& ops);
-
 }  // namespace leodivide::demand

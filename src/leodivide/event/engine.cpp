@@ -235,20 +235,10 @@ void EventSimulation::run_trace(runtime::Executor& executor, EventTrace& out) {
   }
 }
 
-EventTrace EventSimulation::run_trace(runtime::Executor& executor) {
-  EventTrace out;
-  run_trace(executor, out);
-  return out;
-}
-
 std::vector<sim::EpochCoverage> EventSimulation::run(
     runtime::Executor& executor) {
   run_trace(executor, ws_.trace);
   return sample_epochs(ws_.trace);
-}
-
-std::vector<sim::EpochCoverage> EventSimulation::run() {
-  return run(runtime::global_executor());
 }
 
 std::vector<sim::EpochCoverage> run_simulation(

@@ -96,16 +96,10 @@ class EventSimulation {
   /// byte-identical at every thread count.
   void run_trace(runtime::Executor& executor, EventTrace& out);
 
-  /// As above, returning a fresh trace.
-  [[nodiscard]] EventTrace run_trace(runtime::Executor& executor);
-
   /// Runs and samples the trace onto the fixed-step epoch grid:
   /// byte-identical to sim::Simulation::run for the same configuration.
   [[nodiscard]] std::vector<sim::EpochCoverage> run(
       runtime::Executor& executor);
-
-  /// As above, on the process-global executor (LEODIVIDE_THREADS).
-  [[nodiscard]] std::vector<sim::EpochCoverage> run();
 
   [[nodiscard]] const sim::SimulationConfig& config() const noexcept {
     return config_;

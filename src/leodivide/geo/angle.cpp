@@ -5,18 +5,6 @@
 
 namespace leodivide::geo {
 
-double wrap_two_pi(double rad) noexcept {
-  double r = std::fmod(rad, kTwoPi);
-  if (r < 0.0) r += kTwoPi;
-  return r;
-}
-
-double wrap_pi(double rad) noexcept {
-  double r = wrap_two_pi(rad);
-  if (r > kPi) r -= kTwoPi;
-  return r;
-}
-
 double wrap_longitude_deg(double deg) noexcept {
   double d = std::fmod(deg, 360.0);
   if (d <= -180.0) d += 360.0;

@@ -11,10 +11,6 @@ inline constexpr double kTwoPi = 2.0 * kPi;
 /// not require ellipsoidal precision).
 inline constexpr double kEarthRadiusKm = 6371.0088;
 
-/// WGS84 equatorial radius [km] and flattening, used by the ECEF conversion.
-inline constexpr double kWgs84AKm = 6378.137;
-inline constexpr double kWgs84F = 1.0 / 298.257223563;
-
 /// Earth's surface area [km^2] (spherical).
 inline constexpr double kEarthSurfaceAreaKm2 =
     4.0 * kPi * kEarthRadiusKm * kEarthRadiusKm;
@@ -31,12 +27,6 @@ inline constexpr double kEarthRotationRadPerSec = 7.2921150e-5;
 [[nodiscard]] constexpr double rad2deg(double rad) noexcept {
   return rad * 180.0 / kPi;
 }
-
-/// Normalises an angle to [0, 2*pi).
-[[nodiscard]] double wrap_two_pi(double rad) noexcept;
-
-/// Normalises an angle to (-pi, pi].
-[[nodiscard]] double wrap_pi(double rad) noexcept;
 
 /// Normalises a longitude in degrees to (-180, 180].
 [[nodiscard]] double wrap_longitude_deg(double deg) noexcept;

@@ -1,11 +1,6 @@
 #include "leodivide/geo/bbox.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <ostream>
-
-#include "leodivide/geo/angle.hpp"
-#include "leodivide/geo/greatcircle.hpp"
 
 namespace leodivide::geo {
 
@@ -17,10 +12,6 @@ bool BoundingBox::valid() const noexcept {
 bool BoundingBox::contains(const GeoPoint& p) const noexcept {
   return p.lat_deg >= lat_min && p.lat_deg <= lat_max &&
          p.lon_deg >= lon_min && p.lon_deg <= lon_max;
-}
-
-GeoPoint BoundingBox::center() const noexcept {
-  return {(lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0};
 }
 
 void BoundingBox::extend(const GeoPoint& p) noexcept {
@@ -35,24 +26,8 @@ void BoundingBox::extend(const GeoPoint& p) noexcept {
   lon_max = std::max(lon_max, p.lon_deg);
 }
 
-double BoundingBox::area_km2() const {
-  if (!valid()) return 0.0;
-  const double band = latitude_band_fraction(lat_min, lat_max);
-  return kEarthSurfaceAreaKm2 * band * (lon_max - lon_min) / 360.0;
-}
-
-bool BoundingBox::intersects(const BoundingBox& o) const noexcept {
-  return lat_min <= o.lat_max && o.lat_min <= lat_max && lon_min <= o.lon_max &&
-         o.lon_min <= lon_max;
-}
-
 BoundingBox BoundingBox::empty() noexcept {
   return {1.0, -1.0, 1.0, -1.0};  // deliberately invalid
-}
-
-std::ostream& operator<<(std::ostream& os, const BoundingBox& b) {
-  return os << "[lat " << b.lat_min << ".." << b.lat_max << ", lon "
-            << b.lon_min << ".." << b.lon_max << "]";
 }
 
 BoundingBox conus_bbox() noexcept { return {24.4, 49.4, -124.8, -66.9}; }

@@ -1,8 +1,6 @@
 #pragma once
 // Geographic bounding boxes (axis-aligned in lat/lon).
 
-#include <iosfwd>
-
 #include "leodivide/geo/geopoint.hpp"
 
 namespace leodivide::geo {
@@ -17,21 +15,14 @@ struct BoundingBox {
 
   [[nodiscard]] bool valid() const noexcept;
   [[nodiscard]] bool contains(const GeoPoint& p) const noexcept;
-  [[nodiscard]] GeoPoint center() const noexcept;
   /// Expands the box to include p; an invalid (empty) box becomes the point.
   void extend(const GeoPoint& p) noexcept;
-  /// Approximate surface area [km^2] (exact for the spherical Earth).
-  [[nodiscard]] double area_km2() const;
-  /// True if the two boxes share any point.
-  [[nodiscard]] bool intersects(const BoundingBox& o) const noexcept;
 
   /// A box that contains nothing; extend() grows it from scratch.
   [[nodiscard]] static BoundingBox empty() noexcept;
 
   friend bool operator==(const BoundingBox&, const BoundingBox&) = default;
 };
-
-std::ostream& operator<<(std::ostream& os, const BoundingBox& b);
 
 /// Bounding box of the contiguous United States (generous).
 [[nodiscard]] BoundingBox conus_bbox() noexcept;

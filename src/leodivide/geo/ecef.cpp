@@ -7,24 +7,10 @@
 
 namespace leodivide::geo {
 
-Vec3 operator+(const Vec3& a, const Vec3& b) noexcept {
-  return {a.x + b.x, a.y + b.y, a.z + b.z};
-}
-Vec3 operator-(const Vec3& a, const Vec3& b) noexcept {
-  return {a.x - b.x, a.y - b.y, a.z - b.z};
-}
-Vec3 operator*(double s, const Vec3& v) noexcept {
-  return {s * v.x, s * v.y, s * v.z};
-}
-
 double Vec3::norm() const noexcept { return std::sqrt(x * x + y * y + z * z); }
 
 double Vec3::dot(const Vec3& o) const noexcept {
   return x * o.x + y * o.y + z * o.z;
-}
-
-Vec3 Vec3::cross(const Vec3& o) const noexcept {
-  return {y * o.z - z * o.y, z * o.x - x * o.z, x * o.y - y * o.x};
 }
 
 Vec3 Vec3::unit() const {
@@ -32,37 +18,6 @@ Vec3 Vec3::unit() const {
   // leolint:allow(float-eq): exact-zero guard before dividing by norm
   if (n == 0.0) throw std::domain_error("Vec3::unit: zero vector");
   return {x / n, y / n, z / n};
-}
-
-Vec3 geodetic_to_ecef(const GeoPoint& p, double alt_km) {
-  const double lat = deg2rad(p.lat_deg);
-  const double lon = deg2rad(p.lon_deg);
-  const double e2 = kWgs84F * (2.0 - kWgs84F);
-  const double sin_lat = std::sin(lat);
-  const double n = kWgs84AKm / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-  return {(n + alt_km) * std::cos(lat) * std::cos(lon),
-          (n + alt_km) * std::cos(lat) * std::sin(lon),
-          (n * (1.0 - e2) + alt_km) * sin_lat};
-}
-
-GeoPoint ecef_to_geodetic(const Vec3& v, double* alt_km) {
-  const double e2 = kWgs84F * (2.0 - kWgs84F);
-  const double p = std::hypot(v.x, v.y);
-  const double lon = std::atan2(v.y, v.x);
-  // Bowring-style fixed-point iteration on the latitude.
-  double lat = std::atan2(v.z, p * (1.0 - e2));
-  double n = kWgs84AKm;
-  double alt = 0.0;
-  for (int i = 0; i < 10; ++i) {
-    const double sin_lat = std::sin(lat);
-    n = kWgs84AKm / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-    alt = (std::abs(std::cos(lat)) > 1e-10)
-              ? p / std::cos(lat) - n
-              : std::abs(v.z) / std::abs(sin_lat) - n * (1.0 - e2);
-    lat = std::atan2(v.z, p * (1.0 - e2 * n / (n + alt)));
-  }
-  if (alt_km != nullptr) *alt_km = alt;
-  return GeoPoint{rad2deg(lat), rad2deg(lon)}.normalized();
 }
 
 Vec3 spherical_to_cartesian(const GeoPoint& p, double radius_km) {

@@ -1,6 +1,6 @@
 #pragma once
-// Earth-Centered Earth-Fixed cartesian coordinates and conversions from/to
-// geodetic coordinates (WGS84 ellipsoid).
+// Earth-Centered Earth-Fixed cartesian coordinates and their conversions
+// from/to points on the spherical Earth.
 
 #include "leodivide/geo/geopoint.hpp"
 
@@ -13,29 +13,17 @@ struct Vec3 {
   double y = 0.0;
   double z = 0.0;
 
-  friend Vec3 operator+(const Vec3& a, const Vec3& b) noexcept;
-  friend Vec3 operator-(const Vec3& a, const Vec3& b) noexcept;
-  friend Vec3 operator*(double s, const Vec3& v) noexcept;
   friend bool operator==(const Vec3&, const Vec3&) = default;
 
   [[nodiscard]] double norm() const noexcept;
   [[nodiscard]] double dot(const Vec3& o) const noexcept;
-  [[nodiscard]] Vec3 cross(const Vec3& o) const noexcept;
   /// Unit vector; throws std::domain_error for the zero vector.
   [[nodiscard]] Vec3 unit() const;
 };
 
-/// Geodetic (lat, lon, altitude above ellipsoid [km]) -> ECEF [km].
-[[nodiscard]] Vec3 geodetic_to_ecef(const GeoPoint& p, double alt_km = 0.0);
-
-/// ECEF [km] -> geodetic. Iterative (Bowring) solution, accurate to < 1e-9 deg
-/// for positions from the surface to LEO altitudes. Returns altitude via the
-/// out-parameter when non-null.
-[[nodiscard]] GeoPoint ecef_to_geodetic(const Vec3& v,
-                                        double* alt_km = nullptr);
-
-/// Spherical-Earth variant used by the orbit module, where the paper-level
-/// model treats the Earth as a sphere of radius kEarthRadiusKm.
+/// Point at `radius_km` from the Earth's centre and back. The orbit module
+/// and the paper-level model treat the Earth as a sphere of radius
+/// kEarthRadiusKm.
 [[nodiscard]] Vec3 spherical_to_cartesian(const GeoPoint& p, double radius_km);
 [[nodiscard]] GeoPoint cartesian_to_spherical(const Vec3& v);
 

@@ -1,8 +1,5 @@
 #include "leodivide/geo/geopoint.hpp"
 
-#include <cmath>
-#include <ostream>
-
 #include "leodivide/geo/angle.hpp"
 
 namespace leodivide::geo {
@@ -14,18 +11,6 @@ GeoPoint GeoPoint::normalized() const noexcept {
 bool GeoPoint::valid() const noexcept {
   return lat_deg >= -90.0 && lat_deg <= 90.0 && lon_deg > -180.0 &&
          lon_deg <= 180.0;
-}
-
-std::ostream& operator<<(std::ostream& os, const GeoPoint& p) {
-  return os << "(" << p.lat_deg << ", " << p.lon_deg << ")";
-}
-
-bool approx_equal(const GeoPoint& a, const GeoPoint& b,
-                  double eps_deg) noexcept {
-  if (std::abs(a.lat_deg - b.lat_deg) > eps_deg) return false;
-  double dlon = std::abs(a.lon_deg - b.lon_deg);
-  dlon = std::min(dlon, 360.0 - dlon);
-  return dlon <= eps_deg;
 }
 
 }  // namespace leodivide::geo

@@ -1,8 +1,6 @@
 #pragma once
 // Geodetic coordinates (latitude/longitude in degrees).
 
-#include <iosfwd>
-
 namespace leodivide::geo {
 
 /// A point on the Earth's surface in geodetic coordinates [degrees].
@@ -20,12 +18,5 @@ struct GeoPoint {
 
   friend bool operator==(const GeoPoint&, const GeoPoint&) = default;
 };
-
-std::ostream& operator<<(std::ostream& os, const GeoPoint& p);
-
-/// Approximate equality within `eps_deg` degrees on both axes (longitude
-/// compared modulo 360).
-[[nodiscard]] bool approx_equal(const GeoPoint& a, const GeoPoint& b,
-                                double eps_deg = 1e-9) noexcept;
 
 }  // namespace leodivide::geo

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "leodivide/geo/angle.hpp"
-#include "leodivide/geo/ecef.hpp"
 
 namespace leodivide::geo {
 
@@ -24,16 +23,6 @@ double distance_km(const GeoPoint& a, const GeoPoint& b) {
   return kEarthRadiusKm * central_angle_rad(a, b);
 }
 
-double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) {
-  const double lat1 = deg2rad(a.lat_deg);
-  const double lat2 = deg2rad(b.lat_deg);
-  const double dlon = deg2rad(b.lon_deg - a.lon_deg);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  return std::fmod(rad2deg(std::atan2(y, x)) + 360.0, 360.0);
-}
-
 GeoPoint destination(const GeoPoint& start, double bearing_deg,
                      double dist_km) {
   const double delta = dist_km / kEarthRadiusKm;
@@ -47,25 +36,6 @@ GeoPoint destination(const GeoPoint& start, double bearing_deg,
   const double x = std::cos(delta) - std::sin(lat1) * sin_lat2;
   const double lon2 = lon1 + std::atan2(y, x);
   return GeoPoint{rad2deg(lat2), rad2deg(lon2)}.normalized();
-}
-
-GeoPoint interpolate(const GeoPoint& a, const GeoPoint& b, double t) {
-  if (t < 0.0 || t > 1.0) throw std::invalid_argument("interpolate: t not in [0,1]");
-  const double omega = central_angle_rad(a, b);
-  if (omega < 1e-12) return a.normalized();
-  const Vec3 va = spherical_to_cartesian(a, 1.0);
-  const Vec3 vb = spherical_to_cartesian(b, 1.0);
-  const double sin_omega = std::sin(omega);
-  const double wa = std::sin((1.0 - t) * omega) / sin_omega;
-  const double wb = std::sin(t * omega) / sin_omega;
-  return cartesian_to_spherical(wa * va + wb * vb);
-}
-
-double spherical_cap_area_km2(double theta_rad) {
-  if (theta_rad < 0.0 || theta_rad > kPi) {
-    throw std::invalid_argument("spherical_cap_area_km2: theta out of range");
-  }
-  return kTwoPi * kEarthRadiusKm * kEarthRadiusKm * (1.0 - std::cos(theta_rad));
 }
 
 double latitude_band_fraction(double lat_lo_deg, double lat_hi_deg) {

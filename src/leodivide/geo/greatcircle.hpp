@@ -1,6 +1,6 @@
 #pragma once
-// Great-circle geometry on the spherical Earth: distances, bearings,
-// destination points and interpolation along arcs.
+// Great-circle geometry on the spherical Earth: distances,
+// destination points and latitude bands.
 
 #include "leodivide/geo/geopoint.hpp"
 
@@ -12,21 +12,9 @@ namespace leodivide::geo {
 /// Central angle between two points [radians].
 [[nodiscard]] double central_angle_rad(const GeoPoint& a, const GeoPoint& b);
 
-/// Initial bearing from a to b, degrees clockwise from true north in
-/// [0, 360).
-[[nodiscard]] double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b);
-
 /// Point reached travelling `distance_km` from `start` along `bearing_deg`.
 [[nodiscard]] GeoPoint destination(const GeoPoint& start, double bearing_deg,
                                    double distance_km);
-
-/// Spherical linear interpolation along the great circle from a to b;
-/// t in [0, 1].
-[[nodiscard]] GeoPoint interpolate(const GeoPoint& a, const GeoPoint& b,
-                                   double t);
-
-/// Area [km^2] of a spherical cap of angular radius `theta_rad`.
-[[nodiscard]] double spherical_cap_area_km2(double theta_rad);
 
 /// Fraction of the sphere's surface between latitudes [lat_lo, lat_hi] deg.
 [[nodiscard]] double latitude_band_fraction(double lat_lo_deg,

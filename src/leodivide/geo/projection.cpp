@@ -41,18 +41,4 @@ GeoPoint AzimuthalEquidistant::inverse(const PlanePoint& q) const {
   return GeoPoint{rad2deg(lat), rad2deg(lon)}.normalized();
 }
 
-Equirectangular::Equirectangular(double std_parallel_deg)
-    : cos_phi1_(std::cos(deg2rad(std_parallel_deg))) {}
-
-PlanePoint Equirectangular::forward(const GeoPoint& p) const noexcept {
-  const double km_per_deg = kTwoPi * kEarthRadiusKm / 360.0;
-  return {p.lon_deg * cos_phi1_ * km_per_deg, p.lat_deg * km_per_deg};
-}
-
-GeoPoint Equirectangular::inverse(const PlanePoint& q) const noexcept {
-  const double km_per_deg = kTwoPi * kEarthRadiusKm / 360.0;
-  return GeoPoint{q.y / km_per_deg, q.x / (cos_phi1_ * km_per_deg)}
-      .normalized();
-}
-
 }  // namespace leodivide::geo

@@ -32,17 +32,4 @@ class AzimuthalEquidistant {
   double lon0_rad_;
 };
 
-/// Equirectangular ("plate carrée") projection with a configurable standard
-/// parallel; cheap and adequate for small-area sanity math.
-class Equirectangular {
- public:
-  explicit Equirectangular(double std_parallel_deg = 0.0);
-
-  [[nodiscard]] PlanePoint forward(const GeoPoint& p) const noexcept;
-  [[nodiscard]] GeoPoint inverse(const PlanePoint& q) const noexcept;
-
- private:
-  double cos_phi1_;
-};
-
 }  // namespace leodivide::geo

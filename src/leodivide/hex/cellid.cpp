@@ -1,6 +1,5 @@
 #include "leodivide/hex/cellid.hpp"
 
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -58,13 +57,6 @@ std::string CellId::to_string() const {
   std::ostringstream os;
   os << std::hex << bits_;
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const CellId& id) {
-  if (!id.valid()) return os << "cell(invalid)";
-  const HexCoord c = id.coord();
-  return os << "cell(r" << id.resolution() << ", " << c.q << ", " << c.r
-            << ")";
 }
 
 }  // namespace leodivide::hex

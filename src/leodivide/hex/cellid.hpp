@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 
 #include "leodivide/hex/hexcoord.hpp"
@@ -48,8 +47,6 @@ class CellId {
   explicit constexpr CellId(std::uint64_t bits) noexcept : bits_(bits) {}
   std::uint64_t bits_;
 };
-
-std::ostream& operator<<(std::ostream& os, const CellId& id);
 
 }  // namespace leodivide::hex
 

@@ -1,29 +1,8 @@
 #include "leodivide/hex/hexcoord.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <ostream>
 
 namespace leodivide::hex {
-
-std::ostream& operator<<(std::ostream& os, const HexCoord& h) {
-  return os << "hex(" << h.q << ", " << h.r << ")";
-}
-
-const std::array<HexCoord, 6>& hex_directions() noexcept {
-  static const std::array<HexCoord, 6> dirs{{{+1, 0},
-                                             {+1, -1},
-                                             {0, -1},
-                                             {-1, 0},
-                                             {-1, +1},
-                                             {0, +1}}};
-  return dirs;
-}
-
-std::int32_t hex_distance(HexCoord a, HexCoord b) noexcept {
-  const HexCoord d = a - b;
-  return (std::abs(d.q) + std::abs(d.r) + std::abs(d.s())) / 2;
-}
 
 HexCoord hex_round(const FractionalHex& f) noexcept {
   const double fs = -f.q - f.r;
@@ -39,11 +18,6 @@ HexCoord hex_round(const FractionalHex& f) noexcept {
     r = -q - s;
   }
   return {static_cast<std::int32_t>(q), static_cast<std::int32_t>(r)};
-}
-
-FractionalHex hex_lerp(HexCoord a, HexCoord b, double t) noexcept {
-  return {static_cast<double>(a.q) + (static_cast<double>(b.q - a.q)) * t,
-          static_cast<double>(a.r) + (static_cast<double>(b.r - a.r)) * t};
 }
 
 }  // namespace leodivide::hex

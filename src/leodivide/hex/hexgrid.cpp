@@ -34,10 +34,6 @@ double cell_area_km2(int resolution) {
   return 1.5 * kSqrt3 * a * a;
 }
 
-double global_cell_count(int resolution) {
-  return geo::kEarthSurfaceAreaKm2 / cell_area_km2(resolution);
-}
-
 HexGrid::HexGrid(const geo::GeoPoint& center) : projection_(center) {}
 
 geo::PlanePoint HexGrid::hex_to_plane(int resolution,
@@ -85,31 +81,6 @@ CellId HexGrid::parent_of(CellId id, int parent_res) const {
     throw std::invalid_argument("parent_of: parent_res must be coarser");
   }
   return cell_of(center_of(id), parent_res);
-}
-
-std::vector<CellId> HexGrid::children_of(CellId id, int child_res) const {
-  if (!id.valid()) throw std::invalid_argument("children_of: invalid cell");
-  if (child_res <= id.resolution() || child_res > kMaxResolution) {
-    throw std::invalid_argument("children_of: child_res must be finer");
-  }
-  // Candidate children: all fine cells within a generous hex radius of the
-  // fine cell under this cell's center. With aperture 4, a cell at depth d
-  // spans about 2^d fine cells across; radius 2^d + 2 covers the worst case.
-  const int depth = child_res - id.resolution();
-  const auto radius = static_cast<std::int32_t>((1 << depth) + 2);
-  const CellId anchor = cell_of(center_of(id), child_res);
-  const HexCoord base = anchor.coord();
-  std::vector<CellId> out;
-  for (std::int32_t dq = -radius; dq <= radius; ++dq) {
-    for (std::int32_t dr = std::max(-radius, -dq - radius);
-         dr <= std::min(radius, -dq + radius); ++dr) {
-      const CellId candidate(child_res, base + HexCoord{dq, dr});
-      if (parent_of(candidate, id.resolution()) == id) {
-        out.push_back(candidate);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace leodivide::hex

@@ -13,7 +13,6 @@
 // Starlink's service-cell size.
 
 #include <array>
-#include <vector>
 
 #include "leodivide/geo/geopoint.hpp"
 #include "leodivide/geo/projection.hpp"
@@ -32,10 +31,6 @@ inline constexpr int kServiceCellResolution = 5;
 
 /// Hexagon area [km^2] at a resolution (uniform across the projected plane).
 [[nodiscard]] double cell_area_km2(int resolution);
-
-/// Number of cells of this resolution needed to tile the whole Earth —
-/// the "global cell count" the constellation-sizing model divides by.
-[[nodiscard]] double global_cell_count(int resolution);
 
 /// A hex tiling of the plane around a projection center. Typical use indexes
 /// the US with the grid centered on CONUS.
@@ -57,12 +52,6 @@ class HexGrid {
   /// Parent cell at `parent_res` (< id.resolution()): the coarser cell
   /// containing this cell's center.
   [[nodiscard]] CellId parent_of(CellId id, int parent_res) const;
-
-  /// Children at `child_res` (> id.resolution()): every finer cell whose
-  /// center lies within distance of this cell's own center consistent with
-  /// parent_of (i.e. parent_of(child) == id).
-  [[nodiscard]] std::vector<CellId> children_of(CellId id,
-                                                int child_res) const;
 
   [[nodiscard]] const geo::GeoPoint& center() const noexcept {
     return projection_.center();

@@ -2,28 +2,23 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 
-#include "leodivide/hex/traversal.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
 
 namespace leodivide::hex {
 
-namespace {
-
-// Scans an axial-coordinate window that covers the box's projected extent
-// and keeps cells whose centers satisfy `inside`. The window is split into
-// contiguous q-column blocks across the executor; each shard emits its
-// cells in (q, r) scan order and shards concatenate in q order, so the
-// result equals the serial scan exactly.
-std::vector<CellId> scan(
-    const HexGrid& grid, const geo::BoundingBox& box, int resolution,
-    const std::function<bool(const geo::GeoPoint&)>& inside,
-    runtime::Executor& executor) {
+std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
+                             int resolution, runtime::Executor& executor) {
+  // Scans an axial-coordinate window that covers the polygon's projected
+  // bounding box and keeps cells whose centers lie inside the polygon. The
+  // window is split into contiguous q-column blocks across the executor;
+  // each shard emits its cells in (q, r) scan order and shards concatenate
+  // in q order, so the result equals the serial scan exactly.
   const obs::Span span("hex.polyfill");
+  const geo::BoundingBox box = poly.bbox();
   // Project the box corners plus edge midpoints to bound the axial window.
   std::vector<geo::GeoPoint> probes{
       {box.lat_min, box.lon_min}, {box.lat_min, box.lon_max},
@@ -47,15 +42,14 @@ std::vector<CellId> scan(
       static_cast<std::size_t>(static_cast<std::int64_t>(q_hi) - q_lo + 1);
   auto cells = runtime::map_reduce<std::vector<CellId>>(
       executor, 0, columns,
-      // leolint:allow(parallel-capture): inside is a const std::function& parameter — read-only; the textual const scanner cannot see through its parenthesized signature
-      [q_lo, r_lo, r_hi, resolution, &grid, &inside](
+      [q_lo, r_lo, r_hi, resolution, &grid, &poly](
           std::vector<CellId>& shard, std::size_t lo, std::size_t hi,
           std::size_t) {
         for (std::size_t c = lo; c < hi; ++c) {
           const auto q = static_cast<std::int32_t>(q_lo + static_cast<std::int64_t>(c));
           for (std::int32_t r = r_lo; r <= r_hi; ++r) {
             const CellId id(resolution, HexCoord{q, r});
-            if (inside(grid.center_of(id))) shard.push_back(id);
+            if (poly.contains(grid.center_of(id))) shard.push_back(id);
           }
         }
       },
@@ -76,30 +70,9 @@ std::vector<CellId> scan(
   return cells;
 }
 
-}  // namespace
-
-std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
-                             int resolution, runtime::Executor& executor) {
-  return scan(grid, poly.bbox(), resolution,
-              [&poly](const geo::GeoPoint& p) { return poly.contains(p); },
-              executor);
-}
-
-std::vector<CellId> polyfill(const HexGrid& grid, const geo::BoundingBox& box,
-                             int resolution, runtime::Executor& executor) {
-  return scan(grid, box, resolution,
-              [&box](const geo::GeoPoint& p) { return box.contains(p); },
-              executor);
-}
-
 std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
                              int resolution) {
   return polyfill(grid, poly, resolution, runtime::global_executor());
-}
-
-std::vector<CellId> polyfill(const HexGrid& grid, const geo::BoundingBox& box,
-                             int resolution) {
-  return polyfill(grid, box, resolution, runtime::global_executor());
 }
 
 }  // namespace leodivide::hex

@@ -1,10 +1,9 @@
 #pragma once
 // Polyfill: enumerate the cells of a resolution whose centers fall inside a
-// polygon or bounding box (H3's polygonToCells center-containment mode).
+// polygon (H3's polygonToCells center-containment mode).
 
 #include <vector>
 
-#include "leodivide/geo/bbox.hpp"
 #include "leodivide/geo/polygon.hpp"
 #include "leodivide/hex/cellid.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -24,18 +23,9 @@ namespace leodivide::hex {
                                            int resolution,
                                            runtime::Executor& executor);
 
-/// All cells at `resolution` whose centers lie inside the bounding box.
-[[nodiscard]] std::vector<CellId> polyfill(const HexGrid& grid,
-                                           const geo::BoundingBox& box,
-                                           int resolution,
-                                           runtime::Executor& executor);
-
-/// Overloads on the process-global executor (LEODIVIDE_THREADS).
+/// Overload on the process-global executor (LEODIVIDE_THREADS).
 [[nodiscard]] std::vector<CellId> polyfill(const HexGrid& grid,
                                            const geo::Polygon& poly,
-                                           int resolution);
-[[nodiscard]] std::vector<CellId> polyfill(const HexGrid& grid,
-                                           const geo::BoundingBox& box,
                                            int resolution);
 
 }  // namespace leodivide::hex

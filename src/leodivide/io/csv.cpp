@@ -12,12 +12,6 @@
 
 namespace leodivide::io {
 
-CsvRow parse_csv_line(std::string_view line) {
-  CsvRow row;
-  parse_csv_line(line, row);
-  return row;
-}
-
 void parse_csv_line(std::string_view line, CsvRow& row) {
   std::size_t fields = 0;
   // Starts the next field in the reused row: an existing string is cleared
@@ -111,18 +105,6 @@ void append_field(std::string& out, std::string_view field) {
     out.push_back(c);
   }
   out.push_back('"');
-}
-
-// Appends `fields` as one record: comma-separated, then '\n'.
-template <typename Fields>
-void append_record(std::string& out, const Fields& fields) {
-  bool first = true;
-  for (const auto& field : fields) {
-    if (!first) out.push_back(',');
-    append_field(out, field);
-    first = false;
-  }
-  out.push_back('\n');
 }
 
 [[noreturn]] void throw_bad_integer(std::string_view field, const char* what) {
@@ -249,16 +231,16 @@ bool CsvReader::next(CsvRow& row) {
 
 void append_csv_record(std::string& out,
                        std::initializer_list<std::string_view> fields) {
-  append_record(out, fields);
+  bool first = true;
+  for (const auto& field : fields) {
+    if (!first) out.push_back(',');
+    append_field(out, field);
+    first = false;
+  }
+  out.push_back('\n');
 }
 
 CsvWriter::CsvWriter(std::ostream& out) : out_(out) {}
-
-std::string csv_escape(std::string_view field) {
-  std::string out;
-  append_field(out, field);
-  return out;
-}
 
 void CsvWriter::write_records(std::string_view text, std::size_t records) {
   out_.write(text.data(), static_cast<std::streamsize>(text.size()));
@@ -269,15 +251,9 @@ void CsvWriter::write_records(std::string_view text, std::size_t records) {
   count_ += records;
 }
 
-void CsvWriter::write_row(const CsvRow& row) {
-  record_.clear();
-  append_record(record_, row);
-  write_records(record_, 1);
-}
-
 void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
   record_.clear();
-  append_record(record_, fields);
+  append_csv_record(record_, fields);
   write_records(record_, 1);
 }
 

@@ -18,13 +18,10 @@ namespace leodivide::io {
 /// One parsed CSV row.
 using CsvRow = std::vector<std::string>;
 
-/// Parses a single CSV line (no embedded newlines). Handles quoted fields
-/// with doubled-quote escapes. Throws std::runtime_error on malformed
-/// quoting.
-[[nodiscard]] CsvRow parse_csv_line(std::string_view line);
-
-/// As above, into `row`: its existing strings are reused (no allocation once
-/// their capacity suffices) and it is resized to the record's field count.
+/// Parses a single CSV line (no embedded newlines) into `row`: its existing
+/// strings are reused (no allocation once their capacity suffices) and it
+/// is resized to the record's field count. Handles quoted fields with
+/// doubled-quote escapes. Throws std::runtime_error on malformed quoting.
 void parse_csv_line(std::string_view line, CsvRow& row);
 
 /// One record's text as the record splitter found it: the bytes from its
@@ -98,8 +95,9 @@ class CsvReader {
   std::size_t count_ = 0;
 };
 
-/// Appends one record to `out`: the fields, each quoted only when
-/// necessary (see csv_escape), separated by commas and ended by '\n'.
+/// Appends one record to `out`: the fields, each quoted per RFC 4180 only
+/// when necessary (it contains a comma, quote, CR or LF), separated by
+/// commas and ended by '\n'.
 void append_csv_record(std::string& out,
                        std::initializer_list<std::string_view> fields);
 
@@ -111,7 +109,6 @@ class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out);
 
-  void write_row(const CsvRow& row);
   void write_row(std::initializer_list<std::string_view> fields);
 
   /// Writes `records` complete, already formatted records (as
@@ -128,10 +125,6 @@ class CsvWriter {
   std::string record_;
   std::size_t count_ = 0;
 };
-
-/// Escapes one field per RFC 4180 (wraps in quotes iff it contains a comma,
-/// quote, CR or LF).
-[[nodiscard]] std::string csv_escape(std::string_view field);
 
 /// Stack storage for one number's CSV text. 320 bytes hold any double in
 /// "%f" form (DBL_MAX has 309 integer digits) and any 64-bit integer.

@@ -1,16 +1,13 @@
 #pragma once
-// Minimal JSON writer (objects, arrays, numbers, strings, bools) and a
-// strict recursive-descent parser. Bench binaries export machine-readable
-// results next to their console tables so downstream plotting scripts can
-// regenerate the paper's figures; the parser lets tests and tools validate
-// those lines and the obs/ trace files without external dependencies.
+// Minimal streaming JSON writer (objects, arrays, numbers, strings). Bench
+// binaries export machine-readable results next to their console tables so
+// downstream plotting scripts can regenerate the paper's figures; the obs/
+// trace and metrics files go through it too.
 
+#include <cstddef>
 #include <iosfwd>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace leodivide::io {
@@ -46,11 +43,6 @@ class JsonWriter {
   void value(std::string_view key, std::string_view v);
   void value(std::string_view key, double v);
   void value(std::string_view key, long long v);
-  void value(std::string_view key, bool v);
-  /// Disambiguation: a string literal must not decay to the bool overload.
-  void value(std::string_view key, const char* v) {
-    value(key, std::string_view(v));
-  }
 
   /// Array element values.
   void element(std::string_view v);
@@ -82,45 +74,5 @@ class JsonWriter {
   std::vector<bool> has_items_;
   std::string pending_;
 };
-
-/// Thrown by json_parse on malformed input, with a byte offset in what().
-class JsonParseError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// A parsed JSON document node. Numbers are held as double (adequate for
-/// every value the library emits); object member order is preserved.
-class JsonValue {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool bool_v = false;
-  double num_v = 0.0;
-  std::string str_v;
-  std::vector<JsonValue> items;                            ///< arrays
-  std::vector<std::pair<std::string, JsonValue>> members;  ///< objects
-
-  [[nodiscard]] bool is_object() const noexcept {
-    return type == Type::kObject;
-  }
-  [[nodiscard]] bool is_array() const noexcept { return type == Type::kArray; }
-  [[nodiscard]] bool is_string() const noexcept {
-    return type == Type::kString;
-  }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type == Type::kNumber;
-  }
-
-  /// First member with `key`, or nullptr (objects only).
-  [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  /// find() that throws JsonParseError when the member is missing.
-  [[nodiscard]] const JsonValue& at(std::string_view key) const;
-};
-
-/// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws JsonParseError on malformed input.
-[[nodiscard]] JsonValue json_parse(std::string_view text);
 
 }  // namespace leodivide::io

@@ -18,10 +18,6 @@ void TextTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::set_alignment(std::vector<Align> alignment) {
-  alignment_ = std::move(alignment);
-}
-
 std::string TextTable::render() const {
   const std::size_t cols =
       header_.empty() ? (rows_.empty() ? 0 : rows_.front().size())
@@ -36,17 +32,12 @@ std::string TextTable::render() const {
   if (!header_.empty()) widen(header_);
   for (const auto& r : rows_) widen(r);
 
-  auto align_of = [&](std::size_t c) {
-    if (c < alignment_.size()) return alignment_[c];
-    return c == 0 ? Align::kLeft : Align::kRight;
-  };
   std::ostringstream out;
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < cols; ++c) {
       const std::string& cell = c < row.size() ? row[c] : std::string();
       const std::size_t pad = width[c] - cell.size();
-      if (c > 0) out << "  ";
-      if (align_of(c) == Align::kRight) out << std::string(pad, ' ') << cell;
+      if (c > 0) out << "  " << std::string(pad, ' ') << cell;
       else out << cell << std::string(pad, ' ');
     }
     out << '\n';

@@ -8,11 +8,9 @@
 
 namespace leodivide::io {
 
-/// Column alignment.
-enum class Align { kLeft, kRight };
-
 /// Builds a fixed-width text table: add a header, then rows; render() pads
-/// every column to its widest cell.
+/// every column to its widest cell, the first left-aligned and the rest
+/// right-aligned (the common numeric-table layout).
 class TextTable {
  public:
   /// Sets the header row (also fixes the column count).
@@ -22,10 +20,6 @@ class TextTable {
   /// not match the header.
   void add_row(std::vector<std::string> row);
 
-  /// Sets per-column alignment (defaults to left for the first column and
-  /// right for the rest, the common numeric-table layout).
-  void set_alignment(std::vector<Align> alignment);
-
   [[nodiscard]] std::string render() const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
@@ -33,7 +27,6 @@ class TextTable {
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<Align> alignment_;
 };
 
 /// Formats a double with `digits` decimal places.

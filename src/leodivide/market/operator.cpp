@@ -37,10 +37,6 @@ double OperatorCosts::annual_cost_usd(double satellites) const {
          annual_opex_fraction * total_capex;
 }
 
-orbit::MultiShellConstellation OperatorConfig::constellation() const {
-  return orbit::MultiShellConstellation(shells);
-}
-
 spectrum::SpectrumPlan OperatorConfig::spectrum() const {
   return spectrum::SpectrumPlan(bands);
 }

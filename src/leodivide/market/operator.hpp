@@ -60,8 +60,6 @@ struct OperatorConfig {
   friend bool operator==(const OperatorConfig&,
                          const OperatorConfig&) = default;
 
-  [[nodiscard]] orbit::MultiShellConstellation constellation() const;
-
   /// The operator's full spectrum plan. Throws std::invalid_argument on an
   /// empty or malformed band table (SpectrumPlan validates).
   [[nodiscard]] spectrum::SpectrumPlan spectrum() const;

@@ -15,13 +15,6 @@ std::string_view to_string(SplitPolicy policy) noexcept {
   return "unknown";
 }
 
-SplitPolicy split_policy_from_string(std::string_view name) {
-  if (name == "exclusive") return SplitPolicy::kExclusive;
-  if (name == "proportional") return SplitPolicy::kProportional;
-  if (name == "fairshare") return SplitPolicy::kFairShare;
-  throw std::invalid_argument("unknown split policy: " + std::string(name));
-}
-
 void validate(const SpectrumSplitConfig& config) {
   if (config.policy != SplitPolicy::kExclusive &&
       config.policy != SplitPolicy::kProportional &&
@@ -155,10 +148,6 @@ double SpectrumSplit::share(std::size_t op, std::size_t priority_op) const {
     throw std::out_of_range("SpectrumSplit::share: index out of range");
   }
   return matrix_[op * n_ + priority_op];
-}
-
-double SpectrumSplit::share_at(std::size_t op, double lat_deg) const {
-  return share(op, priority_operator(lat_deg));
 }
 
 bool SpectrumSplit::uniform(std::size_t op) const {

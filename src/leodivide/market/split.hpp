@@ -40,10 +40,6 @@ enum class SplitPolicy : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(SplitPolicy policy) noexcept;
 
-/// Parses "exclusive" / "proportional" / "fairshare"; throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] SplitPolicy split_policy_from_string(std::string_view name);
-
 /// Sharing-regime parameters.
 struct SpectrumSplitConfig {
   SplitPolicy policy = SplitPolicy::kExclusive;
@@ -88,9 +84,6 @@ class SpectrumSplit {
   /// Usable fraction of operator `op`'s user-downlink spectrum when
   /// `priority_op` holds zone priority, in [0, 1].
   [[nodiscard]] double share(std::size_t op, std::size_t priority_op) const;
-
-  /// share() at a concrete latitude.
-  [[nodiscard]] double share_at(std::size_t op, double lat_deg) const;
 
   /// Whether `op`'s share is the same in every zone (always true for
   /// kExclusive / kProportional; true under kFairShare iff none of the

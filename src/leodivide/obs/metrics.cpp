@@ -216,35 +216,6 @@ void MetricsRegistry::write_json(std::ostream& out, bool pretty) const {
   out << '\n';
 }
 
-void MetricsRegistry::write_csv(std::ostream& out) const {
-  const MetricsSnapshot s = snapshot();
-  out << "type,name,field,value\n";
-  for (const auto& [name, v] : s.counters) {
-    out << "counter," << name << ",total," << v << '\n';
-  }
-  for (const auto& [name, v] : s.gauges) {
-    out << "gauge," << name << ",value," << v << '\n';
-  }
-  for (const auto& [name, t] : s.timers) {
-    out << "timer," << name << ",count," << t.count << '\n';
-    out << "timer," << name << ",total_ms,"
-        << static_cast<double>(t.total_ns) / 1e6 << '\n';
-  }
-  for (const auto& [name, h] : s.histograms) {
-    out << "histogram," << name << ",count," << h.count << '\n';
-    out << "histogram," << name << ",sum_us," << h.sum_us << '\n';
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      out << "histogram," << name << ",bucket_";
-      if (b + 1 < Histogram::kBuckets) {
-        out << "le_" << Histogram::bucket_upper_us(b);
-      } else {
-        out << "inf";
-      }
-      out << ',' << h.buckets[b] << '\n';
-    }
-  }
-}
-
 std::vector<std::pair<std::string, double>> MetricsRegistry::stage_totals_ms()
     const {
   const MetricsSnapshot s = snapshot();

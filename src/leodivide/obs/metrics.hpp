@@ -188,8 +188,6 @@ class MetricsRegistry {
 
   /// Flat JSON dump of the snapshot (counters/gauges/timers/histograms).
   void write_json(std::ostream& out, bool pretty = true) const;
-  /// CSV dump: type,name,field,value — one row per scalar.
-  void write_csv(std::ostream& out) const;
 
   /// Per-stage totals in milliseconds, name-sorted: the bench "stages"
   /// breakdown.

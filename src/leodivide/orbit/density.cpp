@@ -21,13 +21,6 @@ double band_term(double lat_deg, double inclination_deg) {
 
 }  // namespace
 
-double latitude_pdf(double lat_deg, double inclination_deg) {
-  const double term = band_term(lat_deg, inclination_deg);
-  // leolint:allow(float-eq): band_term returns exactly 0.0 outside band
-  if (term == 0.0) return 0.0;
-  return std::cos(geo::deg2rad(lat_deg)) / (geo::kPi * term);
-}
-
 double surface_density_per_km2(double total_sats, double lat_deg,
                                double inclination_deg) {
   const double term = band_term(lat_deg, inclination_deg);
@@ -35,13 +28,6 @@ double surface_density_per_km2(double total_sats, double lat_deg,
   if (term == 0.0) return 0.0;
   const double r2 = geo::kEarthRadiusKm * geo::kEarthRadiusKm;
   return total_sats / (2.0 * geo::kPi * geo::kPi * r2 * term);
-}
-
-double relative_density(double lat_deg, double inclination_deg) {
-  const double term = band_term(lat_deg, inclination_deg);
-  // leolint:allow(float-eq): band_term returns exactly 0.0 outside band
-  if (term == 0.0) return 0.0;
-  return 2.0 / (geo::kPi * term);
 }
 
 double constellation_size_for_density(double required_density_per_km2,

@@ -18,19 +18,11 @@
 
 namespace leodivide::orbit {
 
-/// Probability density of the sub-satellite latitude [per radian of
-/// latitude] for an inclined circular orbit. Zero for |phi| >= i.
-[[nodiscard]] double latitude_pdf(double lat_deg, double inclination_deg);
-
 /// Time-averaged satellites per km^2 at a latitude, for a constellation of
 /// `total_sats` at `inclination_deg`. Zero outside the covered band.
 [[nodiscard]] double surface_density_per_km2(double total_sats,
                                              double lat_deg,
                                              double inclination_deg);
-
-/// Density at `lat_deg` relative to the global mean N / (4 pi R^2):
-/// 2 / (pi * sqrt(sin^2 i - sin^2 phi)). > 1 near the inclination limit.
-[[nodiscard]] double relative_density(double lat_deg, double inclination_deg);
 
 /// Inverse problem: the total constellation size needed so that the surface
 /// density at `lat_deg` reaches `required_density_per_km2` (i.e. one
@@ -42,7 +34,7 @@ namespace leodivide::orbit {
 /// full period sampled at `epochs` instants and histograms sub-satellite
 /// latitudes into `bands` equal-latitude bins over [-90, 90]. Returns
 /// satellites per km^2 per bin. Used by tests and the ablation bench to
-/// validate latitude_pdf against actual orbital motion.
+/// validate surface_density_per_km2 against actual orbital motion.
 [[nodiscard]] std::vector<double> empirical_density_per_km2(
     const WalkerShell& shell, std::size_t epochs, std::size_t bands);
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "leodivide/geo/angle.hpp"
-#include "leodivide/geo/greatcircle.hpp"
 
 namespace leodivide::orbit {
 
@@ -25,25 +24,6 @@ double coverage_central_angle_rad(double altitude_km,
 double footprint_radius_km(double altitude_km, double min_elevation_deg) {
   return geo::kEarthRadiusKm *
          coverage_central_angle_rad(altitude_km, min_elevation_deg);
-}
-
-double footprint_area_km2(double altitude_km, double min_elevation_deg) {
-  return geo::spherical_cap_area_km2(
-      coverage_central_angle_rad(altitude_km, min_elevation_deg));
-}
-
-double cells_in_footprint(double altitude_km, double min_elevation_deg,
-                          double cell_area_km2) {
-  if (cell_area_km2 <= 0.0) {
-    throw std::invalid_argument("cells_in_footprint: cell area must be > 0");
-  }
-  return footprint_area_km2(altitude_km, min_elevation_deg) / cell_area_km2;
-}
-
-double edge_nadir_angle_rad(double altitude_km, double min_elevation_deg) {
-  const double eps = geo::deg2rad(min_elevation_deg);
-  const double ratio = geo::kEarthRadiusKm / (geo::kEarthRadiusKm + altitude_km);
-  return std::asin(ratio * std::cos(eps));
 }
 
 }  // namespace leodivide::orbit

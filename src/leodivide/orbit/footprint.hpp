@@ -1,7 +1,7 @@
 #pragma once
-// Satellite footprint geometry: how much of the Earth's surface a satellite
-// at a given altitude can serve, subject to a minimum terminal elevation
-// angle, and how many service cells fall inside that footprint.
+// Satellite footprint geometry: how far from its sub-satellite point a
+// satellite at a given altitude can serve, subject to a minimum terminal
+// elevation angle.
 
 namespace leodivide::orbit {
 
@@ -14,21 +14,5 @@ namespace leodivide::orbit {
 /// Great-circle radius [km] of the coverage footprint on the surface.
 [[nodiscard]] double footprint_radius_km(double altitude_km,
                                          double min_elevation_deg);
-
-/// Footprint area [km^2] (spherical cap).
-[[nodiscard]] double footprint_area_km2(double altitude_km,
-                                        double min_elevation_deg);
-
-/// Number of cells of `cell_area_km2` that fit in the footprint. This upper
-/// bounds how many cells a satellite could serve if it had unlimited beams;
-/// the binding limit in practice is the beam count (see core/beamspread).
-[[nodiscard]] double cells_in_footprint(double altitude_km,
-                                        double min_elevation_deg,
-                                        double cell_area_km2);
-
-/// Nadir angle [rad] at the satellite corresponding to the coverage edge —
-/// the half-angle the antenna must steer across.
-[[nodiscard]] double edge_nadir_angle_rad(double altitude_km,
-                                          double min_elevation_deg);
 
 }  // namespace leodivide::orbit

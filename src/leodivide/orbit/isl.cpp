@@ -48,28 +48,6 @@ std::vector<std::uint32_t> IslGrid::neighbors(std::uint32_t index) const {
   return out;
 }
 
-std::uint32_t IslGrid::hop_distance(std::uint32_t a, std::uint32_t b) const {
-  if (a >= size() || b >= size()) {
-    throw std::out_of_range("IslGrid::hop_distance");
-  }
-  if (a == b) return 0;
-  std::vector<std::uint32_t> dist(size(), UINT32_MAX);
-  std::queue<std::uint32_t> frontier;
-  dist[a] = 0;
-  frontier.push(a);
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    for (std::uint32_t n : neighbors(cur)) {
-      if (dist[n] != UINT32_MAX) continue;
-      dist[n] = dist[cur] + 1;
-      if (n == b) return dist[n];
-      frontier.push(n);
-    }
-  }
-  throw std::logic_error("IslGrid::hop_distance: disconnected +grid");
-}
-
 std::vector<std::uint32_t> IslGrid::hops_to_nearest(
     const std::vector<std::uint32_t>& sources) const {
   if (sources.empty()) {

@@ -41,11 +41,6 @@ class IslGrid {
   [[nodiscard]] std::vector<std::uint32_t> neighbors(
       std::uint32_t index) const;
 
-  /// Minimum ISL hop count between two satellites (BFS over the +grid;
-  /// closed form for the torus would ignore phasing, so we keep it exact).
-  [[nodiscard]] std::uint32_t hop_distance(std::uint32_t a,
-                                           std::uint32_t b) const;
-
   /// Hop count from every satellite to its nearest satellite in `sources`
   /// (e.g. the gateway-connected set). Unreachable entries (empty sources)
   /// throw std::invalid_argument.

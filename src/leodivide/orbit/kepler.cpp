@@ -19,10 +19,6 @@ double CircularOrbit::mean_motion_rad_s() const noexcept {
   return geo::kTwoPi / period_s();
 }
 
-double CircularOrbit::speed_km_s() const noexcept {
-  return std::sqrt(geo::kMuEarth / radius_km());
-}
-
 geo::Vec3 eci_position(const CircularOrbit& orbit, double t_s) {
   const double u = orbit.phase_rad + orbit.mean_motion_rad_s() * t_s;
   const double r = orbit.radius_km();
@@ -48,11 +44,6 @@ geo::GeoPoint subsatellite_point(const CircularOrbit& orbit, double t_s) {
   const geo::Vec3 ecef{eci.x * cos_t + eci.y * sin_t,
                        -eci.x * sin_t + eci.y * cos_t, eci.z};
   return geo::cartesian_to_spherical(ecef);
-}
-
-double max_ground_latitude_deg(const CircularOrbit& orbit) {
-  const double inc = std::abs(geo::wrap_pi(orbit.inclination_rad));
-  return geo::rad2deg(inc > geo::kPi / 2.0 ? geo::kPi - inc : inc);
 }
 
 }  // namespace leodivide::orbit

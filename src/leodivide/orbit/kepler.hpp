@@ -22,9 +22,6 @@ struct CircularOrbit {
 
   /// Mean motion [rad/s].
   [[nodiscard]] double mean_motion_rad_s() const noexcept;
-
-  /// Orbital speed [km/s].
-  [[nodiscard]] double speed_km_s() const noexcept;
 };
 
 /// Position in the Earth-centered inertial frame at time t since epoch.
@@ -34,9 +31,5 @@ struct CircularOrbit {
 /// (GMST angle = earth_rotation * t, epoch aligned with ECI x-axis).
 [[nodiscard]] geo::GeoPoint subsatellite_point(const CircularOrbit& orbit,
                                                double t_s);
-
-/// Maximum latitude reached by the ground track (equals inclination for
-/// prograde orbits below 90 degrees).
-[[nodiscard]] double max_ground_latitude_deg(const CircularOrbit& orbit);
 
 }  // namespace leodivide::orbit

@@ -34,8 +34,8 @@ std::size_t filter_visible(double cx, double cy, double cz, const double* ux,
                            const std::uint32_t* candidates, std::size_t n,
                            double cos_psi, std::uint32_t* out);
 
-/// Batched epoch rotation about the Earth axis, the expression from
-/// ecef_position verbatim per element:
+/// Batched epoch rotation about the Earth axis, the expression of the
+/// oracle::ecef_position test reference (tests/oracles) verbatim per element:
 ///   out_x[i] =  x[i] * c + y[i] * s
 ///   out_y[i] = -x[i] * s + y[i] * c
 /// In-place operation (out_x == x, out_y == y) is supported: both inputs of

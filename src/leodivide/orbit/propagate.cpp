@@ -9,24 +9,16 @@
 
 namespace leodivide::orbit {
 
-geo::Vec3 ecef_position(const CircularOrbit& orbit, double t_s) {
-  const geo::Vec3 eci = eci_position(orbit, t_s);
-  const double theta = geo::kEarthRotationRadPerSec * t_s;
-  const double c = std::cos(theta);
-  const double s = std::sin(theta);
-  return {eci.x * c + eci.y * s, -eci.x * s + eci.y * c, eci.z};
-}
-
 void propagate_all(const std::vector<CircularOrbit>& orbits, double t_s,
                    std::vector<SatState>& out) {
   // One Earth-rotation angle per epoch, not per satellite: every orbit
   // shares t, so cos/sin(theta) are hoisted. The per-satellite trig lives
   // in eci_position (scalar — each orbit has its own phase), but the epoch
   // rotation is applied to fixed-size SoA blocks through the SIMD
-  // rotate_about_z kernel, whose per-lane expression is the one from
-  // ecef_position verbatim — positions stay bit-identical (golden-tested in
-  // tests/test_simd.cpp), and the stack blocks keep the call
-  // allocation-free.
+  // rotate_about_z kernel, whose per-lane expression is the one from the
+  // oracle::ecef_position test reference verbatim — positions stay
+  // bit-identical to it (golden-tested in tests/test_simd.cpp), and the
+  // stack blocks keep the call allocation-free.
   const double theta = geo::kEarthRotationRadPerSec * t_s;
   const double c = std::cos(theta);
   const double s = std::sin(theta);

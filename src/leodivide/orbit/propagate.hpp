@@ -14,9 +14,6 @@ struct SatState {
   geo::GeoPoint subpoint;   ///< sub-satellite geodetic point
 };
 
-/// ECEF position of one satellite at time t since epoch.
-[[nodiscard]] geo::Vec3 ecef_position(const CircularOrbit& orbit, double t_s);
-
 /// States of every satellite in `orbits` at time t, written into `out`
 /// (resized to match). The Earth-rotation cos/sin pair is computed once for
 /// the whole batch; reusing `out` across epochs makes the call

@@ -1,6 +1,5 @@
 #include "leodivide/orbit/shells.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace leodivide::orbit {
@@ -8,10 +7,6 @@ namespace leodivide::orbit {
 MultiShellConstellation::MultiShellConstellation(
     std::vector<WalkerShell> shells)
     : shells_(std::move(shells)) {}
-
-void MultiShellConstellation::add_shell(const WalkerShell& shell) {
-  shells_.push_back(shell);
-}
 
 std::uint32_t MultiShellConstellation::total_sats() const noexcept {
   std::uint32_t n = 0;
@@ -26,25 +21,6 @@ double MultiShellConstellation::surface_density_per_km2(double lat_deg) const {
                                           s.inclination_deg);
   }
   return rho;
-}
-
-double MultiShellConstellation::max_covered_latitude_deg() const {
-  double best = 0.0;
-  for (const auto& s : shells_) {
-    best = std::max(best, std::abs(s.inclination_deg) <= 90.0
-                              ? std::abs(s.inclination_deg)
-                              : 180.0 - std::abs(s.inclination_deg));
-  }
-  return best;
-}
-
-std::vector<CircularOrbit> MultiShellConstellation::all_orbits() const {
-  std::vector<CircularOrbit> out;
-  for (const auto& s : shells_) {
-    const auto orbits = make_constellation(s);
-    out.insert(out.end(), orbits.begin(), orbits.end());
-  }
-  return out;
 }
 
 double MultiShellConstellation::size_for_density(

@@ -20,7 +20,6 @@ class MultiShellConstellation {
   MultiShellConstellation() = default;
   explicit MultiShellConstellation(std::vector<WalkerShell> shells);
 
-  void add_shell(const WalkerShell& shell);
 
   [[nodiscard]] const std::vector<WalkerShell>& shells() const noexcept {
     return shells_;
@@ -30,12 +29,6 @@ class MultiShellConstellation {
   /// Time-averaged satellites per km^2 at a latitude: the sum of the
   /// per-shell Walker densities.
   [[nodiscard]] double surface_density_per_km2(double lat_deg) const;
-
-  /// Maximum latitude with non-zero density (the highest inclination).
-  [[nodiscard]] double max_covered_latitude_deg() const;
-
-  /// Every orbit of every shell, for propagation.
-  [[nodiscard]] std::vector<CircularOrbit> all_orbits() const;
 
   /// Scales every shell's satellite count by `factor` so the mixture
   /// reaches `required_density_per_km2` at `lat_deg`; returns the scaled

@@ -75,7 +75,7 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
   band_offset_[n_bands_] = buckets;
 
   // CSR fill in two passes; iterating satellites in index order keeps every
-  // bucket's list ascending, which query() relies on.
+  // bucket's list ascending.
   bucket_start_.assign(static_cast<std::size_t>(buckets) + 1, 0);
   sat_bucket_.resize(n_sats_);
   for (std::size_t i = 0; i < n_sats_; ++i) {
@@ -171,22 +171,6 @@ std::size_t VisIndex::gather(const BucketSpan* spans, std::size_t n,
     }
   }
   return k;
-}
-
-void VisIndex::query(const geo::GeoPoint& cell,
-                     std::vector<std::uint32_t>& out) const {
-  query_unsorted(cell, out);
-  // Buckets partition the satellites, so the gather has no duplicates; the
-  // sort only restores global ascending order for callers that want it.
-  std::sort(out.begin(), out.end());
-}
-
-void VisIndex::query_unsorted(const geo::GeoPoint& cell,
-                              std::vector<std::uint32_t>& out) const {
-  std::vector<BucketSpan> spans;
-  window(cell, 0.0, spans);
-  out.resize(n_sats_);
-  out.resize(gather(spans.data(), spans.size(), out.data()));
 }
 
 }  // namespace leodivide::orbit

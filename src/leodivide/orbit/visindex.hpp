@@ -5,17 +5,16 @@
 // buckets can intersect its coverage cone instead of scanning the whole
 // constellation. The candidate set is a strict superset of the truly
 // visible set (callers keep their exact angular test as the final filter)
-// and is duplicate-free; query() emits it in ascending satellite index,
-// query_unsorted() in bucket-major order for callers whose selection
-// tie-breaks on index explicitly. Either way, downstream selection is
-// byte-identical to a full ascending scan. A query is two steps: window()
-// does the trig (band range, longitude half-width, sector ranges) and
-// yields bucket spans that depend only on the cell and the grid layout;
-// gather() walks those spans. A caller querying fixed cells epoch after
-// epoch (the scheduler) keeps the spans and pays only the walk. retire()
-// drops a satellite from every later gather until the next build(), so a
-// caller whose satellites fill up (the scheduler's beam budgets) stops
-// gathering and filtering candidates it would reject anyway.
+// and is duplicate-free, emitted in bucket-major order; a caller whose
+// selection tie-breaks on satellite index explicitly is byte-identical to a
+// full ascending scan. A query is two steps: window() does the trig (band
+// range, longitude half-width, sector ranges) and yields bucket spans that
+// depend only on the cell and the grid layout; gather() walks those spans.
+// A caller querying fixed cells epoch after epoch (the scheduler) keeps
+// the spans and pays only the walk. retire() drops a satellite from every
+// later gather until the next build(), so a caller whose satellites fill up
+// (the scheduler's beam budgets) stops gathering and filtering candidates
+// it would reject anyway.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,33 +45,19 @@ class VisIndex {
   void build(const std::vector<SatState>& sats, double psi_rad);
 
   /// Removes satellite `sat` (an index into the last build's states) from
-  /// every later query until the next build(), which restores it. The
+  /// every later gather() until the next build(), which restores it. The
   /// removal shifts the rest of its bucket down in place, so buckets stay
-  /// ascending and query() stays sorted; it never allocates. Retiring an
-  /// already-retired satellite is a no-op.
+  /// ascending; it never allocates. Retiring an already-retired satellite
+  /// is a no-op.
   void retire(std::uint32_t sat) noexcept;
 
-  /// Fills `out` (cleared first) with the index of every satellite whose
-  /// bucket can contain a sub-point within psi of `cell` — a superset of
-  /// the satellites actually inside the coverage cone — sorted ascending.
-  /// Handles polar caps (all longitudes scanned once the cap reaches a
-  /// pole) and the date-line longitude wrap.
-  void query(const geo::GeoPoint& cell, std::vector<std::uint32_t>& out) const;
-
-  /// As query(), but emits candidates in bucket-major order instead of
-  /// globally sorted (the set is identical and duplicate-free — buckets
-  /// partition the satellites): window() into a scratch span list, then
-  /// gather(). A caller querying the same cells every epoch keeps the
-  /// window() spans and calls gather() alone.
-  void query_unsorted(const geo::GeoPoint& cell,
-                      std::vector<std::uint32_t>& out) const;
-
-  /// Appends to `spans` the bucket runs a query at `cell` scans, for a
-  /// half-angle of psi + `extra_deg` (>= 0; kWindowSlackDeg is added on
-  /// top, as for query()). A band whose sector range wraps the date line
-  /// yields two spans. The spans depend only on `cell`, the half-angle and
-  /// the grid layout (band_sectors()), never on the satellites, and each
-  /// grows monotonically with the half-angle.
+  /// Appends to `spans` the bucket runs that can hold a satellite whose
+  /// sub-point lies within psi + `extra_deg` (>= 0; kWindowSlackDeg is
+  /// added on top) of `cell`. Handles polar caps (all longitudes scanned
+  /// once the cap reaches a pole); a band whose sector range wraps the
+  /// date line yields two spans. The spans depend only on `cell`, the
+  /// half-angle and the grid layout (band_sectors()), never on the
+  /// satellites, and each grows monotonically with the half-angle.
   void window(const geo::GeoPoint& cell, double extra_deg,
               std::vector<BucketSpan>& spans) const;
 

@@ -45,17 +45,12 @@ TaskGraph::TaskId TaskGraph::add_task(const char* name,
   return id;
 }
 
-TaskGraph::NodeState TaskGraph::state(TaskId id) const {
-  return nodes_.at(id).state;
-}
-
 void TaskGraph::run(Executor& ex) {
   if (nodes_.empty()) return;
   const bool observed = obs::observability_enabled();
   for (Node& node : nodes_) {
     node.pending = node.deps.size();
     node.parent_failed = false;
-    node.state = NodeState::kPending;
     node.ready_ns = 0;
   }
 
@@ -70,7 +65,6 @@ void TaskGraph::run(Executor& ex) {
   TaskId first_error_id = 0;
 
   const auto mark_ready = [&](TaskId id) {
-    nodes_[id].state = NodeState::kReady;
     if (observed) [[unlikely]] nodes_[id].ready_ns = obs::now_ns();
     ready.push(id);
   };
@@ -99,7 +93,6 @@ void TaskGraph::run(Executor& ex) {
     while (!skip_stack.empty()) {
       const TaskId sid = skip_stack.back();
       skip_stack.pop_back();
-      nodes_[sid].state = NodeState::kSkipped;
       --remaining;
       for (const TaskId succ : nodes_[sid].succs) {
         complete_edge(succ, /*parent_failed=*/true, skip_stack);
@@ -149,12 +142,10 @@ void TaskGraph::run(Executor& ex) {
         if (ready.empty()) return;  // remaining == 0: graph quiesced
         id = ready.top();
         ready.pop();
-        nodes_[id].state = NodeState::kRunning;
       }
       const std::exception_ptr err = run_node(id);
       {
         std::lock_guard<std::mutex> lk(m);
-        nodes_[id].state = err ? NodeState::kFailed : NodeState::kDone;
         if (err && (!first_error || id < first_error_id)) {
           first_error = err;
           first_error_id = id;

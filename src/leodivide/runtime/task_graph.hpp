@@ -29,16 +29,6 @@ class TaskGraph {
  public:
   using TaskId = std::size_t;
 
-  /// Per-node outcome after run().
-  enum class NodeState : unsigned char {
-    kPending,  ///< not reached (only observable mid-run)
-    kReady,    ///< queued, not yet started (only observable mid-run)
-    kRunning,  ///< executing (only observable mid-run)
-    kDone,     ///< body returned normally
-    kFailed,   ///< body threw
-    kSkipped,  ///< an ancestor failed; body never ran
-  };
-
   /// Adds a node. `name` must have static storage duration (it feeds
   /// obs::Span and the per-stage `graph.queue_wait_us.<name>` histogram).
   /// Every id in `deps` must reference an already-added node; an unknown id
@@ -63,9 +53,6 @@ class TaskGraph {
   /// sequentially on the calling thread.
   void run(Executor& ex);
 
-  /// Outcome of node `id` after the most recent run() returned or threw.
-  [[nodiscard]] NodeState state(TaskId id) const;
-
  private:
   struct Node {
     const char* name = nullptr;
@@ -75,7 +62,6 @@ class TaskGraph {
     // Per-run state, reset by run(); mutated only under the run mutex.
     std::size_t pending = 0;
     bool parent_failed = false;
-    NodeState state = NodeState::kPending;
     std::uint64_t ready_ns = 0;  ///< set only while observability is on
   };
 

@@ -110,7 +110,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::inside_pool_task() noexcept { return tl_in_pool_task; }
 
 void ThreadPool::run_tasks(std::size_t n,
                            const std::function<void(std::size_t)>& task) {

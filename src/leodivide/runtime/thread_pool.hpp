@@ -41,11 +41,6 @@ class ThreadPool final : public Executor {
   void run_tasks(std::size_t n,
                  const std::function<void(std::size_t)>& task) override;
 
-  /// True while the calling thread is executing a pool task (the state that
-  /// makes run_tasks go inline). Exposed for the re-entrancy regression
-  /// tests.
-  [[nodiscard]] static bool inside_pool_task() noexcept;
-
  private:
   struct Batch;  // one run_tasks invocation's shared state
 

@@ -21,9 +21,6 @@ namespace {
 // The sockets API wants sockaddr*; the lint bans reinterpret_cast, so go
 // through void* — well-defined here because sockaddr_in and sockaddr are
 // layout-compatible for this use by POSIX contract.
-[[nodiscard]] const sockaddr* as_sockaddr(const sockaddr_in& addr) noexcept {
-  return static_cast<const sockaddr*>(static_cast<const void*>(&addr));
-}
 [[nodiscard]] sockaddr* as_sockaddr(sockaddr_in& addr) noexcept {
   return static_cast<sockaddr*>(static_cast<void*>(&addr));
 }
@@ -128,12 +125,6 @@ void Server::stop() {
   for (int fd : pending_) ::close(fd);
   pending_.clear();
   started_ = false;
-}
-
-void Server::serve_until_shutdown() {
-  start();
-  state_.wait_for_shutdown();
-  stop();
 }
 
 void Server::accept_loop() {

@@ -50,9 +50,6 @@ class Server {
   /// The bound port (meaningful after start(); resolves port 0 requests).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// start() + block until the state saw a kShutdown request + stop().
-  void serve_until_shutdown();
-
  private:
   void accept_loop();
   void worker_loop();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "leodivide/obs/metrics.hpp"
-#include "leodivide/snapshot/artifacts.hpp"
 
 namespace leodivide::serve {
 
@@ -186,19 +185,9 @@ void ServiceState::wait_for_shutdown() {
   shutdown_cv_.wait(lock, [this] { return shutdown_; });
 }
 
-bool ServiceState::shutdown_requested() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shutdown_;
-}
-
 std::vector<demand::DeltaOp> ServiceState::journal_copy() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return journal_;
-}
-
-std::string ServiceState::serialized_journal() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot::serialize(journal_);
 }
 
 EngineStats ServiceState::engine_stats() const {

@@ -72,12 +72,9 @@ class ServiceState {
 
   /// Blocks until a kShutdown request has been handled.
   void wait_for_shutdown();
-  [[nodiscard]] bool shutdown_requested() const;
 
   /// Every op applied since startup (including plan repricings), in order.
   [[nodiscard]] std::vector<demand::DeltaOp> journal_copy() const;
-  /// The journal as a kDeltaJournal LDSNAP blob.
-  [[nodiscard]] std::string serialized_journal() const;
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;

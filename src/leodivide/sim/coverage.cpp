@@ -1,10 +1,7 @@
 #include "leodivide/sim/coverage.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
-
-#include "leodivide/runtime/parallel_for.hpp"
 
 namespace leodivide::sim {
 
@@ -28,30 +25,6 @@ EpochCoverage summarize_epoch(const ScheduleResult& schedule,
   out.satellites_in_view = static_cast<std::size_t>(
       std::unique(scratch.begin(), scratch.end()) - scratch.begin());
   return out;
-}
-
-EpochCoverage summarize_epoch(const ScheduleResult& schedule,
-                              std::size_t cells_total, double time_s) {
-  std::vector<std::uint32_t> scratch;
-  scratch.reserve(schedule.assignments.size());
-  return summarize_epoch(schedule, cells_total, time_s, scratch);
-}
-
-std::vector<EpochCoverage> summarize_epochs(
-    const std::vector<ScheduleResult>& schedules, std::size_t cells_total,
-    const std::vector<double>& times, runtime::Executor& executor) {
-  if (schedules.size() != times.size()) {
-    throw std::invalid_argument(
-        "summarize_epochs: schedules/times length mismatch");
-  }
-  std::vector<EpochCoverage> trace(schedules.size());
-  runtime::parallel_for_each(
-      executor, 0, schedules.size(),
-      // leolint:allow(parallel-capture): each iteration writes only its own trace[e] slot
-      [&trace, &schedules, cells_total, &times](std::size_t e) {
-        trace[e] = summarize_epoch(schedules[e], cells_total, times[e]);
-      });
-  return trace;
 }
 
 }  // namespace leodivide::sim

@@ -6,10 +6,6 @@
 
 #include "leodivide/sim/scheduler.hpp"
 
-namespace leodivide::runtime {
-class Executor;
-}
-
 namespace leodivide::sim {
 
 /// Coverage snapshot of one epoch.
@@ -39,24 +35,11 @@ struct EpochCoverage {
   friend bool operator==(const EpochCoverage&, const EpochCoverage&) = default;
 };
 
-/// Summarises a schedule result into an epoch snapshot.
-[[nodiscard]] EpochCoverage summarize_epoch(const ScheduleResult& schedule,
-                                            std::size_t cells_total,
-                                            double time_s);
-
-/// As above, using caller-owned dedup scratch so repeated epochs allocate
-/// nothing once the scratch capacity has warmed up.
+/// Summarises a schedule result into an epoch snapshot, using caller-owned
+/// dedup scratch so repeated epochs allocate nothing once the scratch
+/// capacity has warmed up.
 [[nodiscard]] EpochCoverage summarize_epoch(
     const ScheduleResult& schedule, std::size_t cells_total, double time_s,
     std::vector<std::uint32_t>& scratch);
-
-/// Summarises a whole trace of per-epoch schedules in parallel over
-/// `executor`. Epoch e of the result is summarize_epoch(schedules[e],
-/// cells_total, times[e]); epochs are independent, so the trace is
-/// identical for every thread count. `times` must match `schedules` in
-/// length.
-[[nodiscard]] std::vector<EpochCoverage> summarize_epochs(
-    const std::vector<ScheduleResult>& schedules, std::size_t cells_total,
-    const std::vector<double>& times, runtime::Executor& executor);
 
 }  // namespace leodivide::sim

@@ -34,16 +34,6 @@ void compute_qos(const std::vector<SchedCell>& cells,
   }
 }
 
-std::vector<CellQos> compute_qos(const std::vector<SchedCell>& cells,
-                                 const ScheduleResult& schedule,
-                                 const core::SatelliteCapacityModel& model,
-                                 const SchedulerConfig& config,
-                                 double target_oversub) {
-  std::vector<CellQos> out;
-  compute_qos(cells, schedule, model, config, target_oversub, out);
-  return out;
-}
-
 QosSummary summarize_qos(const std::vector<CellQos>& qos) {
   QosSummary s;
   s.cells_served = qos.size();

@@ -32,17 +32,10 @@ struct QosSummary {
   friend bool operator==(const QosSummary&, const QosSummary&) = default;
 };
 
-/// Computes per-cell QoS for a schedule. Whole-beam assignments receive
-/// beams * per-beam capacity; shared-slot assignments receive
-/// per-beam / beamspread.
-[[nodiscard]] std::vector<CellQos> compute_qos(
-    const std::vector<SchedCell>& cells, const ScheduleResult& schedule,
-    const core::SatelliteCapacityModel& model, const SchedulerConfig& config,
-    double target_oversub);
-
-/// As above, writing into caller-owned `out` (cleared first): repeated
-/// calls at warm capacity perform no heap allocation. The event engine's
-/// steady-state loop uses this overload.
+/// Computes per-cell QoS for a schedule into caller-owned `out` (cleared
+/// first): repeated calls at warm capacity perform no heap allocation.
+/// Whole-beam assignments receive beams * per-beam capacity; shared-slot
+/// assignments receive per-beam / beamspread.
 void compute_qos(const std::vector<SchedCell>& cells,
                  const ScheduleResult& schedule,
                  const core::SatelliteCapacityModel& model,

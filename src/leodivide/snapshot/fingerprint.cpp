@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "leodivide/core/scenario.hpp"
-#include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/sim/simulation.hpp"
@@ -171,16 +170,6 @@ void mix(Fingerprint& fp, const market::MarketConfig& config) {
   for (const market::OperatorConfig& op : config.operators) mix(fp, op);
   mix(fp, config.split);
   fp.mix_f64(config.beamspread).mix_f64(config.oversub_cap);
-}
-
-void mix(Fingerprint& fp, const demand::DeltaOp& op) {
-  fp.mix_u64(static_cast<std::uint64_t>(op.kind))
-      .mix_f64(op.position.lat_deg)
-      .mix_f64(op.position.lon_deg)
-      .mix_u64(op.count)
-      .mix_u64(op.county_index)
-      .mix(op.plan_name)
-      .mix_f64(op.value);
 }
 
 }  // namespace leodivide::snapshot

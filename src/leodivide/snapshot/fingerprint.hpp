@@ -19,7 +19,6 @@
 
 namespace leodivide::demand {
 struct GeneratorConfig;
-struct DeltaOp;
 }
 namespace leodivide::core {
 struct SizingModel;
@@ -78,7 +77,6 @@ void mix(Fingerprint& fp, const demand::GeneratorConfig& config);
 void mix(Fingerprint& fp, const core::SizingModel& model);
 void mix(Fingerprint& fp, const core::AnalysisConfig& config);
 void mix(Fingerprint& fp, const sim::SimulationConfig& config);
-void mix(Fingerprint& fp, const demand::DeltaOp& op);
 void mix(Fingerprint& fp, const market::OperatorCosts& costs);
 void mix(Fingerprint& fp, const market::OperatorConfig& config);
 void mix(Fingerprint& fp, const market::SpectrumSplitConfig& config);

@@ -80,10 +80,6 @@ std::uint64_t chunked_checksum(std::string_view bytes,
   return chunked_checksums({&bytes, 1}, executor).front();
 }
 
-std::uint64_t chunked_checksum(std::string_view bytes) {
-  return chunked_checksum(bytes, runtime::global_executor());
-}
-
 // ------------------------------------------------------------ ByteWriter --
 
 void ByteWriter::str(std::string_view s) {

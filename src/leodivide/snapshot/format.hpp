@@ -84,10 +84,9 @@ inline constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
 /// boundaries, each chunk is FNV-1a hashed independently (in parallel over
 /// `executor` — chunk boundaries are fixed, so the digest is identical for
 /// every thread count), and the per-chunk digests are folded in chunk
-/// order. The overload without an executor runs on the process-global one.
+/// order.
 [[nodiscard]] std::uint64_t chunked_checksum(std::string_view bytes,
                                              runtime::Executor& executor);
-[[nodiscard]] std::uint64_t chunked_checksum(std::string_view bytes);
 
 /// chunked_checksum of every payload, hashed as one parallel batch over
 /// all their chunks — the digests equal one chunked_checksum call each.

@@ -79,13 +79,4 @@ SpectrumPlan starlink_schedule_s() {
   }};
 }
 
-SpectrumPlan starlink_uplink_schedule_s() {
-  return SpectrumPlan{{
-      {"14.0-14.5 GHz", 14.00, 14.50, 8, BeamUsage::kUserUplink},
-      {"27.5-29.1 GHz", 27.50, 29.10, 4, BeamUsage::kGatewayUplink},
-      {"29.5-30.0 GHz", 29.50, 30.00, 4, BeamUsage::kGatewayUplink},
-      {"81-86 GHz", 81.00, 86.00, 4, BeamUsage::kGatewayUplink},
-  }};
-}
-
 }  // namespace leodivide::spectrum

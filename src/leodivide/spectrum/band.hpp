@@ -68,12 +68,4 @@ class SpectrumPlan {
 /// total. Downlink only — the paper's analysis is downlink-driven.
 [[nodiscard]] SpectrumPlan starlink_schedule_s();
 
-/// EXTENSION (not in the paper): the corresponding uplink spectrum. User
-/// terminals transmit in 14.0-14.5 GHz (Ku, 500 MHz); gateways feed the
-/// satellites in 27.5-29.1 / 29.5-30.0 GHz (Ka, 2100 MHz) and 81-86 GHz
-/// (E-band, 5000 MHz). Beam counts mirror the downlink groups. Used by
-/// core/uplink.hpp to test whether the paper's downlink-only analysis is
-/// conservative.
-[[nodiscard]] SpectrumPlan starlink_uplink_schedule_s();
-
 }  // namespace leodivide::spectrum

@@ -1,7 +1,6 @@
 #include "leodivide/stats/cdf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -17,31 +16,6 @@ double EmpiricalCdf::operator()(double x) const {
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
   return static_cast<double>(it - sorted_.begin()) /
          static_cast<double>(sorted_.size());
-}
-
-double EmpiricalCdf::quantile(double p) const {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("quantile: p not in [0,1]");
-  // leolint:allow(float-eq): p == 0 is the documented exact lower edge
-  if (p == 0.0) return sorted_.front();
-  const auto rank = static_cast<std::size_t>(
-      std::min<double>(std::ceil(p * static_cast<double>(sorted_.size())),
-                       static_cast<double>(sorted_.size())));
-  return sorted_[rank == 0 ? 0 : rank - 1];
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::curve(
-    std::size_t points) const {
-  if (points < 2) throw std::invalid_argument("curve: need >= 2 points");
-  std::vector<std::pair<double, double>> out;
-  out.reserve(points);
-  const double lo = min();
-  const double hi = max();
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(x, (*this)(x));
-  }
-  return out;
 }
 
 WeightedCdf::WeightedCdf(std::span<const double> values,
@@ -72,10 +46,6 @@ double WeightedCdf::weight_at_most(double x) const {
   const auto it = std::upper_bound(values_.begin(), values_.end(), x);
   if (it == values_.begin()) return 0.0;
   return cumsum_[static_cast<std::size_t>(it - values_.begin()) - 1];
-}
-
-double WeightedCdf::operator()(double x) const {
-  return weight_at_most(x) / total_;
 }
 
 double WeightedCdf::quantile(double p) const {

@@ -1,7 +1,5 @@
 #include "leodivide/stats/distributions.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace leodivide::stats {
@@ -9,131 +7,6 @@ namespace leodivide::stats {
 double sample_uniform(Pcg32& rng, double lo, double hi) {
   if (!(lo <= hi)) throw std::invalid_argument("sample_uniform: lo > hi");
   return lo + (hi - lo) * rng.next_double();
-}
-
-double sample_normal(Pcg32& rng, double mean, double stddev) {
-  // Box–Muller; guard u1 away from zero for the log.
-  double u1 = rng.next_double();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double u2 = rng.next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double sample_lognormal(Pcg32& rng, double mu, double sigma) {
-  return std::exp(sample_normal(rng, mu, sigma));
-}
-
-double sample_pareto(Pcg32& rng, double x_m, double alpha) {
-  if (x_m <= 0.0 || alpha <= 0.0) {
-    throw std::invalid_argument("sample_pareto: x_m and alpha must be > 0");
-  }
-  double u = rng.next_double();
-  if (u >= 1.0) u = std::nextafter(1.0, 0.0);
-  return x_m / std::pow(1.0 - u, 1.0 / alpha);
-}
-
-double sample_truncated_pareto(Pcg32& rng, double x_m, double alpha,
-                               double cap) {
-  if (cap <= x_m) {
-    throw std::invalid_argument("sample_truncated_pareto: cap <= x_m");
-  }
-  // CDF of truncated Pareto: F(x) = (1 - (x_m/x)^a) / (1 - (x_m/cap)^a).
-  const double tail = 1.0 - std::pow(x_m / cap, alpha);
-  const double u = rng.next_double() * tail;
-  return x_m / std::pow(1.0 - u, 1.0 / alpha);
-}
-
-double sample_exponential(Pcg32& rng, double lambda) {
-  if (lambda <= 0.0) {
-    throw std::invalid_argument("sample_exponential: lambda must be > 0");
-  }
-  double u = rng.next_double();
-  if (u >= 1.0) u = std::nextafter(1.0, 0.0);
-  return -std::log(1.0 - u) / lambda;
-}
-
-unsigned sample_poisson(Pcg32& rng, double lambda) {
-  if (lambda < 0.0) {
-    throw std::invalid_argument("sample_poisson: lambda must be >= 0");
-  }
-  // leolint:allow(float-eq): exact-zero rate short-circuits sampling
-  if (lambda == 0.0) return 0;
-  if (lambda < 64.0) {
-    const double limit = std::exp(-lambda);
-    double prod = rng.next_double();
-    unsigned n = 0;
-    while (prod > limit) {
-      prod *= rng.next_double();
-      ++n;
-    }
-    return n;
-  }
-  const double v = sample_normal(rng, lambda, std::sqrt(lambda));
-  return v <= 0.0 ? 0U : static_cast<unsigned>(std::lround(v));
-}
-
-double sample_quantile(Pcg32& rng, const PiecewiseQuantile& q) {
-  return q(rng.next_double());
-}
-
-std::size_t sample_weighted(Pcg32& rng, std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("sample_weighted: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("sample_weighted: all weights are zero");
-  }
-  double target = rng.next_double() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-WeightedAlias::WeightedAlias(std::span<const double> weights) {
-  const std::size_t n = weights.size();
-  if (n == 0) throw std::invalid_argument("WeightedAlias: empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("WeightedAlias: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("WeightedAlias: all weights are zero");
-  }
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  std::vector<std::uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (std::uint32_t i : large) prob_[i] = 1.0;
-  for (std::uint32_t i : small) prob_[i] = 1.0;  // numerical leftovers
-}
-
-std::size_t WeightedAlias::operator()(Pcg32& rng) const {
-  const std::size_t i = rng.next_below(static_cast<std::uint32_t>(prob_.size()));
-  return rng.next_double() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace leodivide::stats

@@ -1,65 +1,12 @@
 #pragma once
-// Samplers for the distributions used across the library. All samplers take
-// an explicit Pcg32 so sampling is deterministic and thread-confined.
+// The uniform sampler the demand generator draws from. It takes an explicit
+// Pcg32 so sampling is deterministic and thread-confined.
 
-#include <vector>
-
-#include "leodivide/stats/interpolate.hpp"
 #include "leodivide/stats/rng.hpp"
 
 namespace leodivide::stats {
 
 /// Uniform double in [lo, hi).
 [[nodiscard]] double sample_uniform(Pcg32& rng, double lo, double hi);
-
-/// Standard normal via Box–Muller (one value per call; the spare is
-/// discarded to keep the call deterministic in a single stream).
-[[nodiscard]] double sample_normal(Pcg32& rng, double mean = 0.0,
-                                   double stddev = 1.0);
-
-/// Log-normal with parameters of the underlying normal.
-[[nodiscard]] double sample_lognormal(Pcg32& rng, double mu, double sigma);
-
-/// Pareto (type I) with scale x_m > 0 and shape alpha > 0.
-[[nodiscard]] double sample_pareto(Pcg32& rng, double x_m, double alpha);
-
-/// Pareto truncated to [x_m, cap] by inverse-CDF restriction (not rejection),
-/// so it stays O(1) regardless of cap.
-[[nodiscard]] double sample_truncated_pareto(Pcg32& rng, double x_m,
-                                             double alpha, double cap);
-
-/// Exponential with rate lambda > 0.
-[[nodiscard]] double sample_exponential(Pcg32& rng, double lambda);
-
-/// Poisson with mean lambda (Knuth for small lambda, normal approximation
-/// above 64 — adequate for workload generation).
-[[nodiscard]] unsigned sample_poisson(Pcg32& rng, double lambda);
-
-/// Draws from an arbitrary distribution given its quantile function
-/// (inverse-CDF sampling).
-[[nodiscard]] double sample_quantile(Pcg32& rng, const PiecewiseQuantile& q);
-
-/// Weighted index sampler: picks i with probability weights[i] / sum(weights).
-/// Prefer WeightedAlias for repeated draws from the same weights.
-[[nodiscard]] std::size_t sample_weighted(Pcg32& rng,
-                                          std::span<const double> weights);
-
-/// Walker/Vose alias method for O(1) repeated draws from a fixed categorical
-/// distribution. Used to assign millions of locations to counties.
-class WeightedAlias {
- public:
-  /// Builds alias tables from non-negative weights (at least one positive).
-  explicit WeightedAlias(std::span<const double> weights);
-
-  /// Number of categories.
-  [[nodiscard]] std::size_t size() const { return prob_.size(); }
-
-  /// Draws one category index.
-  [[nodiscard]] std::size_t operator()(Pcg32& rng) const;
-
- private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
-};
 
 }  // namespace leodivide::stats

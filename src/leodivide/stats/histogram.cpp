@@ -33,11 +33,6 @@ void Histogram::add_all(std::span<const double> values) {
   for (double v : values) add(v);
 }
 
-std::uint64_t Histogram::count(std::size_t bin) const {
-  if (bin >= counts_.size()) throw std::out_of_range("Histogram::count");
-  return counts_[bin];
-}
-
 double Histogram::bin_lo(std::size_t bin) const {
   if (bin >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
   return lo_ + width_ * static_cast<double>(bin);

@@ -20,7 +20,6 @@ class Histogram {
   void add_all(std::span<const double> values);
 
   [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const;
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }

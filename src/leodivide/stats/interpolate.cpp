@@ -6,20 +6,6 @@
 
 namespace leodivide::stats {
 
-double lerp_clamped(std::span<const double> xs, std::span<const double> ys,
-                    double x) {
-  if (xs.size() != ys.size() || xs.empty()) {
-    throw std::invalid_argument("lerp_clamped: mismatched or empty grids");
-  }
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
 namespace {
 // Positive floor used so that log-linear interpolation tolerates zero-valued
 // anchors (e.g. "0 locations" at p = 0).
@@ -67,24 +53,6 @@ double PiecewiseQuantile::operator()(double p) const {
   const double lv = safe_log(lo.value) + t * (safe_log(hi.value) - safe_log(lo.value));
   const double v = std::exp(lv);
   return v < 2.0 * kLogFloor ? 0.0 : v;
-}
-
-double PiecewiseQuantile::cdf(double value) const {
-  if (value <= anchors_.front().value) return anchors_.front().p;
-  if (value >= anchors_.back().value) return anchors_.back().p;
-  // Find the segment containing `value` (values are non-decreasing).
-  for (std::size_t i = 1; i < anchors_.size(); ++i) {
-    if (value <= anchors_[i].value) {
-      const auto& lo = anchors_[i - 1];
-      const auto& hi = anchors_[i];
-      if (hi.value <= lo.value) return hi.p;  // flat segment
-      const double t =
-          (safe_log(value) - safe_log(lo.value)) /
-          (safe_log(hi.value) - safe_log(lo.value));
-      return lo.p + t * (hi.p - lo.p);
-    }
-  }
-  return anchors_.back().p;
 }
 
 double PiecewiseQuantile::mean(std::size_t steps) const {

@@ -1,18 +1,12 @@
 #pragma once
-// Piecewise interpolation utilities, including the monotone piecewise
-// quantile functions used to calibrate synthetic demand and income
-// distributions against the statistics published in the paper.
+// Monotone piecewise quantile functions, used to calibrate synthetic demand
+// and income distributions against the statistics published in the paper.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 namespace leodivide::stats {
-
-/// Linear interpolation of y(x) over a strictly increasing grid `xs`.
-/// Values outside the grid are clamped to the end values.
-[[nodiscard]] double lerp_clamped(std::span<const double> xs,
-                                  std::span<const double> ys, double x);
 
 /// One (probability, value) anchor of a piecewise quantile function.
 struct QuantileAnchor {
@@ -37,10 +31,6 @@ class PiecewiseQuantile {
 
   /// Evaluates Q(p); p is clamped to [p_min, p_max] of the anchors.
   [[nodiscard]] double operator()(double p) const;
-
-  /// Inverse: the CDF F(v) such that Q(F(v)) == v for v within range
-  /// (clamped outside).
-  [[nodiscard]] double cdf(double value) const;
 
   /// Mean of the distribution, integrated numerically over `steps` equal
   /// probability slices (midpoint rule).

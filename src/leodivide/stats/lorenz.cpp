@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "leodivide/stats/summary.hpp"
 
@@ -34,32 +35,6 @@ double gini(std::span<const double> values) {
     throw std::invalid_argument("gini: all values are zero");
   }
   return weighted.value() / (n * total.value());
-}
-
-std::vector<std::pair<double, double>> lorenz_curve(
-    std::span<const double> values, std::size_t points) {
-  if (points < 2) throw std::invalid_argument("lorenz_curve: points < 2");
-  const auto sorted = sorted_nonnegative(values);
-  std::vector<double> cumsum(sorted.size());
-  double running = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    running += sorted[i];
-    cumsum[i] = running;
-  }
-  if (running <= 0.0) {
-    throw std::invalid_argument("lorenz_curve: all values are zero");
-  }
-  std::vector<std::pair<double, double>> out;
-  out.reserve(points);
-  for (std::size_t k = 0; k < points; ++k) {
-    const double p = static_cast<double>(k) / static_cast<double>(points - 1);
-    const auto idx = static_cast<std::size_t>(
-        std::floor(p * static_cast<double>(sorted.size())));
-    const double share = idx == 0 ? 0.0 : cumsum[idx - 1] / running;
-    out.emplace_back(p, share);
-  }
-  out.back() = {1.0, 1.0};
-  return out;
 }
 
 double top_share(std::span<const double> values, double fraction) {

@@ -1,12 +1,10 @@
 #pragma once
-// Concentration statistics: Lorenz curve and Gini coefficient. The paper's
+// Concentration statistics: Gini coefficient and top share. The paper's
 // whole argument rests on demand being *concentrated* (a long tail of
 // dense cells drives the constellation size); these quantify that
 // concentration for the Figure-1 companion analysis.
 
 #include <span>
-#include <utility>
-#include <vector>
 
 namespace leodivide::stats {
 
@@ -14,12 +12,6 @@ namespace leodivide::stats {
 /// -> 1 = fully concentrated. Throws std::invalid_argument on empty input,
 /// negative values, or an all-zero input.
 [[nodiscard]] double gini(std::span<const double> values);
-
-/// Lorenz curve sampled at `points` evenly spaced population fractions:
-/// pairs (fraction of cells, fraction of total locations held by the
-/// poorest such cells). First point is (0,0), last is (1,1).
-[[nodiscard]] std::vector<std::pair<double, double>> lorenz_curve(
-    std::span<const double> values, std::size_t points = 101);
 
 /// Share of the total held by the top `fraction` of values (e.g. "the top
 /// 1% of cells hold X% of all un(der)served locations").

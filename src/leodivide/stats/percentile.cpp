@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace leodivide::stats {
 
@@ -25,16 +26,6 @@ double percentile(std::span<const double> values, double p) {
   std::vector<double> copy(values.begin(), values.end());
   std::sort(copy.begin(), copy.end());
   return percentile_sorted(copy, p);
-}
-
-std::vector<double> percentiles(std::span<const double> values,
-                                std::span<const double> ps) {
-  std::vector<double> copy(values.begin(), values.end());
-  std::sort(copy.begin(), copy.end());
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (double p : ps) out.push_back(percentile_sorted(copy, p));
-  return out;
 }
 
 }  // namespace leodivide::stats

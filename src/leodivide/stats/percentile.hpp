@@ -2,7 +2,6 @@
 // Percentile and quantile estimation over samples.
 
 #include <span>
-#include <vector>
 
 namespace leodivide::stats {
 
@@ -14,9 +13,5 @@ namespace leodivide::stats {
 
 /// Convenience: copies, sorts, and evaluates the percentile.
 [[nodiscard]] double percentile(std::span<const double> values, double p);
-
-/// Evaluates many percentiles with a single sort.
-[[nodiscard]] std::vector<double> percentiles(std::span<const double> values,
-                                              std::span<const double> ps);
 
 }  // namespace leodivide::stats

@@ -14,34 +14,4 @@ void KahanSum::add(double v) noexcept {
   sum_ = t;
 }
 
-double ksum(std::span<const double> values) noexcept {
-  KahanSum acc;
-  for (double v : values) acc.add(v);
-  return acc.value();
-}
-
-void RunningStats::add(double v) noexcept {
-  if (n_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
-  ++n_;
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (v - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::sample_variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 }  // namespace leodivide::stats

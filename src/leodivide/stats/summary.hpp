@@ -1,8 +1,5 @@
 #pragma once
-// Streaming summary statistics: Kahan-compensated sums and Welford moments.
-
-#include <cstdint>
-#include <span>
+// Kahan-compensated summation.
 
 namespace leodivide::stats {
 
@@ -16,32 +13,6 @@ class KahanSum {
  private:
   double sum_ = 0.0;
   double carry_ = 0.0;
-};
-
-/// Kahan-compensated sum of a range.
-[[nodiscard]] double ksum(std::span<const double> values) noexcept;
-
-/// Welford online mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double v) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Population variance (0 for fewer than 2 samples).
-  [[nodiscard]] double variance() const noexcept;
-  /// Sample (Bessel-corrected) variance.
-  [[nodiscard]] double sample_variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace leodivide::stats

@@ -62,11 +62,6 @@ TEST(Threshold, PaperIncomeThresholds) {
   EXPECT_NEAR(income_required_usd(50.0), 30000.0, 1e-9);
 }
 
-TEST(Threshold, AffordableBoundaryIsInclusive) {
-  EXPECT_TRUE(is_affordable(120.0, 72000.0));
-  EXPECT_FALSE(is_affordable(120.0, 71999.0));
-}
-
 TEST(Threshold, RejectsBadThreshold) {
   EXPECT_THROW(income_required_usd(100.0, 0.0), std::invalid_argument);
 }
@@ -78,7 +73,7 @@ TEST(IncomeViewTest, WeightedFractions) {
   EXPECT_DOUBLE_EQ(view.total_locations(), 1000.0);
   EXPECT_DOUBLE_EQ(view.locations_with_income_at_most(30000.0), 100.0);
   EXPECT_DOUBLE_EQ(view.locations_with_income_at_most(60000.0), 400.0);
-  EXPECT_DOUBLE_EQ(view.fraction_with_income_at_most(90000.0), 1.0);
+  EXPECT_DOUBLE_EQ(view.locations_with_income_at_most(90000.0), 1000.0);
 }
 
 TEST(IncomeViewTest, QuantileWeighted) {
@@ -87,7 +82,6 @@ TEST(IncomeViewTest, QuantileWeighted) {
   EXPECT_DOUBLE_EQ(view.income_quantile(0.3), 60000.0);
   EXPECT_DOUBLE_EQ(view.income_quantile(0.9), 90000.0);
   EXPECT_DOUBLE_EQ(view.min_income(), 30000.0);
-  EXPECT_DOUBLE_EQ(view.max_income(), 90000.0);
 }
 
 TEST(IncomeViewTest, RejectsEmptyProfile) {
@@ -131,26 +125,6 @@ TEST(Affordability, NationalComparablePlansAffordableAlmostEverywhere) {
     const auto r = analyzer.evaluate(plan);
     EXPECT_LE(r.fraction_unable, 0.0001) << plan.name;  // > 99.99% affordable
   }
-}
-
-TEST(Affordability, CurveIsMonotoneDecreasing) {
-  const AffordabilityAnalyzer analyzer(national_profile());
-  const auto curve = analyzer.curve(starlink_residential(), 0.05, 50);
-  ASSERT_EQ(curve.size(), 50U);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i].locations_unable, curve[i - 1].locations_unable);
-  }
-}
-
-TEST(Affordability, CurveAt2PercentMatchesEvaluate) {
-  const AffordabilityAnalyzer analyzer(national_profile());
-  const auto curve = analyzer.curve(starlink_residential(), 0.05, 100);
-  // Point 39 is x = 0.02 exactly (0.05 * 40 / 100).
-  const auto& at2pct = curve[39];
-  EXPECT_NEAR(at2pct.proportion_of_income, 0.02, 1e-12);
-  EXPECT_NEAR(at2pct.locations_unable,
-              analyzer.evaluate(starlink_residential()).locations_unable,
-              1.0);
 }
 
 TEST(Affordability, CurveEndsMatchFig4Annotations) {
@@ -215,14 +189,6 @@ TEST(Affordability, PriceAboveEveryThresholdPricesOutEveryone) {
       analyzer.evaluate({"AtTop", 150.0, {1000.0, 100.0}});
   EXPECT_DOUBLE_EQ(at_top.locations_unable, 400.0);
   EXPECT_NEAR(at_top.fraction_unable, 0.4, 1e-12);
-}
-
-TEST(Affordability, CurveRejectsBadArguments) {
-  const AffordabilityAnalyzer analyzer(tiny_profile());
-  EXPECT_THROW(analyzer.curve(starlink_residential(), 0.05, 1),
-               std::invalid_argument);
-  EXPECT_THROW(analyzer.curve(starlink_residential(), 0.0, 10),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------ parameterized: threshold ----

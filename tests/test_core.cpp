@@ -187,10 +187,6 @@ TEST(CapacityModel, RejectsNonFiniteAndSaturatesHugeOversub) {
                  std::invalid_argument);
     EXPECT_THROW((void)max_locations_spread(model, 10.0, bad),
                  std::invalid_argument);
-    EXPECT_THROW((void)cell_served(model, 10, bad, 20.0),
-                 std::invalid_argument);
-    EXPECT_THROW((void)cell_served(model, 10, 10.0, bad),
-                 std::invalid_argument);
     EXPECT_THROW((void)model.plan().cells_served_per_satellite(bad, 1),
                  std::invalid_argument);
   }
@@ -246,13 +242,6 @@ TEST(Beamspread, SpreadCapacityAndLimits) {
   EXPECT_NEAR(spread_cell_capacity_gbps(model, 5.0), 3.465, 1e-9);
   EXPECT_EQ(max_locations_spread(model, 1.0, 20.0), 3465U);
   EXPECT_EQ(max_locations_spread(model, 5.0, 20.0), 693U);
-}
-
-TEST(Beamspread, CellServedCriterion) {
-  const SatelliteCapacityModel model;
-  EXPECT_TRUE(cell_served(model, 693, 5.0, 20.0));
-  EXPECT_FALSE(cell_served(model, 694, 5.0, 20.0));
-  EXPECT_THROW(cell_served(model, 1, 1.0, 0.0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- served fraction ----

@@ -349,9 +349,10 @@ TEST(GoldenEquivalence, IdenticalAcrossThreadCounts) {
 
   // The full trace — events, segments, exact handover totals — must also
   // be thread-count invariant, not just the sampled projection.
-  const EventTrace trace_serial = event_sim.run_trace(runtime::serial_executor());
-  const EventTrace trace4 = event_sim.run_trace(pool4);
-  const EventTrace trace8 = event_sim.run_trace(pool8);
+  EventTrace trace_serial, trace4, trace8;
+  event_sim.run_trace(runtime::serial_executor(), trace_serial);
+  event_sim.run_trace(pool4, trace4);
+  event_sim.run_trace(pool8, trace8);
   EXPECT_TRUE(trace_serial == trace4);
   EXPECT_TRUE(trace_serial == trace8);
   // The engine sorts its seeded events under event_less, and distinct
@@ -372,7 +373,8 @@ TEST(EventTraceAccounting, SegmentsMatchNaiveKernelAndPartitionHorizon) {
   const auto profile = band_profile(11, 40, -70.0, 70.0);
   const sim::SimulationConfig config = fine_config(1500.0, 12.5);
   EventSimulation event_sim(config, profile);
-  const EventTrace trace = event_sim.run_trace(runtime::serial_executor());
+  EventTrace trace;
+  event_sim.run_trace(runtime::serial_executor(), trace);
 
   ASSERT_FALSE(trace.segments.empty());
   EXPECT_EQ(trace.segments.front().begin_s, 0.0);
@@ -393,16 +395,18 @@ TEST(EventTraceAccounting, SegmentsMatchNaiveKernelAndPartitionHorizon) {
   const std::size_t n_cells = scheduler.cells().size();
   sim::HandoverStats expected_handovers;
   sim::ScheduleResult prev;
+  std::vector<std::uint32_t> scratch;
+  std::vector<sim::CellQos> qos_cells;
   for (std::size_t i = 0; i < trace.segments.size(); ++i) {
     const CoverageSegment& segment = trace.segments[i];
     const sim::ScheduleResult ref = oracle::schedule_reference(
         scheduler, orbit::propagate_all(orbits, segment.begin_s));
     const sim::EpochCoverage coverage =
-        sim::summarize_epoch(ref, n_cells, segment.begin_s);
+        sim::summarize_epoch(ref, n_cells, segment.begin_s, scratch);
     EXPECT_TRUE(segment.coverage == coverage) << "segment " << i;
-    const sim::QosSummary qos = sim::summarize_qos(sim::compute_qos(
-        scheduler.cells(), ref, model, config.scheduler,
-        config.oversub_target));
+    sim::compute_qos(scheduler.cells(), ref, model, config.scheduler,
+                     config.oversub_target, qos_cells);
+    const sim::QosSummary qos = sim::summarize_qos(qos_cells);
     EXPECT_TRUE(segment.qos == qos) << "segment " << i;
     if (i > 0) {
       // Consecutive segments hold distinct schedules by construction.

@@ -8,7 +8,7 @@
 //
 // Binary locations come from the LEODIVIDE_EXAMPLES_DIR compile definition
 // (the build's examples/ output directory, set in tests/CMakeLists.txt).
-// The bench harness micro_perf follows the same flag rules; its cases use
+// The bench binaries follow the same flag rules; their cases use
 // LEODIVIDE_BENCH_DIR, defined only when the benches are built.
 
 #include <gtest/gtest.h>
@@ -22,12 +22,13 @@
 #include <vector>
 
 #include "leodivide/io/fileio.hpp"
-#include "leodivide/io/json.hpp"
+#include "oracles/json.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 namespace io = leodivide::io;
+namespace oracle = leodivide::oracle;
 
 struct RunResult {
   int exit_code = -1;
@@ -58,11 +59,12 @@ std::string example_path(const std::string& name) {
   return (fs::path(LEODIVIDE_EXAMPLES_DIR) / name).string();
 }
 
-/// micro_perf's path, or "" when the benches are not built.
-std::string micro_perf_path() {
+/// A bench binary's path, or "" when the benches are not built.
+std::string bench_path(const std::string& name) {
 #ifdef LEODIVIDE_BENCH_DIR
-  return (fs::path(LEODIVIDE_BENCH_DIR) / "micro_perf").string();
+  return (fs::path(LEODIVIDE_BENCH_DIR) / name).string();
 #else
+  (void)name;
   return "";
 #endif
 }
@@ -74,7 +76,10 @@ TEST_P(ExamplesCli, RejectsUnknownFlagNonzeroAndNamesIt) {
   if (!fs::exists(binary)) {
     GTEST_SKIP() << binary << " not built";
   }
-  const RunResult r = run_command(binary + " --definitely-not-a-flag");
+  // The timeout turns a binary that starts anyway (a server) into a prompt
+  // failure.
+  const RunResult r =
+      run_command("timeout 60 " + binary + " --definitely-not-a-flag");
   EXPECT_NE(r.exit_code, 0) << "unknown flag accepted by " << GetParam()
                             << "\noutput:\n"
                             << r.output;
@@ -89,7 +94,10 @@ INSTANTIATE_TEST_SUITE_P(AllExamples, ExamplesCli,
                                            "affordability_report",
                                            "constellation_planner",
                                            "quickstart",
-                                           "market_compare"),
+                                           "market_compare",
+                                           "region_study",
+                                           "analysis_server",
+                                           "analysis_client"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -156,8 +164,47 @@ TEST(ExamplesCli, SnapshotDirWithoutValueRejected) {
   EXPECT_NE(r.exit_code, 0) << "bare --snapshot-dir accepted:\n" << r.output;
 }
 
+class BenchCli : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BenchCli, RejectsBadFlagsWithUsage) {
+  const std::string binary = bench_path(GetParam());
+  if (binary.empty() || !fs::exists(binary)) {
+    GTEST_SKIP() << GetParam() << " not built";
+  }
+  // An unknown flag and a value flag without its value must each stop the
+  // bench before it runs; the timeout turns a bench that starts anyway
+  // into a prompt failure.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--metrics-typo=x", "--metrics-typo=x"},
+      {"--snapshot-dir", "--snapshot-dir"}};
+  for (const auto& [args, expected] : cases) {
+    SCOPED_TRACE(args);
+    const RunResult r = run_command("timeout 60 " + binary + " " + args);
+    EXPECT_EQ(r.exit_code, 2) << "bad flags accepted:\n" << r.output;
+    EXPECT_NE(r.output.find(expected), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("usage: "), std::string::npos) << r.output;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenches, BenchCli,
+                         ::testing::Values("fig1_cell_distribution",
+                                           "table1_satellite_capacity",
+                                           "fig2_beamspread_oversub",
+                                           "table2_constellation_size",
+                                           "fig3_diminishing_returns",
+                                           "fig4_affordability",
+                                           "ablation_beam_scheduler",
+                                           "ablation_shell_design",
+                                           "ablation_sensitivity",
+                                           "extension_uplink_backhaul",
+                                           "extension_isl_latency",
+                                           "extension_economics"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
 TEST(ExamplesCli, MicroPerfBadFlagsRejected) {
-  const std::string binary = micro_perf_path();
+  const std::string binary = bench_path("micro_perf");
   if (binary.empty() || !fs::exists(binary)) {
     GTEST_SKIP() << "micro_perf not built";
   }
@@ -179,10 +226,10 @@ TEST(ExamplesCli, MicroPerfBadFlagsRejected) {
 }
 
 /// The JSON bench line a CLI run ends with.
-io::JsonValue bench_line(const std::string& output) {
+oracle::JsonValue bench_line(const std::string& output) {
   const std::size_t at = output.rfind("{\"bench\"");
   if (at == std::string::npos) return {};
-  return io::json_parse(output.substr(at, output.find('\n', at) - at));
+  return oracle::json_parse(output.substr(at, output.find('\n', at) - at));
 }
 
 /// Every regular file under `root`, relative to it, in sorted order.
@@ -217,8 +264,8 @@ void expect_warm_run_restores_cold_bytes(const std::string& name,
       run_command(common + " --threads 1 " + (root / "warm").string());
   ASSERT_EQ(warm.exit_code, 0) << warm.output;
 
-  const io::JsonValue cold_line = bench_line(cold.output);
-  const io::JsonValue warm_line = bench_line(warm.output);
+  const oracle::JsonValue cold_line = bench_line(cold.output);
+  const oracle::JsonValue warm_line = bench_line(warm.output);
   ASSERT_TRUE(cold_line.is_object()) << cold.output;
   ASSERT_TRUE(warm_line.is_object()) << warm.output;
   EXPECT_GT(cold_line.at("snapshot_misses").num_v, 0.0) << cold.output;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "leodivide/geo/angle.hpp"
@@ -16,29 +17,25 @@
 namespace leodivide::geo {
 namespace {
 
+// Equal within eps_deg on both axes, longitude compared modulo 360.
+bool approx_equal(const GeoPoint& a, const GeoPoint& b, double eps_deg) {
+  const double dlon = std::abs(a.lon_deg - b.lon_deg);
+  return std::abs(a.lat_deg - b.lat_deg) <= eps_deg &&
+         std::min(dlon, 360.0 - dlon) <= eps_deg;
+}
+
+// Initial bearing from a to b in [0, 360): the azimuth of b in the
+// azimuthal equidistant projection about a.
+double bearing_deg(const GeoPoint& a, const GeoPoint& b) {
+  const PlanePoint q = AzimuthalEquidistant(a).forward(b);
+  return std::fmod(rad2deg(std::atan2(q.x, q.y)) + 360.0, 360.0);
+}
+
 // ------------------------------------------------------------------ angle ----
 
 TEST(Angle, Deg2RadRoundTrip) {
   for (double d : {-180.0, -90.0, 0.0, 45.0, 180.0, 359.0}) {
     EXPECT_NEAR(rad2deg(deg2rad(d)), d, 1e-12);
-  }
-}
-
-TEST(Angle, WrapTwoPiRange) {
-  for (double r : {-10.0, -kPi, 0.0, kPi, 10.0, 100.0}) {
-    const double w = wrap_two_pi(r);
-    EXPECT_GE(w, 0.0);
-    EXPECT_LT(w, kTwoPi);
-    EXPECT_NEAR(std::sin(w), std::sin(r), 1e-9);
-  }
-}
-
-TEST(Angle, WrapPiRange) {
-  for (double r : {-10.0, -kPi, 0.0, kPi, 10.0}) {
-    const double w = wrap_pi(r);
-    EXPECT_GT(w, -kPi - 1e-12);
-    EXPECT_LE(w, kPi + 1e-12);
-    EXPECT_NEAR(std::cos(w), std::cos(r), 1e-9);
   }
 }
 
@@ -64,20 +61,11 @@ TEST(GeoPointTest, NormalizedCanonicalizes) {
   EXPECT_TRUE(p.valid());
 }
 
-TEST(GeoPointTest, ApproxEqualHandlesLongitudeWrap) {
-  EXPECT_TRUE(approx_equal({10.0, 180.0}, {10.0, -180.0}, 1e-6));
-  EXPECT_FALSE(approx_equal({10.0, 0.0}, {10.0, 1.0}, 1e-6));
-}
-
 // ------------------------------------------------------------------- ecef ----
 
 TEST(Vec3Test, BasicAlgebra) {
   const Vec3 a{1, 2, 3}, b{4, 5, 6};
-  EXPECT_EQ((a + b), (Vec3{5, 7, 9}));
-  EXPECT_EQ((b - a), (Vec3{3, 3, 3}));
-  EXPECT_EQ((2.0 * a), (Vec3{2, 4, 6}));
   EXPECT_DOUBLE_EQ(a.dot(b), 32.0);
-  EXPECT_EQ(a.cross(b), (Vec3{-3, 6, -3}));
   EXPECT_DOUBLE_EQ((Vec3{3, 4, 0}).norm(), 5.0);
 }
 
@@ -85,23 +73,6 @@ TEST(Vec3Test, UnitVectorThrowsOnZero) {
   EXPECT_THROW((Vec3{0, 0, 0}).unit(), std::domain_error);
   const Vec3 u = Vec3{0, 0, 9}.unit();
   EXPECT_NEAR(u.norm(), 1.0, 1e-12);
-}
-
-TEST(Ecef, EquatorPrimeMeridian) {
-  const Vec3 v = geodetic_to_ecef({0.0, 0.0});
-  EXPECT_NEAR(v.x, kWgs84AKm, 1e-6);
-  EXPECT_NEAR(v.y, 0.0, 1e-9);
-  EXPECT_NEAR(v.z, 0.0, 1e-9);
-}
-
-TEST(Ecef, RoundTripSurfacePoints) {
-  for (const GeoPoint p : {GeoPoint{0.0, 0.0}, GeoPoint{39.5, -98.35},
-                           GeoPoint{-33.9, 151.2}, GeoPoint{71.0, -156.8}}) {
-    double alt = 0.0;
-    const GeoPoint back = ecef_to_geodetic(geodetic_to_ecef(p, 0.3), &alt);
-    EXPECT_TRUE(approx_equal(p, back, 1e-7)) << p << " vs " << back;
-    EXPECT_NEAR(alt, 0.3, 1e-5);
-  }
 }
 
 TEST(Ecef, SphericalRoundTrip) {
@@ -136,39 +107,13 @@ TEST(GreatCircle, AntipodalDistanceIsHalfCircumference) {
   EXPECT_NEAR(d, kPi * kEarthRadiusKm, 1e-6);
 }
 
-TEST(GreatCircle, BearingCardinalDirections) {
-  EXPECT_NEAR(initial_bearing_deg({0, 0}, {10, 0}), 0.0, 1e-9);    // north
-  EXPECT_NEAR(initial_bearing_deg({0, 0}, {0, 10}), 90.0, 1e-9);   // east
-  EXPECT_NEAR(initial_bearing_deg({0, 0}, {-10, 0}), 180.0, 1e-9); // south
-  EXPECT_NEAR(initial_bearing_deg({0, 0}, {0, -10}), 270.0, 1e-9); // west
-}
-
 TEST(GreatCircle, DestinationInvertsDistanceAndBearing) {
   const GeoPoint start{42.0, -93.0};
   for (double bearing : {0.0, 77.0, 160.0, 255.0}) {
     const GeoPoint end = destination(start, bearing, 500.0);
     EXPECT_NEAR(distance_km(start, end), 500.0, 1e-6);
-    EXPECT_NEAR(initial_bearing_deg(start, end), bearing, 1e-6);
+    EXPECT_NEAR(bearing_deg(start, end), bearing, 1e-6);
   }
-}
-
-TEST(GreatCircle, InterpolateEndpointsAndMidpoint) {
-  const GeoPoint a{0.0, 0.0}, b{0.0, 90.0};
-  EXPECT_TRUE(approx_equal(interpolate(a, b, 0.0), a, 1e-9));
-  EXPECT_TRUE(approx_equal(interpolate(a, b, 1.0), b, 1e-9));
-  EXPECT_TRUE(approx_equal(interpolate(a, b, 0.5), {0.0, 45.0}, 1e-9));
-}
-
-TEST(GreatCircle, InterpolateRejectsOutOfRangeT) {
-  EXPECT_THROW(interpolate({0, 0}, {1, 1}, -0.1), std::invalid_argument);
-  EXPECT_THROW(interpolate({0, 0}, {1, 1}, 1.1), std::invalid_argument);
-}
-
-TEST(GreatCircle, CapAreaLimits) {
-  EXPECT_DOUBLE_EQ(spherical_cap_area_km2(0.0), 0.0);
-  EXPECT_NEAR(spherical_cap_area_km2(kPi), kEarthSurfaceAreaKm2, 1.0);
-  EXPECT_NEAR(spherical_cap_area_km2(kPi / 2.0), kEarthSurfaceAreaKm2 / 2.0,
-              1.0);
 }
 
 TEST(GreatCircle, LatitudeBandFractions) {
@@ -180,12 +125,11 @@ TEST(GreatCircle, LatitudeBandFractions) {
 
 // ------------------------------------------------------------------- bbox ----
 
-TEST(BBox, ContainsAndCenter) {
+TEST(BBox, Contains) {
   const BoundingBox b{10.0, 20.0, -50.0, -40.0};
   EXPECT_TRUE(b.contains({15.0, -45.0}));
   EXPECT_FALSE(b.contains({25.0, -45.0}));
   EXPECT_FALSE(b.contains({15.0, -55.0}));
-  EXPECT_TRUE(approx_equal(b.center(), {15.0, -45.0}));
 }
 
 TEST(BBox, ExtendGrowsFromEmpty) {
@@ -196,20 +140,6 @@ TEST(BBox, ExtendGrowsFromEmpty) {
   EXPECT_TRUE(b.contains({10.0, 20.0}));
   b.extend({-5.0, 30.0});
   EXPECT_TRUE(b.contains({0.0, 25.0}));
-}
-
-TEST(BBox, AreaOfFullLongitudeBand) {
-  const BoundingBox b{-90.0, 90.0, -180.0, 180.0};
-  EXPECT_NEAR(b.area_km2(), kEarthSurfaceAreaKm2, 1.0);
-}
-
-TEST(BBox, Intersections) {
-  const BoundingBox a{0.0, 10.0, 0.0, 10.0};
-  const BoundingBox b{5.0, 15.0, 5.0, 15.0};
-  const BoundingBox c{20.0, 30.0, 20.0, 30.0};
-  EXPECT_TRUE(a.intersects(b));
-  EXPECT_TRUE(b.intersects(a));
-  EXPECT_FALSE(a.intersects(c));
 }
 
 TEST(BBox, ConusContainsLandmarks) {
@@ -292,15 +222,9 @@ TEST(AzimuthalEquidistantTest, RoundTripAcrossConus) {
   for (const GeoPoint p : {GeoPoint{25.8, -80.2}, GeoPoint{47.6, -122.3},
                            GeoPoint{29.8, -95.4}, GeoPoint{44.9, -68.7}}) {
     const GeoPoint back = proj.inverse(proj.forward(p));
-    EXPECT_TRUE(approx_equal(p, back, 1e-8)) << p << " vs " << back;
-  }
-}
-
-TEST(EquirectangularTest, RoundTrip) {
-  const Equirectangular proj(39.0);
-  for (const GeoPoint p : {GeoPoint{39.0, -98.0}, GeoPoint{10.0, 20.0}}) {
-    const GeoPoint back = proj.inverse(proj.forward(p));
-    EXPECT_TRUE(approx_equal(p, back, 1e-9));
+    EXPECT_TRUE(approx_equal(p, back, 1e-8))
+        << "(" << p.lat_deg << ", " << p.lon_deg << ") came back as ("
+        << back.lat_deg << ", " << back.lon_deg << ")";
   }
 }
 
@@ -333,7 +257,7 @@ TEST_P(DestinationRoundTrip, ReturnTripComesHome) {
   const double bearing = GetParam();
   const GeoPoint start{36.4, -89.7};
   const GeoPoint out = destination(start, bearing, 750.0);
-  const double back_bearing = initial_bearing_deg(out, start);
+  const double back_bearing = bearing_deg(out, start);
   const GeoPoint home = destination(out, back_bearing, 750.0);
   EXPECT_LT(distance_km(home, start), 0.001);
 }

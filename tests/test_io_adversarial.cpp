@@ -1,4 +1,5 @@
-// Adversarial inputs for the io/ parsers. Every case in this deterministic
+// Adversarial inputs for the io/ CSV parser and the tests' JSON reader
+// (tests/oracles/json.hpp). Every case in this deterministic
 // corpus must produce a graceful, typed error (or a documented lenient
 // parse) — never a crash, hang, or foreign exception type. CI runs this
 // suite under ASan/UBSan, and the deep-nesting cases double as
@@ -8,29 +9,36 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "leodivide/io/csv.hpp"
-#include "leodivide/io/json.hpp"
+#include "oracles/json.hpp"
 
 namespace {
 
 using leodivide::io::CsvReader;
 using leodivide::io::CsvRow;
-using leodivide::io::json_parse;
-using leodivide::io::JsonParseError;
-using leodivide::io::parse_csv_line;
+using leodivide::oracle::json_parse;
+using leodivide::oracle::JsonParseError;
+
+// Parses one CSV line into a fresh row.
+CsvRow parse_line(std::string_view line) {
+  CsvRow row;
+  leodivide::io::parse_csv_line(line, row);
+  return row;
+}
 
 // ------------------------------------------------------------------- CSV --
 
 TEST(CsvAdversarial, TruncatedQuoteInLineThrows) {
-  EXPECT_THROW((void)parse_csv_line("\"abc"), std::runtime_error);
-  EXPECT_THROW((void)parse_csv_line("a,\"bc"), std::runtime_error);
-  EXPECT_THROW((void)parse_csv_line("\""), std::runtime_error);
+  EXPECT_THROW((void)parse_line("\"abc"), std::runtime_error);
+  EXPECT_THROW((void)parse_line("a,\"bc"), std::runtime_error);
+  EXPECT_THROW((void)parse_line("\""), std::runtime_error);
 }
 
 TEST(CsvAdversarial, QuoteInsideUnquotedFieldThrows) {
-  EXPECT_THROW((void)parse_csv_line("ab\"c,2"), std::runtime_error);
-  EXPECT_THROW((void)parse_csv_line("1,x\"\",3"), std::runtime_error);
+  EXPECT_THROW((void)parse_line("ab\"c,2"), std::runtime_error);
+  EXPECT_THROW((void)parse_line("1,x\"\",3"), std::runtime_error);
 }
 
 TEST(CsvAdversarial, UnterminatedQuotedRecordAtEofThrows) {
@@ -50,7 +58,7 @@ TEST(CsvAdversarial, LoneQuoteLineAtEofThrows) {
 
 TEST(CsvAdversarial, EmbeddedNulBytesAreFieldContent) {
   const std::string line("a\0b,c", 5);
-  const CsvRow row = parse_csv_line(line);
+  const CsvRow row = parse_line(line);
   ASSERT_EQ(row.size(), 2U);
   EXPECT_EQ(row[0], std::string("a\0b", 3));
   EXPECT_EQ(row[1], "c");
@@ -58,7 +66,7 @@ TEST(CsvAdversarial, EmbeddedNulBytesAreFieldContent) {
 
 TEST(CsvAdversarial, EmbeddedNulInsideQuotedFieldSurvives) {
   const std::string line("\"x\0y\",z", 7);
-  const CsvRow row = parse_csv_line(line);
+  const CsvRow row = parse_line(line);
   ASSERT_EQ(row.size(), 2U);
   EXPECT_EQ(row[0], std::string("x\0y", 3));
 }
@@ -68,13 +76,13 @@ TEST(CsvAdversarial, PathologicallyLongFieldParses) {
   line.append(1 << 20, 'x');  // 1 MiB single field
   const std::string big = line.substr(2);
   line += ",b";
-  const CsvRow row = parse_csv_line(line);
+  const CsvRow row = parse_line(line);
   ASSERT_EQ(row.size(), 3U);
   EXPECT_EQ(row[1].size(), big.size());
 }
 
 TEST(CsvAdversarial, ManyEmptyFields) {
-  const CsvRow row = parse_csv_line(std::string(999, ','));
+  const CsvRow row = parse_line(std::string(999, ','));
   EXPECT_EQ(row.size(), 1000U);
   for (const auto& f : row) EXPECT_TRUE(f.empty());
 }
@@ -89,7 +97,7 @@ TEST(CsvAdversarial, CrOnlyRecordIsSkippedAsBlank) {
 }
 
 TEST(CsvAdversarial, AlternatingEscapedQuotes) {
-  const CsvRow row = parse_csv_line("\"a\"\"b\"\"c\",\"\"\"\"");
+  const CsvRow row = parse_line("\"a\"\"b\"\"c\",\"\"\"\"");
   ASSERT_EQ(row.size(), 2U);
   EXPECT_EQ(row[0], "a\"b\"c");
   EXPECT_EQ(row[1], "\"");

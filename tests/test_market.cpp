@@ -136,15 +136,6 @@ TEST(OperatorTest, ValidationRejectsMalformedConfigs) {
 
 // ------------------------------------------------------------------- split ----
 
-TEST(SplitTest, PolicyNamesRoundTrip) {
-  for (const SplitPolicy p :
-       {SplitPolicy::kExclusive, SplitPolicy::kProportional,
-        SplitPolicy::kFairShare}) {
-    EXPECT_EQ(split_policy_from_string(to_string(p)), p);
-  }
-  EXPECT_THROW(split_policy_from_string("oligopoly"), std::invalid_argument);
-}
-
 TEST(SplitTest, ExclusiveGivesEveryOperatorFullShare) {
   const SpectrumSplit split(default_market(), {});
   for (std::size_t o = 0; o < split.operator_count(); ++o) {

@@ -19,13 +19,13 @@
 #include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/hex/hexgrid.hpp"
-#include "leodivide/io/json.hpp"
 #include "leodivide/obs/obs.hpp"
 #include "leodivide/orbit/walker.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
 #include "leodivide/sim/simulation.hpp"
+#include "oracles/json.hpp"
 
 namespace {
 
@@ -304,10 +304,10 @@ TEST_F(ObsTest, ChromeTraceExportsNestedPipelineStages) {
   std::ostringstream out;
   obs::TraceRecorder::instance().write_chrome_trace(out);
 
-  const io::JsonValue doc = io::json_parse(out.str());
+  const oracle::JsonValue doc = oracle::json_parse(out.str());
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.at("displayTimeUnit").str_v, "ms");
-  const io::JsonValue& events = doc.at("traceEvents");
+  const oracle::JsonValue& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
 
   struct Complete {
@@ -369,7 +369,7 @@ TEST_F(ObsTest, ChromeTraceExportsNestedPipelineStages) {
 // Metrics export + bench JSON lines
 // ---------------------------------------------------------------------------
 
-TEST_F(ObsTest, MetricsJsonAndCsvExport) {
+TEST_F(ObsTest, MetricsJsonExport) {
   obs::set_metrics_enabled(true);
   obs::registry().counter("test.export.counter").add(3);
   obs::registry().gauge("test.export.gauge").set(-2);
@@ -378,20 +378,15 @@ TEST_F(ObsTest, MetricsJsonAndCsvExport) {
 
   std::ostringstream json_out;
   obs::registry().write_json(json_out);
-  const io::JsonValue doc = io::json_parse(json_out.str());
+  const oracle::JsonValue doc = oracle::json_parse(json_out.str());
   EXPECT_DOUBLE_EQ(doc.at("counters").at("test.export.counter").num_v, 3.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("test.export.gauge").num_v, -2.0);
   EXPECT_DOUBLE_EQ(doc.at("timers").at("test.export.timer").at("count").num_v,
                    1.0);
-  const io::JsonValue& hist = doc.at("histograms").at("test.export.hist");
+  const oracle::JsonValue& hist = doc.at("histograms").at("test.export.hist");
   EXPECT_DOUBLE_EQ(hist.at("count").num_v, 1.0);
   EXPECT_DOUBLE_EQ(hist.at("sum_us").num_v, 5.0);
   ASSERT_EQ(hist.at("buckets").items.size(), obs::Histogram::kBuckets);
-
-  std::ostringstream csv_out;
-  obs::registry().write_csv(csv_out);
-  EXPECT_NE(csv_out.str().find("counter,test.export.counter,total,3"),
-            std::string::npos);
 }
 
 TEST_F(ObsTest, BenchLineJsonNeverTruncates) {
@@ -403,11 +398,11 @@ TEST_F(ObsTest, BenchLineJsonNeverTruncates) {
 
   const std::string long_name = std::string(300, 'x') + " \"quoted\"";
   const std::string line = obs::bench_line_json(long_name, 4, 12.5);
-  const io::JsonValue v = io::json_parse(line);
+  const oracle::JsonValue v = oracle::json_parse(line);
   EXPECT_EQ(v.at("bench").str_v, long_name);
   EXPECT_DOUBLE_EQ(v.at("threads").num_v, 4.0);
   EXPECT_DOUBLE_EQ(v.at("wall_ms").num_v, 12.5);
-  const io::JsonValue& stages = v.at("stages");
+  const oracle::JsonValue& stages = v.at("stages");
   ASSERT_TRUE(stages.is_object());
   EXPECT_GT(stages.at("stage.alpha").num_v, 0.0);
   EXPECT_GT(stages.at("stage.beta").num_v, 0.0);
@@ -415,7 +410,7 @@ TEST_F(ObsTest, BenchLineJsonNeverTruncates) {
 
 TEST_F(ObsTest, BenchLineJsonOmitsStagesWhenMetricsOff) {
   const std::string line = obs::bench_line_json("plain", 1, 3.25);
-  const io::JsonValue v = io::json_parse(line);
+  const oracle::JsonValue v = oracle::json_parse(line);
   EXPECT_EQ(v.at("bench").str_v, "plain");
   EXPECT_EQ(v.find("stages"), nullptr);
 }
@@ -496,7 +491,7 @@ TEST_F(ObsTest, ApplyAndFinalizeWriteRequestedFiles) {
   ASSERT_TRUE(trace_in.good());
   std::stringstream trace_buf;
   trace_buf << trace_in.rdbuf();
-  const io::JsonValue trace_doc = io::json_parse(trace_buf.str());
+  const oracle::JsonValue trace_doc = oracle::json_parse(trace_buf.str());
   ASSERT_TRUE(trace_doc.at("traceEvents").is_array());
   bool found = false;
   for (const auto& e : trace_doc.at("traceEvents").items) {
@@ -508,7 +503,7 @@ TEST_F(ObsTest, ApplyAndFinalizeWriteRequestedFiles) {
   ASSERT_TRUE(metrics_in.good());
   std::stringstream metrics_buf;
   metrics_buf << metrics_in.rdbuf();
-  const io::JsonValue metrics_doc = io::json_parse(metrics_buf.str());
+  const oracle::JsonValue metrics_doc = oracle::json_parse(metrics_buf.str());
   EXPECT_DOUBLE_EQ(
       metrics_doc.at("counters").at("test.finalize.counter").num_v, 1.0);
 

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "leodivide/core/scenario.hpp"
@@ -214,25 +215,24 @@ TEST(ThreadPool, NestedRunTasksDoesNotDeadlock) {
 // waiting on a nested batch.
 TEST(ThreadPool, NestedRunTasksRunsInlineInIndexOrder) {
   runtime::ThreadPool pool(2);
-  EXPECT_FALSE(runtime::ThreadPool::inside_pool_task());
-  std::atomic<bool> saw_inside{false};
+  std::atomic<bool> nested_inline{true};
   std::atomic<bool> nested_in_order{true};
   std::atomic<std::uint64_t> nested_runs{0};
   pool.run_tasks(4, [&](std::size_t) {
-    saw_inside = saw_inside.load() || runtime::ThreadPool::inside_pool_task();
+    const std::thread::id outer = std::this_thread::get_id();
     // Runs inline: strictly sequential on this thread, so a plain local
     // suffices to check index order.
     std::size_t next = 0;
     pool.run_tasks(16, [&](std::size_t i) {
+      if (std::this_thread::get_id() != outer) nested_inline = false;
       if (i != next++) nested_in_order = false;
       ++nested_runs;
     });
     if (next != 16) nested_in_order = false;
   });
-  EXPECT_TRUE(saw_inside.load());
+  EXPECT_TRUE(nested_inline.load());
   EXPECT_TRUE(nested_in_order.load());
   EXPECT_EQ(nested_runs.load(), 64U);
-  EXPECT_FALSE(runtime::ThreadPool::inside_pool_task());
 }
 
 // Nested parallel_for over a pool must also degrade to inline execution —
@@ -439,7 +439,8 @@ TEST(PipelineDeterminism, SameSeedTwiceIsByteIdentical) {
 
 TEST(PipelineDeterminism, PolyfillMatchesSerialScanOrder) {
   const hex::HexGrid grid;
-  const geo::BoundingBox box{36.0, 42.0, -104.0, -94.0};
+  const geo::Polygon box(
+      {{36.0, -104.0}, {42.0, -104.0}, {42.0, -94.0}, {36.0, -94.0}});
   const auto serial = hex::polyfill(grid, box, 5, runtime::serial_executor());
   runtime::ThreadPool pool(8);
   EXPECT_EQ(hex::polyfill(grid, box, 5, pool), serial);

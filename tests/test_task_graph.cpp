@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "leodivide/io/json.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
@@ -33,6 +32,7 @@
 #include "leodivide/snapshot/format.hpp"
 #include "leodivide/snapshot/stage_graph.hpp"
 #include "leodivide/snapshot/stages.hpp"
+#include "oracles/json.hpp"
 
 namespace {
 
@@ -62,9 +62,6 @@ TEST(TaskGraphTest, EveryNodeRunsExactlyOnce) {
   runtime::ThreadPool pool(4);
   graph.run(pool);
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
-  for (const TaskGraph::TaskId id : {a, b, c, d}) {
-    EXPECT_EQ(graph.state(id), TaskGraph::NodeState::kDone);
-  }
 }
 
 TEST(TaskGraphTest, SerialExecutorRunsLowestReadyIdOrder) {
@@ -127,18 +124,19 @@ TEST(TaskGraphTest, ResultsBitIdenticalAcrossExecutors) {
 
 TEST(TaskGraphTest, LowestIdErrorWinsAndDescendantsSkip) {
   TaskGraph graph;
+  std::atomic<int> bad_runs{0};
   std::atomic<int> late_runs{0};
-  const auto bad1 = graph.add_task("tg.bad1", [] {
+  const auto bad1 = graph.add_task("tg.bad1", [&] {
+    ++bad_runs;
     throw std::runtime_error("first failure");
   });
-  const auto bad2 = graph.add_task("tg.bad2", [] {
+  graph.add_task("tg.bad2", [&] {
+    ++bad_runs;
     throw std::runtime_error("second failure");
   });
   const auto child = graph.add_task("tg.child", [&] { ++late_runs; }, {bad1});
-  const auto grandchild =
-      graph.add_task("tg.grandchild", [&] { ++late_runs; }, {child});
-  const auto independent =
-      graph.add_task("tg.independent", [&] { ++late_runs; });
+  graph.add_task("tg.grandchild", [&] { ++late_runs; }, {child});
+  graph.add_task("tg.independent", [&] { ++late_runs; });
 
   runtime::ThreadPool pool(4);
   try {
@@ -147,11 +145,7 @@ TEST(TaskGraphTest, LowestIdErrorWinsAndDescendantsSkip) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first failure");
   }
-  EXPECT_EQ(graph.state(bad1), TaskGraph::NodeState::kFailed);
-  EXPECT_EQ(graph.state(bad2), TaskGraph::NodeState::kFailed);
-  EXPECT_EQ(graph.state(child), TaskGraph::NodeState::kSkipped);
-  EXPECT_EQ(graph.state(grandchild), TaskGraph::NodeState::kSkipped);
-  EXPECT_EQ(graph.state(independent), TaskGraph::NodeState::kDone);
+  EXPECT_EQ(bad_runs.load(), 2);   // both failing nodes ran
   EXPECT_EQ(late_runs.load(), 1);  // only the independent node ran
 }
 
@@ -512,8 +506,8 @@ TEST_F(TaskGraphObsTest, GraphEdgesExportAsChromeFlowEvents) {
 
   std::ostringstream out;
   obs::TraceRecorder::instance().write_chrome_trace(out);
-  const io::JsonValue doc = io::json_parse(out.str());
-  const io::JsonValue& events = doc.at("traceEvents");
+  const oracle::JsonValue doc = oracle::json_parse(out.str());
+  const oracle::JsonValue& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
 
   std::vector<double> starts;
