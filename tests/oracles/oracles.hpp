@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "leodivide/geo/polygon.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visindex.hpp"
 #include "leodivide/sim/scheduler.hpp"
@@ -32,6 +33,13 @@ namespace leodivide::oracle {
 /// window spans and gathers alone; tests compare whole candidate sets.
 [[nodiscard]] std::vector<std::uint32_t> vis_candidates(
     const orbit::VisIndex& index, const geo::GeoPoint& cell);
+
+/// Even-odd point-in-polygon over every edge, kept verbatim from before the
+/// latitude-slab index: the bbox test, then each edge (a = vertex i, b =
+/// vertex i - 1) that crosses p's latitude toggles when p lies left of it.
+/// geo::Polygon::contains must equal it for every point.
+[[nodiscard]] bool polygon_contains_reference(const geo::Polygon& poly,
+                                              const geo::GeoPoint& p);
 
 /// Scalar references for orbit::filter_visible and orbit::rotate_about_z.
 std::size_t filter_visible_scalar(double cx, double cy, double cz,

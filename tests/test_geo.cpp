@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/bbox.hpp"
@@ -13,6 +15,9 @@
 #include "leodivide/geo/polygon.hpp"
 #include "leodivide/geo/projection.hpp"
 #include "leodivide/geo/us_outline.hpp"
+#include "leodivide/stats/distributions.hpp"
+#include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 namespace leodivide::geo {
 namespace {
@@ -175,6 +180,106 @@ TEST(PolygonTest, AreaOfOneDegreeSquareAtEquator) {
   const Polygon square({{-0.5, -0.5}, {-0.5, 0.5}, {0.5, 0.5}, {0.5, -0.5}});
   const double km_per_deg = kTwoPi * kEarthRadiusKm / 360.0;
   EXPECT_NEAR(square.area_km2(), km_per_deg * km_per_deg, 25.0);
+}
+
+// Star-shaped around (lat0, lon0) with sorted random angles, so simple and
+// usually concave. With `snap_deg` > 0 every vertex latitude is rounded to
+// that grid, which repeats latitudes and makes horizontal edges.
+std::vector<GeoPoint> random_star(stats::Pcg32& rng, double snap_deg) {
+  const std::size_t n = 3 + rng.next_below(14);
+  std::vector<double> angles(n);
+  for (double& a : angles) a = stats::sample_uniform(rng, 0.0, kTwoPi);
+  std::sort(angles.begin(), angles.end());
+  const double lat0 = stats::sample_uniform(rng, -40.0, 40.0);
+  const double lon0 = stats::sample_uniform(rng, -150.0, 150.0);
+  std::vector<GeoPoint> v;
+  for (const double a : angles) {
+    const double r = stats::sample_uniform(rng, 0.5, 6.0);
+    double lat = lat0 + r * std::sin(a);
+    if (snap_deg > 0.0) lat = std::round(lat / snap_deg) * snap_deg;
+    v.push_back({lat, lon0 + r * std::cos(a)});
+  }
+  return v;
+}
+
+// A histogram polygon: a flat base and a top profile of random column
+// heights on a coarse latitude grid, some columns flat (horizontal edges)
+// and some slanted. Simple and concave, with many repeated latitudes.
+std::vector<GeoPoint> random_histogram(stats::Pcg32& rng) {
+  const std::size_t columns = 2 + rng.next_below(8);
+  const auto height = [&rng] {
+    return 1.0 + 0.5 * static_cast<double>(rng.next_below(6));
+  };
+  std::vector<GeoPoint> v{{0.0, 0.0}};
+  for (std::size_t c = 0; c < columns; ++c) {
+    const double left = height();
+    const double right = rng.next_below(2) == 0 ? left : height();
+    v.push_back({left, static_cast<double>(c)});
+    v.push_back({right, static_cast<double>(c + 1)});
+  }
+  v.push_back({0.0, static_cast<double>(columns)});
+  return v;
+}
+
+// Query points that exercise the slab index's edges: on every vertex
+// latitude (at the vertex, and across the box), on and near every edge,
+// outside the box, NaN, and uniform in the box.
+std::vector<GeoPoint> probe_points(stats::Pcg32& rng, const Polygon& poly) {
+  const BoundingBox& box = poly.bbox();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto lon_in_box = [&] {
+    return stats::sample_uniform(rng, box.lon_min, box.lon_max);
+  };
+  std::vector<GeoPoint> q{{nan, lon_in_box()},
+                          {box.lat_min, nan},
+                          {nan, nan},
+                          {box.lat_min - 1.0, lon_in_box()},
+                          {box.lat_max + 1.0, lon_in_box()},
+                          {box.lat_max, box.lon_max + 1.0},
+                          {box.lat_min, box.lon_min - 1.0},
+                          {box.lat_max, box.lon_max},
+                          {box.lat_min, box.lon_min}};
+  const auto v = poly.vertices();
+  for (std::size_t i = 0, j = v.size() - 1; i < v.size(); j = i++) {
+    q.push_back(v[i]);
+    q.push_back({v[i].lat_deg, lon_in_box()});
+    q.push_back({v[i].lat_deg, box.lon_min});
+    q.push_back({v[i].lat_deg, box.lon_max});
+    const double t = rng.next_double();
+    const GeoPoint on_edge{v[i].lat_deg + t * (v[j].lat_deg - v[i].lat_deg),
+                           v[i].lon_deg + t * (v[j].lon_deg - v[i].lon_deg)};
+    q.push_back(on_edge);
+    q.push_back({on_edge.lat_deg, std::nextafter(on_edge.lon_deg, -1e9)});
+    q.push_back({on_edge.lat_deg, std::nextafter(on_edge.lon_deg, 1e9)});
+  }
+  for (int k = 0; k < 64; ++k) {
+    q.push_back({stats::sample_uniform(rng, box.lat_min, box.lat_max),
+                 lon_in_box()});
+  }
+  return q;
+}
+
+TEST(PolygonTest, SlabContainsMatchesEdgeLoopReference) {
+  stats::Pcg32 rng(20240611, /*stream=*/3);
+  std::size_t checked = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int family = round % 3;
+    const Polygon poly(family == 0   ? random_star(rng, 0.0)
+                       : family == 1 ? random_star(rng, 0.5)
+                                     : random_histogram(rng));
+    for (const GeoPoint& p : probe_points(rng, poly)) {
+      ASSERT_EQ(poly.contains(p), oracle::polygon_contains_reference(poly, p))
+          << "round " << round << " at (" << p.lat_deg << ", " << p.lon_deg
+          << ")";
+      ++checked;
+    }
+  }
+  const Polygon& us = conus_outline();
+  for (const GeoPoint& p : probe_points(rng, us)) {
+    ASSERT_EQ(us.contains(p), oracle::polygon_contains_reference(us, p));
+    ++checked;
+  }
+  EXPECT_GT(checked, 30000U);
 }
 
 TEST(UsOutline, ContainsInteriorCities) {
