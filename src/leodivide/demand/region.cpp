@@ -24,7 +24,7 @@ RegionGenerator::RegionGenerator(RegionSpec spec) : spec_(std::move(spec)) {
 DemandProfile RegionGenerator::generate() const {
   const hex::HexGrid grid;
   const auto region = hex::polyfill(grid, spec_.outline, spec_.resolution);
-  if (region.empty()) {
+  if (region.cells.empty()) {
     throw std::runtime_error("RegionGenerator: outline contains no cells");
   }
 
@@ -32,7 +32,7 @@ DemandProfile RegionGenerator::generate() const {
   const double mean = spec_.cell_quantile.mean();
   auto n_cells = static_cast<std::size_t>(std::llround(
       static_cast<double>(spec_.total_locations) / std::max(1.0, mean)));
-  n_cells = std::clamp<std::size_t>(n_cells, 1, region.size());
+  n_cells = std::clamp<std::size_t>(n_cells, 1, region.cells.size());
   std::vector<std::uint32_t> counts(n_cells);
   for (std::size_t i = 0; i < n_cells; ++i) {
     const double p =
@@ -59,7 +59,7 @@ DemandProfile RegionGenerator::generate() const {
   }
 
   // Seeded geographic shuffle.
-  std::vector<std::size_t> order(region.size());
+  std::vector<std::size_t> order(region.cells.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   stats::Pcg32 rng(spec_.seed, /*stream=*/11);
   for (std::size_t i = order.size(); i > 1; --i) {
@@ -70,8 +70,8 @@ DemandProfile RegionGenerator::generate() const {
   std::vector<CellDemand> cells;
   cells.reserve(n_cells);
   for (std::size_t i = 0; i < n_cells; ++i) {
-    const hex::CellId id = region[order[i]];
-    cells.push_back(CellDemand{id, grid.center_of(id), counts[i], 0});
+    cells.push_back(CellDemand{region.cells[order[i]],
+                               region.centers[order[i]], counts[i], 0});
   }
 
   // Counties: coarse-parent groups, income stratified over location weight

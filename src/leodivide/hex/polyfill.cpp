@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
@@ -10,10 +9,11 @@
 
 namespace leodivide::hex {
 
-std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
-                             int resolution, runtime::Executor& executor) {
+PolyfillCells polyfill(const HexGrid& grid, const geo::Polygon& poly,
+                       int resolution, runtime::Executor& executor) {
   // Scans an axial-coordinate window that covers the polygon's projected
-  // bounding box and keeps cells whose centers lie inside the polygon. The
+  // bounding box and keeps cells whose centers lie inside the polygon,
+  // handing each kept centre back so no caller projects it again. The
   // window is split into contiguous q-column blocks across the executor;
   // each shard emits its cells in (q, r) scan order and shards concatenate
   // in q order, so the result equals the serial scan exactly.
@@ -40,38 +40,43 @@ std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
   --q_lo; ++q_hi; --r_lo; ++r_hi;
   const auto columns =
       static_cast<std::size_t>(static_cast<std::int64_t>(q_hi) - q_lo + 1);
-  auto cells = runtime::map_reduce<std::vector<CellId>>(
+  auto fill = runtime::map_reduce<PolyfillCells>(
       executor, 0, columns,
       [q_lo, r_lo, r_hi, resolution, &grid, &poly](
-          std::vector<CellId>& shard, std::size_t lo, std::size_t hi,
-          std::size_t) {
+          PolyfillCells& shard, std::size_t lo, std::size_t hi, std::size_t) {
         for (std::size_t c = lo; c < hi; ++c) {
           const auto q = static_cast<std::int32_t>(q_lo + static_cast<std::int64_t>(c));
           for (std::int32_t r = r_lo; r <= r_hi; ++r) {
             const CellId id(resolution, HexCoord{q, r});
-            if (poly.contains(grid.center_of(id))) shard.push_back(id);
+            const geo::GeoPoint center = grid.center_of(id);
+            if (poly.contains(center)) {
+              shard.cells.push_back(id);
+              shard.centers.push_back(center);
+            }
           }
         }
       },
-      [](std::vector<CellId>& into, std::vector<CellId>&& from) {
-        into.insert(into.end(), std::make_move_iterator(from.begin()),
-                    std::make_move_iterator(from.end()));
+      [](PolyfillCells& into, PolyfillCells&& from) {
+        into.cells.insert(into.cells.end(), from.cells.begin(),
+                          from.cells.end());
+        into.centers.insert(into.centers.end(), from.centers.begin(),
+                            from.centers.end());
       });
   if (obs::metrics_enabled()) {
     static obs::Counter& kept =
         obs::registry().counter("hex.polyfill.cells_kept");
     static obs::Counter& scanned =
         obs::registry().counter("hex.polyfill.cells_scanned");
-    kept.add(cells.size());
+    kept.add(fill.cells.size());
     scanned.add(columns *
                 static_cast<std::size_t>(static_cast<std::int64_t>(r_hi) -
                                          r_lo + 1));
   }
-  return cells;
+  return fill;
 }
 
-std::vector<CellId> polyfill(const HexGrid& grid, const geo::Polygon& poly,
-                             int resolution) {
+PolyfillCells polyfill(const HexGrid& grid, const geo::Polygon& poly,
+                       int resolution) {
   return polyfill(grid, poly, resolution, runtime::global_executor());
 }
 

@@ -14,18 +14,26 @@ class Executor;
 
 namespace leodivide::hex {
 
+/// A polyfill's cells in (q, r) scan order, each with its centre as
+/// HexGrid::center_of computes it (the point the containment test used).
+struct PolyfillCells {
+  std::vector<CellId> cells;
+  std::vector<geo::GeoPoint> centers;
+
+  friend bool operator==(const PolyfillCells&, const PolyfillCells&) = default;
+};
+
 /// All cells at `resolution` whose centers lie inside the polygon. The
 /// candidate axial window is scanned in parallel over `executor`, one
 /// contiguous block of q-columns per shard, with shards concatenated in
 /// order — the output sequence is identical for every thread count.
-[[nodiscard]] std::vector<CellId> polyfill(const HexGrid& grid,
-                                           const geo::Polygon& poly,
-                                           int resolution,
-                                           runtime::Executor& executor);
+[[nodiscard]] PolyfillCells polyfill(const HexGrid& grid,
+                                     const geo::Polygon& poly, int resolution,
+                                     runtime::Executor& executor);
 
 /// Overload on the process-global executor (LEODIVIDE_THREADS).
-[[nodiscard]] std::vector<CellId> polyfill(const HexGrid& grid,
-                                           const geo::Polygon& poly,
-                                           int resolution);
+[[nodiscard]] PolyfillCells polyfill(const HexGrid& grid,
+                                     const geo::Polygon& poly,
+                                     int resolution);
 
 }  // namespace leodivide::hex

@@ -38,6 +38,7 @@ PiecewiseQuantile::PiecewiseQuantile(std::vector<QuantileAnchor> anchors)
             "PiecewiseQuantile: values must be non-decreasing");
       }
     }
+    log_values_.push_back(safe_log(a.value));
   }
 }
 
@@ -47,10 +48,11 @@ double PiecewiseQuantile::operator()(double p) const {
   const auto it = std::upper_bound(
       anchors_.begin(), anchors_.end(), p,
       [](double pp, const QuantileAnchor& a) { return pp < a.p; });
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
-  const double t = (p - lo.p) / (hi.p - lo.p);
-  const double lv = safe_log(lo.value) + t * (safe_log(hi.value) - safe_log(lo.value));
+  const auto hi = static_cast<std::size_t>(it - anchors_.begin());
+  const auto lo = hi - 1;
+  const double t = (p - anchors_[lo].p) / (anchors_[hi].p - anchors_[lo].p);
+  const double lv =
+      log_values_[lo] + t * (log_values_[hi] - log_values_[lo]);
   const double v = std::exp(lv);
   return v < 2.0 * kLogFloor ? 0.0 : v;
 }

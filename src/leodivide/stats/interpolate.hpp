@@ -42,6 +42,8 @@ class PiecewiseQuantile {
 
  private:
   std::vector<QuantileAnchor> anchors_;
+  /// log(max(value, floor)) of each anchor, in anchor order.
+  std::vector<double> log_values_;
 };
 
 }  // namespace leodivide::stats

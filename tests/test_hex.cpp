@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <unordered_set>
@@ -163,7 +165,7 @@ geo::Polygon box_polygon(double lat_lo, double lat_hi, double lon_lo,
 TEST(Polyfill, BoxFillCountMatchesArea) {
   const HexGrid grid;
   const geo::Polygon box = box_polygon(38.0, 40.0, -100.0, -97.0);
-  const auto cells = polyfill(grid, box, 5);
+  const auto cells = polyfill(grid, box, 5).cells;
   const double expected = box.area_km2() / cell_area_km2(5);
   EXPECT_NEAR(static_cast<double>(cells.size()), expected, expected * 0.05);
   for (const CellId id : cells) {
@@ -173,7 +175,8 @@ TEST(Polyfill, BoxFillCountMatchesArea) {
 
 TEST(Polyfill, CellsAreUnique) {
   const HexGrid grid;
-  const auto cells = polyfill(grid, box_polygon(39.0, 40.0, -99.0, -98.0), 5);
+  const auto cells =
+      polyfill(grid, box_polygon(39.0, 40.0, -99.0, -98.0), 5).cells;
   const std::set<CellId> unique(cells.begin(), cells.end());
   EXPECT_EQ(unique.size(), cells.size());
 }
@@ -181,15 +184,15 @@ TEST(Polyfill, CellsAreUnique) {
 TEST(Polyfill, FinerResolutionYieldsMoreCells) {
   const HexGrid grid;
   const geo::Polygon box = box_polygon(39.0, 40.0, -99.0, -98.0);
-  const auto coarse = polyfill(grid, box, 4);
-  const auto fine = polyfill(grid, box, 5);
+  const auto coarse = polyfill(grid, box, 4).cells;
+  const auto fine = polyfill(grid, box, 5).cells;
   EXPECT_GT(fine.size(), coarse.size() * 3);
   EXPECT_LT(fine.size(), coarse.size() * 5);
 }
 
 TEST(Polyfill, ConusFillIsContinentScale) {
   const HexGrid grid;
-  const auto cells = polyfill(grid, geo::conus_outline(), 5);
+  const auto cells = polyfill(grid, geo::conus_outline(), 5).cells;
   const double expected = geo::conus_area_km2() / cell_area_km2(5);
   EXPECT_NEAR(static_cast<double>(cells.size()), expected, expected * 0.03);
 }
@@ -198,10 +201,34 @@ TEST(Polyfill, PolygonFillRespectsBoundary) {
   const HexGrid grid;
   const geo::Polygon triangle(
       {{38.0, -100.0}, {40.0, -100.0}, {39.0, -97.0}});
-  const auto cells = polyfill(grid, triangle, 5);
+  const auto cells = polyfill(grid, triangle, 5).cells;
   EXPECT_GT(cells.size(), 10U);
   for (const CellId id : cells) {
     EXPECT_TRUE(triangle.contains(grid.center_of(id)));
+  }
+}
+
+// Callers read a polyfill's centres instead of projecting again, so each
+// must be bit-equal to center_of, and the cells must come in strictly
+// increasing (q, r) order for the generator's binary search.
+TEST(Polyfill, CentersAreCenterOfBitsInQrOrder) {
+  const HexGrid grid;
+  for (const int res : {4, 5, 6}) {
+    SCOPED_TRACE(res);
+    const PolyfillCells fill = polyfill(grid, geo::conus_outline(), res);
+    ASSERT_EQ(fill.centers.size(), fill.cells.size());
+    for (std::size_t i = 0; i < fill.cells.size(); ++i) {
+      const geo::GeoPoint c = grid.center_of(fill.cells[i]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fill.centers[i].lat_deg),
+                std::bit_cast<std::uint64_t>(c.lat_deg));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fill.centers[i].lon_deg),
+                std::bit_cast<std::uint64_t>(c.lon_deg));
+      if (i > 0) {
+        const HexCoord a = fill.cells[i - 1].coord();
+        const HexCoord b = fill.cells[i].coord();
+        ASSERT_TRUE(a.q < b.q || (a.q == b.q && a.r < b.r)) << i;
+      }
+    }
   }
 }
 
