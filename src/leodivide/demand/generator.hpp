@@ -47,6 +47,9 @@ struct GeneratorConfig {
 /// Deterministic synthetic generator, calibrated to the paper.
 class SyntheticGenerator {
  public:
+  /// Throws std::invalid_argument for a scale outside (0, 1] or so small
+  /// that the location total rounds to zero, and for a county resolution
+  /// not coarser than the cell resolution.
   explicit SyntheticGenerator(GeneratorConfig config = {});
 
   /// Cell-level profile: per-cell un(der)served counts + county incomes.
@@ -88,7 +91,7 @@ class SyntheticGenerator {
 /// Consumes `--scale S` / `--seed N` (or `--flag=V`) at argv[i] into
 /// `config`, like runtime::parse_threads_arg. Throws std::runtime_error
 /// naming the flag when the value is missing, is not a whole number field,
-/// or is a scale outside (0, 1].
+/// or is a scale outside (0, 1] or too small to give one location.
 bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config);
 
 }  // namespace leodivide::demand
