@@ -1408,6 +1408,31 @@ TEST(GoldenBytes, EveryArtifactKind) {
   EXPECT_EQ(digest_of(snapshot::serialize(small_journal())), "252:ec7127af17ca1d57");
 }
 
+// The analysis and market bytes at the paper's own scale (seed 42, scale 1),
+// where the long-tail sweeps shed thousands of beams per curve rather than
+// the handful the scale-0.01 inputs above reach.
+TEST(GoldenBytes, FullScaleAnalysisAndMarkets) {
+  const demand::DemandProfile profile =
+      demand::SyntheticGenerator(demand::GeneratorConfig{}).generate_profile();
+  EXPECT_EQ(digest_of(snapshot::serialize(core::run_full_analysis(profile))),
+            "252680:9e7ab773a0b2d4d2");
+
+  const std::pair<market::SplitPolicy, const char*> markets[] = {
+      {market::SplitPolicy::kExclusive, "471612:3ad3b21d0e510a16"},
+      {market::SplitPolicy::kProportional, "1124888:3ee83d441da9cd21"},
+      {market::SplitPolicy::kFairShare, "1124888:89c2c3d3a5ac0262"}};
+  for (const auto& [policy, golden] : markets) {
+    market::MarketConfig config;
+    config.operators = market::default_market();
+    config.split.policy = policy;
+    const market::MarketReport report =
+        market::MarketSimulation(std::move(config))
+            .run(profile, runtime::serial_executor());
+    EXPECT_EQ(digest_of(snapshot::serialize(report)), golden)
+        << to_string(policy);
+  }
+}
+
 TEST(GoldenBytes, GeoJsonAndResultsJson) {
   const GoldenInputs& in = golden_inputs();
   std::ostringstream geojson;
