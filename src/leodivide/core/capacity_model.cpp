@@ -18,11 +18,6 @@ SatelliteCapacityModel::SatelliteCapacityModel()
 SatelliteCapacityModel::SatelliteCapacityModel(spectrum::BeamPlan plan)
     : plan_(std::move(plan)) {}
 
-double SatelliteCapacityModel::cell_demand_gbps(
-    std::uint32_t locations) const {
-  return static_cast<double>(locations) * demand::location_demand_gbps();
-}
-
 double SatelliteCapacityModel::required_oversubscription(
     std::uint32_t locations) const {
   return cell_demand_gbps(locations) / cell_capacity_gbps();
@@ -35,18 +30,6 @@ std::uint32_t SatelliteCapacityModel::max_locations_at(double oversub) const {
   }
   return location_floor(cell_capacity_gbps() * oversub /
                         demand::location_demand_gbps());
-}
-
-std::uint32_t SatelliteCapacityModel::beams_needed(std::uint32_t locations,
-                                                   double oversub) const {
-  if (!std::isfinite(oversub) || oversub <= 0.0) {
-    throw std::invalid_argument("beams_needed: oversub must be finite and > 0");
-  }
-  if (locations == 0) return 0;
-  const double beams = std::ceil(cell_demand_gbps(locations) /
-                                 (oversub * beam_capacity_gbps()));
-  const double cap = static_cast<double>(plan_.beams_per_full_cell());
-  return static_cast<std::uint32_t>(std::min(beams, cap));
 }
 
 Table1Summary SatelliteCapacityModel::table1(

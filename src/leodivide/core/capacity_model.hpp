@@ -2,6 +2,10 @@
 // The single-satellite capacity model of the paper's Table 1: spectrum in,
 // per-cell capacity and peak-cell oversubscription out.
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+
 #include "leodivide/demand/dataset.hpp"
 #include "leodivide/spectrum/beamplan.hpp"
 
@@ -54,7 +58,9 @@ class SatelliteCapacityModel {
 
   /// Downlink demand of a cell with `locations` un(der)served locations
   /// [Gbps] at the federal 100 Mbps per location.
-  [[nodiscard]] double cell_demand_gbps(std::uint32_t locations) const;
+  [[nodiscard]] double cell_demand_gbps(std::uint32_t locations) const {
+    return static_cast<double>(locations) * demand::location_demand_gbps();
+  }
 
   /// Oversubscription ratio required to serve `locations` from the full
   /// cell capacity.
@@ -69,9 +75,20 @@ class SatelliteCapacityModel {
   /// Beams needed to serve `locations` at `oversub`:1, at most
   /// beams_per_full_cell (returns beams_per_full_cell when demand exceeds
   /// even the full capacity — capacity is then the binding limit). Throws
-  /// std::invalid_argument unless `oversub` is finite and > 0.
+  /// std::invalid_argument unless `oversub` is finite and > 0. Inline:
+  /// the sizing sweeps call it once per cell and per shed beam.
   [[nodiscard]] std::uint32_t beams_needed(std::uint32_t locations,
-                                           double oversub) const;
+                                           double oversub) const {
+    if (!std::isfinite(oversub) || oversub <= 0.0) {
+      throw std::invalid_argument(
+          "beams_needed: oversub must be finite and > 0");
+    }
+    if (locations == 0) return 0;
+    const double beams = std::ceil(cell_demand_gbps(locations) /
+                                   (oversub * beam_capacity_gbps()));
+    const double cap = static_cast<double>(plan_.beams_per_full_cell());
+    return static_cast<std::uint32_t>(std::min(beams, cap));
+  }
 
   /// Builds the Table 1 summary for a demand profile.
   [[nodiscard]] Table1Summary table1(

@@ -31,6 +31,4 @@ bool is_reliable(const ServiceLevel& offer) noexcept {
          offer.up_mbps >= kReliableUpMbps;
 }
 
-double location_demand_gbps() noexcept { return kReliableDownMbps / 1000.0; }
-
 }  // namespace leodivide::demand

@@ -62,6 +62,8 @@ struct Location {
 
 /// Per-location downlink demand [Gbps] implied by the federal definition:
 /// every location must be offered kReliableDownMbps.
-[[nodiscard]] double location_demand_gbps() noexcept;
+[[nodiscard]] constexpr double location_demand_gbps() noexcept {
+  return kReliableDownMbps / 1000.0;
+}
 
 }  // namespace leodivide::demand

@@ -1,5 +1,6 @@
 #include "leodivide/spectrum/band.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace leodivide::spectrum {
@@ -24,6 +25,10 @@ SpectrumPlan::SpectrumPlan(std::vector<Band> bands)
     : bands_(std::move(bands)) {
   if (bands_.empty()) throw std::invalid_argument("SpectrumPlan: no bands");
   for (const auto& b : bands_) {
+    if (!std::isfinite(b.lo_ghz) || !std::isfinite(b.hi_ghz)) {
+      throw std::invalid_argument("SpectrumPlan: band '" + b.name +
+                                  "' has a non-finite edge");
+    }
     if (b.hi_ghz <= b.lo_ghz) {
       throw std::invalid_argument("SpectrumPlan: band '" + b.name +
                                   "' has non-positive width");

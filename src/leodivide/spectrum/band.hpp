@@ -40,6 +40,8 @@ struct Band {
 /// paper's Table 1 reports.
 class SpectrumPlan {
  public:
+  /// Throws std::invalid_argument on an empty table, a non-finite band
+  /// edge or a band whose upper edge is not above its lower one.
   explicit SpectrumPlan(std::vector<Band> bands);
 
   [[nodiscard]] const std::vector<Band>& bands() const noexcept {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "leodivide/spectrum/band.hpp"
 #include "leodivide/spectrum/beamplan.hpp"
@@ -40,6 +43,17 @@ TEST(SpectrumPlan, RejectsEmptyAndInverted) {
   EXPECT_THROW(
       SpectrumPlan({{"bad", 12.0, 11.0, 1, BeamUsage::kUserDownlink}}),
       std::invalid_argument);
+  // Non-finite edges: an infinite upper edge passes hi > lo, and a NaN edge
+  // fails every comparison.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] : {std::pair{10.7, kInf}, std::pair{-kInf, 12.7},
+                               std::pair{kNaN, 12.7}, std::pair{10.7, kNaN}}) {
+    EXPECT_THROW(
+        SpectrumPlan({{"edge", lo, hi, 4, BeamUsage::kUserDownlink}}),
+        std::invalid_argument)
+        << lo << " " << hi;
+  }
 }
 
 TEST(BeamUsageNames, RoundTripStrings) {
@@ -207,8 +221,27 @@ TEST(BeamPlanTest, CellsServedPerSatelliteFormula) {
 TEST(BeamPlanTest, RejectsBadConstruction) {
   EXPECT_THROW(BeamPlan(starlink_schedule_s(), 0), std::invalid_argument);
   EXPECT_THROW(BeamPlan(starlink_schedule_s(), 25), std::invalid_argument);
-  EXPECT_THROW(BeamPlan(starlink_schedule_s(), 4, -1.0),
+  for (const double bad : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(BeamPlan(starlink_schedule_s(), 4, bad),
+                 std::invalid_argument)
+        << bad;
+  }
+  // Finite edges whose width overflows: the cell capacity is not finite.
+  EXPECT_THROW(BeamPlan(SpectrumPlan({{"wide", 0.0, 1e306, 4,
+                                       BeamUsage::kUserDownlink}})),
                std::invalid_argument);
+}
+
+TEST(BeamPlanTest, ConstantsMatchBandTable) {
+  const BeamPlan plan = starlink_beam_plan();
+  EXPECT_EQ(plan.user_beams(), plan.spectrum().user_beams());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.full_cell_capacity_gbps()),
+            std::bit_cast<std::uint64_t>(
+                capacity_gbps(plan.spectrum().user_downlink_mhz(),
+                              plan.spectral_efficiency())));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.per_beam_capacity_gbps()),
+            std::bit_cast<std::uint64_t>(plan.full_cell_capacity_gbps() / 4.0));
 }
 
 TEST(BeamPlanTest, RejectsBadBeamArguments) {
