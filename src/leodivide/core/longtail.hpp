@@ -27,8 +27,10 @@ struct LongTailPoint {
 /// Starting from the fullest service the cap allows (every cell truncated
 /// at the cap), locations are shed greedily from whichever cell currently
 /// binds the constellation size, one beam-threshold at a time, until no
-/// cell needs more than one beam. Cells are ranked by BindingCandidate in
-/// binds_before order, the same fold and order size_with_cap uses. Points
+/// cell needs more than one beam. Each cell's chain of (beams, shed) links
+/// depends on that cell alone, so the sweep is one sort of every chain's
+/// links in binds_before order (the order size_with_cap folds by), more
+/// beams first within a chain. Points
 /// are emitted whenever the required constellation size changes, with
 /// strictly rising locations_unserved. The first point is the
 /// full-service-at-cap size: its satellites, binding latitude and beams
