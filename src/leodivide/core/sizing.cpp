@@ -84,10 +84,15 @@ SizingResult size_full_service(const demand::DemandProfile& profile,
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,
-                           const CapacityLookup& capacity_of,
+                           const CapacityZones& capacity,
                            runtime::Executor& executor) {
   if (profile.cell_count() == 0) {
     throw std::invalid_argument("size_with_cap: empty profile");
+  }
+  if (!capacity.zone_of.empty() &&
+      capacity.zone_of.size() != profile.cell_count()) {
+    throw std::invalid_argument(
+        "size_with_cap: zone table does not match the profile");
   }
   const obs::Span span("core.size_with_cap");
   if (obs::metrics_enabled()) {
@@ -98,11 +103,11 @@ SizingResult size_with_cap(const demand::DemandProfile& profile,
   const auto& cells = profile.cells();
   const BindingCandidate binding = runtime::map_reduce<BindingCandidate>(
       executor, 0, cells.size(),
-      [&cells, &capacity_of](BindingCandidate& shard, std::size_t lo,
-                             std::size_t hi, std::size_t) {
+      [&cells, &capacity](BindingCandidate& shard, std::size_t lo,
+                          std::size_t hi, std::size_t) {
         for (std::size_t i = lo; i < hi; ++i) {
-          if (const CellCapacity* capacity = capacity_of(cells[i])) {
-            shard.consider(i, cells[i], *capacity);
+          if (const CellCapacity* zone = capacity.of(i)) {
+            shard.consider(i, cells[i], *zone);
           }
         }
       },
@@ -113,24 +118,23 @@ SizingResult size_with_cap(const demand::DemandProfile& profile,
   // spectrum binds with a single beam.
   demand::PeakCandidate peak;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (capacity_of(cells[i]) != nullptr) peak.consider(i, cells[i]);
+    if (capacity.of(i) != nullptr) peak.consider(i, cells[i]);
   }
   if (!peak.found) {
     throw std::invalid_argument(
         "size_with_cap: no usable spectrum over the profile");
   }
-  const CellCapacity& capacity = *capacity_of(cells[peak.index]);
-  return binding_at(capacity.model, peak.index, cells[peak.index],
-                    capacity.beamspread, 1);
+  const CellCapacity& zone = *capacity.of(peak.index);
+  return binding_at(zone.model, peak.index, cells[peak.index],
+                    zone.beamspread, 1);
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,
                            const SizingModel& model, double beamspread,
                            double oversub_cap, runtime::Executor& executor) {
-  const CellCapacity uniform = cell_capacity(model, beamspread, oversub_cap);
-  return size_with_cap(
-      profile, [&uniform](const demand::CellDemand&) { return &uniform; },
-      executor);
+  const std::optional<CellCapacity> uniform =
+      cell_capacity(model, beamspread, oversub_cap);
+  return size_with_cap(profile, CapacityZones{{&uniform, 1}, {}}, executor);
 }
 
 SizingResult size_with_cap(const demand::DemandProfile& profile,

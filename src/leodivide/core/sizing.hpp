@@ -17,7 +17,9 @@
 // the demand cell whose requirement maximises N, not baseline coverage.
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
+#include <optional>
+#include <span>
 
 #include "leodivide/core/capacity_model.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -94,10 +96,22 @@ struct CellCapacity {
                                          double beamspread,
                                          double oversub_cap);
 
-/// The capacity a cell is sized under, or nullptr where the cell has no
-/// usable spectrum (it can then neither bind nor be served).
-using CapacityLookup =
-    std::function<const CellCapacity*(const demand::CellDemand&)>;
+/// The capacity each cell is sized and served under, as a zone table: cell
+/// i falls in zone zone_of[i], or in zone 0 when zone_of is empty (a
+/// uniform capacity). A zone without a capacity has no usable spectrum, so
+/// its cells can neither bind nor be served. market/ resolves each cell's
+/// spectrum zone once per run and shares the table across its operators.
+struct CapacityZones {
+  std::span<const std::optional<CellCapacity>> zones;
+  std::span<const std::uint32_t> zone_of;
+
+  /// Cell i's capacity, or nullptr where its zone has no spectrum.
+  [[nodiscard]] const CellCapacity* of(std::size_t i) const noexcept {
+    const std::optional<CellCapacity>& zone =
+        zones[zone_of.empty() ? 0 : zone_of[i]];
+    return zone ? &*zone : nullptr;
+  }
+};
 
 /// The binding cell of a capped deployment (§3.0.2): the demand-driven
 /// (>= 2 beams) cell maximising N. core::size_with_cap, market/ and the
@@ -130,10 +144,11 @@ struct BindingCandidate {
 /// candidate over every cell, run as a sharded map_reduce over `executor`
 /// (identical for every thread count). When no cell needs more than one
 /// beam, the peak cell among those with a capacity binds with one beam.
-/// Throws std::invalid_argument on an empty profile or when no cell has a
+/// Throws std::invalid_argument on an empty profile, a non-empty zone_of
+/// whose size is not the profile's cell count, or when no cell has a
 /// capacity ("no usable spectrum").
 [[nodiscard]] SizingResult size_with_cap(const demand::DemandProfile& profile,
-                                         const CapacityLookup& capacity_of,
+                                         const CapacityZones& capacity,
                                          runtime::Executor& executor);
 
 /// Capped deployment at one uniform capacity: per-cell service is

@@ -11,6 +11,7 @@
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
+#include "leodivide/runtime/parallel_for.hpp"
 #include "leodivide/runtime/task_graph.hpp"
 
 namespace leodivide::market {
@@ -56,12 +57,35 @@ ZoneModels zone_models(const OperatorConfig& op, const SpectrumSplit& split,
   return zones;
 }
 
+// Each cell's priority zone (SpectrumSplit::priority_operator of its
+// latitude), resolved once per run for every operator and the fairness
+// pass. Empty under the zone-independent policies, where every cell is in
+// zone 0.
+std::vector<std::uint32_t> priority_zones(const demand::DemandProfile& profile,
+                                          const SpectrumSplit& split,
+                                          runtime::Executor& executor) {
+  if (split.config().policy != SplitPolicy::kFairShare) return {};
+  const auto& cells = profile.cells();
+  std::vector<std::uint32_t> zone_of(cells.size());
+  runtime::parallel_for(
+      executor, 0, cells.size(),
+      // leolint:allow(parallel-capture): each chunk writes only its own cells' zones
+      [&zone_of, &cells, &split](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          zone_of[i] = static_cast<std::uint32_t>(
+              split.priority_operator(cells[i].center.lat_deg));
+        }
+      },
+      /*grain=*/4096);
+  return zone_of;
+}
+
 OperatorOutcome run_operator(const demand::DemandProfile& profile,
                              const afford::AffordabilityAnalyzer& analyzer,
                              const SpectrumSplit& split,
                              const MarketConfig& config,
-                             const ZoneModels& zones, std::size_t index,
-                             runtime::Executor& inner) {
+                             const core::CapacityZones& capacity,
+                             std::size_t index, runtime::Executor& inner) {
   const OperatorConfig& op = config.operators[index];
   OperatorOutcome out;
   out.name = op.name;
@@ -70,16 +94,12 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
                                      config.beamspread);
   // A cell's capacity is its priority zone's; a cell in a zone where the
   // operator has no spectrum can neither bind nor be served.
-  const core::CapacityLookup capacity_of =
-      [&zones, &split](const demand::CellDemand& cell) {
-        const auto& zone = zones[split.priority_operator(cell.center.lat_deg)];
-        return zone ? &*zone : nullptr;
-      };
-  out.capped = core::size_with_cap(profile, capacity_of, inner);
+  out.capped = core::size_with_cap(profile, capacity, inner);
   core::ServedCounts served;
-  for (const auto& cell : profile.cells()) {
-    const core::CellCapacity* zone = capacity_of(cell);
-    served.consider(cell, zone ? zone->served_limit : 0);
+  const auto& cells = profile.cells();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const core::CellCapacity* zone = capacity.of(i);
+    served.consider(cells[i], zone ? zone->served_limit : 0);
   }
   out.served_cell_fraction = static_cast<double>(served.cells) /
                              static_cast<double>(profile.cell_count());
@@ -117,12 +137,12 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
   return out;
 }
 
-FairnessReport compute_fairness(const demand::DemandProfile& profile,
-                                const std::vector<ZoneModels>& zones,
-                                const std::vector<std::uint32_t>& full_limits,
-                                const SpectrumSplit& split,
-                                runtime::Executor& executor) {
-  const std::size_t n = split.operator_count();
+FairnessReport compute_fairness(
+    const demand::DemandProfile& profile,
+    const std::vector<core::CapacityZones>& capacity,
+    const std::vector<std::uint32_t>& full_limits,
+    runtime::Executor& executor) {
+  const std::size_t n = capacity.size();
   struct Shard {
     std::vector<std::int32_t> winner;  // ordered concat across shards
     std::vector<core::ServedCounts> served;  // per operator
@@ -133,16 +153,15 @@ FairnessReport compute_fairness(const demand::DemandProfile& profile,
   };
   Shard reduced = runtime::map_reduce<Shard>(
       executor, 0, profile.cell_count(),
-      [&profile, &zones, &full_limits, &split, n](
+      [&profile, &capacity, &full_limits, n](
           Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
         if (shard.served.size() != n) shard.served.resize(n);
         for (std::size_t i = lo; i < hi; ++i) {
           const auto& cell = profile.cells()[i];
-          const std::size_t p = split.priority_operator(cell.center.lat_deg);
           std::int32_t win = -1;
           std::uint32_t win_limit = 0;
           for (std::size_t o = 0; o < n; ++o) {
-            const auto& zone = zones[o][p];
+            const core::CellCapacity* zone = capacity[o].of(i);
             const std::uint32_t limit = zone ? zone->served_limit : 0;
             if (!shard.served[o].consider(cell, limit)) continue;
             // Winner: most capacity headroom; earliest index on exact ties.
@@ -222,9 +241,13 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
   const std::size_t n = config_.operators.size();
   const SpectrumSplit split(config_.operators, config_.split);
   const afford::AffordabilityAnalyzer analyzer(profile);
+  const std::vector<std::uint32_t> zone_of =
+      priority_zones(profile, split, executor);
   std::vector<ZoneModels> zones;
+  std::vector<core::CapacityZones> capacity;
   std::vector<std::uint32_t> full_limits;
   zones.reserve(n);
+  capacity.reserve(n);
   full_limits.reserve(n);
   for (std::size_t o = 0; o < n; ++o) {
     zones.push_back(zone_models(config_.operators[o], split, o,
@@ -233,13 +256,14 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
         config_.operators[o].sizing_model().capacity, config_.beamspread,
         config_.oversub_cap));
   }
+  for (const ZoneModels& models : zones) capacity.push_back({models, zone_of});
   MarketReport report;
   report.policy = config_.split.policy;
   report.beamspread = config_.beamspread;
   report.oversub_cap = config_.oversub_cap;
   report.operators.resize(n);
   // Operators are independent of each other *and* of the fairness report —
-  // fairness depends only on the zone models, limits and split, never on
+  // fairness depends only on the per-zone capacities and limits, never on
   // operator outcomes — so all n + 1 units run as one dependency-free task
   // graph: on a pool the fairness pass overlaps the operator pipelines
   // instead of barriering behind them. Each node runs its inner loops
@@ -247,17 +271,18 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
   // order byte-identically at every thread count (golden-tested).
   runtime::TaskGraph graph;
   for (std::size_t i = 0; i < n; ++i) {
-    graph.add_task("market.operator",
-                   [&report, &profile, &analyzer, &split, &zones, this, i] {
-                     report.operators[i] =
-                         run_operator(profile, analyzer, split, config_,
-                                      zones[i], i, runtime::serial_executor());
-                   });
+    graph.add_task(
+        "market.operator",
+        [&report, &profile, &analyzer, &split, &capacity, this, i] {
+          report.operators[i] =
+              run_operator(profile, analyzer, split, config_, capacity[i], i,
+                           runtime::serial_executor());
+        });
   }
   graph.add_task("market.fairness",
-                 [&report, &profile, &zones, &full_limits, &split] {
+                 [&report, &profile, &capacity, &full_limits] {
                    report.fairness =
-                       compute_fairness(profile, zones, full_limits, split,
+                       compute_fairness(profile, capacity, full_limits,
                                         runtime::serial_executor());
                  });
   graph.run(executor);

@@ -6,9 +6,11 @@
 // unserved-cell attribution (capacity wall vs sharing-regime casualty).
 //
 // Determinism contract: operators are evaluated as independent tasks over
-// a runtime::Executor and merged in config order. Capped sizing is
-// core::size_with_cap with the operator's per-zone capacity lookup, and the
-// fairness scan is an ordered-concat map_reduce. The report is
+// a runtime::Executor and merged in config order. Each cell's spectrum
+// zone is resolved once per run into one table that every operator and the
+// fairness scan share. Capped sizing is core::size_with_cap over that table
+// and the operator's per-zone capacities, and the fairness scan is an
+// ordered-concat map_reduce. The report is
 // byte-identical for every thread count, and a single-operator Starlink
 // market under the exclusive policy reproduces the existing core/ +
 // afford/ pipeline bit-for-bit.
