@@ -7,10 +7,10 @@
 // counties) so it can be inspected or replaced with a real FCC Broadband
 // Data Collection extract, reloads it, runs the complete analysis, and
 // writes a machine-readable JSON summary next to the CSVs. The pipeline
-// (generate -> CSV round trip -> analysis) is one cache-aware StageGraph on
-// the process-global executor, which `--threads N` sizes (results are
-// identical for every N). `--trace FILE` / `--metrics[=FILE]` (or
-// LEODIVIDE_TRACE / LEODIVIDE_METRICS) write a Chrome trace and a metrics
+// (generate -> CSV round trip -> analysis) runs straight-line, each stage
+// parallel inside on the process-global executor, which `--threads N` sizes
+// (results are identical for every N). `--trace FILE` / `--metrics[=FILE]`
+// (or LEODIVIDE_TRACE / LEODIVIDE_METRICS) write a Chrome trace and a metrics
 // dump (see README.md, "Observability"). `--snapshot-dir DIR` (or
 // LEODIVIDE_SNAPSHOT_DIR) caches the generated profile and the analysis
 // results as LDSNAP blobs keyed by their exact inputs, so a rerun with
@@ -23,7 +23,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "leodivide/core/report.hpp"
@@ -77,36 +76,29 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "[1/2] generate -> CSV round trip -> analysis...\n\n";
-  demand::DemandProfile loaded;
-  std::optional<snapshot::AsyncIo> io;
-  if (cache != nullptr) io.emplace();
-  snapshot::StageGraph graph(cache, io.has_value() ? &*io : nullptr);
-  auto profile = graph.add_stage(
-      snapshot::demand_profile_stage(demand::GeneratorConfig{}));
+  const demand::DemandProfile profile = snapshot::run_stage(
+      cache, snapshot::demand_profile_stage(demand::GeneratorConfig{}));
   // The reload is the path a user with real BDC data would take.
-  const runtime::TaskGraph::TaskId csv_task = graph.add_task(
-      "example.csv_roundtrip",
-      [&out_dir, &loaded, profile] {
-        {
-          std::ofstream cells(out_dir / "cells.csv");
-          std::ofstream counties(out_dir / "counties.csv");
-          profile.value().save_csv(cells, counties);
-        }
-        std::ifstream cells_in(out_dir / "cells.csv");
-        std::ifstream counties_in(out_dir / "counties.csv");
-        loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
-      },
-      {profile.id()});
-  // Keyed on the reloaded bytes, not the generated profile's digest: the
-  // CSV round trip rounds coordinates, and the analysis reads them.
-  auto analysis = graph.add_stage(snapshot::analysis_stage(loaded), {},
-                                  {csv_task});
-  graph.run(runtime::global_executor());
+  demand::DemandProfile loaded;
+  {
+    const obs::Span span("example.csv_roundtrip");
+    {
+      std::ofstream cells(out_dir / "cells.csv");
+      std::ofstream counties(out_dir / "counties.csv");
+      profile.save_csv(cells, counties);
+    }
+    std::ifstream cells_in(out_dir / "cells.csv");
+    std::ifstream counties_in(out_dir / "counties.csv");
+    loaded = demand::DemandProfile::load_csv(cells_in, counties_in);
+  }
+  // Keyed on the reloaded bytes, not the generated profile: the CSV round
+  // trip rounds coordinates, and the analysis reads them.
+  const core::AnalysisResults results =
+      snapshot::run_stage(cache, snapshot::analysis_stage(loaded));
   std::cout << "      wrote " << (out_dir / "cells.csv") << " ("
-            << profile.value().cell_count() << " cells) and "
+            << profile.cell_count() << " cells) and "
             << (out_dir / "counties.csv") << " ("
-            << profile.value().counties().size() << " counties)\n";
-  const core::AnalysisResults& results = analysis.value();
+            << profile.counties().size() << " counties)\n";
   std::cout << core::render_report(results) << "\n";
 
   // Export machine-readable results.

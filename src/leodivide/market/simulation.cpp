@@ -12,7 +12,6 @@
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
-#include "leodivide/runtime/task_graph.hpp"
 
 namespace leodivide::market {
 
@@ -264,28 +263,27 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
   report.operators.resize(n);
   // Operators are independent of each other *and* of the fairness report —
   // fairness depends only on the per-zone capacities and limits, never on
-  // operator outcomes — so all n + 1 units run as one dependency-free task
-  // graph: on a pool the fairness pass overlaps the operator pipelines
-  // instead of barriering behind them. Each node runs its inner loops
-  // serially and writes only its own slot, so the report lands in config
-  // order byte-identically at every thread count (golden-tested).
-  runtime::TaskGraph graph;
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.add_task(
-        "market.operator",
-        [&report, &profile, &analyzer, &split, &capacity, this, i] {
-          report.operators[i] =
-              run_operator(profile, analyzer, split, config_, capacity[i], i,
-                           runtime::serial_executor());
-        });
-  }
-  graph.add_task("market.fairness",
-                 [&report, &profile, &capacity, &full_limits] {
-                   report.fairness =
-                       compute_fairness(profile, capacity, full_limits,
-                                        runtime::serial_executor());
-                 });
-  graph.run(executor);
+  // operator outcomes — so all n + 1 units run as one executor batch: on a
+  // pool the fairness pass overlaps the operator pipelines instead of
+  // barriering behind them. Each unit runs its inner loops serially and
+  // writes only its own slot, so the report lands in config order
+  // byte-identically at every thread count (golden-tested).
+  executor.run_tasks(
+      n + 1,
+      // leolint:allow(parallel-capture): each unit writes only its own report slot
+      [&report, &profile, &analyzer, &split, &capacity, &full_limits, this,
+       n](std::size_t i) {
+        if (i == n) {
+          const obs::Span unit_span("market.fairness");
+          report.fairness = compute_fairness(profile, capacity, full_limits,
+                                             runtime::serial_executor());
+          return;
+        }
+        const obs::Span unit_span("market.operator");
+        report.operators[i] =
+            run_operator(profile, analyzer, split, config_, capacity[i], i,
+                         runtime::serial_executor());
+      });
   return report;
 }
 

@@ -103,24 +103,12 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
   for (const auto& e : all) {
     json.begin_object();
     json.value("name", e.name);
-    if (e.phase == TracePhase::kComplete) {
-      json.value("cat", "leodivide");
-      json.value("ph", "X");
-    } else {
-      json.value("cat", "leodivide.flow");
-      json.value("ph", e.phase == TracePhase::kFlowStart ? "s" : "f");
-      json.value("id", static_cast<long long>(e.flow_id));
-      // Bind the arrow head to the enclosing slice rather than the next
-      // slice on the thread — the consuming span is already running when
-      // the flow end is recorded.
-      if (e.phase == TracePhase::kFlowEnd) json.value("bp", "e");
-    }
+    json.value("cat", "leodivide");
+    json.value("ph", "X");
     json.value("pid", 1LL);
     json.value("tid", static_cast<long long>(e.tid));
     json.value("ts", static_cast<double>(e.start_ns) / 1e3);
-    if (e.phase == TracePhase::kComplete) {
-      json.value("dur", static_cast<double>(e.dur_ns) / 1e3);
-    }
+    json.value("dur", static_cast<double>(e.dur_ns) / 1e3);
     json.end_object();
   }
   json.end_array();
@@ -135,31 +123,6 @@ void TraceRecorder::clear() {
     std::lock_guard<std::mutex> blk(buf->m);
     buf->events.clear();
   }
-}
-
-namespace {
-
-void record_flow(const char* name, std::uint64_t flow_id,
-                 TracePhase phase) noexcept {
-  if (!tracing_enabled()) return;
-  // Mirrors Span::end(): flow recording may run on unwind paths, so swallow
-  // allocation failures from the recorder rather than terminating.
-  try {
-    TraceRecorder& rec = TraceRecorder::instance();
-    rec.record(
-        TraceEvent{name, now_ns(), 0, rec.thread_id(), phase, flow_id});
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-}
-
-}  // namespace
-
-void record_flow_start(const char* name, std::uint64_t flow_id) noexcept {
-  record_flow(name, flow_id, TracePhase::kFlowStart);
-}
-
-void record_flow_end(const char* name, std::uint64_t flow_id) noexcept {
-  record_flow(name, flow_id, TracePhase::kFlowEnd);
 }
 
 // -------------------------------------------------------------------- Span --

@@ -201,24 +201,23 @@ const Candidate& IncrementalEngine::region_partial(
   // routes the blob store through io_ when one is attached so the query
   // never waits on the filesystem.
   p.value = snapshot::staged_compute(
-                cache_, io_, stage, fp,
-                [&] {
-                  ++stats_.region_recomputes;
-                  count_metric("serve.region_recomputes");
-                  Candidate fresh;
-                  const auto& cells = profile_.cells();
-                  for (std::size_t i : regions_[region].members) {
-                    fold(fresh, i, cells[i]);
-                  }
-                  return fresh;
-                },
-                [](const Candidate& c) { return serialize_partial(c); },
-                [](std::string_view file) {
-                  Candidate c;
-                  read_partial(file, c);
-                  return c;
-                })
-                .value;
+      cache_, io_, stage, fp,
+      [&] {
+        ++stats_.region_recomputes;
+        count_metric("serve.region_recomputes");
+        Candidate fresh;
+        const auto& cells = profile_.cells();
+        for (std::size_t i : regions_[region].members) {
+          fold(fresh, i, cells[i]);
+        }
+        return fresh;
+      },
+      [](const Candidate& c) { return serialize_partial(c); },
+      [](std::string_view file) {
+        Candidate c;
+        read_partial(file, c);
+        return c;
+      });
   p.valid = true;
   p.digest = digest;
   return p.value;

@@ -1,15 +1,8 @@
 #include "leodivide/snapshot/async.hpp"
 
-#include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 
 namespace leodivide::snapshot {
-
-std::optional<std::string> AsyncIo::LoadTicket::take() {
-  std::unique_lock<std::mutex> lk(m_);
-  done_cv_.wait(lk, [this] { return done_; });
-  return std::move(blob_);
-}
 
 AsyncIo::AsyncIo() : io_thread_([this] { io_loop(); }) {}
 
@@ -24,34 +17,11 @@ AsyncIo::~AsyncIo() {
 
 void AsyncIo::enqueue_store(const StageCache& cache, std::string stage,
                             const Fingerprint& fp, std::string blob) {
-  stores_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(m_);
-    Job job;
-    job.cache = &cache;
-    job.stage = std::move(stage);
-    job.fp = fp;
-    job.blob = std::move(blob);
-    queue_.push_back(std::move(job));
+    queue_.push_back(Job{&cache, std::move(stage), fp, std::move(blob)});
   }
   work_cv_.notify_one();
-}
-
-AsyncIo::Ticket AsyncIo::prefetch(const StageCache& cache, std::string stage,
-                                  const Fingerprint& fp) {
-  prefetches_.fetch_add(1, std::memory_order_relaxed);
-  Ticket ticket = std::make_shared<LoadTicket>();
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    Job job;
-    job.cache = &cache;
-    job.stage = std::move(stage);
-    job.fp = fp;
-    job.ticket = ticket;
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-  return ticket;
 }
 
 void AsyncIo::drain() {
@@ -70,16 +40,7 @@ void AsyncIo::io_loop() {
       queue_.pop_front();
       busy_ = true;
     }
-    if (job.ticket != nullptr) {
-      const obs::Span span("snapshot.async.load");
-      std::optional<std::string> blob = job.cache->load(job.stage, job.fp);
-      {
-        std::lock_guard<std::mutex> tlk(job.ticket->m_);
-        job.ticket->blob_ = std::move(blob);
-        job.ticket->done_ = true;
-      }
-      job.ticket->done_cv_.notify_all();
-    } else {
+    {
       const obs::Span span("snapshot.async.store");
       job.cache->store(job.stage, job.fp, job.blob);
     }

@@ -2,13 +2,12 @@
 // Umbrella header for the snapshot subsystem: LDSNAP binary artifact
 // serialization (format.hpp, artifacts.hpp), input fingerprints
 // (fingerprint.hpp), the content-addressed stage cache (cache.hpp), the
-// async I/O thread (async.hpp), the cached pipeline stage definitions
-// (stages.hpp) and the cache-aware stage DAG (stage_graph.hpp).
+// async store thread (async.hpp) and the cached pipeline stage definitions
+// (stages.hpp).
 
 #include "leodivide/snapshot/artifacts.hpp"
 #include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 #include "leodivide/snapshot/fingerprint.hpp"
 #include "leodivide/snapshot/format.hpp"
-#include "leodivide/snapshot/stage_graph.hpp"
 #include "leodivide/snapshot/stages.hpp"

@@ -1,9 +1,8 @@
 #pragma once
 // One definition per cached pipeline artifact kind: the cache stage name,
 // the key recipe (what is mixed into stage_fingerprint(name)), the compute
-// call and the LDSNAP codec pair. Straight-line callers run a definition
-// with run_stage() and StageGraph::add_stage takes the same one, so each
-// key recipe is written once.
+// call and the LDSNAP codec pair. Every caller runs a definition with
+// run_stage(), so each key recipe is written once.
 //
 // The key rule: a stage key covers the exact bytes the stage consumes. A
 // generated profile may be keyed by its generator config (generation is
@@ -12,8 +11,8 @@
 // depends on latitude.
 //
 // Definitions copy their configs but hold profiles and simulations by
-// reference; a StageGraph node reads them when it runs, not when the graph
-// is built.
+// reference; run_stage reads them when it runs, not when the definition is
+// built.
 
 #include <functional>
 #include <string>
@@ -53,8 +52,7 @@ template <typename T>
 [[nodiscard]] T run_stage(const StageCache* cache, const StageDef<T>& def) {
   if (cache == nullptr) return def.compute();
   return staged_compute(cache, nullptr, def.name, def.key(), def.compute,
-                        def.serialize, def.deserialize)
-      .value;
+                        def.serialize, def.deserialize);
 }
 
 /// `demand.profile`: the synthetic profile for `config`, keyed on it.

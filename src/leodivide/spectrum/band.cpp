@@ -1,6 +1,8 @@
 #include "leodivide/spectrum/band.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace leodivide::spectrum {
@@ -24,6 +26,8 @@ std::string to_string(BeamUsage usage) {
 SpectrumPlan::SpectrumPlan(std::vector<Band> bands)
     : bands_(std::move(bands)) {
   if (bands_.empty()) throw std::invalid_argument("SpectrumPlan: no bands");
+  std::uint64_t user = 0;
+  std::uint64_t total = 0;
   for (const auto& b : bands_) {
     if (!std::isfinite(b.lo_ghz) || !std::isfinite(b.hi_ghz)) {
       throw std::invalid_argument("SpectrumPlan: band '" + b.name +
@@ -33,7 +37,20 @@ SpectrumPlan::SpectrumPlan(std::vector<Band> bands)
       throw std::invalid_argument("SpectrumPlan: band '" + b.name +
                                   "' has non-positive width");
     }
+    if (b.usage == BeamUsage::kUserDownlink ||
+        b.usage == BeamUsage::kUserOrGatewayDownlink ||
+        b.usage == BeamUsage::kUserUplink) {
+      user += b.beams;
+    }
+    total += b.beams;
   }
+  // Summed in 64 bits so a table whose beams overflow 32 bits is rejected
+  // instead of wrapping to a small count.
+  if (total > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("SpectrumPlan: beam total exceeds UINT32_MAX");
+  }
+  user_beams_ = static_cast<std::uint32_t>(user);
+  total_beams_ = static_cast<std::uint32_t>(total);
 }
 
 double SpectrumPlan::user_downlink_mhz() const noexcept {
@@ -53,24 +70,6 @@ double SpectrumPlan::total_mhz() const noexcept {
   double mhz = 0.0;
   for (const auto& b : bands_) mhz += b.width_mhz();
   return mhz;
-}
-
-std::uint32_t SpectrumPlan::user_beams() const noexcept {
-  std::uint32_t n = 0;
-  for (const auto& b : bands_) {
-    if (b.usage == BeamUsage::kUserDownlink ||
-        b.usage == BeamUsage::kUserOrGatewayDownlink ||
-        b.usage == BeamUsage::kUserUplink) {
-      n += b.beams;
-    }
-  }
-  return n;
-}
-
-std::uint32_t SpectrumPlan::total_beams() const noexcept {
-  std::uint32_t n = 0;
-  for (const auto& b : bands_) n += b.beams;
-  return n;
 }
 
 SpectrumPlan starlink_schedule_s() {

@@ -41,7 +41,8 @@ struct Band {
 class SpectrumPlan {
  public:
   /// Throws std::invalid_argument on an empty table, a non-finite band
-  /// edge or a band whose upper edge is not above its lower one.
+  /// edge, a band whose upper edge is not above its lower one or a beam
+  /// total above UINT32_MAX.
   explicit SpectrumPlan(std::vector<Band> bands);
 
   [[nodiscard]] const std::vector<Band>& bands() const noexcept {
@@ -56,13 +57,19 @@ class SpectrumPlan {
   [[nodiscard]] double total_mhz() const noexcept;
 
   /// Beams usable for user-terminal downlink.
-  [[nodiscard]] std::uint32_t user_beams() const noexcept;
+  [[nodiscard]] std::uint32_t user_beams() const noexcept {
+    return user_beams_;
+  }
 
   /// All beams (including gateway-only).
-  [[nodiscard]] std::uint32_t total_beams() const noexcept;
+  [[nodiscard]] std::uint32_t total_beams() const noexcept {
+    return total_beams_;
+  }
 
  private:
   std::vector<Band> bands_;
+  std::uint32_t user_beams_ = 0;
+  std::uint32_t total_beams_ = 0;
 };
 
 /// The Starlink Gen2 Schedule-S spectrum plan as tabulated in the paper

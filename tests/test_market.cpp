@@ -393,12 +393,22 @@ TEST(MarketDeterminismTest, ByteIdenticalAcrossThreadCounts) {
     MarketConfig config;
     config.operators = default_market();
     config.split.policy = policy;
-    runtime::ThreadPool pool1(1);
+    const std::string serial =
+        run_serialized(config, runtime::serial_executor());
+    // The market runs its operators plus the fairness pass as one batch of
+    // four units: pools of 2 and 3 have fewer workers than units.
+    for (const std::size_t threads : {1U, 2U, 3U, 4U, 8U}) {
+      runtime::ThreadPool pool(threads);
+      EXPECT_EQ(serial, run_serialized(config, pool))
+          << to_string(policy) << " at " << threads << " threads";
+    }
+    // Called from inside a pool task, the batch runs inline on that task.
     runtime::ThreadPool pool4(4);
-    runtime::ThreadPool pool8(8);
-    const std::string serial = run_serialized(config, pool1);
-    EXPECT_EQ(serial, run_serialized(config, pool4)) << to_string(policy);
-    EXPECT_EQ(serial, run_serialized(config, pool8)) << to_string(policy);
+    std::string nested;
+    pool4.run_tasks(1, [&](std::size_t) {
+      nested = run_serialized(config, pool4);
+    });
+    EXPECT_EQ(serial, nested) << to_string(policy) << " nested in a task";
   }
 }
 

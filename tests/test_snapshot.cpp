@@ -953,8 +953,7 @@ TEST_F(StageCacheTest, MissComputesAndStoresThenHits) {
 
   const demand::DemandProfile first =
       snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de)
-          .value;
+                               compute, ser, de);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(cache.hits(), 0U);
   EXPECT_EQ(cache.misses(), 1U);
@@ -962,8 +961,7 @@ TEST_F(StageCacheTest, MissComputesAndStoresThenHits) {
 
   const demand::DemandProfile second =
       snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de)
-          .value;
+                               compute, ser, de);
   EXPECT_EQ(computes, 1) << "hit must not recompute";
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(second.cells(), profile.cells());
@@ -1005,8 +1003,7 @@ TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
 
   const demand::DemandProfile back =
       snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de)
-          .value;
+                               compute, ser, de);
   EXPECT_EQ(computes, 2) << "corrupt blob must recompute";
   EXPECT_EQ(cache.misses(), 2U);
   EXPECT_EQ(cache.hits(), 0U);
@@ -1245,11 +1242,9 @@ TEST_F(StageCacheTest, UnwritableDirDegradesToRecomputeWithOneWarning) {
 
   ::testing::internal::CaptureStderr();
   const demand::DemandProfile first =
-      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de)
-          .value;
+      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de);
   const demand::DemandProfile second =
-      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de)
-          .value;
+      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de);
   const std::string warnings = ::testing::internal::GetCapturedStderr();
 
   EXPECT_EQ(computes, 2) << "nothing was stored, so nothing can hit";
@@ -1288,8 +1283,7 @@ TEST_F(StageCacheTest, OversizedBlobIsABadBlobNotALoad) {
             return small_profile();
           },
           [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-          [](std::string_view b) { return snapshot::deserialize_profile(b); })
-          .value;
+          [](std::string_view b) { return snapshot::deserialize_profile(b); });
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(restored.cells(), small_profile().cells());
   EXPECT_EQ(fs::file_size(cache.blob_path("stage", fp)),

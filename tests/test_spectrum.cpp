@@ -54,6 +54,17 @@ TEST(SpectrumPlan, RejectsEmptyAndInverted) {
         std::invalid_argument)
         << lo << " " << hi;
   }
+  // Beam counts whose sum exceeds UINT32_MAX: a 32-bit sum would wrap to 4
+  // user beams, which BeamPlan(plan, 4) would accept.
+  constexpr std::uint32_t kMaxBeams = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_THROW(
+      SpectrumPlan({{"wide", 10.7, 12.7, kMaxBeams, BeamUsage::kUserDownlink},
+                    {"more", 19.7, 20.2, 5, BeamUsage::kUserDownlink}}),
+      std::invalid_argument);
+  EXPECT_THROW(SpectrumPlan({{"user", 10.7, 12.7, 5, BeamUsage::kUserDownlink},
+                             {"gw", 71.0, 76.0, kMaxBeams,
+                              BeamUsage::kGatewayDownlink}}),
+               std::invalid_argument);
 }
 
 TEST(BeamUsageNames, RoundTripStrings) {
