@@ -133,17 +133,13 @@ int main(int argc, char** argv) {
                    "fraction_unable_to_afford"});
     for (const market::MarketReport& report : reports) {
       for (const market::OperatorOutcome& op : report.operators) {
-        const double dollars =
-            op.cost_curve.empty()
-                ? 0.0
-                : op.cost_curve.front().cost_per_location_year_usd;
         csv.write_row({std::string(to_string(report.policy)), op.name,
                        std::to_string(op.economic_share),
                        std::to_string(op.full.satellites),
                        std::to_string(op.capped.satellites),
                        std::to_string(op.served_cell_fraction),
                        std::to_string(op.served_location_fraction),
-                       std::to_string(dollars),
+                       std::to_string(op.cost_per_location_year_usd),
                        std::to_string(op.affordability.fraction_unable)});
       }
     }

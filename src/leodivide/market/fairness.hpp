@@ -1,9 +1,9 @@
 #pragma once
-// Market-level fairness accounting: who serves which cell, how evenly
-// service is distributed across operators (Jain's index), and why the
-// remaining unserved cells are unserved — a capacity limit no operator
-// could overcome even with its full spectrum, or a casualty of the
-// sharing regime itself.
+// Market-level fairness accounting: how many cells each operator wins and
+// serves, how evenly service is distributed across operators (Jain's
+// index), and why the remaining unserved cells are unserved — a capacity
+// limit no operator could overcome even with its full spectrum, or a
+// casualty of the sharing regime itself.
 
 #include <cstdint>
 #include <vector>
@@ -12,7 +12,9 @@ namespace leodivide::market {
 
 /// Per-operator service tallies over one profile.
 struct OperatorFairness {
-  std::uint64_t cells_won = 0;   ///< cells where this operator is the winner
+  /// Cells this operator wins: of the operators serving the cell, it has
+  /// the most capacity headroom, the earliest index on exact ties.
+  std::uint64_t cells_won = 0;
   std::uint64_t cells_served = 0;      ///< cells it can serve at all
   std::uint64_t locations_served = 0;  ///< locations in its served cells
 
@@ -23,11 +25,6 @@ struct OperatorFairness {
 
 /// Market fairness over one profile under one sharing regime.
 struct FairnessReport {
-  /// Per cell (profile order): index of the winning operator — the serving
-  /// operator with the most capacity headroom, earliest index on exact
-  /// ties — or -1 when no operator serves the cell.
-  std::vector<std::int32_t> winner;
-
   std::vector<OperatorFairness> operators;  ///< config order
 
   /// Jain's index over per-operator locations_served: 1.0 when the market

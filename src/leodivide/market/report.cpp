@@ -16,9 +16,6 @@ std::string render_market_report(const MarketReport& report) {
       << std::setw(10) << "locs%" << std::setw(14) << "$/loc-yr"
       << std::setw(10) << "unaff%" << '\n';
   for (const OperatorOutcome& op : report.operators) {
-    const double dollars_per_loc_year =
-        op.cost_curve.empty() ? 0.0
-                              : op.cost_curve.front().cost_per_location_year_usd;
     out << std::left << std::setw(12) << op.name << std::right
         << std::fixed << std::setprecision(3) << std::setw(8)
         << op.economic_share << std::setprecision(0) << std::setw(12)
@@ -26,9 +23,9 @@ std::string render_market_report(const MarketReport& report) {
         << std::setprecision(1) << std::setw(9)
         << 100.0 * op.served_cell_fraction << '%' << std::setw(9)
         << 100.0 * op.served_location_fraction << '%' << std::setprecision(2)
-        << std::setw(14) << dollars_per_loc_year << std::setprecision(1)
-        << std::setw(9) << 100.0 * op.affordability.fraction_unable << '%'
-        << '\n';
+        << std::setw(14) << op.cost_per_location_year_usd
+        << std::setprecision(1) << std::setw(9)
+        << 100.0 * op.affordability.fraction_unable << "%\n";
     out.unsetf(std::ios::fixed);
   }
   const FairnessReport& f = report.fairness;

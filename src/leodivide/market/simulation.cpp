@@ -1,12 +1,12 @@
 #include "leodivide/market/simulation.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "leodivide/core/beamspread.hpp"
+#include "leodivide/core/longtail.hpp"
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
@@ -107,31 +107,20 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
       total == 0 ? 1.0
                  : static_cast<double>(served.locations) /
                        static_cast<double>(total);
-  const core::SizingModel econ = op.sizing_model(out.economic_share);
-  out.longtail = core::longtail_curve(profile, econ, config.beamspread,
-                                      config.oversub_cap);
-  // $/location-year curve, fewest served first (core::longtail_economics
-  // order) with the operator's own capex/opex decomposition.
-  std::vector<core::LongTailPoint> ordered = out.longtail;
-  std::sort(ordered.begin(), ordered.end(),
-            [](const core::LongTailPoint& a, const core::LongTailPoint& b) {
-              return a.locations_unserved > b.locations_unserved;
-            });
-  out.cost_curve.reserve(ordered.size());
-  for (const core::LongTailPoint& p : ordered) {
-    MarketCostPoint c;
-    c.locations_unserved = p.locations_unserved;
-    c.satellites = p.satellites;
-    c.annual_cost_usd = op.costs.annual_cost_usd(p.satellites);
-    c.locations_served = total > p.locations_unserved
-                             ? total - p.locations_unserved
-                             : 0;
-    c.cost_per_location_year_usd =
-        c.locations_served == 0
-            ? 0.0
-            : c.annual_cost_usd / static_cast<double>(c.locations_served);
-    out.cost_curve.push_back(c);
-  }
+  // The long tail's last point is its cheapest multi-beam deployment, the
+  // one that leaves the most locations unserved.
+  const core::LongTailPoint cheapest =
+      core::longtail_curve(profile, op.sizing_model(out.economic_share),
+                           config.beamspread, config.oversub_cap)
+          .back();
+  const std::uint64_t served_locations =
+      total > cheapest.locations_unserved ? total - cheapest.locations_unserved
+                                          : 0;
+  out.cost_per_location_year_usd =
+      served_locations == 0
+          ? 0.0
+          : op.costs.annual_cost_usd(cheapest.satellites) /
+                static_cast<double>(served_locations);
   out.affordability = analyzer.evaluate(op.plan);
   return out;
 }
@@ -143,8 +132,8 @@ FairnessReport compute_fairness(
     runtime::Executor& executor) {
   const std::size_t n = capacity.size();
   struct Shard {
-    std::vector<std::int32_t> winner;  // ordered concat across shards
     std::vector<core::ServedCounts> served;  // per operator
+    std::vector<std::uint64_t> won;          // per operator
     std::uint64_t unserved_cells = 0;
     std::uint64_t unserved_locations = 0;
     std::uint64_t capacity_limited = 0;
@@ -154,23 +143,27 @@ FairnessReport compute_fairness(
       executor, 0, profile.cell_count(),
       [&profile, &capacity, &full_limits, n](
           Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        if (shard.served.size() != n) shard.served.resize(n);
+        if (shard.served.size() != n) {
+          shard.served.resize(n);
+          shard.won.resize(n);
+        }
         for (std::size_t i = lo; i < hi; ++i) {
           const auto& cell = profile.cells()[i];
-          std::int32_t win = -1;
+          std::size_t win = n;  // n: no operator serves the cell
           std::uint32_t win_limit = 0;
           for (std::size_t o = 0; o < n; ++o) {
             const core::CellCapacity* zone = capacity[o].of(i);
             const std::uint32_t limit = zone ? zone->served_limit : 0;
             if (!shard.served[o].consider(cell, limit)) continue;
             // Winner: most capacity headroom; earliest index on exact ties.
-            if (win < 0 || limit > win_limit) {
-              win = static_cast<std::int32_t>(o);
+            if (win == n || limit > win_limit) {
+              win = o;
               win_limit = limit;
             }
           }
-          shard.winner.push_back(win);
-          if (win < 0) {
+          if (win < n) {
+            ++shard.won[win];
+          } else {
             ++shard.unserved_cells;
             shard.unserved_locations += cell.underserved;
             bool full_spectrum_could = false;
@@ -189,12 +182,14 @@ FairnessReport compute_fairness(
         }
       },
       [n](Shard& into, Shard&& from) {
-        if (into.served.size() != n) into.served.resize(n);
-        if (from.served.size() != n) from.served.resize(n);
-        into.winner.insert(into.winner.end(), from.winner.begin(),
-                           from.winner.end());
+        if (into.served.size() != n) {
+          into.served.resize(n);
+          into.won.resize(n);
+        }
+        if (from.served.size() != n) return;  // a shard that saw no cells
         for (std::size_t o = 0; o < n; ++o) {
           into.served[o].merge(from.served[o]);
+          into.won[o] += from.won[o];
         }
         into.unserved_cells += from.unserved_cells;
         into.unserved_locations += from.unserved_locations;
@@ -202,20 +197,20 @@ FairnessReport compute_fairness(
         into.split_limited += from.split_limited;
       },
       /*grain=*/1024);
-  if (reduced.served.size() != n) reduced.served.resize(n);
+  if (reduced.served.size() != n) {
+    reduced.served.resize(n);
+    reduced.won.resize(n);
+  }
   FairnessReport report;
   report.operators.resize(n);
   std::vector<double> served;
   served.reserve(n);
   for (std::size_t o = 0; o < n; ++o) {
+    report.operators[o].cells_won = reduced.won[o];
     report.operators[o].cells_served = reduced.served[o].cells;
     report.operators[o].locations_served = reduced.served[o].locations;
     served.push_back(static_cast<double>(reduced.served[o].locations));
   }
-  for (const std::int32_t win : reduced.winner) {
-    if (win >= 0) ++report.operators[static_cast<std::size_t>(win)].cells_won;
-  }
-  report.winner = std::move(reduced.winner);
   report.jain_served_locations = jain_index(served);
   report.unserved_cells = reduced.unserved_cells;
   report.unserved_locations = reduced.unserved_locations;

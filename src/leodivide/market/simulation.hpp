@@ -2,24 +2,24 @@
 // The multi-operator market simulator: runs the paper's sizing ->
 // affordability pipeline once per operator under a shared-spectrum regime
 // and adds the market-level outputs the single-operator pipeline cannot
-// produce — per-cell winner maps, Jain-style served-fraction fairness, and
-// unserved-cell attribution (capacity wall vs sharing-regime casualty).
+// produce — per-operator cell-win tallies, Jain-style served-fraction
+// fairness, and unserved-cell attribution (capacity wall vs sharing-regime
+// casualty). Each operator keeps one $/location-year: the cost of its
+// cheapest multi-beam deployment per location that deployment serves.
 //
 // Determinism contract: operators are evaluated as independent tasks over
 // a runtime::Executor and merged in config order. Each cell's spectrum
 // zone is resolved once per run into one table that every operator and the
 // fairness scan share. Capped sizing is core::size_with_cap over that table
-// and the operator's per-zone capacities, and the fairness scan is an
-// ordered-concat map_reduce. The report is
+// and the operator's per-zone capacities, and the fairness scan is a
+// map_reduce of integer tallies. The report is
 // byte-identical for every thread count, and a single-operator Starlink
 // market under the exclusive policy reproduces the existing core/ +
 // afford/ pipeline bit-for-bit.
 
-#include <cstdint>
 #include <vector>
 
 #include "leodivide/afford/affordability.hpp"
-#include "leodivide/core/longtail.hpp"
 #include "leodivide/core/oversubscription.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/dataset.hpp"
@@ -49,34 +49,22 @@ struct MarketConfig {
 /// beamspread >= 1 and oversub_cap > 0. Throws std::invalid_argument.
 void validate(const MarketConfig& config);
 
-/// One $/location-year point, from the operator's long-tail curve and its
-/// Osoro-Oughton cost inputs.
-struct MarketCostPoint {
-  std::uint64_t locations_unserved = 0;
-  double satellites = 0.0;
-  double annual_cost_usd = 0.0;
-  std::uint64_t locations_served = 0;
-  double cost_per_location_year_usd = 0.0;
-
-  /// Exact (bit-level) equality; snapshot round-trip tests rely on it.
-  friend bool operator==(const MarketCostPoint&,
-                         const MarketCostPoint&) = default;
-};
-
 /// Everything the pipeline produces for one operator under the split.
 struct OperatorOutcome {
   std::string name;
 
   /// Usable fraction of the operator's user-downlink spectrum feeding the
-  /// economic curves (zone-averaged under kFairShare).
+  /// cost figure (zone-averaged under kFairShare).
   double economic_share = 0.0;
 
   core::SizingResult full;    ///< full-service sizing (spectrum-independent)
   core::SizingResult capped;  ///< cap-bounded sizing under the split
   double served_cell_fraction = 0.0;
   double served_location_fraction = 0.0;
-  std::vector<core::LongTailPoint> longtail;  ///< at the economic share
-  std::vector<MarketCostPoint> cost_curve;    ///< fewest-served first
+  /// Osoro-Oughton annual cost of the cheapest multi-beam deployment at the
+  /// economic share (the last core::longtail_curve point) per location it
+  /// serves; 0 when that deployment serves no one.
+  double cost_per_location_year_usd = 0.0;
   afford::PlanAffordability affordability;
 
   /// Exact (bit-level) equality; snapshot round-trip tests rely on it.

@@ -29,10 +29,8 @@ constexpr std::size_t kEventMetaBytes = 8 * 8;
 constexpr std::size_t kEventBytes = 8 + 8 + 8 + 1 + 4 + 4;
 constexpr std::size_t kSegmentBytes = 8 + 8 + kCoverageBytes + 8 + 8 + 3 * 8;
 constexpr std::size_t kSizingBytes = 8 + 8 + 4 + 8;
-constexpr std::size_t kOperatorMinBytes = 4 + 8 + 2 * kSizingBytes + 8 + 8 +
-                                          8 + 8 + kPlanAffordabilityMinBytes;
-constexpr std::size_t kCostPointBytes = 5 * 8;
-constexpr std::size_t kWinnerBytes = 4;
+constexpr std::size_t kOperatorMinBytes =
+    4 + 8 + 2 * kSizingBytes + 8 + 8 + 8 + kPlanAffordabilityMinBytes;
 constexpr std::size_t kOperatorFairnessBytes = 3 * 8;
 
 std::size_t counties_bytes(const demand::CountyTable& counties) {
@@ -284,17 +282,6 @@ std::size_t analysis_bytes(const core::AnalysisResults& r) {
     n += kPlanAffordabilityMinBytes + p.plan.name.size();
   }
   return n + 8 + 8;
-}
-
-std::size_t market_operators_bytes(const market::MarketReport& r) {
-  std::size_t n = 1 + 8 + 8 + 8;
-  for (const market::OperatorOutcome& op : r.operators) {
-    n += kOperatorMinBytes + op.name.size() +
-         op.longtail.size() * kLongTailPointBytes +
-         op.cost_curve.size() * kCostPointBytes +
-         op.affordability.plan.name.size();
-  }
-  return n;
 }
 
 SnapshotReader parse_expecting(std::string_view file, ArtifactKind kind) {
@@ -634,13 +621,14 @@ std::vector<demand::DeltaOp> deserialize_delta_journal(std::string_view file) {
 
 std::string serialize(const market::MarketReport& report) {
   const market::FairnessReport& f = report.fairness;
-  const std::size_t fairness_bytes =
-      8 + f.winner.size() * kWinnerBytes + 8 +
-      f.operators.size() * kOperatorFairnessBytes + 5 * 8;
-  SnapshotWriter sw(ArtifactKind::kMarketReport,
-                    market_operators_bytes(report) + fairness_bytes);
+  std::size_t bytes = 1 + 8 + 8 + 8 + 8 +
+                      f.operators.size() * kOperatorFairnessBytes + 5 * 8;
+  for (const market::OperatorOutcome& op : report.operators) {
+    bytes += kOperatorMinBytes + op.name.size() +
+             op.affordability.plan.name.size();
+  }
+  SnapshotWriter sw(ArtifactKind::kMarketReport, bytes);
   ByteWriter& ops = sw.section("operators");
-  [[maybe_unused]] const std::size_t start = ops.size();
   ops.u8(static_cast<std::uint8_t>(report.policy));
   ops.f64(report.beamspread);
   ops.f64(report.oversub_cap);
@@ -652,23 +640,11 @@ std::string serialize(const market::MarketReport& report) {
     write_sizing(ops, op.capped);
     ops.f64(op.served_cell_fraction);
     ops.f64(op.served_location_fraction);
-    encode_longtail(ops, op.longtail);
-    ops.count(op.cost_curve.size(), kCostPointBytes);
-    for (const market::MarketCostPoint& p : op.cost_curve) {
-      ops.u64(p.locations_unserved);
-      ops.f64(p.satellites);
-      ops.f64(p.annual_cost_usd);
-      ops.u64(p.locations_served);
-      ops.f64(p.cost_per_location_year_usd);
-    }
+    ops.f64(op.cost_per_location_year_usd);
     encode_plan_affordability(ops, op.affordability);
   }
 
-  assert(ops.size() - start == market_operators_bytes(report));
-
   ByteWriter& fair = sw.section("fairness");
-  fair.count(f.winner.size(), kWinnerBytes);
-  for (std::int32_t wv : f.winner) fair.u32(std::bit_cast<std::uint32_t>(wv));
   fair.count(f.operators.size(), kOperatorFairnessBytes);
   for (const market::OperatorFairness& of : f.operators) {
     fair.u64(of.cells_won);
@@ -707,19 +683,7 @@ market::MarketReport deserialize_market_report(std::string_view file) {
     op.capped = read_sizing(ops);
     op.served_cell_fraction = ops.f64();
     op.served_location_fraction = ops.f64();
-    op.longtail = decode_longtail(ops);
-    const std::size_t n_cost = ops.count(kCostPointBytes);
-    RecordReader cost = ops.records(n_cost, kCostPointBytes);
-    op.cost_curve.reserve(n_cost);
-    for (std::size_t k = 0; k < n_cost; ++k) {
-      market::MarketCostPoint p;
-      p.locations_unserved = cost.u64();
-      p.satellites = cost.f64();
-      p.annual_cost_usd = cost.f64();
-      p.locations_served = cost.u64();
-      p.cost_per_location_year_usd = cost.f64();
-      op.cost_curve.push_back(p);
-    }
+    op.cost_per_location_year_usd = ops.f64();
     op.affordability = decode_plan_affordability(ops);
     out.operators.push_back(std::move(op));
   }
@@ -727,18 +691,6 @@ market::MarketReport deserialize_market_report(std::string_view file) {
 
   ByteReader fair(reader.section("fairness"));
   market::FairnessReport& f = out.fairness;
-  const std::size_t n_winner = fair.count(kWinnerBytes);
-  RecordReader winners = fair.records(n_winner, kWinnerBytes);
-  f.winner.reserve(n_winner);
-  for (std::size_t i = 0; i < n_winner; ++i) {
-    const auto wv = std::bit_cast<std::int32_t>(winners.u32());
-    if (wv < -1 || wv >= static_cast<std::int64_t>(n_ops)) {
-      throw SnapshotError("market_report: winner index " + std::to_string(wv) +
-                          " out of range for " + std::to_string(n_ops) +
-                          " operators");
-    }
-    f.winner.push_back(wv);
-  }
   const std::size_t n_fair = fair.count(kOperatorFairnessBytes);
   if (n_fair != n_ops) {
     throw SnapshotError(

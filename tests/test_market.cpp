@@ -40,6 +40,22 @@ const demand::DemandProfile& small_profile() {
   return profile;
 }
 
+// The $/location-year a market reports for an operator: the annual cost of
+// the long tail's cheapest deployment (its last point) per location that
+// deployment serves.
+double cheapest_cost_per_location_year(const demand::DemandProfile& profile,
+                                       const core::SizingModel& model,
+                                       const MarketConfig& config,
+                                       const OperatorCosts& costs) {
+  const core::LongTailPoint cheapest =
+      core::longtail_curve(profile, model, config.beamspread,
+                           config.oversub_cap)
+          .back();
+  return costs.annual_cost_usd(cheapest.satellites) /
+         static_cast<double>(profile.total_locations() -
+                             cheapest.locations_unserved);
+}
+
 // ---------------------------------------------------------------- operator ----
 
 TEST(OperatorCostsTest, AnnualCostDecomposition) {
@@ -365,9 +381,10 @@ TEST(MarketGoldenTest, SingleStarlinkExclusiveReproducesCorePipeline) {
       out.served_location_fraction,
       core::served_location_fraction(profile, model.capacity,
                                      config.beamspread, config.oversub_cap)));
-  EXPECT_EQ(out.longtail,
-            core::longtail_curve(profile, model, config.beamspread,
-                                 config.oversub_cap));
+  EXPECT_TRUE(same_bits(
+      out.cost_per_location_year_usd,
+      cheapest_cost_per_location_year(profile, model, config,
+                                      starlink_operator().costs)));
   const afford::AffordabilityAnalyzer analyzer(profile);
   EXPECT_EQ(out.affordability,
             analyzer.evaluate(config.operators[0].plan));
@@ -413,9 +430,9 @@ TEST(MarketDeterminismTest, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(MarketDeterminismTest, OperatorOrderOnlyPermutesOutput) {
-  // Evaluation order must not change any operator's numbers. (The winner
-  // map legitimately differs when the tie-break index order changes, so
-  // compare per-operator outcomes and fairness rows by name.)
+  // Evaluation order must not change any operator's numbers. (cells_won
+  // legitimately differs when the tie-break index order changes, so
+  // compare per-operator outcomes and served tallies by name.)
   MarketConfig forward;
   forward.operators = default_market();
   forward.split.policy = SplitPolicy::kProportional;
@@ -458,10 +475,9 @@ MarketReport default_report(SplitPolicy policy) {
   return MarketSimulation(std::move(config)).run(small_profile());
 }
 
-TEST(MarketReportTest, WinnerMapAndAttributionAreConsistent) {
+TEST(MarketReportTest, WinTalliesAndAttributionAreConsistent) {
   const MarketReport report = default_report(SplitPolicy::kFairShare);
   const std::size_t cells = small_profile().cell_count();
-  ASSERT_EQ(report.fairness.winner.size(), cells);
 
   std::uint64_t won_total = 0;
   for (const OperatorFairness& f : report.fairness.operators) {
@@ -472,14 +488,6 @@ TEST(MarketReportTest, WinnerMapAndAttributionAreConsistent) {
   EXPECT_EQ(report.fairness.capacity_limited_cells +
                 report.fairness.split_limited_cells,
             report.fairness.unserved_cells);
-
-  std::uint64_t unserved_in_map = 0;
-  for (const std::int32_t w : report.fairness.winner) {
-    EXPECT_GE(w, -1);
-    EXPECT_LT(w, static_cast<std::int32_t>(report.operators.size()));
-    if (w < 0) ++unserved_in_map;
-  }
-  EXPECT_EQ(unserved_in_map, report.fairness.unserved_cells);
 }
 
 TEST(MarketReportTest, SharingNeverServesMoreThanExclusive) {
@@ -497,26 +505,25 @@ TEST(MarketReportTest, SharingNeverServesMoreThanExclusive) {
   EXPECT_EQ(exclusive.fairness.split_limited_cells, 0U);
 }
 
-TEST(MarketReportTest, CostCurveIsCoherent) {
-  const MarketReport report = default_report(SplitPolicy::kExclusive);
-  const std::uint64_t total = small_profile().total_locations();
-  for (const OperatorOutcome& op : report.operators) {
-    ASSERT_FALSE(op.cost_curve.empty()) << op.name;
-    const OperatorConfig preset =
-        op.name == "starlink"
-            ? starlink_operator()
-            : (op.name == "oneweb" ? oneweb_operator() : kuiper_operator());
-    for (std::size_t i = 0; i < op.cost_curve.size(); ++i) {
-      const MarketCostPoint& p = op.cost_curve[i];
-      EXPECT_EQ(p.locations_served + p.locations_unserved, total);
-      EXPECT_TRUE(same_bits(p.annual_cost_usd,
-                            preset.costs.annual_cost_usd(p.satellites)));
-      EXPECT_GT(p.cost_per_location_year_usd, 0.0);
-      if (i > 0) {
-        // Fewest-served first: unserved decreases along the curve.
-        EXPECT_LE(p.locations_unserved,
-                  op.cost_curve[i - 1].locations_unserved);
-      }
+TEST(MarketReportTest, CostPerLocationYearIsCheapestDeploymentCost) {
+  MarketConfig config;
+  config.operators = default_market();
+  for (const SplitPolicy policy :
+       {SplitPolicy::kExclusive, SplitPolicy::kProportional,
+        SplitPolicy::kFairShare}) {
+    config.split.policy = policy;
+    const MarketReport report = default_report(policy);
+    ASSERT_EQ(report.operators.size(), config.operators.size());
+    for (std::size_t o = 0; o < report.operators.size(); ++o) {
+      const OperatorOutcome& op = report.operators[o];
+      const OperatorConfig& preset = config.operators[o];
+      const double expected = cheapest_cost_per_location_year(
+          small_profile(), preset.sizing_model(op.economic_share), config,
+          preset.costs);
+      EXPECT_TRUE(same_bits(op.cost_per_location_year_usd, expected))
+          << to_string(policy) << " " << op.name;
+      EXPECT_GT(op.cost_per_location_year_usd, 0.0)
+          << to_string(policy) << " " << op.name;
     }
   }
 }

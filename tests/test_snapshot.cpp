@@ -128,9 +128,7 @@ market::MarketReport small_market_report() {
   a.capped = {9621.0, 37.1, 3, 1};
   a.served_cell_fraction = 0.97;
   a.served_location_fraction = 0.74;
-  a.longtail = {{5103, 1925.0, 4, 36.9}, {9000, 1800.0, 3, 38.2}};
-  a.cost_curve = {{9000, 1800.0, 4.5e8, 41000, 10975.6},
-                  {5103, 1925.0, 4.8e8, 44897, 10691.2}};
+  a.cost_per_location_year_usd = 10975.6;
   a.affordability = {{"Starlink Residential", 120.0, {100.0, 20.0}},
                      72000.0, 1327000.0, 0.563};
   market::OperatorOutcome b;
@@ -140,12 +138,10 @@ market::MarketReport small_market_report() {
   b.capped = {19811.0, 48.5, 2, 0};
   b.served_cell_fraction = 0.38;
   b.served_location_fraction = 0.02;
-  b.longtail = {{1200, 900.0, 2, 49.0}};
-  b.cost_curve = {{1200, 900.0, 2.1e8, 7000, 30000.0}};
+  b.cost_per_location_year_usd = 30000.0;
   b.affordability = {{"oneweb_community", 99.0, {150.0, 20.0}},
                      59400.0, 900000.0, 0.42};
   r.operators = {std::move(a), std::move(b)};
-  r.fairness.winner = {0, 1, -1, 0};
   r.fairness.operators = {{2, 3, 881}, {1, 1, 61}};
   r.fairness.jain_served_locations = 0.69;
   r.fairness.unserved_cells = 1;
@@ -599,19 +595,6 @@ TEST(Adversarial, MarketUnknownPolicyRejected) {
       snapshot::SnapshotError);
 }
 
-TEST(Adversarial, MarketWinnerIndexOutOfRangeRejected) {
-  market::MarketReport report = small_market_report();
-  report.fairness.winner[1] = 7;  // only 2 operators
-  EXPECT_THROW(
-      (void)snapshot::deserialize_market_report(snapshot::serialize(report)),
-      snapshot::SnapshotError);
-  report = small_market_report();
-  report.fairness.winner[1] = -2;  // only -1 means "unserved"
-  EXPECT_THROW(
-      (void)snapshot::deserialize_market_report(snapshot::serialize(report)),
-      snapshot::SnapshotError);
-}
-
 TEST(Adversarial, MarketFairnessRowCountMismatchRejected) {
   market::MarketReport report = small_market_report();
   report.fairness.operators.pop_back();  // 1 row for 2 operators
@@ -739,18 +722,15 @@ TEST(Adversarial, EventTraceHugeCountFailsTyped) {
 }
 
 TEST(Adversarial, MarketHugeCountFailsTyped) {
-  // Operator 0 ("starlink"): policy, beamspread and cap take 17 bytes, its
-  // name 12, share 8, two sizings 56, served fractions 16.
+  // Policy, beamspread and cap take 17 bytes before the operator count; the
+  // fairness section opens with its row count.
   expect_huge_counts_fail_typed(
       snapshot::serialize(small_market_report()),
       [](std::string_view b) {
         return snapshot::deserialize_market_report(b);
       },
-      {{"operators", 17},   // operators
-       {"operators", 117},  // operator 0 long tail
-       {"operators", 181},  // operator 0 cost curve
-       {"fairness", 0},     // winners
-       {"fairness", 24}});  // fairness rows
+      {{"operators", 17},  // operators
+       {"fairness", 0}});  // fairness rows
 }
 
 TEST(Adversarial, SectionHugeCountFailsTyped) {
@@ -1374,9 +1354,9 @@ TEST(GoldenBytes, EveryArtifactKind) {
   EXPECT_EQ(digest_of(snapshot::serialize(in.analysis)), "5132:a296864a7f455966");
 
   const std::pair<market::SplitPolicy, const char*> markets[] = {
-      {market::SplitPolicy::kExclusive, "5276:8ae361a4b54fecc3"},
-      {market::SplitPolicy::kProportional, "8948:697e70852c4b18d1"},
-      {market::SplitPolicy::kFairShare, "8948:dce99a708dddbb94"}};
+      {market::SplitPolicy::kExclusive, "724:d29ea17a4a85ac99"},
+      {market::SplitPolicy::kProportional, "724:2b8c73830dd18942"},
+      {market::SplitPolicy::kFairShare, "724:27313ead1e8c9fa4"}};
   for (const auto& [policy, golden] : markets) {
     market::MarketConfig config;
     config.operators = market::default_market();
@@ -1412,9 +1392,9 @@ TEST(GoldenBytes, FullScaleAnalysisAndMarkets) {
             "252680:9e7ab773a0b2d4d2");
 
   const std::pair<market::SplitPolicy, const char*> markets[] = {
-      {market::SplitPolicy::kExclusive, "471612:3ad3b21d0e510a16"},
-      {market::SplitPolicy::kProportional, "1124888:3ee83d441da9cd21"},
-      {market::SplitPolicy::kFairShare, "1124888:89c2c3d3a5ac0262"}};
+      {market::SplitPolicy::kExclusive, "724:8502d03aa9a10f17"},
+      {market::SplitPolicy::kProportional, "724:a625028a61853c48"},
+      {market::SplitPolicy::kFairShare, "724:01a4f1641ecf20a4"}};
   for (const auto& [policy, golden] : markets) {
     market::MarketConfig config;
     config.operators = market::default_market();
