@@ -43,6 +43,13 @@ struct LongTailPoint {
     const demand::DemandProfile& profile, const SizingModel& model,
     double beamspread, double oversub_cap);
 
+/// longtail_curve(...).back(), bit for bit, from one walk of the shed
+/// chains with no link vector and no sort: the cheapest multi-beam
+/// deployment, or the single-beam fallback when no cell needs two beams.
+[[nodiscard]] LongTailPoint longtail_cheapest(
+    const demand::DemandProfile& profile, const SizingModel& model,
+    double beamspread, double oversub_cap);
+
 /// Satellites required when exactly `unserved_budget` locations may be left
 /// unserved: the smallest curve value whose locations_unserved does not
 /// exceed the budget... i.e. the cheapest deployment meeting the budget.

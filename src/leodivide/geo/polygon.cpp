@@ -68,6 +68,33 @@ bool Polygon::contains(const GeoPoint& p) const noexcept {
   return inside;
 }
 
+bool Polygon::boundary_meets(const BoundingBox& box) const noexcept {
+  const std::size_t n = vertices_.size();
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    const GeoPoint& a = vertices_[i];
+    const GeoPoint& b = vertices_[j];
+    // Clip the edge to the box's latitude band, then compare the clipped
+    // piece's longitude span with the box's.
+    const double lat_lo = std::max(std::min(a.lat_deg, b.lat_deg), box.lat_min);
+    const double lat_hi = std::min(std::max(a.lat_deg, b.lat_deg), box.lat_max);
+    if (lat_lo > lat_hi) continue;
+    double lon_lo = std::min(a.lon_deg, b.lon_deg);
+    double lon_hi = std::max(a.lon_deg, b.lon_deg);
+    if (a.lat_deg != b.lat_deg) {
+      const auto lon_at = [&a, &b](double lat) {
+        return (b.lon_deg - a.lon_deg) * (lat - a.lat_deg) /
+                   (b.lat_deg - a.lat_deg) +
+               a.lon_deg;
+      };
+      lon_lo = lon_at(lat_lo);
+      lon_hi = lon_at(lat_hi);
+      if (lon_lo > lon_hi) std::swap(lon_lo, lon_hi);
+    }
+    if (lon_lo <= box.lon_max && lon_hi >= box.lon_min) return true;
+  }
+  return false;
+}
+
 double Polygon::signed_area_deg2() const noexcept {
   double acc = 0.0;
   const std::size_t n = vertices_.size();

@@ -29,6 +29,11 @@ class Polygon {
 
   [[nodiscard]] const BoundingBox& bbox() const noexcept { return bbox_; }
 
+  /// True when some edge, horizontal ones included, has a point in the
+  /// closed box. A box that meets no edge lies wholly inside or wholly
+  /// outside the polygon. Vertices must be finite.
+  [[nodiscard]] bool boundary_meets(const BoundingBox& box) const noexcept;
+
   /// Planar signed area in deg^2 (positive if counter-clockwise).
   [[nodiscard]] double signed_area_deg2() const noexcept;
 

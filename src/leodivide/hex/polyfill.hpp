@@ -24,9 +24,10 @@ struct PolyfillCells {
 };
 
 /// All cells at `resolution` whose centers lie inside the polygon. The
-/// candidate axial window is scanned in parallel over `executor`, one
-/// contiguous block of q-columns per shard, with shards concatenated in
-/// order — the output sequence is identical for every thread count.
+/// candidate axial window is scanned over `executor` one task per group of
+/// 8 q-columns, classified in 8x8 blocks that are dropped or kept whole
+/// when their box misses the outline, with groups concatenated in order —
+/// the output sequence is identical for every thread count.
 [[nodiscard]] PolyfillCells polyfill(const HexGrid& grid,
                                      const geo::Polygon& poly, int resolution,
                                      runtime::Executor& executor);

@@ -1,12 +1,15 @@
 #include "leodivide/io/csv.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -257,7 +260,47 @@ void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
   write_records(record_, 1);
 }
 
+namespace {
+
+__extension__ typedef unsigned __int128 u128;  // GCC/Clang; -Wpedantic-clean
+
+// v rounded to a multiple of 1e-6, as an integer count of millionths, when
+// that count fits 64 bits. v = m * 2^e exactly, so m * 10^6 (below 2^73)
+// shifted right by -e with round-half-even is the correctly rounded count
+// that "%f" prints; a larger v keeps std::to_chars.
+std::optional<std::uint64_t> millionths(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t m = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased == 0x7ff) return std::nullopt;  // inf, NaN
+  if (biased != 0) m |= std::uint64_t{1} << 52;
+  const int shift = 1075 - std::max(biased, 1);  // v = m * 2^-shift
+  if (shift <= 0) return std::nullopt;          // |v| >= 2^52
+  if (shift >= 128) return 0;  // m * 10^6 < 2^73 <= 2^(shift - 1)
+  const u128 scaled = static_cast<u128>(m) * 1'000'000U;
+  u128 count = scaled >> shift;
+  const u128 rest = scaled - (count << shift);
+  const u128 half = static_cast<u128>(1) << (shift - 1);
+  if (rest > half || (rest == half && (count & 1U) != 0)) ++count;
+  if (count > std::numeric_limits<std::uint64_t>::max()) return std::nullopt;
+  return static_cast<std::uint64_t>(count);
+}
+
+}  // namespace
+
 std::string_view fixed6_text(NumberBuffer& buf, double v) {
+  if (const std::optional<std::uint64_t> count = millionths(v)) {
+    char* out = buf.data();
+    if (std::signbit(v)) *out++ = '-';
+    out = std::to_chars(out, buf.data() + buf.size(), *count / 1'000'000U).ptr;
+    *out++ = '.';
+    std::uint64_t frac = *count % 1'000'000U;
+    for (int d = 5; d >= 0; --d) {
+      out[d] = static_cast<char>('0' + frac % 10U);
+      frac /= 10U;
+    }
+    return {buf.data(), static_cast<std::size_t>(out + 6 - buf.data())};
+  }
   const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v,
                                        std::chars_format::fixed, 6);
   if (ec != std::errc{}) {

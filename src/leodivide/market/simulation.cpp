@@ -110,9 +110,8 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
   // The long tail's last point is its cheapest multi-beam deployment, the
   // one that leaves the most locations unserved.
   const core::LongTailPoint cheapest =
-      core::longtail_curve(profile, op.sizing_model(out.economic_share),
-                           config.beamspread, config.oversub_cap)
-          .back();
+      core::longtail_cheapest(profile, op.sizing_model(out.economic_share),
+                              config.beamspread, config.oversub_cap);
   const std::uint64_t served_locations =
       total > cheapest.locations_unserved ? total - cheapest.locations_unserved
                                           : 0;

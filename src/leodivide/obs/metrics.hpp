@@ -46,12 +46,21 @@ struct alignas(64) ShardSlot {
 };
 }  // namespace detail
 
-/// Monotonic counter (sharded unsigned sum).
+/// Counter (sharded unsigned sum). It only grows, except where retract()
+/// takes back a count found wrong after the fact.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
     if (!metrics_enabled()) return;
     slots_[metric_shard_index()].value.fetch_add(n,
+                                                 std::memory_order_relaxed);
+  }
+  /// Takes back `n` of an earlier add() (say, a cache hit whose blob then
+  /// failed validation). A slot may wrap, but the total is an unsigned sum
+  /// mod 2^64 and so stays exact; retract only what was added.
+  void retract(std::uint64_t n = 1) noexcept {
+    if (!metrics_enabled()) return;
+    slots_[metric_shard_index()].value.fetch_sub(n,
                                                  std::memory_order_relaxed);
   }
   /// Shard-index-order merge of the slots.

@@ -39,9 +39,24 @@ std::string StageCache::blob_path(std::string_view stage,
   return path;
 }
 
+namespace {
+
+// The last blob load() handed out on this thread, so note_bad_blob() can
+// take its hit and bytes back out of the registry. `counted` records
+// whether metrics were on when they went in.
+struct LastHit {
+  const StageCache* cache = nullptr;
+  std::uint64_t bytes = 0;
+  bool counted = false;
+};
+thread_local LastHit t_last_hit;
+
+}  // namespace
+
 std::optional<std::string> StageCache::load(std::string_view stage,
                                             const Fingerprint& fp) const {
   obs::Span span("snapshot.load");
+  t_last_hit = {};
   const std::string path = blob_path(stage, fp);
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
@@ -50,23 +65,26 @@ std::optional<std::string> StageCache::load(std::string_view stage,
     return std::nullopt;
   }
   // Size the blob from the open file (not the path, which a concurrent
-  // store may have renamed over) and read it in one call.
+  // store may have renamed over) and read it in one call. An oversized or
+  // short file is a bad blob, exactly like one that fails to deserialize.
   const std::streamoff size = in.tellg();
+  std::string blob;
+  bool read = size >= 0 && static_cast<std::uintmax_t>(size) <= kMaxBlobBytes;
+  if (read) {
+    blob.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    read = static_cast<bool>(in.read(blob.data(), size));
+  }
+  if (!read) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    obs::registry().counter("snapshot.misses").add();
+    obs::registry().counter("snapshot.bad_blobs").add();
+    return std::nullopt;
+  }
   hits_.fetch_add(1, std::memory_order_relaxed);
   obs::registry().counter("snapshot.hits").add();
-  // An oversized or short file is a bad blob, exactly like one that fails
-  // to deserialize.
-  if (size < 0 || static_cast<std::uintmax_t>(size) > kMaxBlobBytes) {
-    note_bad_blob();
-    return std::nullopt;
-  }
-  std::string blob(static_cast<std::size_t>(size), '\0');
-  in.seekg(0);
-  if (!in.read(blob.data(), size)) {
-    note_bad_blob();
-    return std::nullopt;
-  }
   obs::registry().counter("snapshot.load_bytes").add(blob.size());
+  t_last_hit = {this, blob.size(), obs::metrics_enabled()};
   return blob;
 }
 
@@ -110,6 +128,12 @@ void StageCache::store(std::string_view stage, const Fingerprint& fp,
 void StageCache::note_bad_blob() const noexcept {
   hits_.fetch_sub(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
+  if (t_last_hit.cache == this && t_last_hit.counted) {
+    obs::registry().counter("snapshot.hits").retract();
+    obs::registry().counter("snapshot.load_bytes").retract(t_last_hit.bytes);
+  }
+  t_last_hit = {};
+  obs::registry().counter("snapshot.misses").add();
   obs::registry().counter("snapshot.bad_blobs").add();
 }
 

@@ -48,7 +48,9 @@ class StageCache {
   /// Raw blob bytes if present, std::nullopt on a miss. Counts the
   /// hit/miss and records load bytes + latency in obs. A file larger than
   /// kMaxBlobBytes, or one that reads back short, is a bad blob: a miss,
-  /// counted as note_bad_blob() counts one.
+  /// counted as note_bad_blob() counts one. The registry's snapshot.hits
+  /// and snapshot.misses always equal hits() and misses(), and
+  /// snapshot.load_bytes counts only blobs no note_bad_blob() took back.
   [[nodiscard]] std::optional<std::string> load(std::string_view stage,
                                                 const Fingerprint& fp) const;
 
@@ -76,7 +78,9 @@ class StageCache {
     return store_failures_.load(std::memory_order_relaxed);
   }
 
-  /// Reclassifies the last load() hit as a miss (blob failed validation).
+  /// Reclassifies the last load() hit as a miss (blob failed validation),
+  /// here and in the obs registry, taking that blob's bytes back out of
+  /// snapshot.load_bytes when this thread's last load() handed it out.
   /// Call after a load()ed blob fails deserialization — staged_compute
   /// (async.hpp), the cache's one restore-or-compute path, uses this to
   /// keep the hit/miss counters truthful.

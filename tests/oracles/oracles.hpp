@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "leodivide/geo/polygon.hpp"
+#include "leodivide/hex/hexgrid.hpp"
+#include "leodivide/hex/polyfill.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/visindex.hpp"
 #include "leodivide/sim/scheduler.hpp"
+#include "leodivide/stats/rng.hpp"
 
 namespace leodivide::oracle {
 
@@ -40,6 +43,27 @@ namespace leodivide::oracle {
 /// geo::Polygon::contains must equal it for every point.
 [[nodiscard]] bool polygon_contains_reference(const geo::Polygon& poly,
                                               const geo::GeoPoint& p);
+
+/// A seeded star-shaped polygon around a random (lat0, lon0), |lat0| <= 40:
+/// sorted random angles, radii in [0.5, 6] deg, so simple and usually
+/// concave. With `snap_deg` > 0 every vertex latitude is rounded to that
+/// grid, which repeats latitudes and makes horizontal edges.
+[[nodiscard]] std::vector<geo::GeoPoint> random_star(stats::Pcg32& rng,
+                                                     double snap_deg);
+
+/// A seeded histogram polygon: a flat base and a top profile of random
+/// column heights on a coarse latitude grid, some columns flat (horizontal
+/// edges) and some slanted. Simple and concave, with many repeated
+/// latitudes.
+[[nodiscard]] std::vector<geo::GeoPoint> random_histogram(stats::Pcg32& rng);
+
+/// hex::polyfill's per-cell scan, kept verbatim from before the block
+/// classifier: every window candidate is projected and tested with
+/// contains(), one contiguous block of q-columns per shard. hex::polyfill
+/// must equal it, centres bit for bit, at every thread count.
+[[nodiscard]] hex::PolyfillCells polyfill_reference(
+    const hex::HexGrid& grid, const geo::Polygon& poly, int resolution,
+    runtime::Executor& executor);
 
 /// Scalar references for orbit::filter_visible and orbit::rotate_about_z.
 std::size_t filter_visible_scalar(double cx, double cy, double cz,

@@ -983,5 +983,64 @@ TEST(LongTail, MatchesHeapReference) {
   }
 }
 
+// longtail_cheapest reads the curve's last point in one walk; it must be
+// longtail_curve(...).back() bit for bit: the paper model at every Figure 3
+// pair, every default operator at a full share, half a share and its
+// proportional economic share, on two seeds, a tie-heavy profile and a
+// profile where no cell needs two beams (the size_with_cap fallback).
+TEST(LongTail, CheapestMatchesCurveBack) {
+  const auto expect_back = [](const SizingModel& model,
+                              const demand::DemandProfile& profile, double s,
+                              double oversub) {
+    const LongTailPoint want = longtail_curve(profile, model, s, oversub).back();
+    const LongTailPoint got = longtail_cheapest(profile, model, s, oversub);
+    SCOPED_TRACE(::testing::Message() << "s=" << s << " oversub=" << oversub
+                                      << " inclination="
+                                      << model.inclination_deg);
+    EXPECT_EQ(got.locations_unserved, want.locations_unserved);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.satellites),
+              std::bit_cast<std::uint64_t>(want.satellites));
+    EXPECT_EQ(got.beams_on_binding, want.beams_on_binding);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.binding_lat_deg),
+              std::bit_cast<std::uint64_t>(want.binding_lat_deg));
+  };
+  const demand::DemandProfile seed7 =
+      demand::SyntheticGenerator({.seed = 7}).generate_profile();
+  const TieHeavy tie = tie_heavy_profile(42);
+  std::vector<demand::CellDemand> ones = national_profile().cells();
+  for (demand::CellDemand& c : ones) c.underserved = std::min(c.underserved, 1U);
+  const demand::DemandProfile single_beam(std::move(ones),
+                                          national_profile().counties());
+  const std::vector<const demand::DemandProfile*> profiles{
+      &national_profile(), &seed7, &tie.profile, &single_beam};
+
+  const SizingModel paper;
+  const AnalysisConfig config;
+  const std::vector<market::OperatorConfig> operators =
+      market::default_market();
+  const market::SpectrumSplit proportional(
+      operators, {.policy = market::SplitPolicy::kProportional});
+  const market::MarketConfig defaults;
+  for (const demand::DemandProfile* profile : profiles) {
+    for (const auto& [s, oversub] : config.fig3_curves) {
+      expect_back(paper, *profile, s, oversub);
+    }
+    for (const auto& p : kTiePoints) expect_back(paper, *profile, p[0], p[1]);
+    for (std::size_t i = 0; i < operators.size(); ++i) {
+      for (const double share :
+           {1.0, 0.5, proportional.economic_share(i)}) {
+        expect_back(operators[i].sizing_model(share), *profile,
+                    defaults.beamspread, defaults.oversub_cap);
+      }
+    }
+  }
+  // Nothing needs two beams: the one point is the single-beam fallback.
+  EXPECT_EQ(longtail_curve(single_beam, paper, 10.0, 20.0).size(), 1U);
+  EXPECT_THROW((void)longtail_cheapest(
+                   demand::DemandProfile({}, national_profile().counties()),
+                   paper, 10.0, 20.0),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace leodivide::core

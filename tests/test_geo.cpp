@@ -182,45 +182,6 @@ TEST(PolygonTest, AreaOfOneDegreeSquareAtEquator) {
   EXPECT_NEAR(square.area_km2(), km_per_deg * km_per_deg, 25.0);
 }
 
-// Star-shaped around (lat0, lon0) with sorted random angles, so simple and
-// usually concave. With `snap_deg` > 0 every vertex latitude is rounded to
-// that grid, which repeats latitudes and makes horizontal edges.
-std::vector<GeoPoint> random_star(stats::Pcg32& rng, double snap_deg) {
-  const std::size_t n = 3 + rng.next_below(14);
-  std::vector<double> angles(n);
-  for (double& a : angles) a = stats::sample_uniform(rng, 0.0, kTwoPi);
-  std::sort(angles.begin(), angles.end());
-  const double lat0 = stats::sample_uniform(rng, -40.0, 40.0);
-  const double lon0 = stats::sample_uniform(rng, -150.0, 150.0);
-  std::vector<GeoPoint> v;
-  for (const double a : angles) {
-    const double r = stats::sample_uniform(rng, 0.5, 6.0);
-    double lat = lat0 + r * std::sin(a);
-    if (snap_deg > 0.0) lat = std::round(lat / snap_deg) * snap_deg;
-    v.push_back({lat, lon0 + r * std::cos(a)});
-  }
-  return v;
-}
-
-// A histogram polygon: a flat base and a top profile of random column
-// heights on a coarse latitude grid, some columns flat (horizontal edges)
-// and some slanted. Simple and concave, with many repeated latitudes.
-std::vector<GeoPoint> random_histogram(stats::Pcg32& rng) {
-  const std::size_t columns = 2 + rng.next_below(8);
-  const auto height = [&rng] {
-    return 1.0 + 0.5 * static_cast<double>(rng.next_below(6));
-  };
-  std::vector<GeoPoint> v{{0.0, 0.0}};
-  for (std::size_t c = 0; c < columns; ++c) {
-    const double left = height();
-    const double right = rng.next_below(2) == 0 ? left : height();
-    v.push_back({left, static_cast<double>(c)});
-    v.push_back({right, static_cast<double>(c + 1)});
-  }
-  v.push_back({0.0, static_cast<double>(columns)});
-  return v;
-}
-
 // Query points that exercise the slab index's edges: on every vertex
 // latitude (at the vertex, and across the box), on and near every edge,
 // outside the box, NaN, and uniform in the box.
@@ -264,9 +225,9 @@ TEST(PolygonTest, SlabContainsMatchesEdgeLoopReference) {
   std::size_t checked = 0;
   for (int round = 0; round < 300; ++round) {
     const int family = round % 3;
-    const Polygon poly(family == 0   ? random_star(rng, 0.0)
-                       : family == 1 ? random_star(rng, 0.5)
-                                     : random_histogram(rng));
+    const Polygon poly(family == 0   ? oracle::random_star(rng, 0.0)
+                       : family == 1 ? oracle::random_star(rng, 0.5)
+                                     : oracle::random_histogram(rng));
     for (const GeoPoint& p : probe_points(rng, poly)) {
       ASSERT_EQ(poly.contains(p), oracle::polygon_contains_reference(poly, p))
           << "round " << round << " at (" << p.lat_deg << ", " << p.lon_deg

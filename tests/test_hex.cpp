@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "leodivide/geo/greatcircle.hpp"
 #include "leodivide/geo/us_outline.hpp"
@@ -15,6 +18,10 @@
 #include "leodivide/hex/hexcoord.hpp"
 #include "leodivide/hex/hexgrid.hpp"
 #include "leodivide/hex/polyfill.hpp"
+#include "leodivide/runtime/executor.hpp"
+#include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/stats/rng.hpp"
+#include "oracles/oracles.hpp"
 
 namespace leodivide::hex {
 namespace {
@@ -229,6 +236,101 @@ TEST(Polyfill, CentersAreCenterOfBitsInQrOrder) {
         ASSERT_TRUE(a.q < b.q || (a.q == b.q && a.r < b.r)) << i;
       }
     }
+  }
+}
+
+// The block classifier drops or keeps whole blocks without per-cell work,
+// so it must equal the per-cell scan exactly, centres bit for bit, at 1 and
+// 4 threads: on CONUS, on seeded star and histogram polygons, and on the
+// shapes where a block must fall back (smaller than a block, across
+// +-180, next to a pole, horizontal edges, a non-finite vertex).
+TEST(Polyfill, BlockScanMatchesPerCellReference) {
+  runtime::ThreadPool pool(4);
+  std::size_t kept = 0;
+  const auto expect_same = [&pool, &kept](const HexGrid& grid,
+                                          const geo::Polygon& poly, int res) {
+    const PolyfillCells want = oracle::polyfill_reference(
+        grid, poly, res, runtime::serial_executor());
+    kept = want.cells.size();
+    for (runtime::Executor* ex :
+         {&runtime::serial_executor(), static_cast<runtime::Executor*>(&pool)}) {
+      const PolyfillCells got = polyfill(grid, poly, res, *ex);
+      ASSERT_EQ(got.cells, want.cells) << "threads " << ex->concurrency();
+      ASSERT_EQ(got.centers.size(), want.centers.size());
+      for (std::size_t i = 0; i < got.centers.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.centers[i].lat_deg),
+                  std::bit_cast<std::uint64_t>(want.centers[i].lat_deg));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.centers[i].lon_deg),
+                  std::bit_cast<std::uint64_t>(want.centers[i].lon_deg));
+      }
+    }
+  };
+  const HexGrid conus_grid;
+  for (const int res : {3, 4, 5, 6}) {
+    SCOPED_TRACE(::testing::Message() << "CONUS at resolution " << res);
+    expect_same(conus_grid, geo::conus_outline(), res);
+    EXPECT_GT(kept, 0U);
+  }
+
+  stats::Pcg32 rng(20240611, /*stream=*/5);
+  for (int round = 0; round < 200; ++round) {
+    const int family = round % 3;
+    std::vector<geo::GeoPoint> vertices =
+        family == 0   ? oracle::random_star(rng, 0.0)
+        : family == 1 ? oracle::random_star(rng, 0.5)
+                      : oracle::random_histogram(rng);
+    // Every fourth polygon moves 35 deg poleward, where a block's
+    // longitude span is widest.
+    if (round % 4 == 3) {
+      for (geo::GeoPoint& v : vertices) {
+        v.lat_deg += vertices.front().lat_deg < 0.0 ? -35.0 : 35.0;
+      }
+    }
+    const geo::Polygon poly(std::move(vertices));
+    const geo::BoundingBox& box = poly.bbox();
+    // Every other polygon sits 10 deg off its grid's centre, where the
+    // projection bends the blocks' images.
+    const double off = round % 2 == 0 ? 0.0 : 10.0;
+    const HexGrid grid({(box.lat_min + box.lat_max) / 2 + off,
+                        (box.lon_min + box.lon_max) / 2 - off});
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    expect_same(grid, poly, family == 2 ? 5 : 4);
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* what;
+    geo::GeoPoint grid_center;
+    std::vector<geo::GeoPoint> vertices;
+    int res;
+  } kShapes[] = {
+      {"smaller than a block", {39.5, -98.35},
+       {{39.0, -99.0}, {39.3, -99.0}, {39.1, -98.6}}, 5},
+      {"smaller than a cell", {39.5, -98.35},
+       {{39.0, -99.0}, {39.01, -99.0}, {39.0, -98.99}}, 5},
+      {"across +180", {10.0, 180.0},
+       {{8.0, 177.0}, {12.0, 177.5}, {12.5, 182.0}, {7.5, 183.0}}, 5},
+      {"across -180", {-10.0, -179.0},
+       {{-12.0, -183.0}, {-8.0, -182.5}, {-7.5, -177.0}, {-12.5, -176.0}}, 5},
+      {"up to +180", {0.0, 175.0},
+       {{-3.0, 170.0}, {3.0, 170.0}, {3.0, 180.0}, {-3.0, 180.0}}, 5},
+      {"from -180", {20.0, -178.0},
+       {{17.0, -180.0}, {23.0, -180.0}, {22.0, -174.0}, {18.0, -175.0}}, 5},
+      {"next to the north pole", {88.0, 0.0},
+       {{86.0, -40.0}, {89.95, -20.0}, {89.95, 20.0}, {86.0, 40.0}}, 5},
+      {"around the south pole", {-89.0, 30.0},
+       {{-89.99, -170.0}, {-87.0, -170.0}, {-87.0, 170.0}, {-89.99, 170.0}},
+       4},
+      {"horizontal edges", {39.5, -98.35},
+       {{38.0, -100.0}, {40.0, -100.0}, {40.0, -97.0}, {38.0, -97.0}}, 6},
+      {"a NaN vertex", {39.5, -98.35},
+       {{38.0, -100.0}, {40.0, -100.0}, {nan, -98.5}, {40.0, -97.0},
+        {38.0, -97.0}}, 5},
+  };
+  for (const auto& shape : kShapes) {
+    SCOPED_TRACE(shape.what);
+    expect_same(HexGrid(shape.grid_center), geo::Polygon(shape.vertices),
+                shape.res);
   }
 }
 

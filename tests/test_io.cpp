@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +11,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "leodivide/io/cli.hpp"
@@ -362,6 +365,67 @@ TEST(CsvNumbers, FixedSixMatchesToString) {
   for (const double v : adversarial) {
     EXPECT_EQ(fixed6_text(buf, v), std::to_string(v));
   }
+}
+
+// fixed6_text rounds m * 10^6 exactly in integers whenever the count of
+// millionths fits 64 bits; its bytes must equal std::to_chars(fixed, 6) on
+// coordinates, wide exponents, raw bit patterns (subnormals, +-0, +-inf,
+// NaN payloads) and exact decimal ties j * 2^-k.
+TEST(CsvNumbers, Fixed6MatchesToChars) {
+  NumberBuffer got;
+  NumberBuffer want;
+  std::size_t checked = 0;
+  const auto expect_same = [&](double v) {
+    const auto [end, ec] = std::to_chars(want.data(), want.data() + want.size(),
+                                         v, std::chars_format::fixed, 6);
+    ASSERT_EQ(ec, std::errc{});
+    ASSERT_EQ(fixed6_text(got, v),
+              std::string_view(want.data(),
+                               static_cast<std::size_t>(end - want.data())))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    ++checked;
+  };
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> lat(-90.0, 90.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  for (int i = 0; i < 100'000; ++i) {
+    expect_same(lat(rng));
+    expect_same(lon(rng));
+  }
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  for (int e = -1074; e <= 1023; ++e) {
+    for (int i = 0; i < 20; ++i) {
+      const double v = std::ldexp(mantissa(rng), e);
+      expect_same(v);
+      expect_same(-v);
+    }
+  }
+  for (int i = 0; i < 200'000; ++i) expect_same(std::bit_cast<double>(rng()));
+  for (const std::uint64_t bits :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x000fffffffffffff},
+        std::uint64_t{0x0010000000000000}, std::uint64_t{0x8000000000000000},
+        std::uint64_t{0x8000000000000001}, std::uint64_t{0x7ff0000000000000},
+        std::uint64_t{0xfff0000000000000}, std::uint64_t{0x7ff8000000000000},
+        std::uint64_t{0xfff8000000000001}, std::uint64_t{0x7ff0000000000001}}) {
+    expect_same(std::bit_cast<double>(bits));
+  }
+  // Ties: j * 2^-k with v * 10^6 exactly halfway between two integers, from
+  // 0.0078125 = 2^-7 up to counts near 2^64, and the 64-bit edge itself.
+  for (int k = 7; k <= 40; ++k) {
+    for (std::uint64_t j = 1; j < 4000; ++j) {
+      expect_same(std::ldexp(static_cast<double>(j), -k));
+      expect_same(-std::ldexp(static_cast<double>(j), -k));
+      expect_same(std::ldexp(static_cast<double>((std::uint64_t{1} << 40) + j), -k));
+    }
+  }
+  for (const double edge : {18446744073709.551615, 18446744073709.5517,
+                            18446744073709.55, 18446744073709.552,
+                            9007199254740991.0, 4503599627370495.5}) {
+    expect_same(edge);
+    expect_same(std::nextafter(edge, 0.0));
+    expect_same(std::nextafter(edge, 1e300));
+  }
+  EXPECT_GT(checked, 800'000U);
 }
 
 TEST(CsvNumbers, IntegerTextMatchesStreamFormatting) {

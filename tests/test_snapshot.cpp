@@ -30,6 +30,7 @@
 #include "leodivide/io/fileio.hpp"
 #include "leodivide/io/json.hpp"
 #include "leodivide/market/market.hpp"
+#include "leodivide/obs/metrics.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
 #include "leodivide/sim/simulation.hpp"
@@ -990,6 +991,56 @@ TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
   EXPECT_EQ(back.cells(), small_profile().cells());
   EXPECT_NO_THROW(
       (void)snapshot::deserialize_profile(io::read_text_file(path)));
+}
+
+// The obs registry's snapshot counters must tell the same story as the
+// cache's own: a blob that fails deserialization, or is too large to read,
+// is a miss in both, and its bytes are not load bytes.
+TEST_F(StageCacheTest, RegistryAgreesWithCacheOnBadBlobs) {
+  obs::set_metrics_enabled(true);
+  obs::registry().reset_values();
+  snapshot::StageCache cache(dir_.string());
+  const auto fp = [](const char* stage) {
+    return snapshot::stage_fingerprint(stage);
+  };
+  const std::string good = snapshot::serialize(small_profile());
+  for (const char* stage : {"good", "flipped", "oversized"}) {
+    cache.store(stage, fp(stage), good);
+  }
+  std::string flipped = good;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x40);
+  io::write_text_file(cache.blob_path("flipped", fp("flipped")), flipped);
+  fs::resize_file(cache.blob_path("oversized", fp("oversized")),
+                  snapshot::kMaxBlobBytes + 1);
+
+  const auto run_all = [&] {
+    for (const char* stage : {"good", "flipped", "oversized"}) {
+      (void)snapshot::staged_compute(
+          &cache, nullptr, stage, fp(stage), [] { return small_profile(); },
+          [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
+          [](std::string_view b) { return snapshot::deserialize_profile(b); });
+    }
+  };
+  const auto counter = [](const char* name) {
+    return obs::registry().counter(name).total();
+  };
+  run_all();
+  EXPECT_EQ(cache.hits(), 1U);
+  EXPECT_EQ(cache.misses(), 2U);
+  EXPECT_EQ(counter("snapshot.hits"), cache.hits());
+  EXPECT_EQ(counter("snapshot.misses"), cache.misses());
+  EXPECT_EQ(counter("snapshot.bad_blobs"), 2U);
+  EXPECT_EQ(counter("snapshot.load_bytes"), good.size());
+
+  // The recomputes repaired both blobs: every lookup now hits.
+  run_all();
+  EXPECT_EQ(counter("snapshot.hits"), 4U);
+  EXPECT_EQ(counter("snapshot.hits"), cache.hits());
+  EXPECT_EQ(counter("snapshot.misses"), cache.misses());
+  EXPECT_EQ(counter("snapshot.load_bytes"), 4 * good.size());
+  obs::set_metrics_enabled(false);
+  obs::registry().reset_values();
 }
 
 TEST_F(StageCacheTest, CacheRestoreIsByteIdenticalAcrossThreadCounts) {
