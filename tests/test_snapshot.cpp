@@ -31,9 +31,12 @@
 #include "leodivide/io/json.hpp"
 #include "leodivide/market/market.hpp"
 #include "leodivide/obs/metrics.hpp"
+#include "leodivide/orbit/propagate.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
+#include "leodivide/sim/clock.hpp"
 #include "leodivide/sim/simulation.hpp"
+#include "leodivide/sim/workspace.hpp"
 #include "leodivide/snapshot/snapshot.hpp"
 
 namespace {
@@ -1456,6 +1459,49 @@ TEST(GoldenBytes, FullScaleAnalysisAndMarkets) {
     EXPECT_EQ(digest_of(snapshot::serialize(report)), golden)
         << to_string(policy);
   }
+}
+
+// The coverage_epoch benchmark's run at the paper's scale: the national
+// profile at seed 42, shell 1, beamspread 5, 31 epochs at 60 s. Pins the
+// stored trace and, since a trace keeps only per-epoch totals, every epoch's
+// assignments and unassigned cells as well.
+TEST(GoldenBytes, FullScaleEpochTrace) {
+  const demand::DemandProfile profile =
+      demand::SyntheticGenerator(demand::GeneratorConfig{}).generate_profile();
+  sim::SimulationConfig config;
+  config.scheduler.beamspread = 5;
+  config.duration_s = 30.0 * 60.0;
+  config.step_s = 60.0;
+  const sim::Simulation simulation(config, profile);
+  const std::vector<sim::EpochCoverage> trace =
+      simulation.run(runtime::serial_executor());
+  ASSERT_EQ(trace.size(), 31U);
+  EXPECT_EQ(digest_of(snapshot::serialize(trace)), "1786:187695e467eab035");
+
+  // Each epoch as little-endian u32s: assignment count, then (cell, sat,
+  // beams) per assignment; unassigned count, then the cell indices.
+  std::string bytes;
+  const auto put = [&bytes](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      bytes.push_back(static_cast<char>(v >> (8 * b)));
+    }
+  };
+  const sim::SimClock clock(config.duration_s, config.step_s);
+  sim::ScheduleWorkspace ws;
+  sim::ScheduleResult schedule;
+  for (std::size_t e = 0; e < clock.epochs(); ++e) {
+    orbit::propagate_all(simulation.orbits(), clock.time_at(e), ws.states);
+    simulation.scheduler().schedule(ws.states, ws, schedule);
+    put(static_cast<std::uint32_t>(schedule.assignments.size()));
+    for (const sim::Assignment& a : schedule.assignments) {
+      put(a.cell);
+      put(a.sat);
+      put(a.beams);
+    }
+    put(static_cast<std::uint32_t>(schedule.unassigned_cells.size()));
+    for (const std::uint32_t ci : schedule.unassigned_cells) put(ci);
+  }
+  EXPECT_EQ(digest_of(bytes), "3322916:bc193a78059b1a4b");
 }
 
 TEST(GoldenBytes, GeoJsonAndResultsJson) {
