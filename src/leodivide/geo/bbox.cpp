@@ -15,7 +15,10 @@ bool BoundingBox::contains(const GeoPoint& p) const noexcept {
 }
 
 void BoundingBox::extend(const GeoPoint& p) noexcept {
-  if (!valid()) {
+  // Only an empty box (a min above its max, or NaN) restarts at p. A box
+  // that already reaches past the globe's range is not empty: resetting it
+  // would drop the vertices it holds.
+  if (!(lat_min <= lat_max && lon_min <= lon_max)) {
     lat_min = lat_max = p.lat_deg;
     lon_min = lon_max = p.lon_deg;
     return;

@@ -15,7 +15,9 @@ struct BoundingBox {
 
   [[nodiscard]] bool valid() const noexcept;
   [[nodiscard]] bool contains(const GeoPoint& p) const noexcept;
-  /// Expands the box to include p; an invalid (empty) box becomes the point.
+  /// Expands the box to include p; an empty box (a min above its max, as
+  /// empty() makes, or NaN) becomes the point. A box past the globe's range
+  /// (not valid()) still grows: it is not empty.
   void extend(const GeoPoint& p) noexcept;
 
   /// A box that contains nothing; extend() grows it from scratch.

@@ -147,6 +147,33 @@ TEST(BBox, ExtendGrowsFromEmpty) {
   EXPECT_TRUE(b.contains({0.0, 25.0}));
 }
 
+TEST(BBox, ExtendKeepsVerticesPastTheDateLine) {
+  // A box whose first points lie past lon -180 is not valid() but not empty
+  // either: later points must extend it, not restart it.
+  BoundingBox b = BoundingBox::empty();
+  for (const GeoPoint v : {GeoPoint{-12.0, -183.0}, GeoPoint{-8.0, -182.5},
+                           GeoPoint{-7.5, -177.0}, GeoPoint{-12.5, -176.0}}) {
+    b.extend(v);
+  }
+  EXPECT_EQ(b, (BoundingBox{-12.5, -7.5, -183.0, -176.0}));
+  const Polygon quad({{-12.0, -183.0}, {-8.0, -182.5}, {-7.5, -177.0},
+                      {-12.5, -176.0}});
+  EXPECT_EQ(quad.bbox(), b);
+  EXPECT_TRUE(quad.contains({-11.195, -177.668}));
+  EXPECT_TRUE(quad.contains({-10.0, -180.5}));
+}
+
+TEST(BBox, ExtendSkipsNanPoints) {
+  BoundingBox b = BoundingBox::empty();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  b.extend({nan, nan});
+  b.extend({1.0, 2.0});
+  EXPECT_EQ(b, (BoundingBox{1.0, 1.0, 2.0, 2.0}));
+  b.extend({nan, 5.0});
+  b.extend({3.0, 4.0});
+  EXPECT_EQ(b, (BoundingBox{1.0, 3.0, 2.0, 5.0}));
+}
+
 TEST(BBox, ConusContainsLandmarks) {
   const BoundingBox b = conus_bbox();
   EXPECT_TRUE(b.contains({39.74, -104.99}));  // Denver
