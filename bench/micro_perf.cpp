@@ -4,7 +4,8 @@
 //   --threads N     aggregate >= 5M synthetic locations serially and on an
 //                   N-thread pool; emits {"bench":"micro_perf.aggregate"}.
 //   --sim-schedule  indexed (VisIndex) vs naive full-scan scheduling over a
-//                   cells x sats sweep; gated against BENCH_sim.json.
+//                   cells x sats sweep and the national profile on Starlink
+//                   shell 1; gated against BENCH_sim.json.
 //   --sim-event     event-driven engine vs fixed-epoch stepping on
 //                   multi-day horizons; gated against BENCH_event.json.
 //   --serve-delta   incremental per-region recompute (serve/) vs full
@@ -12,8 +13,8 @@
 //   --market        the three-operator market serially and on a pool;
 //                   gated against BENCH_market.json.
 //   --graph         K scenario chains sequential vs one pool batch with
-//                   async stores, plus the SIMD kernels vs their scalar
-//                   references in tests/oracles; gated against
+//                   async stores, plus the SIMD rotation kernel vs its
+//                   scalar reference in tests/oracles; gated against
 //                   BENCH_graph.json.
 // tools/bench_check.py gates each mode's JSON lines against its baseline.
 
@@ -168,6 +169,50 @@ RepTimes timed_reps_ms(int reps, const Fn& fn) {
   return {ms.front(), ms[ms.size() / 2]};
 }
 
+// Checks one `--sim-schedule` case byte-identical to the naive reference,
+// then times both kernels and prints the case's JSON line. A non-empty
+// `profile` names the demand profile the cells come from. Returns nonzero
+// when the kernels disagree.
+int run_sim_schedule_case(const sim::BeamScheduler& scheduler,
+                          const std::vector<orbit::SatState>& states,
+                          const std::string& profile) {
+  const std::size_t n_cells = scheduler.cells().size();
+  std::cout << "  case: " << n_cells << " cells x " << states.size()
+            << " sats" << (profile.empty() ? "" : " (" + profile + " profile)")
+            << "\n";
+
+  sim::ScheduleWorkspace ws;
+  sim::ScheduleResult indexed;
+  scheduler.schedule(states, ws, indexed);  // also warms the workspace
+  const sim::ScheduleResult naive =
+      oracle::schedule_reference(scheduler, states);
+  if (!(indexed == naive)) {
+    std::cerr << "FAIL: indexed and naive schedules differ at " << n_cells
+              << "x" << states.size() << "\n";
+    return 1;
+  }
+  std::cout << "  outputs:  byte-identical (served "
+            << indexed.locations_served << "/" << indexed.locations_total
+            << " locations)\n";
+
+  const double naive_ms =
+      timed_reps_ms(3, [&] {
+        bench::keep(oracle::schedule_reference(scheduler, states));
+      }).best_ms;
+  const double indexed_ms =
+      timed_reps_ms(5, [&] { scheduler.schedule(states, ws, indexed); })
+          .best_ms;
+  std::cout << "  naive:    " << naive_ms << " ms\n"
+            << "  indexed:  " << indexed_ms << " ms\n"
+            << "  speedup:  " << naive_ms / indexed_ms << "x\n";
+  std::cout << "{\"bench\":\"sim.schedule\""
+            << (profile.empty() ? "" : ",\"profile\":\"" + profile + "\"")
+            << ",\"cells\":" << n_cells << ",\"sats\":" << states.size()
+            << ",\"naive_ms\":" << naive_ms << ",\"indexed_ms\":" << indexed_ms
+            << ",\"speedup\":" << naive_ms / indexed_ms << "}" << std::endl;
+  return 0;
+}
+
 // The `--sim-schedule` kernel-comparison harness. Returns the process exit
 // code: nonzero when the kernels disagree on any case.
 int run_sim_schedule_harness() {
@@ -175,45 +220,28 @@ int run_sim_schedule_harness() {
   int rc = 0;
   const SimScheduleCase cases[] = {{1000, 40, 25}, {4000, 80, 50}};
   for (const SimScheduleCase& c : cases) {
-    const auto cells = synthetic_sched_cells(c.n_cells);
-    const sim::BeamScheduler scheduler(cells, sim::SchedulerConfig{});
     const orbit::WalkerShell shell{53.0, 550.0, c.planes, c.sats_per_plane,
                                    1};
-    const auto states =
-        orbit::propagate_all(orbit::make_constellation(shell), 100.0);
-    std::cout << "  case: " << c.n_cells << " cells x " << states.size()
-              << " sats\n";
-
-    sim::ScheduleWorkspace ws;
-    sim::ScheduleResult indexed;
-    scheduler.schedule(states, ws, indexed);  // also warms the workspace
-    const sim::ScheduleResult naive =
-        oracle::schedule_reference(scheduler, states);
-    if (!(indexed == naive)) {
-      std::cerr << "FAIL: indexed and naive schedules differ at "
-                << c.n_cells << "x" << states.size() << "\n";
-      rc = 1;
-      continue;
-    }
-    std::cout << "  outputs:  byte-identical (served "
-              << indexed.locations_served << "/" << indexed.locations_total
-              << " locations)\n";
-
-    const double naive_ms =
-        timed_reps_ms(3, [&] {
-          bench::keep(oracle::schedule_reference(scheduler, states));
-        }).best_ms;
-    const double indexed_ms =
-        timed_reps_ms(5, [&] { scheduler.schedule(states, ws, indexed); })
-            .best_ms;
-    std::cout << "  naive:    " << naive_ms << " ms\n"
-              << "  indexed:  " << indexed_ms << " ms\n"
-              << "  speedup:  " << naive_ms / indexed_ms << "x\n";
-    std::cout << "{\"bench\":\"sim.schedule\",\"cells\":" << c.n_cells
-              << ",\"sats\":" << states.size() << ",\"naive_ms\":" << naive_ms
-              << ",\"indexed_ms\":" << indexed_ms
-              << ",\"speedup\":" << naive_ms / indexed_ms << "}" << std::endl;
+    rc |= run_sim_schedule_case(
+        sim::BeamScheduler(synthetic_sched_cells(c.n_cells),
+                           sim::SchedulerConfig{}),
+        orbit::propagate_all(orbit::make_constellation(shell), 100.0), "");
   }
+  // The traffic the scheduler serves in practice: the coverage_sim default
+  // run's cells (national profile, seed 42, 20:1 target, beamspread 5)
+  // against Starlink shell 1, where most cells test a handful of live
+  // candidates and keep about one.
+  sim::SchedulerConfig national;
+  national.beamspread = 5;
+  rc |= run_sim_schedule_case(
+      sim::BeamScheduler(
+          sim::BeamScheduler::cells_from_profile(
+              bench::national_profile(), core::SatelliteCapacityModel(),
+              sim::SimulationConfig{}.oversub_target),
+          national),
+      orbit::propagate_all(orbit::make_constellation(orbit::starlink_shell1()),
+                           100.0),
+      "national");
   return rc;
 }
 
@@ -544,49 +572,36 @@ void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
             << "}" << std::endl;
 }
 
-// The SIMD half of the `--graph` harness: the candidate compaction and the
-// epoch rotation kernels against their scalar references (tests/oracles)
-// over a 2048-satellite SoA, bit-compared before anything is timed.
-// Single-threaded, so the ratios are honest on any host; the gates assume
-// the vector backend is live (kernel_lanes() > 1), which the CI runners'
-// x86-64 toolchain provides.
+// The SIMD half of the `--graph` harness: the epoch rotation kernel against
+// its scalar reference (tests/oracles) over a 2048-satellite SoA,
+// bit-compared before anything is timed. Single-threaded, so the ratio is
+// honest on any host; the gate assumes the vector backend is live
+// (kernel_lanes() > 1), which the CI runners' x86-64 toolchain provides.
 int run_graph_simd_cases() {
-  // 2048 satellites keep the SoA L1-resident (3 x 16 KiB inputs), so the
-  // ratios measure the kernels, not the cache hierarchy — 2048 is also the
+  // 2048 satellites keep the SoA L1-resident (2 x 16 KiB inputs), so the
+  // ratio measures the kernel, not the cache hierarchy — 2048 is also the
   // right ballpark for a per-epoch shell slice.
   constexpr std::size_t kSats = 2048;
   constexpr int kIters = 1600;  // timed fn = kIters kernel calls
-  // 25 deg minimum elevation at the 550 km shell — the pipeline's real
-  // visibility threshold (same coverage-cone derivation BeamScheduler
-  // uses: psi = acos(ratio * cos(e)) - e with ratio = R / (R + alt)).
-  const double kElevRad = geo::deg2rad(25.0);
-  const double kRatio =
-      geo::kEarthRadiusKm /
-      (geo::kEarthRadiusKm + orbit::starlink_shell1().altitude_km);
-  const double cos_psi =
-      std::cos(std::acos(kRatio * std::cos(kElevRad)) - kElevRad);
   std::cout << "  backend:  " << orbit::kernel_backend() << " ("
             << orbit::kernel_lanes() << " lane(s))\n";
 
-  // Every array the cases read or write, each starting on a page boundary
-  // (kSats doubles are four pages, kSats uint32s two), so no vector load or
-  // store straddles a cache line and the layout does not depend on what the
-  // process allocated before. Heap vectors are only 16-byte aligned: with the
-  // rotate outputs 16 bytes off a 32-byte boundary `simd.rotate` reads
-  // ~0.97x, and with every array off `simd.filter_visible` ~1.2x, against
-  // ~1.65x and ~1.4x aligned (4-vCPU Xeon, AVX2).
+  // Every array the case reads or writes, each starting on a page boundary
+  // (kSats doubles are four pages), so no vector load or store straddles a
+  // cache line and the layout does not depend on what the process allocated
+  // before. Heap vectors are only 16-byte aligned: with the rotate outputs
+  // 16 bytes off a 32-byte boundary `simd.rotate` reads ~0.97x, against
+  // ~1.65x aligned (4-vCPU Xeon, AVX2).
   static_assert(kSats * sizeof(double) % 4096 == 0);
   struct alignas(4096) Arrays {
-    double ux[kSats], uy[kSats], uz[kSats];
+    double ux[kSats], uy[kSats];
     double rx[kSats], ry[kSats], rx_ref[kSats], ry_ref[kSats];
-    std::uint32_t candidates[kSats], out[kSats], out_ref[kSats];
   };
   const auto arrays = std::make_unique<Arrays>();
   double* const ux = arrays->ux;
   double* const uy = arrays->uy;
-  double* const uz = arrays->uz;
 
-  // SoA of unit satellite radials spread over the sphere, plus one cell.
+  // x and y of unit satellite radials spread over the sphere.
   stats::Pcg32 rng(0x5EEDu);
   for (std::size_t i = 0; i < kSats; ++i) {
     const double z = 2.0 * rng.next_double() - 1.0;
@@ -594,50 +609,9 @@ int run_graph_simd_cases() {
     const double rxy = std::sqrt(std::max(0.0, 1.0 - z * z));
     ux[i] = rxy * std::cos(phi);
     uy[i] = rxy * std::sin(phi);
-    uz[i] = z;
   }
-  const geo::Vec3 cell =
-      geo::spherical_to_cartesian({39.5, -98.35}, 1.0);  // unit radial
 
   int rc = 0;
-  {  // filter_visible vs filter_visible_scalar (all-candidates compaction)
-    std::cout << "  case: filter_visible over " << kSats << " candidates\n";
-    std::uint32_t* const candidates = arrays->candidates;
-    for (std::size_t i = 0; i < kSats; ++i) {
-      candidates[i] = static_cast<std::uint32_t>(i);
-    }
-    std::uint32_t* const out = arrays->out;
-    std::uint32_t* const out_ref = arrays->out_ref;
-    const std::size_t kept =
-        orbit::filter_visible(cell.x, cell.y, cell.z, ux, uy, uz, candidates,
-                              kSats, cos_psi, out);
-    const std::size_t kept_ref = oracle::filter_visible_scalar(
-        cell.x, cell.y, cell.z, ux, uy, uz, candidates, kSats, cos_psi,
-        out_ref);
-    if (kept != kept_ref ||
-        std::memcmp(out, out_ref, kept * sizeof(std::uint32_t)) != 0) {
-      std::cerr << "FAIL: filter_visible disagrees with its scalar reference\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar (kept " << kept << "/"
-                << kSats << ")\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          bench::keep(oracle::filter_visible_scalar(cell.x, cell.y, cell.z,
-                                                    ux, uy, uz, candidates,
-                                                    kSats, cos_psi, out_ref));
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          bench::keep(orbit::filter_visible(cell.x, cell.y, cell.z, ux, uy,
-                                            uz, candidates, kSats, cos_psi,
-                                            out));
-        }
-      });
-      print_simd_case("simd.filter_visible", kSats, scalar, simd);
-    }
-  }
   {  // rotate_about_z vs rotate_about_z_scalar (out-of-place)
     std::cout << "  case: rotate_about_z over " << kSats << " sats\n";
     const double c = std::cos(0.123456789);
@@ -687,7 +661,7 @@ int run_graph_simd_cases() {
 //
 // graph.simd.* — see run_graph_simd_cases above.
 int run_graph_harness() {
-  bench::banner("micro_perf: chain-parallel pipeline + SIMD kernels vs scalar");
+  bench::banner("micro_perf: chain-parallel pipeline + SIMD kernel vs scalar");
   constexpr std::size_t kChains = 4;
   runtime::set_global_threads(1);  // chains overlap; inner stages serial
 

@@ -1,20 +1,17 @@
 #pragma once
-// SIMD kernels for the two hottest inner loops of the pipeline: the
-// visibility cos-threshold test behind BeamScheduler (a cell sees a
-// satellite iff the dot of their unit radials is >= cos psi) and the batched
-// Earth-rotation applied to every satellite per epoch in propagate_all.
+// The SIMD kernel of the pipeline: the batched Earth rotation applied to
+// every satellite per epoch in propagate_all.
 //
-// Each kernel is guaranteed bit-identical to its plain scalar loop:
-// per-lane vector arithmetic is IEEE-identical to the scalar expression
-// (the build disables FP contraction) and lane order is fixed. The scalar
-// references live with the tests in tests/oracles/kernels_scalar.cpp, and
-// tests/test_simd.cpp bit-compares the two on adversarial inputs (poles,
-// date line, exact-threshold grazing elevations, tail lanes). The SIMD code
-// itself lives only in kernels.cpp — the one TU that may carry wider target
-// flags — so nothing flag-dependent is ever inlined into other TUs.
+// The kernel is guaranteed bit-identical to its plain scalar loop: per-lane
+// vector arithmetic is IEEE-identical to the scalar expression (the build
+// disables FP contraction) and lane order is fixed. The scalar reference
+// lives with the tests in tests/oracles/kernels_scalar.cpp, and
+// tests/test_simd.cpp bit-compares the two on every tail length and in
+// place. The SIMD code itself lives only in kernels.cpp — the one TU that
+// may carry wider target flags — so nothing flag-dependent is ever inlined
+// into other TUs.
 
 #include <cstddef>
-#include <cstdint>
 
 namespace leodivide::orbit {
 
@@ -23,16 +20,6 @@ namespace leodivide::orbit {
 
 /// Human-readable backend tag for bench labels, e.g. "vec4" or "scalar".
 [[nodiscard]] const char* kernel_backend() noexcept;
-
-/// Order-preserving visible-candidate compaction: writes to out[] every
-/// index si = candidates[i] (i ascending) whose satellite unit vector
-/// (ux[si], uy[si], uz[si]) satisfies cx*ux + cy*uy + cz*uz >= cos_psi, and
-/// returns how many were kept. `out` must have room for n entries and may
-/// not alias `candidates`.
-std::size_t filter_visible(double cx, double cy, double cz, const double* ux,
-                           const double* uy, const double* uz,
-                           const std::uint32_t* candidates, std::size_t n,
-                           double cos_psi, std::uint32_t* out);
 
 /// Batched epoch rotation about the Earth axis, the expression of the
 /// oracle::ecef_position test reference (tests/oracles) verbatim per element:

@@ -44,6 +44,16 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
   n_sats_ = sats.size();
   psi_deg_ = geo::rad2deg(psi_rad);
 
+  unit_x_.resize(n_sats_);
+  unit_y_.resize(n_sats_);
+  unit_z_.resize(n_sats_);
+  for (std::size_t i = 0; i < n_sats_; ++i) {
+    const geo::Vec3 u = sats[i].ecef_km.unit();
+    unit_x_[i] = u.x;
+    unit_y_[i] = u.y;
+    unit_z_[i] = u.z;
+  }
+
   sin_window_ = std::sin(geo::deg2rad(psi_deg_ + kWindowSlackDeg));
 
   // Grid counts are clamped in double before the cast: a tiny psi (a mask
@@ -111,8 +121,16 @@ void VisIndex::retire(std::uint32_t sat) noexcept {
   const auto last = bucket_sats_.begin() + bucket_end_[bucket];
   const auto it = std::lower_bound(first, last, sat);
   if (it == last || *it != sat) return;  // already retired
-  std::copy(it + 1, last, it);
+  // Close the gap across the rest of the band, not just the bucket, so
+  // the live satellites of any run of one band's buckets stay contiguous.
+  const std::uint32_t band_last =
+      *std::upper_bound(band_offset_.begin(), band_offset_.end(), bucket) - 1;
+  std::copy(it + 1, bucket_sats_.begin() + bucket_end_[band_last], it);
   --bucket_end_[bucket];
+  for (std::uint32_t b = bucket + 1; b <= band_last; ++b) {
+    --bucket_start_[b];
+    --bucket_end_[b];
+  }
 }
 
 void VisIndex::window(const geo::GeoPoint& cell, double extra_deg,
@@ -158,19 +176,35 @@ void VisIndex::window(const geo::GeoPoint& cell, double extra_deg,
   }
 }
 
-std::size_t VisIndex::gather(const BucketSpan* spans, std::size_t n,
-                             std::uint32_t* out) const noexcept {
+ScanCount VisIndex::scan(const BucketSpan* spans, std::size_t n,
+                         const geo::Vec3& cell_unit, double cos_psi,
+                         std::uint32_t* out) const noexcept {
+  const double cx = cell_unit.x;
+  const double cy = cell_unit.y;
+  const double cz = cell_unit.z;
+  const double* const ux = unit_x_.data();
+  const double* const uy = unit_y_.data();
+  const double* const uz = unit_z_.data();
+  const std::uint32_t* const sats = bucket_sats_.data();
+  std::size_t live = 0;
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t end = spans[i].first + spans[i].count;
-    for (std::uint32_t bucket = spans[i].first; bucket < end; ++bucket) {
-      const std::uint32_t hi = bucket_end_[bucket];
-      for (std::uint32_t j = bucket_start_[bucket]; j < hi; ++j) {
-        out[k++] = bucket_sats_[j];
-      }
+    // A span is a run of one band's buckets, whose live satellites retire()
+    // keeps contiguous: one range covers the whole span.
+    const std::uint32_t lo = bucket_start_[spans[i].first];
+    const std::uint32_t hi = bucket_end_[spans[i].first + spans[i].count - 1];
+    live += hi - lo;
+    // A cell tests ~7 live candidates and keeps ~1, so a branch on the test
+    // mispredicts more often than the dot product costs: store every
+    // candidate and advance the cursor by the test's 0 or 1.
+    for (std::uint32_t j = lo; j < hi; ++j) {
+      const std::uint32_t s = sats[j];
+      out[k] = s;
+      k += static_cast<std::size_t>(cx * ux[s] + cy * uy[s] + cz * uz[s] >=
+                                    cos_psi);
     }
   }
-  return k;
+  return {live, k};
 }
 
 }  // namespace leodivide::orbit

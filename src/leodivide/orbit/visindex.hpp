@@ -3,23 +3,25 @@
 // point into a lat-band x lon-sector geodesic grid sized from the coverage
 // central angle psi, so a ground cell queries only the O(k) satellites whose
 // buckets can intersect its coverage cone instead of scanning the whole
-// constellation. The candidate set is a strict superset of the truly
-// visible set (callers keep their exact angular test as the final filter)
-// and is duplicate-free, emitted in bucket-major order; a caller whose
-// selection tie-breaks on satellite index explicitly is byte-identical to a
-// full ascending scan. A query is two steps: window() does the trig (band
-// range, longitude half-width, sector ranges) and yields bucket spans that
-// depend only on the cell and the grid layout; gather() walks those spans.
-// A caller querying fixed cells epoch after epoch (the scheduler) keeps
-// the spans and pays only the walk. retire() drops a satellite from every
-// later gather until the next build(), so a caller whose satellites fill up
-// (the scheduler's beam budgets) stops gathering and filtering candidates
-// it would reject anyway.
+// constellation. A query is two steps: window() does the trig (band range,
+// longitude half-width, sector ranges) and yields bucket spans that depend
+// only on the cell and the grid layout; scan() walks those spans and keeps
+// the satellites that pass the exact visibility test (the dot of the cell's
+// and the satellite's unit radials against cos psi). The spans cover a
+// strict superset of the visible set, so the test alone decides; the kept
+// satellites are duplicate-free and in bucket-major order, and a caller
+// whose selection tie-breaks on satellite index explicitly is byte-identical
+// to a full ascending scan. A caller querying fixed cells epoch after epoch
+// (the scheduler) keeps the spans and pays only the scan. retire() drops a
+// satellite from every later scan until the next build(), so a caller whose
+// satellites fill up (the scheduler's beam budgets) stops testing
+// candidates it would reject anyway.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "leodivide/geo/ecef.hpp"
 #include "leodivide/orbit/propagate.hpp"
 
 namespace leodivide::orbit {
@@ -36,19 +38,29 @@ struct BucketSpan {
   std::uint32_t count = 0;
 };
 
+/// What one VisIndex::scan() walked and kept.
+struct ScanCount {
+  std::size_t live = 0;     ///< live satellites in the scanned buckets
+  std::size_t visible = 0;  ///< of those, written to `out`
+};
+
 class VisIndex {
  public:
   /// Rebuilds the index over `sats` for a coverage central angle of
-  /// `psi_rad` (must be > 0). Internal storage is reused: rebuilding at an
-  /// unchanged constellation size and coverage angle performs no heap
-  /// allocation after the first build.
+  /// `psi_rad` (must be > 0), and stores each satellite's unit radial
+  /// (ecef_km.unit(), which throws std::domain_error for a zero position;
+  /// the index must then be rebuilt before its next query).
+  /// Internal storage is reused: rebuilding at an unchanged constellation
+  /// size and coverage angle performs no heap allocation after the first
+  /// build.
   void build(const std::vector<SatState>& sats, double psi_rad);
 
   /// Removes satellite `sat` (an index into the last build's states) from
-  /// every later gather() until the next build(), which restores it. The
-  /// removal shifts the rest of its bucket down in place, so buckets stay
-  /// ascending; it never allocates. Retiring an already-retired satellite
-  /// is a no-op.
+  /// every later scan() until the next build(), which restores it. The
+  /// removal shifts the rest of its band down in place, so buckets stay
+  /// ascending and the live satellites of consecutive buckets in one band
+  /// stay contiguous; it never allocates. Retiring an already-retired
+  /// satellite is a no-op.
   void retire(std::uint32_t sat) noexcept;
 
   /// Appends to `spans` the bucket runs that can hold a satellite whose
@@ -61,12 +73,20 @@ class VisIndex {
   void window(const geo::GeoPoint& cell, double extra_deg,
               std::vector<BucketSpan>& spans) const;
 
-  /// Writes the live (unretired) satellites of `spans[0, n)` to `out`,
-  /// which must have room for sat_count() entries, and returns how many
-  /// it wrote. The spans must come from window() on an index with the same
-  /// band_sectors() and must not repeat a bucket. Never allocates.
-  std::size_t gather(const BucketSpan* spans, std::size_t n,
-                     std::uint32_t* out) const noexcept;
+  /// Walks the live (unretired) satellites of `spans[0, n)` in bucket-major
+  /// order and writes to `out` each satellite s whose unit radial u passes
+  ///   cell_unit.x * u.x + cell_unit.y * u.y + cell_unit.z * u.z >= cos_psi
+  /// (evaluated left to right; the build disables FP contraction, so the
+  /// result is the scalar expression's bit for bit). NaN fails the test;
+  /// cos_psi = -inf keeps every live candidate. `out` must have room for
+  /// sat_count() entries: every candidate is stored before the test decides
+  /// whether the next one overwrites it, so the loop never branches on a
+  /// result. The spans must come from window() on an index with the same
+  /// band_sectors() (each is one or more buckets of a single band) and must
+  /// not repeat a bucket. Never allocates.
+  ScanCount scan(const BucketSpan* spans, std::size_t n,
+                 const geo::Vec3& cell_unit, double cos_psi,
+                 std::uint32_t* out) const noexcept;
 
   /// Longitude sectors of each latitude band, south to north: the grid
   /// layout. Two indexes with equal layouts number their buckets alike.
@@ -95,10 +115,13 @@ class VisIndex {
   double sin_window_ = 0.0;  ///< sin(psi + query slack), per build
   std::vector<std::uint32_t> band_sectors_;  ///< lon sectors per band
   std::vector<std::uint32_t> band_offset_;   ///< first bucket id per band
-  std::vector<std::uint32_t> bucket_start_;  ///< CSR offsets (buckets + 1)
+  std::vector<std::uint32_t> bucket_start_;  ///< live start (buckets + 1)
   std::vector<std::uint32_t> bucket_end_;    ///< live end per bucket
   std::vector<std::uint32_t> bucket_sats_;   ///< ascending within a bucket
   std::vector<std::uint32_t> sat_bucket_;    ///< bucket of each satellite
+  std::vector<double> unit_x_;  ///< SoA satellite unit radials
+  std::vector<double> unit_y_;
+  std::vector<double> unit_z_;
 };
 
 }  // namespace leodivide::orbit

@@ -29,8 +29,4 @@ bool BeamBudget::reserve_shared_slot() noexcept {
   return true;
 }
 
-std::uint32_t BeamBudget::slack() const noexcept {
-  return beams_free_ * beamspread_ + shared_slots_free_;
-}
-
 }  // namespace leodivide::sim

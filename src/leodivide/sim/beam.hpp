@@ -36,7 +36,9 @@ class BeamBudget {
 
   /// Remaining capacity in cell units: whole-beam cells it could still take
   /// plus open shared slots (used by the scheduler's satellite choice).
-  [[nodiscard]] std::uint32_t slack() const noexcept;
+  [[nodiscard]] std::uint32_t slack() const noexcept {
+    return beams_free_ * beamspread_ + shared_slots_free_;
+  }
 
  private:
   std::uint32_t total_;

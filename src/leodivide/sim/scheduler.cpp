@@ -11,7 +11,6 @@
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/orbit/footprint.hpp"
-#include "leodivide/orbit/kernels.hpp"
 #include "leodivide/sim/beam.hpp"
 
 namespace leodivide::sim {
@@ -35,7 +34,7 @@ CoverageGeometry coverage_geometry(double radius_km,
 }
 
 // Every cell's visibility-index window, kept across epochs. Spans are
-// stored in processing order: cell order_[k] scans
+// stored in processing order: cell order_[k].cell scans
 // spans[offsets[k], offsets[k + 1]).
 //
 // Reuse rule: the table serves an epoch whose index has the same layout
@@ -85,17 +84,21 @@ BeamScheduler::BeamScheduler(std::vector<SchedCell> cells,
   (void)coverage_geometry(coverage_radius_km({}), config_.min_elevation_deg);
   // The naive-scan test oracle (tests/oracles) re-derives this order with
   // the same comparator; the equivalence suites fail if the two diverge.
-  order_.resize(cells_.size());
-  std::iota(order_.begin(), order_.end(), 0U);
-  std::sort(order_.begin(), order_.end(),
+  std::vector<std::uint32_t> order(cells_.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::sort(order.begin(), order.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               if (cells_[a].beams_needed != cells_[b].beams_needed) {
                 return cells_[a].beams_needed > cells_[b].beams_needed;
               }
               return cells_[a].locations > cells_[b].locations;
             });
-  cell_units_.reserve(cells_.size());
-  for (const auto& cell : cells_) cell_units_.push_back(cell.ecef_km.unit());
+  order_.reserve(cells_.size());
+  for (const std::uint32_t ci : order) {
+    const SchedCell& cell = cells_[ci];
+    order_.push_back(
+        {cell.ecef_km.unit(), ci, cell.beams_needed, cell.locations});
+  }
 }
 
 std::vector<SchedCell> BeamScheduler::cells_from_profile(
@@ -132,8 +135,9 @@ std::shared_ptr<const BeamScheduler::WindowTable> BeamScheduler::window_table(
   table->spans.reserve(3 * order_.size());
   table->offsets.reserve(order_.size() + 1);
   table->offsets.push_back(0);
-  for (const std::uint32_t ci : order_) {
-    index.window(cells_[ci].center, orbit::kWindowSlackDeg, table->spans);
+  for (const OrderedCell& cell : order_) {
+    index.window(cells_[cell.cell].center, orbit::kWindowSlackDeg,
+                 table->spans);
     table->offsets.push_back(static_cast<std::uint32_t>(table->spans.size()));
   }
   windows_->table = table;
@@ -165,67 +169,46 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
   }
   const double cos_psi = ws.geometry.cos_psi;
 
+  if (sats.empty()) {
+    for (const OrderedCell& cell : order_) {
+      result.locations_total += cell.locations;
+      result.unassigned_cells.push_back(cell.cell);
+    }
+    return;
+  }
+
   ws.budgets.assign(
       sats.size(), BeamBudget(config_.beams_per_satellite, config_.beamspread));
   ws.sat_touched.assign(sats.size(), 0);
-
-  // SoA unit vectors of the satellite positions for the cheap visibility
-  // test: cell "sees" sat iff the central angle between their radials is
-  // <= psi, i.e. the unit dot is >= cos(psi).
-  ws.unit_x.resize(sats.size());
-  ws.unit_y.resize(sats.size());
-  ws.unit_z.resize(sats.size());
-  ws.visible.resize(sats.size());
-  for (std::size_t si = 0; si < sats.size(); ++si) {
-    const geo::Vec3 u = sats[si].ecef_km.unit();
-    ws.unit_x[si] = u.x;
-    ws.unit_y[si] = u.y;
-    ws.unit_z[si] = u.z;
-  }
-
-  std::shared_ptr<const WindowTable> windows;
-  if (!sats.empty()) {
-    ws.index.build(sats, ws.geometry.psi_rad);
-    windows = window_table(ws.index);
-    ws.candidates.resize(sats.size());  // gather() output, never regrown
-  }
+  ws.index.build(sats, ws.geometry.psi_rad);
+  const std::shared_ptr<const WindowTable> windows = window_table(ws.index);
+  ws.visible.resize(sats.size());  // scan() output, never regrown
 
   std::uint64_t candidates_scanned = 0;
   std::uint64_t retired = 0;
   for (std::size_t k = 0; k < order_.size(); ++k) {
-    const std::uint32_t ci = order_[k];
-    const SchedCell& cell = cells_[ci];
+    const OrderedCell& cell = order_[k];
     result.locations_total += cell.locations;
-    if (sats.empty()) {
-      result.unassigned_cells.push_back(ci);
-      continue;
-    }
-    const geo::Vec3& cell_unit = cell_units_[ci];
+    // One pass over the live satellites of the cell's buckets keeps those
+    // whose unit dot with the cell radial passes cos_psi — the naive
+    // scan's exact test, so the visible set is unchanged.
     const std::uint32_t first_span = windows->offsets[k];
-    const std::size_t n_candidates = ws.index.gather(
-        windows->spans.data() + first_span,
-        windows->offsets[k + 1] - first_span, ws.candidates.data());
-    candidates_scanned += n_candidates;
-
-    // SIMD exact-visibility compaction: keep the candidates whose unit dot
-    // with the cell radial passes cos_psi, in candidate order. The kernel
-    // is bit-identical to the scalar test it replaced (tests/test_simd.cpp)
-    // so the survivor sequence — and therefore the schedule — is unchanged.
-    const std::size_t n_visible = orbit::filter_visible(
-        cell_unit.x, cell_unit.y, cell_unit.z, ws.unit_x.data(),
-        ws.unit_y.data(), ws.unit_z.data(), ws.candidates.data(),
-        n_candidates, cos_psi, ws.visible.data());
+    const orbit::ScanCount scan =
+        ws.index.scan(windows->spans.data() + first_span,
+                      windows->offsets[k + 1] - first_span, cell.unit,
+                      cos_psi, ws.visible.data());
+    candidates_scanned += scan.live;
 
     // Selection is order-independent: the naive ascending scan with strict
     // improvement picks the lowest-indexed feasible satellite attaining
     // the best slack (max for kMostSlack, min for kBestFit, any for
-    // kFirstFit), so scanning the unsorted candidate set with an explicit
+    // kFirstFit), so scanning the unsorted visible set with an explicit
     // index tie-break chooses the identical satellite — byte-identical
     // schedules without sorting candidates per cell (pinned by the
     // equivalence suite).
     std::int64_t best_sat = -1;
     std::uint32_t best_slack = 0;
-    for (std::size_t vi = 0; vi < n_visible; ++vi) {
+    for (std::size_t vi = 0; vi < scan.visible; ++vi) {
       const std::uint32_t si = ws.visible[vi];
       const std::uint32_t slack = ws.budgets[si].slack();
       if (slack == 0) continue;
@@ -255,7 +238,7 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
       }
     }
     if (best_sat < 0) {
-      result.unassigned_cells.push_back(ci);
+      result.unassigned_cells.push_back(cell.cell);
       continue;
     }
     auto& budget = ws.budgets[static_cast<std::size_t>(best_sat)];
@@ -263,19 +246,19 @@ void BeamScheduler::schedule(const std::vector<orbit::SatState>& sats,
                         ? budget.reserve_whole(cell.beams_needed)
                         : budget.reserve_shared_slot();
     if (!ok) {
-      result.unassigned_cells.push_back(ci);
+      result.unassigned_cells.push_back(cell.cell);
       continue;
     }
     // Slack never grows within an epoch, so a full satellite can never be
-    // selected again: drop it from the index instead of gathering and
-    // filtering it for every remaining cell.
+    // selected again: drop it from the index instead of testing it for
+    // every remaining cell.
     if (budget.slack() == 0) {
       ws.index.retire(static_cast<std::uint32_t>(best_sat));
       ++retired;
     }
     ws.sat_touched[static_cast<std::size_t>(best_sat)] = 1;
     result.assignments.push_back(
-        Assignment{ci, static_cast<std::uint32_t>(best_sat),
+        Assignment{cell.cell, static_cast<std::uint32_t>(best_sat),
                    cell.beams_needed >= 2 ? cell.beams_needed : 0U});
     result.locations_served += cell.locations;
   }

@@ -84,11 +84,11 @@ class BeamScheduler {
   /// Schedules one epoch given satellite states. Cells are processed in
   /// descending beam need then descending demand; each picks among the
   /// visible satellites per the configured strategy. Internally the cell →
-  /// satellite search runs through a per-epoch spatial index
-  /// (orbit::VisIndex), pruning the candidate set from O(sats) to O(k)
-  /// per cell, and a satellite is retired from the index once its slack
-  /// reaches zero; the result is byte-identical to the naive full scan
-  /// kept as a test oracle in tests/oracles.
+  /// satellite search is one scan of a per-epoch spatial index
+  /// (orbit::VisIndex), which tests only the O(k) live satellites of the
+  /// cell's buckets instead of O(sats), and a satellite is retired from the
+  /// index once its slack reaches zero; the result is byte-identical to the
+  /// naive full scan kept as a test oracle in tests/oracles.
   /// Each cell's index window is computed once per grid layout and shared
   /// by every later epoch, thread and copy of this scheduler.
   [[nodiscard]] ScheduleResult schedule(
@@ -123,10 +123,17 @@ class BeamScheduler {
   [[nodiscard]] std::shared_ptr<const WindowTable> window_table(
       const orbit::VisIndex& index) const;
 
+  /// A cell in processing order, with what the scheduling loop reads of it.
+  struct OrderedCell {
+    geo::Vec3 unit;                  ///< unit radial of the centre
+    std::uint32_t cell = 0;          ///< index into cells_
+    std::uint32_t beams_needed = 1;
+    std::uint32_t locations = 0;
+  };
+
   std::vector<SchedCell> cells_;
   SchedulerConfig config_;
-  std::vector<std::uint32_t> order_;      ///< processing order, precomputed
-  std::vector<geo::Vec3> cell_units_;     ///< unit radials, precomputed
+  std::vector<OrderedCell> order_;        ///< processing order, precomputed
   std::shared_ptr<WindowCache> windows_;  ///< shared by copies
 };
 

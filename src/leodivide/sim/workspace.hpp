@@ -2,9 +2,9 @@
 // Reusable per-executor-thread scratch for the epoch scheduling loop. One
 // workspace per worker (the simulation driver creates one per parallel_for
 // chunk) lets every epoch after the first reuse the satellite budgets,
-// touched flags, candidate lists, SoA unit-vector components and the
-// spatial index storage — the steady-state epoch loop performs zero heap
-// allocations (pinned by tests/test_sim_equivalence.cpp).
+// touched flags, visible lists and the spatial index storage (unit radials
+// included) — the steady-state epoch loop performs zero heap allocations
+// (pinned by tests/test_sim_equivalence.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -39,11 +39,7 @@ struct ScheduleWorkspace {
 
   std::vector<BeamBudget> budgets;        ///< per-satellite beam budgets
   std::vector<std::uint8_t> sat_touched;  ///< per-satellite "saw demand"
-  std::vector<double> unit_x;             ///< SoA satellite unit vectors
-  std::vector<double> unit_y;
-  std::vector<double> unit_z;
-  std::vector<std::uint32_t> candidates;  ///< per-cell gather, sized to sats
-  std::vector<std::uint32_t> visible;     ///< SIMD-compacted visible subset
+  std::vector<std::uint32_t> visible;     ///< per-cell scan, sized to sats
   std::vector<orbit::SatState> states;    ///< propagate_all target
   std::vector<std::uint32_t> sat_dedup;   ///< summarize_epoch scratch
 };

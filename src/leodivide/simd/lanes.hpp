@@ -2,7 +2,7 @@
 // Portable fixed-width SIMD lanes on the GCC/Clang vector extension, with a
 // compile-time-selected scalar fallback. No intrinsics headers and no
 // target-specific code here: a DoubleLanes<W>::V is a W-wide double vector
-// whose +, -, *, and comparison operators are per-lane IEEE-754 operations,
+// whose +, -, and * operators are per-lane IEEE-754 operations,
 // and the compiler legalizes any width for the target it was given (a
 // 4-wide vector compiles to two SSE2 ops on baseline x86-64, one AVX op
 // when the TU is built with -mavx2, and scalar code elsewhere).
@@ -30,22 +30,18 @@ namespace leodivide::simd {
 #define LEODIVIDE_SIMD_VECTOR_EXT 1
 #endif
 
-/// W-wide double lanes plus the matching per-lane comparison mask type
-/// (vector comparisons yield all-ones / all-zero integer lanes). Only the
-/// widths the extension supports are specialized; DoubleLanes<1> is the
-/// scalar fallback so width-generic kernels compile everywhere.
+/// W-wide double lanes. Only the widths the extension supports are
+/// specialized; DoubleLanes<1> is the scalar fallback so width-generic
+/// kernels compile everywhere.
 template <std::size_t W>
 struct DoubleLanes;
 
 template <>
 struct DoubleLanes<1> {
   using V = double;
-  using M = long long;
   static V load(const double* p) noexcept { return *p; }
   static void store(double* p, V v) noexcept { *p = v; }
   static V splat(double x) noexcept { return x; }
-  static double lane(V v, std::size_t) noexcept { return v; }
-  static long long mask_lane(M m, std::size_t) noexcept { return m; }
 };
 
 #ifdef LEODIVIDE_SIMD_VECTOR_EXT
@@ -55,10 +51,9 @@ namespace detail {
 /// Shared implementation for the vector-extension widths. memcpy-based
 /// load/store keeps unaligned access well-defined (it compiles to a single
 /// unaligned vector move).
-template <typename Vec, typename Mask, std::size_t W>
+template <typename Vec, std::size_t W>
 struct VectorLanes {
   using V = Vec;
-  using M = Mask;
   static V load(const double* p) noexcept {
     V v;
     std::memcpy(&v, p, sizeof v);
@@ -70,25 +65,20 @@ struct VectorLanes {
     for (std::size_t i = 0; i < W; ++i) v[i] = x;
     return v;
   }
-  static double lane(V v, std::size_t i) noexcept { return v[i]; }
-  static long long mask_lane(M m, std::size_t i) noexcept { return m[i]; }
 };
 
 using V2 = double __attribute__((vector_size(16)));
-using M2 = long long __attribute__((vector_size(16)));
 using V4 = double __attribute__((vector_size(32)));
-using M4 = long long __attribute__((vector_size(32)));
 using V8 = double __attribute__((vector_size(64)));
-using M8 = long long __attribute__((vector_size(64)));
 
 }  // namespace detail
 
 template <>
-struct DoubleLanes<2> : detail::VectorLanes<detail::V2, detail::M2, 2> {};
+struct DoubleLanes<2> : detail::VectorLanes<detail::V2, 2> {};
 template <>
-struct DoubleLanes<4> : detail::VectorLanes<detail::V4, detail::M4, 4> {};
+struct DoubleLanes<4> : detail::VectorLanes<detail::V4, 4> {};
 template <>
-struct DoubleLanes<8> : detail::VectorLanes<detail::V8, detail::M8, 8> {};
+struct DoubleLanes<8> : detail::VectorLanes<detail::V8, 8> {};
 
 #endif  // LEODIVIDE_SIMD_VECTOR_EXT
 

@@ -31,9 +31,10 @@ namespace leodivide::oracle {
 [[nodiscard]] geo::Vec3 ecef_position(const orbit::CircularOrbit& orbit,
                                       double t_s);
 
-/// Every VisIndex candidate for `cell`, ascending: window() at the index's
-/// own angle, then gather(), then a sort. The scheduler keeps each cell's
-/// window spans and gathers alone; tests compare whole candidate sets.
+/// Every live VisIndex candidate for `cell`, ascending: window() at the
+/// index's own angle, then scan() with cos_psi = -inf (which keeps every
+/// live satellite of the window), then a sort. The scheduler keeps each
+/// cell's window spans and scans alone; tests compare whole candidate sets.
 [[nodiscard]] std::vector<std::uint32_t> vis_candidates(
     const orbit::VisIndex& index, const geo::GeoPoint& cell);
 
@@ -65,13 +66,7 @@ namespace leodivide::oracle {
     const hex::HexGrid& grid, const geo::Polygon& poly, int resolution,
     runtime::Executor& executor);
 
-/// Scalar references for orbit::filter_visible and orbit::rotate_about_z.
-std::size_t filter_visible_scalar(double cx, double cy, double cz,
-                                  const double* ux, const double* uy,
-                                  const double* uz,
-                                  const std::uint32_t* candidates,
-                                  std::size_t n, double cos_psi,
-                                  std::uint32_t* out);
+/// Scalar reference for orbit::rotate_about_z.
 void rotate_about_z_scalar(const double* x, const double* y, double c,
                            double s, std::size_t n, double* out_x,
                            double* out_y);

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "leodivide/geo/angle.hpp"
+#include "leodivide/geo/ecef.hpp"
 #include "oracles/oracles.hpp"
 
 namespace leodivide::oracle {
@@ -19,8 +21,13 @@ std::vector<std::uint32_t> vis_candidates(const orbit::VisIndex& index,
   std::vector<orbit::BucketSpan> spans;
   index.window(cell, 0.0, spans);
   std::vector<std::uint32_t> out(index.sat_count());
-  out.resize(index.gather(spans.data(), spans.size(), out.data()));
-  // Buckets partition the satellites, so the gather has no duplicates.
+  const geo::Vec3 cell_unit =
+      geo::spherical_to_cartesian(cell, geo::kEarthRadiusKm).unit();
+  out.resize(index
+                 .scan(spans.data(), spans.size(), cell_unit,
+                       -std::numeric_limits<double>::infinity(), out.data())
+                 .visible);
+  // Buckets partition the satellites, so the scan has no duplicates.
   std::sort(out.begin(), out.end());
   return out;
 }

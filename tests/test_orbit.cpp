@@ -639,15 +639,20 @@ TEST(VisIndex, BuildRestoresEveryRetiredSatellite) {
   EXPECT_EQ(all.size(), states.size());
 }
 
-// The gather of window(cell, extra_deg), sorted.
-std::vector<std::uint32_t> gather_window(const VisIndex& window_index,
-                                         const VisIndex& gather_index,
-                                         const geo::GeoPoint& cell,
-                                         double extra_deg) {
+// Every live satellite in window(cell, extra_deg), sorted: a scan at
+// cos_psi = -inf keeps them all.
+std::vector<std::uint32_t> window_candidates(const VisIndex& window_index,
+                                             const VisIndex& scan_index,
+                                             const geo::GeoPoint& cell,
+                                             double extra_deg) {
   std::vector<BucketSpan> spans;
   window_index.window(cell, extra_deg, spans);
-  std::vector<std::uint32_t> out(gather_index.sat_count());
-  out.resize(gather_index.gather(spans.data(), spans.size(), out.data()));
+  std::vector<std::uint32_t> out(scan_index.sat_count());
+  const geo::Vec3 cell_unit = geo::spherical_to_cartesian(cell, 1.0).unit();
+  out.resize(scan_index
+                 .scan(spans.data(), spans.size(), cell_unit,
+                       -std::numeric_limits<double>::infinity(), out.data())
+                 .visible);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -665,7 +670,7 @@ std::vector<geo::GeoPoint> edge_and_random_cells(std::uint64_t seed) {
 }
 
 TEST(VisIndex, WindowSpansStayInRangeAndNeverRepeatABucket) {
-  // gather() writes at most sat_count() satellites only if no bucket
+  // scan() writes at most sat_count() satellites only if no bucket
   // appears twice in one window, date-line wraps included.
   const auto states = shell_states({97.0, 550.0, 24, 18, 5}, 777.0);
   VisIndex index;
@@ -694,7 +699,7 @@ TEST(VisIndex, WindowSpansStayInRangeAndNeverRepeatABucket) {
 TEST(VisIndex, WindowsAtALargerAngleGatherSupersets) {
   // The scheduler reuses windows built at psi_b + kWindowSlackDeg for any
   // later index with the same layout and psi <= psi_b + kWindowSlackDeg:
-  // those windows must gather a superset of that index's own query.
+  // those windows must hold a superset of that index's own query.
   const auto states = shell_states({97.0, 550.0, 24, 18, 5}, 321.0);
   const double psi_deg = 8.4585;
   VisIndex built;
@@ -706,7 +711,7 @@ TEST(VisIndex, WindowsAtALargerAngleGatherSupersets) {
   for (const geo::GeoPoint& cell : edge_and_random_cells(9)) {
     const auto own = oracle::vis_candidates(later, cell);
     for (const double extra : {kWindowSlackDeg, 0.5, 3.0}) {
-      const auto wide = gather_window(built, later, cell, extra);
+      const auto wide = window_candidates(built, later, cell, extra);
       EXPECT_TRUE(std::includes(wide.begin(), wide.end(), own.begin(),
                                 own.end()))
           << cell.lat_deg << "," << cell.lon_deg << " extra " << extra;

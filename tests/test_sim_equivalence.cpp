@@ -360,6 +360,172 @@ TEST(VisIndexContract, RejectsNonPositivePsi) {
   EXPECT_THROW(index.build({}, -1.0), std::invalid_argument);
 }
 
+// ------------------------------------------------------------ fused scan ----
+
+// The bucket a satellite's sub-point falls in, by the index's public layout
+// and the same float expressions VisIndex uses.
+std::uint32_t bucket_of(const orbit::VisIndex& index,
+                        const geo::GeoPoint& p) {
+  const auto cell = [](double scaled, std::uint32_t n) {
+    if (!(scaled > 0.0)) return 0U;
+    if (scaled >= static_cast<double>(n)) return n - 1;
+    return static_cast<std::uint32_t>(scaled);
+  };
+  const std::uint32_t bands = index.band_count();
+  const std::uint32_t band =
+      cell((p.lat_deg + 90.0) / (180.0 / static_cast<double>(bands)), bands);
+  std::uint32_t first = 0;
+  for (std::uint32_t b = 0; b < band; ++b) first += index.band_sectors()[b];
+  const std::uint32_t sectors = index.band_sectors()[band];
+  return first + cell((p.lon_deg + 180.0) /
+                          (360.0 / static_cast<double>(sectors)),
+                      sectors);
+}
+
+// What a candidate walk without a visibility test returns: every live
+// satellite whose bucket lies in `spans`, ascending.
+std::vector<std::uint32_t> live_in_spans(
+    const orbit::VisIndex& index, const std::vector<orbit::SatState>& states,
+    const std::vector<std::uint8_t>& retired,
+    const std::vector<orbit::BucketSpan>& spans) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t si = 0; si < states.size(); ++si) {
+    if (retired[si] != 0) continue;
+    const std::uint32_t b = bucket_of(index, states[si].subpoint);
+    for (const orbit::BucketSpan& span : spans) {
+      if (b >= span.first && b < span.first + span.count) {
+        out.push_back(si);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// Every live satellite whose unit dot with `cu` passes `cos_psi`, ascending.
+std::vector<std::uint32_t> brute_visible(
+    const std::vector<orbit::SatState>& states,
+    const std::vector<std::uint8_t>& retired, const geo::Vec3& cu,
+    double cos_psi) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t si = 0; si < states.size(); ++si) {
+    if (retired[si] == 0 && cu.dot(states[si].ecef_km.unit()) >= cos_psi) {
+      out.push_back(si);
+    }
+  }
+  return out;
+}
+
+// Checks one query: scan() at `cos_psi` (and at thresholds that put a
+// satellite exactly on the boundary) keeps the brute-force set, walks the
+// live satellites of the window, and at -inf keeps all of them.
+void expect_scan_exact(const orbit::VisIndex& index,
+                       const std::vector<orbit::SatState>& states,
+                       const std::vector<std::uint8_t>& retired,
+                       const geo::GeoPoint& cell, double cos_psi) {
+  std::vector<orbit::BucketSpan> spans;
+  index.window(cell, 0.0, spans);
+  const geo::Vec3 cu =
+      geo::spherical_to_cartesian(cell, geo::kEarthRadiusKm).unit();
+  const std::vector<std::uint32_t> live =
+      live_in_spans(index, states, retired, spans);
+  std::vector<std::uint32_t> out(index.sat_count());
+  const auto scan = [&](double threshold) {
+    const orbit::ScanCount n = index.scan(spans.data(), spans.size(), cu,
+                                          threshold, out.data());
+    EXPECT_EQ(n.live, live.size()) << cell.lat_deg << "," << cell.lon_deg;
+    std::vector<std::uint32_t> kept(out.begin(),
+                                    out.begin() + static_cast<std::ptrdiff_t>(
+                                                      n.visible));
+    std::sort(kept.begin(), kept.end());
+    return kept;
+  };
+  EXPECT_EQ(scan(-std::numeric_limits<double>::infinity()), live)
+      << cell.lat_deg << "," << cell.lon_deg;
+  EXPECT_EQ(oracle::vis_candidates(index, cell), live);
+
+  const std::vector<std::uint32_t> visible =
+      brute_visible(states, retired, cu, cos_psi);
+  EXPECT_EQ(scan(cos_psi), visible) << cell.lat_deg << "," << cell.lon_deg;
+  // Raise the threshold to each visible satellite's own dot: it sits exactly
+  // on the boundary and stays; one ulp higher it goes.
+  for (const std::uint32_t si : visible) {
+    const double dot = cu.dot(states[si].ecef_km.unit());
+    for (const double threshold : {dot, std::nextafter(dot, 2.0)}) {
+      EXPECT_EQ(scan(threshold), brute_visible(states, retired, cu, threshold))
+          << cell.lat_deg << "," << cell.lon_deg << " sat " << si;
+    }
+  }
+}
+
+TEST(FusedScan, KeepsExactlyTheBruteForceSetUnderRetirement) {
+  stats::Pcg32 rng(20261019);
+  for (int trial = 0; trial < 4; ++trial) {
+    orbit::WalkerShell shell;
+    shell.inclination_deg = 45.0 + rng.next_double() * 53.0;  // up to polar
+    shell.altitude_km = 400.0 + rng.next_double() * 800.0;
+    shell.planes = 8 + static_cast<std::uint32_t>(rng.next_below(12));
+    shell.sats_per_plane = 6 + static_cast<std::uint32_t>(rng.next_below(12));
+    shell.phasing = static_cast<std::uint32_t>(rng.next_below(shell.planes));
+    const auto states = orbit::propagate_all(
+        orbit::make_constellation(shell), rng.next_double() * 6000.0);
+    std::vector<geo::GeoPoint> cells{{90.0, 0.0},    {-90.0, 45.0},
+                                     {89.9, 179.99}, {0.0, 180.0},
+                                     {10.0, -179.99}, {-35.0, 179.5}};
+    for (int i = 0; i < 40; ++i) {
+      cells.push_back({-90.0 + rng.next_double() * 180.0,
+                       -180.0 + rng.next_double() * 360.0});
+    }
+    for (const double mask : {0.0, 25.0, 40.0, 70.0}) {
+      const CoverageGeometry g =
+          coverage_geometry(coverage_radius_km(states), mask);
+      orbit::VisIndex index;
+      index.build(states, g.psi_rad);
+      std::vector<std::uint8_t> retired(states.size(), 0);
+      for (const geo::GeoPoint& cell : cells) {
+        expect_scan_exact(index, states, retired, cell, g.cos_psi);
+        // Retire a few satellites between queries, as a filling beam
+        // budget does mid-epoch.
+        for (int r = 0; r < 3; ++r) {
+          const auto si =
+              static_cast<std::uint32_t>(rng.next_below(states.size()));
+          index.retire(si);
+          retired[si] = 1;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedScan, SatellitesOnTheConeEdgeMatchBruteForce) {
+  // Satellites placed at the coverage angle psi from polar, date-line and
+  // mid-latitude cells, and a hair either side of it, so the dot lands on
+  // or next to cos_psi.
+  const std::vector<geo::GeoPoint> cells{
+      {89.5, 10.0}, {-89.5, -170.0}, {0.0, 180.0}, {0.0, -180.0}, {45.0, 0.0}};
+  const double radius_km = geo::kEarthRadiusKm + 550.0;
+  const CoverageGeometry g = coverage_geometry(radius_km, 25.0);
+  const double psi_deg = geo::rad2deg(g.psi_rad);
+  std::vector<orbit::SatState> states;
+  for (const geo::GeoPoint& c : cells) {
+    for (const double off : {psi_deg, std::nextafter(psi_deg, 0.0),
+                             std::nextafter(psi_deg, 90.0), psi_deg - 1e-9,
+                             psi_deg + 1e-9}) {
+      const double lat = c.lat_deg > 60.0 ? c.lat_deg - off : c.lat_deg + off;
+      for (const double dlon : {0.0, 1e-7}) {
+        states.push_back(
+            sat_at(lat, geo::wrap_longitude_deg(c.lon_deg + dlon), 550.0));
+      }
+    }
+  }
+  orbit::VisIndex index;
+  index.build(states, g.psi_rad);
+  const std::vector<std::uint8_t> retired(states.size(), 0);
+  for (const geo::GeoPoint& cell : cells) {
+    expect_scan_exact(index, states, retired, cell, g.cos_psi);
+  }
+}
+
 // ----------------------------------------------- thread-count invariance ----
 
 TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {

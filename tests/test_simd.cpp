@@ -1,18 +1,15 @@
-// Golden suite for the SIMD kernels in orbit/kernels.cpp: the dispatching
-// entry points must be bit-identical to the scalar references in
-// tests/oracles on adversarial inputs — polar cells, date-line longitudes,
-// grazing elevations that land exactly on the cos threshold, NaN lanes, and
-// every tail-lane remainder around the compiled lane width. Also pins the
-// consumers: propagate_all (batched rotation) against the per-satellite
-// oracle::ecef_position, and the scheduler's SIMD visibility filter against
-// the naive reference on threshold geometries.
+// Golden suite for the SIMD kernel in orbit/kernels.cpp: the dispatching
+// entry point must be bit-identical to the scalar reference in
+// tests/oracles on every tail-lane remainder around the compiled lane width
+// and in place. Also pins the consumers: propagate_all (batched rotation)
+// against the per-satellite oracle::ecef_position, and the scheduler's
+// visibility test against the naive reference on threshold geometries.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "leodivide/geo/angle.hpp"
@@ -27,138 +24,12 @@
 namespace leodivide {
 namespace {
 
-// SoA satellite unit-vector set plus a cell direction, the exact operand
-// shape of the visibility kernels.
-struct SoaDirs {
-  std::vector<double> ux, uy, uz;
-  std::vector<std::uint32_t> candidates;
-
-  void push(const geo::Vec3& u) {
-    candidates.push_back(static_cast<std::uint32_t>(ux.size()));
-    ux.push_back(u.x);
-    uy.push_back(u.y);
-    uz.push_back(u.z);
-  }
-  [[nodiscard]] std::size_t size() const { return ux.size(); }
-};
-
-SoaDirs random_dirs(stats::Pcg32& rng, std::size_t n) {
-  SoaDirs d;
-  for (std::size_t i = 0; i < n; ++i) {
-    const geo::GeoPoint p{-90.0 + rng.next_double() * 180.0,
-                          -180.0 + rng.next_double() * 360.0};
-    d.push(geo::spherical_to_cartesian(p, 1.0));
-  }
-  return d;
-}
-
-void expect_filter_matches_scalar(const SoaDirs& d, const geo::Vec3& cell,
-                                  double cos_psi) {
-  std::vector<std::uint32_t> simd_out(d.size() + 1, 0xdeadbeef);
-  std::vector<std::uint32_t> scalar_out(d.size() + 1, 0xdeadbeef);
-  const std::size_t simd_n = orbit::filter_visible(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, simd_out.data());
-  const std::size_t scalar_n = oracle::filter_visible_scalar(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, scalar_out.data());
-  ASSERT_EQ(simd_n, scalar_n);
-  for (std::size_t i = 0; i < simd_n; ++i) {
-    EXPECT_EQ(simd_out[i], scalar_out[i]) << "kept index " << i;
-  }
-}
-
 TEST(SimdKernels, BackendIsCoherent) {
   const std::size_t lanes = orbit::kernel_lanes();
   EXPECT_TRUE(lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8)
       << lanes;
   ASSERT_NE(orbit::kernel_backend(), nullptr);
   if (lanes == 1) EXPECT_STREQ(orbit::kernel_backend(), "scalar");
-}
-
-TEST(SimdKernels, FilterMatchesScalarOnEveryTailLength) {
-  stats::Pcg32 rng(0x51D5u);
-  const geo::Vec3 cell =
-      geo::spherical_to_cartesian(geo::GeoPoint{40.0, -100.0}, 1.0);
-  // Cover every remainder around the widest lane count (8) several times
-  // over, plus larger sizes: n = 0..33, 63..65, 255..257.
-  for (std::size_t n = 0; n <= 33; ++n) {
-    const SoaDirs d = random_dirs(rng, n);
-    expect_filter_matches_scalar(d, cell, 0.9);
-  }
-  for (const std::size_t n : {63U, 64U, 65U, 255U, 256U, 257U}) {
-    const SoaDirs d = random_dirs(rng, n);
-    expect_filter_matches_scalar(d, cell, 0.95);
-  }
-}
-
-TEST(SimdKernels, GrazingExactlyAtThresholdIsKept) {
-  // dot == cos_psi exactly: cell along +x, satellite at (cos_psi,
-  // sin(acos cos_psi), 0) is approximate — instead build the product to be
-  // exact: cell (1,0,0), satellite (cos_psi, 0, 0). 1.0 * cos_psi ==
-  // cos_psi bit-for-bit, so >= must keep it in both implementations.
-  const double cos_psi = 0.7193398003386512;  // arbitrary non-round value
-  SoaDirs d;
-  d.push({cos_psi, 0.0, 0.0});                                    // == keep
-  d.push({std::nextafter(cos_psi, 0.0), 0.0, 0.0});               // < drop
-  d.push({std::nextafter(cos_psi, 1.0), 0.0, 0.0});               // > keep
-  d.push({cos_psi, 0.0, 0.0});  // tail-lane repeat of the exact case
-  const geo::Vec3 cell{1.0, 0.0, 0.0};
-
-  std::vector<std::uint32_t> out(d.size(), 0);
-  const std::size_t kept = orbit::filter_visible(
-      cell.x, cell.y, cell.z, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), cos_psi, out.data());
-  ASSERT_EQ(kept, 3U);
-  EXPECT_EQ(out[0], 0U);
-  EXPECT_EQ(out[1], 2U);
-  EXPECT_EQ(out[2], 3U);
-  expect_filter_matches_scalar(d, cell, cos_psi);
-}
-
-TEST(SimdKernels, PolarAndDateLineDirections) {
-  SoaDirs d;
-  // Poles: unit z is exactly ±1, x and y exactly 0 for lat ±90 only if
-  // the trig cancels — take whatever spherical_to_cartesian produces plus
-  // the exact axis vectors.
-  d.push(geo::spherical_to_cartesian(geo::GeoPoint{90.0, 0.0}, 1.0));
-  d.push(geo::spherical_to_cartesian(geo::GeoPoint{-90.0, 135.0}, 1.0));
-  d.push({0.0, 0.0, 1.0});
-  d.push({0.0, 0.0, -1.0});
-  // Date line: ±180 degrees map to the same meridian with opposite-signed
-  // longitude sines — adversarial for any sign-sensitive compare.
-  d.push(geo::spherical_to_cartesian(geo::GeoPoint{10.0, 180.0}, 1.0));
-  d.push(geo::spherical_to_cartesian(geo::GeoPoint{10.0, -180.0}, 1.0));
-  d.push(geo::spherical_to_cartesian(geo::GeoPoint{-10.0, 179.999999}, 1.0));
-
-  for (const geo::GeoPoint cell_pt :
-       {geo::GeoPoint{89.0, 45.0}, geo::GeoPoint{-89.0, -45.0},
-        geo::GeoPoint{0.0, 180.0}, geo::GeoPoint{0.0, 0.0}}) {
-    const geo::Vec3 cell = geo::spherical_to_cartesian(cell_pt, 1.0);
-    for (const double cos_psi : {-1.0, 0.0, 0.5, 0.99, 1.0}) {
-      expect_filter_matches_scalar(d, cell, cos_psi);
-    }
-  }
-}
-
-TEST(SimdKernels, NanLanesBehaveLikeScalar) {
-  // A NaN dot product fails >= in IEEE; vector compares must agree.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  SoaDirs d;
-  d.push({nan, 0.0, 0.0});
-  d.push({0.9, 0.1, 0.0});
-  d.push({0.0, nan, nan});
-  d.push({1.0, 0.0, 0.0});
-  d.push({nan, nan, nan});
-  expect_filter_matches_scalar(d, {1.0, 0.0, 0.0}, 0.5);
-  std::vector<std::uint32_t> out(d.size(), 0xdeadbeef);
-  const std::size_t kept = orbit::filter_visible(
-      1.0, 0.0, 0.0, d.ux.data(), d.uy.data(), d.uz.data(),
-      d.candidates.data(), d.size(), 0.5, out.data());
-  // NaN never passes: exactly the two finite lanes 1 and 3 survive.
-  ASSERT_EQ(kept, 2U);
-  EXPECT_EQ(out[0], 1U);
-  EXPECT_EQ(out[1], 3U);
 }
 
 TEST(SimdKernels, RotateMatchesScalarBitForBit) {
@@ -226,7 +97,7 @@ TEST(SimdKernels, PropagateAllMatchesPerSatelliteScalar) {
   }
 }
 
-// End-to-end: the scheduler's SIMD filter_visible path must keep schedule
+// End-to-end: the scheduler's fused visibility scan must keep schedules
 // byte-identical to schedule_reference on geometries built to graze the
 // elevation mask (satellites right at the visibility cone's edge).
 TEST(SimdKernels, SchedulerBitIdenticalOnGrazingGeometry) {
