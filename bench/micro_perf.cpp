@@ -13,17 +13,12 @@
 //   --market        the three-operator market serially and on a pool;
 //                   gated against BENCH_market.json.
 //   --graph         K scenario chains sequential vs one pool batch with
-//                   async stores, plus the SIMD rotation kernel vs its
-//                   scalar reference in tests/oracles; gated against
-//                   BENCH_graph.json.
+//                   async stores; gated against BENCH_graph.json.
 // tools/bench_check.py gates each mode's JSON lines against its baseline.
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,7 +37,6 @@
 #include "leodivide/hex/hexgrid.hpp"
 #include "leodivide/io/cli.hpp"
 #include "leodivide/market/simulation.hpp"
-#include "leodivide/orbit/kernels.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/walker.hpp"
 #include "leodivide/runtime/executor.hpp"
@@ -557,100 +551,9 @@ int run_market_harness() {
   return 0;
 }
 
-// Emits one gated JSON line for a kernel-vs-scalar comparison.
-void print_simd_case(const char* name, std::size_t n, RepTimes scalar,
-                     RepTimes simd) {
-  std::cout << "  scalar:   " << scalar.best_ms << " ms\n"
-            << "  simd:     " << simd.best_ms << " ms\n"
-            << "  speedup:  " << scalar.best_ms / simd.best_ms << "x (median "
-            << scalar.median_ms / simd.median_ms << "x)\n";
-  std::cout << "{\"bench\":\"graph\",\"case\":\"" << name << "\",\"n\":" << n
-            << ",\"scalar_ms\":" << scalar.best_ms
-            << ",\"simd_ms\":" << simd.best_ms
-            << ",\"speedup\":" << scalar.best_ms / simd.best_ms
-            << ",\"median_speedup\":" << scalar.median_ms / simd.median_ms
-            << "}" << std::endl;
-}
-
-// The SIMD half of the `--graph` harness: the epoch rotation kernel against
-// its scalar reference (tests/oracles) over a 2048-satellite SoA,
-// bit-compared before anything is timed. Single-threaded, so the ratio is
-// honest on any host; the gate assumes the vector backend is live
-// (kernel_lanes() > 1), which the CI runners' x86-64 toolchain provides.
-int run_graph_simd_cases() {
-  // 2048 satellites keep the SoA L1-resident (2 x 16 KiB inputs), so the
-  // ratio measures the kernel, not the cache hierarchy — 2048 is also the
-  // right ballpark for a per-epoch shell slice.
-  constexpr std::size_t kSats = 2048;
-  constexpr int kIters = 1600;  // timed fn = kIters kernel calls
-  std::cout << "  backend:  " << orbit::kernel_backend() << " ("
-            << orbit::kernel_lanes() << " lane(s))\n";
-
-  // Every array the case reads or writes, each starting on a page boundary
-  // (kSats doubles are four pages), so no vector load or store straddles a
-  // cache line and the layout does not depend on what the process allocated
-  // before. Heap vectors are only 16-byte aligned: with the rotate outputs
-  // 16 bytes off a 32-byte boundary `simd.rotate` reads ~0.97x, against
-  // ~1.65x aligned (4-vCPU Xeon, AVX2).
-  static_assert(kSats * sizeof(double) % 4096 == 0);
-  struct alignas(4096) Arrays {
-    double ux[kSats], uy[kSats];
-    double rx[kSats], ry[kSats], rx_ref[kSats], ry_ref[kSats];
-  };
-  const auto arrays = std::make_unique<Arrays>();
-  double* const ux = arrays->ux;
-  double* const uy = arrays->uy;
-
-  // x and y of unit satellite radials spread over the sphere.
-  stats::Pcg32 rng(0x5EEDu);
-  for (std::size_t i = 0; i < kSats; ++i) {
-    const double z = 2.0 * rng.next_double() - 1.0;
-    const double phi = 2.0 * geo::kPi * rng.next_double();
-    const double rxy = std::sqrt(std::max(0.0, 1.0 - z * z));
-    ux[i] = rxy * std::cos(phi);
-    uy[i] = rxy * std::sin(phi);
-  }
-
-  int rc = 0;
-  {  // rotate_about_z vs rotate_about_z_scalar (out-of-place)
-    std::cout << "  case: rotate_about_z over " << kSats << " sats\n";
-    const double c = std::cos(0.123456789);
-    const double s = std::sin(0.123456789);
-    double* const rx = arrays->rx;
-    double* const ry = arrays->ry;
-    double* const rx_ref = arrays->rx_ref;
-    double* const ry_ref = arrays->ry_ref;
-    orbit::rotate_about_z(ux, uy, c, s, kSats, rx, ry);
-    oracle::rotate_about_z_scalar(ux, uy, c, s, kSats, rx_ref, ry_ref);
-    if (std::memcmp(rx, rx_ref, kSats * sizeof(double)) != 0 ||
-        std::memcmp(ry, ry_ref, kSats * sizeof(double)) != 0) {
-      std::cerr << "FAIL: rotate_about_z disagrees with its scalar reference\n";
-      rc = 1;
-    } else {
-      std::cout << "  outputs:  bit-identical to scalar\n";
-      const RepTimes scalar = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          oracle::rotate_about_z_scalar(ux, uy, c, s, kSats, rx_ref, ry_ref);
-          bench::keep(rx_ref);
-        }
-      });
-      const RepTimes simd = timed_reps_ms(5, [&] {
-        for (int it = 0; it < kIters; ++it) {
-          orbit::rotate_about_z(ux, uy, c, s, kSats, rx, ry);
-          bench::keep(rx);
-        }
-      });
-      print_simd_case("simd.rotate", kSats, scalar, simd);
-    }
-  }
-  return rc;
-}
-
-// The `--graph` harness. Two halves:
-//
-// graph.pipeline — K independent scenario chains (synthetic generation ->
-// full analysis -> snapshot store) run strictly sequentially with
-// synchronous stores, vs one K-task batch on a four-thread pool with
+// The `--graph` harness: K independent scenario chains (synthetic
+// generation -> full analysis -> snapshot store) run strictly sequentially
+// with synchronous stores, vs one K-task batch on a four-thread pool with
 // stores offloaded to the async I/O thread. Inner stage parallelism is
 // pinned to one thread (set_global_threads(1)) so the ratio isolates
 // cross-chain overlap plus compute/I/O overlap. Per-chain serialized
@@ -658,10 +561,8 @@ int run_graph_simd_cases() {
 // is timed. Like the market bench, the >= 1.3x gate needs real hardware
 // threads — on a single-core host the ratio degenerates to ~1x (CI-only
 // gate).
-//
-// graph.simd.* — see run_graph_simd_cases above.
 int run_graph_harness() {
-  bench::banner("micro_perf: chain-parallel pipeline + SIMD kernel vs scalar");
+  bench::banner("micro_perf: chain-parallel pipeline");
   constexpr std::size_t kChains = 4;
   runtime::set_global_threads(1);  // chains overlap; inner stages serial
 
@@ -742,8 +643,7 @@ int run_graph_harness() {
             << ",\"speedup\":" << seq.best_ms / graphed.best_ms
             << ",\"median_speedup\":" << seq.median_ms / graphed.median_ms
             << "}" << std::endl;
-
-  return run_graph_simd_cases();
+  return 0;
 }
 
 }  // namespace

@@ -36,14 +36,10 @@ geo::Vec3 eci_position(const CircularOrbit& orbit, double t_s) {
 }
 
 geo::GeoPoint subsatellite_point(const CircularOrbit& orbit, double t_s) {
-  const geo::Vec3 eci = eci_position(orbit, t_s);
   // Rotate ECI into ECEF by the accumulated Earth rotation angle.
   const double theta = geo::kEarthRotationRadPerSec * t_s;
-  const double cos_t = std::cos(theta);
-  const double sin_t = std::sin(theta);
-  const geo::Vec3 ecef{eci.x * cos_t + eci.y * sin_t,
-                       -eci.x * sin_t + eci.y * cos_t, eci.z};
-  return geo::cartesian_to_spherical(ecef);
+  return geo::cartesian_to_spherical(
+      eci_to_ecef(eci_position(orbit, t_s), std::cos(theta), std::sin(theta)));
 }
 
 }  // namespace leodivide::orbit

@@ -27,6 +27,13 @@ struct CircularOrbit {
 /// Position in the Earth-centered inertial frame at time t since epoch.
 [[nodiscard]] geo::Vec3 eci_position(const CircularOrbit& orbit, double t_s);
 
+/// ECI position rotated into the Earth-fixed frame by the Earth angle whose
+/// cosine and sine are `c` and `s`.
+[[nodiscard]] inline geo::Vec3 eci_to_ecef(const geo::Vec3& eci, double c,
+                                           double s) noexcept {
+  return {eci.x * c + eci.y * s, -eci.x * s + eci.y * c, eci.z};
+}
+
 /// Geodetic sub-satellite point at time t, accounting for Earth rotation
 /// (GMST angle = earth_rotation * t, epoch aligned with ECI x-axis).
 [[nodiscard]] geo::GeoPoint subsatellite_point(const CircularOrbit& orbit,

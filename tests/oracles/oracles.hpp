@@ -4,7 +4,6 @@
 // candidate sets through. Linked by the tests and micro_perf only, never by
 // the shipped library.
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,10 +64,5 @@ namespace leodivide::oracle {
 [[nodiscard]] hex::PolyfillCells polyfill_reference(
     const hex::HexGrid& grid, const geo::Polygon& poly, int resolution,
     runtime::Executor& executor);
-
-/// Scalar reference for orbit::rotate_about_z.
-void rotate_about_z_scalar(const double* x, const double* y, double c,
-                           double s, std::size_t n, double* out_x,
-                           double* out_y);
 
 }  // namespace leodivide::oracle

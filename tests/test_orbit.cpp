@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/greatcircle.hpp"
@@ -123,8 +125,37 @@ TEST(Propagate, EcefMatchesSubsatellitePoint) {
     const geo::GeoPoint from_ecef =
         geo::cartesian_to_spherical(oracle::ecef_position(orbit, t));
     const geo::GeoPoint sub = subsatellite_point(orbit, t);
-    EXPECT_NEAR(from_ecef.lat_deg, sub.lat_deg, 1e-9);
-    EXPECT_NEAR(from_ecef.lon_deg, sub.lon_deg, 1e-9);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(from_ecef.lat_deg),
+              std::bit_cast<std::uint64_t>(sub.lat_deg));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(from_ecef.lon_deg),
+              std::bit_cast<std::uint64_t>(sub.lon_deg));
+  }
+}
+
+// The batched propagation must stay bit-identical to the per-satellite
+// oracle, positions and sub-satellite points alike.
+TEST(Propagate, AllMatchesPerSatelliteOracle) {
+  WalkerShell shell = starlink_shell1();
+  shell.planes = 12;
+  shell.sats_per_plane = 11;  // 132 sats
+  const std::vector<CircularOrbit> orbits = make_constellation(shell);
+  for (const double t_s : {0.0, 17.3, 5400.0, 86400.0 + 0.125}) {
+    const std::vector<SatState> batch = propagate_all(orbits, t_s);
+    ASSERT_EQ(batch.size(), orbits.size());
+    for (std::size_t i = 0; i < orbits.size(); ++i) {
+      const geo::Vec3 ref = oracle::ecef_position(orbits[i], t_s);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.x),
+                std::bit_cast<std::uint64_t>(ref.x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.y),
+                std::bit_cast<std::uint64_t>(ref.y));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.z),
+                std::bit_cast<std::uint64_t>(ref.z));
+      const geo::GeoPoint sub = geo::cartesian_to_spherical(ref);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lat_deg),
+                std::bit_cast<std::uint64_t>(sub.lat_deg));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lon_deg),
+                std::bit_cast<std::uint64_t>(sub.lon_deg));
+    }
   }
 }
 

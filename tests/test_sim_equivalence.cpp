@@ -526,6 +526,50 @@ TEST(FusedScan, SatellitesOnTheConeEdgeMatchBruteForce) {
   }
 }
 
+// End to end: the scheduler's fused visibility scan keeps schedules
+// byte-identical to schedule_reference on geometries built to graze the
+// elevation mask (satellites right at the visibility cone's edge).
+TEST(FusedScan, SchedulerBitIdenticalOnGrazingGeometry) {
+  std::vector<SchedCell> cells;
+  for (const geo::GeoPoint p :
+       {geo::GeoPoint{89.5, 10.0}, geo::GeoPoint{-89.5, -170.0},
+        geo::GeoPoint{0.0, 180.0}, geo::GeoPoint{0.0, -180.0},
+        geo::GeoPoint{45.0, 0.0}}) {
+    SchedCell c;
+    c.center = p;
+    c.ecef_km = geo::spherical_to_cartesian(p, geo::kEarthRadiusKm);
+    c.locations = 500;
+    c.beams_needed = 2;
+    cells.push_back(c);
+  }
+  SchedulerConfig config;
+  config.min_elevation_deg = 25.0;
+
+  std::vector<orbit::SatState> sats;
+  // A ring of satellites at small angular offsets from each cell, spanning
+  // both sides of the visibility cone boundary for the configured mask.
+  for (const SchedCell& c : cells) {
+    for (const double off_deg : {0.0, 5.0, 10.0, 14.9, 15.0, 15.1, 20.0}) {
+      orbit::SatState s;
+      s.subpoint = {c.center.lat_deg > 74.0 ? c.center.lat_deg - off_deg
+                                            : c.center.lat_deg + off_deg,
+                    c.center.lon_deg};
+      s.ecef_km = geo::spherical_to_cartesian(s.subpoint,
+                                              geo::kEarthRadiusKm + 550.0);
+      sats.push_back(s);
+    }
+  }
+
+  for (const Strategy strategy :
+       {Strategy::kMostSlack, Strategy::kFirstFit, Strategy::kBestFit}) {
+    config.strategy = strategy;
+    const BeamScheduler scheduler(cells, config);
+    const ScheduleResult indexed = scheduler.schedule(sats);
+    const ScheduleResult naive = oracle::schedule_reference(scheduler, sats);
+    EXPECT_TRUE(indexed == naive);
+  }
+}
+
 // ----------------------------------------------- thread-count invariance ----
 
 TEST(TraceInvariance, IdenticalAcrossThreadCountsAndEqualToReference) {
