@@ -12,8 +12,9 @@
 //                   recompute per delta; gated against BENCH_serve.json.
 //   --market        the three-operator market serially and on a pool;
 //                   gated against BENCH_market.json.
-//   --graph         K scenario chains sequential vs one pool batch with
-//                   async stores; gated against BENCH_graph.json.
+//   --graph         K scenario chains sequential vs one pool batch, each
+//                   chain storing its own blob; gated against
+//                   BENCH_graph.json.
 // tools/bench_check.py gates each mode's JSON lines against its baseline.
 
 #include <algorithm>
@@ -552,15 +553,15 @@ int run_market_harness() {
 }
 
 // The `--graph` harness: K independent scenario chains (synthetic
-// generation -> full analysis -> snapshot store) run strictly sequentially
-// with synchronous stores, vs one K-task batch on a four-thread pool with
-// stores offloaded to the async I/O thread. Inner stage parallelism is
-// pinned to one thread (set_global_threads(1)) so the ratio isolates
-// cross-chain overlap plus compute/I/O overlap. Per-chain serialized
-// results are checked byte-identical between the two modes before anything
-// is timed. Like the market bench, the >= 1.3x gate needs real hardware
-// threads — on a single-core host the ratio degenerates to ~1x (CI-only
-// gate).
+// generation -> full analysis -> snapshot store) run strictly sequentially,
+// vs one K-task batch on a four-thread pool. Every chain stores its blob
+// synchronously inside its own task, so in the batch one chain's store
+// overlaps the others' compute. Inner stage parallelism is pinned to one
+// thread (set_global_threads(1)) so the ratio isolates cross-chain
+// overlap. Per-chain serialized results are checked byte-identical between
+// the two modes before anything is timed. Like the market bench, the
+// >= 1.3x gate needs real hardware threads — on a single-core host the
+// ratio degenerates to ~1x (CI-only gate).
 int run_graph_harness() {
   bench::banner("micro_perf: chain-parallel pipeline");
   constexpr std::size_t kChains = 4;
@@ -579,40 +580,28 @@ int run_graph_harness() {
     snapshot::mix(fps[k], configs[k]);
   }
 
-  // One sequential chain: generate, analyze, serialize; store via `store`.
-  const auto run_chain = [&](std::size_t k, std::string& blob_out,
-                             const auto& store) {
+  // One chain: generate, analyze, serialize, store.
+  const auto run_chain = [&](std::size_t k, std::string& blob_out) {
     const demand::DemandProfile profile =
         demand::SyntheticGenerator(configs[k]).generate_profile();
     const core::AnalysisResults results = core::run_full_analysis(profile);
     blob_out = snapshot::serialize(results);
-    store(k, blob_out);
+    cache.store("bench.analysis", fps[k], blob_out);
   };
 
   std::cout << "  case: " << kChains
-            << " generate->analyze->store chains, pool(4) + async I/O\n";
+            << " generate->analyze->store chains, pool(4), each chain "
+               "storing in its own task\n";
 
-  // Byte-identity first: sequential/sync-store vs batch/async-store.
+  // Byte-identity first: sequential vs batch.
   std::vector<std::string> blobs_seq(kChains), blobs_graph(kChains);
   const auto run_sequential = [&] {
-    for (std::size_t k = 0; k < kChains; ++k) {
-      run_chain(k, blobs_seq[k], [&](std::size_t i, const std::string& blob) {
-        cache.store("bench.analysis", fps[i], blob);
-      });
-    }
+    for (std::size_t k = 0; k < kChains; ++k) run_chain(k, blobs_seq[k]);
   };
   const auto run_graph = [&](runtime::Executor& ex) {
-    snapshot::AsyncIo io;
-    ex.run_tasks(
-        kChains,
-        [&run_chain, &blobs_graph, &io, &cache, &fps](std::size_t k) {
-          run_chain(k, blobs_graph[k],
-                    [&](std::size_t i, const std::string& blob) {
-                      io.enqueue_store(cache, "bench.analysis", fps[i],
-                                       std::string(blob));
-                    });
-        });
-    io.drain();  // the stores are part of the measured work
+    ex.run_tasks(kChains, [&run_chain, &blobs_graph](std::size_t k) {
+      run_chain(k, blobs_graph[k]);
+    });
   };
 
   runtime::ThreadPool pool(4);

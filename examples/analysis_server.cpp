@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   std::cout << "baseline: " << baseline.cell_count() << " cells, "
             << baseline.counties().size() << " counties\n";
 
-  serve::ServiceState state(std::move(baseline), service_config, cache);
+  serve::ServiceState state(std::move(baseline), service_config);
   serve::Server server(state, server_config);
   try {
     server.start();

@@ -7,7 +7,7 @@
 #include "leodivide/core/beamspread.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/runtime/executor.hpp"
-#include "leodivide/snapshot/format.hpp"
+#include "leodivide/snapshot/fingerprint.hpp"
 
 namespace leodivide::serve {
 
@@ -15,78 +15,6 @@ namespace {
 
 [[nodiscard]] std::uint64_t bits(double v) {
   return std::bit_cast<std::uint64_t>(v);
-}
-
-// kServePartial blob codecs for the disk spill, one section per candidate
-// type. The in-memory bookkeeping fields (valid, digest) are deliberately
-// not stored: the blob's identity IS the sub-stage fingerprint, which
-// already binds the region content.
-
-std::string partial_blob(const char* section, snapshot::ByteWriter&& w) {
-  snapshot::SnapshotWriter sw(snapshot::ArtifactKind::kServePartial);
-  sw.add_section(section, std::move(w).take());
-  return std::move(sw).finish();
-}
-
-snapshot::ByteReader partial_section(std::string_view file,
-                                     const char* section) {
-  const snapshot::SnapshotReader reader = snapshot::SnapshotReader::parse(file);
-  if (reader.kind() != snapshot::ArtifactKind::kServePartial) {
-    throw snapshot::SnapshotError("LDSNAP: expected a serve_partial snapshot");
-  }
-  return snapshot::ByteReader(reader.section(section));
-}
-
-std::string serialize_partial(const core::BindingCandidate& c) {
-  snapshot::ByteWriter w;
-  w.u8(c.found ? 1 : 0);
-  w.f64(c.best.satellites);
-  w.f64(c.best.binding_lat_deg);
-  w.u32(c.best.beams_on_binding);
-  w.u64(c.best.binding_cell_index);
-  return partial_blob("sizing", std::move(w));
-}
-
-void read_partial(std::string_view file, core::BindingCandidate& c) {
-  snapshot::ByteReader r = partial_section(file, "sizing");
-  c.found = r.u8() != 0;
-  c.best.satellites = r.f64();
-  c.best.binding_lat_deg = r.f64();
-  c.best.beams_on_binding = r.u32();
-  c.best.binding_cell_index = static_cast<std::size_t>(r.u64());
-  r.expect_exhausted("serve_partial sizing section");
-}
-
-// Regions are never empty, so a stored peak is always a found candidate.
-std::string serialize_partial(const demand::PeakCandidate& c) {
-  snapshot::ByteWriter w;
-  w.u32(c.count);
-  w.u64(c.cell_bits);
-  w.u64(c.index);
-  return partial_blob("peak", std::move(w));
-}
-
-void read_partial(std::string_view file, demand::PeakCandidate& c) {
-  snapshot::ByteReader r = partial_section(file, "peak");
-  c.found = true;
-  c.count = r.u32();
-  c.cell_bits = r.u64();
-  c.index = static_cast<std::size_t>(r.u64());
-  r.expect_exhausted("serve_partial peak section");
-}
-
-std::string serialize_partial(const core::ServedCounts& c) {
-  snapshot::ByteWriter w;
-  w.u64(c.cells);
-  w.u64(c.locations);
-  return partial_blob("served", std::move(w));
-}
-
-void read_partial(std::string_view file, core::ServedCounts& c) {
-  snapshot::ByteReader r = partial_section(file, "served");
-  c.cells = r.u64();
-  c.locations = r.u64();
-  r.expect_exhausted("serve_partial served section");
 }
 
 void count_metric(const char* name, std::uint64_t n = 1) {
@@ -97,15 +25,11 @@ void count_metric(const char* name, std::uint64_t n = 1) {
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
-                                     EngineConfig config,
-                                     snapshot::StageCache* cache,
-                                     snapshot::AsyncIo* io)
+                                     EngineConfig config)
     : config_(config),
       grid_(),
       profile_(std::move(baseline)),
-      applier_(profile_, grid_, config_.cell_resolution),
-      cache_(cache),
-      io_(io) {
+      applier_(profile_, grid_, config_.cell_resolution) {
   const auto& cells = profile_.cells();
   cell_region_.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -180,10 +104,10 @@ ApplyOutcome IncrementalEngine::apply(const demand::DeltaOp& op) {
 
 // -------------------------------------------------------------- partials --
 
-template <typename Candidate, typename MixKey, typename Fold>
+template <typename Candidate, typename Fold>
 const Candidate& IncrementalEngine::region_partial(
     std::size_t region, std::vector<Partial<Candidate>>& partials,
-    const char* stage, const MixKey& mix_key, const Fold& fold) {
+    const Fold& fold) {
   if (partials.size() < regions_.size()) partials.resize(regions_.size());
   Partial<Candidate>& p = partials[region];
   const std::uint64_t digest = regions_[region].digest;
@@ -194,30 +118,11 @@ const Candidate& IncrementalEngine::region_partial(
   }
   ++stats_.partial_misses;
   count_metric("serve.partial_misses");
-  snapshot::Fingerprint fp = snapshot::substage_fingerprint(stage, "region");
-  mix_key(fp);
-  fp.mix_u64(digest);
-  // staged_compute handles both the cached and cache-off (null) cases, and
-  // routes the blob store through io_ when one is attached so the query
-  // never waits on the filesystem.
-  p.value = snapshot::staged_compute(
-      cache_, io_, stage, fp,
-      [&] {
-        ++stats_.region_recomputes;
-        count_metric("serve.region_recomputes");
-        Candidate fresh;
-        const auto& cells = profile_.cells();
-        for (std::size_t i : regions_[region].members) {
-          fold(fresh, i, cells[i]);
-        }
-        return fresh;
-      },
-      [](const Candidate& c) { return serialize_partial(c); },
-      [](std::string_view file) {
-        Candidate c;
-        read_partial(file, c);
-        return c;
-      });
+  ++stats_.region_recomputes;
+  count_metric("serve.region_recomputes");
+  p.value = Candidate{};
+  const auto& cells = profile_.cells();
+  for (std::size_t i : regions_[region].members) fold(p.value, i, cells[i]);
   p.valid = true;
   p.digest = digest;
   return p.value;
@@ -227,7 +132,7 @@ demand::PeakCandidate IncrementalEngine::merged_peak() {
   demand::PeakCandidate peak;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     peak.merge(region_partial(
-        r, peak_memo_, "serve.peak", [](snapshot::Fingerprint&) {},
+        r, peak_memo_,
         [](demand::PeakCandidate& c, std::size_t i,
            const demand::CellDemand& cell) { c.consider(i, cell); }));
   }
@@ -256,11 +161,7 @@ ResizeAnswer IncrementalEngine::query_resize(double beamspread,
   core::BindingCandidate binding;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     binding.merge(region_partial(
-        r, partials, "serve.sizing",
-        [&](snapshot::Fingerprint& fp) {
-          mix(fp, config_.model);
-          fp.mix_f64(beamspread).mix_f64(oversub_cap);
-        },
+        r, partials,
         [&capacity](core::BindingCandidate& c, std::size_t i,
                     const demand::CellDemand& cell) {
           c.consider(i, cell, capacity);
@@ -290,8 +191,7 @@ ServedFractionAnswer IncrementalEngine::query_served_fraction(double beamspread,
     core::ServedCounts counts;
     for (std::size_t r = 0; r < regions_.size(); ++r) {
       counts.merge(region_partial(
-          r, partials, "serve.served",
-          [limit](snapshot::Fingerprint& fp) { fp.mix_u64(limit); },
+          r, partials,
           [limit](core::ServedCounts& c, std::size_t,
                   const demand::CellDemand& cell) { c.consider(cell, limit); }));
     }

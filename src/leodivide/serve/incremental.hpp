@@ -12,10 +12,9 @@
 // member cells). A partial is valid only while its recorded digest matches
 // the region's current digest, so ApplyDelta just updates the one dirtied
 // region's digest and O(dirty) partials recompute at the next query while
-// every untouched region is served from its cached partial. With a
-// StageCache attached, partials also spill to disk as kServePartial blobs
-// keyed by sub-stage fingerprints (substage_fingerprint), so a restarted
-// server warm-starts from the cache.
+// every untouched region is served from its cached partial. Partials live
+// in memory only: a region folds its ~36 cells (at scale 1) faster than a
+// blob could be read back, so a fresh engine simply folds every region.
 //
 // Determinism contract: every answer is byte-identical to the plain
 // library call (core::size_full_service / size_with_cap /
@@ -40,8 +39,6 @@
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/delta.hpp"
 #include "leodivide/hex/hexgrid.hpp"
-#include "leodivide/snapshot/async.hpp"
-#include "leodivide/snapshot/cache.hpp"
 
 namespace leodivide::serve {
 
@@ -108,15 +105,8 @@ struct ServedFractionAnswer {
 /// non-movable — the internal DeltaApplier borrows the owned profile.
 class IncrementalEngine {
  public:
-  /// Takes ownership of the baseline profile. `cache` (optional, borrowed,
-  /// may be nullptr) persists per-region partials across restarts. `io`
-  /// (optional, borrowed; only used when `cache` is set) offloads partial
-  /// blob stores to the async I/O thread so queries never wait on the
-  /// filesystem — stores are visible after AsyncIo::drain() (or its
-  /// destructor), and both `cache` and `io` must outlive the engine.
-  IncrementalEngine(demand::DemandProfile baseline, EngineConfig config,
-                    snapshot::StageCache* cache = nullptr,
-                    snapshot::AsyncIo* io = nullptr);
+  /// Takes ownership of the baseline profile.
+  IncrementalEngine(demand::DemandProfile baseline, EngineConfig config);
 
   IncrementalEngine(const IncrementalEngine&) = delete;
   IncrementalEngine& operator=(const IncrementalEngine&) = delete;
@@ -177,14 +167,12 @@ class IncrementalEngine {
   [[nodiscard]] std::uint64_t region_content_digest(
       const Region& region) const;
 
-  /// The region's candidate: cached while the region digest is unchanged,
-  /// else restored from the stage cache or recomputed by folding every
-  /// member cell through `fold(candidate, index, cell)`. `mix_key` adds
-  /// the query parameters to the `stage` sub-stage fingerprint.
-  template <typename Candidate, typename MixKey, typename Fold>
+  /// The region's candidate: memoized while the region digest is
+  /// unchanged, else recomputed by folding every member cell through
+  /// `fold(candidate, index, cell)`.
+  template <typename Candidate, typename Fold>
   const Candidate& region_partial(std::size_t region,
                                   std::vector<Partial<Candidate>>& partials,
-                                  const char* stage, const MixKey& mix_key,
                                   const Fold& fold);
 
   /// The global peak cell, merged from the per-region peak partials.
@@ -204,8 +192,6 @@ class IncrementalEngine {
   hex::HexGrid grid_;
   demand::DemandProfile profile_;
   demand::DeltaApplier applier_;  // borrows profile_ and grid_
-  snapshot::StageCache* cache_;
-  snapshot::AsyncIo* io_;
 
   std::vector<Region> regions_;
   std::vector<std::size_t> cell_region_;  ///< cell index -> region index

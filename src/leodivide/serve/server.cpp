@@ -106,9 +106,11 @@ void Server::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    // Unblock every worker stuck in recv(): half-close their sockets. The
-    // fds stay open (run_session owns the close), so no fd reuse race.
-    for (int fd : active_) ::shutdown(fd, SHUT_RDWR);
+    // Unblock every worker stuck in recv(): shut their read sides. The
+    // write sides stay open, so a reply a worker is still sending (the
+    // shutdown request's own ack among them) reaches its client. The fds
+    // stay open (run_session owns the close), so no fd reuse race.
+    for (int fd : active_) ::shutdown(fd, SHUT_RD);
   }
   // Unblock accept().
   ::shutdown(listen_fd_, SHUT_RDWR);

@@ -37,10 +37,9 @@ const afford::ServicePlan& PlanTable::find(const std::string& name) const {
 }
 
 ServiceState::ServiceState(demand::DemandProfile baseline,
-                           ServiceConfig config, snapshot::StageCache* cache)
+                           ServiceConfig config)
     : config_(std::move(config)),
-      io_(cache != nullptr ? std::make_unique<snapshot::AsyncIo>() : nullptr),
-      engine_(std::move(baseline), config_.engine, cache, io_.get()) {}
+      engine_(std::move(baseline), config_.engine) {}
 
 protocol::Frame ServiceState::handle(const protocol::Frame& request) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -13,7 +13,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -58,13 +57,8 @@ struct ServiceConfig {
 /// accessors lock internally.
 class ServiceState {
  public:
-  /// Takes ownership of the baseline profile; `cache` (optional, borrowed)
-  /// persists the engine's per-region partials across restarts. When a
-  /// cache is attached the state also owns an async I/O thread so partial
-  /// blob stores run behind request handling; the thread drains when the
-  /// state is destroyed, so every store is on disk by then.
-  ServiceState(demand::DemandProfile baseline, ServiceConfig config,
-               snapshot::StageCache* cache = nullptr);
+  /// Takes ownership of the baseline profile.
+  ServiceState(demand::DemandProfile baseline, ServiceConfig config);
 
   /// Dispatches one request frame to a reply frame. Never throws for
   /// request-level problems (those become kError replies).
@@ -89,9 +83,6 @@ class ServiceState {
   bool shutdown_ = false;
 
   ServiceConfig config_;
-  // Declared before engine_: the engine borrows the I/O thread, so it must
-  // be destroyed (and drained) after the engine.
-  std::unique_ptr<snapshot::AsyncIo> io_;
   IncrementalEngine engine_;
   PlanTable plans_;
   std::vector<demand::DeltaOp> journal_;

@@ -81,8 +81,8 @@ class StageCache {
   /// Reclassifies the last load() hit as a miss (blob failed validation),
   /// here and in the obs registry, taking that blob's bytes back out of
   /// snapshot.load_bytes when this thread's last load() handed it out.
-  /// Call after a load()ed blob fails deserialization — staged_compute
-  /// (async.hpp), the cache's one restore-or-compute path, uses this to
+  /// Call after a load()ed blob fails deserialization — run_stage
+  /// (stages.hpp), the cache's one restore-or-compute path, uses this to
   /// keep the hit/miss counters truthful.
   void note_bad_blob() const noexcept;
 

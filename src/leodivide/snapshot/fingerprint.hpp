@@ -65,9 +65,8 @@ class Fingerprint {
 
 /// Sub-stage fingerprint: a stage fingerprint further scoped by a sub-stage
 /// name (e.g. one region of a per-region recompute). Serve/'s incremental
-/// engine keys its per-region partials with these so a region's cached
-/// artifact can never collide with another region's, or with the parent
-/// stage's whole-output blob.
+/// engine seeds its region and county content digests with these, so a
+/// digest can never collide with one of another sub-stage.
 [[nodiscard]] Fingerprint substage_fingerprint(std::string_view stage,
                                                std::string_view substage);
 

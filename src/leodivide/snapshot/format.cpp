@@ -12,6 +12,11 @@ namespace {
 // executor's concurrency or the digest would vary with the thread count.
 constexpr std::size_t kChecksumChunk = 1 << 20;
 
+// The retired ArtifactKind value that held serve/'s on-disk region
+// partials. Files of that kind still exist in old cache dirs; parse
+// rejects them rather than handing a reader a kind it has no case for.
+constexpr std::uint16_t kRetiredServePartialKind = 7;
+
 [[noreturn]] void fail(std::string_view what, std::size_t offset) {
   throw SnapshotError("LDSNAP: " + std::string(what) + " at byte offset " +
                       std::to_string(offset));
@@ -27,7 +32,6 @@ std::string_view to_string(ArtifactKind kind) noexcept {
     case ArtifactKind::kEpochs: return "epochs";
     case ArtifactKind::kEventTrace: return "event_trace";
     case ArtifactKind::kDeltaJournal: return "delta_journal";
-    case ArtifactKind::kServePartial: return "serve_partial";
     case ArtifactKind::kMarketReport: return "market_report";
   }
   return "unknown";
@@ -224,6 +228,11 @@ SnapshotReader SnapshotReader::parse(std::string_view file) {
          kMagic.size() + 2);
   }
   const std::uint16_t kind = r.u16();
+  if (kind == kRetiredServePartialKind) {
+    fail("retired artifact kind " + std::to_string(kind) +
+             " (serve partial; no reader decodes it)",
+         kMagic.size() + 4);
+  }
   if (kind < static_cast<std::uint16_t>(ArtifactKind::kLocations) ||
       kind > static_cast<std::uint16_t>(ArtifactKind::kMarketReport)) {
     fail("unknown artifact kind " + std::to_string(kind), kMagic.size() + 4);

@@ -60,7 +60,7 @@ enum class ArtifactKind : std::uint16_t {
   kEpochs = 4,     ///< std::vector<sim::EpochCoverage> (sim epoch summaries)
   kEventTrace = 5, ///< event::EventTrace (event-driven run: events+segments)
   kDeltaJournal = 6,  ///< std::vector<demand::DeltaOp> (serve/ delta journal)
-  kServePartial = 7,  ///< serve/ per-region sub-stage partial (cache blobs)
+  // 7 is retired (it held serve/'s on-disk region partials): never reuse it.
   kMarketReport = 8,  ///< market::MarketReport (multi-operator market run)
 };
 

@@ -1,12 +1,10 @@
 #pragma once
 // Umbrella header for the snapshot subsystem: LDSNAP binary artifact
 // serialization (format.hpp, artifacts.hpp), input fingerprints
-// (fingerprint.hpp), the content-addressed stage cache (cache.hpp), the
-// async store thread (async.hpp) and the cached pipeline stage definitions
-// (stages.hpp).
+// (fingerprint.hpp), the content-addressed stage cache (cache.hpp) and the
+// cached pipeline stage definitions (stages.hpp).
 
 #include "leodivide/snapshot/artifacts.hpp"
-#include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 #include "leodivide/snapshot/fingerprint.hpp"
 #include "leodivide/snapshot/format.hpp"

@@ -15,6 +15,7 @@
 // built.
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +25,6 @@
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/sim/coverage.hpp"
 #include "leodivide/sim/simulation.hpp"
-#include "leodivide/snapshot/async.hpp"
 #include "leodivide/snapshot/cache.hpp"
 #include "leodivide/snapshot/fingerprint.hpp"
 
@@ -46,13 +46,26 @@ struct StageDef {
   }
 };
 
-/// Restores `def`'s artifact from `cache`, or computes and stores it. A
-/// null cache computes without building the key.
+/// The stage cache's one restore-or-compute path: returns the valid blob
+/// stored under `def`'s key, deserialized, or computes the artifact and
+/// stores its serialization. A blob failing deserialization (SnapshotError)
+/// counts as a miss and is overwritten. A null cache computes without
+/// building the key.
 template <typename T>
 [[nodiscard]] T run_stage(const StageCache* cache, const StageDef<T>& def) {
   if (cache == nullptr) return def.compute();
-  return staged_compute(cache, nullptr, def.name, def.key(), def.compute,
-                        def.serialize, def.deserialize);
+  const Fingerprint fp = def.key();
+  if (std::optional<std::string> blob = cache->load(def.name, fp)) {
+    try {
+      return def.deserialize(std::string_view(*blob));
+    } catch (const SnapshotError&) {
+      // Invalid blob: recompute below; the store replaces it.
+      cache->note_bad_blob();
+    }
+  }
+  T value = def.compute();
+  cache->store(def.name, fp, def.serialize(value));
+  return value;
 }
 
 /// `demand.profile`: the synthetic profile for `config`, keyed on it.

@@ -63,7 +63,7 @@ TEST(Threshold, PaperIncomeThresholds) {
 }
 
 TEST(Threshold, RejectsBadThreshold) {
-  EXPECT_THROW(income_required_usd(100.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)income_required_usd(100.0, 0.0), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- income view ----

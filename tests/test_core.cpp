@@ -175,8 +175,8 @@ TEST(CapacityModel, BeamsNeededLadder) {
 
 TEST(CapacityModel, RejectsBadOversub) {
   const SatelliteCapacityModel model;
-  EXPECT_THROW(model.max_locations_at(0.0), std::invalid_argument);
-  EXPECT_THROW(model.beams_needed(10, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)model.max_locations_at(0.0), std::invalid_argument);
+  EXPECT_THROW((void)model.beams_needed(10, -1.0), std::invalid_argument);
 }
 
 TEST(CapacityModel, RejectsNonFiniteAndSaturatesHugeOversub) {
@@ -379,9 +379,12 @@ TEST(Sizing, RejectsEmptyProfileAndBadK) {
   counties.add({"90001", {}, 1.0, 0});
   const demand::DemandProfile empty({}, std::move(counties));
   const SizingModel model;
-  EXPECT_THROW(size_full_service(empty, model, 1.0), std::invalid_argument);
-  EXPECT_THROW(size_with_cap(empty, model, 1.0, 20.0), std::invalid_argument);
-  EXPECT_THROW(satellites_from_k(model, 0.0, 1.0, 4), std::invalid_argument);
+  EXPECT_THROW((void)size_full_service(empty, model, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)size_with_cap(empty, model, 1.0, 20.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)satellites_from_k(model, 0.0, 1.0, 4),
+               std::invalid_argument);
 }
 
 // A zone table must index every cell: a short one would be read past its
@@ -472,7 +475,7 @@ TEST(LongTail, BudgetLookupSemantics) {
   EXPECT_NEAR(satellites_for_unserved_budget(curve, 5103),
               curve.front().satellites, 1e-9);
   // Below the residue: impossible.
-  EXPECT_THROW(satellites_for_unserved_budget(curve, 0),
+  EXPECT_THROW((void)satellites_for_unserved_budget(curve, 0),
                std::invalid_argument);
   // A huge budget reaches the one-beam floor.
   EXPECT_NEAR(satellites_for_unserved_budget(curve, 100000000ULL),

@@ -59,7 +59,7 @@ TEST(Location, TechnologyStringsRoundTrip) {
                        Technology::kGeoSatellite}) {
     EXPECT_EQ(technology_from_string(to_string(t)), t);
   }
-  EXPECT_THROW(technology_from_string("carrier-pigeon"),
+  EXPECT_THROW((void)technology_from_string("carrier-pigeon"),
                std::invalid_argument);
 }
 
@@ -79,7 +79,7 @@ TEST(CountyTableTest, RejectsDuplicatesAndBadIndex) {
   CountyTable table;
   table.add({"90001", {}, 1.0, 0});
   EXPECT_THROW(table.add({"90001", {}, 2.0, 0}), std::invalid_argument);
-  EXPECT_THROW(table.at(5), std::out_of_range);
+  EXPECT_THROW((void)table.at(5), std::out_of_range);
 }
 
 TEST(CountyTableTest, FipsIndexSurvivesGrowth) {
@@ -496,9 +496,9 @@ TEST(Calibration, BindingLatitudesReproduceTable2Constants) {
 }
 
 TEST(Calibration, BindingLatitudeRejectsUnreachableK) {
-  EXPECT_THROW(paper::binding_latitude_for_k(1e12, 252.9),
+  EXPECT_THROW((void)paper::binding_latitude_for_k(1e12, 252.9),
                std::domain_error);
-  EXPECT_THROW(paper::binding_latitude_for_k(-1.0, 252.9),
+  EXPECT_THROW((void)paper::binding_latitude_for_k(-1.0, 252.9),
                std::invalid_argument);
 }
 

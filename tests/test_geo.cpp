@@ -75,7 +75,7 @@ TEST(Vec3Test, BasicAlgebra) {
 }
 
 TEST(Vec3Test, UnitVectorThrowsOnZero) {
-  EXPECT_THROW((Vec3{0, 0, 0}).unit(), std::domain_error);
+  EXPECT_THROW((void)(Vec3{0, 0, 0}).unit(), std::domain_error);
   const Vec3 u = Vec3{0, 0, 9}.unit();
   EXPECT_NEAR(u.norm(), 1.0, 1e-12);
 }
@@ -89,7 +89,7 @@ TEST(Ecef, SphericalRoundTrip) {
 }
 
 TEST(Ecef, SphericalZeroVectorThrows) {
-  EXPECT_THROW(cartesian_to_spherical({0, 0, 0}), std::domain_error);
+  EXPECT_THROW((void)cartesian_to_spherical({0, 0, 0}), std::domain_error);
 }
 
 // ------------------------------------------------------------ greatcircle ----
@@ -125,7 +125,7 @@ TEST(GreatCircle, LatitudeBandFractions) {
   EXPECT_NEAR(latitude_band_fraction(-90.0, 90.0), 1.0, 1e-12);
   EXPECT_NEAR(latitude_band_fraction(0.0, 90.0), 0.5, 1e-12);
   EXPECT_NEAR(latitude_band_fraction(-30.0, 30.0), 0.5, 1e-12);
-  EXPECT_THROW(latitude_band_fraction(10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)latitude_band_fraction(10.0, 0.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- bbox ----

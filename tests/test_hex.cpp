@@ -106,8 +106,8 @@ TEST(HexGridTest, Res5AreaMatchesH3) {
 }
 
 TEST(HexGridTest, RejectsBadResolution) {
-  EXPECT_THROW(edge_length_km(-1), std::out_of_range);
-  EXPECT_THROW(edge_length_km(16), std::out_of_range);
+  EXPECT_THROW((void)edge_length_km(-1), std::out_of_range);
+  EXPECT_THROW((void)edge_length_km(16), std::out_of_range);
 }
 
 TEST(HexGridTest, CellOfCenterRoundTrip) {
@@ -156,8 +156,8 @@ TEST(HexGridTest, ParentContainsChildCenter) {
 TEST(HexGridTest, ParentRejectsFinerTarget) {
   const HexGrid grid;
   const CellId id = grid.cell_of({38.0, -100.0}, 5);
-  EXPECT_THROW(grid.parent_of(id, 5), std::invalid_argument);
-  EXPECT_THROW(grid.parent_of(id, 7), std::invalid_argument);
+  EXPECT_THROW((void)grid.parent_of(id, 5), std::invalid_argument);
+  EXPECT_THROW((void)grid.parent_of(id, 7), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- polyfill ----

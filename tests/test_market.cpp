@@ -67,13 +67,13 @@ TEST(OperatorCostsTest, AnnualCostDecomposition) {
   // 10 satellites: capex = 10*1500 + 10000 = 25000;
   // annual = 25000/5 + 0.1*25000 = 5000 + 2500.
   EXPECT_DOUBLE_EQ(costs.annual_cost_usd(10.0), 7500.0);
-  EXPECT_THROW(costs.annual_cost_usd(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)costs.annual_cost_usd(-1.0), std::invalid_argument);
 }
 
 TEST(OperatorCostsTest, RejectsBadParameters) {
   OperatorCosts costs;
   costs.satellite_lifetime_years = 0.0;
-  EXPECT_THROW(costs.annual_cost_usd(10.0), std::invalid_argument);
+  EXPECT_THROW((void)costs.annual_cost_usd(10.0), std::invalid_argument);
 }
 
 TEST(OperatorTest, PresetsValidate) {

@@ -184,8 +184,10 @@ TEST(Footprint, KnownStarlinkGeometry) {
 }
 
 TEST(Footprint, RejectsBadInputs) {
-  EXPECT_THROW(coverage_central_angle_rad(0.0, 25.0), std::invalid_argument);
-  EXPECT_THROW(coverage_central_angle_rad(550.0, 90.0), std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(0.0, 25.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)coverage_central_angle_rad(550.0, 90.0),
+               std::invalid_argument);
   EXPECT_THROW((void)coverage_central_angle_rad(550.0, -1.0),
                std::invalid_argument);
   EXPECT_THROW((void)coverage_central_angle_rad(550.0, std::nan("")),
@@ -235,9 +237,9 @@ TEST(Density, InverseProblemRoundTrip) {
 }
 
 TEST(Density, InverseRejectsOutOfBandLatitude) {
-  EXPECT_THROW(constellation_size_for_density(1e-4, 60.0, 53.0),
+  EXPECT_THROW((void)constellation_size_for_density(1e-4, 60.0, 53.0),
                std::invalid_argument);
-  EXPECT_THROW(constellation_size_for_density(0.0, 30.0, 53.0),
+  EXPECT_THROW((void)constellation_size_for_density(0.0, 30.0, 53.0),
                std::invalid_argument);
 }
 

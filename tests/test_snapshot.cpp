@@ -510,6 +510,26 @@ TEST(Adversarial, KindMismatchRejected) {
                snapshot::SnapshotError);
 }
 
+// Kind 7 held serve's on-disk region partials, which are gone; old cache
+// dirs still hold such files. Rebuild one as it was written (a "served"
+// section of two u64 counts) and check the container refuses its kind.
+TEST(Adversarial, RetiredServePartialKindRejected) {
+  snapshot::ByteWriter served;
+  served.u64(36);
+  served.u64(1234);
+  snapshot::SnapshotWriter sw(static_cast<snapshot::ArtifactKind>(7));
+  sw.add_section("served", std::move(served).take());
+  const std::string blob = std::move(sw).finish();
+  try {
+    (void)snapshot::SnapshotReader::parse(blob);
+    FAIL() << "a kind-7 snapshot parsed";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("retired artifact kind 7"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Adversarial, DanglingCountyIndexRejected) {
   // Hand-build a profile blob whose cell references county 9 of 2. The
   // container checksums are valid, so only the semantic validation can
@@ -919,33 +939,45 @@ class StageCacheTest : public ::testing::Test {
   fs::path dir_;
 };
 
+// A stage named `name` whose key is stage_fingerprint(name) alone and whose
+// compute returns small_profile(), counting each call in `computes`.
+snapshot::StageDef<demand::DemandProfile> counted_profile_stage(
+    const char* name, int& computes) {
+  return {name, [](snapshot::Fingerprint&) {},
+          [&computes] {
+            ++computes;
+            return small_profile();
+          },
+          [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
+          snapshot::deserialize_profile};
+}
+
+TEST_F(StageCacheTest, RunStageWithoutCacheIsPureCompute) {
+  int computes = 0;
+  snapshot::StageDef<demand::DemandProfile> def =
+      counted_profile_stage("stage", computes);
+  bool keyed = false;
+  def.mix = [&keyed](snapshot::Fingerprint&) { keyed = true; };
+  const demand::DemandProfile profile = snapshot::run_stage(nullptr, def);
+  EXPECT_EQ(computes, 1);
+  EXPECT_FALSE(keyed) << "a null cache must not build the key";
+  EXPECT_EQ(profile.cells(), small_profile().cells());
+}
+
 TEST_F(StageCacheTest, MissComputesAndStoresThenHits) {
   snapshot::StageCache cache(dir_.string());
   const demand::DemandProfile profile = small_profile();
-  snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
   int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return small_profile();
-  };
-  auto ser = [](const demand::DemandProfile& p) {
-    return snapshot::serialize(p);
-  };
-  auto de = [](std::string_view blob) {
-    return snapshot::deserialize_profile(blob);
-  };
+  const auto def = counted_profile_stage("demand.profile", computes);
+  const snapshot::Fingerprint fp = def.key();
 
-  const demand::DemandProfile first =
-      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de);
+  const demand::DemandProfile first = snapshot::run_stage(&cache, def);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(cache.hits(), 0U);
   EXPECT_EQ(cache.misses(), 1U);
   EXPECT_TRUE(fs::exists(cache.blob_path("demand.profile", fp)));
 
-  const demand::DemandProfile second =
-      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de);
+  const demand::DemandProfile second = snapshot::run_stage(&cache, def);
   EXPECT_EQ(computes, 1) << "hit must not recompute";
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(second.cells(), profile.cells());
@@ -962,20 +994,10 @@ TEST_F(StageCacheTest, DifferentFingerprintsDifferentBlobs) {
 
 TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
   snapshot::StageCache cache(dir_.string());
-  snapshot::Fingerprint fp = snapshot::stage_fingerprint("demand.profile");
   int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return small_profile();
-  };
-  auto ser = [](const demand::DemandProfile& p) {
-    return snapshot::serialize(p);
-  };
-  auto de = [](std::string_view blob) {
-    return snapshot::deserialize_profile(blob);
-  };
-  (void)snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                                 compute, ser, de);
+  const auto def = counted_profile_stage("demand.profile", computes);
+  const snapshot::Fingerprint fp = def.key();
+  (void)snapshot::run_stage(&cache, def);
   ASSERT_EQ(computes, 1);
 
   // Corrupt the stored blob; the next lookup must detect it, recompute,
@@ -985,9 +1007,7 @@ TEST_F(StageCacheTest, CorruptBlobRecomputesAndRepairs) {
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x40);
   io::write_text_file(path, blob);
 
-  const demand::DemandProfile back =
-      snapshot::staged_compute(&cache, nullptr, "demand.profile", fp,
-                               compute, ser, de);
+  const demand::DemandProfile back = snapshot::run_stage(&cache, def);
   EXPECT_EQ(computes, 2) << "corrupt blob must recompute";
   EXPECT_EQ(cache.misses(), 2U);
   EXPECT_EQ(cache.hits(), 0U);
@@ -1017,18 +1037,18 @@ TEST_F(StageCacheTest, RegistryAgreesWithCacheOnBadBlobs) {
   fs::resize_file(cache.blob_path("oversized", fp("oversized")),
                   snapshot::kMaxBlobBytes + 1);
 
+  int computes = 0;
   const auto run_all = [&] {
     for (const char* stage : {"good", "flipped", "oversized"}) {
-      (void)snapshot::staged_compute(
-          &cache, nullptr, stage, fp(stage), [] { return small_profile(); },
-          [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-          [](std::string_view b) { return snapshot::deserialize_profile(b); });
+      (void)snapshot::run_stage(&cache,
+                                counted_profile_stage(stage, computes));
     }
   };
   const auto counter = [](const char* name) {
     return obs::registry().counter(name).total();
   };
   run_all();
+  EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(cache.misses(), 2U);
   EXPECT_EQ(counter("snapshot.hits"), cache.hits());
@@ -1256,29 +1276,17 @@ TEST_F(StageCacheTest, UnwritableDirDegradesToRecomputeWithOneWarning) {
   // A stray regular file where the stage directory should be makes every
   // store fail (the test runs as root, so a read-only directory would not).
   // The cache must degrade to recompute-without-store: one stderr warning,
-  // every store counted as a failure, every staged_compute still answering.
+  // every store counted as a failure, every run_stage still answering.
   fs::create_directories(dir_);
   io::write_text_file((dir_ / "stage").string(), "not a directory");
 
   snapshot::StageCache cache(dir_.string());
-  snapshot::Fingerprint fp = snapshot::stage_fingerprint("stage");
   int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return small_profile();
-  };
-  auto ser = [](const demand::DemandProfile& p) {
-    return snapshot::serialize(p);
-  };
-  auto de = [](std::string_view blob) {
-    return snapshot::deserialize_profile(blob);
-  };
+  const auto def = counted_profile_stage("stage", computes);
 
   ::testing::internal::CaptureStderr();
-  const demand::DemandProfile first =
-      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de);
-  const demand::DemandProfile second =
-      snapshot::staged_compute(&cache, nullptr, "stage", fp, compute, ser, de);
+  const demand::DemandProfile first = snapshot::run_stage(&cache, def);
+  const demand::DemandProfile second = snapshot::run_stage(&cache, def);
   const std::string warnings = ::testing::internal::GetCapturedStderr();
 
   EXPECT_EQ(computes, 2) << "nothing was stored, so nothing can hit";
@@ -1307,17 +1315,10 @@ TEST_F(StageCacheTest, OversizedBlobIsABadBlobNotALoad) {
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(cache.misses(), 1U);
 
-  // staged_compute recomputes and the fresh store repairs the blob.
+  // run_stage recomputes and the fresh store repairs the blob.
   int computes = 0;
   const demand::DemandProfile restored =
-      snapshot::staged_compute(
-          &cache, nullptr, "stage", fp,
-          [&] {
-            ++computes;
-            return small_profile();
-          },
-          [](const demand::DemandProfile& p) { return snapshot::serialize(p); },
-          [](std::string_view b) { return snapshot::deserialize_profile(b); });
+      snapshot::run_stage(&cache, counted_profile_stage("stage", computes));
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(restored.cells(), small_profile().cells());
   EXPECT_EQ(fs::file_size(cache.blob_path("stage", fp)),

@@ -83,14 +83,14 @@ TEST(Efficiency, PaperCapacityFigure) {
 TEST(Efficiency, CapacityScalesLinearly) {
   EXPECT_DOUBLE_EQ(capacity_gbps(100.0, 2.0), 0.2);
   EXPECT_DOUBLE_EQ(capacity_gbps(0.0, 4.5), 0.0);
-  EXPECT_THROW(capacity_gbps(-1.0, 4.5), std::invalid_argument);
+  EXPECT_THROW((void)capacity_gbps(-1.0, 4.5), std::invalid_argument);
 }
 
 TEST(Efficiency, ShannonKnownValues) {
   EXPECT_DOUBLE_EQ(shannon_efficiency(0.0), 0.0);
   EXPECT_DOUBLE_EQ(shannon_efficiency(1.0), 1.0);
   EXPECT_DOUBLE_EQ(shannon_efficiency(3.0), 2.0);
-  EXPECT_THROW(shannon_efficiency(-0.5), std::invalid_argument);
+  EXPECT_THROW((void)shannon_efficiency(-0.5), std::invalid_argument);
 }
 
 TEST(Efficiency, ModcodLadderIsMonotone) {
@@ -119,7 +119,7 @@ TEST(Efficiency, ModcodNeverExceedsShannon) {
 TEST(LinkBudgetTest, FsplKnownValue) {
   // 600 km at 11.7 GHz: 20log10(600)+20log10(11.7)+92.45 = ~169.4 dB.
   EXPECT_NEAR(free_space_path_loss_db(600.0, 11.7), 169.38, 0.05);
-  EXPECT_THROW(free_space_path_loss_db(0.0, 11.7), std::invalid_argument);
+  EXPECT_THROW((void)free_space_path_loss_db(0.0, 11.7), std::invalid_argument);
 }
 
 TEST(LinkBudgetTest, DefaultBudgetSupportsPaperEfficiency) {
@@ -153,9 +153,9 @@ TEST(LinkBudgetTest, MoreBandwidthLowersCn) {
 TEST(LinkBudgetTest, RejectsNonPositiveBandwidth) {
   LinkBudget budget;
   budget.bandwidth_mhz = 0.0;
-  EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+  EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   budget.bandwidth_mhz = -240.0;
-  EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+  EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
 }
 
 TEST(LinkBudgetTest, RejectsNonFiniteInputs) {
@@ -164,34 +164,34 @@ TEST(LinkBudgetTest, RejectsNonFiniteInputs) {
   {
     LinkBudget budget;
     budget.bandwidth_mhz = nan;
-    EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+    EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   }
   {
     LinkBudget budget;
     budget.eirp_dbw = inf;
-    EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+    EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   }
   {
     LinkBudget budget;
     budget.system_noise_temp_k = nan;
-    EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+    EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   }
   {
     LinkBudget budget;
     budget.slant_range_km = inf;
-    EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+    EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   }
   {
     LinkBudget budget;
     budget.misc_losses_db = nan;
-    EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+    EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
   }
 }
 
 TEST(LinkBudgetTest, RejectsNonPositiveNoiseTemperature) {
   LinkBudget budget;
   budget.system_noise_temp_k = 0.0;
-  EXPECT_THROW(carrier_to_noise_db(budget), std::invalid_argument);
+  EXPECT_THROW((void)carrier_to_noise_db(budget), std::invalid_argument);
 }
 
 TEST(LinkBudgetTest, BoundaryBandwidthStillFinite) {
@@ -215,7 +215,8 @@ TEST(BeamPlanTest, SpreadDividesCapacity) {
   const BeamPlan plan = starlink_beam_plan();
   EXPECT_NEAR(plan.spread_cell_capacity_gbps(1.0), 17.325, 1e-9);
   EXPECT_NEAR(plan.spread_cell_capacity_gbps(5.0), 3.465, 1e-9);
-  EXPECT_THROW(plan.spread_cell_capacity_gbps(0.5), std::invalid_argument);
+  EXPECT_THROW((void)plan.spread_cell_capacity_gbps(0.5),
+               std::invalid_argument);
 }
 
 TEST(BeamPlanTest, CellsServedPerSatelliteFormula) {
@@ -257,11 +258,11 @@ TEST(BeamPlanTest, ConstantsMatchBandTable) {
 
 TEST(BeamPlanTest, RejectsBadBeamArguments) {
   const BeamPlan plan = starlink_beam_plan();
-  EXPECT_THROW(plan.cells_served_per_satellite(0.5, 4),
+  EXPECT_THROW((void)plan.cells_served_per_satellite(0.5, 4),
                std::invalid_argument);
-  EXPECT_THROW(plan.cells_served_per_satellite(1.0, 0),
+  EXPECT_THROW((void)plan.cells_served_per_satellite(1.0, 0),
                std::invalid_argument);
-  EXPECT_THROW(plan.cells_served_per_satellite(1.0, 25),
+  EXPECT_THROW((void)plan.cells_served_per_satellite(1.0, 25),
                std::invalid_argument);
 }
 

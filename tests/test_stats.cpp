@@ -151,7 +151,7 @@ TEST(Distributions, UniformRespectsRange) {
 
 TEST(Distributions, UniformRejectsInvertedRange) {
   Pcg32 rng(1);
-  EXPECT_THROW(sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- percentile ----
@@ -180,9 +180,9 @@ TEST(Percentile, UnsortedInputHandled) {
 
 TEST(Percentile, RejectsBadInputs) {
   const std::vector<double> v{1.0};
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(percentile(v, -1.0), std::invalid_argument);
-  EXPECT_THROW(percentile(v, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(v, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(v, 101.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ histogram ----

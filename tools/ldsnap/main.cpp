@@ -80,10 +80,6 @@ void deep_verify(const std::string& file) {
     case snapshot::ArtifactKind::kDeltaJournal:
       (void)snapshot::deserialize_delta_journal(file);
       break;
-    case snapshot::ArtifactKind::kServePartial:
-      // Serve partials are engine-internal (serve/incremental.cpp owns the
-      // section layout), so the container parse above is the whole check.
-      break;
     case snapshot::ArtifactKind::kMarketReport:
       (void)snapshot::deserialize_market_report(file);
       break;
