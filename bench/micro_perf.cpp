@@ -1,8 +1,6 @@
 // The gated micro harnesses. Each mode checks its fast path byte-identical
 // against a reference before timing anything, and exits nonzero on a
 // mismatch. Pick the harness with its mode flag:
-//   --threads N     aggregate >= 5M synthetic locations serially and on an
-//                   N-thread pool; emits {"bench":"micro_perf.aggregate"}.
 //   --sim-schedule  indexed (VisIndex) vs naive full-scan scheduling over a
 //                   cells x sats sweep and the national profile on Starlink
 //                   shell 1; gated against BENCH_sim.json.
@@ -20,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,12 +28,10 @@
 #include "leodivide/afford/affordability.hpp"
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
-#include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/event/engine.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/hex/hexgrid.hpp"
-#include "leodivide/io/cli.hpp"
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/orbit/propagate.hpp"
 #include "leodivide/orbit/walker.hpp"
@@ -54,67 +49,6 @@
 namespace {
 
 using namespace leodivide;
-
-std::string profile_bytes(const demand::DemandProfile& profile) {
-  std::ostringstream cells, counties;
-  profile.save_csv(cells, counties);
-  return cells.str() + '\x1f' + counties.str();
-}
-
-// Aggregates `dataset` once on `executor` and returns {wall_ms, csv bytes}.
-std::pair<double, std::string> timed_aggregate(
-    const demand::DemandDataset& dataset, const hex::HexGrid& grid,
-    runtime::Executor& executor) {
-  const bench::WallTimer timer;
-  const auto profile = demand::aggregate(dataset, grid, 5, executor);
-  const double ms = timer.elapsed_ms();
-  return {ms, profile_bytes(profile)};
-}
-
-// The `--threads N` scaling harness. Returns the process exit code.
-int run_scaling_harness(std::size_t threads) {
-  bench::banner("micro_perf: aggregation scaling, 1 vs " +
-                std::to_string(threads) + " threads");
-
-  // Build a >= 5M location dataset: the full-scale national expansion
-  // (~4.7M underserved locations) plus a 10% re-expansion appended on top.
-  const demand::SyntheticGenerator gen({.seed = 3, .scale = 1.0});
-  const auto profile = gen.generate_profile();
-  const auto full = gen.expand_locations(profile, 1.0);
-  const auto extra = gen.expand_locations(profile, 0.1);
-  std::vector<demand::Location> locations = full.locations();
-  locations.insert(locations.end(), extra.locations().begin(),
-                   extra.locations().end());
-  const demand::DemandDataset dataset(std::move(locations), full.counties());
-  std::cout << "  dataset:  " << dataset.size() << " locations\n";
-
-  const hex::HexGrid grid;
-  runtime::ThreadPool pool(threads);
-
-  // Stage timers feed the "stages" member of each emitted JSON line; the
-  // registry is reset between runs so every line is a per-run breakdown.
-  obs::set_metrics_enabled(true);
-  obs::registry().reset_values();
-  const auto [serial_ms, serial_bytes] =
-      timed_aggregate(dataset, grid, runtime::serial_executor());
-  bench::emit_json_line("micro_perf.aggregate", serial_ms, 1);
-
-  obs::registry().reset_values();
-  const auto [pool_ms, pool_bytes] = timed_aggregate(dataset, grid, pool);
-  bench::emit_json_line("micro_perf.aggregate", pool_ms, threads);
-
-  std::cout << "  serial:   " << serial_ms << " ms\n"
-            << "  threads=" << threads << ": " << pool_ms << " ms\n"
-            << "  speedup:  " << serial_ms / pool_ms << "x\n";
-
-  if (serial_bytes != pool_bytes) {
-    std::cerr << "FAIL: N=1 and N=" << threads
-              << " DemandProfile outputs differ\n";
-    return 1;
-  }
-  std::cout << "  outputs:  byte-identical across thread counts\n";
-  return 0;
-}
 
 // One `--sim-schedule` comparison scale: a synthetic cell field against a
 // Walker shell of planes x sats_per_plane satellites.
@@ -641,11 +575,10 @@ int main(int argc, char** argv) {
   namespace obs = leodivide::obs;
   namespace runtime = leodivide::runtime;
   constexpr const char* kUsage =
-      "usage: micro_perf --threads N | --sim-schedule | --sim-event | "
+      "usage: micro_perf --sim-schedule | --sim-event | "
       "--serve-delta [--workers W] | --market | --graph "
       "[--trace FILE] [--metrics[=FILE]]\n";
   obs::Options obs_options = obs::options_from_env();
-  std::size_t threads = 0;
   bool sim_schedule = false;
   bool sim_event = false;
   bool serve_delta = false;
@@ -655,15 +588,7 @@ int main(int argc, char** argv) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (const auto value = leodivide::io::flag_value(argc, argv, i,
-                                                       "--threads")) {
-        const auto parsed = runtime::parse_thread_count(*value);
-        if (!parsed) {
-          throw std::runtime_error("invalid --threads value '" +
-                                   std::string(*value) + "'");
-        }
-        threads = *parsed;
-      } else if (arg == "--sim-schedule") {
+      if (arg == "--sim-schedule") {
         sim_schedule = true;
       } else if (arg == "--sim-event") {
         sim_event = true;
@@ -686,8 +611,7 @@ int main(int argc, char** argv) {
     std::cerr << "unknown or malformed flag: " << e.what() << '\n' << kUsage;
     return 2;
   }
-  if (!graph && !market && !serve_delta && !sim_schedule && !sim_event &&
-      threads == 0) {
+  if (!graph && !market && !serve_delta && !sim_schedule && !sim_event) {
     std::cerr << kUsage;
     return 2;
   }
@@ -702,10 +626,8 @@ int main(int argc, char** argv) {
     rc = run_serve_delta_harness(workers);
   } else if (sim_schedule) {
     rc = run_sim_schedule_harness();
-  } else if (sim_event) {
-    rc = run_sim_event_harness();
   } else {
-    rc = run_scaling_harness(threads);
+    rc = run_sim_event_harness();
   }
   obs::finalize(obs_options);
   return rc;

@@ -39,18 +39,17 @@ hex::CellId to_cell(std::string_view s) {
 constexpr std::size_t kCsvGrain = 1024;
 constexpr std::size_t kSaveRowsPerTask = 16384;
 
-// The records of `in` after its header, each turned into a T by
-// `parse(row)`. Blocks are split in stream order and each block's records
-// parsed in parallel into pre-sized slots. The first bad record in file
-// order raises its error, as a serial scan would: earlier blocks held
-// none, and within a block the lowest-indexed failing chunk wins. The
-// header is parsed (malformed quoting there throws too) but not kept.
-template <typename T, typename Parse>
-std::vector<T> load_records(std::istream& in, const Parse& parse,
-                            runtime::Executor& executor) {
+// The cell records of `in` after its header. Blocks are split in stream
+// order and each block's records parsed in parallel into pre-sized slots.
+// The first bad record in file order raises its error, as a serial scan
+// would: earlier blocks held none, and within a block the lowest-indexed
+// failing chunk wins. The header is parsed (malformed quoting there throws
+// too) but not kept.
+std::vector<CellDemand> read_cells(std::istream& in,
+                                   runtime::Executor& executor) {
   io::CsvBlockReader reader(in);
   std::vector<io::CsvRecord> records;
-  std::vector<T> out;
+  std::vector<CellDemand> out;
   std::size_t header = 1;  // records of this block before its first row
   while (reader.next_block(records)) {
     const std::size_t base = out.size();
@@ -58,12 +57,18 @@ std::vector<T> load_records(std::istream& in, const Parse& parse,
     runtime::parallel_for(
         executor, 0, records.size(),
         // leolint:allow(parallel-capture): each record writes only its own out slot
-        [&records, &out, &parse, base, header](std::size_t lo,
-                                               std::size_t hi) {
-          io::CsvRow row;
+        [&records, &out, base, header](std::size_t lo, std::size_t hi) {
+          io::CsvRow r;
           for (std::size_t i = lo; i < hi; ++i) {
-            io::parse_csv_record(records[i], row);
-            if (i >= header) out[base + i - header] = parse(row);
+            io::parse_csv_record(records[i], r);
+            if (i < header) continue;
+            if (r.size() != 5) throw std::runtime_error("cell CSV: bad width");
+            CellDemand& cd = out[base + i - header];
+            cd.cell = to_cell(r[0]);
+            cd.center = {field_to_double(r[1], "lat"),
+                         field_to_double(r[2], "lon")};
+            cd.underserved = field_to_u32(r[3], "count");
+            cd.county_index = field_to_u32(r[4], "county");
           }
         },
         kCsvGrain);
@@ -72,28 +77,36 @@ std::vector<T> load_records(std::istream& in, const Parse& parse,
   return out;
 }
 
-// Writes one record per row after the header `writer` has written,
-// `format(row, text)` appending each. Rows are formatted in parallel into
-// per-task strings, a round of at most kSaveRowsPerTask per task at a time
-// so memory stays bounded, and each task's text reaches the stream in one
-// write, in row order; the bytes are the same at every thread count.
-template <typename Row, typename Format>
-void write_records(io::CsvWriter& writer, const std::vector<Row>& rows,
-                   const Format& format, runtime::Executor& executor) {
+// Writes one record per cell after the header `writer` has written. Rows
+// are formatted in parallel into per-task strings, a round of at most
+// kSaveRowsPerTask per task at a time so memory stays bounded, and each
+// task's text reaches the stream in one write, in row order; the bytes are
+// the same at every thread count.
+void write_cells(io::CsvWriter& writer, const std::vector<CellDemand>& cells,
+                 runtime::Executor& executor) {
   std::vector<std::string> text(executor.concurrency());
   const std::size_t round = text.size() * kSaveRowsPerTask;
-  for (std::size_t begin = 0; begin < rows.size(); begin += round) {
-    const std::size_t end = std::min(rows.size(), begin + round);
+  for (std::size_t begin = 0; begin < cells.size(); begin += round) {
+    const std::size_t end = std::min(cells.size(), begin + round);
     const std::size_t tasks =
         runtime::chunk_count(executor, end - begin, kCsvGrain);
     runtime::parallel_for_each(
         executor, 0, tasks,
         // leolint:allow(parallel-capture): each task appends only to its own text slot
-        [&rows, &format, &text, begin, end, tasks](std::size_t t) {
+        [&cells, &text, begin, end, tasks](std::size_t t) {
           const runtime::ChunkRange r =
               runtime::chunk_range(begin, end, tasks, t);
           text[t].clear();
-          for (std::size_t i = r.lo; i < r.hi; ++i) format(rows[i], text[t]);
+          for (std::size_t i = r.lo; i < r.hi; ++i) {
+            const CellDemand& c = cells[i];
+            io::NumberBuffer id, lat, lon, count, county;
+            io::append_csv_record(
+                text[t], {io::integer_text(id, c.cell.bits(), 16),
+                          io::fixed6_text(lat, c.center.lat_deg),
+                          io::fixed6_text(lon, c.center.lon_deg),
+                          io::integer_text(count, c.underserved),
+                          io::integer_text(county, c.county_index)});
+          }
         });
     for (std::size_t t = 0; t < tasks; ++t) {
       const runtime::ChunkRange r = runtime::chunk_range(begin, end, tasks, t);
@@ -199,17 +212,7 @@ void DemandProfile::save_csv(std::ostream& cells_out,
                              runtime::Executor& executor) const {
   io::CsvWriter cw(cells_out);
   cw.write_row({"cell_id", "lat", "lon", "underserved", "county_index"});
-  write_records(
-      cw, cells_,
-      [](const CellDemand& c, std::string& text) {
-        io::NumberBuffer id, lat, lon, count, county;
-        io::append_csv_record(text, {io::integer_text(id, c.cell.bits(), 16),
-                                     io::fixed6_text(lat, c.center.lat_deg),
-                                     io::fixed6_text(lon, c.center.lon_deg),
-                                     io::integer_text(count, c.underserved),
-                                     io::integer_text(county, c.county_index)});
-      },
-      executor);
+  write_cells(cw, cells_, executor);
   write_counties(counties_, counties_out);
 }
 
@@ -223,96 +226,8 @@ DemandProfile DemandProfile::load_csv(std::istream& cells_in,
                                       runtime::Executor& executor) {
   io::CsvRow row;
   CountyTable counties = read_counties(counties_in, row);
-  std::vector<CellDemand> cells = load_records<CellDemand>(
-      cells_in,
-      [](const io::CsvRow& r) {
-        if (r.size() != 5) throw std::runtime_error("cell CSV: bad width");
-        CellDemand cd;
-        cd.cell = to_cell(r[0]);
-        cd.center = {field_to_double(r[1], "lat"),
-                     field_to_double(r[2], "lon")};
-        cd.underserved = field_to_u32(r[3], "count");
-        cd.county_index = field_to_u32(r[4], "county");
-        return cd;
-      },
-      executor);
+  std::vector<CellDemand> cells = read_cells(cells_in, executor);
   return DemandProfile(std::move(cells), std::move(counties));
-}
-
-DemandDataset::DemandDataset(std::vector<Location> locations,
-                             CountyTable counties)
-    : locations_(std::move(locations)), counties_(std::move(counties)) {
-  for (const auto& l : locations_) {
-    if (l.county_index >= counties_.size()) {
-      throw std::invalid_argument("DemandDataset: location county out of range");
-    }
-  }
-}
-
-std::uint64_t DemandDataset::underserved_count() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& l : locations_) {
-    if (l.underserved()) ++n;
-  }
-  return n;
-}
-
-void DemandDataset::save_csv(std::ostream& locations_out,
-                             std::ostream& counties_out) const {
-  save_csv(locations_out, counties_out, runtime::global_executor());
-}
-
-void DemandDataset::save_csv(std::ostream& locations_out,
-                             std::ostream& counties_out,
-                             runtime::Executor& executor) const {
-  io::CsvWriter lw(locations_out);
-  lw.write_row({"id", "lat", "lon", "county_index", "down_mbps", "up_mbps",
-                "technology"});
-  write_records(
-      lw, locations_,
-      [](const Location& l, std::string& text) {
-        io::NumberBuffer id, lat, lon, county, down, up;
-        io::append_csv_record(text,
-                              {io::integer_text(id, l.id),
-                               io::fixed6_text(lat, l.position.lat_deg),
-                               io::fixed6_text(lon, l.position.lon_deg),
-                               io::integer_text(county, l.county_index),
-                               io::fixed6_text(down, l.best_offer.down_mbps),
-                               io::fixed6_text(up, l.best_offer.up_mbps),
-                               to_string(l.technology)});
-      },
-      executor);
-  write_counties(counties_, counties_out);
-}
-
-DemandDataset DemandDataset::load_csv(std::istream& locations_in,
-                                      std::istream& counties_in) {
-  return load_csv(locations_in, counties_in, runtime::global_executor());
-}
-
-DemandDataset DemandDataset::load_csv(std::istream& locations_in,
-                                      std::istream& counties_in,
-                                      runtime::Executor& executor) {
-  io::CsvRow row;
-  CountyTable counties = read_counties(counties_in, row);
-  std::vector<Location> locations = load_records<Location>(
-      locations_in,
-      [](const io::CsvRow& r) {
-        if (r.size() != 7) {
-          throw std::runtime_error("location CSV: bad width");
-        }
-        Location l;
-        l.id = field_to_u64(r[0], "id");
-        l.position = {field_to_double(r[1], "lat"),
-                      field_to_double(r[2], "lon")};
-        l.county_index = field_to_u32(r[3], "county");
-        l.best_offer = {field_to_double(r[4], "down"),
-                        field_to_double(r[5], "up")};
-        l.technology = technology_from_string(r[6]);
-        return l;
-      },
-      executor);
-  return DemandDataset(std::move(locations), std::move(counties));
 }
 
 }  // namespace leodivide::demand

@@ -1,15 +1,11 @@
 #pragma once
-// The two dataset granularities the analysis runs on:
-//
-//  * DemandProfile  — per-service-cell un(der)served location counts plus a
-//    county table. This is the paper's working set: every capacity result
-//    (Figs 1-3, Table 2) is a function of the per-cell count distribution,
-//    and every affordability result (Fig 4) is a function of the
-//    location-weighted county income distribution.
-//
-//  * DemandDataset  — individual FCC-BDC-style location records. Used by
-//    examples and when loading real Broadband Data Collection extracts;
-//    aggregate() reduces it to a DemandProfile.
+// The analysis's working set: DemandProfile, per-service-cell
+// un(der)served location counts plus a county table. Every capacity result
+// (Figs 1-3, Table 2) is a function of the per-cell count distribution, and
+// every affordability result (Fig 4) is a function of the location-weighted
+// county income distribution. Real data (the FCC National Broadband Map's
+// counts per Starlink service cell) enters as the cells/counties CSV pair
+// that DemandProfile::load_csv reads.
 
 #include <cstdint>
 #include <iosfwd>
@@ -17,6 +13,7 @@
 
 #include "leodivide/demand/county.hpp"
 #include "leodivide/demand/location.hpp"
+#include "leodivide/geo/geopoint.hpp"
 #include "leodivide/hex/cellid.hpp"
 
 namespace leodivide::runtime {
@@ -116,40 +113,6 @@ class DemandProfile {
 
  private:
   std::vector<CellDemand> cells_;
-  CountyTable counties_;
-};
-
-/// Location-level dataset.
-class DemandDataset {
- public:
-  DemandDataset() = default;
-  DemandDataset(std::vector<Location> locations, CountyTable counties);
-
-  [[nodiscard]] const std::vector<Location>& locations() const noexcept {
-    return locations_;
-  }
-  [[nodiscard]] const CountyTable& counties() const noexcept {
-    return counties_;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return locations_.size(); }
-
-  /// Number of locations failing the reliable-broadband test.
-  [[nodiscard]] std::uint64_t underserved_count() const noexcept;
-
-  /// CSV round trip (locations stream carries county FIPS by index), with
-  /// DemandProfile's executor and error-order contract.
-  void save_csv(std::ostream& locations_out, std::ostream& counties_out) const;
-  void save_csv(std::ostream& locations_out, std::ostream& counties_out,
-                runtime::Executor& executor) const;
-  [[nodiscard]] static DemandDataset load_csv(std::istream& locations_in,
-                                              std::istream& counties_in);
-  [[nodiscard]] static DemandDataset load_csv(std::istream& locations_in,
-                                              std::istream& counties_in,
-                                              runtime::Executor& executor);
-
- private:
-  std::vector<Location> locations_;
   CountyTable counties_;
 };
 

@@ -19,8 +19,6 @@
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
-#include "leodivide/runtime/rng_split.hpp"
-#include "leodivide/stats/distributions.hpp"
 #include "leodivide/stats/rng.hpp"
 
 namespace leodivide::demand {
@@ -362,92 +360,6 @@ DemandProfile SyntheticGenerator::generate_profile(
 
 DemandProfile SyntheticGenerator::generate_profile() const {
   return generate_profile(runtime::global_executor());
-}
-
-DemandDataset SyntheticGenerator::expand_locations(
-    const DemandProfile& profile, double sample_fraction,
-    runtime::Executor& executor) const {
-  if (sample_fraction <= 0.0 || sample_fraction > 1.0) {
-    throw std::invalid_argument("expand_locations: fraction outside (0, 1]");
-  }
-  const obs::Span obs_span("demand.expand_locations");
-  const hex::HexGrid grid;
-  const double circumradius = hex::edge_length_km(config_.resolution);
-  const auto& cells = profile.cells();
-
-  // Per-cell location counts and output offsets, so every cell owns a fixed
-  // slice of the output and a fixed id range regardless of thread count.
-  std::vector<std::uint64_t> offset(cells.size() + 1, 0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    offset[i + 1] = offset[i] + static_cast<std::uint64_t>(std::ceil(
-        static_cast<double>(cells[i].underserved) * sample_fraction));
-  }
-  std::vector<Location> locations(offset.back());
-
-  runtime::parallel_for_each(
-      executor, 0, cells.size(),
-      // leolint:allow(parallel-capture): offset is read-only here; each cell writes only its own disjoint locations slice
-      [this, &cells, &offset, &locations, &grid, circumradius](
-          std::size_t ci) {
-        const auto& cell = cells[ci];
-        // Split RNG stream per cell: draws depend only on (seed, cell
-        // index), never on scheduling.
-        stats::Pcg32 rng(runtime::split_seed(config_.seed, ci), /*stream=*/2);
-        const auto want =
-            static_cast<std::uint32_t>(offset[ci + 1] - offset[ci]);
-        for (std::uint32_t k = 0; k < want; ++k) {
-          // Rejection-sample a point inside the hexagon.
-          geo::GeoPoint pos = cell.center;
-          for (int attempt = 0; attempt < 16; ++attempt) {
-            const double ang = stats::sample_uniform(rng, 0.0, 360.0);
-            const double rad =
-                circumradius * std::sqrt(rng.next_double());
-            const geo::GeoPoint candidate =
-                geo::destination(cell.center, ang, rad);
-            if (grid.cell_of(candidate, config_.resolution) == cell.cell) {
-              pos = candidate;
-              break;
-            }
-          }
-          Location loc;
-          loc.id = offset[ci] + k + 1;
-          loc.position = pos;
-          loc.county_index = cell.county_index;
-          // Best-offer mix for un(der)served locations: all fail 100/20.
-          const double u = rng.next_double();
-          if (u < 0.15) {
-            loc.technology = Technology::kNone;
-            loc.best_offer = {0.0, 0.0};
-          } else if (u < 0.50) {
-            loc.technology = Technology::kDsl;
-            loc.best_offer = {25.0, 3.0};
-          } else if (u < 0.75) {
-            loc.technology = Technology::kFixedWireless;
-            loc.best_offer = {50.0, 10.0};
-          } else if (u < 0.85) {
-            loc.technology = Technology::kGeoSatellite;
-            loc.best_offer = {100.0, 3.0};
-          } else {
-            loc.technology = Technology::kCable;
-            loc.best_offer = {100.0, 10.0};
-          }
-          locations[offset[ci] + k] = loc;
-        }
-      });
-
-  if (obs::metrics_enabled()) {
-    static obs::Counter& expanded =
-        obs::registry().counter("demand.locations_expanded");
-    expanded.add(locations.size());
-  }
-  CountyTable counties(profile.counties().all());
-  return DemandDataset(std::move(locations), std::move(counties));
-}
-
-DemandDataset SyntheticGenerator::expand_locations(
-    const DemandProfile& profile, double sample_fraction) const {
-  return expand_locations(profile, sample_fraction,
-                          runtime::global_executor());
 }
 
 bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config) {

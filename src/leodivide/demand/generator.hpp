@@ -1,12 +1,9 @@
 #pragma once
-// Synthetic national demand generator. Produces a DemandProfile (and
-// optionally a location-level DemandDataset) over real CONUS geography whose
-// per-cell count distribution and location-weighted county income
-// distribution match every statistic the paper reports (see calibration.hpp
-// and DESIGN.md). Generation is deterministic for a given config: location
-// synthesis draws from per-cell RNG streams split off the seed with
-// SplitMix64 (runtime/rng_split.hpp), so the output is byte-identical for
-// every executor thread count.
+// Synthetic national demand generator. Produces a DemandProfile over real
+// CONUS geography whose per-cell count distribution and location-weighted
+// county income distribution match every statistic the paper reports (see
+// calibration.hpp and DESIGN.md). Generation is deterministic for a given
+// config and byte-identical for every executor thread count.
 
 #include <array>
 #include <cstdint>
@@ -60,19 +57,6 @@ class SyntheticGenerator {
 
   /// As above, on the process-global executor (LEODIVIDE_THREADS).
   [[nodiscard]] DemandProfile generate_profile() const;
-
-  /// Expands a profile to individual locations. `sample_fraction` in (0,1]
-  /// keeps that fraction of each cell's locations (rounded up), for
-  /// memory-bounded tests. Cells are filled in parallel on `executor`, each
-  /// from its own split RNG stream into a precomputed slice, so ids,
-  /// positions and offers are byte-identical for every thread count.
-  [[nodiscard]] DemandDataset expand_locations(const DemandProfile& profile,
-                                               double sample_fraction,
-                                               runtime::Executor& executor) const;
-
-  /// As above, on the process-global executor.
-  [[nodiscard]] DemandDataset expand_locations(
-      const DemandProfile& profile, double sample_fraction = 1.0) const;
 
   [[nodiscard]] const GeneratorConfig& config() const noexcept {
     return config_;

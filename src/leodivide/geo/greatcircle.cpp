@@ -23,21 +23,6 @@ double distance_km(const GeoPoint& a, const GeoPoint& b) {
   return kEarthRadiusKm * central_angle_rad(a, b);
 }
 
-GeoPoint destination(const GeoPoint& start, double bearing_deg,
-                     double dist_km) {
-  const double delta = dist_km / kEarthRadiusKm;
-  const double theta = deg2rad(bearing_deg);
-  const double lat1 = deg2rad(start.lat_deg);
-  const double lon1 = deg2rad(start.lon_deg);
-  const double sin_lat2 = std::sin(lat1) * std::cos(delta) +
-                          std::cos(lat1) * std::sin(delta) * std::cos(theta);
-  const double lat2 = std::asin(std::clamp(sin_lat2, -1.0, 1.0));
-  const double y = std::sin(theta) * std::sin(delta) * std::cos(lat1);
-  const double x = std::cos(delta) - std::sin(lat1) * sin_lat2;
-  const double lon2 = lon1 + std::atan2(y, x);
-  return GeoPoint{rad2deg(lat2), rad2deg(lon2)}.normalized();
-}
-
 double latitude_band_fraction(double lat_lo_deg, double lat_hi_deg) {
   if (lat_lo_deg > lat_hi_deg) {
     throw std::invalid_argument("latitude_band_fraction: lo > hi");

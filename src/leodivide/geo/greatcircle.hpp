@@ -1,6 +1,6 @@
 #pragma once
-// Great-circle geometry on the spherical Earth: distances,
-// destination points and latitude bands.
+// Great-circle geometry on the spherical Earth: distances and latitude
+// bands.
 
 #include "leodivide/geo/geopoint.hpp"
 
@@ -11,10 +11,6 @@ namespace leodivide::geo {
 
 /// Central angle between two points [radians].
 [[nodiscard]] double central_angle_rad(const GeoPoint& a, const GeoPoint& b);
-
-/// Point reached travelling `distance_km` from `start` along `bearing_deg`.
-[[nodiscard]] GeoPoint destination(const GeoPoint& start, double bearing_deg,
-                                   double distance_km);
 
 /// Fraction of the sphere's surface between latitudes [lat_lo, lat_hi] deg.
 [[nodiscard]] double latitude_band_fraction(double lat_lo_deg,

@@ -24,6 +24,27 @@ struct CircularOrbit {
   [[nodiscard]] double mean_motion_rad_s() const noexcept;
 };
 
+/// The per-orbit factors of an ECI position: radius, mean motion and the
+/// cos/sin of inclination and RAAN. Every orbit of one plane shares them,
+/// so a batch takes their trig once per plane rather than per satellite.
+struct OrbitPlane {
+  OrbitPlane() = default;
+  explicit OrbitPlane(const CircularOrbit& orbit);
+
+  /// Position in the Earth-centered inertial frame at time t since epoch,
+  /// of the orbit in this plane whose argument of latitude at epoch is
+  /// `phase_rad`.
+  [[nodiscard]] geo::Vec3 eci_position(double phase_rad,
+                                       double t_s) const noexcept;
+
+  double radius_km = 0.0;
+  double mean_motion_rad_s = 0.0;
+  double cos_i = 1.0;
+  double sin_i = 0.0;
+  double cos_o = 1.0;
+  double sin_o = 0.0;
+};
+
 /// Position in the Earth-centered inertial frame at time t since epoch.
 [[nodiscard]] geo::Vec3 eci_position(const CircularOrbit& orbit, double t_s);
 

@@ -244,18 +244,11 @@ afford::PlanAffordability IncrementalEngine::query_affordability(
   const AffordKey key{plan.name, bits(plan.monthly_usd),
                       bits(plan.speeds.down_mbps), bits(plan.speeds.up_mbps),
                       bits(threshold)};
-  const auto it = afford_memo_.find(key);
-  afford::PlanAffordability answer;
-  if (it != afford_memo_.end()) {
-    ++stats_.partial_hits;
-    count_metric("serve.partial_hits");
-    answer = it->second;
-  } else {
-    ++stats_.partial_misses;
-    count_metric("serve.partial_misses");
-    answer = analyzer_->evaluate(plan, threshold);
-    afford_memo_.emplace(key, answer);
+  auto it = afford_memo_.find(key);
+  if (it == afford_memo_.end()) {
+    it = afford_memo_.emplace(key, analyzer_->evaluate(plan, threshold)).first;
   }
+  const afford::PlanAffordability answer = it->second;
   if (config_.paranoid) paranoid_check_affordability(plan, threshold, answer);
   return answer;
 }

@@ -64,9 +64,9 @@ class ParanoiaError : public std::runtime_error {
 struct EngineStats {
   std::uint64_t deltas_applied = 0;
   std::uint64_t dirty_regions = 0;      ///< cumulative regions dirtied
-  std::uint64_t region_recomputes = 0;  ///< partials actually recomputed
-  std::uint64_t partial_hits = 0;       ///< partials served from memory
-  std::uint64_t partial_misses = 0;
+  std::uint64_t region_recomputes = 0;  ///< region partials recomputed
+  std::uint64_t partial_hits = 0;    ///< region partials served from memory
+  std::uint64_t partial_misses = 0;  ///< region partial lookups that missed
   std::uint64_t paranoid_checks = 0;
   std::uint64_t cells = 0;    ///< current profile cell count
   std::uint64_t regions = 0;  ///< current region count

@@ -16,7 +16,6 @@ namespace {
 
 constexpr std::size_t kCountyMinBytes = 4 + 8 + 8 + 8 + 8;
 constexpr std::size_t kCellBytes = 8 + 8 + 8 + 4 + 4;
-constexpr std::size_t kLocationBytes = 8 + 8 + 8 + 4 + 8 + 8 + 1;
 constexpr std::size_t kF64Bytes = 8;
 constexpr std::size_t kTable1Bytes = 8 * 8 + 3 * 4;
 constexpr std::size_t kF1Bytes = 3 * 8 + 2 * 4 + 3 * 8;
@@ -110,54 +109,6 @@ std::vector<demand::CellDemand> decode_cells(std::string_view payload,
   }
   r.expect_exhausted("cells section");
   return cells;
-}
-
-void encode_locations(ByteWriter& w,
-                      const std::vector<demand::Location>& locations) {
-  w.count(locations.size(), kLocationBytes);
-  for (const demand::Location& l : locations) {
-    w.u64(l.id);
-    w.f64(l.position.lat_deg);
-    w.f64(l.position.lon_deg);
-    w.u32(l.county_index);
-    w.f64(l.best_offer.down_mbps);
-    w.f64(l.best_offer.up_mbps);
-    w.u8(static_cast<std::uint8_t>(l.technology));
-  }
-}
-
-std::vector<demand::Location> decode_locations(std::string_view payload,
-                                               std::size_t county_count) {
-  ByteReader r(payload);
-  const std::size_t n = r.count(kLocationBytes);
-  RecordReader rec = r.records(n, kLocationBytes);
-  std::vector<demand::Location> locations;
-  locations.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    demand::Location l;
-    l.id = rec.u64();
-    l.position.lat_deg = rec.f64();
-    l.position.lon_deg = rec.f64();
-    l.county_index = rec.u32();
-    l.best_offer.down_mbps = rec.f64();
-    l.best_offer.up_mbps = rec.f64();
-    const std::uint8_t tech = rec.u8();
-    if (tech > static_cast<std::uint8_t>(demand::Technology::kGeoSatellite)) {
-      throw SnapshotError("LDSNAP: location " + std::to_string(i) +
-                          " has unknown technology code " +
-                          std::to_string(tech));
-    }
-    l.technology = static_cast<demand::Technology>(tech);
-    if (l.county_index >= county_count) {
-      throw SnapshotError("LDSNAP: location " + std::to_string(i) +
-                          " references county " +
-                          std::to_string(l.county_index) + " of " +
-                          std::to_string(county_count));
-    }
-    locations.push_back(l);
-  }
-  r.expect_exhausted("locations section");
-  return locations;
 }
 
 void encode_f64_vec(ByteWriter& w, const std::vector<double>& v) {
@@ -295,23 +246,6 @@ SnapshotReader parse_expecting(std::string_view file, ArtifactKind kind) {
 }
 
 }  // namespace
-
-std::string serialize(const demand::DemandDataset& dataset) {
-  SnapshotWriter w(ArtifactKind::kLocations,
-                   counties_bytes(dataset.counties()) + 8 +
-                       dataset.locations().size() * kLocationBytes);
-  encode_counties(w.section("counties"), dataset.counties());
-  encode_locations(w.section("locations"), dataset.locations());
-  return std::move(w).finish();
-}
-
-demand::DemandDataset deserialize_dataset(std::string_view file) {
-  const SnapshotReader reader = parse_expecting(file, ArtifactKind::kLocations);
-  demand::CountyTable counties = decode_counties(reader.section("counties"));
-  std::vector<demand::Location> locations =
-      decode_locations(reader.section("locations"), counties.size());
-  return demand::DemandDataset(std::move(locations), std::move(counties));
-}
 
 std::string serialize(const demand::DemandProfile& profile) {
   SnapshotWriter w(ArtifactKind::kProfile,

@@ -1,7 +1,6 @@
 #pragma once
 // LDSNAP serializers for the heavy pipeline artifacts:
 //
-//   demand::DemandDataset            (kLocations — expanded Location sets)
 //   demand::DemandProfile            (kProfile   — per-cell aggregates)
 //   core::AnalysisResults            (kAnalysis  — sizing/report results)
 //   std::vector<sim::EpochCoverage>  (kEpochs    — simulation summaries)
@@ -12,8 +11,8 @@
 // Round trips are exact: doubles travel as IEEE-754 bit patterns, so
 // deserialize(serialize(x)) == x bit-for-bit and a cached stage can replace
 // recomputation without perturbing downstream output. Deserializers
-// re-validate semantic invariants (county indices in range, known
-// technology codes) and throw SnapshotError — corrupted input that passes
+// re-validate semantic invariants (county indices in range, known enum
+// codes) and throw SnapshotError — corrupted input that passes
 // the checksums still cannot reach undefined behaviour.
 
 #include <cstddef>
@@ -31,7 +30,6 @@
 
 namespace leodivide::snapshot {
 
-[[nodiscard]] std::string serialize(const demand::DemandDataset& dataset);
 [[nodiscard]] std::string serialize(const demand::DemandProfile& profile);
 [[nodiscard]] std::string serialize(const core::AnalysisResults& results);
 [[nodiscard]] std::string serialize(const std::vector<sim::EpochCoverage>& epochs);
@@ -39,7 +37,6 @@ namespace leodivide::snapshot {
 [[nodiscard]] std::string serialize(const std::vector<demand::DeltaOp>& journal);
 [[nodiscard]] std::string serialize(const market::MarketReport& report);
 
-[[nodiscard]] demand::DemandDataset deserialize_dataset(std::string_view file);
 [[nodiscard]] demand::DemandProfile deserialize_profile(std::string_view file);
 [[nodiscard]] core::AnalysisResults deserialize_analysis(std::string_view file);
 [[nodiscard]] std::vector<sim::EpochCoverage> deserialize_epochs(

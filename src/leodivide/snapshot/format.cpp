@@ -12,10 +12,18 @@ namespace {
 // executor's concurrency or the digest would vary with the thread count.
 constexpr std::size_t kChecksumChunk = 1 << 20;
 
-// The retired ArtifactKind value that held serve/'s on-disk region
-// partials. Files of that kind still exist in old cache dirs; parse
-// rejects them rather than handing a reader a kind it has no case for.
-constexpr std::uint16_t kRetiredServePartialKind = 7;
+// What a retired ArtifactKind value held, or null for a kind never
+// retired. Retired values are never reused: kind 1 held location-level
+// records, kind 7 serve/'s on-disk region partials (old cache dirs still
+// hold such files). parse rejects them by name rather than handing a
+// reader a kind it has no case for.
+const char* retired_kind(std::uint16_t kind) noexcept {
+  switch (kind) {
+    case 1: return "locations";
+    case 7: return "serve partial";
+    default: return nullptr;
+  }
+}
 
 [[noreturn]] void fail(std::string_view what, std::size_t offset) {
   throw SnapshotError("LDSNAP: " + std::string(what) + " at byte offset " +
@@ -26,7 +34,6 @@ constexpr std::uint16_t kRetiredServePartialKind = 7;
 
 std::string_view to_string(ArtifactKind kind) noexcept {
   switch (kind) {
-    case ArtifactKind::kLocations: return "locations";
     case ArtifactKind::kProfile: return "profile";
     case ArtifactKind::kAnalysis: return "analysis";
     case ArtifactKind::kEpochs: return "epochs";
@@ -228,12 +235,12 @@ SnapshotReader SnapshotReader::parse(std::string_view file) {
          kMagic.size() + 2);
   }
   const std::uint16_t kind = r.u16();
-  if (kind == kRetiredServePartialKind) {
-    fail("retired artifact kind " + std::to_string(kind) +
-             " (serve partial; no reader decodes it)",
+  if (const char* retired = retired_kind(kind)) {
+    fail("retired artifact kind " + std::to_string(kind) + " (" + retired +
+             "; no reader decodes it)",
          kMagic.size() + 4);
   }
-  if (kind < static_cast<std::uint16_t>(ArtifactKind::kLocations) ||
+  if (kind < static_cast<std::uint16_t>(ArtifactKind::kProfile) ||
       kind > static_cast<std::uint16_t>(ArtifactKind::kMarketReport)) {
     fail("unknown artifact kind " + std::to_string(kind), kMagic.size() + 4);
   }

@@ -54,7 +54,7 @@ inline constexpr std::string_view kMagic{"LDSNAP"};
 
 /// Which pipeline artifact a snapshot holds.
 enum class ArtifactKind : std::uint16_t {
-  kLocations = 1,  ///< demand::DemandDataset (expanded Location records)
+  // 1 is retired (it held location-level records): never reuse it.
   kProfile = 2,    ///< demand::DemandProfile (per-cell aggregates)
   kAnalysis = 3,   ///< core::AnalysisResults (sizing/affordability results)
   kEpochs = 4,     ///< std::vector<sim::EpochCoverage> (sim epoch summaries)
@@ -64,7 +64,7 @@ enum class ArtifactKind : std::uint16_t {
   kMarketReport = 8,  ///< market::MarketReport (multi-operator market run)
 };
 
-/// Human-readable artifact-kind name ("locations", "profile", ...).
+/// Human-readable artifact-kind name ("profile", "analysis", ...).
 [[nodiscard]] std::string_view to_string(ArtifactKind kind) noexcept;
 
 /// Typed error for every malformed, truncated or corrupted snapshot.

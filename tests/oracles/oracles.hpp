@@ -5,6 +5,7 @@
 // the shipped library.
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "leodivide/geo/polygon.hpp"
@@ -16,6 +17,14 @@
 #include "leodivide/stats/rng.hpp"
 
 namespace leodivide::oracle {
+
+/// Uniform double in [lo, hi), drawn from `rng`: the seeded generators'
+/// sampler. Throws std::invalid_argument when lo > hi.
+[[nodiscard]] inline double sample_uniform(stats::Pcg32& rng, double lo,
+                                           double hi) {
+  if (!(lo <= hi)) throw std::invalid_argument("sample_uniform: lo > hi");
+  return lo + (hi - lo) * rng.next_double();
+}
 
 /// The naive O(cells x sats) scheduling kernel, kept verbatim from before
 /// the visibility index: scans every satellite per cell, in the scheduler's

@@ -5,7 +5,6 @@
 #include "leodivide/geo/polygon.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
-#include "leodivide/stats/distributions.hpp"
 #include "oracles/oracles.hpp"
 
 namespace leodivide::oracle {
@@ -33,13 +32,13 @@ bool polygon_contains_reference(const geo::Polygon& poly,
 std::vector<geo::GeoPoint> random_star(stats::Pcg32& rng, double snap_deg) {
   const std::size_t n = 3 + rng.next_below(14);
   std::vector<double> angles(n);
-  for (double& a : angles) a = stats::sample_uniform(rng, 0.0, geo::kTwoPi);
+  for (double& a : angles) a = sample_uniform(rng, 0.0, geo::kTwoPi);
   std::sort(angles.begin(), angles.end());
-  const double lat0 = stats::sample_uniform(rng, -40.0, 40.0);
-  const double lon0 = stats::sample_uniform(rng, -150.0, 150.0);
+  const double lat0 = sample_uniform(rng, -40.0, 40.0);
+  const double lon0 = sample_uniform(rng, -150.0, 150.0);
   std::vector<geo::GeoPoint> v;
   for (const double a : angles) {
-    const double r = stats::sample_uniform(rng, 0.5, 6.0);
+    const double r = sample_uniform(rng, 0.5, 6.0);
     double lat = lat0 + r * std::sin(a);
     if (snap_deg > 0.0) lat = std::round(lat / snap_deg) * snap_deg;
     v.push_back({lat, lon0 + r * std::cos(a)});

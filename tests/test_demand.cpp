@@ -1,5 +1,6 @@
-// Unit tests for leodivide::demand — locations, counties, datasets, the
-// calibrated synthetic generator, and aggregation.
+// Unit tests for leodivide::demand — the reliable-broadband definition,
+// counties, the per-cell profile and its CSV codec, and the calibrated
+// synthetic generator.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/us_outline.hpp"
@@ -41,26 +41,8 @@ TEST(Location, ReliableBroadbandThresholds) {
   EXPECT_FALSE(is_reliable({25.0, 3.0}));
 }
 
-TEST(Location, UnderservedFollowsBestOffer) {
-  Location l;
-  l.best_offer = {25.0, 3.0};
-  EXPECT_TRUE(l.underserved());
-  l.best_offer = {300.0, 30.0};
-  EXPECT_FALSE(l.underserved());
-}
-
 TEST(Location, DemandIsHundredMegabits) {
   EXPECT_DOUBLE_EQ(location_demand_gbps(), 0.1);
-}
-
-TEST(Location, TechnologyStringsRoundTrip) {
-  for (Technology t : {Technology::kNone, Technology::kDsl, Technology::kCable,
-                       Technology::kFiber, Technology::kFixedWireless,
-                       Technology::kGeoSatellite}) {
-    EXPECT_EQ(technology_from_string(to_string(t)), t);
-  }
-  EXPECT_THROW((void)technology_from_string("carrier-pigeon"),
-               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- county ----
@@ -205,37 +187,10 @@ void expect_profile_round_trip(const DemandProfile& profile) {
               csv_quantized_counties(profile.counties()));
 }
 
-void expect_dataset_round_trip(const DemandDataset& data) {
-  std::ostringstream loc_out, county_out;
-  data.save_csv(loc_out, county_out);
-  std::istringstream loc_in(loc_out.str()), county_in(county_out.str());
-  const DemandDataset back = DemandDataset::load_csv(loc_in, county_in);
-  std::vector<Location> expected = data.locations();
-  for (Location& l : expected) {
-    l.position = {csv_quantized(l.position.lat_deg),
-                  csv_quantized(l.position.lon_deg)};
-    l.best_offer = {csv_quantized(l.best_offer.down_mbps),
-                    csv_quantized(l.best_offer.up_mbps)};
-  }
-  EXPECT_TRUE(back.locations() == expected);
-  EXPECT_TRUE(back.counties().all() ==
-              csv_quantized_counties(data.counties()));
-}
-
 TEST(DemandProfileTest, CsvRoundTrip) {
   expect_profile_round_trip(
       SyntheticGenerator({.seed = 7, .scale = 0.002}).generate_profile());
   expect_profile_round_trip(national_profile());
-}
-
-TEST(DemandDatasetTest, CsvRoundTrip) {
-  const SyntheticGenerator small({.seed = 7, .scale = 0.002});
-  const DemandDataset data =
-      small.expand_locations(small.generate_profile(), 0.05);
-  ASSERT_GT(data.size(), 0U);
-  expect_dataset_round_trip(data);
-  expect_dataset_round_trip(SyntheticGenerator(GeneratorConfig{})
-                                .expand_locations(national_profile(), 0.05));
 }
 
 constexpr const char* kCellHeader = "cell_id,lat,lon,underserved,county_index";
@@ -344,52 +299,20 @@ TEST(DemandProfileTest, CsvCountsAboveUint32AreTypedErrors) {
             "CSV: bad integer for county: '4294967296'");
 }
 
-// A locations CSV of `rows` records (all in county 0); `edit(i, line)` may
-// rewrite row i's text.
-template <typename Edit>
-std::string locations_csv(std::size_t rows, const Edit& edit) {
-  std::string out = "id,lat,lon,county_index,down_mbps,up_mbps,technology\n";
-  for (std::size_t i = 1; i <= rows; ++i) {
-    std::string line = std::to_string(i) +
-                       ",36.000000,-90.000000,0,25.000000,3.000000,dsl";
-    edit(i, line);
-    out += line + '\n';
-  }
-  return out;
-}
-
-std::string dataset_load_error(const std::string& locations) {
-  std::istringstream locations_in(locations), counties_in(kOneCounty);
-  try {
-    (void)DemandDataset::load_csv(locations_in, counties_in);
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(DemandDatasetTest, CsvCountyAboveUint32IsTypedError) {
-  EXPECT_EQ(dataset_load_error(locations_csv(3, [](std::size_t i, auto& line) {
-              if (i == 2) line = "2,36,-90,4294967296,25,3,dsl";
-            })),
-            "CSV: bad integer for county: '4294967296'");
-}
-
-TEST(DemandDatasetTest, CsvFirstBadRecordAcrossBlocksWins) {
-  // ~5.2 MB, so both bad rows sit in the loader's second 4 MiB block.
-  constexpr std::size_t kRows = 100000;
-  const std::string csv = locations_csv(kRows, [](std::size_t i, auto& line) {
-    if (i == 84000) line += ",extra";
-    if (i == 95000) line = "95000,36,-90,0,25,3,pigeon";
+TEST(DemandProfileTest, CsvFirstBadRecordAcrossBlocksWins) {
+  // ~6 MB, so both bad rows sit in the loader's second 4 MiB block.
+  constexpr std::size_t kRows = 130000;
+  const std::string csv = cells_csv(kRows, [](std::size_t i, auto& fields) {
+    if (i == 110000) fields.push_back("extra");
+    if (i == 120000) fields[1] = "north";
   });
   ASSERT_GT(csv.find(",extra"), io::CsvBlockReader::kDefaultBlockBytes);
-  EXPECT_EQ(dataset_load_error(csv), "location CSV: bad width");
-  const std::string clean = locations_csv(kRows, [](std::size_t, auto&) {});
-  std::istringstream locations_in(clean), counties_in(kOneCounty);
-  const DemandDataset loaded =
-      DemandDataset::load_csv(locations_in, counties_in);
-  ASSERT_EQ(loaded.size(), kRows);
-  EXPECT_EQ(loaded.locations().back().id, kRows);
+  EXPECT_EQ(load_error(csv), "cell CSV: bad width");
+  const std::string clean = cells_csv(kRows, [](std::size_t, auto&) {});
+  std::istringstream cells_in(clean), counties_in(kOneCounty);
+  const DemandProfile loaded = DemandProfile::load_csv(cells_in, counties_in);
+  ASSERT_EQ(loaded.cell_count(), kRows);
+  EXPECT_EQ(loaded.cells().back().cell.to_string(), cell_fields(kRows)[0]);
 }
 
 TEST(DemandProfileTest, CsvSaveIntoFailedStreamThrows) {
@@ -401,12 +324,6 @@ TEST(DemandProfileTest, CsvSaveIntoFailedStreamThrows) {
   std::ostringstream good_cells, bad_counties;
   bad_counties.setstate(std::ios::badbit);
   EXPECT_THROW(profile.save_csv(good_cells, bad_counties), std::runtime_error);
-
-  const DemandDataset data = SyntheticGenerator({.seed = 7, .scale = 0.002})
-                                 .expand_locations(profile, 0.05);
-  std::ostringstream locations, data_counties;
-  locations.setstate(std::ios::badbit);
-  EXPECT_THROW(data.save_csv(locations, data_counties), std::runtime_error);
 }
 
 // Loads a one-county, one-cell profile whose cell_id field is `id`.
@@ -745,75 +662,6 @@ TEST(Generator, GoldenProfileAndCsvBytes) {
   }
 }
 
-TEST(Generator, ExpandLocationsMatchesProfileCounts) {
-  const SyntheticGenerator gen({.seed = 5, .scale = 0.002});
-  const DemandProfile profile = gen.generate_profile();
-  const DemandDataset data = gen.expand_locations(profile);
-  EXPECT_EQ(data.size(), profile.total_locations());
-  // Every expanded location is un(der)served by construction.
-  EXPECT_EQ(data.underserved_count(), data.size());
-}
-
-TEST(Generator, ExpandRejectsBadFraction) {
-  const SyntheticGenerator gen({.seed = 5, .scale = 0.002});
-  const DemandProfile profile = gen.generate_profile();
-  EXPECT_THROW(gen.expand_locations(profile, 0.0), std::invalid_argument);
-  EXPECT_THROW(gen.expand_locations(profile, 1.1), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- aggregate ----
-
-TEST(Aggregate, RoundTripsGeneratorProfile) {
-  // Expanding a profile to locations and re-aggregating must reproduce the
-  // per-cell counts exactly (locations are scattered within their cell).
-  const SyntheticGenerator gen({.seed = 3, .scale = 0.002});
-  const DemandProfile profile = gen.generate_profile();
-  const DemandDataset data = gen.expand_locations(profile);
-  const hex::HexGrid grid;
-  const DemandProfile back = aggregate(data, grid, 5);
-  EXPECT_EQ(back.total_locations(), profile.total_locations());
-  EXPECT_EQ(back.cell_count(), profile.cell_count());
-  EXPECT_EQ(back.peak_cell_count(), profile.peak_cell_count());
-}
-
-TEST(Aggregate, ServedLocationsAreExcluded) {
-  CountyTable counties;
-  counties.add({"90001", {39.0, -98.0}, 50000.0, 0});
-  std::vector<Location> locs(3);
-  locs[0].position = {39.0, -98.0};
-  locs[0].best_offer = {25.0, 3.0};  // underserved
-  locs[1].position = {39.0, -98.0};
-  locs[1].best_offer = {300.0, 30.0};  // served
-  locs[2].position = {39.0, -98.0};
-  locs[2].best_offer = {0.0, 0.0};  // underserved
-  const DemandDataset data(std::move(locs), std::move(counties));
-  const DemandProfile profile = aggregate(data, hex::HexGrid(), 5);
-  EXPECT_EQ(profile.total_locations(), 2U);
-}
-
-TEST(Aggregate, CoarserResolutionMergesCells) {
-  // A dense cluster of locations: at a coarser resolution its cells must
-  // merge. (Sparse national scatter need not shrink, because this grid's
-  // aperture-4 hierarchy is center-based rather than strictly nested.)
-  CountyTable counties;
-  counties.add({"90001", {39.0, -98.0}, 50000.0, 0});
-  std::vector<Location> locs;
-  stats::Pcg32 rng(4);
-  for (int i = 0; i < 2000; ++i) {
-    Location l;
-    l.id = static_cast<std::uint64_t>(i);
-    l.position = {38.5 + rng.next_double(), -98.5 + rng.next_double()};
-    l.best_offer = {25.0, 3.0};
-    locs.push_back(l);
-  }
-  const DemandDataset data(std::move(locs), std::move(counties));
-  const hex::HexGrid grid;
-  const DemandProfile fine = aggregate(data, grid, 5);
-  const DemandProfile coarse = aggregate(data, grid, 3);
-  EXPECT_LT(coarse.cell_count(), fine.cell_count());
-  EXPECT_EQ(coarse.total_locations(), fine.total_locations());
-}
-
 }  // namespace
 }  // namespace leodivide::demand
 
@@ -948,103 +796,6 @@ TEST(GeoJson, RingsAreClosedSevenVertexPolygons) {
     ++pairs;
   }
   EXPECT_EQ(pairs, 6U);
-}
-
-}  // namespace
-}  // namespace leodivide::demand
-
-// Appended: FCC BDC ingestion (demand/bdc.hpp).
-#include "leodivide/demand/bdc.hpp"
-
-namespace leodivide::demand {
-namespace {
-
-constexpr const char* kAvailabilityCsv =
-    "frn,provider_id,brand_name,location_id,technology,"
-    "max_advertised_download_speed,max_advertised_upload_speed,"
-    "low_latency,business_residential_code,state_usps\n"
-    "0001,100,AcmeFiber,1001,50,1000,1000,1,R,KS\n"
-    "0002,200,RuralDSL,1002,10,25,3,1,R,KS\n"
-    "0003,300,SkyGeo,1002,60,100,20,0,R,KS\n"       // GEO: not low latency
-    "0002,200,RuralDSL,1003,10,10,1,1,R,KS\n"
-    "0004,400,WispCo,1003,71,50,10,1,R,KS\n"         // better than the DSL
-    "0005,500,CableCo,1004,40,300,30,1,R,KS\n";
-
-constexpr const char* kFabricCsv =
-    "location_id,latitude,longitude,unit_count\n"
-    "1001,39.10,-98.10,1\n"
-    "1002,39.20,-98.20,1\n"
-    "1003,39.30,-98.30,1\n";  // 1004 deliberately missing
-
-TEST(Bdc, TechnologyCodeMapping) {
-  EXPECT_EQ(technology_from_bdc_code(10), Technology::kDsl);
-  EXPECT_EQ(technology_from_bdc_code(40), Technology::kCable);
-  EXPECT_EQ(technology_from_bdc_code(50), Technology::kFiber);
-  EXPECT_EQ(technology_from_bdc_code(60), Technology::kGeoSatellite);
-  EXPECT_EQ(technology_from_bdc_code(71), Technology::kFixedWireless);
-  EXPECT_EQ(technology_from_bdc_code(999), Technology::kNone);
-}
-
-TEST(Bdc, ParsesAvailabilityWithColumnDetection) {
-  std::istringstream in(kAvailabilityCsv);
-  const auto records = read_bdc_availability(in);
-  ASSERT_EQ(records.size(), 6U);
-  EXPECT_EQ(records[0].location_id, 1001U);
-  EXPECT_EQ(records[0].technology_code, 50);
-  EXPECT_DOUBLE_EQ(records[0].down_mbps, 1000.0);
-  EXPECT_FALSE(records[2].low_latency);
-  EXPECT_EQ(records[5].state, "KS");
-}
-
-TEST(Bdc, RejectsMissingColumns) {
-  std::istringstream in("a,b,c\n1,2,3\n");
-  EXPECT_THROW((void)read_bdc_availability(in), std::runtime_error);
-  std::istringstream empty("");
-  EXPECT_THROW((void)read_bdc_availability(empty), std::runtime_error);
-}
-
-TEST(Bdc, FabricParsing) {
-  std::istringstream in(kFabricCsv);
-  const auto fabric = read_bdc_fabric(in);
-  ASSERT_EQ(fabric.size(), 3U);
-  EXPECT_NEAR(fabric.at(1002).lat_deg, 39.2, 1e-9);
-  EXPECT_NEAR(fabric.at(1002).lon_deg, -98.2, 1e-9);
-}
-
-TEST(Bdc, BuildDatasetReducesToBestOffer) {
-  std::istringstream avail(kAvailabilityCsv);
-  std::istringstream fab(kFabricCsv);
-  const auto records = read_bdc_availability(avail);
-  const auto fabric = read_bdc_fabric(fab);
-  std::size_t dropped = 0;
-  const DemandDataset data = build_dataset(
-      records, fabric, County{"20001", {39.2, -98.2}, 55000.0, 0}, &dropped);
-  // 1004 has no fabric entry.
-  EXPECT_EQ(dropped, 1U);
-  ASSERT_EQ(data.size(), 3U);
-  // 1001: fiber gigabit -> served.
-  EXPECT_FALSE(data.locations()[0].underserved());
-  EXPECT_EQ(data.locations()[0].technology, Technology::kFiber);
-  // 1002: best low-latency offer is 25/3 DSL (the GEO 100/20 offer does
-  // not count) -> underserved.
-  EXPECT_TRUE(data.locations()[1].underserved());
-  EXPECT_EQ(data.locations()[1].technology, Technology::kDsl);
-  EXPECT_DOUBLE_EQ(data.locations()[1].best_offer.down_mbps, 25.0);
-  // 1003: fixed wireless 50/10 beats DSL 10/1 -> still underserved.
-  EXPECT_TRUE(data.locations()[2].underserved());
-  EXPECT_EQ(data.locations()[2].technology, Technology::kFixedWireless);
-  // County rollup counts the two underserved locations.
-  EXPECT_EQ(data.counties().at(0).underserved_locations, 2U);
-}
-
-TEST(Bdc, DatasetFeedsAggregationPipeline) {
-  std::istringstream avail(kAvailabilityCsv);
-  std::istringstream fab(kFabricCsv);
-  const DemandDataset data =
-      build_dataset(read_bdc_availability(avail), read_bdc_fabric(fab),
-                    County{"20001", {39.2, -98.2}, 55000.0, 0});
-  const DemandProfile profile = aggregate(data, hex::HexGrid(), 5);
-  EXPECT_EQ(profile.total_locations(), 2U);  // the two underserved
 }
 
 }  // namespace

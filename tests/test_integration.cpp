@@ -8,7 +8,6 @@
 
 #include "leodivide/core/report.hpp"
 #include "leodivide/core/scenario.hpp"
-#include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/calibration.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/orbit/density.hpp"
@@ -100,24 +99,6 @@ TEST(Table2, CalibratedAndDerivedAgree) {
         model, demand::paper::kKFullService, s, 4);
     EXPECT_NEAR(derived, calibrated, calibrated * 0.005);
   }
-}
-
-// ---- Location-level pipeline: expand -> aggregate -> analyze --------------
-
-TEST(Pipeline, LocationLevelRoundTripPreservesAnalysis) {
-  const demand::SyntheticGenerator gen({.seed = 9, .scale = 0.005});
-  const demand::DemandProfile profile = gen.generate_profile();
-  const demand::DemandDataset dataset = gen.expand_locations(profile);
-  const demand::DemandProfile back =
-      demand::aggregate(dataset, hex::HexGrid(), 5);
-
-  const core::SatelliteCapacityModel model;
-  const auto before = core::analyze_oversubscription(profile, model);
-  const auto after = core::analyze_oversubscription(back, model);
-  EXPECT_EQ(before.total_locations, after.total_locations);
-  EXPECT_EQ(before.locations_above_cap, after.locations_above_cap);
-  EXPECT_NEAR(before.peak_oversubscription, after.peak_oversubscription,
-              1e-9);
 }
 
 // ---- CSV persistence round trip through the full analysis -----------------

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "leodivide/core/sizing.hpp"
-#include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/generator.hpp"
-#include "leodivide/hex/hexgrid.hpp"
 #include "leodivide/obs/obs.hpp"
 #include "leodivide/orbit/walker.hpp"
 #include "leodivide/runtime/executor.hpp"
@@ -195,19 +193,14 @@ TEST_F(ObsTest, SpanFeedsTraceAndStageTimer) {
 
 constexpr demand::GeneratorConfig kSmallConfig{.seed = 11, .scale = 0.01};
 
-// Runs the full instrumented pipeline (polyfill -> generate -> expand ->
-// aggregate -> sizing -> simulation) and serialises every output to one
-// byte string.
+// Runs the full instrumented pipeline (polyfill -> generate -> sizing ->
+// simulation) and serialises every output to one byte string.
 std::string run_pipeline_bytes(runtime::Executor& executor) {
   const demand::SyntheticGenerator gen(kSmallConfig);
   const auto profile = gen.generate_profile(executor);
-  const auto dataset = gen.expand_locations(profile, 0.25, executor);
-  const auto reaggregated =
-      demand::aggregate(dataset, hex::HexGrid(), 5, executor);
 
   std::ostringstream out;
   profile.save_csv(out, out);
-  reaggregated.save_csv(out, out);
 
   const core::SizingModel model;
   const auto sizing = core::size_with_cap(profile, model, 5.0, 20.0, executor);
@@ -275,7 +268,7 @@ TEST_F(ObsTest, PipelineMetricsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(counters, baseline) << "threads=" << threads;
     }
   }
-  // The five instrumented stages all produced timers.
+  // Every instrumented stage produced a timer.
   const auto stages = obs::registry().stage_totals_ms();
   const auto has_stage = [&](const std::string& name) {
     for (const auto& [n, ms] : stages) {
@@ -285,8 +278,6 @@ TEST_F(ObsTest, PipelineMetricsIdenticalAcrossThreadCounts) {
   };
   EXPECT_TRUE(has_stage("hex.polyfill"));
   EXPECT_TRUE(has_stage("demand.generate_profile"));
-  EXPECT_TRUE(has_stage("demand.expand_locations"));
-  EXPECT_TRUE(has_stage("demand.aggregate"));
   EXPECT_TRUE(has_stage("core.size_with_cap"));
   EXPECT_TRUE(has_stage("sim.run"));
 }
@@ -341,8 +332,8 @@ TEST_F(ObsTest, ChromeTraceExportsNestedPipelineStages) {
     return out_spans;
   };
   for (const char* stage :
-       {"hex.polyfill", "demand.generate_profile", "demand.expand_locations",
-        "demand.aggregate", "core.size_with_cap", "sim.run", "sim.epoch"}) {
+       {"hex.polyfill", "demand.generate_profile", "core.size_with_cap",
+        "sim.run", "sim.epoch"}) {
     EXPECT_FALSE(spans_named(stage).empty()) << "missing stage " << stage;
   }
 

@@ -20,13 +20,11 @@
 
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/core/sizing.hpp"
-#include "leodivide/demand/aggregate.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/hex/polyfill.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/map_reduce.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
-#include "leodivide/runtime/rng_split.hpp"
 #include "leodivide/runtime/thread_pool.hpp"
 #include "leodivide/sim/simulation.hpp"
 
@@ -340,19 +338,6 @@ TEST(MapReduce, OrderedConcatenationMatchesSerialOrder) {
   EXPECT_EQ(serial[31], 31U * 31U);
 }
 
-TEST(RngSplit, DeterministicAndShardDistinct) {
-  EXPECT_EQ(runtime::split_seed(42, 0), runtime::split_seed(42, 0));
-  EXPECT_NE(runtime::split_seed(42, 0), runtime::split_seed(42, 1));
-  EXPECT_NE(runtime::split_seed(42, 0), runtime::split_seed(43, 0));
-  // No collisions among the first few thousand shards of one seed.
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 4096; ++s) {
-    seeds.push_back(runtime::split_seed(7, s));
-  }
-  std::sort(seeds.begin(), seeds.end());
-  EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline determinism: byte-identical output at threads in {1, 2, 8}
 // ---------------------------------------------------------------------------
@@ -363,66 +348,35 @@ std::string profile_bytes(const demand::DemandProfile& profile) {
   return cells.str() + '\x1f' + counties.str();
 }
 
-std::string dataset_bytes(const demand::DemandDataset& dataset) {
-  std::ostringstream locations, counties;
-  dataset.save_csv(locations, counties);
-  return locations.str() + '\x1f' + counties.str();
-}
-
 constexpr demand::GeneratorConfig kSmallConfig{.seed = 42, .scale = 0.002};
 
-TEST(PipelineDeterminism, GenerateExpandAggregateAcrossThreadCounts) {
+TEST(PipelineDeterminism, GenerateAcrossThreadCounts) {
   const demand::SyntheticGenerator gen(kSmallConfig);
-  const hex::HexGrid grid;
-
   const auto profile1 = gen.generate_profile(runtime::serial_executor());
-  const auto dataset1 =
-      gen.expand_locations(profile1, 1.0, runtime::serial_executor());
-  const auto agg1 =
-      demand::aggregate(dataset1, grid, kSmallConfig.resolution,
-                        runtime::serial_executor());
-
   for (std::size_t threads : {2UL, 8UL}) {
     runtime::ThreadPool pool(threads);
-    const auto profile = gen.generate_profile(pool);
-    EXPECT_EQ(profile_bytes(profile), profile_bytes(profile1))
+    EXPECT_EQ(profile_bytes(gen.generate_profile(pool)),
+              profile_bytes(profile1))
         << "generate_profile at threads=" << threads;
-    const auto dataset = gen.expand_locations(profile, 1.0, pool);
-    EXPECT_EQ(dataset_bytes(dataset), dataset_bytes(dataset1))
-        << "expand_locations at threads=" << threads;
-    const auto agg =
-        demand::aggregate(dataset, grid, kSmallConfig.resolution, pool);
-    EXPECT_EQ(profile_bytes(agg), profile_bytes(agg1))
-        << "aggregate at threads=" << threads;
   }
 }
 
 TEST(PipelineDeterminism, CsvRoundTripAcrossThreadCounts) {
   const demand::SyntheticGenerator gen(kSmallConfig);
   const auto profile = gen.generate_profile(runtime::serial_executor());
-  const auto dataset =
-      gen.expand_locations(profile, 1.0, runtime::serial_executor());
-  const auto save = [](const auto& data, runtime::Executor& executor) {
-    std::ostringstream rows, counties;
-    data.save_csv(rows, counties, executor);
-    return std::pair{rows.str(), counties.str()};
+  const auto save = [&profile](runtime::Executor& executor) {
+    std::ostringstream cells, counties;
+    profile.save_csv(cells, counties, executor);
+    return std::pair{cells.str(), counties.str()};
   };
-  const auto profile_csv = save(profile, runtime::serial_executor());
-  const auto dataset_csv = save(dataset, runtime::serial_executor());
+  const auto profile_csv = save(runtime::serial_executor());
   for (std::size_t threads : {2UL, 8UL}) {
     runtime::ThreadPool pool(threads);
-    EXPECT_EQ(save(profile, pool), profile_csv) << "threads=" << threads;
-    EXPECT_EQ(save(dataset, pool), dataset_csv) << "threads=" << threads;
+    EXPECT_EQ(save(pool), profile_csv) << "threads=" << threads;
     std::istringstream cells(profile_csv.first), counties(profile_csv.second);
     EXPECT_EQ(profile_bytes(demand::DemandProfile::load_csv(cells, counties,
                                                             pool)),
               profile_bytes(profile))
-        << "threads=" << threads;
-    std::istringstream locations(dataset_csv.first),
-        location_counties(dataset_csv.second);
-    EXPECT_EQ(dataset_bytes(demand::DemandDataset::load_csv(
-                  locations, location_counties, pool)),
-              dataset_bytes(dataset))
         << "threads=" << threads;
   }
 }
@@ -430,11 +384,8 @@ TEST(PipelineDeterminism, CsvRoundTripAcrossThreadCounts) {
 TEST(PipelineDeterminism, SameSeedTwiceIsByteIdentical) {
   runtime::ThreadPool pool(4);
   const demand::SyntheticGenerator gen(kSmallConfig);
-  const auto a = gen.generate_profile(pool);
-  const auto b = gen.generate_profile(pool);
-  EXPECT_EQ(profile_bytes(a), profile_bytes(b));
-  EXPECT_EQ(dataset_bytes(gen.expand_locations(a, 1.0, pool)),
-            dataset_bytes(gen.expand_locations(b, 1.0, pool)));
+  EXPECT_EQ(profile_bytes(gen.generate_profile(pool)),
+            profile_bytes(gen.generate_profile(pool)));
 }
 
 TEST(PipelineDeterminism, PolyfillMatchesSerialScanOrder) {

@@ -61,17 +61,6 @@ demand::DemandProfile small_profile() {
   return demand::DemandProfile(std::move(cells), small_counties());
 }
 
-demand::DemandDataset small_dataset() {
-  std::vector<demand::Location> locations;
-  locations.push_back({1, {39.10, -75.40}, 0, {25.0, 3.0},
-                       demand::Technology::kDsl});
-  locations.push_back({2, {39.61, -75.71}, 1, {0.0, 0.0},
-                       demand::Technology::kNone});
-  locations.push_back({7, {39.92, -75.23}, 1, {940.0, 35.0},
-                       demand::Technology::kFiber});
-  return demand::DemandDataset(std::move(locations), small_counties());
-}
-
 core::AnalysisResults small_analysis() {
   // A tiny but fully-populated AnalysisResults: every field participates
   // in the round trip.
@@ -365,14 +354,6 @@ TEST(Container, MagicStartsTheFile) {
 
 // ------------------------------------------------------ artifact round trips
 
-TEST(Artifacts, DatasetRoundTripExact) {
-  const demand::DemandDataset dataset = small_dataset();
-  const std::string blob = snapshot::serialize(dataset);
-  const demand::DemandDataset back = snapshot::deserialize_dataset(blob);
-  EXPECT_EQ(back.locations(), dataset.locations());
-  EXPECT_EQ(back.counties().all(), dataset.counties().all());
-}
-
 TEST(Artifacts, ProfileRoundTripExact) {
   const demand::DemandProfile profile = small_profile();
   const std::string blob = snapshot::serialize(profile);
@@ -506,27 +487,38 @@ TEST(Adversarial, KindMismatchRejected) {
                snapshot::SnapshotError);
   EXPECT_THROW((void)snapshot::deserialize_analysis(blob),
                snapshot::SnapshotError);
-  EXPECT_THROW((void)snapshot::deserialize_dataset(blob),
-               snapshot::SnapshotError);
 }
 
-// Kind 7 held serve's on-disk region partials, which are gone; old cache
-// dirs still hold such files. Rebuild one as it was written (a "served"
-// section of two u64 counts) and check the container refuses its kind.
+// Kind 1 held location-level records and kind 7 serve's on-disk region
+// partials; both are gone, and old cache dirs may still hold kind-7 files.
+// Rebuild one blob of each as it was written (a "counties" and an empty
+// "locations" section; a "served" section of two u64 counts) and check the
+// container refuses its kind by name.
 TEST(Adversarial, RetiredServePartialKindRejected) {
+  snapshot::ByteWriter counties;
+  counties.u64(0);
+  snapshot::ByteWriter locations;
+  locations.u64(0);
+  snapshot::SnapshotWriter locations_blob(
+      static_cast<snapshot::ArtifactKind>(1));
+  locations_blob.add_section("counties", std::move(counties).take());
+  locations_blob.add_section("locations", std::move(locations).take());
   snapshot::ByteWriter served;
   served.u64(36);
   served.u64(1234);
-  snapshot::SnapshotWriter sw(static_cast<snapshot::ArtifactKind>(7));
-  sw.add_section("served", std::move(served).take());
-  const std::string blob = std::move(sw).finish();
-  try {
-    (void)snapshot::SnapshotReader::parse(blob);
-    FAIL() << "a kind-7 snapshot parsed";
-  } catch (const snapshot::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("retired artifact kind 7"),
-              std::string::npos)
-        << e.what();
+  snapshot::SnapshotWriter partial_blob(static_cast<snapshot::ArtifactKind>(7));
+  partial_blob.add_section("served", std::move(served).take());
+  const std::pair<std::string, const char*> retired[] = {
+      {std::move(locations_blob).finish(), "retired artifact kind 1"},
+      {std::move(partial_blob).finish(), "retired artifact kind 7"}};
+  for (const auto& [blob, expected] : retired) {
+    try {
+      (void)snapshot::SnapshotReader::parse(blob);
+      ADD_FAILURE() << "a snapshot of " << expected << " parsed";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -636,30 +628,6 @@ TEST(Adversarial, MarketKindMismatchRejected) {
                snapshot::SnapshotError);
 }
 
-TEST(Adversarial, UnknownTechnologyRejected) {
-  snapshot::ByteWriter counties;
-  counties.u64(1);
-  counties.str("10001");
-  counties.f64(39.0);
-  counties.f64(-75.5);
-  counties.f64(52000.0);
-  counties.u64(120);
-  snapshot::ByteWriter locations;
-  locations.u64(1);
-  locations.u64(1);
-  locations.f64(39.1);
-  locations.f64(-75.4);
-  locations.u32(0);
-  locations.f64(25.0);
-  locations.f64(3.0);
-  locations.u8(250);  // no such Technology
-  snapshot::SnapshotWriter w(snapshot::ArtifactKind::kLocations);
-  w.add_section("counties", std::move(counties).take());
-  w.add_section("locations", std::move(locations).take());
-  EXPECT_THROW((void)snapshot::deserialize_dataset(std::move(w).finish()),
-               snapshot::SnapshotError);
-}
-
 // Overwrites every 8-byte window of every section of `blob` with a count of
 // 2^50 and re-seals the file with valid checksums. Wherever that lands,
 // `decode` must decode or fail typed — a count must be refused against the
@@ -705,13 +673,6 @@ TEST(Adversarial, ProfileHugeCountFailsTyped) {
       snapshot::serialize(small_profile()),
       [](std::string_view b) { return snapshot::deserialize_profile(b); },
       {{"counties", 0}, {"cells", 0}});
-}
-
-TEST(Adversarial, DatasetHugeCountFailsTyped) {
-  expect_huge_counts_fail_typed(
-      snapshot::serialize(small_dataset()),
-      [](std::string_view b) { return snapshot::deserialize_dataset(b); },
-      {{"counties", 0}, {"locations", 0}});
 }
 
 TEST(Adversarial, AnalysisHugeCountFailsTyped) {
@@ -1338,7 +1299,6 @@ namespace {
 
 struct GoldenInputs {
   demand::DemandProfile profile;
-  demand::DemandDataset dataset;
   core::AnalysisResults analysis;
 };
 
@@ -1347,8 +1307,6 @@ const GoldenInputs& golden_inputs() {
     const demand::SyntheticGenerator gen({.seed = 17, .scale = 0.01});
     GoldenInputs in;
     in.profile = gen.generate_profile();
-    in.dataset =
-        gen.expand_locations(in.profile, 0.01, runtime::serial_executor());
     in.analysis = core::run_full_analysis(in.profile);
     return in;
   }();
@@ -1404,7 +1362,6 @@ std::string results_json(const demand::DemandProfile& profile,
 
 TEST(GoldenBytes, EveryArtifactKind) {
   const GoldenInputs& in = golden_inputs();
-  EXPECT_EQ(digest_of(snapshot::serialize(in.dataset)), "28342:cd04b83e1cb8da0f");
   EXPECT_EQ(digest_of(snapshot::serialize(in.profile)), "7828:83ddf70c7dcce4da");
   EXPECT_EQ(digest_of(snapshot::serialize(in.analysis)), "5132:a296864a7f455966");
 

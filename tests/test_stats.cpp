@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "leodivide/stats/cdf.hpp"
-#include "leodivide/stats/distributions.hpp"
 #include "leodivide/stats/histogram.hpp"
 #include "leodivide/stats/interpolate.hpp"
 #include "leodivide/stats/percentile.hpp"
 #include "leodivide/stats/rng.hpp"
 #include "leodivide/stats/summary.hpp"
+#include "oracles/oracles.hpp"
 
 namespace leodivide::stats {
 namespace {
@@ -138,12 +138,12 @@ TEST(PiecewiseQuantile, RejectsBadAnchors) {
                std::invalid_argument);
 }
 
-// -------------------------------------------------------- distributions ----
+// ------------------------------------------- the oracles' uniform sampler ----
 
 TEST(Distributions, UniformRespectsRange) {
   Pcg32 rng(1);
   for (int i = 0; i < 1000; ++i) {
-    const double v = sample_uniform(rng, -3.0, 5.0);
+    const double v = oracle::sample_uniform(rng, -3.0, 5.0);
     EXPECT_GE(v, -3.0);
     EXPECT_LT(v, 5.0);
   }
@@ -151,7 +151,7 @@ TEST(Distributions, UniformRespectsRange) {
 
 TEST(Distributions, UniformRejectsInvertedRange) {
   Pcg32 rng(1);
-  EXPECT_THROW((void)sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)oracle::sample_uniform(rng, 2.0, 1.0), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- percentile ----

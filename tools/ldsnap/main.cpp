@@ -62,9 +62,6 @@ int cmd_inspect(const std::string& path) {
 void deep_verify(const std::string& file) {
   const snapshot::SnapshotReader reader = snapshot::SnapshotReader::parse(file);
   switch (reader.kind()) {
-    case snapshot::ArtifactKind::kLocations:
-      (void)snapshot::deserialize_dataset(file);
-      break;
     case snapshot::ArtifactKind::kProfile:
       (void)snapshot::deserialize_profile(file);
       break;
