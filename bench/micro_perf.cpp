@@ -4,8 +4,6 @@
 //   --sim-schedule  indexed (VisIndex) vs naive full-scan scheduling over a
 //                   cells x sats sweep and the national profile on Starlink
 //                   shell 1; gated against BENCH_sim.json.
-//   --sim-event     event-driven engine vs fixed-epoch stepping on
-//                   multi-day horizons; gated against BENCH_event.json.
 //   --serve-delta   incremental per-region recompute (serve/) vs full
 //                   recompute per delta; gated against BENCH_serve.json.
 //   --market        the three-operator market serially and on a pool;
@@ -29,7 +27,6 @@
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/generator.hpp"
-#include "leodivide/event/engine.hpp"
 #include "leodivide/geo/angle.hpp"
 #include "leodivide/hex/hexgrid.hpp"
 #include "leodivide/market/simulation.hpp"
@@ -171,88 +168,6 @@ int run_sim_schedule_harness() {
       orbit::propagate_all(orbit::make_constellation(orbit::starlink_shell1()),
                            100.0),
       "national");
-  return rc;
-}
-
-// One `--sim-event` comparison scale: synthetic demand cells against a
-// small Walker shell over a multi-day horizon at a sub-minute step — the
-// regime where fixed-epoch stepping recomputes thousands of identical
-// schedules between contact changes.
-struct SimEventCase {
-  std::size_t n_cells;
-  double duration_s;
-  double step_s;
-};
-
-demand::DemandProfile event_bench_profile(std::size_t n) {
-  demand::CountyTable counties;
-  counties.add({"00001", {40.0, -100.0}, 50000.0, 0});
-  stats::Pcg32 rng(9090);
-  std::vector<demand::CellDemand> cells;
-  cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    demand::CellDemand c;
-    c.center = {-56.0 + rng.next_double() * 112.0,
-                -180.0 + rng.next_double() * 360.0};
-    c.underserved = 1 + static_cast<std::uint32_t>(rng.next_below(2000));
-    cells.push_back(c);
-  }
-  return demand::DemandProfile(std::move(cells), std::move(counties));
-}
-
-// The `--sim-event` engine-comparison harness. Returns the process exit
-// code: nonzero when the engines' epoch traces differ on any case.
-int run_sim_event_harness() {
-  bench::banner("micro_perf: sim.event event-driven vs fixed-epoch engine");
-  int rc = 0;
-  // 1 s steps: handover events last seconds, so that is the step the epoch
-  // kernel needs for exact churn accounting — the event engine gets it for
-  // free because its cost is independent of the step.
-  const SimEventCase cases[] = {{40, 86400.0, 1.0}, {48, 2.0 * 86400.0, 1.0}};
-  for (const SimEventCase& c : cases) {
-    sim::SimulationConfig config;
-    config.shell = {53.0, 550.0, 6, 6, 1};
-    config.duration_s = c.duration_s;
-    config.step_s = c.step_s;
-    const auto profile = event_bench_profile(c.n_cells);
-    const sim::SimClock clock(config.duration_s, config.step_s);
-    const std::size_t n_sats = static_cast<std::size_t>(config.shell.planes) *
-                               config.shell.sats_per_plane;
-    std::cout << "  case: " << c.n_cells << " cells x " << n_sats
-              << " sats, " << c.duration_s / 86400.0 << " d @ " << c.step_s
-              << " s (" << clock.epochs() << " epochs)\n";
-
-    const sim::Simulation epoch_sim(config, profile);
-    event::EventSimulation event_sim(config, profile);
-    runtime::Executor& executor = runtime::serial_executor();
-
-    const auto expected = epoch_sim.run(executor);
-    auto actual = event_sim.run(executor);  // also warms the workspace
-    if (expected != actual) {
-      std::cerr << "FAIL: event and epoch traces differ at " << c.n_cells
-                << " cells x " << n_sats << " sats\n";
-      rc = 1;
-      continue;
-    }
-    std::cout << "  outputs:  byte-identical (" << expected.size()
-              << " epochs)\n";
-
-    const double epoch_ms =
-        timed_reps_ms(2, [&] {
-          bench::keep(epoch_sim.run(executor));
-        }).best_ms;
-    const double event_ms =
-        timed_reps_ms(3, [&] {
-          bench::keep(event_sim.run(executor));
-        }).best_ms;
-    std::cout << "  epoch:    " << epoch_ms << " ms\n"
-              << "  event:    " << event_ms << " ms\n"
-              << "  speedup:  " << epoch_ms / event_ms << "x\n";
-    std::cout << "{\"bench\":\"sim.event\",\"cells\":" << c.n_cells
-              << ",\"sats\":" << n_sats << ",\"epochs\":" << clock.epochs()
-              << ",\"epoch_ms\":" << epoch_ms << ",\"event_ms\":" << event_ms
-              << ",\"speedup\":" << epoch_ms / event_ms << "}" << std::endl;
-  }
   return rc;
 }
 
@@ -575,12 +490,11 @@ int main(int argc, char** argv) {
   namespace obs = leodivide::obs;
   namespace runtime = leodivide::runtime;
   constexpr const char* kUsage =
-      "usage: micro_perf --sim-schedule | --sim-event | "
+      "usage: micro_perf --sim-schedule | "
       "--serve-delta [--workers W] | --market | --graph "
       "[--trace FILE] [--metrics[=FILE]]\n";
   obs::Options obs_options = obs::options_from_env();
   bool sim_schedule = false;
-  bool sim_event = false;
   bool serve_delta = false;
   bool market = false;
   bool graph = false;
@@ -590,8 +504,6 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--sim-schedule") {
         sim_schedule = true;
-      } else if (arg == "--sim-event") {
-        sim_event = true;
       } else if (arg == "--serve-delta") {
         serve_delta = true;
       } else if (arg == "--market") {
@@ -611,7 +523,7 @@ int main(int argc, char** argv) {
     std::cerr << "unknown or malformed flag: " << e.what() << '\n' << kUsage;
     return 2;
   }
-  if (!graph && !market && !serve_delta && !sim_schedule && !sim_event) {
+  if (!graph && !market && !serve_delta && !sim_schedule) {
     std::cerr << kUsage;
     return 2;
   }
@@ -624,10 +536,8 @@ int main(int argc, char** argv) {
     rc = run_market_harness();
   } else if (serve_delta) {
     rc = run_serve_delta_harness(workers);
-  } else if (sim_schedule) {
-    rc = run_sim_schedule_harness();
   } else {
-    rc = run_sim_event_harness();
+    rc = run_sim_schedule_harness();
   }
   obs::finalize(obs_options);
   return rc;

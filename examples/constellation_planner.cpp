@@ -5,37 +5,50 @@
 //   $ ./constellation_planner [satellite_budget] [oversub_cap]
 //
 // Defaults: 8000 satellites (roughly today's deployed fleet), 20:1 (the
-// FCC's fixed-wireless benchmark).
+// FCC's fixed-wireless benchmark). Both are finite numbers above zero; any
+// other value exits 2 with the usage line.
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "leodivide/core/longtail.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/io/cli.hpp"
 #include "leodivide/io/table.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: constellation_planner [satellite_budget] [oversub_cap]\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace leodivide;
 
-  // Positional args only: a stray --flag would otherwise parse as 0.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) == 0) {
-      std::cerr << "unknown flag: " << argv[i]
-                << "\nusage: constellation_planner [satellite_budget] "
-                   "[oversub_cap]\n";
-      return 2;
+  double budget = 8000.0;
+  double cap = 20.0;
+  try {
+    // Positional args only: a stray --flag is never read as a number.
+    for (int i = 1; i < argc; ++i) {
+      if (std::string(argv[i]).rfind("--", 0) == 0) {
+        throw std::runtime_error(std::string("unknown flag: ") + argv[i]);
+      }
     }
-  }
-
-  const double budget = argc > 1 ? std::atof(argv[1]) : 8000.0;
-  const double cap = argc > 2 ? std::atof(argv[2]) : 20.0;
-  if (budget <= 0.0 || cap <= 0.0) {
-    std::cerr << "usage: constellation_planner [satellite_budget] "
-                 "[oversub_cap]\n";
-    return 1;
+    if (argc > 3) {
+      throw std::runtime_error(std::string("unexpected argument '") +
+                               argv[3] + "'");
+    }
+    if (argc > 1) {
+      budget = io::parse_positive<double>("satellite_budget", argv[1]);
+    }
+    if (argc > 2) cap = io::parse_positive<double>("oversub_cap", argv[2]);
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << '\n' << kUsage;
+    return 2;
   }
 
   std::cout << "Constellation planner: budget "

@@ -1,24 +1,27 @@
 // Coverage simulation: propagate a Walker shell over time and watch the
 // greedy beam scheduler serve the national demand cells epoch by epoch.
 //
-//   $ ./coverage_sim [--engine=epoch|event] [--snapshot-dir DIR] [planes]
-//                    [sats_per_plane] [minutes] [beamspread]
+//   $ ./coverage_sim [--snapshot-dir DIR] [planes] [sats_per_plane]
+//                    [minutes] [beamspread]
 //
 // Defaults: Starlink shell 1 (72 x 22 at 53 deg / 550 km), 10 minutes,
-// beamspread 5, the fixed-epoch engine. `--engine=event` runs the
-// deterministic rise/set event engine instead — byte-identical output,
-// computed only at contact changes. With `--snapshot-dir DIR` (or
+// beamspread 5, one epoch per minute. Counts are whole unsigned numbers
+// above zero and minutes a finite number above zero; any other value exits
+// 2 with the usage line. With `--snapshot-dir DIR` (or
 // LEODIVIDE_SNAPSHOT_DIR) the generated demand profile and the epoch
 // trace are cached as LDSNAP blobs keyed by their exact inputs, so a
 // rerun with the same shell and horizon skips both generation and
 // propagation.
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "leodivide/demand/generator.hpp"
+#include "leodivide/io/cli.hpp"
 #include "leodivide/io/table.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/orbit/footprint.hpp"
@@ -26,61 +29,72 @@
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/snapshot/snapshot.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: coverage_sim [--snapshot-dir DIR] [planes] [sats_per_plane] "
+    "[minutes] [beamspread]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace leodivide;
 
-  std::vector<std::string> positional;
-  sim::Engine engine = sim::Engine::kEpoch;
+  sim::SimulationConfig config;
+  config.step_s = 60.0;
+  double minutes = 10.0;
   try {
+    std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (snapshot::parse_cli_arg(argc, argv, i)) {
         // Snapshot cache flag; consumed.
-      } else if (arg == "--engine=epoch") {
-        engine = sim::Engine::kEpoch;
-      } else if (arg == "--engine=event") {
-        engine = sim::Engine::kEvent;
       } else if (arg.rfind("--", 0) == 0) {
-        std::cerr << "unknown or malformed flag: " << arg
-                  << "\nusage: coverage_sim [--engine=epoch|event] "
-                     "[--snapshot-dir DIR] [planes] "
-                     "[sats_per_plane] [minutes] [beamspread]\n";
+        std::cerr << "unknown or malformed flag: " << arg << '\n' << kUsage;
         return 2;
       } else {
         positional.push_back(arg);
       }
     }
-  } catch (const std::runtime_error& e) {
-    // e.g. --snapshot-dir with no value.
-    std::cerr << "unknown or malformed flag: " << e.what() << '\n';
+    if (positional.size() > 4) {
+      throw std::runtime_error("unexpected argument '" + positional[4] + "'");
+    }
+    if (positional.size() > 0) {
+      config.shell.planes =
+          io::parse_positive<std::uint32_t>("planes", positional[0]);
+      if (config.shell.planes <= config.shell.phasing) {
+        throw std::runtime_error("invalid planes value '" + positional[0] +
+                                 "': must exceed the shell's phasing");
+      }
+    }
+    if (positional.size() > 1) {
+      config.shell.sats_per_plane =
+          io::parse_positive<std::uint32_t>("sats_per_plane", positional[1]);
+      // WalkerShell::total_sats is 32-bit; a wrapped count would size the
+      // constellation's reserve far below the orbits it then appends.
+      if (std::uint64_t{config.shell.planes} * config.shell.sats_per_plane >
+          std::numeric_limits<std::uint32_t>::max()) {
+        throw std::runtime_error("invalid sats_per_plane value '" +
+                                 positional[1] +
+                                 "': the shell exceeds 2^32 - 1 satellites");
+      }
+    }
+    if (positional.size() > 2) {
+      minutes = io::parse_positive<double>("minutes", positional[2]);
+      // The clock rejects a horizon with more epochs than it can count.
+      (void)sim::SimClock(minutes * 60.0, config.step_s);
+    }
+    if (positional.size() > 3) {
+      config.scheduler.beamspread =
+          io::parse_positive<std::uint32_t>("beamspread", positional[3]);
+    }
+  } catch (const std::exception& e) {
+    // e.g. --snapshot-dir with no value, or a malformed positional number.
+    std::cerr << "unknown or malformed argument: " << e.what() << '\n'
+              << kUsage;
     return 2;
   }
-
-  sim::SimulationConfig config;
-  config.engine = engine;
-  config.shell.planes =
-      positional.size() > 0
-          ? static_cast<std::uint32_t>(std::atoi(positional[0].c_str()))
-          : 72U;
-  config.shell.sats_per_plane =
-      positional.size() > 1
-          ? static_cast<std::uint32_t>(std::atoi(positional[1].c_str()))
-          : 22U;
-  const double minutes =
-      positional.size() > 2 ? std::atof(positional[2].c_str()) : 10.0;
-  config.scheduler.beamspread =
-      positional.size() > 3
-          ? static_cast<std::uint32_t>(std::atoi(positional[3].c_str()))
-          : 5U;
   config.duration_s = minutes * 60.0;
-  config.step_s = 60.0;
-  if (config.shell.planes == 0 || config.shell.sats_per_plane == 0 ||
-      minutes <= 0.0 || config.scheduler.beamspread == 0) {
-    std::cerr << "usage: coverage_sim [--engine=epoch|event] "
-                 "[--snapshot-dir DIR] [planes] "
-                 "[sats_per_plane] [minutes] [beamspread]\n";
-    return 1;
-  }
 
   std::cout << "shell: " << config.shell.to_string() << " ("
             << io::fmt_count(config.shell.total_sats()) << " satellites)\n"
@@ -100,13 +114,6 @@ int main(int argc, char** argv) {
                    profile.total_locations()))
             << " un(der)served locations\n\n";
 
-  std::cout << "engine: "
-            << (config.engine == sim::Engine::kEvent ? "event (rise/set queue)"
-                                                     : "epoch (fixed step)")
-            << "\n\n";
-
-  // Both engines produce byte-identical traces, so a blob computed by one
-  // engine is a valid hit for the other.
   const std::vector<sim::EpochCoverage> trace =
       snapshot::run_stage(cache, snapshot::sim_epochs_stage(config, profile));
 

@@ -4,10 +4,11 @@
 //   $ ./quickstart [scale]
 //
 // `scale` in (0, 1] shrinks the synthetic dataset (default 1.0 = the full
-// 4.67M-location national profile).
+// 4.67M-location national profile). Any other value, or one too small to
+// give a single location, exits 2 with the usage line.
 
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "leodivide/core/report.hpp"
@@ -16,20 +17,22 @@
 int main(int argc, char** argv) {
   using namespace leodivide;
 
-  // Positional args only: a stray --flag would otherwise parse as scale 0.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) == 0) {
-      std::cerr << "unknown flag: " << argv[i]
-                << "\nusage: quickstart [scale in (0,1]]\n";
-      return 2;
-    }
-  }
-
   demand::GeneratorConfig config;
-  if (argc > 1) config.scale = std::atof(argv[1]);
-  if (config.scale <= 0.0 || config.scale > 1.0) {
-    std::cerr << "usage: quickstart [scale in (0,1]]\n";
-    return 1;
+  try {
+    // Positional args only: a stray --flag is never read as a scale.
+    for (int i = 1; i < argc; ++i) {
+      if (std::string(argv[i]).rfind("--", 0) == 0) {
+        throw std::runtime_error(std::string("unknown flag: ") + argv[i]);
+      }
+    }
+    if (argc > 2) {
+      throw std::runtime_error(std::string("unexpected argument '") +
+                               argv[2] + "'");
+    }
+    if (argc > 1) config.scale = demand::parse_scale("scale", argv[1]);
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << "\nusage: quickstart [scale in (0,1]]\n";
+    return 2;
   }
 
   std::cout << "Generating calibrated synthetic demand profile (scale="

@@ -369,13 +369,19 @@ bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config) {
   }
   const auto scale = io::flag_value(argc, argv, i, "--scale");
   if (!scale) return false;
-  config.scale = io::parse_flag<double>("--scale", *scale);
-  if (!scale_in_range(config.scale)) {
-    throw std::runtime_error("invalid --scale value '" + std::string(*scale) +
+  config.scale = parse_scale("--scale", *scale);
+  return true;
+}
+
+double parse_scale(std::string_view name, std::string_view text) {
+  const double scale = io::parse_flag<double>(name, text);
+  if (!scale_in_range(scale)) {
+    throw std::runtime_error("invalid " + std::string(name) + " value '" +
+                             std::string(text) +
                              "': must be in (0, 1] and give at least one "
                              "location");
   }
-  return true;
+  return scale;
 }
 
 }  // namespace leodivide::demand

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "leodivide/demand/dataset.hpp"
 #include "leodivide/hex/hexgrid.hpp"
@@ -77,5 +78,10 @@ class SyntheticGenerator {
 /// naming the flag when the value is missing, is not a whole number field,
 /// or is a scale outside (0, 1] or too small to give one location.
 bool parse_cli_arg(int argc, char** argv, int& i, GeneratorConfig& config);
+
+/// Parses a whole-field generator scale, as `--scale` does: throws
+/// std::runtime_error naming `name` unless `text` is a number in (0, 1]
+/// that gives at least one location.
+[[nodiscard]] double parse_scale(std::string_view name, std::string_view text);
 
 }  // namespace leodivide::demand

@@ -5,6 +5,7 @@
 // binary truncates "0.01x", wraps "-1" or narrows "70000".
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -33,6 +34,19 @@ template <typename T>
   if (ec != std::errc{} || ptr != end) {
     throw std::runtime_error("invalid " + std::string(flag) + " value '" +
                              std::string(text) + "'");
+  }
+  return v;
+}
+
+/// parse_flag for a size or count: the value must also be finite and above
+/// zero, so "0", "nan", "inf" and "-0.5" fail with the same message.
+template <typename T>
+[[nodiscard]] T parse_positive(std::string_view flag, std::string_view text) {
+  const T v = parse_flag<T>(flag, text);
+  if (!(v > T{0}) || !std::isfinite(static_cast<double>(v))) {
+    throw std::runtime_error("invalid " + std::string(flag) + " value '" +
+                             std::string(text) +
+                             "': must be finite and above zero");
   }
   return v;
 }

@@ -127,11 +127,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return find_or_create(counters_, name);
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lk(m_);
-  return find_or_create(gauges_, name);
-}
-
 Timer& MetricsRegistry::timer(std::string_view name) {
   std::lock_guard<std::mutex> lk(m_);
   return find_or_create(timers_, name);
@@ -145,7 +140,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lk(m_);
   for (auto& [_, c] : counters_) c->reset();
-  for (auto& [_, g] : gauges_) g->reset();
   for (auto& [_, t] : timers_) t->reset();
   for (auto& [_, h] : histograms_) h->reset();
 }
@@ -157,8 +151,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_) {
     s.counters.emplace_back(name, c->total());
   }
-  s.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) s.gauges.emplace_back(name, g->value());
   s.timers.reserve(timers_.size());
   for (const auto& [name, t] : timers_) {
     s.timers.emplace_back(name, TimerSnapshot{t->count(), t->total_ns()});
@@ -177,11 +169,6 @@ void MetricsRegistry::write_json(std::ostream& out, bool pretty) const {
   json.begin_object();
   json.begin_object("counters");
   for (const auto& [name, v] : s.counters) {
-    json.value(name, static_cast<long long>(v));
-  }
-  json.end_object();
-  json.begin_object("gauges");
-  for (const auto& [name, v] : s.gauges) {
     json.value(name, static_cast<long long>(v));
   }
   json.end_object();

@@ -1,5 +1,5 @@
 #pragma once
-// Process-wide metrics registry: monotonic counters, gauges, stage timers
+// Process-wide metrics registry: monotonic counters, stage timers
 // and fixed-bucket latency histograms. Sharded like runtime/map_reduce:
 // every thread writes to its own cache-line-padded shard slot (assigned in
 // first-use order) and reads merge the shards *in shard-index order*. All
@@ -71,23 +71,6 @@ class Counter {
   std::array<detail::ShardSlot, kMetricShards> slots_;
 };
 
-/// Last-writer-wins gauge for point-in-time values (dataset sizes, thread
-/// counts). Not sharded: gauges are set from one place.
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    if (!metrics_enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 /// Accumulated duration of a named pipeline stage: total nanoseconds plus
 /// invocation count. Spans feed these; bench JSON "stages" breakdowns read
 /// them.
@@ -146,8 +129,8 @@ class Histogram {
 /// RAII latency probe: on destruction, records the scope's elapsed wall
 /// time into a Histogram in microseconds. The clock reads live here in
 /// obs/ (the one module the determinism lint exempts from its no-wallclock
-/// rule), so deterministic call sites — e.g. the event engine's recompute
-/// loop — can take per-scope latency without touching a clock themselves.
+/// rule), so deterministic call sites — e.g. the serve session's request
+/// handler — can take per-scope latency without touching a clock themselves.
 /// With metrics off, both constructor and destructor reduce to a relaxed
 /// load + branch.
 class ScopedLatency {
@@ -174,7 +157,6 @@ struct HistogramSnapshot {
 };
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
   std::vector<std::pair<std::string, TimerSnapshot>> timers;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
@@ -186,7 +168,6 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Timer& timer(std::string_view name);
   Histogram& histogram(std::string_view name);
 
@@ -195,7 +176,7 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Flat JSON dump of the snapshot (counters/gauges/timers/histograms).
+  /// Flat JSON dump of the snapshot (counters/timers/histograms).
   void write_json(std::ostream& out, bool pretty = true) const;
 
   /// Per-stage totals in milliseconds, name-sorted: the bench "stages"
@@ -209,7 +190,6 @@ class MetricsRegistry {
   // std::map: deterministic name-ordered export; unique_ptr: stable handle
   // addresses across rehash-free growth.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };

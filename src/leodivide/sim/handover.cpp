@@ -1,5 +1,6 @@
 #include "leodivide/sim/handover.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -9,32 +10,32 @@ namespace {
 
 constexpr std::int64_t kUnassigned = -1;
 
-void assignment_map(const ScheduleResult& schedule, std::size_t cell_count,
-                    std::vector<std::int64_t>& map) {
-  map.assign(cell_count, kUnassigned);
+std::vector<std::int64_t> assignment_map(const ScheduleResult& schedule,
+                                         std::size_t cell_count) {
+  std::vector<std::int64_t> map(cell_count, kUnassigned);
   for (const auto& a : schedule.assignments) {
     if (a.cell >= cell_count) {
       throw std::invalid_argument("compare_schedules: assignment out of range");
     }
     map[a.cell] = static_cast<std::int64_t>(a.sat);
   }
+  return map;
 }
 
 }  // namespace
 
 HandoverStats compare_schedules(const ScheduleResult& before,
                                 const ScheduleResult& after,
-                                std::size_t cell_count,
-                                HandoverScratch& scratch) {
-  assignment_map(before, cell_count, scratch.before);
-  assignment_map(after, cell_count, scratch.after);
+                                std::size_t cell_count) {
+  const std::vector<std::int64_t> was_sat = assignment_map(before, cell_count);
+  const std::vector<std::int64_t> is_sat = assignment_map(after, cell_count);
   HandoverStats stats;
   for (std::size_t i = 0; i < cell_count; ++i) {
-    const bool was = scratch.before[i] != kUnassigned;
-    const bool is = scratch.after[i] != kUnassigned;
+    const bool was = was_sat[i] != kUnassigned;
+    const bool is = is_sat[i] != kUnassigned;
     if (was && is) {
       ++stats.cells_tracked;
-      if (scratch.before[i] != scratch.after[i]) ++stats.handovers;
+      if (was_sat[i] != is_sat[i]) ++stats.handovers;
     } else if (was) {
       ++stats.cells_dropped;
     } else if (is) {
@@ -42,13 +43,6 @@ HandoverStats compare_schedules(const ScheduleResult& before,
     }
   }
   return stats;
-}
-
-HandoverStats compare_schedules(const ScheduleResult& before,
-                                const ScheduleResult& after,
-                                std::size_t cell_count) {
-  HandoverScratch scratch;
-  return compare_schedules(before, after, cell_count, scratch);
 }
 
 }  // namespace leodivide::sim

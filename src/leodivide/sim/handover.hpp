@@ -5,8 +5,7 @@
 // minutes. This module measures that churn across consecutive schedules —
 // a service-quality dimension the capacity model abstracts away.
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "leodivide/sim/scheduler.hpp"
 
@@ -26,26 +25,6 @@ struct HandoverStats {
                : static_cast<double>(handovers) /
                      static_cast<double>(cells_tracked);
   }
-
-  /// Field-wise accumulation: totals across a sequence of transitions (the
-  /// event engine sums the churn of every schedule change it observes).
-  HandoverStats& operator+=(const HandoverStats& other) noexcept {
-    cells_tracked += other.cells_tracked;
-    handovers += other.handovers;
-    cells_dropped += other.cells_dropped;
-    cells_acquired += other.cells_acquired;
-    return *this;
-  }
-
-  friend bool operator==(const HandoverStats&, const HandoverStats&) = default;
-};
-
-/// Reusable per-cell assignment maps for compare_schedules; one instance
-/// per caller, reused across transitions so the steady-state comparison
-/// loop performs no heap allocation.
-struct HandoverScratch {
-  std::vector<std::int64_t> before;
-  std::vector<std::int64_t> after;
 };
 
 /// Compares two schedules. `cell_count` is the size of the scheduler's
@@ -54,12 +33,5 @@ struct HandoverScratch {
 [[nodiscard]] HandoverStats compare_schedules(const ScheduleResult& before,
                                               const ScheduleResult& after,
                                               std::size_t cell_count);
-
-/// As above, reusing `scratch`'s map capacity (zero allocations once
-/// warmed to `cell_count`).
-[[nodiscard]] HandoverStats compare_schedules(const ScheduleResult& before,
-                                              const ScheduleResult& after,
-                                              std::size_t cell_count,
-                                              HandoverScratch& scratch);
 
 }  // namespace leodivide::sim

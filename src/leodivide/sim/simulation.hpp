@@ -17,17 +17,6 @@ class Executor;
 
 namespace leodivide::sim {
 
-/// Which simulator core executes the run. Both produce byte-identical
-/// `EpochCoverage` traces; the event engine (event/engine.hpp) reschedules
-/// only at certified visibility changes, so it wins whenever the step is
-/// fine relative to contact dynamics. The choice is deliberately *not*
-/// part of any snapshot fingerprint: by the golden-equivalence guarantee
-/// it cannot change the output bytes.
-enum class Engine {
-  kEpoch,  ///< fixed-step: full reschedule at every epoch
-  kEvent,  ///< event-driven: reschedule only at rise/set crossing windows
-};
-
 /// Simulation parameters.
 struct SimulationConfig {
   orbit::WalkerShell shell = orbit::starlink_shell1();
@@ -35,7 +24,6 @@ struct SimulationConfig {
   double duration_s = 600.0;
   double step_s = 60.0;
   double oversub_target = 20.0;  ///< beams_needed computed at this ratio
-  Engine engine = Engine::kEpoch;
 };
 
 /// Runs a full simulation against a demand profile.
@@ -62,8 +50,8 @@ class Simulation {
   [[nodiscard]] const SimulationConfig& config() const noexcept {
     return config_;
   }
-  /// The scheduler this run drives (cell list, strategy, geometry inputs).
-  /// The event engine builds its crossing solvers against the same state.
+  /// The scheduler this run drives (cell list, strategy, geometry inputs),
+  /// for callers that time or check one epoch's schedule on their own.
   [[nodiscard]] const BeamScheduler& scheduler() const noexcept {
     return scheduler_;
   }

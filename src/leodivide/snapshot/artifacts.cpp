@@ -24,9 +24,6 @@ constexpr std::size_t kFig3CurveMinBytes = 8 + 8 + 8;
 constexpr std::size_t kLongTailPointBytes = 8 + 8 + 4 + 8;
 constexpr std::size_t kPlanAffordabilityMinBytes = 4 + 6 * 8;
 constexpr std::size_t kCoverageBytes = 7 * 8;
-constexpr std::size_t kEventMetaBytes = 8 * 8;
-constexpr std::size_t kEventBytes = 8 + 8 + 8 + 1 + 4 + 4;
-constexpr std::size_t kSegmentBytes = 8 + 8 + kCoverageBytes + 8 + 8 + 3 * 8;
 constexpr std::size_t kSizingBytes = 8 + 8 + 4 + 8;
 constexpr std::size_t kOperatorMinBytes =
     4 + 8 + 2 * kSizingBytes + 8 + 8 + 8 + kPlanAffordabilityMinBytes;
@@ -403,103 +400,6 @@ std::vector<sim::EpochCoverage> deserialize_epochs(std::string_view file) {
   for (std::size_t i = 0; i < n; ++i) epochs.push_back(read_coverage(rec));
   r.expect_exhausted("epochs section");
   return epochs;
-}
-
-std::string serialize(const event::EventTrace& trace) {
-  SnapshotWriter sw(ArtifactKind::kEventTrace,
-                    kEventMetaBytes + 8 + trace.events.size() * kEventBytes +
-                        8 + trace.segments.size() * kSegmentBytes);
-  ByteWriter& meta = sw.section("meta");
-  meta.f64(trace.duration_s);
-  meta.f64(trace.step_s);
-  meta.u64(trace.cells_total);
-  meta.u64(trace.boundaries);
-  meta.u64(trace.handovers.cells_tracked);
-  meta.u64(trace.handovers.handovers);
-  meta.u64(trace.handovers.cells_dropped);
-  meta.u64(trace.handovers.cells_acquired);
-
-  ByteWriter& events = sw.section("events");
-  events.count(trace.events.size(), kEventBytes);
-  for (const event::Event& e : trace.events) {
-    events.f64(e.time_s);
-    events.f64(e.window_lo_s);
-    events.f64(e.window_hi_s);
-    events.u8(static_cast<std::uint8_t>(e.kind));
-    events.u32(e.cell);
-    events.u32(e.sat);
-  }
-
-  ByteWriter& segments = sw.section("segments");
-  segments.count(trace.segments.size(), kSegmentBytes);
-  for (const event::CoverageSegment& s : trace.segments) {
-    segments.f64(s.begin_s);
-    segments.f64(s.end_s);
-    write_coverage(segments, s.coverage);
-    segments.u64(s.qos.cells_served);
-    segments.u64(s.qos.cells_within_target);
-    segments.f64(s.qos.mean_oversub);
-    segments.f64(s.qos.worst_oversub);
-    segments.f64(s.qos.fraction_within_target);
-  }
-  return std::move(sw).finish();
-}
-
-event::EventTrace deserialize_event_trace(std::string_view file) {
-  const SnapshotReader reader = parse_expecting(file, ArtifactKind::kEventTrace);
-  event::EventTrace out;
-
-  ByteReader meta(reader.section("meta"));
-  out.duration_s = meta.f64();
-  out.step_s = meta.f64();
-  out.cells_total = meta.u64();
-  out.boundaries = meta.u64();
-  out.handovers.cells_tracked = static_cast<std::size_t>(meta.u64());
-  out.handovers.handovers = static_cast<std::size_t>(meta.u64());
-  out.handovers.cells_dropped = static_cast<std::size_t>(meta.u64());
-  out.handovers.cells_acquired = static_cast<std::size_t>(meta.u64());
-  meta.expect_exhausted("event_trace meta section");
-
-  ByteReader events(reader.section("events"));
-  const std::size_t n_events = events.count(kEventBytes);
-  RecordReader event_records = events.records(n_events, kEventBytes);
-  out.events.reserve(n_events);
-  for (std::size_t i = 0; i < n_events; ++i) {
-    event::Event e;
-    e.time_s = event_records.f64();
-    e.window_lo_s = event_records.f64();
-    e.window_hi_s = event_records.f64();
-    const std::uint8_t kind = event_records.u8();
-    if (kind > static_cast<std::uint8_t>(event::EventKind::kGraze)) {
-      throw SnapshotError("event_trace: unknown event kind " +
-                          std::to_string(kind));
-    }
-    e.kind = static_cast<event::EventKind>(kind);
-    e.cell = event_records.u32();
-    e.sat = event_records.u32();
-    out.events.push_back(e);
-  }
-  events.expect_exhausted("event_trace events section");
-
-  ByteReader segments(reader.section("segments"));
-  const std::size_t n_segments = segments.count(kSegmentBytes);
-  RecordReader segment_records = segments.records(n_segments, kSegmentBytes);
-  out.segments.reserve(n_segments);
-  for (std::size_t i = 0; i < n_segments; ++i) {
-    event::CoverageSegment s;
-    s.begin_s = segment_records.f64();
-    s.end_s = segment_records.f64();
-    s.coverage = read_coverage(segment_records);
-    s.qos.cells_served = static_cast<std::size_t>(segment_records.u64());
-    s.qos.cells_within_target = static_cast<std::size_t>(segment_records.u64());
-    s.qos.mean_oversub = segment_records.f64();
-    s.qos.worst_oversub = segment_records.f64();
-    s.qos.fraction_within_target = segment_records.f64();
-    out.segments.push_back(s);
-  }
-  segments.expect_exhausted("event_trace segments section");
-
-  return out;
 }
 
 void write_delta_op(ByteWriter& w, const demand::DeltaOp& op) {

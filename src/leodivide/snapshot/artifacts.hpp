@@ -4,7 +4,6 @@
 //   demand::DemandProfile            (kProfile   — per-cell aggregates)
 //   core::AnalysisResults            (kAnalysis  — sizing/report results)
 //   std::vector<sim::EpochCoverage>  (kEpochs    — simulation summaries)
-//   event::EventTrace                (kEventTrace — event-driven run traces)
 //   std::vector<demand::DeltaOp>     (kDeltaJournal — serve/ delta journal)
 //   market::MarketReport             (kMarketReport — multi-operator runs)
 //
@@ -23,7 +22,6 @@
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/dataset.hpp"
 #include "leodivide/demand/delta.hpp"
-#include "leodivide/event/trace.hpp"
 #include "leodivide/market/simulation.hpp"
 #include "leodivide/sim/coverage.hpp"
 #include "leodivide/snapshot/format.hpp"
@@ -33,7 +31,6 @@ namespace leodivide::snapshot {
 [[nodiscard]] std::string serialize(const demand::DemandProfile& profile);
 [[nodiscard]] std::string serialize(const core::AnalysisResults& results);
 [[nodiscard]] std::string serialize(const std::vector<sim::EpochCoverage>& epochs);
-[[nodiscard]] std::string serialize(const event::EventTrace& trace);
 [[nodiscard]] std::string serialize(const std::vector<demand::DeltaOp>& journal);
 [[nodiscard]] std::string serialize(const market::MarketReport& report);
 
@@ -41,7 +38,6 @@ namespace leodivide::snapshot {
 [[nodiscard]] core::AnalysisResults deserialize_analysis(std::string_view file);
 [[nodiscard]] std::vector<sim::EpochCoverage> deserialize_epochs(
     std::string_view file);
-[[nodiscard]] event::EventTrace deserialize_event_trace(std::string_view file);
 [[nodiscard]] std::vector<demand::DeltaOp> deserialize_delta_journal(
     std::string_view file);
 [[nodiscard]] market::MarketReport deserialize_market_report(

@@ -1,6 +1,5 @@
 #include "leodivide/snapshot/stages.hpp"
 
-#include "leodivide/event/engine.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/snapshot/artifacts.hpp"
 
@@ -56,9 +55,7 @@ StageDef<std::vector<sim::EpochCoverage>> sim_epochs_stage(
             fp.mix(serialize(*p));
           },
           [config, p] {
-            return event::run_simulation(config, *p,
-                                         core::SatelliteCapacityModel(),
-                                         runtime::global_executor());
+            return sim::Simulation(config, *p).run(runtime::global_executor());
           },
           [](const std::vector<sim::EpochCoverage>& t) { return serialize(t); },
           deserialize_epochs};

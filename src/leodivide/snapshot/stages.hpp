@@ -86,7 +86,6 @@ template <typename T>
 
 /// `sim.epochs`: the coverage trace of `config` over `profile` on the
 /// global executor, keyed on the config and the serialized profile bytes.
-/// Both engines produce identical traces, so the engine is not in the key.
 [[nodiscard]] StageDef<std::vector<sim::EpochCoverage>> sim_epochs_stage(
     const sim::SimulationConfig& config, const demand::DemandProfile& profile);
 

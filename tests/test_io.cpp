@@ -87,6 +87,21 @@ TEST(CliFlags, ParseFlagTakesWholeFieldsInRange) {
   }
 }
 
+TEST(CliFlags, ParsePositiveRejectsZeroAndNonFinite) {
+  EXPECT_EQ(parse_positive<std::uint32_t>("planes", "72"), 72U);
+  EXPECT_EQ(parse_positive<double>("minutes", "0.5"), 0.5);
+  for (const char* bad : {"0", "-0.5", "nan", "inf", "-inf", "1x"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_positive<double>("minutes", bad),
+                 std::runtime_error);
+  }
+  for (const char* bad : {"0", "-3", "4294967296"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_positive<std::uint32_t>("planes", bad),
+                 std::runtime_error);
+  }
+}
+
 TEST(CsvParse, SimpleFields) {
   const CsvRow row = parse_line("a,b,c");
   ASSERT_EQ(row.size(), 3U);

@@ -69,10 +69,6 @@ TEST_F(ObsTest, DisabledHooksRecordNothing) {
   c.add(5);
   EXPECT_EQ(c.total(), 0U);
 
-  obs::Gauge& g = obs::registry().gauge("test.off.gauge");
-  g.set(7);
-  EXPECT_EQ(g.value(), 0);
-
   obs::Histogram& h = obs::registry().histogram("test.off.hist");
   h.record_us(10);
   EXPECT_EQ(h.count(), 0U);
@@ -363,7 +359,6 @@ TEST_F(ObsTest, ChromeTraceExportsNestedPipelineStages) {
 TEST_F(ObsTest, MetricsJsonExport) {
   obs::set_metrics_enabled(true);
   obs::registry().counter("test.export.counter").add(3);
-  obs::registry().gauge("test.export.gauge").set(-2);
   obs::registry().timer("test.export.timer").record_ns(1500000);
   obs::registry().histogram("test.export.hist").record_us(5);
 
@@ -371,7 +366,6 @@ TEST_F(ObsTest, MetricsJsonExport) {
   obs::registry().write_json(json_out);
   const oracle::JsonValue doc = oracle::json_parse(json_out.str());
   EXPECT_DOUBLE_EQ(doc.at("counters").at("test.export.counter").num_v, 3.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("test.export.gauge").num_v, -2.0);
   EXPECT_DOUBLE_EQ(doc.at("timers").at("test.export.timer").at("count").num_v,
                    1.0);
   const oracle::JsonValue& hist = doc.at("histograms").at("test.export.hist");

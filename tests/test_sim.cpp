@@ -555,9 +555,8 @@ TEST(Handover, RealScheduleChurnsAsSatellitesMove) {
 }  // namespace
 }  // namespace leodivide::sim
 
-// Appended: gateway placement (sim/gateway.hpp) and QoS (sim/qos.hpp).
+// Appended: gateway placement (sim/gateway.hpp).
 #include "leodivide/sim/gateway.hpp"
-#include "leodivide/sim/qos.hpp"
 
 namespace leodivide::sim {
 namespace {
@@ -615,58 +614,6 @@ TEST(GatewayPlacement, RejectsBadInputs) {
   const std::vector<geo::GeoPoint> one{{39.0, -98.0}};
   EXPECT_THROW((void)place_gateways(one, region, bad),
                std::invalid_argument);
-}
-
-TEST(Qos, WholeBeamAndSharedCapacities) {
-  std::vector<SchedCell> cells(2);
-  cells[0].locations = 2000;  // gets 3 whole beams below
-  cells[1].locations = 400;   // shared slot
-  ScheduleResult schedule;
-  schedule.assignments = {{0, 0, 3}, {1, 0, 0}};
-  const core::SatelliteCapacityModel model;
-  SchedulerConfig config;
-  config.beamspread = 5;
-  std::vector<CellQos> qos;
-  compute_qos(cells, schedule, model, config, 20.0, qos);
-  ASSERT_EQ(qos.size(), 2U);
-  EXPECT_NEAR(qos[0].capacity_gbps, 3.0 * 4.33125, 1e-9);
-  // demand 200 Gbps / 12.99 Gbps ~ 15.4:1 -> within 20:1.
-  EXPECT_TRUE(qos[0].within_target);
-  EXPECT_NEAR(qos[1].capacity_gbps, 4.33125 / 5.0, 1e-9);
-  // demand 40 Gbps / 0.866 ~ 46:1 -> violates 20:1.
-  EXPECT_FALSE(qos[1].within_target);
-}
-
-TEST(Qos, SummaryAggregates) {
-  std::vector<CellQos> qos(3);
-  qos[0].achieved_oversub = 10.0;
-  qos[0].within_target = true;
-  qos[1].achieved_oversub = 30.0;
-  qos[2].achieved_oversub = 20.0;
-  qos[2].within_target = true;
-  const QosSummary s = summarize_qos(qos);
-  EXPECT_EQ(s.cells_served, 3U);
-  EXPECT_EQ(s.cells_within_target, 2U);
-  EXPECT_DOUBLE_EQ(s.mean_oversub, 20.0);
-  EXPECT_DOUBLE_EQ(s.worst_oversub, 30.0);
-  EXPECT_NEAR(s.fraction_within_target, 2.0 / 3.0, 1e-12);
-}
-
-TEST(Qos, EmptyScheduleIsTriviallyWithinTarget) {
-  const QosSummary s = summarize_qos({});
-  EXPECT_DOUBLE_EQ(s.fraction_within_target, 1.0);
-}
-
-TEST(Qos, RejectsBadInputs) {
-  const core::SatelliteCapacityModel model;
-  ScheduleResult bad;
-  bad.assignments = {{5, 0, 0}};
-  std::vector<CellQos> qos;
-  EXPECT_THROW(compute_qos({}, bad, model, SchedulerConfig{}, 20.0, qos),
-               std::invalid_argument);
-  EXPECT_THROW(
-      compute_qos({}, ScheduleResult{}, model, SchedulerConfig{}, 0.0, qos),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // SimClock boundary behaviour: epoch/timestamp arithmetic at horizon
-// edges, sub-second steps, large epoch counts, and malformed inputs. The
-// event engine's boundary plan leans on this arithmetic being exact, so
-// the edge cases get their own file.
+// edges, sub-second steps, large epoch counts, and malformed inputs. Every
+// coverage trace stamps its epochs with these times, so the golden trace
+// bytes lean on this arithmetic being exact, and the edge cases get their
+// own file.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +38,7 @@ TEST(SimClock, ZeroDurationIsOneEpochAtTimeZero) {
 
 TEST(SimClock, SubSecondStepsStayExactOnDyadicFractions) {
   // Dyadic steps are exactly representable: i * step must reproduce the
-  // grid bit-for-bit — the property the event engine's epoch sampling and
-  // the golden-equivalence suite both rely on.
+  // grid bit-for-bit — the property the golden trace bytes rely on.
   const SimClock clock(10.0, 0.125);
   EXPECT_EQ(clock.epochs(), 81u);
   EXPECT_EQ(clock.time_at(1), 0.125);

@@ -25,7 +25,6 @@
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/demand/geojson.hpp"
-#include "leodivide/event/engine.hpp"
 #include "leodivide/io/csv.hpp"
 #include "leodivide/io/fileio.hpp"
 #include "leodivide/io/json.hpp"
@@ -83,28 +82,6 @@ core::AnalysisResults small_analysis() {
 std::vector<sim::EpochCoverage> small_epochs() {
   return {{0.0, 100, 97, 50000, 48000, 0.83, 41},
           {60.0, 100, 99, 50000, 49800, 0.86, 43}};
-}
-
-event::EventTrace small_trace() {
-  event::EventTrace t;
-  t.duration_s = 600.0;
-  t.step_s = 60.0;
-  t.cells_total = 100;
-  t.boundaries = 7;
-  t.handovers = {90, 12, 3, 5};
-  t.events = {
-      {0.0, 0.0, 0.0, event::EventKind::kInitial, 0, 0},
-      {118.25, 118.25, 118.251, event::EventKind::kRise, 4, 17},
-      {301.5, 301.5, 301.501, event::EventKind::kSet, 9, 2},
-      {550.0, 549.999, 550.001, event::EventKind::kGraze, 1, 8},
-  };
-  t.segments = {
-      {0.0, 118.25, {0.0, 100, 97, 50000, 48000, 0.83, 41},
-       {97, 90, 4.2, 19.5, 0.9}},
-      {118.25, 600.0, {118.25, 100, 99, 50000, 49800, 0.86, 43},
-       {99, 95, 4.0, 18.0, 0.95}},
-  };
-  return t;
 }
 
 market::MarketReport small_market_report() {
@@ -388,16 +365,6 @@ TEST(Artifacts, EpochsRoundTripExact) {
   EXPECT_EQ(snapshot::deserialize_epochs(blob), epochs);
 }
 
-TEST(Artifacts, EventTraceRoundTripExact) {
-  const event::EventTrace trace = small_trace();
-  const std::string blob = snapshot::serialize(trace);
-  const snapshot::SnapshotReader reader =
-      snapshot::SnapshotReader::parse(blob);
-  EXPECT_EQ(reader.kind(), snapshot::ArtifactKind::kEventTrace);
-  EXPECT_EQ(to_string(reader.kind()), "event_trace");
-  EXPECT_EQ(snapshot::deserialize_event_trace(blob), trace);
-}
-
 TEST(Artifacts, MarketReportRoundTripExact) {
   const market::MarketReport report = small_market_report();
   const std::string blob = snapshot::serialize(report);
@@ -413,8 +380,8 @@ TEST(Artifacts, SerializationIsDeterministic) {
             snapshot::serialize(small_profile()));
   EXPECT_EQ(snapshot::serialize(small_analysis()),
             snapshot::serialize(small_analysis()));
-  EXPECT_EQ(snapshot::serialize(small_trace()),
-            snapshot::serialize(small_trace()));
+  EXPECT_EQ(snapshot::serialize(small_epochs()),
+            snapshot::serialize(small_epochs()));
   EXPECT_EQ(snapshot::serialize(small_market_report()),
             snapshot::serialize(small_market_report()));
 }
@@ -508,8 +475,13 @@ TEST(Adversarial, RetiredServePartialKindRejected) {
   served.u64(1234);
   snapshot::SnapshotWriter partial_blob(static_cast<snapshot::ArtifactKind>(7));
   partial_blob.add_section("served", std::move(served).take());
+  snapshot::ByteWriter events;
+  events.u64(0);
+  snapshot::SnapshotWriter event_blob(static_cast<snapshot::ArtifactKind>(5));
+  event_blob.add_section("events", std::move(events).take());
   const std::pair<std::string, const char*> retired[] = {
       {std::move(locations_blob).finish(), "retired artifact kind 1"},
+      {std::move(event_blob).finish(), "retired artifact kind 5 (event trace"},
       {std::move(partial_blob).finish(), "retired artifact kind 7"}};
   for (const auto& [blob, expected] : retired) {
     try {
@@ -544,38 +516,6 @@ TEST(Adversarial, DanglingCountyIndexRejected) {
   w.add_section("counties", std::move(counties).take());
   w.add_section("cells", std::move(cells).take());
   EXPECT_THROW((void)snapshot::deserialize_profile(std::move(w).finish()),
-               snapshot::SnapshotError);
-}
-
-TEST(Adversarial, EventTraceUnknownEventKindRejected) {
-  // A container-valid event-trace snapshot whose single event carries an
-  // out-of-range kind byte must fail the semantic re-validation, not
-  // produce a bogus enum value.
-  snapshot::ByteWriter meta;
-  meta.f64(60.0);
-  meta.f64(60.0);
-  meta.u64(1);
-  meta.u64(0);
-  meta.u64(0);
-  meta.u64(0);
-  meta.u64(0);
-  meta.u64(0);
-  snapshot::ByteWriter events;
-  events.u64(1);
-  events.f64(0.0);
-  events.f64(0.0);
-  events.f64(0.0);
-  events.u8(200);  // no such EventKind
-  events.u32(0);
-  events.u32(0);
-  snapshot::ByteWriter segments;
-  segments.u64(0);
-  snapshot::SnapshotWriter sw(snapshot::ArtifactKind::kEventTrace);
-  sw.add_section("meta", std::move(meta).take());
-  sw.add_section("events", std::move(events).take());
-  sw.add_section("segments", std::move(segments).take());
-  const std::string blob = std::move(sw).finish();
-  EXPECT_THROW((void)snapshot::deserialize_event_trace(blob),
                snapshot::SnapshotError);
 }
 
@@ -697,13 +637,6 @@ TEST(Adversarial, EpochsHugeCountFailsTyped) {
       snapshot::serialize(small_epochs()),
       [](std::string_view b) { return snapshot::deserialize_epochs(b); },
       {{"epochs", 0}});
-}
-
-TEST(Adversarial, EventTraceHugeCountFailsTyped) {
-  expect_huge_counts_fail_typed(
-      snapshot::serialize(small_trace()),
-      [](std::string_view b) { return snapshot::deserialize_event_trace(b); },
-      {{"events", 0}, {"segments", 0}});
 }
 
 TEST(Adversarial, MarketHugeCountFailsTyped) {
@@ -1384,13 +1317,6 @@ TEST(GoldenBytes, EveryArtifactKind) {
   EXPECT_EQ(digest_of(snapshot::serialize(
                 simulation.run(runtime::serial_executor()))),
             "274:1472a28b86a64996");
-  sim::SimulationConfig short_run = golden_sim_config();
-  short_run.duration_s = 100.0;  // keeps the event list to a few thousand
-  event::EventSimulation events(short_run, in.profile);
-  event::EventTrace trace;
-  events.run_trace(runtime::serial_executor(), trace);
-  EXPECT_EQ(digest_of(snapshot::serialize(trace)),
-            "514746:b403ad8a721a8d40");
   EXPECT_EQ(digest_of(snapshot::serialize(small_journal())), "252:ec7127af17ca1d57");
 }
 

@@ -6,7 +6,7 @@ Usage: bench_check.py <harness-output-file> <baseline-json> [<baseline-json>...]
 Each harness mode prints one JSON line per case, tagged with its bench name:
 
     {"bench":"sim.schedule","cells":N,"sats":N,"naive_ms":X,"indexed_ms":Y,"speedup":Z}
-    {"bench":"sim.event","cells":N,"sats":N,"epochs":N,"epoch_ms":X,"event_ms":Y,"speedup":Z}
+    {"bench":"serve.delta","cells":N,"rounds":N,"deltas_per_round":1,"full_ms":X,"incremental_ms":Y,"speedup":Z}
 
 A baseline file names its bench (``bench``), a file-level ``min_speedup``
 default, and a list of ``cases``.  A case may carry its own ``min_speedup``,

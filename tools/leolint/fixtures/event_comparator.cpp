@@ -1,8 +1,8 @@
-// Fixture: the event queue's comparator idiom. The real comparator
-// (src/leodivide/event/event.hpp, event_less) orders on
-// (time, kind, cell, sat) with strict < only — its double field never
-// meets == or != — so R4 must stay silent on it. The naive variant that
-// tie-breaks with == on the double time field is what R4 exists to catch.
+// Fixture: a sort comparator over records keyed on a double time field.
+// The clean form orders on (time, kind, cell, sat) with strict < only —
+// its double field never meets == or != — so R4 must stay silent on it.
+// The naive variant that tie-breaks with == on the double time field is
+// what R4 exists to catch.
 
 #include <cstdint>
 
@@ -13,7 +13,7 @@ struct Ev {
   std::uint32_t sat = 0;
 };
 
-// Mirrors event::event_less — clean: strict < on the double field, integer
+// The clean form: strict < on the double field, integer
 // tie-breaks after.
 constexpr bool event_less(const Ev& a, const Ev& b) {
   if (a.time_s < b.time_s) return true;

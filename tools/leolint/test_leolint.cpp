@@ -100,10 +100,9 @@ TEST(LeolintFixtures, CleanFileHasNoFindings) {
 }
 
 TEST(LeolintFixtures, EventComparatorIdiomIsCovered) {
-  // The event queue's total order (event.hpp event_less) must be inside
-  // the determinism rules' example corpus: the strict-< idiom the engine
-  // uses lints clean, and the naive ==-on-time tie-break it replaced is
-  // diagnosed by R4.
+  // A total order over records keyed on a double time field must be inside
+  // the determinism rules' example corpus: the strict-< idiom lints clean,
+  // and the naive ==-on-time tie-break is diagnosed by R4.
   const auto found = shape(lint_fixture("event_comparator.cpp"));
   const std::vector<std::pair<std::size_t, std::string>> expected{
       {28, "float-eq"}};

@@ -374,7 +374,7 @@ TEST(LeolintGraphRealTree, LayersFileParsesAndCoversKnownModules) {
   ASSERT_EQ(layers.names.size(), 4U);
   for (const char* mod : {"geo", "stats", "io", "runtime", "obs", "hex",
                           "demand", "orbit", "core", "afford", "spectrum",
-                          "sim", "event", "snapshot", "serve"}) {
+                          "sim", "snapshot", "serve"}) {
     EXPECT_EQ(layers.module_layer.count(mod), 1U) << mod;
   }
 }
