@@ -6,8 +6,9 @@
 //
 // Defaults: Starlink shell 1 (72 x 22 at 53 deg / 550 km), 10 minutes,
 // beamspread 5, one epoch per minute. Counts are whole unsigned numbers
-// above zero and minutes a finite number above zero; any other value exits
-// 2 with the usage line. With `--snapshot-dir DIR` (or
+// above zero, the shell at most orbit::kMaxShellSatellites satellites, and
+// minutes a finite number above zero; any other value exits 2 with the
+// usage line. With `--snapshot-dir DIR` (or
 // LEODIVIDE_SNAPSHOT_DIR) the generated demand profile and the epoch
 // trace are cached as LDSNAP blobs keyed by their exact inputs, so a
 // rerun with the same shell and horizon skips both generation and
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +25,7 @@
 #include "leodivide/io/table.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/orbit/footprint.hpp"
+#include "leodivide/orbit/walker.hpp"
 #include "leodivide/sim/handover.hpp"
 #include "leodivide/sim/simulation.hpp"
 #include "leodivide/snapshot/snapshot.hpp"
@@ -70,15 +71,9 @@ int main(int argc, char** argv) {
     if (positional.size() > 1) {
       config.shell.sats_per_plane =
           io::parse_positive<std::uint32_t>("sats_per_plane", positional[1]);
-      // WalkerShell::total_sats is 32-bit; a wrapped count would size the
-      // constellation's reserve far below the orbits it then appends.
-      if (std::uint64_t{config.shell.planes} * config.shell.sats_per_plane >
-          std::numeric_limits<std::uint32_t>::max()) {
-        throw std::runtime_error("invalid sats_per_plane value '" +
-                                 positional[1] +
-                                 "': the shell exceeds 2^32 - 1 satellites");
-      }
     }
+    // The library's bound on a shell, checked before any work starts.
+    orbit::check_shell(config.shell);
     if (positional.size() > 2) {
       minutes = io::parse_positive<double>("minutes", positional[2]);
       // The clock rejects a horizon with more epochs than it can count.

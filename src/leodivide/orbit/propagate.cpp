@@ -29,10 +29,7 @@ namespace {
 void propagate_all(const std::vector<CircularOrbit>& orbits, double t_s,
                    std::vector<SatState>& out) {
   // One Earth-rotation angle per epoch, not per satellite: every orbit
-  // shares t, so cos/sin(theta) are hoisted. Two passes, not one loop: a
-  // loop running eci_position's trig and cartesian_to_spherical's atan2/asin
-  // per satellite measured 16-20% slower per call on shell 1 (4-vCPU Xeon
-  // VM, -O2), with identical bytes.
+  // shares t, so cos/sin(theta) are hoisted.
   const double theta = geo::kEarthRotationRadPerSec * t_s;
   const double c = std::cos(theta);
   const double s = std::sin(theta);
@@ -47,9 +44,6 @@ void propagate_all(const std::vector<CircularOrbit>& orbits, double t_s,
     }
     out[i].ecef_km =
         eci_to_ecef(plane.eci_position(orbits[i].phase_rad, t_s), c, s);
-  }
-  for (SatState& state : out) {
-    state.subpoint = geo::cartesian_to_spherical(state.ecef_km);
   }
 }
 

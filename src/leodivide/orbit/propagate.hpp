@@ -1,6 +1,7 @@
 #pragma once
 // Batch propagation of a constellation: positions of every satellite at a
-// sequence of epochs, in ECEF, with sub-satellite points.
+// sequence of epochs, in ECEF. A caller that needs a sub-satellite point
+// takes geo::cartesian_to_spherical(ecef_km); the epoch loop never does.
 
 #include <vector>
 
@@ -10,8 +11,7 @@ namespace leodivide::orbit {
 
 /// Snapshot of one satellite at one epoch.
 struct SatState {
-  geo::Vec3 ecef_km;        ///< position in the Earth-fixed frame
-  geo::GeoPoint subpoint;   ///< sub-satellite geodetic point
+  geo::Vec3 ecef_km;  ///< position in the Earth-fixed frame
 };
 
 /// States of every satellite in `orbits` at time t, written into `out`

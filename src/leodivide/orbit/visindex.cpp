@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "leodivide/geo/angle.hpp"
@@ -16,50 +17,94 @@ namespace {
 constexpr std::uint32_t kMaxBands = 256;
 constexpr std::uint32_t kMaxSectorsPerBand = 1024;
 
+// Lookup bins per band over unit z, and per sector over a band's
+// pseudo-angles. A sector spans at least pi / sectors of pseudo-angle, so
+// at two bins per sector a bin holds at most one sector edge; at 16 bins
+// per band only a polar bin of a very fine grid holds more than one band
+// edge. A lookup therefore walks 0 or 1 edges from its bin's guess.
+constexpr std::uint32_t kBandBinsPerBand = 16;
+constexpr std::uint32_t kSectorBinsPerSector = 2;
+
+// A trig-free stand-in for the angle of (a, b) counterclockwise from the +a
+// axis: 1 - a / (|a| + |b|) in the upper half-plane, 3 + a / (|a| + |b|)
+// in the lower, so [0, 4] over [0, 360] deg, increasing with the angle at
+// a slope of 1/2 to 1 per radian. NaN for (0, 0).
+[[nodiscard]] double pseudo_angle(double a, double b) noexcept {
+  const double r = a / (std::abs(a) + std::abs(b));
+  return b >= 0.0 ? 1.0 - r : 3.0 + r;
+}
+
+// The bin of a value already scaled to bin units, clamped in double before
+// the cast, so NaN and out-of-range values land in a valid bin.
+[[nodiscard]] std::uint32_t bin_of(double scaled, std::uint32_t bins) noexcept {
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(bins)) return bins - 1;
+  return static_cast<std::uint32_t>(scaled);
+}
+
+// From edge index `i`, the first edge above `v`: the number of edges at or
+// below `v` when no earlier edge is. The edges ascend and end in +inf, so
+// the walk stops, and NaN never steps.
+[[nodiscard]] std::uint32_t walk(const double* edges, std::uint32_t i,
+                                 double v) noexcept {
+  // The first step is taken or not without a branch: a sector lookup
+  // needs it often enough that a branch on it would mispredict.
+  i += static_cast<std::uint32_t>(v >= edges[i]);
+  while (v >= edges[i]) ++i;
+  return i;
+}
+
+// Fills `guess` with each bin's walk result at the bin's lower end, less a
+// hair: a value the bin expression rounds into the bin lies above that, so
+// walking on from the guess finds its exact rank.
+void fill_guesses(const double* edges, double lo, double width,
+                  std::uint32_t* guess, std::uint32_t bins) noexcept {
+  std::uint32_t g = 0;
+  for (std::uint32_t q = 0; q < bins; ++q) {
+    g = walk(edges, g, lo + (static_cast<double>(q) - 1e-6) * width);
+    guess[q] = g;
+  }
+}
+
 }  // namespace
 
-// Both lookups clamp in double before the cast, so any point — NaN or far
-// out of range included — maps to a valid band and sector.
+// Any point — NaN or far out of range included — maps to a valid band and
+// sector (bin_of clamps before the cast).
 std::uint32_t VisIndex::band_of(double lat_deg) const noexcept {
-  const double scaled = (lat_deg + 90.0) / band_height_deg_;
-  if (!(scaled > 0.0)) return 0;
-  if (scaled >= static_cast<double>(n_bands_)) return n_bands_ - 1;
-  return static_cast<std::uint32_t>(scaled);
+  return bin_of((lat_deg + 90.0) / band_height_deg_, n_bands_);
 }
 
 std::uint32_t VisIndex::sector_of(std::uint32_t band,
                                   double lon_deg) const noexcept {
   const std::uint32_t sectors = band_sectors_[band];
-  const double scaled =
-      (lon_deg + 180.0) / (360.0 / static_cast<double>(sectors));
-  if (!(scaled > 0.0)) return 0;
-  if (scaled >= static_cast<double>(sectors)) return sectors - 1;
-  return static_cast<std::uint32_t>(scaled);
+  return bin_of((lon_deg + 180.0) / (360.0 / static_cast<double>(sectors)),
+                sectors);
 }
 
-void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
-  if (!(psi_rad > 0.0)) {
-    throw std::invalid_argument("VisIndex: coverage angle must be > 0");
-  }
-  n_sats_ = sats.size();
-  psi_deg_ = geo::rad2deg(psi_rad);
+std::uint32_t VisIndex::bucket_of(double x, double y,
+                                  double z) const noexcept {
+  const auto band_bins = static_cast<std::uint32_t>(band_guess_.size());
+  const std::uint32_t band =
+      walk(band_edge_.data(),
+           band_guess_[bin_of((z + 1.0) * (0.5 * band_bins), band_bins)], z);
+  const std::uint32_t first = band_offset_[band];
+  const std::uint32_t sectors = band_sectors_[band];
+  const double p = pseudo_angle(-x, -y);
+  const std::uint32_t bin = bin_of(p * (0.25 * kSectorBinsPerSector * sectors),
+                                   kSectorBinsPerSector * sectors);
+  return first + walk(sector_edge_.data() + first,
+                      sector_guess_[kSectorBinsPerSector * first + bin], p);
+}
 
-  unit_x_.resize(n_sats_);
-  unit_y_.resize(n_sats_);
-  unit_z_.resize(n_sats_);
-  for (std::size_t i = 0; i < n_sats_; ++i) {
-    const geo::Vec3 u = sats[i].ecef_km.unit();
-    unit_x_[i] = u.x;
-    unit_y_[i] = u.y;
-    unit_z_[i] = u.z;
-  }
-
+void VisIndex::set_layout() {
   sin_window_ = std::sin(geo::deg2rad(psi_deg_ + kWindowSlackDeg));
 
   // Grid counts are clamped in double before the cast: a tiny psi (a mask
   // near 90 deg) makes the quotients overflow uint32_t.
-  n_bands_ = static_cast<std::uint32_t>(
+  const auto bands = static_cast<std::uint32_t>(
       std::clamp(180.0 / psi_deg_, 1.0, static_cast<double>(kMaxBands)));
+  bool changed = bands != n_bands_;
+  n_bands_ = bands;
   band_height_deg_ = 180.0 / static_cast<double>(n_bands_);
 
   // Sector count per band: widths of at least one coverage angle at the
@@ -76,23 +121,77 @@ void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
             ? 0.0
             : std::min(std::abs(lat_lo), std::abs(lat_hi));
     const double parallel_deg = 360.0 * std::cos(geo::deg2rad(min_abs_lat));
-    band_sectors_[b] = static_cast<std::uint32_t>(
+    const auto sectors = static_cast<std::uint32_t>(
         std::clamp(parallel_deg / psi_deg_, 1.0,
                    static_cast<double>(kMaxSectorsPerBand)));
+    changed = changed || sectors != band_sectors_[b];
+    band_sectors_[b] = sectors;
     band_offset_[b] = buckets;
-    buckets += band_sectors_[b];
+    buckets += sectors;
   }
   band_offset_[n_bands_] = buckets;
+  if (!changed) return;
+
+  // Band b + 1 starts at latitude -90 + (b + 1) * height, and sector k + 1
+  // of a band with S sectors where the angle of (-x, -y), the longitude
+  // plus 180 deg, reaches (k + 1) * 360 / S. Each table ends in +inf.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  band_edge_.resize(n_bands_);
+  for (std::uint32_t b = 0; b + 1 < n_bands_; ++b) {
+    band_edge_[b] = std::sin(geo::deg2rad(
+        -90.0 + static_cast<double>(b + 1) * band_height_deg_));
+  }
+  band_edge_[n_bands_ - 1] = kInf;
+  band_guess_.resize(kBandBinsPerBand * n_bands_);
+  fill_guesses(band_edge_.data(), -1.0,
+               2.0 / static_cast<double>(band_guess_.size()),
+               band_guess_.data(),
+               static_cast<std::uint32_t>(band_guess_.size()));
+
+  sector_edge_.resize(buckets);
+  sector_guess_.resize(kSectorBinsPerSector * buckets);
+  for (std::uint32_t b = 0; b < n_bands_; ++b) {
+    const std::uint32_t sectors = band_sectors_[b];
+    double* const edges = sector_edge_.data() + band_offset_[b];
+    for (std::uint32_t k = 0; k + 1 < sectors; ++k) {
+      const double angle = geo::deg2rad(360.0 * static_cast<double>(k + 1) /
+                                        static_cast<double>(sectors));
+      edges[k] = pseudo_angle(std::cos(angle), std::sin(angle));
+    }
+    edges[sectors - 1] = kInf;
+    const std::uint32_t bins = kSectorBinsPerSector * sectors;
+    fill_guesses(edges, 0.0, 4.0 / static_cast<double>(bins),
+                 sector_guess_.data() + kSectorBinsPerSector * band_offset_[b],
+                 bins);
+  }
+}
+
+void VisIndex::build(const std::vector<SatState>& sats, double psi_rad) {
+  if (!(psi_rad > 0.0)) {
+    throw std::invalid_argument("VisIndex: coverage angle must be > 0");
+  }
+  const double psi_deg = geo::rad2deg(psi_rad);
+  // leolint:allow(float-eq): exact-bit layout key; a miss only recomputes
+  if (psi_deg != psi_deg_) {
+    psi_deg_ = psi_deg;
+    set_layout();
+  }
+  n_sats_ = sats.size();
 
   // CSR fill in two passes; iterating satellites in index order keeps every
   // bucket's list ascending.
-  bucket_start_.assign(static_cast<std::size_t>(buckets) + 1, 0);
+  unit_x_.resize(n_sats_);
+  unit_y_.resize(n_sats_);
+  unit_z_.resize(n_sats_);
+  bucket_start_.assign(static_cast<std::size_t>(band_offset_[n_bands_]) + 1,
+                       0);
   sat_bucket_.resize(n_sats_);
   for (std::size_t i = 0; i < n_sats_; ++i) {
-    const geo::GeoPoint& sp = sats[i].subpoint;
-    const std::uint32_t band = band_of(sp.lat_deg);
-    const std::uint32_t bucket =
-        band_offset_[band] + sector_of(band, sp.lon_deg);
+    const geo::Vec3 u = sats[i].ecef_km.unit();
+    unit_x_[i] = u.x;
+    unit_y_[i] = u.y;
+    unit_z_[i] = u.z;
+    const std::uint32_t bucket = bucket_of(u.x, u.y, u.z);
     sat_bucket_[i] = bucket;
     ++bucket_start_[bucket + 1];
   }

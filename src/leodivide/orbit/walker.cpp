@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "leodivide/geo/angle.hpp"
 
@@ -18,13 +19,23 @@ WalkerShell starlink_shell1() noexcept {
   return WalkerShell{53.0, 550.0, 72, 22, 1};
 }
 
-std::vector<CircularOrbit> make_constellation(const WalkerShell& shell) {
+void check_shell(const WalkerShell& shell) {
   if (shell.planes == 0 || shell.sats_per_plane == 0) {
     throw std::invalid_argument("make_constellation: empty shell");
   }
   if (shell.phasing >= shell.planes) {
     throw std::invalid_argument("make_constellation: phasing must be < planes");
   }
+  if (std::uint64_t{shell.planes} * shell.sats_per_plane >
+      kMaxShellSatellites) {
+    throw std::invalid_argument(
+        "make_constellation: the shell exceeds " +
+        std::to_string(kMaxShellSatellites) + " satellites");
+  }
+}
+
+std::vector<CircularOrbit> make_constellation(const WalkerShell& shell) {
+  check_shell(shell);
   std::vector<CircularOrbit> orbits;
   orbits.reserve(shell.total_sats());
   const double inc = geo::deg2rad(shell.inclination_deg);

@@ -15,15 +15,21 @@ EpochCoverage summarize_epoch(const ScheduleResult& schedule,
   out.locations_total = schedule.locations_total;
   out.locations_served = schedule.locations_served;
   out.mean_beam_utilization = schedule.mean_beam_utilization;
-  // Sorted-vector dedup: the distinct count is computed from a fully
-  // ordered sequence, so no hash-container layout is ever consulted. The
-  // caller's scratch keeps its capacity across epochs, and the count is an
-  // iterator difference — no erase, no allocation at steady state.
-  scratch.clear();
-  for (const auto& a : schedule.assignments) scratch.push_back(a.sat);
-  std::sort(scratch.begin(), scratch.end());
-  out.satellites_in_view = static_cast<std::size_t>(
-      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+  // The scratch is a seen-mark per satellite id: one pass finds the id
+  // range, one pass counts each id's first mark. The count depends only on
+  // the ids, never on a container's layout, and the scratch keeps its
+  // capacity across epochs, so the steady state allocates nothing.
+  std::size_t ids = 0;
+  for (const Assignment& a : schedule.assignments) {
+    ids = std::max(ids, std::size_t{a.sat} + 1);
+  }
+  scratch.assign(ids, 0);
+  std::size_t distinct = 0;
+  for (const Assignment& a : schedule.assignments) {
+    distinct += static_cast<std::size_t>(scratch[a.sat] == 0);
+    scratch[a.sat] = 1;
+  }
+  out.satellites_in_view = distinct;
   return out;
 }
 

@@ -35,9 +35,10 @@ struct EpochCoverage {
   friend bool operator==(const EpochCoverage&, const EpochCoverage&) = default;
 };
 
-/// Summarises a schedule result into an epoch snapshot, using caller-owned
-/// dedup scratch so repeated epochs allocate nothing once the scratch
-/// capacity has warmed up.
+/// Summarises a schedule result into an epoch snapshot, in O(assignments +
+/// satellites). `scratch` is caller-owned: its contents on entry are
+/// ignored, and it holds one seen-mark per satellite id on return, so
+/// repeated epochs allocate nothing once its capacity has warmed up.
 [[nodiscard]] EpochCoverage summarize_epoch(
     const ScheduleResult& schedule, std::size_t cells_total, double time_s,
     std::vector<std::uint32_t>& scratch);

@@ -153,8 +153,10 @@ TEST(ExamplesCli, BadPositionalNumbersRejected) {
   // Each value is a whole positional field that is not a valid count or
   // real: a negative count (once wrapped to 2^32 - 3), NaN and infinite
   // reals (once uncaught exceptions), trailing garbage (once truncated), a
-  // zero, a plane count the shell's phasing cannot take, a horizon with
-  // too many epochs, a scale too small to give one location and a stray
+  // zero, a plane count the shell's phasing cannot take, shells past the
+  // library's satellite bound (2^32 - 1 satellites once aborted on a
+  // ~137 GB reserve; 2^32 once wrapped to 0), a horizon with too many
+  // epochs, a scale too small to give one location and a stray
   // extra argument. Each must exit 2 with the usage line, before any work;
   // the timeout turns a run that starts anyway into a prompt failure.
   struct Case {
@@ -171,6 +173,9 @@ TEST(ExamplesCli, BadPositionalNumbersRejected) {
       {"coverage_sim", "72 22 10 0", "beamspread"},
       {"coverage_sim", "72x", "planes"},
       {"coverage_sim", "1 22", "planes"},
+      {"coverage_sim", "65535 65537", "satellites"},
+      {"coverage_sim", "65536 65536", "satellites"},
+      {"coverage_sim", "1001 1000 10 5", "satellites"},
       {"coverage_sim", "72 22 10 5 9", "'9'"},
       {"constellation_planner", "nan", "satellite_budget"},
       {"constellation_planner", "8000 nan", "oversub_cap"},

@@ -108,6 +108,23 @@ TEST(Walker, PhasesWithinPlaneAreEvenlySpaced) {
   }
 }
 
+TEST(Walker, RejectsShellsPastTheSatelliteBound) {
+  // 1000 x 1000 is exactly the bound; one more satellite per plane is over.
+  // 65535 x 65537 is 2^32 - 1 satellites, and 65536 x 65536 wraps a 32-bit
+  // product to 0: both must fail typed before any orbit is reserved.
+  ASSERT_EQ(std::uint64_t{1000} * 1000, kMaxShellSatellites);
+  EXPECT_NO_THROW(check_shell({53.0, 550.0, 1000, 1000, 1}));
+  for (const WalkerShell shell : {WalkerShell{53.0, 550.0, 1000, 1001, 1},
+                                  WalkerShell{53.0, 550.0, 1001, 1000, 1},
+                                  WalkerShell{53.0, 550.0, 65535, 65537, 1},
+                                  WalkerShell{53.0, 550.0, 65536, 65536, 1}}) {
+    EXPECT_THROW(check_shell(shell), std::invalid_argument)
+        << shell.planes << " x " << shell.sats_per_plane;
+    EXPECT_THROW((void)make_constellation(shell), std::invalid_argument)
+        << shell.planes << " x " << shell.sats_per_plane;
+  }
+}
+
 TEST(Walker, RejectsDegenerateShells) {
   EXPECT_THROW(make_constellation({53.0, 550.0, 0, 22, 1}),
                std::invalid_argument);
@@ -133,7 +150,7 @@ TEST(Propagate, EcefMatchesSubsatellitePoint) {
 }
 
 // The batched propagation must stay bit-identical to the per-satellite
-// oracle, positions and sub-satellite points alike.
+// oracle, positions and the sub-satellite points they give alike.
 TEST(Propagate, AllMatchesPerSatelliteOracle) {
   WalkerShell shell = starlink_shell1();
   shell.planes = 12;
@@ -151,9 +168,11 @@ TEST(Propagate, AllMatchesPerSatelliteOracle) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].ecef_km.z),
                 std::bit_cast<std::uint64_t>(ref.z));
       const geo::GeoPoint sub = geo::cartesian_to_spherical(ref);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lat_deg),
+      const geo::GeoPoint batch_sub =
+          geo::cartesian_to_spherical(batch[i].ecef_km);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch_sub.lat_deg),
                 std::bit_cast<std::uint64_t>(sub.lat_deg));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].subpoint.lon_deg),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch_sub.lon_deg),
                 std::bit_cast<std::uint64_t>(sub.lon_deg));
     }
   }
@@ -516,9 +535,8 @@ TEST(VisIndex, PolarCellSeesHighLatitudeSatellites) {
   std::vector<SatState> states;
   for (double lon = -180.0; lon < 180.0; lon += 30.0) {
     SatState s;
-    s.subpoint = {80.0, lon};
-    s.ecef_km =
-        geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + 550.0);
+    s.ecef_km = geo::spherical_to_cartesian({80.0, lon},
+                                            geo::kEarthRadiusKm + 550.0);
     states.push_back(s);
   }
   VisIndex index;
@@ -531,9 +549,8 @@ TEST(VisIndex, DateLineWindowWrapsBothWays) {
   std::vector<SatState> states;
   for (double lon : {179.5, -179.5, 170.0, -170.0, 0.0}) {
     SatState s;
-    s.subpoint = {10.0, lon};
-    s.ecef_km =
-        geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + 550.0);
+    s.ecef_km = geo::spherical_to_cartesian({10.0, lon},
+                                            geo::kEarthRadiusKm + 550.0);
     states.push_back(s);
   }
   VisIndex index;
@@ -573,7 +590,8 @@ TEST(VisIndex, NearVerticalMaskClampsTheGridBeforeCasting) {
   EXPECT_EQ(index.band_count(), 256U);
   EXPECT_LE(index.bucket_count(), 256U * 1024U);
   for (std::uint32_t si = 0; si < states.size(); ++si) {
-    const auto candidates = oracle::vis_candidates(index, states[si].subpoint);
+    const auto candidates = oracle::vis_candidates(
+        index, geo::cartesian_to_spherical(states[si].ecef_km));
     EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), si))
         << "sat " << si << " missing at its own sub-point";
   }
@@ -614,7 +632,7 @@ TEST(VisIndex, DoubleRetireIsANoOp) {
   const auto states = shell_states({53.0, 550.0, 24, 18, 5}, 777.0);
   VisIndex index;
   index.build(states, 0.3);
-  const geo::GeoPoint cell = states[17].subpoint;
+  const geo::GeoPoint cell = geo::cartesian_to_spherical(states[17].ecef_km);
   index.retire(17);
   const auto once = oracle::vis_candidates(index, cell);
   EXPECT_FALSE(std::binary_search(once.begin(), once.end(), 17U));
@@ -630,9 +648,8 @@ TEST(VisIndex, RetireCanEmptyABucketAndBuildRestoresIt) {
   std::vector<SatState> states;
   for (int i = 0; i < 5; ++i) {
     SatState s;
-    s.subpoint = {30.0, 40.0 + 0.01 * i};
-    s.ecef_km =
-        geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + 550.0);
+    s.ecef_km = geo::spherical_to_cartesian({30.0, 40.0 + 0.01 * i},
+                                            geo::kEarthRadiusKm + 550.0);
     states.push_back(s);
   }
   VisIndex index;
@@ -787,8 +804,12 @@ TEST(PropagateBatch, OutParamOverloadMatchesReturningOverload) {
       EXPECT_EQ(reused[i].ecef_km.x, fresh[i].ecef_km.x);
       EXPECT_EQ(reused[i].ecef_km.y, fresh[i].ecef_km.y);
       EXPECT_EQ(reused[i].ecef_km.z, fresh[i].ecef_km.z);
-      EXPECT_EQ(reused[i].subpoint.lat_deg, fresh[i].subpoint.lat_deg);
-      EXPECT_EQ(reused[i].subpoint.lon_deg, fresh[i].subpoint.lon_deg);
+      const geo::GeoPoint reused_sub =
+          geo::cartesian_to_spherical(reused[i].ecef_km);
+      const geo::GeoPoint fresh_sub =
+          geo::cartesian_to_spherical(fresh[i].ecef_km);
+      EXPECT_EQ(reused_sub.lat_deg, fresh_sub.lat_deg);
+      EXPECT_EQ(reused_sub.lon_deg, fresh_sub.lon_deg);
     }
   }
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/angle.hpp"
@@ -13,6 +16,7 @@
 #include "leodivide/sim/coverage.hpp"
 #include "leodivide/sim/metrics.hpp"
 #include "leodivide/sim/simulation.hpp"
+#include "leodivide/stats/rng.hpp"
 
 namespace leodivide::sim {
 namespace {
@@ -118,9 +122,8 @@ TEST(Scheduler, SingleOverheadSatelliteServesNearbyCells) {
   }
   const BeamScheduler scheduler(cells, SchedulerConfig{24, 5, 25.0});
   orbit::SatState sat;
-  sat.subpoint = {39.5, -98.0};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({39.5, -98.0},
+                                            geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   EXPECT_EQ(r.assignments.size(), 10U);
   EXPECT_EQ(r.locations_served, 1000U);
@@ -141,9 +144,8 @@ TEST(Scheduler, BeamBudgetLimitsAssignments) {
   }
   const BeamScheduler scheduler(cells, SchedulerConfig{24, 1, 25.0});
   orbit::SatState sat;
-  sat.subpoint = {39.5, -98.0};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({39.5, -98.0},
+                                            geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   EXPECT_EQ(r.assignments.size(), 24U);
   EXPECT_EQ(r.unassigned_cells.size(), 6U);
@@ -169,9 +171,8 @@ TEST(Scheduler, MultiBeamCellsScheduledFirst) {
   }
   const BeamScheduler scheduler(cells, SchedulerConfig{24, 1, 25.0});
   orbit::SatState sat;
-  sat.subpoint = {39.0, -97.5};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({39.0, -97.5},
+                                            geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   bool heavy_served = false;
   for (const auto& a : r.assignments) {
@@ -193,9 +194,8 @@ TEST(Scheduler, FarawaySatelliteServesNothing) {
   cells[0].beams_needed = 1;
   const BeamScheduler scheduler(cells, SchedulerConfig{24, 5, 25.0});
   orbit::SatState sat;
-  sat.subpoint = {-39.0, 98.0};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({-39.0, 98.0},
+                                            geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   EXPECT_TRUE(r.assignments.empty());
 }
@@ -230,6 +230,39 @@ TEST(Coverage, SummarizeEpochCountsSatellites) {
   EXPECT_EQ(c.satellites_in_view, 2U);
   EXPECT_DOUBLE_EQ(c.cell_coverage(), 0.6);
   EXPECT_DOUBLE_EQ(c.location_coverage(), 0.8);
+}
+
+// The distinct-satellite count equals a sort-and-unique reference on
+// seeded assignment lists, whatever the scratch held on entry.
+TEST(Coverage, SatelliteCountMatchesSortedReference) {
+  stats::Pcg32 rng(35);
+  std::vector<std::vector<std::uint32_t>> lists{{}, {0}, {1583}};
+  lists.push_back(std::vector<std::uint32_t>(500, 42));  // one sat repeated
+  for (const std::uint32_t sats : {1U, 2U, 36U, 1584U, 40000U}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{sats},
+                                std::size_t{3} * sats}) {
+      std::vector<std::uint32_t> ids(n);
+      for (std::uint32_t& id : ids) {
+        id = static_cast<std::uint32_t>(rng.next_below(sats));
+      }
+      ids.push_back(sats - 1);  // the highest id the satellite count allows
+      lists.push_back(ids);
+    }
+  }
+  std::vector<std::uint32_t> scratch(7, 0xFFFFFFFFU);  // stale contents
+  for (const std::vector<std::uint32_t>& ids : lists) {
+    ScheduleResult r;
+    for (std::uint32_t c = 0; c < ids.size(); ++c) {
+      r.assignments.push_back({c, ids[c], 1});
+    }
+    std::vector<std::uint32_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    const EpochCoverage c = summarize_epoch(r, ids.size(), 0.0, scratch);
+    EXPECT_EQ(c.satellites_in_view, distinct) << ids.size() << " ids";
+    EXPECT_EQ(c.cells_served, ids.size());
+  }
 }
 
 TEST(Coverage, EmptyTotalsCountAsFullCoverage) {
@@ -344,9 +377,8 @@ TEST_P(StrategySweep, EveryStrategyServesTheEasyCase) {
   SchedulerConfig config{24, 5, 25.0, GetParam()};
   const BeamScheduler scheduler(cells, config);
   orbit::SatState sat;
-  sat.subpoint = {39.4, -98.0};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({39.4, -98.0},
+                                            geo::kEarthRadiusKm + 550.0);
   const ScheduleResult r = scheduler.schedule({sat});
   EXPECT_EQ(r.assignments.size(), 8U);
 }
@@ -370,9 +402,8 @@ TEST(StrategyComparison, BestFitPacksTighterThanMostSlack) {
   }
   auto make_sat = [](double lon) {
     orbit::SatState s;
-    s.subpoint = {39.1, lon};
-    s.ecef_km =
-        geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + 550.0);
+    s.ecef_km = geo::spherical_to_cartesian({39.1, lon},
+                                            geo::kEarthRadiusKm + 550.0);
     return s;
   };
   const std::vector<orbit::SatState> sats{make_sat(-98.2), make_sat(-97.8)};
@@ -453,9 +484,8 @@ TEST(OptimalSlotBound, SingleSatelliteExactCapacity) {
     cells.push_back(c);
   }
   orbit::SatState sat;
-  sat.subpoint = {39.5, -98.0};
-  sat.ecef_km =
-      geo::spherical_to_cartesian(sat.subpoint, geo::kEarthRadiusKm + 550.0);
+  sat.ecef_km = geo::spherical_to_cartesian({39.5, -98.0},
+                                            geo::kEarthRadiusKm + 550.0);
   SchedulerConfig config;
   config.beamspread = 1;
   const FlowBound bound = optimal_slot_bound(cells, {sat}, config);

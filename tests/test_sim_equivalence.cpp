@@ -84,9 +84,8 @@ std::vector<SchedCell> random_cells(stats::Pcg32& rng, std::size_t n,
 
 orbit::SatState sat_at(double lat, double lon, double alt_km = 550.0) {
   orbit::SatState s;
-  s.subpoint = {lat, lon};
   s.ecef_km =
-      geo::spherical_to_cartesian(s.subpoint, geo::kEarthRadiusKm + alt_km);
+      geo::spherical_to_cartesian({lat, lon}, geo::kEarthRadiusKm + alt_km);
   return s;
 }
 
@@ -362,8 +361,11 @@ TEST(VisIndexContract, RejectsNonPositivePsi) {
 
 // ------------------------------------------------------------ fused scan ----
 
-// The bucket a satellite's sub-point falls in, by the index's public layout
-// and the same float expressions VisIndex uses.
+// The bucket a sub-point falls in, by the index's public layout and the
+// latitude/longitude float expressions VisIndex uses for window edges.
+// build() takes a satellite's bucket from its unit radial instead; the two
+// agree except within rounding distance of an edge, where the window's
+// slack covers both sides.
 std::uint32_t bucket_of(const orbit::VisIndex& index,
                         const geo::GeoPoint& p) {
   const auto cell = [](double scaled, std::uint32_t n) {
@@ -391,7 +393,8 @@ std::vector<std::uint32_t> live_in_spans(
   std::vector<std::uint32_t> out;
   for (std::uint32_t si = 0; si < states.size(); ++si) {
     if (retired[si] != 0) continue;
-    const std::uint32_t b = bucket_of(index, states[si].subpoint);
+    const std::uint32_t b =
+        bucket_of(index, geo::cartesian_to_spherical(states[si].ecef_km));
     for (const orbit::BucketSpan& span : spans) {
       if (b >= span.first && b < span.first + span.count) {
         out.push_back(si);
@@ -526,6 +529,135 @@ TEST(FusedScan, SatellitesOnTheConeEdgeMatchBruteForce) {
   }
 }
 
+// Satellites exactly on band edges, sector edges, the date line and both
+// poles, where a bucket taken from the unit radial may differ by rounding
+// from one taken from latitude and longitude, plus NaN radials. Every
+// satellite must land in exactly one valid bucket, the window of every cell
+// within psi of a satellite must hold it, and each such cell's scan must
+// keep exactly the brute-force visible set. The 80 deg mask gives a grid
+// of 224 bands, fine enough that a polar lookup bin holds several band
+// edges; its sector sweep is left out to keep the brute force small.
+TEST(FusedScan, SatellitesOnBucketEdgesStayInEveryWindow) {
+  const double r_km = geo::kEarthRadiusKm + 550.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double mask : {0.0, 25.0, 50.0, 80.0}) {
+    const CoverageGeometry g = coverage_geometry(r_km, mask);
+    orbit::VisIndex layout;  // the grid depends only on psi
+    layout.build({sat_at(0.0, 0.0)}, g.psi_rad);
+    const std::uint32_t bands = layout.band_count();
+    const double height = 180.0 / static_cast<double>(bands);
+
+    std::vector<orbit::SatState> states;
+    for (std::uint32_t b = 1; b < bands; ++b) {
+      const double lat = -90.0 + static_cast<double>(b) * height;
+      for (const double lon : {0.3, 180.0, -180.0}) {
+        states.push_back(sat_at(lat, lon));
+      }
+    }
+    for (const std::uint32_t b : {0U, bands / 4, bands / 2, bands - 1}) {
+      if (bands > 100) break;
+      const std::uint32_t sectors = layout.band_sectors()[b];
+      const double lat_lo = -90.0 + static_cast<double>(b) * height;
+      for (std::uint32_t k = 0; k < sectors; ++k) {
+        const double lon = -180.0 + 360.0 * static_cast<double>(k) /
+                                        static_cast<double>(sectors);
+        states.push_back(sat_at(lat_lo + 0.5 * height, lon));
+        if (b > 0) states.push_back(sat_at(lat_lo, lon));  // a corner
+      }
+    }
+    for (const double lat : {-60.0, -10.0, 0.0, 33.0, 70.0}) {
+      states.push_back(sat_at(lat, 180.0));
+      states.push_back(sat_at(lat, -180.0));
+    }
+    for (const double z : {r_km, -r_km}) {
+      orbit::SatState pole;
+      pole.ecef_km = {0.0, 0.0, z};
+      states.push_back(pole);
+    }
+    states.push_back(sat_at(90.0, 0.0));
+    states.push_back(sat_at(-90.0, 180.0));
+    const std::size_t finite = states.size();
+    for (const geo::Vec3 v : {geo::Vec3{nan, nan, nan},
+                              geo::Vec3{0.0, nan, r_km}}) {
+      orbit::SatState bad;
+      bad.ecef_km = v;
+      states.push_back(bad);
+    }
+
+    orbit::VisIndex index;
+    index.build(states, g.psi_rad);
+    ASSERT_EQ(index.bucket_count(), layout.bucket_count());
+    std::vector<std::uint32_t> out(index.sat_count());
+    std::vector<orbit::BucketSpan> spans;
+    // A window reaching past both poles spans every bucket once: it walks
+    // every satellite, and keeps each finite one once (a NaN dot fails
+    // even a -inf threshold).
+    index.window({90.0, 0.0}, 180.0, spans);
+    const orbit::ScanCount all =
+        index.scan(spans.data(), spans.size(), {0.0, 0.0, 1.0},
+                   -std::numeric_limits<double>::infinity(), out.data());
+    ASSERT_EQ(all.live, states.size()) << "mask " << mask;
+    ASSERT_EQ(all.visible, finite) << "mask " << mask;
+    std::vector<std::uint32_t> ids(
+        out.begin(), out.begin() + static_cast<std::ptrdiff_t>(finite));
+    std::sort(ids.begin(), ids.end());
+    for (std::uint32_t si = 0; si < finite; ++si) {
+      ASSERT_EQ(ids[si], si) << "mask " << mask;
+    }
+
+    std::vector<geo::Vec3> units;
+    for (std::size_t si = 0; si < finite; ++si) {
+      units.push_back(states[si].ecef_km.unit());
+    }
+    for (std::uint32_t si = 0; si < finite; ++si) {
+      // Cells at 0, psi/2 and just under psi from the satellite along
+      // eight bearings, from an orthonormal tangent frame at its radial.
+      const geo::Vec3 u = units[si];
+      const geo::Vec3 axis =
+          std::abs(u.z) < 0.9 ? geo::Vec3{0.0, 0.0, 1.0}
+                              : geo::Vec3{1.0, 0.0, 0.0};
+      const geo::Vec3 e1 = geo::Vec3{axis.y * u.z - axis.z * u.y,
+                                     axis.z * u.x - axis.x * u.z,
+                                     axis.x * u.y - axis.y * u.x}
+                               .unit();
+      const geo::Vec3 e2{u.y * e1.z - u.z * e1.y, u.z * e1.x - u.x * e1.z,
+                         u.x * e1.y - u.y * e1.x};
+      for (const double d : {0.0, 0.5 * g.psi_rad, 0.999999 * g.psi_rad}) {
+        const int bearings = d > 0.0 ? 8 : 1;
+        for (int k = 0; k < bearings; ++k) {
+          const double bearing = geo::kTwoPi * (k + 0.125) / 8.0;
+          const double t1 = std::sin(d) * std::cos(bearing);
+          const double t2 = std::sin(d) * std::sin(bearing);
+          const geo::GeoPoint cell = geo::cartesian_to_spherical(
+              {std::cos(d) * u.x + t1 * e1.x + t2 * e2.x,
+               std::cos(d) * u.y + t1 * e1.y + t2 * e2.y,
+               std::cos(d) * u.z + t1 * e1.z + t2 * e2.z});
+          const geo::Vec3 cu =
+              geo::spherical_to_cartesian(cell, geo::kEarthRadiusKm).unit();
+          std::vector<std::uint32_t> visible;
+          for (std::uint32_t sj = 0; sj < finite; ++sj) {
+            if (cu.dot(units[sj]) >= g.cos_psi) visible.push_back(sj);
+          }
+          ASSERT_TRUE(std::binary_search(visible.begin(), visible.end(), si))
+              << "mask " << mask << " sat " << si << " not within psi of "
+              << cell.lat_deg << "," << cell.lon_deg;
+          spans.clear();
+          index.window(cell, 0.0, spans);
+          const orbit::ScanCount n = index.scan(
+              spans.data(), spans.size(), cu, g.cos_psi, out.data());
+          std::vector<std::uint32_t> kept(
+              out.begin(),
+              out.begin() + static_cast<std::ptrdiff_t>(n.visible));
+          std::sort(kept.begin(), kept.end());
+          EXPECT_EQ(kept, visible) << "mask " << mask << " sat " << si
+                                   << " cell " << cell.lat_deg << ","
+                                   << cell.lon_deg;
+        }
+      }
+    }
+  }
+}
+
 // End to end: the scheduler's fused visibility scan keeps schedules
 // byte-identical to schedule_reference on geometries built to graze the
 // elevation mask (satellites right at the visibility cone's edge).
@@ -550,12 +682,12 @@ TEST(FusedScan, SchedulerBitIdenticalOnGrazingGeometry) {
   // both sides of the visibility cone boundary for the configured mask.
   for (const SchedCell& c : cells) {
     for (const double off_deg : {0.0, 5.0, 10.0, 14.9, 15.0, 15.1, 20.0}) {
+      const geo::GeoPoint p{c.center.lat_deg > 74.0
+                                ? c.center.lat_deg - off_deg
+                                : c.center.lat_deg + off_deg,
+                            c.center.lon_deg};
       orbit::SatState s;
-      s.subpoint = {c.center.lat_deg > 74.0 ? c.center.lat_deg - off_deg
-                                            : c.center.lat_deg + off_deg,
-                    c.center.lon_deg};
-      s.ecef_km = geo::spherical_to_cartesian(s.subpoint,
-                                              geo::kEarthRadiusKm + 550.0);
+      s.ecef_km = geo::spherical_to_cartesian(p, geo::kEarthRadiusKm + 550.0);
       sats.push_back(s);
     }
   }
