@@ -17,7 +17,9 @@ int main(int argc, char** argv) {
   const auto& profile = bench::national_profile();
   const core::SizingModel model;
   const core::CostModel cost;
-  std::cout << "cost model: $" << io::fmt(cost.cost_per_satellite_usd / 1e6, 1)
+  std::cout << "cost model: $"
+            << io::fmt((cost.satellite_capex_usd + cost.launch_capex_usd) / 1e6,
+                       1)
             << "M per satellite, " << io::fmt(cost.satellite_lifetime_years, 0)
             << "-year lifetime (amortised)\n\n";
 

@@ -1,18 +1,40 @@
 #include "leodivide/core/economics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace leodivide::core {
 
-double CostModel::annual_fleet_cost_usd(double satellites) const {
-  if (satellites < 0.0) {
-    throw std::invalid_argument("annual_fleet_cost_usd: negative fleet");
+double CostModel::annual_cost_usd(double satellites) const {
+  if (!std::isfinite(satellites) || satellites < 0.0) {
+    throw std::invalid_argument("annual_cost_usd: negative fleet");
   }
-  if (cost_per_satellite_usd <= 0.0 || satellite_lifetime_years <= 0.0) {
-    throw std::invalid_argument("CostModel: non-positive parameters");
+  if (!std::isfinite(satellite_capex_usd) || satellite_capex_usd < 0.0 ||
+      !std::isfinite(launch_capex_usd) || launch_capex_usd < 0.0 ||
+      !std::isfinite(ground_capex_usd) || ground_capex_usd < 0.0 ||
+      !std::isfinite(annual_opex_fraction) || annual_opex_fraction < 0.0) {
+    throw std::invalid_argument("CostModel: malformed capex/opex inputs");
   }
-  return satellites * cost_per_satellite_usd / satellite_lifetime_years;
+  if (!std::isfinite(satellite_lifetime_years) ||
+      satellite_lifetime_years <= 0.0) {
+    throw std::invalid_argument("CostModel: non-positive lifetime");
+  }
+  const double total_capex =
+      satellites * (satellite_capex_usd + launch_capex_usd) + ground_capex_usd;
+  return total_capex / satellite_lifetime_years +
+         annual_opex_fraction * total_capex;
+}
+
+double cost_per_location_year_usd(const CostModel& cost,
+                                  const LongTailPoint& point,
+                                  std::uint64_t total_locations) {
+  const std::uint64_t served = total_locations > point.locations_unserved
+                                   ? total_locations - point.locations_unserved
+                                   : 0;
+  return served == 0 ? 0.0
+                     : cost.annual_cost_usd(point.satellites) /
+                           static_cast<double>(served);
 }
 
 std::vector<ServingEconomics> longtail_economics(
@@ -36,14 +58,12 @@ std::vector<ServingEconomics> longtail_economics(
     ServingEconomics e;
     e.locations_unserved = p.locations_unserved;
     e.satellites = p.satellites;
-    e.annual_cost_usd = cost.annual_fleet_cost_usd(p.satellites);
+    e.annual_cost_usd = cost.annual_cost_usd(p.satellites);
     e.locations_served = total_locations > p.locations_unserved
                              ? total_locations - p.locations_unserved
                              : 0;
     e.cost_per_location_year_usd =
-        e.locations_served == 0
-            ? 0.0
-            : e.annual_cost_usd / static_cast<double>(e.locations_served);
+        cost_per_location_year_usd(cost, p, total_locations);
     if (!out.empty()) {
       const auto& prev = out.back();
       const double extra_locs = static_cast<double>(e.locations_served) -

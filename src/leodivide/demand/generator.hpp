@@ -7,10 +7,13 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "leodivide/demand/dataset.hpp"
 #include "leodivide/hex/hexgrid.hpp"
+#include "leodivide/stats/interpolate.hpp"
 
 namespace leodivide::runtime {
 class Executor;
@@ -72,6 +75,42 @@ class SyntheticGenerator {
  private:
   GeneratorConfig config_;
 };
+
+// The synthesis steps SyntheticGenerator and RegionGenerator (region.hpp)
+// share. Each generator keeps its own count-to-cell assignment.
+
+/// `n` per-cell location counts drawn at the stratified points (i + 0.5) / n
+/// of `quantile`, each at least 1, then fixed up to sum to `total` exactly:
+/// +-1 per cell round-robin from cell n / 2, never raising a count above
+/// `max_count` or lowering one below 1. The draw runs on `executor`; the
+/// counts are the same for every thread count. Throws std::invalid_argument
+/// unless n <= total <= n * max_count, the range in which the fix-up ends.
+[[nodiscard]] std::vector<std::uint32_t> stratified_counts(
+    const stats::PiecewiseQuantile& quantile, std::size_t n,
+    std::uint64_t total, std::uint32_t max_count, runtime::Executor& executor);
+
+/// 0..n-1 in a Fisher-Yates order drawn from stats::Pcg32(seed, stream).
+[[nodiscard]] std::vector<std::size_t> shuffled_indices(std::size_t n,
+                                                        std::uint64_t seed,
+                                                        std::uint64_t stream);
+
+/// County-equivalents for `cells`: each group of cells whose centres share
+/// a cell at `county_resolution` becomes one county, centred on that parent
+/// cell. Groups are sorted by parent and then by the key
+/// stats::mix_seed(seed, parent), which decorrelates income from geography.
+/// In that order each county takes `income_quantile` rounded at the
+/// midpoint of its cumulative location weight, so the location-weighted
+/// income CDF follows the quantile up to county granularity; FIPS codes
+/// number the counties in that order, led by `fips_lead`. With
+/// `smallest_county_income_usd`, the county with the fewest locations (the
+/// first such in key order) takes that income instead. Sets every cell's
+/// county_index; the table is the same for every thread count.
+[[nodiscard]] CountyTable assign_counties(
+    std::vector<CellDemand>& cells, const hex::HexGrid& grid,
+    int county_resolution, std::uint64_t seed,
+    const stats::PiecewiseQuantile& income_quantile, char fips_lead,
+    std::optional<double> smallest_county_income_usd,
+    runtime::Executor& executor);
 
 /// Consumes `--scale S` / `--seed N` (or `--flag=V`) at argv[i] into
 /// `config`, like runtime::parse_threads_arg. Throws std::runtime_error

@@ -17,26 +17,6 @@ void require_finite(double v, const char* what) {
 
 }  // namespace
 
-double OperatorCosts::annual_cost_usd(double satellites) const {
-  if (!std::isfinite(satellites) || satellites < 0.0) {
-    throw std::invalid_argument("annual_cost_usd: negative fleet");
-  }
-  if (!std::isfinite(satellite_capex_usd) || satellite_capex_usd < 0.0 ||
-      !std::isfinite(launch_capex_usd) || launch_capex_usd < 0.0 ||
-      !std::isfinite(ground_capex_usd) || ground_capex_usd < 0.0 ||
-      !std::isfinite(annual_opex_fraction) || annual_opex_fraction < 0.0) {
-    throw std::invalid_argument("OperatorCosts: malformed capex/opex inputs");
-  }
-  if (!std::isfinite(satellite_lifetime_years) ||
-      satellite_lifetime_years <= 0.0) {
-    throw std::invalid_argument("OperatorCosts: non-positive lifetime");
-  }
-  const double total_capex =
-      satellites * (satellite_capex_usd + launch_capex_usd) + ground_capex_usd;
-  return total_capex / satellite_lifetime_years +
-         annual_opex_fraction * total_capex;
-}
-
 spectrum::SpectrumPlan OperatorConfig::spectrum() const {
   return spectrum::SpectrumPlan(bands);
 }
@@ -131,11 +111,11 @@ OperatorConfig starlink_operator() {
   config.spectral_efficiency_bps_hz = spectrum::kPaperSpectralEfficiency;
   config.sizing_inclination_deg = 53.0;
   config.plan = afford::starlink_residential();
-  config.costs = OperatorCosts{.satellite_capex_usd = 500'000.0,
-                               .launch_capex_usd = 250'000.0,
-                               .ground_capex_usd = 150e6,
-                               .satellite_lifetime_years = 5.0,
-                               .annual_opex_fraction = 0.08};
+  config.costs = core::CostModel{.satellite_capex_usd = 500'000.0,
+                                 .launch_capex_usd = 250'000.0,
+                                 .ground_capex_usd = 150e6,
+                                 .satellite_lifetime_years = 5.0,
+                                 .annual_opex_fraction = 0.08};
   return config;
 }
 
@@ -164,11 +144,11 @@ OperatorConfig oneweb_operator() {
       .name = "oneweb_community",
       .monthly_usd = 99.0,
       .speeds = {.down_mbps = 150.0, .up_mbps = 20.0}};
-  config.costs = OperatorCosts{.satellite_capex_usd = 1'000'000.0,
-                               .launch_capex_usd = 600'000.0,
-                               .ground_capex_usd = 80e6,
-                               .satellite_lifetime_years = 7.0,
-                               .annual_opex_fraction = 0.10};
+  config.costs = core::CostModel{.satellite_capex_usd = 1'000'000.0,
+                                 .launch_capex_usd = 600'000.0,
+                                 .ground_capex_usd = 80e6,
+                                 .satellite_lifetime_years = 7.0,
+                                 .annual_opex_fraction = 0.10};
   return config;
 }
 
@@ -212,11 +192,11 @@ OperatorConfig kuiper_operator() {
       .name = "kuiper_residential",
       .monthly_usd = 80.0,
       .speeds = {.down_mbps = 400.0, .up_mbps = 20.0}};
-  config.costs = OperatorCosts{.satellite_capex_usd = 750'000.0,
-                               .launch_capex_usd = 400'000.0,
-                               .ground_capex_usd = 120e6,
-                               .satellite_lifetime_years = 7.0,
-                               .annual_opex_fraction = 0.09};
+  config.costs = core::CostModel{.satellite_capex_usd = 750'000.0,
+                                 .launch_capex_usd = 400'000.0,
+                                 .ground_capex_usd = 120e6,
+                                 .satellite_lifetime_years = 7.0,
+                                 .annual_opex_fraction = 0.09};
   return config;
 }
 

@@ -5,40 +5,21 @@
 // pipeline needs to size and price one of them: a Walker shell set
 // (orbit/shells), a Schedule-S style band table (spectrum/band), beam-plan
 // parameters, a retail plan (afford/plan), and the capex/opex cost inputs
-// following the Osoro-Oughton techno-economic decomposition
-// (arXiv 2108.10834), which costs exactly these three constellations.
+// of core::CostModel, which follows the Osoro-Oughton techno-economic
+// decomposition (arXiv 2108.10834) that costs exactly these three
+// constellations.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "leodivide/afford/plan.hpp"
+#include "leodivide/core/economics.hpp"
 #include "leodivide/core/sizing.hpp"
 #include "leodivide/orbit/shells.hpp"
 #include "leodivide/spectrum/band.hpp"
 
 namespace leodivide::market {
-
-/// Per-operator cost inputs, following the arXiv 2108.10834 decomposition:
-/// space-segment capex per satellite (manufacture + launch), a fleet-wide
-/// ground-segment capex, straight-line depreciation over the satellite
-/// lifetime, and annual opex as a fraction of total capex.
-struct OperatorCosts {
-  double satellite_capex_usd = 500'000.0;  ///< manufacture, per satellite
-  double launch_capex_usd = 250'000.0;     ///< launch share, per satellite
-  double ground_capex_usd = 100e6;         ///< gateways + ops, fleet-wide
-  double satellite_lifetime_years = 5.0;   ///< depreciation horizon
-  double annual_opex_fraction = 0.10;      ///< of total capex, per year
-
-  /// Annualised cost of a fleet of `satellites`: total capex depreciated
-  /// over the satellite lifetime plus the annual opex fraction of that
-  /// capex. Throws std::invalid_argument on a negative fleet or
-  /// non-finite / non-positive cost parameters.
-  [[nodiscard]] double annual_cost_usd(double satellites) const;
-
-  /// Exact (bit-level) equality; snapshot round-trip tests rely on it.
-  friend bool operator==(const OperatorCosts&, const OperatorCosts&) = default;
-};
 
 /// One market participant.
 struct OperatorConfig {
@@ -54,7 +35,7 @@ struct OperatorConfig {
   double sizing_inclination_deg = 53.0;
 
   afford::ServicePlan plan;  ///< retail plan priced against afford/
-  OperatorCosts costs;
+  core::CostModel costs;
 
   /// Exact (bit-level) equality; snapshot round-trip tests rely on it.
   friend bool operator==(const OperatorConfig&,

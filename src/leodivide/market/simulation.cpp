@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "leodivide/core/beamspread.hpp"
+#include "leodivide/core/economics.hpp"
 #include "leodivide/core/longtail.hpp"
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/trace.hpp"
@@ -112,14 +113,8 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
   const core::LongTailPoint cheapest =
       core::longtail_cheapest(profile, op.sizing_model(out.economic_share),
                               config.beamspread, config.oversub_cap);
-  const std::uint64_t served_locations =
-      total > cheapest.locations_unserved ? total - cheapest.locations_unserved
-                                          : 0;
   out.cost_per_location_year_usd =
-      served_locations == 0
-          ? 0.0
-          : op.costs.annual_cost_usd(cheapest.satellites) /
-                static_cast<double>(served_locations);
+      core::cost_per_location_year_usd(op.costs, cheapest, total);
   out.affordability = analyzer.evaluate(op.plan);
   return out;
 }

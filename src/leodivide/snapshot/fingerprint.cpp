@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "leodivide/core/economics.hpp"
 #include "leodivide/core/scenario.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/market/simulation.hpp"
@@ -123,12 +124,12 @@ void mix(Fingerprint& fp, const sim::SimulationConfig& config) {
       .mix_f64(config.oversub_target);
 }
 
-void mix(Fingerprint& fp, const market::OperatorCosts& costs) {
-  fp.mix_f64(costs.satellite_capex_usd)
-      .mix_f64(costs.launch_capex_usd)
-      .mix_f64(costs.ground_capex_usd)
-      .mix_f64(costs.satellite_lifetime_years)
-      .mix_f64(costs.annual_opex_fraction);
+void mix(Fingerprint& fp, const core::CostModel& cost) {
+  fp.mix_f64(cost.satellite_capex_usd)
+      .mix_f64(cost.launch_capex_usd)
+      .mix_f64(cost.ground_capex_usd)
+      .mix_f64(cost.satellite_lifetime_years)
+      .mix_f64(cost.annual_opex_fraction);
 }
 
 void mix(Fingerprint& fp, const market::OperatorConfig& config) {

@@ -23,12 +23,12 @@ struct GeneratorConfig;
 namespace leodivide::core {
 struct SizingModel;
 struct AnalysisConfig;
+struct CostModel;
 }
 namespace leodivide::sim {
 struct SimulationConfig;
 }
 namespace leodivide::market {
-struct OperatorCosts;
 struct OperatorConfig;
 struct SpectrumSplitConfig;
 struct MarketConfig;
@@ -76,7 +76,7 @@ void mix(Fingerprint& fp, const demand::GeneratorConfig& config);
 void mix(Fingerprint& fp, const core::SizingModel& model);
 void mix(Fingerprint& fp, const core::AnalysisConfig& config);
 void mix(Fingerprint& fp, const sim::SimulationConfig& config);
-void mix(Fingerprint& fp, const market::OperatorCosts& costs);
+void mix(Fingerprint& fp, const core::CostModel& cost);
 void mix(Fingerprint& fp, const market::OperatorConfig& config);
 void mix(Fingerprint& fp, const market::SpectrumSplitConfig& config);
 void mix(Fingerprint& fp, const market::MarketConfig& config);

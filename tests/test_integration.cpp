@@ -215,7 +215,7 @@ TEST(Extensions, EconomicsConsistentWithTable2) {
   const double n_full =
       core::size_with_cap(national_profile(), model, 10.0, 20.0).satellites;
   EXPECT_NEAR(econ.back().annual_cost_usd,
-              cost.annual_fleet_cost_usd(n_full), 1.0);
+              cost.annual_cost_usd(n_full), 1.0);
 }
 
 TEST(Extensions, Gen1MixtureCoversConusButNotEnough) {

@@ -18,6 +18,7 @@
 
 #include "leodivide/afford/affordability.hpp"
 #include "leodivide/core/beamspread.hpp"
+#include "leodivide/core/economics.hpp"
 #include "leodivide/core/longtail.hpp"
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/core/sizing.hpp"
@@ -46,7 +47,7 @@ const demand::DemandProfile& small_profile() {
 double cheapest_cost_per_location_year(const demand::DemandProfile& profile,
                                        const core::SizingModel& model,
                                        const MarketConfig& config,
-                                       const OperatorCosts& costs) {
+                                       const core::CostModel& costs) {
   const core::LongTailPoint cheapest =
       core::longtail_curve(profile, model, config.beamspread,
                            config.oversub_cap)
@@ -57,24 +58,6 @@ double cheapest_cost_per_location_year(const demand::DemandProfile& profile,
 }
 
 // ---------------------------------------------------------------- operator ----
-
-TEST(OperatorCostsTest, AnnualCostDecomposition) {
-  const OperatorCosts costs{.satellite_capex_usd = 1000.0,
-                            .launch_capex_usd = 500.0,
-                            .ground_capex_usd = 10000.0,
-                            .satellite_lifetime_years = 5.0,
-                            .annual_opex_fraction = 0.1};
-  // 10 satellites: capex = 10*1500 + 10000 = 25000;
-  // annual = 25000/5 + 0.1*25000 = 5000 + 2500.
-  EXPECT_DOUBLE_EQ(costs.annual_cost_usd(10.0), 7500.0);
-  EXPECT_THROW((void)costs.annual_cost_usd(-1.0), std::invalid_argument);
-}
-
-TEST(OperatorCostsTest, RejectsBadParameters) {
-  OperatorCosts costs;
-  costs.satellite_lifetime_years = 0.0;
-  EXPECT_THROW((void)costs.annual_cost_usd(10.0), std::invalid_argument);
-}
 
 TEST(OperatorTest, PresetsValidate) {
   for (const OperatorConfig& op : default_market()) {
