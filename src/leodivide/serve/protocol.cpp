@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "leodivide/runtime/executor.hpp"
-#include "leodivide/snapshot/artifacts.hpp"
 
 namespace leodivide::serve::protocol {
 
@@ -18,6 +17,40 @@ using snapshot::ByteWriter;
 // identical either way; chunk boundaries are fixed.
 [[nodiscard]] std::uint64_t body_checksum(std::string_view body) {
   return snapshot::chunked_checksum(body, runtime::serial_executor());
+}
+
+// Smallest wire size of one DeltaOp (an empty plan name): the bound the
+// ApplyDelta decoder checks its op count against before reserving.
+constexpr std::size_t kDeltaOpMinBytes = 1 + 8 + 8 + 4 + 4 + 4 + 8;
+
+void write_delta_op(ByteWriter& w, const demand::DeltaOp& op) {
+  w.u8(static_cast<std::uint8_t>(op.kind));
+  w.f64(op.position.lat_deg);
+  w.f64(op.position.lon_deg);
+  w.u32(op.count);
+  w.u32(op.county_index);
+  w.str(op.plan_name);
+  w.f64(op.value);
+}
+
+// Throws SnapshotError on an unknown kind code, as ByteReader does on a
+// short read, so decode_payload names the payload either way.
+demand::DeltaOp read_delta_op(ByteReader& r) {
+  demand::DeltaOp op;
+  const std::uint8_t kind = r.u8();
+  if (kind < static_cast<std::uint8_t>(demand::DeltaKind::kAddLocations) ||
+      kind > static_cast<std::uint8_t>(demand::DeltaKind::kSetCountyIncome)) {
+    throw snapshot::SnapshotError("delta op: unknown kind code " +
+                                  std::to_string(kind));
+  }
+  op.kind = static_cast<demand::DeltaKind>(kind);
+  op.position.lat_deg = r.f64();
+  op.position.lon_deg = r.f64();
+  op.count = r.u32();
+  op.county_index = r.u32();
+  op.plan_name = r.str();
+  op.value = r.f64();
+  return op;
 }
 
 [[noreturn]] void fail(const std::string& what) {
@@ -206,7 +239,7 @@ HelloReply decode_hello_reply(std::string_view payload) {
 std::string encode(const ApplyDeltaRequest& m) {
   ByteWriter w;
   w.u64(m.ops.size());
-  for (const demand::DeltaOp& op : m.ops) snapshot::write_delta_op(w, op);
+  for (const demand::DeltaOp& op : m.ops) write_delta_op(w, op);
   return std::move(w).take();
 }
 
@@ -214,11 +247,9 @@ ApplyDeltaRequest decode_apply_delta_request(std::string_view payload) {
   return decode_payload("apply_delta", [&] {
     ByteReader r(payload);
     ApplyDeltaRequest m;
-    const std::size_t n = r.count(snapshot::kDeltaOpMinBytes);
+    const std::size_t n = r.count(kDeltaOpMinBytes);
     m.ops.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m.ops.push_back(snapshot::read_delta_op(r));
-    }
+    for (std::size_t i = 0; i < n; ++i) m.ops.push_back(read_delta_op(r));
     r.expect_exhausted("apply_delta payload");
     return m;
   });

@@ -402,57 +402,6 @@ std::vector<sim::EpochCoverage> deserialize_epochs(std::string_view file) {
   return epochs;
 }
 
-void write_delta_op(ByteWriter& w, const demand::DeltaOp& op) {
-  w.u8(static_cast<std::uint8_t>(op.kind));
-  w.f64(op.position.lat_deg);
-  w.f64(op.position.lon_deg);
-  w.u32(op.count);
-  w.u32(op.county_index);
-  w.str(op.plan_name);
-  w.f64(op.value);
-}
-
-demand::DeltaOp read_delta_op(ByteReader& r) {
-  demand::DeltaOp op;
-  const std::uint8_t kind = r.u8();
-  if (kind < static_cast<std::uint8_t>(demand::DeltaKind::kAddLocations) ||
-      kind > static_cast<std::uint8_t>(demand::DeltaKind::kSetCountyIncome)) {
-    throw SnapshotError("delta op: unknown kind code " + std::to_string(kind));
-  }
-  op.kind = static_cast<demand::DeltaKind>(kind);
-  op.position.lat_deg = r.f64();
-  op.position.lon_deg = r.f64();
-  op.count = r.u32();
-  op.county_index = r.u32();
-  op.plan_name = r.str();
-  op.value = r.f64();
-  return op;
-}
-
-std::string serialize(const std::vector<demand::DeltaOp>& journal) {
-  std::size_t bytes = 8;
-  for (const demand::DeltaOp& op : journal) {
-    bytes += kDeltaOpMinBytes + op.plan_name.size();
-  }
-  SnapshotWriter sw(ArtifactKind::kDeltaJournal, bytes);
-  ByteWriter& w = sw.section("ops");
-  w.count(journal.size(), kDeltaOpMinBytes);
-  for (const demand::DeltaOp& op : journal) write_delta_op(w, op);
-  return std::move(sw).finish();
-}
-
-std::vector<demand::DeltaOp> deserialize_delta_journal(std::string_view file) {
-  const SnapshotReader reader =
-      parse_expecting(file, ArtifactKind::kDeltaJournal);
-  ByteReader r(reader.section("ops"));
-  const std::size_t n = r.count(kDeltaOpMinBytes);
-  std::vector<demand::DeltaOp> ops;
-  ops.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ops.push_back(read_delta_op(r));
-  r.expect_exhausted("delta_journal ops section");
-  return ops;
-}
-
 std::string serialize(const market::MarketReport& report) {
   const market::FairnessReport& f = report.fairness;
   std::size_t bytes = 1 + 8 + 8 + 8 + 8 +

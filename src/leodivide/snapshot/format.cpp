@@ -14,13 +14,15 @@ constexpr std::size_t kChecksumChunk = 1 << 20;
 
 // What a retired ArtifactKind value held, or null for a kind never
 // retired. Retired values are never reused: kind 1 held location-level
-// records, kind 5 event-engine traces, kind 7 serve/'s on-disk region
-// partials (old cache dirs still hold such files). parse rejects them by
-// name rather than handing a reader a kind it has no case for.
+// records, kind 5 event-engine traces, kind 6 serve/'s delta journal,
+// kind 7 serve/'s on-disk region partials (old cache dirs still hold such
+// files). parse rejects them by name rather than handing a reader a kind
+// it has no case for.
 const char* retired_kind(std::uint16_t kind) noexcept {
   switch (kind) {
     case 1: return "locations";
     case 5: return "event trace";
+    case 6: return "delta journal";
     case 7: return "serve partial";
     default: return nullptr;
   }
@@ -38,7 +40,6 @@ std::string_view to_string(ArtifactKind kind) noexcept {
     case ArtifactKind::kProfile: return "profile";
     case ArtifactKind::kAnalysis: return "analysis";
     case ArtifactKind::kEpochs: return "epochs";
-    case ArtifactKind::kDeltaJournal: return "delta_journal";
     case ArtifactKind::kMarketReport: return "market_report";
   }
   return "unknown";

@@ -59,7 +59,7 @@ enum class ArtifactKind : std::uint16_t {
   kAnalysis = 3,   ///< core::AnalysisResults (sizing/affordability results)
   kEpochs = 4,     ///< std::vector<sim::EpochCoverage> (sim epoch summaries)
   // 5 is retired (it held event-engine traces): never reuse it.
-  kDeltaJournal = 6,  ///< std::vector<demand::DeltaOp> (serve/ delta journal)
+  // 6 is retired (it held serve/'s delta journal): never reuse it.
   // 7 is retired (it held serve/'s on-disk region partials): never reuse it.
   kMarketReport = 8,  ///< market::MarketReport (multi-operator market run)
 };

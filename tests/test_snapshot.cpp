@@ -456,11 +456,12 @@ TEST(Adversarial, KindMismatchRejected) {
                snapshot::SnapshotError);
 }
 
-// Kind 1 held location-level records and kind 7 serve's on-disk region
-// partials; both are gone, and old cache dirs may still hold kind-7 files.
-// Rebuild one blob of each as it was written (a "counties" and an empty
-// "locations" section; a "served" section of two u64 counts) and check the
-// container refuses its kind by name.
+// Kind 1 held location-level records, kind 5 event-engine traces, kind 6
+// serve's delta journal and kind 7 serve's on-disk region partials; all
+// are gone, and old cache dirs may still hold kind-7 files. Rebuild one
+// blob of each as it was written (a "counties" and an empty "locations"
+// section; an empty "events" or "ops" section; a "served" section of two
+// u64 counts) and check the container refuses its kind by name.
 TEST(Adversarial, RetiredServePartialKindRejected) {
   snapshot::ByteWriter counties;
   counties.u64(0);
@@ -479,9 +480,15 @@ TEST(Adversarial, RetiredServePartialKindRejected) {
   events.u64(0);
   snapshot::SnapshotWriter event_blob(static_cast<snapshot::ArtifactKind>(5));
   event_blob.add_section("events", std::move(events).take());
+  snapshot::ByteWriter ops;
+  ops.u64(0);
+  snapshot::SnapshotWriter journal_blob(static_cast<snapshot::ArtifactKind>(6));
+  journal_blob.add_section("ops", std::move(ops).take());
   const std::pair<std::string, const char*> retired[] = {
       {std::move(locations_blob).finish(), "retired artifact kind 1"},
       {std::move(event_blob).finish(), "retired artifact kind 5 (event trace"},
+      {std::move(journal_blob).finish(),
+       "retired artifact kind 6 (delta journal"},
       {std::move(partial_blob).finish(), "retired artifact kind 7"}};
   for (const auto& [blob, expected] : retired) {
     try {
@@ -1091,81 +1098,6 @@ TEST(IndexedKernelCompat, TraceBlobMatchesPreIndexBuildByteForByte) {
   EXPECT_TRUE(snapshot::deserialize_epochs(blob) == trace);
 }
 
-// ------------------------------------------------- serve/ delta journal --
-
-std::vector<demand::DeltaOp> small_journal() {
-  std::vector<demand::DeltaOp> journal;
-  demand::DeltaOp add;
-  add.kind = demand::DeltaKind::kAddLocations;
-  add.position = {39.1, -75.4};
-  add.count = 37;
-  add.county_index = 1;
-  journal.push_back(add);
-  demand::DeltaOp remove = add;
-  remove.kind = demand::DeltaKind::kRemoveLocations;
-  remove.count = 12;
-  journal.push_back(remove);
-  demand::DeltaOp upgrade = add;
-  upgrade.kind = demand::DeltaKind::kUpgradeLocations;
-  upgrade.count = 3;
-  journal.push_back(upgrade);
-  demand::DeltaOp price;
-  price.kind = demand::DeltaKind::kSetPlanPrice;
-  price.plan_name = "Starlink Residential";  // spaces must survive the trip
-  price.value = 95.0;
-  journal.push_back(price);
-  demand::DeltaOp income;
-  income.kind = demand::DeltaKind::kSetCountyIncome;
-  income.county_index = 0;
-  income.value = 48213.5;
-  journal.push_back(income);
-  return journal;
-}
-
-TEST(Artifacts, DeltaJournalRoundTripExact) {
-  const std::vector<demand::DeltaOp> journal = small_journal();
-  const std::string blob = snapshot::serialize(journal);
-  const snapshot::SnapshotReader reader =
-      snapshot::SnapshotReader::parse(blob);
-  EXPECT_EQ(reader.kind(), snapshot::ArtifactKind::kDeltaJournal);
-  EXPECT_EQ(to_string(reader.kind()), "delta_journal");
-  EXPECT_EQ(snapshot::deserialize_delta_journal(blob), journal);
-}
-
-TEST(Artifacts, EmptyDeltaJournalRoundTrips) {
-  const std::string blob = snapshot::serialize(std::vector<demand::DeltaOp>{});
-  EXPECT_TRUE(snapshot::deserialize_delta_journal(blob).empty());
-}
-
-TEST(Adversarial, DeltaJournalEveryTruncationFailsTyped) {
-  const std::string blob = snapshot::serialize(small_journal());
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_THROW(
-        (void)snapshot::deserialize_delta_journal(blob.substr(0, len)),
-        snapshot::SnapshotError)
-        << "prefix length " << len << " parsed";
-  }
-}
-
-TEST(Adversarial, DeltaJournalUnknownKindRejected) {
-  // Container-valid journal whose single op carries kind byte 9: the
-  // checksums pass, so only read_delta_op's kind validation can refuse it.
-  snapshot::ByteWriter ops;
-  ops.u64(1);
-  ops.u8(9);  // no such DeltaKind
-  ops.f64(39.1);
-  ops.f64(-75.4);
-  ops.u32(5);
-  ops.u32(0);
-  ops.str("");
-  ops.f64(0.0);
-  snapshot::SnapshotWriter w(snapshot::ArtifactKind::kDeltaJournal);
-  w.add_section("ops", std::move(ops).take());
-  EXPECT_THROW(
-      (void)snapshot::deserialize_delta_journal(std::move(w).finish()),
-      snapshot::SnapshotError);
-}
-
 TEST_F(StageCacheTest, UnwritableDirDegradesToRecomputeWithOneWarning) {
   // A stray regular file where the stage directory should be makes every
   // store fail (the test runs as root, so a read-only directory would not).
@@ -1317,7 +1249,6 @@ TEST(GoldenBytes, EveryArtifactKind) {
   EXPECT_EQ(digest_of(snapshot::serialize(
                 simulation.run(runtime::serial_executor()))),
             "274:1472a28b86a64996");
-  EXPECT_EQ(digest_of(snapshot::serialize(small_journal())), "252:ec7127af17ca1d57");
 }
 
 // The analysis and market bytes at the paper's own scale (seed 42, scale 1),

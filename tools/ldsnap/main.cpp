@@ -71,9 +71,6 @@ void deep_verify(const std::string& file) {
     case snapshot::ArtifactKind::kEpochs:
       (void)snapshot::deserialize_epochs(file);
       break;
-    case snapshot::ArtifactKind::kDeltaJournal:
-      (void)snapshot::deserialize_delta_journal(file);
-      break;
     case snapshot::ArtifactKind::kMarketReport:
       (void)snapshot::deserialize_market_report(file);
       break;

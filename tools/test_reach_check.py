@@ -99,6 +99,27 @@ class ReachCheckCli(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("no 'symbol: reason' form", out)
 
+    def test_comment_only_allowlist(self):
+        # An allowlist with nothing to allow: its header comment and no
+        # entry. It passes while programs reach every library function and
+        # fails as soon as one is unreached.
+        header = [
+            "# reach_check.py allowlist: library functions that no program",
+            "# reaches but the library keeps on purpose.",
+            "",
+        ]
+        code, out = self.run_check(header)
+        self.assertEqual(code, 1, out)
+        self.assertIn(f"FAIL: unreached: {UNREACHED}", out)
+        self.assertIn("1 of 2 library functions unreached, 0 allowlisted", out)
+
+        program = os.path.join(self.tree, "examples", "quickstart")
+        self.write(program + ".nm", PROGRAM_NM + f"0000000000001200 T {UNREACHED}\n")
+        code, out = self.run_check(header)
+        self.assertEqual(code, 0, out)
+        self.assertIn("0 of 2 library functions unreached, 0 allowlisted", out)
+        self.assertIn("ok: every unreached library function is allowlisted", out)
+
     def test_tree_without_programs_is_unusable(self):
         empty = self.make_dir("empty/src")
         self.write(os.path.join(empty, "libleodivide_geo.a"), "")
