@@ -29,7 +29,7 @@ IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
     : config_(config),
       grid_(),
       profile_(std::move(baseline)),
-      applier_(profile_, grid_, config_.cell_resolution) {
+      applier_(profile_, grid_, hex::kServiceCellResolution) {
   const auto& cells = profile_.cells();
   cell_region_.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -44,7 +44,7 @@ IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
 }
 
 std::size_t IncrementalEngine::region_of(hex::CellId cell) {
-  const hex::CellId parent = grid_.parent_of(cell, config_.region_resolution);
+  const hex::CellId parent = grid_.parent_of(cell, kRegionResolution);
   const auto [it, inserted] =
       region_index_.emplace(parent.bits(), regions_.size());
   if (inserted) regions_.emplace_back();
@@ -148,13 +148,13 @@ ResizeAnswer IncrementalEngine::query_resize(double beamspread,
   }
   // Validates both parameters before a memo entry is created for them.
   const core::CellCapacity capacity =
-      core::cell_capacity(config_.model, beamspread, oversub_cap);
+      core::cell_capacity(model_, beamspread, oversub_cap);
   const demand::PeakCandidate peak = merged_peak();
   const demand::CellDemand& peak_cell = profile_.cells()[peak.index];
   ResizeAnswer answer;
   answer.full =
-      core::binding_at(config_.model, peak.index, peak_cell, beamspread,
-                       config_.model.capacity.plan().beams_per_full_cell());
+      core::binding_at(model_, peak.index, peak_cell, beamspread,
+                       model_.capacity.plan().beams_per_full_cell());
 
   std::vector<Partial<core::BindingCandidate>>& partials =
       sizing_memo_[SizeKey{bits(beamspread), bits(oversub_cap)}];
@@ -170,7 +170,7 @@ ResizeAnswer IncrementalEngine::query_resize(double beamspread,
   // No cell needs more than one beam: the peak cell binds with a single
   // beam, as in core::size_with_cap.
   answer.capped = binding.found ? binding.best
-                                : core::binding_at(config_.model, peak.index,
+                                : core::binding_at(model_, peak.index,
                                                    peak_cell, beamspread, 1);
 
   if (config_.paranoid) paranoid_check_resize(beamspread, oversub_cap, answer);
@@ -186,7 +186,7 @@ ServedFractionAnswer IncrementalEngine::query_served_fraction(double beamspread,
   answer.total_locations = total_locations_;
   if (answer.total_cells != 0) {
     const std::uint32_t limit =
-        core::max_locations_spread(config_.model.capacity, beamspread, oversub);
+        core::max_locations_spread(model_.capacity, beamspread, oversub);
     std::vector<Partial<core::ServedCounts>>& partials = served_memo_[limit];
     core::ServedCounts counts;
     for (std::size_t r = 0; r < regions_.size(); ++r) {
@@ -282,9 +282,9 @@ void IncrementalEngine::paranoid_check_resize(double beamspread,
   ++stats_.paranoid_checks;
   count_metric("serve.paranoid_checks");
   const core::SizingResult full =
-      core::size_full_service(profile_, config_.model, beamspread);
+      core::size_full_service(profile_, model_, beamspread);
   const core::SizingResult capped =
-      core::size_with_cap(profile_, config_.model, beamspread, oversub_cap,
+      core::size_with_cap(profile_, model_, beamspread, oversub_cap,
                           runtime::serial_executor());
   if (!same_sizing(full, answer.full) || !same_sizing(capped, answer.capped)) {
     paranoia_fail("query_resize");
@@ -296,9 +296,9 @@ void IncrementalEngine::paranoid_check_served(
   ++stats_.paranoid_checks;
   count_metric("serve.paranoid_checks");
   const double cell_fraction = core::served_cell_fraction(
-      profile_, config_.model.capacity, beamspread, oversub);
+      profile_, model_.capacity, beamspread, oversub);
   const double location_fraction = core::served_location_fraction(
-      profile_, config_.model.capacity, beamspread, oversub);
+      profile_, model_.capacity, beamspread, oversub);
   if (!same_bits(cell_fraction, answer.cell_fraction) ||
       !same_bits(location_fraction, answer.location_fraction)) {
     paranoia_fail("query_served_fraction");

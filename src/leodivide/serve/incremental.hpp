@@ -1,7 +1,7 @@
 #pragma once
 // The incremental-recompute engine behind the analysis service. The
 // baseline demand profile is partitioned into *regions* — coarse hex cells
-// (region_resolution) covering the service cells — and every query is a
+// (kRegionResolution) covering the service cells — and every query is a
 // deterministic merge of per-region partial results:
 //
 //   resize          per-region core::BindingCandidate
@@ -42,15 +42,15 @@
 
 namespace leodivide::serve {
 
-/// Engine tuning knobs plus the sizing model every query evaluates.
+/// Region granularity. Aperture-4 ladder: resolution 2 puts ~64 service
+/// cells (resolution 5) in one region — small enough that a delta dirties
+/// little, large enough that per-region bookkeeping stays cheap.
+inline constexpr int kRegionResolution = 2;
+
+/// Engine options. Cells are service cells (hex::kServiceCellResolution)
+/// and every query evaluates the paper's core::SizingModel{}.
 struct EngineConfig {
-  int cell_resolution = hex::kServiceCellResolution;
-  /// Region granularity. Aperture-4 ladder: resolution 2 puts ~64 service
-  /// cells (resolution 5) in one region — small enough that a delta dirties
-  /// little, large enough that per-region bookkeeping stays cheap.
-  int region_resolution = 2;
   bool paranoid = false;  ///< cross-check every answer against full recompute
-  core::SizingModel model;
 };
 
 /// A paranoid-mode cross-check failed: an incremental answer differed from
@@ -189,6 +189,7 @@ class IncrementalEngine {
                                     const afford::PlanAffordability& answer);
 
   EngineConfig config_;
+  const core::SizingModel model_;  ///< the paper's sizing model
   hex::HexGrid grid_;
   demand::DemandProfile profile_;
   demand::DeltaApplier applier_;  // borrows profile_ and grid_

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "leodivide/afford/plan.hpp"
@@ -46,11 +47,13 @@ class PlanTable {
   std::vector<afford::ServicePlan> plans_;
 };
 
-/// Service configuration beyond the engine's.
+/// The server name a hello reply carries.
+inline constexpr std::string_view kServerName = "leodivide-serve";
+
+/// Service configuration. An affordability query without a positive
+/// threshold uses afford::kAffordabilityThreshold.
 struct ServiceConfig {
   EngineConfig engine;
-  std::string server_name = "leodivide-serve";
-  double default_threshold = afford::kAffordabilityThreshold;
 };
 
 /// Shared state behind every session. Thread-safe: handle() and the other
