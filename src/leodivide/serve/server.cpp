@@ -115,6 +115,15 @@ void Server::stop() {
   // Unblock accept().
   ::shutdown(listen_fd_, SHUT_RDWR);
   queue_cv_.notify_all();
+  {
+    // A worker still sending after the grace has a client that is not
+    // reading: shut the write sides too, which fails its send().
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!idle_cv_.wait_for(lock, kStopGrace,
+                           [this] { return active_.empty(); })) {
+      for (int fd : active_) ::shutdown(fd, SHUT_RDWR);
+    }
+  }
 
   if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& t : workers_) {
@@ -162,6 +171,7 @@ void Server::worker_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       active_.erase(fd);
     }
+    idle_cv_.notify_all();
     ::close(fd);
   }
 }

@@ -9,7 +9,11 @@
 // stop() is teardown-safe against blocked I/O: it closes the listening
 // socket (unblocking accept), half-closes every active session socket via
 // shutdown() (unblocking recv), wakes the queue, and joins every thread.
+// A session still sending after kStopGrace has a client that is not reading
+// (its worker blocks in send() once the socket buffers fill); stop() then
+// shuts that socket's write side too, which fails the send.
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <condition_variable>
@@ -22,6 +26,11 @@
 #include "leodivide/serve/session.hpp"
 
 namespace leodivide::serve {
+
+/// How long stop() lets active sessions finish the replies they are sending
+/// (the shutdown request's own ack among them) before it cuts them off.
+/// A reply is a few hundred bytes, so a reading client takes microseconds.
+inline constexpr std::chrono::milliseconds kStopGrace{1000};
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
@@ -44,7 +53,8 @@ class Server {
   void start();
 
   /// Stops accepting, unblocks and joins every thread, closes every
-  /// socket. Idempotent.
+  /// socket. Returns within about kStopGrace even when a client never
+  /// reads its replies. Idempotent.
   void stop();
 
   /// The bound port (meaningful after start(); resolves port 0 requests).
@@ -64,6 +74,7 @@ class Server {
 
   std::mutex mutex_;
   std::condition_variable queue_cv_;
+  std::condition_variable idle_cv_;  ///< signalled as active_ shrinks
   bool stopping_ = false;
   std::deque<int> pending_;     ///< accepted, not yet picked up
   std::set<int> active_;        ///< sockets inside run_session
