@@ -187,9 +187,4 @@ PolyfillCells polyfill(const HexGrid& grid, const geo::Polygon& poly,
   return fill;
 }
 
-PolyfillCells polyfill(const HexGrid& grid, const geo::Polygon& poly,
-                       int resolution) {
-  return polyfill(grid, poly, resolution, runtime::global_executor());
-}
-
 }  // namespace leodivide::hex

@@ -32,9 +32,4 @@ struct PolyfillCells {
                                      const geo::Polygon& poly, int resolution,
                                      runtime::Executor& executor);
 
-/// Overload on the process-global executor (LEODIVIDE_THREADS).
-[[nodiscard]] PolyfillCells polyfill(const HexGrid& grid,
-                                     const geo::Polygon& poly,
-                                     int resolution);
-
 }  // namespace leodivide::hex

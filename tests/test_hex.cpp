@@ -172,7 +172,7 @@ geo::Polygon box_polygon(double lat_lo, double lat_hi, double lon_lo,
 TEST(Polyfill, BoxFillCountMatchesArea) {
   const HexGrid grid;
   const geo::Polygon box = box_polygon(38.0, 40.0, -100.0, -97.0);
-  const auto cells = polyfill(grid, box, 5).cells;
+  const auto cells = polyfill(grid, box, 5, runtime::global_executor()).cells;
   const double expected = box.area_km2() / cell_area_km2(5);
   EXPECT_NEAR(static_cast<double>(cells.size()), expected, expected * 0.05);
   for (const CellId id : cells) {
@@ -183,7 +183,9 @@ TEST(Polyfill, BoxFillCountMatchesArea) {
 TEST(Polyfill, CellsAreUnique) {
   const HexGrid grid;
   const auto cells =
-      polyfill(grid, box_polygon(39.0, 40.0, -99.0, -98.0), 5).cells;
+      polyfill(grid, box_polygon(39.0, 40.0, -99.0, -98.0), 5,
+               runtime::global_executor())
+          .cells;
   const std::set<CellId> unique(cells.begin(), cells.end());
   EXPECT_EQ(unique.size(), cells.size());
 }
@@ -191,15 +193,17 @@ TEST(Polyfill, CellsAreUnique) {
 TEST(Polyfill, FinerResolutionYieldsMoreCells) {
   const HexGrid grid;
   const geo::Polygon box = box_polygon(39.0, 40.0, -99.0, -98.0);
-  const auto coarse = polyfill(grid, box, 4).cells;
-  const auto fine = polyfill(grid, box, 5).cells;
+  const auto coarse = polyfill(grid, box, 4, runtime::global_executor()).cells;
+  const auto fine = polyfill(grid, box, 5, runtime::global_executor()).cells;
   EXPECT_GT(fine.size(), coarse.size() * 3);
   EXPECT_LT(fine.size(), coarse.size() * 5);
 }
 
 TEST(Polyfill, ConusFillIsContinentScale) {
   const HexGrid grid;
-  const auto cells = polyfill(grid, geo::conus_outline(), 5).cells;
+  const auto cells =
+      polyfill(grid, geo::conus_outline(), 5, runtime::global_executor())
+          .cells;
   const double expected = geo::conus_area_km2() / cell_area_km2(5);
   EXPECT_NEAR(static_cast<double>(cells.size()), expected, expected * 0.03);
 }
@@ -208,7 +212,8 @@ TEST(Polyfill, PolygonFillRespectsBoundary) {
   const HexGrid grid;
   const geo::Polygon triangle(
       {{38.0, -100.0}, {40.0, -100.0}, {39.0, -97.0}});
-  const auto cells = polyfill(grid, triangle, 5).cells;
+  const auto cells =
+      polyfill(grid, triangle, 5, runtime::global_executor()).cells;
   EXPECT_GT(cells.size(), 10U);
   for (const CellId id : cells) {
     EXPECT_TRUE(triangle.contains(grid.center_of(id)));
@@ -222,7 +227,8 @@ TEST(Polyfill, CentersAreCenterOfBitsInQrOrder) {
   const HexGrid grid;
   for (const int res : {4, 5, 6}) {
     SCOPED_TRACE(res);
-    const PolyfillCells fill = polyfill(grid, geo::conus_outline(), res);
+    const PolyfillCells fill = polyfill(
+        grid, geo::conus_outline(), res, runtime::global_executor());
     ASSERT_EQ(fill.centers.size(), fill.cells.size());
     for (std::size_t i = 0; i < fill.cells.size(); ++i) {
       const geo::GeoPoint c = grid.center_of(fill.cells[i]);
