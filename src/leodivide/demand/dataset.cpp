@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "leodivide/demand/ordered_text.hpp"
 #include "leodivide/io/csv.hpp"
 #include "leodivide/runtime/executor.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
@@ -77,42 +78,28 @@ std::vector<CellDemand> read_cells(std::istream& in,
   return out;
 }
 
-// Writes one record per cell after the header `writer` has written. Rows
-// are formatted in parallel into per-task strings, a round of at most
-// kSaveRowsPerTask per task at a time so memory stays bounded, and each
-// task's text reaches the stream in one write, in row order; the bytes are
-// the same at every thread count.
+// Writes one record per cell after the header `writer` has written, in
+// ordered executor chunks of at most kSaveRowsPerTask rows per task and
+// round; each task's records reach the stream in one write.
 void write_cells(io::CsvWriter& writer, const std::vector<CellDemand>& cells,
                  runtime::Executor& executor) {
-  std::vector<std::string> text(executor.concurrency());
-  const std::size_t round = text.size() * kSaveRowsPerTask;
-  for (std::size_t begin = 0; begin < cells.size(); begin += round) {
-    const std::size_t end = std::min(cells.size(), begin + round);
-    const std::size_t tasks =
-        runtime::chunk_count(executor, end - begin, kCsvGrain);
-    runtime::parallel_for_each(
-        executor, 0, tasks,
-        // leolint:allow(parallel-capture): each task appends only to its own text slot
-        [&cells, &text, begin, end, tasks](std::size_t t) {
-          const runtime::ChunkRange r =
-              runtime::chunk_range(begin, end, tasks, t);
-          text[t].clear();
-          for (std::size_t i = r.lo; i < r.hi; ++i) {
-            const CellDemand& c = cells[i];
-            io::NumberBuffer id, lat, lon, count, county;
-            io::append_csv_record(
-                text[t], {io::integer_text(id, c.cell.bits(), 16),
-                          io::fixed6_text(lat, c.center.lat_deg),
-                          io::fixed6_text(lon, c.center.lon_deg),
-                          io::integer_text(count, c.underserved),
-                          io::integer_text(county, c.county_index)});
-          }
-        });
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const runtime::ChunkRange r = runtime::chunk_range(begin, end, tasks, t);
-      writer.write_records(text[t], r.hi - r.lo);
-    }
-  }
+  write_in_order(
+      executor, cells.size(), kCsvGrain, kSaveRowsPerTask,
+      [&cells](std::string& text, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const CellDemand& c = cells[i];
+          io::NumberBuffer id, lat, lon, count, county;
+          io::append_csv_record(
+              text, {io::integer_text(id, c.cell.bits(), 16),
+                     io::fixed6_text(lat, c.center.lat_deg),
+                     io::fixed6_text(lon, c.center.lon_deg),
+                     io::integer_text(count, c.underserved),
+                     io::integer_text(county, c.county_index)});
+        }
+      },
+      [&writer](std::string_view text, std::size_t lo, std::size_t hi) {
+        writer.write_records(text, hi - lo);
+      });
 }
 
 void write_counties(const CountyTable& counties, std::ostream& out) {

@@ -1,6 +1,7 @@
 #include "leodivide/hex/hexgrid.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 #include "leodivide/geo/angle.hpp"
@@ -14,6 +15,21 @@ constexpr double kSqrt3 = 1.7320508075688772;
 // Edge length at resolution 5 such that the hex area equals the H3
 // resolution-5 mean area: area = (3*sqrt(3)/2) * a^2.
 const double kEdgeRes5Km = std::sqrt(kH3Res5AreaKm2 * 2.0 / (3.0 * kSqrt3));
+
+// (cos, sin) of each pointy-top corner's angle, 30 + 60*k degrees; the
+// same values as computing them per call, so vertices stay bit-identical.
+struct CornerFactor {
+  double cos;
+  double sin;
+};
+const std::array<CornerFactor, 6> kCornerFactors = [] {
+  std::array<CornerFactor, 6> f{};
+  for (int k = 0; k < 6; ++k) {
+    const double ang = geo::deg2rad(60.0 * k + 30.0);
+    f[static_cast<std::size_t>(k)] = {std::cos(ang), std::sin(ang)};
+  }
+  return f;
+}();
 
 void check_resolution(int resolution) {
   if (resolution < 0 || resolution > kMaxResolution) {
@@ -66,11 +82,9 @@ std::array<geo::GeoPoint, 6> HexGrid::boundary_of(CellId id) const {
   const double a = edge_length_km(id.resolution());
   const geo::PlanePoint c = hex_to_plane(id.resolution(), id.coord());
   std::array<geo::GeoPoint, 6> out;
-  for (int k = 0; k < 6; ++k) {
-    // Pointy-top corners at 30 + 60*k degrees.
-    const double ang = geo::deg2rad(60.0 * k + 30.0);
-    out[static_cast<std::size_t>(k)] = projection_.inverse(
-        {c.x + a * std::cos(ang), c.y + a * std::sin(ang)});
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = projection_.inverse({c.x + a * kCornerFactors[k].cos,
+                                  c.y + a * kCornerFactors[k].sin});
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "leodivide/io/csv.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -286,6 +287,51 @@ std::optional<std::uint64_t> millionths(double v) {
   return static_cast<std::uint64_t>(count);
 }
 
+constexpr std::array<std::uint64_t, 18> kPow10 = [] {
+  std::array<std::uint64_t, 18> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * 10U;
+  return p;
+}();
+
+// |v| rounded to 12 significant digits, as digits * 10^(exponent - 11)
+// with digits in [10^11, 10^12), when "%.12g" prints that in fixed
+// notation: exponent in [-4, 11]. v = m * 2^-shift exactly, so
+// m * 10^(11 - x) (below 2^110) shifted right by `shift` with
+// round-half-even is the correctly rounded digit count; a carry to 10^12
+// moves the exponent up one. Zero, subnormals and every magnitude that
+// prints in exponent form keep std::to_chars.
+struct Digits12 {
+  std::uint64_t digits;
+  int exponent;
+};
+std::optional<Digits12> digits12(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int e2 = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
+  if (e2 < -19 || e2 > 39) return std::nullopt;  // |v| < 2^-19 or >= 2^40
+  const std::uint64_t m =
+      (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+  const int shift = 52 - e2;  // in [13, 71]
+  // floor(log10 |v|) is x or x + 1: |v| lies in [2^e2, 2^(e2 + 1)).
+  int x = (e2 * 78913) >> 18;  // floor(e2 * log10(2)), in [-6, 11]
+  u128 scaled = static_cast<u128>(m) * kPow10[static_cast<std::size_t>(11 - x)];
+  u128 count = scaled >> shift;
+  if (count >= kPow10[12]) {  // |v| >= 10^(x + 1)
+    if (++x > 11) return std::nullopt;
+    scaled = static_cast<u128>(m) * kPow10[static_cast<std::size_t>(11 - x)];
+    count = scaled >> shift;
+  }
+  const u128 rest = scaled - (count << shift);
+  const u128 half = static_cast<u128>(1) << (shift - 1);
+  if (rest > half || (rest == half && (count & 1U) != 0)) ++count;
+  if (count == kPow10[12]) {
+    count = kPow10[11];
+    ++x;
+  }
+  if (x < -4 || x > 11) return std::nullopt;
+  return Digits12{static_cast<std::uint64_t>(count), x};
+}
+
 }  // namespace
 
 std::string_view fixed6_text(NumberBuffer& buf, double v) {
@@ -305,6 +351,42 @@ std::string_view fixed6_text(NumberBuffer& buf, double v) {
                                        std::chars_format::fixed, 6);
   if (ec != std::errc{}) {
     throw std::logic_error("fixed6_text: buffer too small");
+  }
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+}
+
+std::string_view general12_text(NumberBuffer& buf, double v) {
+  if (const std::optional<Digits12> d = digits12(v)) {
+    char digits[12];
+    std::uint64_t rest = d->digits;
+    for (int i = 11; i >= 0; --i) {
+      digits[i] = static_cast<char>('0' + rest % 10U);
+      rest /= 10U;
+    }
+    // Digits after index `exponent` are the fraction; "%g" drops its
+    // trailing zeros, and the point with them when none is left.
+    int last = 11;
+    while (last > d->exponent && digits[last] == '0') --last;
+    char* out = buf.data();
+    if (std::signbit(v)) *out++ = '-';
+    if (d->exponent >= 0) {
+      out = std::copy(digits, digits + d->exponent + 1, out);
+      if (last > d->exponent) {
+        *out++ = '.';
+        out = std::copy(digits + d->exponent + 1, digits + last + 1, out);
+      }
+    } else {
+      *out++ = '0';
+      *out++ = '.';
+      out = std::fill_n(out, -d->exponent - 1, '0');
+      out = std::copy(digits, digits + last + 1, out);
+    }
+    return {buf.data(), static_cast<std::size_t>(out - buf.data())};
+  }
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v,
+                                       std::chars_format::general, 12);
+  if (ec != std::errc{}) {
+    throw std::logic_error("general12_text: buffer too small");
   }
   return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }

@@ -134,6 +134,10 @@ using NumberBuffer = std::array<char, 320>;
 /// fixed notation, six decimals) and returns the text.
 [[nodiscard]] std::string_view fixed6_text(NumberBuffer& buf, double v);
 
+/// Formats `v` into `buf` exactly as printf("%.12g") does in the C locale
+/// (std::to_chars in general format at precision 12) and returns the text.
+[[nodiscard]] std::string_view general12_text(NumberBuffer& buf, double v);
+
 /// Parses a whole field as a double with std::stod's accepted set (leading
 /// space, '+', hex floats, inf/nan); throws std::runtime_error
 /// "CSV: bad double for <what>: '<field>'" otherwise, or when out of range.

@@ -6,8 +6,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "leodivide/io/csv.hpp"
-
 namespace leodivide::io {
 
 std::string json_escape(std::string_view s) {
@@ -31,6 +29,11 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string_view json_number_text(NumberBuffer& buf, double v) {
+  if (!std::isfinite(v)) return "null";
+  return general12_text(buf, v);
 }
 
 namespace {
@@ -87,16 +90,8 @@ void JsonWriter::write_string(std::string_view s) {
 }
 
 void JsonWriter::write_number(double v) {
-  if (!std::isfinite(v)) {
-    pending_ += "null";
-    return;
-  }
-  // std::to_chars in general format at precision 12 is specified to
-  // produce what printf("%.12g") does in the C locale.
   NumberBuffer buf;
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v,
-                                       std::chars_format::general, 12);
-  pending_.append(buf.data(), end);
+  pending_ += json_number_text(buf, v);
 }
 
 void JsonWriter::write_number(long long v) {

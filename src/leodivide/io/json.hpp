@@ -10,11 +10,17 @@
 #include <string_view>
 #include <vector>
 
+#include "leodivide/io/csv.hpp"
+
 namespace leodivide::io {
 
 /// Escapes a string for inclusion in JSON (quotes, backslashes, control
 /// characters).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// A number's JSON text in `buf`: "%.12g" (general12_text), or null for
+/// NaN and infinities.
+[[nodiscard]] std::string_view json_number_text(NumberBuffer& buf, double v);
 
 /// A streaming JSON writer with explicit begin/end calls. The writer tracks
 /// nesting and comma placement; misuse (ending a container that was never
@@ -61,7 +67,7 @@ class JsonWriter {
   void close(Frame frame);
   /// Only strings that need escaping go through json_escape.
   void write_string(std::string_view s);
-  /// "%.12g" text (null for NaN and infinities), via std::to_chars.
+  /// json_number_text.
   void write_number(double v);
   void write_number(long long v);
   void flush();

@@ -5,9 +5,11 @@
 // the shipped library.
 
 #include <cstdint>
+#include <iosfwd>
 #include <stdexcept>
 #include <vector>
 
+#include "leodivide/demand/dataset.hpp"
 #include "leodivide/geo/polygon.hpp"
 #include "leodivide/hex/hexgrid.hpp"
 #include "leodivide/hex/polyfill.hpp"
@@ -73,5 +75,13 @@ namespace leodivide::oracle {
 [[nodiscard]] hex::PolyfillCells polyfill_reference(
     const hex::HexGrid& grid, const geo::Polygon& poly, int resolution,
     runtime::Executor& executor);
+
+/// demand::write_geojson kept verbatim from before the chunked export: one
+/// io::JsonWriter call per key, value and bracket, serially in cell order.
+/// demand::write_geojson must equal it byte for byte at every thread count.
+void write_geojson_reference(std::ostream& out,
+                             const demand::DemandProfile& profile,
+                             const hex::HexGrid& grid,
+                             std::uint32_t min_locations);
 
 }  // namespace leodivide::oracle

@@ -848,9 +848,15 @@ TEST(Region, GoldenProfileAndCsvBytes) {
 }  // namespace leodivide::demand
 
 // Appended: GeoJSON export (demand/geojson.hpp).
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "leodivide/demand/geojson.hpp"
+#include "leodivide/runtime/executor.hpp"
+#include "oracles/oracles.hpp"
 
 namespace leodivide::demand {
 namespace {
@@ -902,6 +908,67 @@ TEST(GeoJson, RingsAreClosedSevenVertexPolygons) {
     ++pairs;
   }
   EXPECT_EQ(pairs, 6U);
+}
+
+// A one-county profile with the given median income, holding one cell of
+// 1,200 locations at (39, -98).
+DemandProfile one_cell_profile(double income) {
+  CountyTable counties;
+  counties.add({"90001", {39.0, -98.0}, income, 1200});
+  std::vector<CellDemand> cells(1);
+  const hex::HexGrid grid;
+  cells[0].cell = grid.cell_of({39.0, -98.0}, 5);
+  cells[0].center = grid.center_of(cells[0].cell);
+  cells[0].underserved = 1200;
+  return DemandProfile(std::move(cells), std::move(counties));
+}
+
+TEST(GeoJson, MatchesWriterReference) {
+  const DemandProfile small =
+      SyntheticGenerator({.seed = 7, .scale = 0.002}).generate_profile();
+  const DemandProfile one = one_cell_profile(52'000.5);
+  // A non-finite income writes null on both paths.
+  const DemandProfile one_inf =
+      one_cell_profile(std::numeric_limits<double>::infinity());
+  struct Case {
+    const char* name;
+    const DemandProfile* profile;
+    std::uint32_t min_locations;
+  };
+  const Case cases[] = {
+      {"national min 0", &national_profile(), 0},
+      {"national min 500", &national_profile(), 500},
+      {"national min 1000", &national_profile(), 1000},
+      {"small min 0", &small, 0},
+      {"small min 500", &small, 500},
+      {"no qualifying cell", &small,
+       std::numeric_limits<std::uint32_t>::max()},
+      {"one cell", &one, 1000},
+      {"one cell, infinite income", &one_inf, 0},
+  };
+  const hex::HexGrid grid;
+  runtime::ThreadPool pool(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::ostringstream want;
+    oracle::write_geojson_reference(want, *c.profile, grid, c.min_locations);
+    for (runtime::Executor* executor :
+         {&runtime::serial_executor(), static_cast<runtime::Executor*>(&pool)}) {
+      std::ostringstream got;
+      write_geojson(got, *c.profile, grid, c.min_locations, *executor);
+      EXPECT_EQ(got.str(), want.str())
+          << "at concurrency " << executor->concurrency();
+    }
+  }
+  std::ostringstream none;
+  write_geojson(none, small, grid, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(none.str(), "{\"type\":\"FeatureCollection\",\"features\":[]}\n");
+}
+
+TEST(GeoJson, FailedStreamThrows) {
+  std::ofstream out("/nonexistent-dir-xyz/out.geojson");
+  EXPECT_THROW(write_geojson(out, one_cell_profile(50'000.0), hex::HexGrid()),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "leodivide/geo/angle.hpp"
 #include "leodivide/geo/greatcircle.hpp"
 #include "leodivide/geo/us_outline.hpp"
 #include "leodivide/hex/cellid.hpp"
@@ -142,6 +144,45 @@ TEST(HexGridTest, BoundaryHasSixVerticesAroundCenter) {
   const geo::GeoPoint center = grid.center_of(id);
   for (const auto& v : boundary) {
     EXPECT_NEAR(geo::distance_km(center, v), edge_length_km(5), 0.05);
+  }
+}
+
+TEST(HexGridTest, BoundaryMatchesPerCallTrigBitForBit) {
+  // boundary_of reads its corner (cos, sin) factors from a table; each
+  // vertex must equal the per-call expression it replaced, bit for bit:
+  // the cell centre in the plane, plus the edge length times cos/sin of
+  // 30 + 60*k degrees, projected back.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  stats::Pcg32 rng(20261020);
+  for (const geo::GeoPoint& projection_center :
+       {geo::GeoPoint{39.5, -98.35}, geo::GeoPoint{-12.0, 140.0}}) {
+    const HexGrid grid(projection_center);
+    for (int res = 3; res <= 6; ++res) {
+      const double a = edge_length_km(res);
+      for (int i = 0; i < 2000; ++i) {
+        const geo::GeoPoint p{
+            oracle::sample_uniform(rng, projection_center.lat_deg - 20.0,
+                                   projection_center.lat_deg + 20.0),
+            oracle::sample_uniform(rng, projection_center.lon_deg - 30.0,
+                                   projection_center.lon_deg + 30.0)};
+        const CellId id = grid.cell_of(p, res);
+        const auto q = static_cast<double>(id.coord().q);
+        const auto r = static_cast<double>(id.coord().r);
+        const geo::PlanePoint c{a * 1.7320508075688772 * (q + r / 2.0),
+                                a * 1.5 * r};
+        const auto boundary = grid.boundary_of(id);
+        for (int k = 0; k < 6; ++k) {
+          const double ang = geo::deg2rad(60.0 * k + 30.0);
+          const geo::GeoPoint want = grid.projection().inverse(
+              {c.x + a * std::cos(ang), c.y + a * std::sin(ang)});
+          const geo::GeoPoint& got = boundary[static_cast<std::size_t>(k)];
+          ASSERT_EQ(bits(got.lat_deg), bits(want.lat_deg))
+              << "res " << res << " cell " << id.to_string() << " k " << k;
+          ASSERT_EQ(bits(got.lon_deg), bits(want.lon_deg))
+              << "res " << res << " cell " << id.to_string() << " k " << k;
+        }
+      }
+    }
   }
 }
 

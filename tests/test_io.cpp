@@ -443,6 +443,94 @@ TEST(CsvNumbers, Fixed6MatchesToChars) {
   EXPECT_GT(checked, 800'000U);
 }
 
+TEST(CsvNumbers, General12MatchesToChars) {
+  NumberBuffer got;
+  NumberBuffer want;
+  std::size_t checked = 0;
+  const auto expect_same = [&](double v) {
+    const auto [end, ec] = std::to_chars(want.data(), want.data() + want.size(),
+                                         v, std::chars_format::general, 12);
+    ASSERT_EQ(ec, std::errc{});
+    ASSERT_EQ(general12_text(got, v),
+              std::string_view(want.data(),
+                               static_cast<std::size_t>(end - want.data())))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    ++checked;
+  };
+  const auto with_neighbours = [&](double v) {
+    expect_same(v);
+    expect_same(std::nextafter(v, 0.0));
+    expect_same(std::nextafter(v, 1e300));
+    expect_same(-v);
+  };
+  std::mt19937_64 rng(20261020);
+  // The magnitudes the exports write: coordinates, incomes, demand (0.1
+  // Gbps per location), fractions and integer counts up to 2^40.
+  std::uniform_real_distribution<double> lat(-90.0, 90.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> income(15'000.0, 250'000.0);
+  std::uniform_real_distribution<double> fraction(0.0, 1.0);
+  std::uniform_int_distribution<std::uint64_t> count(0, 200'000);
+  std::uniform_int_distribution<std::uint64_t> integer(
+      0, std::uint64_t{1} << 40);
+  for (int i = 0; i < 150'000; ++i) {
+    expect_same(lat(rng));
+    expect_same(lon(rng));
+    expect_same(income(rng));
+    expect_same(std::round(income(rng)));
+    expect_same(static_cast<double>(count(rng)) * (100.0 / 1000.0));
+    expect_same(fraction(rng));
+    expect_same(static_cast<double>(integer(rng)));
+  }
+  // Every binade across and around the fast path's range, both signs.
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  for (int e = -24; e <= 44; ++e) {
+    for (int i = 0; i < 1000; ++i) {
+      const double v = std::ldexp(mantissa(rng), e);
+      expect_same(v);
+      expect_same(-v);
+    }
+  }
+  // Exact ties at the 12th significant digit: v = odd * 2^-(12 - x) puts
+  // v * 10^(11 - x) halfway between two integers for decimal exponent x.
+  for (int x = -5; x <= 11; ++x) {
+    const double unit = std::ldexp(1.0, x - 12);
+    std::uniform_int_distribution<std::uint64_t> pick(
+        static_cast<std::uint64_t>(std::pow(10.0, x) / unit),
+        static_cast<std::uint64_t>(std::pow(10.0, x + 1) / unit));
+    for (int i = 0; i < 2000; ++i) {
+      const auto k = static_cast<double>(pick(rng) | 1U);
+      expect_same(k * unit);
+      expect_same(-k * unit);
+    }
+  }
+  // Carries to the next power of ten, and each side of the fixed-notation
+  // bounds 1e-5/1e-4 and 1e11/1e12.
+  for (int x = -7; x <= 13; ++x) {
+    with_neighbours(9.99999999999950 * std::pow(10.0, x));
+    with_neighbours(9.99999999999949 * std::pow(10.0, x));
+    with_neighbours(std::pow(10.0, x));
+  }
+  for (const double edge :
+       {999999999999.5, 999999999999.4, 99999999999.95, 0.0000999999999999995,
+        0.00000999999999999995, 1e-4, 1e-5, 1e11, 1e12, 123456789012.5,
+        123456789013.5, 0.5, 2.5, 1.0, 2.0, 1099511627776.0}) {
+    with_neighbours(edge);
+    with_neighbours(std::nextafter(std::nextafter(edge, 0.0), 0.0));
+    with_neighbours(std::nextafter(std::nextafter(edge, 1e300), 1e300));
+  }
+  // Zeros, subnormals, the normal minimum and non-finite values.
+  for (const std::uint64_t bits :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x000fffffffffffff},
+        std::uint64_t{0x0010000000000000}, std::uint64_t{0x8000000000000000},
+        std::uint64_t{0x8000000000000001}, std::uint64_t{0x800fffffffffffff},
+        std::uint64_t{0x7ff0000000000000}, std::uint64_t{0xfff0000000000000},
+        std::uint64_t{0x7ff8000000000000}}) {
+    expect_same(std::bit_cast<double>(bits));
+  }
+  EXPECT_GT(checked, 1'000'000U);
+}
+
 TEST(CsvNumbers, IntegerTextMatchesStreamFormatting) {
   NumberBuffer buf;
   for (const std::uint64_t v :
