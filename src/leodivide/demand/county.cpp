@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
 namespace leodivide::demand {
+
+bool valid_median_income(double usd) noexcept {
+  return std::isfinite(usd) && usd > 0.0;
+}
 
 CountyTable::CountyTable(std::vector<County> counties) {
   for (auto& c : counties) add(std::move(c));

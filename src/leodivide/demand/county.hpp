@@ -21,6 +21,10 @@ struct County {
   friend bool operator==(const County&, const County&) = default;
 };
 
+/// A usable county median income: finite and above zero. The CSV loader
+/// and income deltas accept exactly these values.
+[[nodiscard]] bool valid_median_income(double usd) noexcept;
+
 /// Flat county table with constant-time FIPS lookup.
 class CountyTable {
  public:

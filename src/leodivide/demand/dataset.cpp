@@ -1,6 +1,7 @@
 #include "leodivide/demand/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,17 @@ hex::CellId to_cell(std::string_view s) {
   return id;
 }
 
+// A coordinate field: a double field_to_double reads, but never NaN or
+// an infinity.
+double finite_field(std::string_view s, const char* what) {
+  const double v = field_to_double(s, what);
+  if (!std::isfinite(v)) {
+    throw std::runtime_error(std::string("CSV: non-finite ") + what + ": '" +
+                             std::string(s) + "'");
+  }
+  return v;
+}
+
 // Records one parallel task parses or formats at least, and formats at
 // most per round of a save.
 constexpr std::size_t kCsvGrain = 1024;
@@ -66,8 +78,7 @@ std::vector<CellDemand> read_cells(std::istream& in,
             if (r.size() != 5) throw std::runtime_error("cell CSV: bad width");
             CellDemand& cd = out[base + i - header];
             cd.cell = to_cell(r[0]);
-            cd.center = {field_to_double(r[1], "lat"),
-                         field_to_double(r[2], "lon")};
+            cd.center = {finite_field(r[1], "lat"), finite_field(r[2], "lon")};
             cd.underserved = field_to_u32(r[3], "count");
             cd.county_index = field_to_u32(r[4], "county");
           }
@@ -124,11 +135,15 @@ CountyTable read_counties(std::istream& in, io::CsvRow& row) {
       continue;
     }
     if (row.size() != 5) throw std::runtime_error("county CSV: bad width");
-    counties.add(County{
-        row[0],
-        {field_to_double(row[1], "lat"), field_to_double(row[2], "lon")},
-        field_to_double(row[3], "income"),
-        field_to_u64(row[4], "underserved")});
+    const geo::GeoPoint centroid{finite_field(row[1], "lat"),
+                                 finite_field(row[2], "lon")};
+    const double income = field_to_double(row[3], "income");
+    if (!valid_median_income(income)) {
+      throw std::runtime_error(
+          "CSV: income must be finite and above zero: '" + row[3] + "'");
+    }
+    counties.add(
+        County{row[0], centroid, income, field_to_u64(row[4], "underserved")});
   }
   return counties;
 }

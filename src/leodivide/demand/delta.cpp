@@ -110,7 +110,9 @@ DeltaEffect DeltaApplier::apply(const DeltaOp& op) {
       if (op.county_index >= profile_->counties().size()) {
         fail("income for county index out of range");
       }
-      if (!(op.value > 0.0)) fail("income must be positive");
+      if (!valid_median_income(op.value)) {
+        fail("income must be finite and above zero");
+      }
       profile_->counties().at(op.county_index).median_income_usd = op.value;
       effect.counties_changed = true;
       return effect;

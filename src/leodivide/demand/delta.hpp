@@ -76,8 +76,9 @@ class DeltaApplier {
 
   /// Applies one op in place. Throws std::invalid_argument on any invalid
   /// op (zero count, unknown cell for remove/upgrade, removing more
-  /// locations than a cell has, bad county index, non-positive income,
-  /// plan-price op — plan prices live in a plan table, not the profile).
+  /// locations than a cell has, bad county index, an income that is not
+  /// finite and above zero, plan-price op — plan prices live in a plan
+  /// table, not the profile).
   /// The profile is unchanged when apply throws.
   DeltaEffect apply(const DeltaOp& op);
 

@@ -11,7 +11,6 @@
 #include "leodivide/core/served_fraction.hpp"
 #include "leodivide/obs/trace.hpp"
 #include "leodivide/runtime/executor.hpp"
-#include "leodivide/runtime/map_reduce.hpp"
 #include "leodivide/runtime/parallel_for.hpp"
 
 namespace leodivide::market {
@@ -85,7 +84,7 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
                              const SpectrumSplit& split,
                              const MarketConfig& config,
                              const core::CapacityZones& capacity,
-                             std::size_t index, runtime::Executor& inner) {
+                             std::size_t index) {
   const OperatorConfig& op = config.operators[index];
   OperatorOutcome out;
   out.name = op.name;
@@ -94,7 +93,8 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
                                      config.beamspread);
   // A cell's capacity is its priority zone's; a cell in a zone where the
   // operator has no spectrum can neither bind nor be served.
-  out.capped = core::size_with_cap(profile, capacity, inner);
+  out.capped =
+      core::size_with_cap(profile, capacity, runtime::serial_executor());
   core::ServedCounts served;
   const auto& cells = profile.cells();
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -122,94 +122,53 @@ OperatorOutcome run_operator(const demand::DemandProfile& profile,
 FairnessReport compute_fairness(
     const demand::DemandProfile& profile,
     const std::vector<core::CapacityZones>& capacity,
-    const std::vector<std::uint32_t>& full_limits,
-    runtime::Executor& executor) {
+    const std::vector<std::uint32_t>& full_limits) {
   const std::size_t n = capacity.size();
-  struct Shard {
-    std::vector<core::ServedCounts> served;  // per operator
-    std::vector<std::uint64_t> won;          // per operator
-    std::uint64_t unserved_cells = 0;
-    std::uint64_t unserved_locations = 0;
-    std::uint64_t capacity_limited = 0;
-    std::uint64_t split_limited = 0;
-  };
-  Shard reduced = runtime::map_reduce<Shard>(
-      executor, 0, profile.cell_count(),
-      [&profile, &capacity, &full_limits, n](
-          Shard& shard, std::size_t lo, std::size_t hi, std::size_t) {
-        if (shard.served.size() != n) {
-          shard.served.resize(n);
-          shard.won.resize(n);
-        }
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cell = profile.cells()[i];
-          std::size_t win = n;  // n: no operator serves the cell
-          std::uint32_t win_limit = 0;
-          for (std::size_t o = 0; o < n; ++o) {
-            const core::CellCapacity* zone = capacity[o].of(i);
-            const std::uint32_t limit = zone ? zone->served_limit : 0;
-            if (!shard.served[o].consider(cell, limit)) continue;
-            // Winner: most capacity headroom; earliest index on exact ties.
-            if (win == n || limit > win_limit) {
-              win = o;
-              win_limit = limit;
-            }
-          }
-          if (win < n) {
-            ++shard.won[win];
-          } else {
-            ++shard.unserved_cells;
-            shard.unserved_locations += cell.underserved;
-            bool full_spectrum_could = false;
-            for (std::size_t o = 0; o < n; ++o) {
-              if (cell.underserved <= full_limits[o]) {
-                full_spectrum_could = true;
-                break;
-              }
-            }
-            if (full_spectrum_could) {
-              ++shard.split_limited;
-            } else {
-              ++shard.capacity_limited;
-            }
-          }
-        }
-      },
-      [n](Shard& into, Shard&& from) {
-        if (into.served.size() != n) {
-          into.served.resize(n);
-          into.won.resize(n);
-        }
-        if (from.served.size() != n) return;  // a shard that saw no cells
-        for (std::size_t o = 0; o < n; ++o) {
-          into.served[o].merge(from.served[o]);
-          into.won[o] += from.won[o];
-        }
-        into.unserved_cells += from.unserved_cells;
-        into.unserved_locations += from.unserved_locations;
-        into.capacity_limited += from.capacity_limited;
-        into.split_limited += from.split_limited;
-      },
-      /*grain=*/1024);
-  if (reduced.served.size() != n) {
-    reduced.served.resize(n);
-    reduced.won.resize(n);
-  }
+  std::vector<core::ServedCounts> served(n);
   FairnessReport report;
   report.operators.resize(n);
-  std::vector<double> served;
-  served.reserve(n);
-  for (std::size_t o = 0; o < n; ++o) {
-    report.operators[o].cells_won = reduced.won[o];
-    report.operators[o].cells_served = reduced.served[o].cells;
-    report.operators[o].locations_served = reduced.served[o].locations;
-    served.push_back(static_cast<double>(reduced.served[o].locations));
+  const auto& cells = profile.cells();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& cell = cells[i];
+    std::size_t win = n;  // n: no operator serves the cell
+    std::uint32_t win_limit = 0;
+    for (std::size_t o = 0; o < n; ++o) {
+      const core::CellCapacity* zone = capacity[o].of(i);
+      const std::uint32_t limit = zone ? zone->served_limit : 0;
+      if (!served[o].consider(cell, limit)) continue;
+      // Winner: most capacity headroom; earliest index on exact ties.
+      if (win == n || limit > win_limit) {
+        win = o;
+        win_limit = limit;
+      }
+    }
+    if (win < n) {
+      ++report.operators[win].cells_won;
+      continue;
+    }
+    ++report.unserved_cells;
+    report.unserved_locations += cell.underserved;
+    bool full_spectrum_could = false;
+    for (std::size_t o = 0; o < n; ++o) {
+      if (cell.underserved <= full_limits[o]) {
+        full_spectrum_could = true;
+        break;
+      }
+    }
+    if (full_spectrum_could) {
+      ++report.split_limited_cells;
+    } else {
+      ++report.capacity_limited_cells;
+    }
   }
-  report.jain_served_locations = jain_index(served);
-  report.unserved_cells = reduced.unserved_cells;
-  report.unserved_locations = reduced.unserved_locations;
-  report.capacity_limited_cells = reduced.capacity_limited;
-  report.split_limited_cells = reduced.split_limited;
+  std::vector<double> served_locations;
+  served_locations.reserve(n);
+  for (std::size_t o = 0; o < n; ++o) {
+    report.operators[o].cells_served = served[o].cells;
+    report.operators[o].locations_served = served[o].locations;
+    served_locations.push_back(static_cast<double>(served[o].locations));
+  }
+  report.jain_served_locations = jain_index(served_locations);
   return report;
 }
 
@@ -264,14 +223,12 @@ MarketReport MarketSimulation::run(const demand::DemandProfile& profile,
        n](std::size_t i) {
         if (i == n) {
           const obs::Span unit_span("market.fairness");
-          report.fairness = compute_fairness(profile, capacity, full_limits,
-                                             runtime::serial_executor());
+          report.fairness = compute_fairness(profile, capacity, full_limits);
           return;
         }
         const obs::Span unit_span("market.operator");
         report.operators[i] =
-            run_operator(profile, analyzer, split, config_, capacity[i], i,
-                         runtime::serial_executor());
+            run_operator(profile, analyzer, split, config_, capacity[i], i);
       });
   return report;
 }

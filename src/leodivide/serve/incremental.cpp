@@ -7,7 +7,6 @@
 #include "leodivide/core/beamspread.hpp"
 #include "leodivide/obs/metrics.hpp"
 #include "leodivide/runtime/executor.hpp"
-#include "leodivide/snapshot/fingerprint.hpp"
 
 namespace leodivide::serve {
 
@@ -37,9 +36,6 @@ IncrementalEngine::IncrementalEngine(demand::DemandProfile baseline,
     regions_[region].members.push_back(i);
     cell_region_.push_back(region);
   }
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    regions_[r].digest = region_content_digest(regions_[r]);
-  }
   total_locations_ = profile_.total_locations();
 }
 
@@ -49,27 +45,6 @@ std::size_t IncrementalEngine::region_of(hex::CellId cell) {
       region_index_.emplace(parent.bits(), regions_.size());
   if (inserted) regions_.emplace_back();
   return it->second;
-}
-
-std::uint64_t IncrementalEngine::region_content_digest(
-    const Region& region) const {
-  snapshot::Fingerprint fp =
-      snapshot::substage_fingerprint("serve.region", "content");
-  const auto& cells = profile_.cells();
-  for (std::size_t i : region.members) {
-    const demand::CellDemand& c = cells[i];
-    fp.mix_u64(i)
-        .mix_u64(c.cell.bits())
-        .mix_f64(c.center.lat_deg)
-        .mix_f64(c.center.lon_deg)
-        .mix_u64(c.underserved)
-        .mix_u64(c.county_index);
-  }
-  return fp.digest();
-}
-
-void IncrementalEngine::refresh_region_digest(std::size_t region) {
-  regions_[region].digest = region_content_digest(regions_[region]);
 }
 
 ApplyOutcome IncrementalEngine::apply(const demand::DeltaOp& op) {
@@ -89,7 +64,7 @@ ApplyOutcome IncrementalEngine::apply(const demand::DeltaOp& op) {
     } else {
       out.region = cell_region_[out.effect.cell_index];
     }
-    refresh_region_digest(out.region);
+    ++regions_[out.region].version;
     ++stats_.dirty_regions;
     count_metric("serve.dirty_regions");
     if (op.kind == demand::DeltaKind::kAddLocations) {
@@ -98,7 +73,10 @@ ApplyOutcome IncrementalEngine::apply(const demand::DeltaOp& op) {
       total_locations_ -= op.count;
     }
   }
-  if (out.effect.counties_changed) county_digest_valid_ = false;
+  if (out.effect.counties_changed) {
+    analyzer_.reset();
+    afford_memo_.clear();
+  }
   return out;
 }
 
@@ -110,8 +88,8 @@ const Candidate& IncrementalEngine::region_partial(
     const Fold& fold) {
   if (partials.size() < regions_.size()) partials.resize(regions_.size());
   Partial<Candidate>& p = partials[region];
-  const std::uint64_t digest = regions_[region].digest;
-  if (p.valid && p.digest == digest) {
+  const std::uint64_t version = regions_[region].version;
+  if (p.version == version) {
     ++stats_.partial_hits;
     count_metric("serve.partial_hits");
     return p.value;
@@ -123,8 +101,7 @@ const Candidate& IncrementalEngine::region_partial(
   p.value = Candidate{};
   const auto& cells = profile_.cells();
   for (std::size_t i : regions_[region].members) fold(p.value, i, cells[i]);
-  p.valid = true;
-  p.digest = digest;
+  p.version = version;
   return p.value;
 }
 
@@ -217,30 +194,9 @@ ServedFractionAnswer IncrementalEngine::query_served_fraction(double beamspread,
 
 // ----------------------------------------------------------- afford ------
 
-void IncrementalEngine::rebuild_analyzer_if_stale() {
-  if (!county_digest_valid_) {
-    snapshot::Fingerprint fp =
-        snapshot::substage_fingerprint("serve.afford", "counties");
-    for (const demand::County& c : profile_.counties().all()) {
-      fp.mix(c.fips)
-          .mix_f64(c.centroid.lat_deg)
-          .mix_f64(c.centroid.lon_deg)
-          .mix_f64(c.median_income_usd)
-          .mix_u64(c.underserved_locations);
-    }
-    county_digest_ = fp.digest();
-    county_digest_valid_ = true;
-  }
-  if (!analyzer_.has_value() || analyzer_digest_ != county_digest_) {
-    analyzer_.emplace(profile_);
-    analyzer_digest_ = county_digest_;
-    afford_memo_.clear();
-  }
-}
-
 afford::PlanAffordability IncrementalEngine::query_affordability(
     const afford::ServicePlan& plan, double threshold) {
-  rebuild_analyzer_if_stale();
+  if (!analyzer_.has_value()) analyzer_.emplace(profile_);
   const AffordKey key{plan.name, bits(plan.monthly_usd),
                       bits(plan.speeds.down_mbps), bits(plan.speeds.up_mbps),
                       bits(threshold)};

@@ -8,11 +8,13 @@
 //   served fraction per-region core::ServedCounts
 //   peak cell       per-region demand::PeakCandidate
 //
-// Each region carries a content digest (a snapshot::Fingerprint over its
-// member cells). A partial is valid only while its recorded digest matches
-// the region's current digest, so ApplyDelta just updates the one dirtied
-// region's digest and O(dirty) partials recompute at the next query while
-// every untouched region is served from its cached partial. Partials live
+// Each region carries an edit version that apply() bumps whenever a delta
+// dirties it, and every partial records the version it was folded at. A
+// partial is live only while that version is current, so ApplyDelta marks
+// one region stale and O(dirty) partials recompute at the next query while
+// every untouched region is served from its cached partial. Versions are
+// exact: an edit can never leave a stale partial live, though a region
+// whose content returns to an earlier state still recomputes. Partials live
 // in memory only: a region folds its ~36 cells (at scale 1) faster than a
 // blob could be read back, so a fresh engine simply folds every region.
 //
@@ -127,9 +129,10 @@ class IncrementalEngine {
                                                            double oversub);
 
   /// Byte-identical to afford::AffordabilityAnalyzer(profile).evaluate on
-  /// the current profile (the analyzer is rebuilt only when the county
-  /// table actually changed). Throws std::invalid_argument when no county
-  /// has un(der)served locations.
+  /// the current profile. The analyzer and its answers are kept until a
+  /// delta edits the county table (every location op and income revision
+  /// does), then rebuilt at the next call. Throws std::invalid_argument
+  /// when no county has un(der)served locations.
   [[nodiscard]] afford::PlanAffordability query_affordability(
       const afford::ServicePlan& plan, double threshold);
 
@@ -145,15 +148,15 @@ class IncrementalEngine {
  private:
   struct Region {
     std::vector<std::size_t> members;  ///< cell indices, ascending
-    std::uint64_t digest = 0;          ///< content fingerprint of members
+    std::uint64_t version = 1;         ///< bumped by each delta it takes
   };
 
-  // A per-region partial: a core candidate plus the region content digest
-  // it was computed against; it is live only while the digest matches.
+  // A per-region partial: a core candidate plus the region version it was
+  // folded at; it is live only while that version is current. No region
+  // is ever at version 0, so a fresh partial always folds.
   template <typename Candidate>
   struct Partial {
-    bool valid = false;
-    std::uint64_t digest = 0;
+    std::uint64_t version = 0;
     Candidate value;
   };
 
@@ -163,11 +166,8 @@ class IncrementalEngine {
 
   /// Region of a cell id, creating the region if new (returns its index).
   std::size_t region_of(hex::CellId cell);
-  void refresh_region_digest(std::size_t region);
-  [[nodiscard]] std::uint64_t region_content_digest(
-      const Region& region) const;
 
-  /// The region's candidate: memoized while the region digest is
+  /// The region's candidate: memoized while the region version is
   /// unchanged, else recomputed by folding every member cell through
   /// `fold(candidate, index, cell)`.
   template <typename Candidate, typename Fold>
@@ -177,8 +177,6 @@ class IncrementalEngine {
 
   /// The global peak cell, merged from the per-region peak partials.
   [[nodiscard]] demand::PeakCandidate merged_peak();
-
-  void rebuild_analyzer_if_stale();
 
   void paranoid_check_resize(double beamspread, double oversub_cap,
                              const ResizeAnswer& answer);
@@ -207,10 +205,8 @@ class IncrementalEngine {
   std::map<std::uint32_t, std::vector<Partial<core::ServedCounts>>>
       served_memo_;
 
+  // Both are dropped by every county-table edit and rebuilt on demand.
   std::optional<afford::AffordabilityAnalyzer> analyzer_;
-  std::uint64_t analyzer_digest_ = 0;
-  bool county_digest_valid_ = false;
-  std::uint64_t county_digest_ = 0;
   std::map<AffordKey, afford::PlanAffordability> afford_memo_;
 
   EngineStats stats_;

@@ -68,13 +68,6 @@ Fingerprint stage_fingerprint(std::string_view stage) {
   return fp;
 }
 
-Fingerprint substage_fingerprint(std::string_view stage,
-                                 std::string_view substage) {
-  Fingerprint fp = stage_fingerprint(stage);
-  fp.mix(substage);
-  return fp;
-}
-
 void mix(Fingerprint& fp, const demand::GeneratorConfig& config) {
   fp.mix_u64(config.seed)
       .mix_i64(config.resolution)

@@ -63,13 +63,6 @@ class Fingerprint {
 /// invalidates every cached blob at once.
 [[nodiscard]] Fingerprint stage_fingerprint(std::string_view stage);
 
-/// Sub-stage fingerprint: a stage fingerprint further scoped by a sub-stage
-/// name (e.g. one region of a per-region recompute). Serve/'s incremental
-/// engine seeds its region and county content digests with these, so a
-/// digest can never collide with one of another sub-stage.
-[[nodiscard]] Fingerprint substage_fingerprint(std::string_view stage,
-                                               std::string_view substage);
-
 /// Field-by-field config mixers (every field participates; extend these
 /// when a config grows a field, or stale cache blobs will hit).
 void mix(Fingerprint& fp, const demand::GeneratorConfig& config);

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "leodivide/demand/calibration.hpp"
+#include "leodivide/demand/delta.hpp"
 #include "leodivide/demand/generator.hpp"
 #include "leodivide/geo/us_outline.hpp"
 #include "leodivide/io/csv.hpp"
@@ -227,9 +229,11 @@ std::string cells_csv(std::size_t rows, const Edit& edit) {
   return out;
 }
 
-// The message load_csv raises on `cells`, or "" when it loads.
-std::string load_error(const std::string& cells) {
-  std::istringstream cells_in(cells), counties_in(kOneCounty);
+// The message load_csv raises on `cells` and `counties`, or "" when they
+// load.
+std::string load_error(const std::string& cells,
+                       const std::string& counties = kOneCounty) {
+  std::istringstream cells_in(cells), counties_in(counties);
   try {
     (void)DemandProfile::load_csv(cells_in, counties_in);
   } catch (const std::runtime_error& e) {
@@ -297,6 +301,58 @@ TEST(DemandProfileTest, CsvCountsAboveUint32AreTypedErrors) {
               if (i == 2) fields[4] = "4294967296";
             })),
             "CSV: bad integer for county: '4294967296'");
+}
+
+TEST(DemandProfileTest, CsvNonFiniteDoublesAreTypedErrors) {
+  const std::string cells = cells_csv(3, [](std::size_t, auto&) {});
+  ASSERT_EQ(load_error(cells), "");
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    const auto bad_cell = [&bad](std::size_t field) {
+      return cells_csv(3, [&bad, field](std::size_t i, auto& fields) {
+        if (i == 2) fields[field] = bad;
+      });
+    };
+    EXPECT_EQ(load_error(bad_cell(1)), "CSV: non-finite lat: '" + bad + "'");
+    EXPECT_EQ(load_error(bad_cell(2)), "CSV: non-finite lon: '" + bad + "'");
+
+    const auto bad_county = [&bad](std::size_t field) {
+      std::vector<std::string> fields = {"90001", "36.000000", "-90.000000",
+                                         "50000.000000", "1"};
+      fields[field] = bad;
+      return "fips,lat,lon,median_income_usd,underserved\n" +
+             join_record(fields);
+    };
+    EXPECT_EQ(load_error(cells, bad_county(1)),
+              "CSV: non-finite lat: '" + bad + "'");
+    EXPECT_EQ(load_error(cells, bad_county(2)),
+              "CSV: non-finite lon: '" + bad + "'");
+    EXPECT_EQ(load_error(cells, bad_county(3)),
+              "CSV: income must be finite and above zero: '" + bad + "'");
+  }
+  EXPECT_EQ(load_error(cells, "fips,lat,lon,median_income_usd,underserved\n"
+                              "90001,36,-90,0,1\n"),
+            "CSV: income must be finite and above zero: '0'");
+}
+
+TEST(DeltaApplierTest, IncomeMustBeFiniteAndAboveZero) {
+  DemandProfile profile =
+      SyntheticGenerator({.seed = 7, .scale = 0.002}).generate_profile();
+  const hex::HexGrid grid;
+  DeltaApplier applier(profile, grid, hex::kServiceCellResolution);
+  const std::vector<County> before = profile.counties().all();
+  DeltaOp op;
+  op.kind = DeltaKind::kSetCountyIncome;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    op.value = bad;
+    EXPECT_THROW((void)applier.apply(op), std::invalid_argument) << bad;
+    EXPECT_TRUE(profile.counties().all() == before);
+  }
+  op.value = 12345.0;
+  EXPECT_TRUE(applier.apply(op).counties_changed);
+  EXPECT_EQ(profile.counties().at(0).median_income_usd, 12345.0);
 }
 
 TEST(DemandProfileTest, CsvFirstBadRecordAcrossBlocksWins) {

@@ -155,6 +155,117 @@ TEST(ServeIncremental, GoldenEquivalenceThroughDeltaSequence) {
             stats.partial_hits + stats.region_recomputes);
 }
 
+// A query folds every region once per memo it reads: resize reads the
+// peak and the sizing memo, a served-fraction query its served memo.
+TEST(ServeIncremental, SingleCellDeltaRefoldsOnlyItsRegion) {
+  const demand::DemandProfile base = small_profile();
+  serve::IncrementalEngine engine(base, serve::EngineConfig{});
+  const std::uint64_t regions = engine.region_count();
+  const serve::ResizeAnswer before = engine.query_resize(10.0, 20.0);
+  const serve::EngineStats warm = engine.stats();
+  EXPECT_EQ(warm.region_recomputes, 2 * regions);
+  EXPECT_EQ(warm.partial_hits, 0U);
+
+  // Pile locations onto the lowest-latitude cell, so that it becomes both
+  // the peak and the binding cell: had its region's partials stayed live,
+  // neither answer could name it.
+  std::size_t target = 0;
+  for (std::size_t i = 1; i < base.cell_count(); ++i) {
+    if (base.cells()[i].center.lat_deg < base.cells()[target].center.lat_deg) {
+      target = i;
+    }
+  }
+  demand::DeltaOp op;
+  op.kind = demand::DeltaKind::kAddLocations;
+  op.position = base.cells()[target].center;
+  op.count = 100000;
+  const serve::ApplyOutcome outcome = engine.apply(op);
+  ASSERT_TRUE(outcome.effect.cells_changed);
+  ASSERT_EQ(outcome.effect.cell_index, target);
+
+  const serve::ResizeAnswer after = engine.query_resize(10.0, 20.0);
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.region_recomputes - warm.region_recomputes, 2U);
+  EXPECT_EQ(stats.partial_misses - warm.partial_misses, 2U);
+  EXPECT_EQ(stats.partial_hits - warm.partial_hits, 2 * (regions - 1));
+  EXPECT_EQ(after.full.binding_cell_index, target);
+  EXPECT_EQ(after.capped.binding_cell_index, target);
+  EXPECT_NE(before, after);
+  expect_engine_matches_library(engine, engine.profile());
+}
+
+TEST(ServeIncremental, IncomeDeltaRefoldsNoRegion) {
+  const demand::DemandProfile base = small_profile();
+  serve::IncrementalEngine engine(base, serve::EngineConfig{});
+  const afford::ServicePlan plan = afford::starlink_residential();
+  const double threshold = afford::kAffordabilityThreshold;
+  (void)engine.query_resize(10.0, 20.0);
+  (void)engine.query_served_fraction(10.0, 20.0);
+  const afford::PlanAffordability before =
+      engine.query_affordability(plan, threshold);
+  const serve::EngineStats warm = engine.stats();
+
+  // Move the county with the most locations across the plan's required
+  // income, so the answer has to change.
+  std::uint32_t county = 0;
+  const auto& counties = base.counties().all();
+  for (std::uint32_t k = 1; k < counties.size(); ++k) {
+    if (counties[k].underserved_locations >
+        counties[county].underserved_locations) {
+      county = k;
+    }
+  }
+  ASSERT_GT(counties[county].underserved_locations, 0U);
+  demand::DeltaOp op;
+  op.kind = demand::DeltaKind::kSetCountyIncome;
+  op.county_index = county;
+  op.value = counties[county].median_income_usd < before.income_required_usd
+                 ? 10.0 * before.income_required_usd
+                 : 1.0;
+  const serve::ApplyOutcome outcome = engine.apply(op);
+  EXPECT_FALSE(outcome.effect.cells_changed);
+  EXPECT_TRUE(outcome.effect.counties_changed);
+
+  const afford::PlanAffordability after =
+      engine.query_affordability(plan, threshold);
+  EXPECT_NE(before.locations_unable, after.locations_unable);
+  EXPECT_EQ(after,
+            afford::AffordabilityAnalyzer(engine.profile()).evaluate(
+                plan, threshold));
+  (void)engine.query_resize(10.0, 20.0);
+  (void)engine.query_served_fraction(10.0, 20.0);
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.region_recomputes, warm.region_recomputes);
+  EXPECT_EQ(stats.partial_hits - warm.partial_hits,
+            3 * static_cast<std::uint64_t>(engine.region_count()));
+  EXPECT_EQ(stats.dirty_regions, warm.dirty_regions);
+}
+
+TEST(ServeIncremental, RejectedOpRefoldsNoRegion) {
+  const demand::DemandProfile base = small_profile();
+  serve::IncrementalEngine engine(base, serve::EngineConfig{});
+  (void)engine.query_resize(10.0, 20.0);
+  (void)engine.query_served_fraction(10.0, 20.0);
+  const serve::EngineStats warm = engine.stats();
+
+  demand::DeltaOp bad;
+  bad.kind = demand::DeltaKind::kRemoveLocations;
+  bad.position = base.cells()[0].center;
+  bad.count = 0xFFFFFFFF;  // more than any cell holds
+  EXPECT_THROW((void)engine.apply(bad), std::invalid_argument);
+  demand::DeltaOp income;
+  income.kind = demand::DeltaKind::kSetCountyIncome;
+  income.value = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)engine.apply(income), std::invalid_argument);
+
+  (void)engine.query_resize(10.0, 20.0);
+  (void)engine.query_served_fraction(10.0, 20.0);
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.region_recomputes, warm.region_recomputes);
+  EXPECT_EQ(stats.dirty_regions, warm.dirty_regions);
+  EXPECT_EQ(stats.deltas_applied, 0U);
+}
+
 // A position whose service cell is NOT in `profile` (scans candidates, so
 // the test never depends on what the 2% sample happened to include).
 geo::GeoPoint vacant_position(const demand::DemandProfile& profile) {
